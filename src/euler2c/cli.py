@@ -133,16 +133,16 @@ def _theory_verdict(target, params, c):
         return None  # handled per-component below
     if target == "levi":
         # boundary nonconvexity at the critical energy for mu below the
-        # inflection threshold 16/17 (and its mirror 1/17)
-        if abs(c - params.c_jacobi) < 1e-9:
-            mu_eff = min(params.mu, 1.0 - params.mu)
-            if mu_eff < 16.0 / 17.0:
-                return "nonconvex"
+        # inflection threshold 16/17
+        if abs(c - params.c_jacobi) < 1e-9 and params.mu < 16.0 / 17.0:
+            return "nonconvex"
         return None
     if target == "fiberwise":
         if abs(params.mu - 0.5) < 1e-15 and c <= params.c_jacobi:
             return "convex"
-        if abs(c - params.c_jacobi) < 1e-12 and params.mu != 0.5:
+        # the witness lies on the Earth lobe, the heavier one only for
+        # mu < 1/2
+        if abs(c - params.c_jacobi) < 1e-12 and params.mu < 0.5:
             return "nonconvex"
         return None
     raise ValueError(target)

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (EnergyAboveCritical, FocalDegeneracy,
                      RootIsolationFailure, SingularPoint)
@@ -359,6 +358,18 @@ def _c_e_pp(mu):
     return -1.0 - math.sqrt(-28.0 * mu * mu + 28.0 * mu + 9.0) / 4.0
 
 
+def _bisect(f, a, b, xtol):
+    """Bisect a certified sign change f(a) < 0 < f(b) down to a bracket
+    of width xtol and return its midpoint."""
+    while b - a > xtol:
+        mid = 0.5 * (a + b)
+        if f(mid) < 0.0:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
 def thresholds(params):
     """Compute the full threshold ladder for the given mass ratio.
 
@@ -397,22 +408,14 @@ def thresholds(params):
         raise RootIsolationFailure("no sign change bracketing c_E")
     if not (psi(lo) > 0.0 > psi(cj)):
         raise RootIsolationFailure("no sign change bracketing c_M")
-    c_e = brentq(phi, lo, cj, xtol=1e-13)
-    c_m = brentq(psi, lo, cj, xtol=1e-13)
+    c_e = _bisect(phi, lo, cj, 1e-13)
+    c_m = _bisect(lambda c: -psi(c), lo, cj, 1e-13)
 
     e_lo, e_hi = eta(c_e_pp, mu), eta(cj, mu)
     if not (e_lo > 0.0 > e_hi):
         raise RootIsolationFailure(
             "eta does not change sign on (c_E'', c_J)")
-    # plain bisection to 1e-12; the interval is certified above
-    a, b = c_e_pp, cj
-    while b - a > 1e-12:
-        mid = 0.5 * (a + b)
-        if eta(mid, mu) > 0.0:
-            a = mid
-        else:
-            b = mid
-    c0 = 0.5 * (a + b)
+    c0 = _bisect(lambda c: -eta(c, mu), c_e_pp, cj, 1e-12)
     return Thresholds(c_e, c_m, c_e_pp, c0)
 
 

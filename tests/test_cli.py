@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -80,6 +83,27 @@ class TestVerdict:
                            "--c", "-2.2")
         assert code == 0
         assert json.loads(out)["verdict"] == "convex"
+
+    def test_levi_no_theorem_above_inflection(self, capsys):
+        # mu >= 16/17: the theorem is silent and the oracle finds no
+        # witness, so the two cannot disagree
+        code, out, _ = run(capsys, "verdict", "levi", "--mu", "0.95",
+                           "--c", "cJ", "--method", "both")
+        assert code == 0
+        d = json.loads(out)
+        assert d["verdict"] == "convex" and "theory" not in d
+
+    @pytest.mark.parametrize("mu, verdict", [(0.3, "nonconvex"),
+                                             (0.7, "convex")])
+    def test_fiberwise_heavier_earth_only(self, capsys, mu, verdict):
+        # the Earth lobe, which the oracle scans, is the heavier one
+        # only for mu < 1/2
+        code, out, _ = run(capsys, "verdict", "fiberwise", "--mu", str(mu),
+                           "--c", "cJ", "--method", "both")
+        assert code == 0
+        d = json.loads(out)
+        assert d["verdict"] == verdict
+        assert d.get("theory") == (verdict if mu < 0.5 else None)
 
     def test_elliptic_requires_component(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -188,3 +212,15 @@ class TestIdentities:
                            "det-frame")
         assert code == 0
         assert "Pass" in out
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, euler2c.cli; "
+         "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "[]"

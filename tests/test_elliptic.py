@@ -39,7 +39,7 @@ from euler2c.model import (
     hamiltonian_H,
 )
 
-# frozen threshold ladder for mu = 0.3 (brentq/bisection to 1e-12)
+# frozen threshold ladder for mu = 0.3 (c_E, c_M to 1e-13, c0 to 1e-12)
 C_E_03 = -4.8240171524519395
 C_M_03 = -3.112036204758127
 C_EPP_03 = -1.9643650760992957
@@ -240,6 +240,33 @@ class TestThresholds:
         b = thresholds(ProblemParams(0.7))
         assert a.c0 == pytest.approx(b.c0, abs=1e-12)
         assert a.c_E == pytest.approx(b.c_E, abs=1e-12)
+
+    @pytest.mark.parametrize("mu, c_e, c_m", [
+        (0.1, -5.61370392286747, -2.0531258820347356),
+        (0.3, -4.8240171524519395, -3.112036204758127),
+        (0.7, -4.82401715245194, -3.112036204758127),
+        (0.49, -4.042352257565485, -3.9574977199296635),
+    ])
+    def test_pinned_c_e_c_m(self, mu, c_e, c_m):
+        th = thresholds(ProblemParams(mu))
+        assert th.c_E == pytest.approx(c_e, abs=1e-12)
+        assert th.c_M == pytest.approx(c_m, abs=1e-12)
+        # c_E, c_M are the roots of the boundary equations phi, psi:
+        # y_pm(c) = (-m +- sqrt(c^2 + 2c + m^2)) / c meets the root a, b
+        # of the mu <= 1/2 representative
+        m = abs(1.0 - 2.0 * mu)
+        sym = ProblemParams(0.5 - m / 2.0)
+
+        def phi(c):
+            return ((-m + math.sqrt(c * c + 2.0 * c + m * m)) / c
+                    - roots_ab(sym, c)[0])
+
+        def psi(c):
+            return ((-m - math.sqrt(c * c + 2.0 * c + m * m)) / c
+                    - roots_ab(sym, c)[1])
+
+        assert phi(th.c_E - 1e-12) < 0.0 < phi(th.c_E + 1e-12)
+        assert psi(th.c_M - 1e-12) > 0.0 > psi(th.c_M + 1e-12)
 
 
 class TestVerdicts:
