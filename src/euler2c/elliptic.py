@@ -15,12 +15,21 @@ tangential Hessian and its closed-form determinant, the sign-governing
 polynomial A(x, y) in the substituted variables x = cosh(lam),
 y = cos(nu), the admissible-domain bounds, the threshold ladder ending
 in c0(mu), and a brute-force convexity oracle over sampled zero sets.
+
+The tangent frame X, Y, Z is orthogonal and each vector has squared
+norm n2 = |grad Q|^2, so the projected Hessian is n2 times the Hessian
+of Q compressed to the tangent space. Its spectrum is closed-form: the
+eigenvalue 4 n2 and the two roots of mu^2 - B mu + n2 C = 0, where
+C = 32 A on the zero set (see _tangent_spectrum). The oracle screens
+every sample with the closed form and confirms with LAPACK (eigvalsh)
+only the samples that may hold a reported extreme, plus a fixed-stride
+audit; every reported number comes from LAPACK, and a disagreement
+beyond 1e-12 of the matrix scale raises OracleInconsistency.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -28,7 +37,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import (EnergyAboveCritical, FocalDegeneracy,
-                     RootIsolationFailure, SingularPoint)
+                     OracleInconsistency, RootIsolationFailure,
+                     SingularPoint)
 from .model import (CartesianPhasePoint, Frame, HillComponent,
                     ProblemParams)
 from .scan import ScanReport
@@ -233,17 +243,60 @@ def frame_vectors(h: HessFrameData):
     return X, Y, Z
 
 
-def _projected_hessian(h: HessFrameData):
-    x, y, z, w, a, b, cc, d = h.x, h.y, h.z, h.w, h.a, h.b, h.cc, h.d
-    m00 = a * y * y + b * x * x + cc * w * w + d * z * z
-    m01 = (a - cc) * y * z + (d - b) * w * x
-    m02 = (a - cc) * w * y + (b - d) * x * z
-    m11 = a * z * z + b * w * w + cc * x * x + d * y * y
-    m12 = (a - b) * w * z + (d - cc) * x * y
-    m22 = a * w * w + b * z * z + cc * y * y + d * x * x
-    return np.array([[m00, m01, m02],
-                     [m01, m11, m12],
-                     [m02, m12, m22]])
+def _projected_hessian(x, y, z, w, a, b):
+    """The six entries (m00, m01, m02, m11, m12, m22) of the Hessian of Q
+    in the tangent frame X, Y, Z, for scalars or arrays of the frame
+    quantities; the momentum diagonal entries of the Hessian are 4."""
+    m00 = a * y * y + b * x * x + 4.0 * w * w + 4.0 * z * z
+    m01 = (a - 4.0) * y * z + (4.0 - b) * w * x
+    m02 = (a - 4.0) * w * y + (b - 4.0) * x * z
+    m11 = a * z * z + b * w * w + 4.0 * x * x + 4.0 * y * y
+    m12 = (a - b) * w * z
+    m22 = a * w * w + b * z * z + 4.0 * y * y + 4.0 * x * x
+    return m00, m01, m02, m11, m12, m22
+
+
+def _symmetric(m00, m01, m02, m11, m12, m22):
+    """Symmetric 3x3 matrices (last two axes) from their six entries."""
+    return np.stack([np.stack(row, axis=-1) for row in
+                     ((m00, m01, m02), (m01, m11, m12), (m02, m12, m22))],
+                    axis=-2)
+
+
+def _tangent_spectrum(x, y, z, w, a, b):
+    """The three eigenvalues (4 n2, mu_lo, mu_hi) of the projected
+    Hessian in closed form, for arrays of the frame quantities.
+
+    X, Y, Z are orthogonal with squared norm n2 = |grad Q|^2, so the
+    matrix is n2 times diag(a, b, 4, 4) compressed to grad Q^perp. With
+    s = z^2 + w^2, (0, 0, w, -z) is an eigenvector of eigenvalue 4 n2,
+    and mu_lo <= mu_hi solve mu^2 - B mu + n2 C = 0 where, with
+    u = b x^2 + a y^2 and rho^2 = x^2 + y^2,
+
+        B = u + 4 rho^2 + (a+b) s,   C = 4 u + a b s  (= 32 A on Q = 0).
+
+    The discriminant B^2 - 4 n2 C is evaluated as the sum of squares
+    D1^2 + 4 (a-b)^2 x^2 y^2 s n2 / rho^4 with
+    D1 = u - 4 rho^2 + (a-b) s (y^2 - x^2) / rho^2 (limit D1 = (a-b) s
+    at rho = 0), and each root in the form free of cancellation.
+    """
+    xx, yy, s = x * x, y * y, z * z + w * w
+    rho2 = xx + yy
+    n2 = rho2 + s
+    u = b * xx + a * yy
+    B = u + 4.0 * rho2 + (a + b) * s
+    nC = n2 * (4.0 * u + a * b * s)
+    flat = rho2 == 0.0
+    inv = 1.0 / np.where(flat, 1.0, rho2)
+    # at rho = 0: (y^2 - x^2) / rho^2 -> 1 and x^2 y^2 / rho^4 -> 0
+    t = (yy - xx) * inv + flat
+    sab = (a - b) * s
+    D1 = u - 4.0 * rho2 + sab * t
+    r = np.sqrt(D1 * D1 + 4.0 * (a - b) * sab * (xx * inv) * (yy * inv) * n2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu_lo = np.where(B <= 0.0, 0.5 * (B - r), 2.0 * nC / (B + r))
+        mu_hi = np.where(B >= 0.0, 0.5 * (B + r), 2.0 * nC / (B - r))
+    return 4.0 * n2, mu_lo, mu_hi
 
 
 def tangential_hessian_det(ep, params, c):
@@ -254,7 +307,7 @@ def tangential_hessian_det(ep, params, c):
     Returns (numeric, closed_form).
     """
     h = hess_frame(ep, params, c)
-    M = _projected_hessian(h)
+    M = _symmetric(*_projected_hessian(h.x, h.y, h.z, h.w, h.a, h.b))
     numeric = float(np.linalg.det(M))
     n2 = h.x ** 2 + h.y ** 2 + h.z ** 2 + h.w ** 2
     closed = n2 ** 2 * (h.b * h.cc * h.d * h.x ** 2
@@ -268,7 +321,7 @@ def tangential_hessian_definiteness(ep, params, c, tol=1e-9):
     """Classification of the projected Hessian by leading principal
     minors, with a tolerance relative to the matrix scale."""
     h = hess_frame(ep, params, c)
-    M = _projected_hessian(h)
+    M = _symmetric(*_projected_hessian(h.x, h.y, h.z, h.w, h.a, h.b))
     scale = float(np.max(np.abs(M))) or 1.0
     m1 = M[0, 0]
     m2 = M[0, 0] * M[1, 1] - M[0, 1] ** 2
@@ -331,13 +384,17 @@ def roots_ab(params, c):
     return a, b
 
 
+def _eta(c, m2):
+    """eta as a polynomial in c with m2 = (1-2mu)^2; Python floats or
+    arrays."""
+    return (c ** 4 + 2.0 * c ** 3 + 1.125 * m2 * c ** 2 + 0.25 * m2 * c
+            + (5.0 / 256.0) * m2 * m2)
+
+
 def eta(c, mu):
     """The threshold quartic in the energy; its root in (c_E'', c_J) is
     c0(mu). Depends on mu only through m^2 = (1-2mu)^2."""
-    m2 = (1.0 - 2.0 * mu) ** 2
-    c = np.asarray(c, dtype=float)
-    v = (c ** 4 + 2.0 * c ** 3 + 1.125 * m2 * c ** 2 + 0.25 * m2 * c
-         + (5.0 / 256.0) * m2 * m2)
+    v = _eta(np.asarray(c, dtype=float), (1.0 - 2.0 * mu) ** 2)
     return float(v) if np.ndim(v) == 0 else v
 
 
@@ -411,11 +468,12 @@ def thresholds(params):
     c_e = _bisect(phi, lo, cj, 1e-13)
     c_m = _bisect(lambda c: -psi(c), lo, cj, 1e-13)
 
-    e_lo, e_hi = eta(c_e_pp, mu), eta(cj, mu)
-    if not (e_lo > 0.0 > e_hi):
+    # eta in Python floats: the bisection makes about 43 scalar calls
+    m2 = (1.0 - 2.0 * mu) ** 2
+    if not (_eta(c_e_pp, m2) > 0.0 > _eta(cj, m2)):
         raise RootIsolationFailure(
             "eta does not change sign on (c_E'', c_J)")
-    c0 = _bisect(lambda c: -eta(c, mu), c_e_pp, cj, 1e-12)
+    c0 = _bisect(lambda c: -_eta(c, m2), c_e_pp, cj, 1e-12)
     return Thresholds(c_e, c_m, c_e_pp, c0)
 
 
@@ -483,32 +541,27 @@ def _zero_set_arrays(params, c, component, n_lam=100, n_nu=100, n_phi=16,
 
     if refine_boundary:
         # add R^2 = 0 boundary points (momentum zero) between grid
-        # neighbors of opposite R^2 sign, bisected in nu
-        extra_l, extra_n = [], []
+        # neighbors of opposite R^2 sign; at fixed lam, R^2 = 0 is the
+        # quadratic c cn^2 + 2 m cn - k = 0 in cn = cos(nu),
+        # k = 2 cosh(lam) + c cosh(lam)^2
         sign = R2 >= 0.0
-        flip = sign[:, :-1] != sign[:, 1:]
-        ii, jj = np.nonzero(flip)
-        for i, j in zip(ii, jj):
-            a, b = nu[j], nu[j + 1]
-            la = lam[i]
-            fa = (2.0 * math.cosh(la) + c * math.cosh(la) ** 2
-                  - 2.0 * m * math.cos(a) - c * math.cos(a) ** 2)
-            for _ in range(60):
-                mid = 0.5 * (a + b)
-                fm = (2.0 * math.cosh(la) + c * math.cosh(la) ** 2
-                      - 2.0 * m * math.cos(mid) - c * math.cos(mid) ** 2)
-                if (fm >= 0.0) == (fa >= 0.0):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            root = a if fa >= 0.0 else b
-            extra_l.append(la)
-            extra_n.append(root)
-        if extra_l:
-            lam_out = np.concatenate([lam_out, extra_l])
-            nu_out = np.concatenate([nu_out, extra_n])
-            pl_out = np.concatenate([pl_out, np.zeros(len(extra_l))])
-            pn_out = np.concatenate([pn_out, np.zeros(len(extra_l))])
+        ii, jj = np.nonzero(sign[:, :-1] != sign[:, 1:])
+        ch = np.cosh(lam[ii])
+        k = 2.0 * ch + c * ch ** 2
+        q = -(m + math.copysign(1.0, m) * np.sqrt(np.maximum(m * m + c * k,
+                                                             0.0)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            roots = (q / c, -k / q)
+        # cos is decreasing on [0, pi]: the bracket in cn is
+        # [cos nu_{j+1}, cos nu_j]; take the root nearer to it
+        lo, hi = np.cos(nu[jj + 1]), np.cos(nu[jj])
+        d1, d2 = (np.maximum(np.maximum(lo - r, r - hi), 0.0) for r in roots)
+        cn_rim = np.clip(np.where(d2 < d1, roots[1], roots[0]), lo, hi)
+        nu_rim = np.clip(np.arccos(cn_rim), nu[jj], nu[jj + 1])
+        lam_out = np.concatenate([lam_out, lam[ii]])
+        nu_out = np.concatenate([nu_out, nu_rim])
+        pl_out = np.concatenate([pl_out, np.zeros(ii.size)])
+        pn_out = np.concatenate([pn_out, np.zeros(ii.size)])
 
     return lam_out, nu_out, pl_out, pn_out
 
@@ -527,60 +580,81 @@ def sample_zero_set(params, c, component, n_lam=100, n_nu=100, n_phi=16):
             for a, b, u, v in zip(lam, nu, pl, pn)]
 
 
-def _thread_count():
-    raw = os.environ.get("EULER2C_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+# closed-form spectrum against LAPACK, relative to the matrix scale; the
+# closed form is good to about 4e-16 and eigvalsh to about 2e-15
+_CONFIRM_TOL = 1e-12
+# every this many good samples is confirmed whatever its value
+_AUDIT_STRIDE = 64
 
 
-def _min_eigvals(M, threads):
-    if threads <= 1 or M.shape[0] < 4096:
-        return np.linalg.eigvalsh(M)[:, 0]
-    from concurrent.futures import ThreadPoolExecutor
-    chunks = np.array_split(M, threads)
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        parts = list(ex.map(lambda m: np.linalg.eigvalsh(m)[:, 0], chunks))
-    return np.concatenate(parts)
+# samples per block of the screen, so that its temporaries stay in cache
+_BLOCK = 16384
 
 
-def oracle_convexity(params, c, component, grid=(100, 100, 16), tol=1e-9,
-                     threads=None):
+def _screen(lam, nu, pl, pn, params, c):
+    """Rows |grad Q|^2, matrix scale max |M_ij| and closed-form smallest
+    eigenvalue of the projected Hessian at every sample."""
+    out = np.empty((3, lam.size))
+    for i in range(0, lam.size, _BLOCK):
+        blk = slice(i, i + _BLOCK)
+        frame = _frame_arrays(lam[blk], nu[blk], pl[blk], pn[blk], params, c)
+        x, y, z, w = frame[:4]
+        out[0, blk] = x * x + y * y + z * z + w * w
+        np.max(np.abs(_projected_hessian(*frame)), axis=0, out=out[1, blk])
+        e4, mu_lo, _ = _tangent_spectrum(*frame)
+        np.minimum(e4, mu_lo, out=out[2, blk])
+    return out
+
+
+def _near_extremes(lo, hi):
+    """Samples whose interval [lo, hi] may hold the minimum or the
+    maximum of the values the intervals enclose."""
+    return (lo <= hi.min()) | (hi >= lo.max())
+
+
+def oracle_convexity(params, c, component, grid=(100, 100, 16), tol=1e-9):
     """Brute-force convexity oracle: projected-Hessian definiteness over
     a sampled zero set.
 
     Reports the minimum smallest eigenvalue, its witness point, and a
     verdict ('posdef' everywhere vs 'indefinite' witness). Samples with
     a vanishing gradient are counted as failures, never aborting.
+
+    Every sample is screened with the closed-form smallest eigenvalue;
+    LAPACK (eigvalsh) then confirms each sample that may hold one of the
+    reported extremes, plus every _AUDIT_STRIDE-th sample, and every
+    reported number comes from LAPACK. Raises OracleInconsistency when
+    the two differ by more than _CONFIRM_TOL times the matrix scale.
     """
     t0 = time.perf_counter()
     n_lam, n_nu, n_phi = grid
     lam, nu, pl, pn = _zero_set_arrays(params, c, component,
                                        n_lam, n_nu, n_phi)
-    x, y, z, w, a, b = _frame_arrays(lam, nu, pl, pn, params, c)
-    g2 = x * x + y * y + z * z + w * w
+    g2, scale, ev = _screen(lam, nu, pl, pn, params, c)
     good = g2 > 1e-12
     failures = int(np.count_nonzero(~good))
+    idx_good = np.flatnonzero(good)
+    scale, ev = scale[good], ev[good]
+    denom = np.maximum(scale, 1e-30)
+    rel = ev / denom
 
-    cc = d = 4.0
-    M = np.empty((lam.size, 3, 3))
-    M[:, 0, 0] = a * y * y + b * x * x + cc * w * w + d * z * z
-    M[:, 0, 1] = M[:, 1, 0] = (a - cc) * y * z + (d - b) * w * x
-    M[:, 0, 2] = M[:, 2, 0] = (a - cc) * w * y + (b - d) * x * z
-    M[:, 1, 1] = a * z * z + b * w * w + cc * x * x + d * y * y
-    M[:, 1, 2] = M[:, 2, 1] = (a - b) * w * z + (d - cc) * x * y
-    M[:, 2, 2] = a * w * w + b * z * z + cc * y * y + d * x * x
+    span = _CONFIRM_TOL * scale
+    confirm = (_near_extremes(ev - span, ev + span)
+               | _near_extremes(rel - _CONFIRM_TOL, rel + _CONFIRM_TOL)
+               | ~np.isfinite(ev))
+    confirm[::_AUDIT_STRIDE] = True
+    sel = np.flatnonzero(confirm)
+    pick = idx_good[sel]
+    frame = _frame_arrays(lam[pick], nu[pick], pl[pick], pn[pick], params, c)
+    ev_sel = np.linalg.eigvalsh(_symmetric(*_projected_hessian(*frame)))[:, 0]
+    if not np.all(np.abs(ev_sel - ev[sel]) <= span[sel]):
+        raise OracleInconsistency(
+            "closed-form and LAPACK smallest eigenvalues disagree")
+    rel_sel = ev_sel / denom[sel]
 
-    threads = _thread_count() if threads is None else max(1, threads)
-    ev = _min_eigvals(M[good], threads)
-    scale = np.max(np.abs(M[good]), axis=(1, 2))
-    rel = ev / np.maximum(scale, 1e-30)
-
-    idx_good = np.nonzero(good)[0]
-    i_min = int(idx_good[int(np.argmin(rel))])
-    i_max = int(idx_good[int(np.argmax(rel))])
-    min_rel = float(np.min(rel))
+    i_min = int(idx_good[sel[int(np.argmin(rel_sel))]])
+    i_max = int(idx_good[sel[int(np.argmax(rel_sel))]])
+    min_rel = float(np.min(rel_sel))
     witness_pt = (float(lam[i_min]), float(nu[i_min]),
                   float(pl[i_min]), float(pn[i_min]))
     witnesses = []
@@ -595,8 +669,8 @@ def oracle_convexity(params, c, component, grid=(100, 100, 16), tol=1e-9,
         target=f"tangential-hessian mu={params.mu} c={c} "
                f"{HillComponent(component).value}",
         grid=grid,
-        min_value=float(ev.min()), argmin=witness_pt,
-        max_value=float(ev.max()),
+        min_value=float(ev_sel.min()), argmin=witness_pt,
+        max_value=float(ev_sel.max()),
         argmax=(float(lam[i_max]), float(nu[i_max]),
                 float(pl[i_max]), float(pn[i_max])),
         witnesses=witnesses, verdict=verdict,

@@ -40,6 +40,11 @@ class RootIsolationFailure(Euler2CError):
     """A root bracketing or isolation step failed."""
 
 
+class OracleInconsistency(Euler2CError):
+    """Two independent evaluations inside a numerical oracle disagree
+    beyond their tolerance."""
+
+
 class TraceFailure(Euler2CError):
     """Implicit-curve tracing could not proceed.
 

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from euler2c import elliptic
 from euler2c.errors import (
     EnergyAboveCritical,
     FocalDegeneracy,
+    OracleInconsistency,
     SingularPoint,
 )
 from euler2c.elliptic import (
@@ -230,6 +232,30 @@ class TestThresholds:
         th = thresholds(p03)
         assert abs(eta(th.c0, p03.mu)) < 1e-10
 
+    def test_c0_float_path_bitwise(self):
+        # thresholds evaluates eta in Python floats; bisecting the array
+        # form of eta gives the same c0 in every bit
+        mus = np.linspace(0.001, 0.999, 400)
+        for mu in mus:
+            p = ProblemParams(float(mu))
+            ref = elliptic._bisect(
+                lambda c: -eta(np.array(c), float(mu)),
+                elliptic._c_e_pp(float(mu)), p.c_jacobi, 1e-12)
+            assert thresholds(p).c0 == ref
+        cs = np.linspace(-3.0, -1.5, 7)
+        assert np.array_equal(eta(cs, 0.3), [eta(float(c), 0.3) for c in cs])
+
+    @pytest.mark.parametrize("mu, c0", [
+        (0.001, -1.2558871016743944),
+        (0.1, -1.61327276611885),
+        (0.3, -1.916913738881517),
+        (0.49, -1.9997999821064467),
+        (0.999, -1.2558871016743944),
+    ])
+    def test_pinned_c0_bits(self, mu, c0):
+        # the bits c0 had while eta was evaluated through numpy
+        assert thresholds(ProblemParams(mu)).c0 == c0
+
     def test_equal_mass_collapse(self, p05):
         th = thresholds(p05)
         assert th.c_E == th.c_M == th.c0 == -2.0
@@ -323,8 +349,178 @@ class TestOracle:
             EllipticPoint(lam, nu, pl, pn), p03, mid)
         assert d is Definiteness.INDEFINITE
 
-    def test_threads_env(self, p03, monkeypatch):
-        monkeypatch.setenv("EULER2C_THREADS", "2")
-        rep = oracle_convexity(p03, p03.c_jacobi - 0.5,
-                               HillComponent.MOON, grid=(30, 30, 8))
-        assert rep.verdict == "posdef"
+    @pytest.mark.parametrize("mu, dc, comp", [
+        (0.3, -0.1, HillComponent.EARTH),
+        (0.3, 0.5, HillComponent.EARTH),
+        (0.3, 0.5, HillComponent.MOON),
+        (0.77, 0.5, HillComponent.MOON),
+        (0.77, -0.2, HillComponent.EARTH),
+        (0.5, -0.05, HillComponent.MOON),
+    ])
+    def test_report_matches_full_eigvalsh(self, mu, dc, comp):
+        # reference: eigvalsh on every sample, as the report is defined;
+        # dc is the energy's offset above c0 as a share of c_J - c0, or,
+        # when negative, its distance below c0
+        p = ProblemParams(mu)
+        c0 = thresholds(p).c0
+        c = c0 + dc * (p.c_jacobi - c0) if dc > 0 else c0 + dc
+        grid = (40, 40, 8)
+        lam, nu, pl, pn = elliptic._zero_set_arrays(p, c, comp, *grid)
+        frame = elliptic._frame_arrays(lam, nu, pl, pn, p, c)
+        M = elliptic._symmetric(*elliptic._projected_hessian(*frame))
+        x, y, z, w = frame[:4]
+        good = x * x + y * y + z * z + w * w > 1e-12
+        ev = np.linalg.eigvalsh(M[good])[:, 0]
+        rel = ev / np.maximum(np.max(np.abs(M[good]), axis=(1, 2)), 1e-30)
+        idx = np.flatnonzero(good)
+        i_min, i_max = idx[np.argmin(rel)], idx[np.argmax(rel)]
+        point = [(float(lam[i]), float(nu[i]), float(pl[i]), float(pn[i]))
+                 for i in (i_min, i_max)]
+        min_rel = float(rel.min())
+        verdict = ("indefinite" if min_rel < -1e-9 else
+                   "posdef" if min_rel > 1e-9 else "degenerate")
+
+        rep = oracle_convexity(p, c, comp, grid=grid)
+        assert rep.verdict == verdict
+        assert rep.min_value == float(ev.min())
+        assert rep.max_value == float(ev.max())
+        assert rep.argmin == point[0] and rep.argmax == point[1]
+        assert rep.witnesses == ([point[0]] if verdict == "indefinite"
+                                 else [])
+        assert rep.samples == lam.size
+        assert rep.failures == int(np.count_nonzero(~good))
+
+    @pytest.mark.parametrize("perturb", ["all", "audit"])
+    def test_wrong_closed_form_raises(self, p03, monkeypatch, perturb):
+        spectrum = elliptic._tangent_spectrum
+
+        def wrong(*frame):
+            e4, lo, hi = spectrum(*frame)
+            if perturb == "all":
+                return e4, lo * (1.0 + 1e-9), hi
+            # one sample that only the fixed-stride audit confirms
+            lo = lo.copy()
+            lo[2 * elliptic._AUDIT_STRIDE] += 1e-6 * abs(lo).max()
+            return e4, lo, hi
+
+        monkeypatch.setattr(elliptic, "_tangent_spectrum", wrong)
+        with pytest.raises(OracleInconsistency):
+            oracle_convexity(p03, p03.c_jacobi - 0.5, HillComponent.MOON,
+                             grid=(30, 30, 8))
+
+
+def _energies(p):
+    """Below c0, just below c0 and between c0 and c_J (for mu = 1/2,
+    where c0 = c_J, the last two collapse to just below c_J)."""
+    c0 = thresholds(p).c0
+    out = [c0 - 0.3, c0 - 1e-9 if c0 < p.c_jacobi else p.c_jacobi - 1e-9]
+    if c0 < p.c_jacobi:
+        out.append(0.5 * (c0 + p.c_jacobi))
+    return out
+
+
+SPECTRUM_MUS = (0.001, 0.13, 0.499, 0.5, 0.77, 0.999)
+
+
+class TestSpectrum:
+    """The closed-form spectrum behind the oracle's screen."""
+
+    @pytest.mark.parametrize("mu", SPECTRUM_MUS)
+    def test_min_eigenvalue_matches_lapack(self, mu):
+        p = ProblemParams(mu)
+        for comp in HillComponent:
+            for c in _energies(p):
+                lam, nu, pl, pn = elliptic._zero_set_arrays(
+                    p, c, comp, 30, 30, 8)
+                # the rim (zero momentum) and the rho = 0 corner at
+                # lam = 0 and nu = pi (Earth) or nu = 0 (Moon)
+                assert np.any((pl == 0.0) & (pn == 0.0))
+                corner = math.pi if comp is HillComponent.EARTH else 0.0
+                assert np.any((lam == 0.0) & (nu == corner))
+                frame = elliptic._frame_arrays(lam, nu, pl, pn, p, c)
+                entries = elliptic._projected_hessian(*frame)
+                M = elliptic._symmetric(*entries)
+                ev = np.linalg.eigvalsh(M)[:, 0]
+                e4, lo, _ = elliptic._tangent_spectrum(*frame)
+                scale = np.max(np.abs(M), axis=(1, 2))
+                err = np.abs(np.minimum(e4, lo) - ev)
+                assert np.all(err <= 1e-13 * scale), (comp, c)
+
+    @pytest.mark.parametrize("mu", (0.13, 0.77))
+    def test_eigenvalue_product_is_det(self, mu, rng):
+        p = ProblemParams(mu)
+        for comp in HillComponent:
+            for c in _energies(p):
+                pts = sample_zero_set(p, c, comp, n_lam=15, n_nu=15, n_phi=6)
+                for i in rng.choice(len(pts), size=40, replace=False):
+                    h = hess_frame(pts[i], p, c)
+                    e4, lo, hi = elliptic._tangent_spectrum(
+                        *(np.array([v]) for v in
+                          (h.x, h.y, h.z, h.w, h.a, h.b)))
+                    closed = tangential_hessian_det(pts[i], p, c)[1]
+                    n2 = h.x ** 2 + h.y ** 2 + h.z ** 2 + h.w ** 2
+                    size = 4.0 * n2 ** 2 * (
+                        abs(4.0 * h.b * h.x ** 2) + abs(4.0 * h.a * h.y ** 2)
+                        + abs(h.a * h.b) * (h.z ** 2 + h.w ** 2))
+                    assert abs(float(e4[0] * lo[0] * hi[0]) - closed) \
+                        <= 1e-13 * size
+
+
+def _rim_reference(params, c, component, n_lam, n_nu):
+    """The rim as bisected in nu between grid neighbors of opposite R^2
+    sign (60 halvings), with its brackets."""
+    nu_lo, nu_hi, dom = elliptic._nu_interval(params, c, component)
+    m = 1.0 - 2.0 * params.mu
+    lam = np.linspace(0.0, math.acosh(dom.x_range[1]), n_lam)
+    nu = np.linspace(nu_lo, nu_hi, n_nu)
+    ch, cn = np.cosh(lam)[:, None], np.cos(nu)[None, :]
+    sign = 2.0 * ch + c * ch ** 2 - 2.0 * m * cn - c * cn ** 2 >= 0.0
+    rim = []
+    for i, j in zip(*np.nonzero(sign[:, :-1] != sign[:, 1:])):
+        chi = np.cosh(lam[i])
+
+        def f(v):
+            return 2.0 * chi + c * chi ** 2 - 2.0 * m * np.cos(v) \
+                - c * np.cos(v) ** 2
+
+        a, b = nu[j], nu[j + 1]
+        fa = f(a)
+        for _ in range(60):
+            mid = 0.5 * (a + b)
+            fm = f(mid)
+            if (fm >= 0.0) == (fa >= 0.0):
+                a, fa = mid, fm
+            else:
+                b = mid
+        rim.append((lam[i], nu[j], nu[j + 1], a if fa >= 0.0 else b))
+    return np.array(rim).T
+
+
+class TestRim:
+    @pytest.mark.parametrize("mu, dc", [(0.3, 0.4), (0.3, 1.5),
+                                        (0.5, 0.3), (0.77, 0.4)])
+    @pytest.mark.parametrize("comp", list(HillComponent))
+    def test_closed_form_rim(self, mu, dc, comp):
+        p = ProblemParams(mu)
+        c = p.c_jacobi - dc
+        n_lam, n_nu = 60, 60
+        lam, nu, pl, pn = elliptic._zero_set_arrays(p, c, comp,
+                                                    n_lam, n_nu, 4)
+        r_lam, nu_a, nu_b, nu_ref = _rim_reference(p, c, comp, n_lam, n_nu)
+        k = r_lam.size
+        assert k > 10
+        # the rim comes last, in the reference's order
+        assert np.all(pl[-k:] == 0.0) and np.all(pn[-k:] == 0.0)
+        assert np.array_equal(lam[-k:], r_lam)
+        rim = nu[-k:]
+        assert np.all((nu_a <= rim) & (rim <= nu_b))
+        m = 1.0 - 2.0 * mu
+        ch, cn = np.cosh(r_lam), np.cos(rim)
+        assert np.abs(2.0 * ch + c * ch ** 2 - 2.0 * m * cn
+                      - c * cn ** 2).max() <= 1e-12
+        # where R^2 is flat in nu (roots within ~1e-8 of nu = 0 or pi)
+        # binary64 cannot place the rim to 1e-12; elsewhere both agree
+        slope = np.abs(2.0 * np.sin(rim) * (m + c * cn))
+        sharp = slope > 1e-3
+        assert np.count_nonzero(sharp) >= 0.9 * k
+        assert np.abs(rim - nu_ref)[sharp].max() <= 1e-12
