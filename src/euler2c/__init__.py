@@ -4,7 +4,8 @@ The package computes, certifies, and falsifies convexity of the
 regularized energy hypersurfaces and of the Hill regions below the
 critical Jacobi energy:
 
-- ``model``: Hamiltonian, Hill regions, frames, shared constants.
+- ``model``: Hamiltonian, the potential U and its derivative table, Hill
+  regions, frames, shared constants and the heavier lobe.
 - ``elliptic``: two-sheeted elliptic regularization, projected Hessian
   of the regularized energy, thresholds c_E, c_M, c0, verdicts, oracle.
 - ``levicivita``: Levi-Civita regularization around one primary,
@@ -13,8 +14,9 @@ critical Jacobi energy:
   convexity sweeps, with the equal-mass polar closed forms.
 - ``exactpoly``: exact rational polynomial arithmetic, Sturm-based sign
   certificates, and the named identity suite behind the proofs.
-- ``scan``: sign scans, implicit-curve tracing, finite-difference
-  derivative validation.
+- ``scan``: the level-set curvature numerator behind C and F, sign
+  scans, implicit-curve tracing, finite-difference derivative
+  validation.
 - ``cli``: the ``euler2c`` command.
 """
 
@@ -37,6 +39,7 @@ from .model import (
     HillComponent,
     Membership,
     ProblemParams,
+    U_derivs,
     grad_U,
     hamiltonian_H,
     hill_boundary,
@@ -65,7 +68,6 @@ from .levicivita import (
 from .fiberwise import (
     C_value,
     FiberwiseReport,
-    U_derivs,
     curvature_numerator,
     fiberwise_verdict,
     positivity_certificates,

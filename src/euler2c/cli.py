@@ -7,8 +7,10 @@ verdict            convexity verdicts (theory vs numerical oracle)
 curve              figure data (boundaries, zero sets, thresholds) as CSV
 verify-identities  run the exact polynomial-identity suite
 
-Exit codes: 0 success (methods agree), 2 invalid input, 3 theory/oracle
-disagreement, 4 identity failure.
+Exit codes: 0 success (methods agree), 1 partial curve (a trace stopped
+early), 2 invalid input, 3 theory/oracle disagreement, 4 identity
+failure, 5 oracle fault (OracleInconsistency: two evaluations inside the
+numerical oracle disagree, a defect of the program, not of the input).
 
 Energies accept the symbolic forms ``cJ``, ``cJ-0.1``, ``cJ+0.05``
 resolved against the critical Jacobi energy of the given mass ratio, so
@@ -27,7 +29,7 @@ import time
 import numpy as np
 
 from . import elliptic, fiberwise, levicivita
-from .errors import Euler2CError, TraceFailure
+from .errors import Euler2CError, OracleInconsistency, TraceFailure
 from .exactpoly import identity_names, verify_all, verify_identity
 from .model import HillComponent, ProblemParams, hill_boundary
 from .scan import sign_scan, trace_implicit
@@ -138,11 +140,12 @@ def _theory_verdict(target, params, c):
             return "nonconvex"
         return None
     if target == "fiberwise":
-        if abs(params.mu - 0.5) < 1e-15 and c <= params.c_jacobi:
+        if params.heavier is None and c <= params.c_jacobi:
             return "convex"
-        # the witness lies on the Earth lobe, the heavier one only for
-        # mu < 1/2
-        if abs(c - params.c_jacobi) < 1e-12 and params.mu < 0.5:
+        # the witness lies on the Earth lobe, so the theorem speaks only
+        # when that lobe is the heavier one
+        if (abs(c - params.c_jacobi) < 1e-12
+                and params.heavier is HillComponent.EARTH):
             return "nonconvex"
         return None
     raise ValueError(target)
@@ -215,6 +218,17 @@ def cmd_verdict(args):
 
 # -- curves ------------------------------------------------------------------
 
+def _cone_rows(name, apex, half_width, n):
+    """Series name+ and name- sampling the lines y = +-sqrt(2)(x - apex)
+    through (apex, 0) at n // 4 abscissas within half_width of apex."""
+    rows = []
+    for sign, suffix in ((1.0, "+"), (-1.0, "-")):
+        for t in np.linspace(-half_width, half_width, n // 4):
+            rows.append((name + suffix, apex + t,
+                         sign * math.sqrt(2.0) * t, 0.0))
+    return rows
+
+
 def _curve_hill(args, params, c):
     rows = []
     for comp in (HillComponent.EARTH, HillComponent.MOON):
@@ -223,10 +237,7 @@ def _curve_hill(args, params, c):
             rows.append((f"hill-{comp.value}", q1, q2,
                          fiberwise.curvature_numerator((q1, q2), params)))
     # touching-cone tangents through (l, 0)
-    l = params.l
-    for sgn, name in ((1.0, "cone+"), (-1.0, "cone-")):
-        for t in np.linspace(-0.2, 0.2, args.n // 4):
-            rows.append((name, l + t, sgn * math.sqrt(2.0) * t, 0.0))
+    rows += _cone_rows("cone", params.l, 0.2, args.n)
     return ["series", "q1", "q2", "C"], rows
 
 
@@ -254,9 +265,7 @@ def _curve_v0(args, params, c):
         for x, y in pl.points:
             rows.append(("v0", x, y,
                          levicivita.F_value(x, y, params, c)))
-    for sgn, name in ((1.0, "tangent+"), (-1.0, "tangent-")):
-        for t in np.linspace(-0.3, 0.3, args.n // 4):
-            rows.append((name, x0 + t, sgn * math.sqrt(2.0) * t, 0.0))
+    rows += _cone_rows("tangent", x0, 0.3, args.n)
     return ["series", "x", "y", "F"], rows, partial
 
 
@@ -292,9 +301,7 @@ def _curve_czero(args, params):
         partial |= bad
         for x, y in pl.points:
             rows.append((f"czero-{k}", x, y, 0.0))
-    for sgn, name in ((1.0, "cone+"), (-1.0, "cone-")):
-        for t in np.linspace(-0.3, 0.3, args.n // 4):
-            rows.append((name, l + t, sgn * math.sqrt(2.0) * t, 0.0))
+    rows += _cone_rows("cone", l, 0.3, args.n)
     return ["series", "q1", "q2", "zero"], rows, partial
 
 
@@ -465,6 +472,8 @@ def main(argv=None):
             return cmd_curve(args)
         if args.command == "verify-identities":
             return cmd_verify_identities(args)
+    except OracleInconsistency as err:
+        _fail(str(err), code=5)
     except (Euler2CError, ValueError) as err:
         _fail(str(err))
     return 0

@@ -39,8 +39,7 @@ import numpy as np
 from .errors import (EnergyAboveCritical, FocalDegeneracy,
                      OracleInconsistency, RootIsolationFailure,
                      SingularPoint)
-from .model import (CartesianPhasePoint, Frame, HillComponent,
-                    ProblemParams)
+from .model import CartesianPhasePoint, Frame, HillComponent
 from .scan import ScanReport
 
 __all__ = [
@@ -373,15 +372,16 @@ def domain_bounds(params, c, component):
     return EllipticDomain((1.0, x_hi), y_range, component)
 
 
+def _roots_ab(m, c):
+    disc = math.sqrt(m * m + 8.0 * c * c)
+    return (-m + disc) / (4.0 * c), (-m - disc) / (4.0 * c)
+
+
 def roots_ab(params, c):
     """The two real roots of f(y) = 2cy^2 + (1-2mu)y - c with
     -1 < a < 0 < b < 1 (for mu <= 1/2; general mu by the mass-swap
     symmetry)."""
-    m = 1.0 - 2.0 * params.mu
-    disc = math.sqrt(m * m + 8.0 * c * c)
-    a = (-m + disc) / (4.0 * c)
-    b = (-m - disc) / (4.0 * c)
-    return a, b
+    return _roots_ab(1.0 - 2.0 * params.mu, c)
 
 
 def _eta(c, m2):
@@ -445,8 +445,6 @@ def thresholds(params):
         # below the resolvable bracket widths
         return Thresholds(cj, cj, c_e_pp, cj)
 
-    sym = ProblemParams(0.5 - m / 2.0)  # mu <= 1/2 representative
-
     def y_plus(c):
         return (-m + math.sqrt(max(c * c + 2.0 * c + m * m, 0.0))) / c
 
@@ -454,10 +452,10 @@ def thresholds(params):
         return (-m - math.sqrt(max(c * c + 2.0 * c + m * m, 0.0))) / c
 
     def phi(c):
-        return y_plus(c) - roots_ab(sym, c)[0]
+        return y_plus(c) - _roots_ab(m, c)[0]
 
     def psi(c):
-        return y_minus(c) - roots_ab(sym, c)[1]
+        return y_minus(c) - _roots_ab(m, c)[1]
 
     lo = cj * 50.0
     # phi < 0 far below, > 0 at c_J; psi the opposite orientation
@@ -482,17 +480,13 @@ def convexity_verdict(params, c, component):
 
     The component near the lighter primary bounds a convex region for
     every c < c_J; the component near the heavier primary does iff
-    c < c0(mu). At mu = 1/2 both are always convex.
+    c < c0(mu). At mu = 1/2 (params.heavier is None) both are always
+    convex.
     """
     if c >= params.c_jacobi:
         raise EnergyAboveCritical(
             f"c = {c} is not below c_J = {params.c_jacobi}")
-    component = HillComponent(component)
-    mu = params.mu
-    if mu == 0.5:
-        return Verdict.CONVEX
-    lighter = (HillComponent.MOON if mu < 0.5 else HillComponent.EARTH)
-    if component is lighter:
+    if HillComponent(component) is not params.heavier:
         return Verdict.CONVEX
     c0 = thresholds(params).c0
     return Verdict.CONVEX if c < c0 else Verdict.NONCONVEX

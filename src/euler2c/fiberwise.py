@@ -5,7 +5,9 @@ numerator
 
     C = U_q1q1 U_q2^2 + U_q1^2 U_q2q2 - 2 U_q1q2 U_q1 U_q2
 
-is positive (kappa = C / |grad U|^3). Fiberwise convexity of the
+is positive (kappa = C / |grad U|^3). C is scan.level_curvature applied
+to the derivative table model.U_derivs, which this module re-exports
+together with UPotentialEval. Fiberwise convexity of the
 position-fibered energy hypersurface at energy c is equivalent to
 convexity of every Hill region of effective energy e <= c, so the
 verdict routine sweeps effective energies.
@@ -26,8 +28,9 @@ import numpy as np
 
 from .errors import CollisionPoint
 from .exactpoly import sign_certificate, sturm_isolate
-from .model import Frame, HillComponent, ProblemParams, hill_boundary
-from .scan import fd_derivative
+from .model import (Frame, HillComponent, UPotentialEval, U_derivs,
+                    _distances, hill_boundary, potential_U)
+from .scan import fd_derivative, level_curvature
 
 __all__ = [
     "UPotentialEval",
@@ -43,24 +46,6 @@ __all__ = [
     "lemma_polynomials",
     "positivity_certificates",
 ]
-
-_COLLISION_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class UPotentialEval:
-    """U and its partial derivatives through order three (Standard frame)."""
-
-    U: float
-    U_1: float
-    U_2: float
-    U_11: float
-    U_12: float
-    U_22: float
-    U_111: float
-    U_112: float
-    U_122: float
-    U_222: float
 
 
 @dataclass(frozen=True)
@@ -83,50 +68,10 @@ class CurvatureEval:
     g_aux: float
 
 
-def U_derivs(q, params):
-    """All closed-form derivatives of U through order three; vectorized."""
-    q1 = np.asarray(q[0], dtype=float)
-    q2 = np.asarray(q[1], dtype=float)
-    mu = params.mu
-    r1 = np.hypot(q1, q2)
-    r2 = np.hypot(q1 - 1.0, q2)
-    if np.any(r1 < _COLLISION_TOL) or np.any(r2 < _COLLISION_TOL):
-        raise CollisionPoint("position coincides with a primary")
-    a, b = 1.0 - mu, mu
-    d1 = q1
-    d2 = q1 - 1.0
-    r13, r23 = r1 ** 3, r2 ** 3
-    r15, r25 = r1 ** 5, r2 ** 5
-    r17, r27 = r1 ** 7, r2 ** 7
-
-    U = -a / r1 - b / r2
-    U_1 = a * d1 / r13 + b * d2 / r23
-    U_2 = a * q2 / r13 + b * q2 / r23
-    U_11 = (a * (-2.0 * d1 ** 2 + q2 ** 2) / r15
-            + b * (-2.0 * d2 ** 2 + q2 ** 2) / r25)
-    U_12 = -3.0 * q2 * (a * d1 / r15 + b * d2 / r25)
-    U_22 = (a * (d1 ** 2 - 2.0 * q2 ** 2) / r15
-            + b * (d2 ** 2 - 2.0 * q2 ** 2) / r25)
-    U_111 = (3.0 * a * d1 * (2.0 * d1 ** 2 - 3.0 * q2 ** 2) / r17
-             + 3.0 * b * d2 * (2.0 * d2 ** 2 - 3.0 * q2 ** 2) / r27)
-    U_112 = 3.0 * q2 * (a * (2.0 * d1 - q2) * (2.0 * d1 + q2) / r17
-                        + b * (2.0 * d2 - q2) * (2.0 * d2 + q2) / r27)
-    U_122 = (-3.0 * a * d1 * (d1 - 2.0 * q2) * (d1 + 2.0 * q2) / r17
-             - 3.0 * b * d2 * (d2 - 2.0 * q2) * (d2 + 2.0 * q2) / r27)
-    U_222 = -3.0 * q2 * (a * (3.0 * d1 ** 2 - 2.0 * q2 ** 2) / r17
-                         + b * (3.0 * d2 ** 2 - 2.0 * q2 ** 2) / r27)
-    if np.ndim(U) == 0:
-        return UPotentialEval(*(float(v) for v in (
-            U, U_1, U_2, U_11, U_12, U_22, U_111, U_112, U_122, U_222)))
-    return UPotentialEval(U, U_1, U_2, U_11, U_12, U_22,
-                          U_111, U_112, U_122, U_222)
-
-
 def curvature_numerator(q, params):
     """Vectorized curvature numerator C (derivative combination only)."""
     e = U_derivs(q, params)
-    return (e.U_11 * e.U_2 ** 2 + e.U_1 ** 2 * e.U_22
-            - 2.0 * e.U_12 * e.U_1 * e.U_2)
+    return level_curvature(e.U_1, e.U_2, e.U_11, e.U_12, e.U_22)
 
 
 def _aux_fg(q1, q2):
@@ -143,10 +88,9 @@ def C_value(q, params, grad_tol=1e-9):
     q1, q2 = float(q[0]), float(q[1])
     mu = params.mu
     e = U_derivs((q1, q2), params)
-    C = (e.U_11 * e.U_2 ** 2 + e.U_1 ** 2 * e.U_22
-         - 2.0 * e.U_12 * e.U_1 * e.U_2)
-    r1 = math.hypot(q1, q2)
-    r2 = math.hypot(q1 - 1.0, q2)
+    C = level_curvature(e.U_1, e.U_2, e.U_11, e.U_12, e.U_22)
+    _, _, r1, r2 = _distances((q1, q2), Frame.STANDARD)
+    r1, r2 = float(r1), float(r2)
     f, g = _aux_fg(q1, q2)
     a, b = 1.0 - mu, mu
     C_closed = (a ** 3 / r1 ** 7 + b ** 3 / r2 ** 7
@@ -164,10 +108,9 @@ def V_line(q1, params):
     through order four."""
     mu, l = params.mu, params.l
     q1 = float(q1)
-    rho1 = math.sqrt(q1 ** 2 + 2.0 * (q1 - l) ** 2)
-    rho2 = math.sqrt((q1 - 1.0) ** 2 + 2.0 * (q1 - l) ** 2)
-    if min(rho1, rho2) < _COLLISION_TOL:
-        raise CollisionPoint("line point coincides with a primary")
+    _, _, rho1, rho2 = _distances((q1, math.sqrt(2.0) * (q1 - l)),
+                                  Frame.STANDARD)
+    rho1, rho2 = float(rho1), float(rho2)
     a, b = 1.0 - mu, mu
     V = -a / rho1 - b / rho2 - params.c_jacobi
     V1 = (a * (3.0 * q1 - 2.0 * l) / rho1 ** 3
@@ -219,10 +162,8 @@ def C_l_derivatives(params, h=3e-3):
     }
 
     e = U_derivs((l, 0.0), params)
-    c_11 = 2.0 * (e.U_11 * e.U_12 ** 2 + e.U_22 * e.U_11 ** 2
-                  - 2.0 * e.U_12 * e.U_11 * e.U_12)
-    c_22 = 2.0 * (e.U_11 * e.U_22 ** 2 + e.U_22 * e.U_12 ** 2
-                  - 2.0 * e.U_12 * e.U_12 * e.U_22)
+    c_11 = 2.0 * level_curvature(e.U_11, e.U_12, e.U_11, e.U_12, e.U_22)
+    c_22 = 2.0 * level_curvature(e.U_12, e.U_22, e.U_11, e.U_12, e.U_22)
     out["slope_sq"] = -c_11 / c_22
     out["slope_sq_hill"] = -e.U_11 / e.U_22
     return out
@@ -244,7 +185,6 @@ def earth_boundary_near_vertex(params, c, q1_values):
     pts = []
     for q1 in np.atleast_1d(q1_values):
         lo, hi = 0.0, 1.5
-        from .model import potential_U
         if potential_U((float(q1), lo), params) >= c:
             continue  # outside the lobe on the axis
         for _ in range(200):
@@ -265,9 +205,10 @@ def fiberwise_verdict(params, c, n_boundary=512, n_energies=12,
 
     Energies run from e_min (where the boundary radius spread around the
     Earth falls below 1% and the near-Kepler-circle argument takes over;
-    a spot check at e = -100 is included) up to c. For mu < 1/2 and
-    c = c_J the corollary witness region q1 in (l - 0.1 l, l) is scanned
-    with adaptive refinement as well.
+    a spot check at e = -100 is included) up to c. When the Earth lobe
+    is the heavier one (mu < 1/2) and c = c_J, the corollary witness
+    region q1 in (l - 0.1 l, l) is scanned with adaptive refinement as
+    well.
     """
     cj = params.c_jacobi
     if c > cj:
@@ -297,7 +238,8 @@ def fiberwise_verdict(params, c, n_boundary=512, n_energies=12,
                 witness = (float(e), (float(pts[i, 0]), float(pts[i, 1])),
                            float(cvals[i]))
 
-    if witness is None and params.mu < 0.5 and c >= cj - 1e-12:
+    if (witness is None and params.heavier is HillComponent.EARTH
+            and c >= cj - 1e-12):
         # corollary regime: look just below the touching point (l, 0)
         delta = 0.1 * params.l
         for n in (64, 256, 1024):
@@ -319,7 +261,7 @@ def fiberwise_verdict(params, c, n_boundary=512, n_energies=12,
 # -- equal-mass polar analysis ------------------------------------------------
 
 def _check_equal_mass(params):
-    if abs(params.mu - 0.5) > 1e-15:
+    if params.heavier is not None:
         raise ValueError("the polar closed forms require mu = 1/2")
 
 

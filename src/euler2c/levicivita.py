@@ -27,9 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MoonCollision, OutsideRegion
-from .model import (CartesianPhasePoint, Frame, ProblemParams,
-                    hamiltonian_H)
-from .scan import fd_derivative, trace_implicit
+from .model import CartesianPhasePoint, Frame
+from .scan import fd_derivative, level_curvature, trace_implicit
 
 __all__ = [
     "LCPoint",
@@ -84,8 +83,7 @@ def radicand(x, y):
     return float(r) if np.ndim(r) == 0 else r
 
 
-def _v_value(x, y, mu, c):
-    rho = radicand(x, y)
+def _v_value(x, y, rho, mu, c):
     s2 = x * x + y * y
     return -c * s2 - mu * s2 / np.sqrt(rho) - (1.0 - mu) / 2.0
 
@@ -96,7 +94,7 @@ def V_value(x, y, params, c):
     if np.any(np.asarray(rho) < _RAD_TOL):
         raise MoonCollision("V undefined at a Moon preimage")
     v = _v_value(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
-                 params.mu, c)
+                 rho, params.mu, c)
     return float(v) if np.ndim(v) == 0 else v
 
 
@@ -137,7 +135,7 @@ def V_eval(x, y, params, c):
     r72 = rho ** 3.5
     x2, y2 = x * x, y * y
 
-    V = _v_value(x, y, mu, c)
+    V = _v_value(x, y, rho, mu, c)
     V_x = -2.0 * c * x + 2.0 * mu * x * (2.0 * x2 - 6.0 * y2 - 1.0) / r32
     V_y = -2.0 * c * y + 2.0 * mu * y * (6.0 * x2 - 2.0 * y2 - 1.0) / r32
 
@@ -201,8 +199,7 @@ def F_value(x, y, params, c):
     - 2 V_x V_y V_xy; positive along V = 0 iff the regularized region
     is locally convex there."""
     e = V_eval(x, y, params, c)
-    f = (e.V_xx * e.V_y ** 2 + e.V_yy * e.V_x ** 2
-         - 2.0 * e.V_x * e.V_y * e.V_xy)
+    f = level_curvature(e.V_x, e.V_y, e.V_xx, e.V_xy, e.V_yy)
     return float(f) if np.ndim(f) == 0 else f
 
 
@@ -216,8 +213,7 @@ def salomao_lhs(x, y, params, c, tol=1e-9):
     e = V_eval(x, y, params, c)
     if np.any(np.asarray(e.V) > tol):
         raise OutsideRegion("V > 0: point outside the projected region")
-    f = (e.V_xx * e.V_y ** 2 + e.V_yy * e.V_x ** 2
-         - 2.0 * e.V_x * e.V_y * e.V_xy)
+    f = level_curvature(e.V_x, e.V_y, e.V_xx, e.V_xy, e.V_yy)
     out = 2.0 * (0.0 - e.V) * (e.V_xx * e.V_yy - e.V_xy ** 2) + f
     return float(out) if np.ndim(out) == 0 else out
 

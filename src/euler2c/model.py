@@ -25,7 +25,9 @@ __all__ = [
     "Membership",
     "ProblemParams",
     "CartesianPhasePoint",
+    "UPotentialEval",
     "potential_U",
+    "U_derivs",
     "grad_U",
     "hamiltonian_H",
     "lagrange_l",
@@ -78,18 +80,24 @@ class ProblemParams:
     """Mass ratio mu of the second (Moon) primary, with derived constants.
 
     l is the critical-point abscissa in the Standard frame and c_jacobi
-    the critical Jacobi energy.
+    the critical Jacobi energy. heavier is the lobe of the heavier
+    primary (EARTH for mu < 1/2, MOON for mu > 1/2, None at exactly
+    mu = 1/2); every mass-swap decision reads it.
     """
 
     mu: float
     l: float = field(init=False)
     c_jacobi: float = field(init=False)
+    heavier: HillComponent | None = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.mu < 1.0:
             raise ValueError(f"mu must lie in (0, 1), got {self.mu}")
         object.__setattr__(self, "l", lagrange_l(self.mu))
         object.__setattr__(self, "c_jacobi", jacobi_energy(self.mu))
+        object.__setattr__(self, "heavier", (
+            HillComponent.EARTH if self.mu < 0.5 else
+            HillComponent.MOON if self.mu > 0.5 else None))
 
     def primaries(self, frame=Frame.STANDARD):
         """Positions of (Earth, Moon) in the requested frame."""
@@ -120,12 +128,16 @@ def to_centered(q, frame):
 
 
 def _distances(q, frame):
+    """Standard-frame coordinates of q and its distances r1, r2 to the
+    Earth and the Moon; the one place that applies the collision rule."""
     q1, q2 = to_standard(q, frame)
     q1 = np.asarray(q1, dtype=float)
     q2 = np.asarray(q2, dtype=float)
     r1 = np.hypot(q1, q2)
     r2 = np.hypot(q1 - 1.0, q2)
-    return r1, r2
+    if np.any(r1 < _COLLISION_TOL) or np.any(r2 < _COLLISION_TOL):
+        raise CollisionPoint("position coincides with a primary")
+    return q1, q2, r1, r2
 
 
 def potential_U(q, params, frame=Frame.STANDARD):
@@ -133,27 +145,66 @@ def potential_U(q, params, frame=Frame.STANDARD):
 
     Accepts scalar pairs or numpy-array pairs.
     """
-    r1, r2 = _distances(q, frame)
-    if np.any(r1 < _COLLISION_TOL) or np.any(r2 < _COLLISION_TOL):
-        raise CollisionPoint("position coincides with a primary")
+    _, _, r1, r2 = _distances(q, frame)
     out = -(1.0 - params.mu) / r1 - params.mu / r2
     return float(out) if np.isscalar(out) or out.ndim == 0 else out
+
+
+@dataclass(frozen=True)
+class UPotentialEval:
+    """U and its partial derivatives through order three (Standard frame)."""
+
+    U: float
+    U_1: float
+    U_2: float
+    U_11: float
+    U_12: float
+    U_22: float
+    U_111: float
+    U_112: float
+    U_122: float
+    U_222: float
+
+
+def U_derivs(q, params):
+    """All closed-form derivatives of U through order three at a
+    Standard-frame position; vectorized."""
+    q1, q2, r1, r2 = _distances(q, Frame.STANDARD)
+    a, b = 1.0 - params.mu, params.mu
+    d1 = q1
+    d2 = q1 - 1.0
+    r13, r23 = r1 ** 3, r2 ** 3
+    r15, r25 = r1 ** 5, r2 ** 5
+    r17, r27 = r1 ** 7, r2 ** 7
+
+    U = -a / r1 - b / r2
+    U_1 = a * d1 / r13 + b * d2 / r23
+    U_2 = a * q2 / r13 + b * q2 / r23
+    U_11 = (a * (-2.0 * d1 ** 2 + q2 ** 2) / r15
+            + b * (-2.0 * d2 ** 2 + q2 ** 2) / r25)
+    U_12 = -3.0 * q2 * (a * d1 / r15 + b * d2 / r25)
+    U_22 = (a * (d1 ** 2 - 2.0 * q2 ** 2) / r15
+            + b * (d2 ** 2 - 2.0 * q2 ** 2) / r25)
+    U_111 = (3.0 * a * d1 * (2.0 * d1 ** 2 - 3.0 * q2 ** 2) / r17
+             + 3.0 * b * d2 * (2.0 * d2 ** 2 - 3.0 * q2 ** 2) / r27)
+    U_112 = 3.0 * q2 * (a * (2.0 * d1 - q2) * (2.0 * d1 + q2) / r17
+                        + b * (2.0 * d2 - q2) * (2.0 * d2 + q2) / r27)
+    U_122 = (-3.0 * a * d1 * (d1 - 2.0 * q2) * (d1 + 2.0 * q2) / r17
+             - 3.0 * b * d2 * (d2 - 2.0 * q2) * (d2 + 2.0 * q2) / r27)
+    U_222 = -3.0 * q2 * (a * (3.0 * d1 ** 2 - 2.0 * q2 ** 2) / r17
+                         + b * (3.0 * d2 ** 2 - 2.0 * q2 ** 2) / r27)
+    if np.ndim(U) == 0:
+        return UPotentialEval(*(float(v) for v in (
+            U, U_1, U_2, U_11, U_12, U_22, U_111, U_112, U_122, U_222)))
+    return UPotentialEval(U, U_1, U_2, U_11, U_12, U_22,
+                          U_111, U_112, U_122, U_222)
 
 
 def grad_U(q, params, frame=Frame.STANDARD):
     """Gradient of U in Standard-frame components (frames differ by a
     translation, so the gradient is frame-independent)."""
-    q1, q2 = to_standard(q, frame)
-    q1 = np.asarray(q1, dtype=float)
-    q2 = np.asarray(q2, dtype=float)
-    r1 = np.hypot(q1, q2)
-    r2 = np.hypot(q1 - 1.0, q2)
-    if np.any(r1 < _COLLISION_TOL) or np.any(r2 < _COLLISION_TOL):
-        raise CollisionPoint("position coincides with a primary")
-    mu = params.mu
-    g1 = (1.0 - mu) * q1 / r1 ** 3 + mu * (q1 - 1.0) / r2 ** 3
-    g2 = (1.0 - mu) * q2 / r1 ** 3 + mu * q2 / r2 ** 3
-    return g1, g2
+    e = U_derivs(to_standard(q, frame), params)
+    return e.U_1, e.U_2
 
 
 def hamiltonian_H(pt: CartesianPhasePoint, params):

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TraceFailure
 
-__all__ = ["ScanReport", "Polyline", "sign_scan", "trace_implicit",
-           "fd_check"]
+__all__ = ["ScanReport", "Polyline", "level_curvature", "sign_scan",
+           "trace_implicit", "fd_check"]
 
 GRAD_COLLAPSE_TOL = 1e-7
 
@@ -72,11 +72,12 @@ def _eval_field(f, X, Y):
         return Z
 
 
-def _scalar(f):
-    def g(x, y):
-        v = f(np.asarray([x]), np.asarray([y]))
-        return float(np.asarray(v).ravel()[0])
-    return g
+def level_curvature(fx, fy, fxx, fxy, fyy):
+    """Curvature numerator f_xx f_y^2 + f_yy f_x^2 - 2 f_x f_y f_xy of
+    the level set of f through a point, from the partial derivatives of
+    f there; the curvature is this over |grad f|^3. Elementwise on
+    arrays."""
+    return fxx * fy ** 2 + fyy * fx ** 2 - 2.0 * fx * fy * fxy
 
 
 def sign_scan(f, region, grid=(400, 400), refine_depth=4, tol=1e-10,

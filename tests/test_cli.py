@@ -105,6 +105,38 @@ class TestVerdict:
         assert d["verdict"] == verdict
         assert d.get("theory") == (verdict if mu < 0.5 else None)
 
+    def test_oracle_fault_exit_5(self, capsys, monkeypatch):
+        # an internal disagreement of the oracle is a fault of the
+        # program, not invalid input (exit 2)
+        from euler2c import elliptic
+        spectrum = elliptic._tangent_spectrum
+
+        def off(*frame):
+            e4, lo, hi = spectrum(*frame)
+            return e4, lo * (1.0 + 1e-9), hi
+
+        monkeypatch.setattr(elliptic, "_tangent_spectrum", off)
+        with pytest.raises(SystemExit) as exc:
+            main(["verdict", "elliptic", "--mu", "0.3", "--c", "cJ-0.5",
+                  "--component", "moon", "--method", "both",
+                  "--grid", "30", "30", "8"])
+        assert exc.value.code == 5
+
+    # Known exit-3 bands (ROADMAP, "Certify c0 and make verdicts
+    # three-valued"); strict, so the fix that closes a band flips them.
+    @pytest.mark.parametrize("target, mu", [
+        pytest.param("fiberwise", 0.4995, marks=pytest.mark.xfail(
+            strict=True, reason="mu in [0.4995, 1/2): min_C is about "
+            "-4e-13, inside tol = 1e-12, so the oracle finds no witness")),
+        pytest.param("levi", 0.935, marks=pytest.mark.xfail(
+            strict=True, reason="mu in [0.9315, 16/17): the theorem "
+            "claims nonconvex but the witness search finds no F < -tol")),
+    ])
+    def test_theory_oracle_agree_at_band(self, capsys, target, mu):
+        code, _, _ = run(capsys, "verdict", target, "--mu", str(mu),
+                         "--c", "cJ", "--method", "both")
+        assert code == 0
+
     def test_elliptic_requires_component(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verdict", "elliptic", "--mu", "0.5", "--c", "-2.5"])

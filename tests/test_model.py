@@ -12,6 +12,7 @@ from euler2c.model import (
     HillComponent,
     Membership,
     ProblemParams,
+    U_derivs,
     grad_U,
     hamiltonian_H,
     hill_boundary,
@@ -74,6 +75,14 @@ class TestPotential:
             potential_U((0.0, 0.0), p03)
         with pytest.raises(CollisionPoint):
             potential_U((1.0, 0.0), p03)
+
+    @pytest.mark.parametrize("primary", [0.0, 1.0])
+    def test_one_collision_rule(self, p03, primary):
+        # U, its gradient and its derivative table reject the same points
+        for f in (potential_U, grad_U, U_derivs):
+            with pytest.raises(CollisionPoint):
+                f((primary + 5e-14, 0.0), p03)
+            f((primary + 5e-13, 0.0), p03)
 
     def test_gradient_fd(self, p03):
         h = 1e-7
@@ -147,3 +156,13 @@ class TestHillRegions:
         cen = hill_boundary(p03, c, HillComponent.EARTH, n=16,
                             frame=Frame.CENTERED)
         assert np.allclose(std[:, 0] - 0.5, cen[:, 0])
+
+
+class TestHeavier:
+    @pytest.mark.parametrize("mu", [0.05, 0.2, 0.35, 0.45, 0.499])
+    def test_swaps_with_the_masses(self, mu):
+        assert ProblemParams(mu).heavier is HillComponent.EARTH
+        assert ProblemParams(1.0 - mu).heavier is HillComponent.MOON
+
+    def test_equal_mass_has_none(self):
+        assert ProblemParams(0.5).heavier is None
