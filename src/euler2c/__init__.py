@@ -14,9 +14,9 @@ critical Jacobi energy:
   convexity sweeps, with the equal-mass polar closed forms.
 - ``exactpoly``: exact rational polynomial arithmetic, Sturm-based sign
   certificates, and the named identity suite behind the proofs.
-- ``scan``: the level-set curvature numerator behind C and F, sign
-  scans, implicit-curve tracing, finite-difference derivative
-  validation.
+- ``scan``: the level-set curvature numerator behind C and F and its
+  gradient, sign scans, implicit-curve tracing from a closed-form value
+  and gradient, finite-difference derivative validation.
 - ``cli``: the ``euler2c`` command.
 """
 

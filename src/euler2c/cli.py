@@ -129,14 +129,13 @@ def cmd_constants(args):
 # -- verdicts ----------------------------------------------------------------
 
 def _theory_verdict(target, params, c):
-    """Proved verdict where the theorems cover (target, mu, c); None
-    where they are silent."""
-    if target == "elliptic":
-        return None  # handled per-component below
+    """Proved levi or fiberwise verdict where the theorems cover (mu, c),
+    the critical energy being c == c_J exactly; None where they are silent."""
+    critical = c == params.c_jacobi
     if target == "levi":
         # boundary nonconvexity at the critical energy for mu below the
         # inflection threshold 16/17
-        if abs(c - params.c_jacobi) < 1e-9 and params.mu < 16.0 / 17.0:
+        if critical and params.mu < 16.0 / 17.0:
             return "nonconvex"
         return None
     if target == "fiberwise":
@@ -144,8 +143,7 @@ def _theory_verdict(target, params, c):
             return "convex"
         # the witness lies on the Earth lobe, so the theorem speaks only
         # when that lobe is the heavier one
-        if (abs(c - params.c_jacobi) < 1e-12
-                and params.heavier is HillComponent.EARTH):
+        if critical and params.heavier is HillComponent.EARTH:
             return "nonconvex"
         return None
     raise ValueError(target)
@@ -241,47 +239,42 @@ def _curve_hill(args, params, c):
     return ["series", "q1", "q2", "C"], rows
 
 
-def _trace_zero(f, grad, seed, direction, step, max_len):
-    try:
-        return trace_implicit(f, seed, step=step, max_len=max_len,
-                              grad=grad, direction=direction), False
-    except TraceFailure as err:
-        if err.partial is not None:
-            return err.partial, True
-        raise
+def _trace_zero(f, starts, args):
+    """Points of f = 0 traced from each (seed, direction); partial flag."""
+    points, partial = [], False
+    for seed, direction in starts:
+        try:
+            pl = trace_implicit(f, seed, step=args.step,
+                                max_len=args.max_len, direction=direction)
+        except TraceFailure as err:
+            if err.partial is None:
+                raise
+            pl, partial = err.partial, True
+        points.extend(pl.points)
+    return points, partial
 
 
 def _curve_v0(args, params, c):
     x0 = levicivita.x0_of(params, c)
-    f = lambda x, y: levicivita.V_value(x, y, params, c)
-    g = levicivita._grad_V(params, c)
+    s2 = math.sqrt(2.0)
+    points, partial = _trace_zero(
+        levicivita.V_with_grad(params, c),
+        [((x0 - 1e-6, d * 1e-6), (-1.0, d)) for d in (s2, -s2)], args)
     # both V=0 and F=0 pass through the axis tangency point exactly
-    rows = [("v0", x0, 0.0, levicivita.F_value(x0, 0.0, params, c))]
-    partial = False
-    for direction in ((-1.0, math.sqrt(2.0)), (-1.0, -math.sqrt(2.0))):
-        pl, bad = _trace_zero(f, g, (x0 - 1e-6, direction[1] * 1e-6),
-                              direction, args.step, args.max_len)
-        partial |= bad
-        for x, y in pl.points:
-            rows.append(("v0", x, y,
-                         levicivita.F_value(x, y, params, c)))
+    rows = [("v0", x, y, levicivita.F_value(x, y, params, c))
+            for x, y in [(x0, 0.0)] + points]
     rows += _cone_rows("tangent", x0, 0.3, args.n)
     return ["series", "x", "y", "F"], rows, partial
 
 
 def _curve_f0(args, params, c):
-    f = lambda x, y: levicivita.F_value(x, y, params, c)
     x0 = levicivita.x0_of(params, c)
-    rows = [("f0", x0, 0.0, levicivita.V_value(x0, 0.0, params, c))]
-    partial = False
     # F = 0 passes through (x0, 0) transversally to the axis
-    for direction in ((0.0, 1.0), (0.0, -1.0)):
-        pl, bad = _trace_zero(f, None, (x0, direction[1] * 1e-4),
-                              direction, args.step, args.max_len)
-        partial |= bad
-        for x, y in pl.points:
-            rows.append(("f0", x, y,
-                         levicivita.V_value(x, y, params, c)))
+    points, partial = _trace_zero(
+        levicivita.F_with_grad(params, c),
+        [((x0, d * 1e-4), (0.0, d)) for d in (1.0, -1.0)], args)
+    rows = [("f0", x, y, levicivita.V_value(x, y, params, c))
+            for x, y in [(x0, 0.0)] + points]
     return ["series", "x", "y", "V"], rows, partial
 
 
@@ -294,13 +287,11 @@ def _curve_czero(args, params):
     partial = False
     rep = sign_scan(f, (l - 0.35, l + 0.35, 0.02, 0.45),
                     grid=(120, 120), refine_depth=2, target="C")
-    seeds = rep.witnesses[:4]
-    for k, (wx, wy, _) in enumerate(seeds):
-        pl, bad = _trace_zero(f, None, (wx, wy), None, args.step,
-                              args.max_len)
+    for k, (wx, wy, _) in enumerate(rep.witnesses[:4]):
+        points, bad = _trace_zero(fiberwise.C_with_grad(params),
+                                  [((wx, wy), None)], args)
         partial |= bad
-        for x, y in pl.points:
-            rows.append((f"czero-{k}", x, y, 0.0))
+        rows += [(f"czero-{k}", x, y, 0.0) for x, y in points]
     rows += _cone_rows("cone", l, 0.3, args.n)
     return ["series", "q1", "q2", "zero"], rows, partial
 
@@ -436,7 +427,7 @@ def build_parser():
     sp = sub.add_parser("verify-identities",
                         help="run the exact identity suite")
     sp.add_argument("--list", action="store_true")
-    sp.add_argument("--only", type=str, default=None)
+    sp.add_argument("--only", choices=identity_names(), default=None)
     return ap
 
 

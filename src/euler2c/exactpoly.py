@@ -549,25 +549,25 @@ def sum_poly(items):
     return total
 
 
+def _a_dy_quad(x, y, c, m):
+    one = MultiPoly.constant(1, x.vars)
+    return (-c * (2 * c * x ** 2 + x - c) * y ** 2
+            - 2 * (2 * c * x ** 2 + x - c) * m * y
+            + c ** 2 * x ** 4 + 3 * c * x ** 3 + x ** 2 + one)
+
+
 def _id_a_dy_factor():
     x, y, c, m = ring("x", "y", "c", "m")
-    one = MultiPoly.constant(1, x.vars)
     A = _elliptic_A(x, y, c, m)
-    g = (-c * (2 * c * x ** 2 + x - c) * y ** 2
-         - 2 * (2 * c * x ** 2 + x - c) * m * y
-         + c ** 2 * x ** 4 + 3 * c * x ** 3 + x ** 2 + one)
-    return [A.diff("y") - (m + 4 * c * y) * g]
+    return [A.diff("y") - (m + 4 * c * y) * _a_dy_quad(x, y, c, m)]
 
 
 def _id_a_critical_y0():
     x, y, c, m = ring("x", "y", "c", "m")
     one = MultiPoly.constant(1, x.vars)
     A = _elliptic_A(x, y, c, m)
-    quad = (-c * (2 * c * x ** 2 + x - c) * y ** 2
-            - 2 * (2 * c * x ** 2 + x - c) * m * y
-            + c ** 2 * x ** 4 + 3 * c * x ** 3 + x ** 2 + one)
     target = (2 * c * x ** 2 + x - c) * (y ** 2 - one) * (c * y + m) ** 2
-    return [reduce_mod_quadratic(A - target, "y", quad)]
+    return [reduce_mod_quadratic(A - target, "y", _a_dy_quad(x, y, c, m))]
 
 
 def _id_a_dx_factor():
@@ -575,13 +575,10 @@ def _id_a_dx_factor():
     one = MultiPoly.constant(1, x.vars)
     A = _elliptic_A(x, y, c, m)
     f = 2 * c * y ** 2 + m * y - c
-    g = (f * c * x ** 2 + 2 * f * x
-         - (c ** 2 * y ** 4 + 3 * c * m * y ** 3 + m ** 2 * y ** 2 + m ** 2))
+    g = _h_poly(y, c, m) + f * (c * x ** 2 + 2 * x - c - 2 * one)
     d1 = A.diff("x") - (one + 4 * c * x) * g
     # A(1, y) = (c + 1) * h(y)
-    h = ((2 * c * y ** 2 + m * y - c) * (c + 2 * one)
-         - (c ** 2 * y ** 4 + 3 * c * m * y ** 3 + m ** 2 * y ** 2 + m ** 2))
-    d2 = A.subs("x", 1) - (c + one) * h
+    d2 = A.subs("x", 1) - (c + one) * _h_poly(y, c, m)
     return [d1, d2]
 
 

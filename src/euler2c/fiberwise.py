@@ -30,7 +30,7 @@ from .errors import CollisionPoint
 from .exactpoly import sign_certificate, sturm_isolate
 from .model import (Frame, HillComponent, UPotentialEval, U_derivs,
                     _distances, hill_boundary, potential_U)
-from .scan import fd_derivative, level_curvature
+from .scan import fd_derivative, level_curvature, level_curvature_grad
 
 __all__ = [
     "UPotentialEval",
@@ -38,6 +38,7 @@ __all__ = [
     "FiberwiseReport",
     "U_derivs",
     "C_value",
+    "C_with_grad",
     "V_line",
     "C_l_derivatives",
     "fiberwise_verdict",
@@ -72,6 +73,16 @@ def curvature_numerator(q, params):
     """Vectorized curvature numerator C (derivative combination only)."""
     e = U_derivs(q, params)
     return level_curvature(e.U_1, e.U_2, e.U_11, e.U_12, e.U_22)
+
+
+def C_with_grad(params):
+    """(q1, q2) -> (C, C_q1, C_q2) from one U_derivs call, to trace C = 0."""
+    def f(q1, q2):
+        e = U_derivs((q1, q2), params)
+        return (level_curvature(e.U_1, e.U_2, e.U_11, e.U_12, e.U_22),
+                *level_curvature_grad(e.U_1, e.U_2, e.U_11, e.U_12, e.U_22,
+                                      e.U_111, e.U_112, e.U_122, e.U_222))
+    return f
 
 
 def _aux_fg(q1, q2):
@@ -328,20 +339,16 @@ def polar_C_derivs(r, theta, params):
         dC/dr     = -7 F(r, cos t) / (2 r^8 rho^9),
         dC/dtheta = -G(r, cos t) sin t / (8 r^5 rho^9),
 
-    with rho = sqrt(r^2 - 2 r cos t + 1)."""
+    with rho = sqrt(r^2 - 2 r cos t + 1) from model._distances."""
     _check_equal_mass(params)
     r = float(r)
     theta = float(theta)
     if r <= 0.0:
         raise CollisionPoint("polar chart requires r > 0")
-    y = math.cos(theta)
-    rho2 = r * r - 2.0 * r * y + 1.0
-    if rho2 < 1e-24:
-        raise CollisionPoint("point coincides with the Moon")
-    rho = math.sqrt(rho2)
-    aux = lemma_polynomials(r, y)
-    C = float(curvature_numerator((r * math.cos(theta),
-                                   r * math.sin(theta)), params))
+    q = (r * math.cos(theta), r * math.sin(theta))
+    rho = float(_distances(q, Frame.STANDARD)[3])
+    aux = lemma_polynomials(r, math.cos(theta))
+    C = float(curvature_numerator(q, params))
     dC_dr = -7.0 * float(aux["F_rderi"]) / (2.0 * r ** 8 * rho ** 9)
     dC_dtheta = (-float(aux["G"]) * math.sin(theta)
                  / (8.0 * r ** 5 * rho ** 9))

@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import MoonCollision, OutsideRegion
 from .model import CartesianPhasePoint, Frame
-from .scan import fd_derivative, level_curvature, trace_implicit
+from .scan import (fd_derivative, level_curvature, level_curvature_grad,
+                   trace_implicit)
 
 __all__ = [
     "LCPoint",
@@ -36,8 +37,10 @@ __all__ = [
     "K_value",
     "radicand",
     "V_eval",
+    "V_with_grad",
     "critical_points_V",
     "F_value",
+    "F_with_grad",
     "salomao_lhs",
     "tilde_derivatives",
     "tangency_check",
@@ -181,6 +184,14 @@ def V_eval(x, y, params, c):
                            V_xxx, V_xxy, V_xyy, V_yyy)
 
 
+def V_with_grad(params, c):
+    """(x, y) -> (V, V_x, V_y) from one V_eval call, to trace V = 0."""
+    def f(x, y):
+        e = V_eval(x, y, params, c)
+        return e.V, e.V_x, e.V_y
+    return f
+
+
 def x0_of(params, c):
     """Abscissa x0 of the off-center critical points of V_c."""
     if not (c < 0.0 and params.mu < -c):
@@ -201,6 +212,16 @@ def F_value(x, y, params, c):
     e = V_eval(x, y, params, c)
     f = level_curvature(e.V_x, e.V_y, e.V_xx, e.V_xy, e.V_yy)
     return float(f) if np.ndim(f) == 0 else f
+
+
+def F_with_grad(params, c):
+    """(x, y) -> (F, F_x, F_y) from one V_eval call, to trace F = 0."""
+    def f(x, y):
+        e = V_eval(x, y, params, c)
+        return (level_curvature(e.V_x, e.V_y, e.V_xx, e.V_xy, e.V_yy),
+                *level_curvature_grad(e.V_x, e.V_y, e.V_xx, e.V_xy, e.V_yy,
+                                      e.V_xxx, e.V_xxy, e.V_xyy, e.V_yyy))
+    return f
 
 
 def salomao_lhs(x, y, params, c, tol=1e-9):
@@ -298,13 +319,6 @@ def tilde_derivatives(params, c=None, h=None):
     }
 
 
-def _grad_V(params, c):
-    def g(x, y):
-        e = V_eval(x, y, params, c)
-        return e.V_x, e.V_y
-    return g
-
-
 def nonconvex_witness_levi(params, c=None, tol=1e-8, step=1e-3,
                            window=None):
     """Search for a non-convexity witness on V^{-1}(0) just below x0.
@@ -319,7 +333,6 @@ def nonconvex_witness_levi(params, c=None, tol=1e-8, step=1e-3,
     x0 = x0_of(params, c)
     if window is None:
         window = 0.1 * x0
-    f = lambda x, y: V_value(x, y, params, c)
     seed = (x0 - 1e-4, 1e-4 * math.sqrt(2.0))
     found = []
 
@@ -332,7 +345,7 @@ def nonconvex_witness_levi(params, c=None, tol=1e-8, step=1e-3,
             return True
         return False
 
-    trace_implicit(f, seed, step=step, max_len=4.0 * window,
-                   grad=_grad_V(params, c),
-                   direction=(-1.0, math.sqrt(2.0)), stop=stop)
+    trace_implicit(V_with_grad(params, c), seed, step=step,
+                   max_len=4.0 * window, direction=(-1.0, math.sqrt(2.0)),
+                   stop=stop)
     return found[0] if found else None

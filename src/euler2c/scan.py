@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import TraceFailure
 
-__all__ = ["ScanReport", "Polyline", "level_curvature", "sign_scan",
-           "trace_implicit", "fd_check"]
+__all__ = ["ScanReport", "Polyline", "level_curvature",
+           "level_curvature_grad", "sign_scan", "trace_implicit", "fd_check"]
 
 GRAD_COLLAPSE_TOL = 1e-7
 
@@ -80,6 +80,15 @@ def level_curvature(fx, fy, fxx, fxy, fyy):
     return fxx * fy ** 2 + fyy * fx ** 2 - 2.0 * fx * fy * fxy
 
 
+def level_curvature_grad(fx, fy, fxx, fxy, fyy, fxxx, fxxy, fxyy, fyyy):
+    """Gradient of K = level_curvature(fx, fy, fxx, fxy, fyy) from the
+    partials of f through order three: K_x is K of (fxxx, fxxy, fxyy) plus
+    2 fx det Hess f, K_y is K of (fxxy, fxyy, fyyy) plus 2 fy det Hess f."""
+    det2 = 2.0 * (fxx * fyy - fxy ** 2)
+    return (level_curvature(fx, fy, fxxx, fxxy, fxyy) + fx * det2,
+            level_curvature(fx, fy, fxxy, fxyy, fyyy) + fy * det2)
+
+
 def sign_scan(f, region, grid=(400, 400), refine_depth=4, tol=1e-10,
               target="field", max_witnesses=64):
     """Scan a scalar field for sign changes on a rectangle.
@@ -97,7 +106,9 @@ def sign_scan(f, region, grid=(400, 400), refine_depth=4, tol=1e-10,
     xs = np.linspace(x0, x1, nx)
     ys = np.linspace(y0, y1, ny)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    Z = _eval_field(f, X, Y)
+    # eight rows at a time keeps the temporaries of a field like C small
+    Z = np.concatenate([_eval_field(f, X[i:i + 8], Y[i:i + 8])
+                        for i in range(0, nx, 8)])
     failures = int(np.count_nonzero(~np.isfinite(Z)))
     samples = Z.size
 
@@ -178,15 +189,11 @@ def sign_scan(f, region, grid=(400, 400), refine_depth=4, tol=1e-10,
                       time.perf_counter() - t0)
 
 
-def _num_grad(f, x, y, h=1e-6):
-    gx = (f(x + h, y) - f(x - h, y)) / (2 * h)
-    gy = (f(x, y + h) - f(x, y - h)) / (2 * h)
-    return gx, gy
-
-
-def trace_implicit(f, seed, step=1e-3, max_len=10.0, grad=None,
-                   tol=1e-10, direction=None, stop=None):
-    """Trace the implicit curve f = 0 by predictor-corrector.
+def trace_implicit(f, seed, step=1e-3, max_len=10.0, tol=1e-10,
+                   direction=None, stop=None):
+    """Trace the implicit curve f = 0 by predictor-corrector, where
+    ``f(x, y)`` returns ``(value, f_x, f_y)`` from one evaluation per
+    Newton iterate.
 
     The predictor steps along the unit tangent (perpendicular to the
     gradient); the corrector projects back onto the curve by Newton
@@ -198,71 +205,54 @@ def trace_implicit(f, seed, step=1e-3, max_len=10.0, grad=None,
     ``direction`` (a 2-vector) orients the first step; subsequent steps
     keep a consistent orientation.
     """
-    if grad is None:
-        grad = lambda x, y: _num_grad(f, x, y)
-
     def project(x, y):
         for _ in range(20):
-            v = f(x, y)
+            v, gx, gy = f(x, y)
             if abs(v) < tol:
-                return x, y, v
-            gx, gy = grad(x, y)
+                return x, y, v, gx, gy
             n2 = gx * gx + gy * gy
             if n2 < GRAD_COLLAPSE_TOL ** 2:
                 return None
             x -= v * gx / n2
             y -= v * gy / n2
-        v = f(x, y)
+        v, gx, gy = f(x, y)
         if abs(v) < 100 * tol:
-            return x, y, v
+            return x, y, v, gx, gy
         return None
 
     start = project(*seed)
     if start is None:
         raise TraceFailure(f"could not project seed {seed} onto the curve")
-    x, y, v = start
+    x, y, v, gx, gy = start
     pts = [(x, y)]
     residuals = [abs(v)]
-    prev_t = np.asarray(direction, dtype=float) if direction is not None \
-        else None
-    collapse = False
+    prev_t = direction
     collapse_point = None
     closed = False
     arclen = 0.0
     nmax = max(16, int(max_len / step) + 4)
 
     for k in range(nmax):
-        gx, gy = grad(x, y)
         gn = math.hypot(gx, gy)
         if gn < GRAD_COLLAPSE_TOL:
-            collapse = True
             collapse_point = (x, y)
             break
         tx, ty = -gy / gn, gx / gn
         if prev_t is not None and tx * prev_t[0] + ty * prev_t[1] < 0:
             tx, ty = -tx, -ty
-        prev_t = np.asarray([tx, ty])
+        prev_t = (tx, ty)
         nxt = project(x + step * tx, y + step * ty)
         if nxt is None:
             # try a smaller predictor step before giving up
             nxt = project(x + 0.25 * step * tx, y + 0.25 * step * ty)
             if nxt is None:
-                pl = _mk_polyline(pts, residuals, False, collapse,
-                                  collapse_point)
+                pl = _mk_polyline(pts, residuals, False, None)
                 raise TraceFailure("Newton projection failed mid-trace",
                                    partial=pl)
-        xn, yn, vn = nxt
-        gxn, gyn = grad(xn, yn)
-        if math.hypot(gxn, gyn) < GRAD_COLLAPSE_TOL:
-            collapse = True
-            collapse_point = (xn, yn)
-            pts.append((xn, yn))
-            residuals.append(abs(vn))
-            break
-        arclen += math.hypot(xn - x, yn - y)
-        x, y = xn, yn
+        arclen += math.hypot(nxt[0] - x, nxt[1] - y)
+        x, y, v, gx, gy = nxt
         pts.append((x, y))
-        residuals.append(abs(vn))
+        residuals.append(abs(v))
         if stop is not None and stop(x, y):
             break
         if k > 4 and math.hypot(x - pts[0][0], y - pts[0][1]) < 0.75 * step:
@@ -271,13 +261,13 @@ def trace_implicit(f, seed, step=1e-3, max_len=10.0, grad=None,
         if arclen >= max_len:
             break
 
-    return _mk_polyline(pts, residuals, closed, collapse, collapse_point)
+    return _mk_polyline(pts, residuals, closed, collapse_point)
 
 
-def _mk_polyline(pts, residuals, closed, collapse, collapse_point):
+def _mk_polyline(pts, residuals, closed, collapse_point):
     return Polyline(np.asarray(pts, dtype=float), closed,
                     float(np.max(residuals)), float(np.mean(residuals)),
-                    collapse, collapse_point)
+                    collapse_point is not None, collapse_point)
 
 
 # -- finite differences -----------------------------------------------------

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from euler2c.cli import main, parse_energy
+from euler2c.fiberwise import curvature_numerator
 from euler2c.model import ProblemParams
 
 
@@ -137,6 +138,16 @@ class TestVerdict:
                          "--c", "cJ", "--method", "both")
         assert code == 0
 
+    @pytest.mark.parametrize("target", ["levi", "fiberwise"])
+    @pytest.mark.parametrize("c, verdict", [("cJ", "nonconvex"),
+                                            ("cJ-5e-10", None)])
+    def test_critical_energy_is_exact(self, capsys, target, c, verdict):
+        # both critical-energy theorems are stated at c = c_J exactly
+        code, out, _ = run(capsys, "verdict", target, "--mu", "0.3",
+                           "--c", c, "--method", "theory")
+        assert code == 0
+        assert json.loads(out)["verdict"] == verdict
+
     def test_elliptic_requires_component(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verdict", "elliptic", "--mu", "0.5", "--c", "-2.5"])
@@ -202,6 +213,18 @@ class TestCurve:
                 for r in rows)
         assert d < 1e-6
 
+    def test_czero_traces_zero_set(self, capsys, tmp_path):
+        out = tmp_path / "cz.csv"
+        p = ProblemParams(0.3)
+        assert main(["curve", "czero", "--mu", "0.3", "--max-len", "0.25",
+                     "--out", str(out)]) == 0
+        rows = [r for r in self._rows(out)
+                if r["series"].startswith("czero-")]
+        assert rows
+        for r in rows:
+            q = (float(r["q1"]), float(r["q2"]))
+            assert abs(curvature_numerator(q, p)) <= 1e-8
+
     def test_csv_seventeen_digits_roundtrip(self, capsys, tmp_path):
         out = tmp_path / "c.csv"
         main(["curve", "c0curve", "--n", "5", "--out", str(out)])
@@ -238,6 +261,11 @@ class TestIdentities:
         code, out, _ = run(capsys, "verify-identities")
         assert code == 0
         assert "14/14 identities verified" in out
+
+    def test_unknown_identity_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-identities", "--only", "bogus"])
+        assert exc.value.code == 2
 
     def test_single(self, capsys):
         code, out, _ = run(capsys, "verify-identities", "--only",

@@ -9,6 +9,7 @@ from euler2c.errors import CollisionPoint
 from euler2c.fiberwise import (
     C_l_derivatives,
     C_value,
+    C_with_grad,
     U_derivs,
     V_line,
     cone_curvature_C0,
@@ -20,7 +21,7 @@ from euler2c.fiberwise import (
     positivity_certificates,
 )
 from euler2c.model import HillComponent, ProblemParams, potential_U
-from euler2c.scan import fd_derivative
+from euler2c.scan import fd_check, fd_derivative
 
 
 class TestUDerivatives:
@@ -65,6 +66,20 @@ class TestCurvature:
             ev = C_value(q, p03)
             scale = max(abs(ev.C), abs(ev.C_closed), 1e-12)
             assert abs(ev.C - ev.C_closed) / scale < 1e-8
+
+    @pytest.mark.parametrize("mu", [0.3, 0.7])
+    def test_traced_value_and_gradient(self, mu):
+        # C and its gradient from one U_derivs call, against finite
+        # differences of the curvature numerator
+        p = ProblemParams(mu)
+        C = C_with_grad(p)
+        pts = [(0.3, 0.4), (1.3, -0.5), (-0.6, 0.3), (0.5, 0.2)]
+        for q in pts:
+            assert C(*q)[0] == curvature_numerator(q, p)
+        table = fd_check(lambda x, y: C(x, y)[0],
+                         {(1, 0): lambda x, y: C(x, y)[1],
+                          (0, 1): lambda x, y: C(x, y)[2]}, pts, h=1e-5)
+        assert all(err < 1e-6 for err in table.values()), table
 
     def test_kappa_singular_at_critical_point(self, p03):
         ev = C_value((p03.l, 0.0), p03)
@@ -132,6 +147,19 @@ class TestEqualMassPolar:
                     pytest.approx(d["C_r"], rel=1e-6)
                 assert fd_derivative(cp, r, t, 0, 1, 1e-6) == \
                     pytest.approx(d["C_theta"], rel=1e-6)
+
+    def test_moon_collision_rule(self, p05):
+        # the polar chart evaluates and raises exactly where the
+        # curvature numerator does, also on the axis where
+        # r^2 - 2 r cos t + 1 cancels to zero
+        near = (1.0 + 5e-13, 0.0)
+        assert polar_C_derivs(near[0], 0.0, p05)["C"] == \
+            curvature_numerator(near, p05)
+        nearer = (1.0 + 5e-14, 0.0)
+        with pytest.raises(CollisionPoint):
+            curvature_numerator(nearer, p05)
+        with pytest.raises(CollisionPoint):
+            polar_C_derivs(nearer[0], 0.0, p05)
 
     def test_requires_equal_mass(self, p03):
         with pytest.raises(ValueError):

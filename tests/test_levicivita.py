@@ -8,10 +8,12 @@ import pytest
 from euler2c.errors import MoonCollision, OutsideRegion
 from euler2c.levicivita import (
     F_value,
+    F_with_grad,
     K_value,
     LCPoint,
     V_eval,
     V_value,
+    V_with_grad,
     critical_points_V,
     lc_to_cartesian,
     nonconvex_witness_levi,
@@ -90,6 +92,23 @@ class TestDerivatives:
                 fd = fd_derivative(fb, x, y, ox, oy, 1e-5)
                 assert fd == pytest.approx(closed, rel=1e-6, abs=1e-6), \
                     (name, x, y)
+
+    @pytest.mark.parametrize("mu", [0.3, 0.7])
+    def test_traced_value_and_gradient(self, mu):
+        # V and F with their gradients from one V_eval call; the F
+        # gradient is scan.level_curvature_grad of the third-order table
+        p = ProblemParams(mu)
+        c = p.c_jacobi
+        V, F = V_with_grad(p, c), F_with_grad(p, c)
+        pts = [(0.3, 0.2), (0.55, 0.1), (0.2, -0.4), (-0.5, 0.3)]
+        for x, y in pts:
+            e = V_eval(x, y, p, c)
+            assert V(x, y) == (V_value(x, y, p, c), e.V_x, e.V_y)
+            assert F(x, y)[0] == F_value(x, y, p, c)
+        table = fd_check(lambda x, y: F(x, y)[0],
+                         {(1, 0): lambda x, y: F(x, y)[1],
+                          (0, 1): lambda x, y: F(x, y)[2]}, pts, h=1e-5)
+        assert all(err < 1e-6 for err in table.values()), table
 
     def test_vectorized(self, p03):
         c = p03.c_jacobi

@@ -13,6 +13,12 @@ def unit_circle(x, y):
     return x ** 2 + y ** 2 - 1.0
 
 
+def circle_vg(x, y):
+    """The unit circle as (value, f_x, f_y), the form trace_implicit
+    takes."""
+    return unit_circle(x, y), 2.0 * x, 2.0 * y
+
+
 class TestSignScan:
     def test_finds_sign_change(self):
         rep = sign_scan(unit_circle, (-2, 2, -2, 2), grid=(50, 50),
@@ -48,22 +54,35 @@ class TestSignScan:
 
 class TestTraceImplicit:
     def test_closes_on_circle(self):
-        pl = trace_implicit(unit_circle, (1.01, 0.0), step=0.02,
+        pl = trace_implicit(circle_vg, (1.01, 0.0), step=0.02,
                             max_len=10.0)
         assert pl.closed
         r = np.hypot(pl.points[:, 0], pl.points[:, 1])
         assert np.max(np.abs(r - 1.0)) < 1e-8
         assert pl.max_residual < 1e-8
 
+    def test_one_evaluation_per_iterate(self):
+        # value and gradient come from one call, so no point is
+        # evaluated twice
+        seen = []
+
+        def f(x, y):
+            seen.append((x, y))
+            return circle_vg(x, y)
+
+        pl = trace_implicit(f, (1.01, 0.0), step=0.02, max_len=10.0)
+        assert pl.closed
+        assert len(set(seen)) == len(seen)
+
     def test_respects_direction(self):
-        up = trace_implicit(unit_circle, (1.0, 0.0), step=0.01,
+        up = trace_implicit(circle_vg, (1.0, 0.0), step=0.01,
                             max_len=0.1, direction=(0, 1))
-        dn = trace_implicit(unit_circle, (1.0, 0.0), step=0.01,
+        dn = trace_implicit(circle_vg, (1.0, 0.0), step=0.01,
                             max_len=0.1, direction=(0, -1))
         assert up.points[-1][1] > 0 > dn.points[-1][1]
 
     def test_stop_predicate(self):
-        pl = trace_implicit(unit_circle, (1.0, 0.0), step=0.01,
+        pl = trace_implicit(circle_vg, (1.0, 0.0), step=0.01,
                             max_len=10.0, direction=(0, 1),
                             stop=lambda x, y: y > 0.5)
         assert 0.5 < pl.points[-1][1] < 0.52
@@ -71,21 +90,16 @@ class TestTraceImplicit:
 
     def test_seed_projection_failure(self):
         # no zero set at all: the seed cannot be projected
-        f = lambda x, y: x * x + y * y + 1.0
+        f = lambda x, y: (x * x + y * y + 1.0, 2.0 * x, 2.0 * y)
         with pytest.raises(TraceFailure):
             trace_implicit(f, (0.5, 0.0), step=0.01)
 
     def test_collapse_near_saddle(self):
         # hyperbola pair xy = 0 has a gradient zero at the origin
-        pl = trace_implicit(lambda x, y: x * y, (0.3, 0.0), step=0.01,
-                            max_len=1.0, direction=(-1, 0))
+        pl = trace_implicit(lambda x, y: (x * y, y, x), (0.3, 0.0),
+                            step=0.01, max_len=1.0, direction=(-1, 0))
         assert pl.gradient_collapse
         assert math.hypot(*pl.collapse_point) < 0.05
-
-    def test_analytic_gradient_used(self):
-        pl = trace_implicit(unit_circle, (1.0, 0.0), step=0.02,
-                            grad=lambda x, y: (2 * x, 2 * y))
-        assert pl.closed
 
 
 class TestFiniteDifferences:
