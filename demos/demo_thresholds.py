@@ -7,8 +7,9 @@ the Jacobi energy c_J of the saddle.  The bracket
 
     c_E'' < c0 < c_J
 
-holds for every mu != 1/2, and the whole ladder collapses to c_J = -2
-at equal masses.
+holds for every mu != 1/2; in binary64, c0 rounds to c_J within about
+1.3e-4 of 1/2, so the gap c_J - c0 is reported on its own.  At equal
+masses c_E and c_M meet at -4, while c_E'' and c0 meet c_J = -2.
 """
 
 import numpy as np
@@ -26,10 +27,12 @@ for mu in np.arange(0.05, 0.51, 0.05):
           f"{th.c_E_pp:12.6f} {th.c0:12.6f} {p.c_jacobi:12.6f}")
 
 print()
-print("gap c_J - c0 closes like (1-2mu)^4 near equal masses:")
-for mu in (0.4, 0.45, 0.48, 0.49):
+print("gap c_J - c0 closes like (27/2048)(1-2mu)^4 near equal masses;")
+print("once the gap is below half an ulp of c_J, c0 rounds to c_J:")
+for mu in (0.4, 0.45, 0.49, 0.4999, 0.4999999):
     p = ProblemParams(mu)
     th = thresholds(p)
     m4 = (1 - 2 * mu) ** 4
-    print(f"  mu={mu:5.2f}  c_J-c0={p.c_jacobi - th.c0:.3e}  "
-          f"(1-2mu)^4={m4:.3e}")
+    print(f"  mu={mu:<9}  c_J-c0={th.cJ_minus_c0:.3e}  "
+          f"(27/2048)(1-2mu)^4={27 / 2048 * m4:.3e}  "
+          f"c0==c_J: {th.c0 == p.c_jacobi}")

@@ -28,7 +28,6 @@ from .errors import (
     FocalDegeneracy,
     MoonCollision,
     OutsideRegion,
-    RootIsolationFailure,
     SingularPoint,
     TraceFailure,
     VariableMismatch,
@@ -88,7 +87,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Euler2CError", "CollisionPoint", "MoonCollision", "FocalDegeneracy",
     "SingularPoint", "EnergyAboveCritical", "OutsideRegion",
-    "BoundaryAmbiguous", "RootIsolationFailure", "TraceFailure",
+    "BoundaryAmbiguous", "TraceFailure",
     "VariableMismatch",
     "Frame", "HillComponent", "Membership", "ProblemParams",
     "CartesianPhasePoint", "potential_U", "grad_U", "hamiltonian_H",

@@ -15,7 +15,8 @@ numerical oracle disagree, a defect of the program, not of the input).
 Energies accept the symbolic forms ``cJ``, ``cJ-0.1``, ``cJ+0.05``
 resolved against the critical Jacobi energy of the given mass ratio, so
 figure recipes stay portable across mu. A ``--config FILE`` of
-``key = value`` lines preloads any long-option defaults.
+``key = value`` lines sets long options of the subcommand; they are
+parsed and checked like the command line, which overrides them.
 """
 
 from __future__ import annotations
@@ -58,10 +59,10 @@ def parse_energy(text, params):
     return float(s)
 
 
-def _load_config(path):
-    """Parse a ``key = value`` config file into a flat dict (keys use
-    the long-option spelling with dashes or underscores)."""
-    out = {}
+def _config_args(path):
+    """Command-line tokens for a ``key = value`` config file: ``--key``
+    (dashes or underscores) followed by the whitespace-separated value."""
+    tokens = []
     with open(path) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
@@ -70,15 +71,8 @@ def _load_config(path):
             if "=" not in line:
                 raise ValueError(f"bad config line {raw.rstrip()!r}")
             key, val = line.split("=", 1)
-            val = val.strip()
-            for cast in (int, float):
-                try:
-                    val = cast(val)
-                    break
-                except ValueError:
-                    pass
-            out[key.strip().replace("-", "_")] = val
-    return out
+            tokens += ["--" + key.strip().replace("_", "-"), *val.split()]
+    return tokens
 
 
 def _fmt(x):
@@ -122,6 +116,7 @@ def cmd_constants(args):
         "b": b,
         "c_e_pp": th.c_E_pp,
         "c0": th.c0,
+        "cJ_minus_c0": th.cJ_minus_c0,
     }, args.out)
     return 0
 
@@ -390,17 +385,8 @@ def build_parser():
                     "problem: constants, verdicts, figure data, and exact "
                     "identity checks.")
     ap.add_argument("--config", type=str, default=None,
-                    help="key = value file preloading option defaults")
+                    help="key = value file of subcommand options")
     sub = ap.add_subparsers(dest="command", required=True)
-    ap._subcommand_parsers = []
-    _add_parser = sub.add_parser
-
-    def add_parser(*a, **kw):
-        sp = _add_parser(*a, **kw)
-        ap._subcommand_parsers.append(sp)
-        return sp
-
-    sub.add_parser = add_parser
 
     sp = sub.add_parser("constants", help="derived constants as JSON")
     _add_common(sp, c=False)
@@ -432,18 +418,19 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     ap = build_parser()
-    # peel --config first so file values become argparse defaults
-    pre, _ = ap.parse_known_args(argv)
-    if getattr(pre, "config", None):
+    args = ap.parse_args(argv)
+    if args.config:
         try:
-            cfg = _load_config(pre.config)
+            cfg = _config_args(args.config)
         except (OSError, ValueError) as err:
             _fail(str(err))
-        ap.set_defaults(**cfg)
-        for sp in ap._subcommand_parsers:
-            sp.set_defaults(**cfg)
-    args = ap.parse_args(argv)
+        # the file's options go right after the subcommand, so they are
+        # parsed like the command line's, which follow and override them
+        at = next(i for i, tok in enumerate(argv) if tok == args.command
+                  and (i == 0 or argv[i - 1] != "--config")) + 1
+        args = ap.parse_args(argv[:at] + cfg + argv[at:])
 
     needs_mu = args.command in ("constants", "verdict") or (
         args.command == "curve"

@@ -15,6 +15,9 @@ tangential Hessian and its closed-form determinant, the sign-governing
 polynomial A(x, y) in the substituted variables x = cosh(lam),
 y = cos(nu), the admissible-domain bounds, the threshold ladder ending
 in c0(mu), and a brute-force convexity oracle over sampled zero sets.
+The ladder is algebraic: c_E and c_M are roots of one cubic, c0 is
+found by Newton on its gap to c_J, and the theory verdict for the
+heavier lobe is the exact rational sign of eta, with no float c0.
 
 The tangent frame X, Y, Z is orthogonal and each vector has squared
 norm n2 = |grad Q|^2, so the projected Hessian is n2 times the Hessian
@@ -33,12 +36,12 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import (EnergyAboveCritical, FocalDegeneracy,
-                     OracleInconsistency, RootIsolationFailure,
-                     SingularPoint)
+                     OracleInconsistency, SingularPoint)
 from .model import CartesianPhasePoint, Frame, HillComponent
 from .scan import ScanReport
 
@@ -372,107 +375,93 @@ def domain_bounds(params, c, component):
     return EllipticDomain((1.0, x_hi), y_range, component)
 
 
-def _roots_ab(m, c):
-    disc = math.sqrt(m * m + 8.0 * c * c)
-    return (-m + disc) / (4.0 * c), (-m - disc) / (4.0 * c)
-
-
 def roots_ab(params, c):
     """The two real roots of f(y) = 2cy^2 + (1-2mu)y - c with
     -1 < a < 0 < b < 1 (for mu <= 1/2; general mu by the mass-swap
     symmetry)."""
-    return _roots_ab(1.0 - 2.0 * params.mu, c)
-
-
-def _eta(c, m2):
-    """eta as a polynomial in c with m2 = (1-2mu)^2; Python floats or
-    arrays."""
-    return (c ** 4 + 2.0 * c ** 3 + 1.125 * m2 * c ** 2 + 0.25 * m2 * c
-            + (5.0 / 256.0) * m2 * m2)
+    m = 1.0 - 2.0 * params.mu
+    disc = math.sqrt(m * m + 8.0 * c * c)
+    return (-m + disc) / (4.0 * c), (-m - disc) / (4.0 * c)
 
 
 def eta(c, mu):
-    """The threshold quartic in the energy; its root in (c_E'', c_J) is
-    c0(mu). Depends on mu only through m^2 = (1-2mu)^2."""
-    v = _eta(np.asarray(c, dtype=float), (1.0 - 2.0 * mu) ** 2)
-    return float(v) if np.ndim(v) == 0 else v
+    """The threshold quartic in the energy; its only root below -1 is
+    c0(mu). Depends on mu only through m^2 = (1-2mu)^2; Python floats,
+    arrays, or Fractions for an exact value."""
+    m2 = (1 - 2 * mu) ** 2
+    return (c ** 4 + 2 * c ** 3 + 9 * m2 * c ** 2 / 8 + m2 * c / 4
+            + 5 * m2 * m2 / 256)
 
 
 @dataclass(frozen=True)
 class Thresholds:
-    """The energy-threshold ladder: c_E and c_M solve the radical
-    boundary equations, c_E_pp is the closed-form lower end of the c0
-    bracket, and c0 is the convexity threshold for the heavier-primary
-    component."""
+    """The energy thresholds, c_E <= c_M < c_J and c_E_pp <= c0 <= c_J: c_E
+    and c_M solve the radical boundary equations, c_E_pp is closed-form,
+    and c0 is the convexity threshold for the heavier-primary component.
+    cJ_minus_c0 keeps the gap c_J - c0 to full relative precision; within
+    about 1.3e-4 of mu = 1/2, c0 rounds to c_J."""
 
     c_E: float
     c_M: float
     c_E_pp: float
     c0: float
+    cJ_minus_c0: float
 
 
-def _c_e_pp(mu):
-    return -1.0 - math.sqrt(-28.0 * mu * mu + 28.0 * mu + 9.0) / 4.0
-
-
-def _bisect(f, a, b, xtol):
-    """Bisect a certified sign change f(a) < 0 < f(b) down to a bracket
-    of width xtol and return its midpoint."""
-    while b - a > xtol:
-        mid = 0.5 * (a + b)
-        if f(mid) < 0.0:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+def _newton(f, x):
+    """Newton's iteration for f(x) -> (value, slope), started on the side
+    of the root from which it converges monotonically."""
+    for _ in range(64):
+        v, d = f(x)
+        step = v / d
+        x -= step
+        if abs(step) <= 1e-15 * abs(x):
+            break
+    return x
 
 
 def thresholds(params):
-    """Compute the full threshold ladder for the given mass ratio.
+    """The threshold ladder for the given mass ratio.
 
-    All members depend on mu only through m = |1 - 2 mu|, so the ladder
-    is invariant under the mass swap mu <-> 1 - mu; the c_E/c_M labels
-    refer to the mu <= 1/2 orientation. At mu = 1/2 every threshold
-    collapses to c_J = -2.
+    Every member depends on mu only through m = |1 - 2 mu|; the c_E/c_M
+    labels refer to mu <= 1/2. Squaring the boundary equations leaves
+    c (c^3 + 8c^2 + (16 - 3m^2) c + 6m^2) = 0. With c = -4 + m (3 + t)
+    and eps = 1 - m = 2 min(mu, 1 - mu), exact in binary64, the cubic
+    is m t^3 + (9m - 4) t^2 - 24 eps t - 18 eps. c_E and c_M are its
+    roots near -3 -+ 3/sqrt(2) (both tend to -4 as mu -> 1/2); the third
+    lies above c_J and meets c_M like -+sqrt(3.6 eps) as mu -> 0.
+
+    c0 = c_J - delta. With s = sqrt(mu (1 - mu)), c_J = -1 - 2s and the
+    derivatives of eta at c_J (identity eta-at-cj), eta(c_J - delta) =
+    e0 - e1 delta + e2 delta^2 - e3 delta^3 + delta^4 with the e_k below.
+    It is convex and increasing for delta >= 0, so Newton converges
+    monotonically from e0/e1 or, where nearer, from c_J - c_E_pp (eta > 0
+    at c_E_pp).
     """
-    mu = params.mu
-    cj = params.c_jacobi
-    m = abs(1.0 - 2.0 * mu)
-    c_e_pp = _c_e_pp(mu)
+    mu, cj = params.mu, params.c_jacobi
+    eps = 2.0 * min(mu, 1.0 - mu)
+    m, k2, r = 1.0 - eps, 5.0 - 9.0 * eps, 3.0 / math.sqrt(2.0)
 
-    if m < 1e-12:
-        # the whole ladder collapses to c_J with gaps of order m^2, far
-        # below the resolvable bracket widths
-        return Thresholds(cj, cj, c_e_pp, cj)
+    def cubic(t):
+        return (((m * t + k2) * t - 24.0 * eps) * t - 18.0 * eps,
+                (3.0 * m * t + 2.0 * k2) * t - 24.0 * eps)
 
-    def y_plus(c):
-        return (-m + math.sqrt(max(c * c + 2.0 * c + m * m, 0.0))) / c
+    c_e, c_m = (-1.0 + (m * _newton(cubic, t) - 3.0 * eps) for t in
+                (-3.0 - r, -min(math.sqrt(3.6 * eps), 3.0 - r)))
 
-    def y_minus(c):
-        return (-m - math.sqrt(max(c * c + 2.0 * c + m * m, 0.0))) / c
+    s = math.sqrt(mu * (1.0 - mu))
+    e0 = -27.0 / 256.0 * m ** 4
+    e1 = -s * ((14.0 * s + 16.0) * s + 4.5)
+    e2 = ((39.0 * s + 24.0) * s + 2.25) / 2.0
+    e3 = -2.0 - 8.0 * s
 
-    def phi(c):
-        return y_plus(c) - _roots_ab(m, c)[0]
+    def gap(d):
+        return ((((d - e3) * d + e2) * d - e1) * d + e0,
+                ((4.0 * d - 3.0 * e3) * d + 2.0 * e2) * d - e1)
 
-    def psi(c):
-        return y_minus(c) - _roots_ab(m, c)[1]
-
-    lo = cj * 50.0
-    # phi < 0 far below, > 0 at c_J; psi the opposite orientation
-    if not (phi(lo) < 0.0 < phi(cj)):
-        raise RootIsolationFailure("no sign change bracketing c_E")
-    if not (psi(lo) > 0.0 > psi(cj)):
-        raise RootIsolationFailure("no sign change bracketing c_M")
-    c_e = _bisect(phi, lo, cj, 1e-13)
-    c_m = _bisect(lambda c: -psi(c), lo, cj, 1e-13)
-
-    # eta in Python floats: the bisection makes about 43 scalar calls
-    m2 = (1.0 - 2.0 * mu) ** 2
-    if not (_eta(c_e_pp, m2) > 0.0 > _eta(cj, m2)):
-        raise RootIsolationFailure(
-            "eta does not change sign on (c_E'', c_J)")
-    c0 = _bisect(lambda c: -_eta(c, m2), c_e_pp, cj, 1e-12)
-    return Thresholds(c_e, c_m, c_e_pp, c0)
+    c_e_pp = -1.0 - math.sqrt(-28.0 * mu * mu + 28.0 * mu + 9.0) / 4.0
+    delta = _newton(gap, min(e0 / e1, cj - c_e_pp))
+    return Thresholds(c_e, c_m, c_e_pp, cj - delta, delta)
 
 
 def convexity_verdict(params, c, component):
@@ -481,15 +470,19 @@ def convexity_verdict(params, c, component):
     The component near the lighter primary bounds a convex region for
     every c < c_J; the component near the heavier primary does iff
     c < c0(mu). At mu = 1/2 (params.heavier is None) both are always
-    convex.
+    convex. For m^2 = (1-2mu)^2 in (0, 1] the coefficients of
+    eta(-1 - u) = u^4 + 2u^3 + (9/8) m^2 u^2 + 2(m^2 - 1) u
+    + (5/256) m^4 + (7/8) m^2 - 1 change sign once, so c0 is the only
+    root of eta below -1 >= c_J: for c < c_J the heavier lobe is convex
+    iff eta(c) > 0, a sign taken exactly in rationals from c and mu.
     """
     if c >= params.c_jacobi:
         raise EnergyAboveCritical(
             f"c = {c} is not below c_J = {params.c_jacobi}")
-    if HillComponent(component) is not params.heavier:
+    if (HillComponent(component) is not params.heavier
+            or eta(Fraction(c), Fraction(params.mu)) > 0):
         return Verdict.CONVEX
-    c0 = thresholds(params).c0
-    return Verdict.CONVEX if c < c0 else Verdict.NONCONVEX
+    return Verdict.NONCONVEX
 
 
 # -- zero-set sampling and the convexity oracle ------------------------------

@@ -36,10 +36,6 @@ class BoundaryAmbiguous(Euler2CError):
     is not well defined."""
 
 
-class RootIsolationFailure(Euler2CError):
-    """A root bracketing or isolation step failed."""
-
-
 class OracleInconsistency(Euler2CError):
     """Two independent evaluations inside a numerical oracle disagree
     beyond their tolerance."""

@@ -10,8 +10,9 @@ import sys
 import pytest
 
 from euler2c.cli import main, parse_energy
+from euler2c.elliptic import oracle_convexity
 from euler2c.fiberwise import curvature_numerator
-from euler2c.model import ProblemParams
+from euler2c.model import HillComponent, ProblemParams
 
 
 def run(capsys, *argv):
@@ -59,6 +60,19 @@ class TestConstants:
         with pytest.raises(SystemExit) as exc:
             main(["constants", "--mu", "1.5"])
         assert exc.value.code == 2
+
+    def test_near_equal_mass_gap(self, capsys):
+        # c0 rounds to c_J here; the gap is reported on its own
+        code, out, _ = run(capsys, "constants", "--mu", "0.4999999")
+        assert code == 0
+        d = json.loads(out)
+        assert d["c0"] == d["c_jacobi"]
+        assert d["cJ_minus_c0"] == pytest.approx(2.109375000242708e-29,
+                                                 rel=1e-15)
+        code, out, _ = run(capsys, "verdict", "elliptic", "--mu", "0.4999999",
+                           "--c", "cJ-0.5", "--component", "earth",
+                           "--method", "theory")
+        assert code == 0 and json.loads(out)["verdict"] == "convex"
 
 
 class TestVerdict:
@@ -249,6 +263,36 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exc:
             main(["--config", str(cfg), "constants", "--mu", "0.5"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("text, argv", [
+        ("only = bogus\n", ["verify-identities"]),
+        ("method = bogus\nmu = 0.3\n",
+         ["verdict", "elliptic", "--component", "earth"]),
+    ])
+    def test_values_checked_like_command_line(self, tmp_path, text, argv):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), *argv])
+        assert exc.value.code == 2
+
+    def test_grid_and_command_line_override(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("grid = 30 30 8\nmu = 0.3\nc = cJ-0.5\n"
+                       "method = oracle\n")
+        code, out, _ = run(capsys, "--config", str(cfg), "verdict",
+                           "elliptic", "--component", "earth")
+        d = json.loads(out)
+        assert code == 0 and d["method"] == "oracle"
+        assert d["samples"] == oracle_convexity(
+            ProblemParams(0.3), ProblemParams(0.3).c_jacobi - 0.5,
+            HillComponent.EARTH, grid=(30, 30, 8)).samples
+        code, out, _ = run(capsys, "--config", str(cfg), "verdict",
+                           "elliptic", "--component", "earth", "--method",
+                           "theory", "--mu", "0.2")
+        d = json.loads(out)
+        assert code == 0 and d["method"] == "theory"
+        assert d["claim"].startswith("elliptic convexity, mu=0.2,")
 
 
 class TestIdentities:

@@ -1,6 +1,7 @@
 """Elliptic regularization: coordinates, projected Hessian, thresholds."""
 
 import math
+from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
@@ -40,6 +41,36 @@ from euler2c.model import (
     ProblemParams,
     hamiltonian_H,
 )
+
+# the threshold ladder (c_E, c_M, c0, c_J - c0) of the binary64 mu, to 42
+# significant digits from a 150-digit bisection of the unsquared boundary
+# equations and of eta
+PINNED_LADDER = {
+    0.001: ("-5.99615978482424757383341496077885005395009",
+            "-1.08678479658933942563085054994779703686178",
+            "-1.25588710167448256068606765074075501197958",
+            "0.192673179157366126938365781038289549751355"),
+    0.1: ("-5.61370392286747256747163482909337942676191",
+          "-2.05312588203471751365324775165954043913975",
+          "-1.61327276611920837203703487212561783377387",
+          "0.0132727661192083572340612104568642467817364"),
+    0.3: ("-4.82401715245194093664767708593553928273362",
+          "-3.11203620475812654280229423887646550235649",
+          "-1.91691373888125405351242015456251426376927",
+          "0.000398599890086061885631760821867945727281425"),
+    0.49: ("-4.0423522575654845822477982472372144508493",
+           "-3.9574977199296626048252125421779992748302",
+           "-1.99979998210619167652344656719664677145979",
+           "2.11019267715887303708224588120936428925481e-9"),
+    0.4999999: ("-4.00000042426406122412937122161181129557213",
+                "-3.99999957573592377587062791549325320566102",
+                "-1.99999999999997999999999884959451308499147",
+                "2.10937500024270765764726186991516465416461e-29"),
+    0.999: ("-5.99615978482424757050237249864708367246517",
+            "-1.08678479658933946411086041173701690947473",
+            "-1.25588710167448256574924257273036203003811",
+            "0.192673179157366104614313964233425276959577"),
+}
 
 # frozen threshold ladder for mu = 0.3 (c_E, c_M to 1e-13, c0 to 1e-12)
 C_E_03 = -4.8240171524519395
@@ -233,33 +264,54 @@ class TestThresholds:
         assert abs(eta(th.c0, p03.mu)) < 1e-10
 
     def test_c0_float_path_bitwise(self):
-        # thresholds evaluates eta in Python floats; bisecting the array
-        # form of eta gives the same c0 in every bit
-        mus = np.linspace(0.001, 0.999, 400)
-        for mu in mus:
-            p = ProblemParams(float(mu))
-            ref = elliptic._bisect(
-                lambda c: -eta(np.array(c), float(mu)),
-                elliptic._c_e_pp(float(mu)), p.c_jacobi, 1e-12)
-            assert thresholds(p).c0 == ref
+        # eta keeps its argument's type; the array and float forms agree
+        # in every bit
         cs = np.linspace(-3.0, -1.5, 7)
         assert np.array_equal(eta(cs, 0.3), [eta(float(c), 0.3) for c in cs])
 
-    @pytest.mark.parametrize("mu, c0", [
-        (0.001, -1.2558871016743944),
-        (0.1, -1.61327276611885),
-        (0.3, -1.916913738881517),
-        (0.49, -1.9997999821064467),
-        (0.999, -1.2558871016743944),
-    ])
-    def test_pinned_c0_bits(self, mu, c0):
-        # the bits c0 had while eta was evaluated through numpy
-        assert thresholds(ProblemParams(mu)).c0 == c0
+    @pytest.mark.parametrize("mu", list(PINNED_LADDER))
+    def test_pinned_ladder(self, mu):
+        p = ProblemParams(mu)
+        th = thresholds(p)
+        c_e, c_m, c0, gap = (Fr(v) for v in PINNED_LADDER[mu])
+        assert abs(Fr(th.c_E) - c_e) <= 2e-15
+        assert abs(Fr(th.c_M) - c_m) <= 2e-15
+        assert abs(Fr(th.c0) - c0) <= 2 * math.ulp(th.c0)
+        assert abs(Fr(th.cJ_minus_c0) - gap) <= 2e-15 * gap
+        assert th.c0 == p.c_jacobi - th.cJ_minus_c0
 
     def test_equal_mass_collapse(self, p05):
+        # c_E and c_M tend to -4 as mu -> 1/2; c0 meets c_J = -2
         th = thresholds(p05)
-        assert th.c_E == th.c_M == th.c0 == -2.0
-        assert th.c_E_pp == -2.0
+        assert th.c_E == th.c_M == -4.0
+        assert th.c0 == th.c_E_pp == p05.c_jacobi == -2.0
+        assert th.cJ_minus_c0 == 0.0
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_near_equal_mass(self, sign):
+        for k in range(1, 16):
+            p = ProblemParams(0.5 + sign * 10.0 ** -k)
+            th = thresholds(p)
+            m = abs(1.0 - 2.0 * p.mu)
+            assert th.c_E < th.c_M < th.c_E_pp <= th.c0 <= p.c_jacobi
+            assert abs(th.c_E + 4.0) <= 3.0 * m
+            assert abs(th.c_M + 4.0) <= 3.0 * m
+            light = SWAPPED[p.heavier]
+            for c in (th.c0 - 0.5, p.c_jacobi - 0.5):
+                for comp in HillComponent:
+                    assert convexity_verdict(p, c, comp) is Verdict.CONVEX
+            if th.cJ_minus_c0 > 4.0 * math.ulp(p.c_jacobi):
+                mid = p.c_jacobi - th.cJ_minus_c0 / 2.0
+                assert (convexity_verdict(p, mid, p.heavier)
+                        is Verdict.NONCONVEX)
+                assert convexity_verdict(p, mid, light) is Verdict.CONVEX
+
+    @pytest.mark.parametrize("mu, dc", [(0.4999, 1e-13), (0.499, 2.6e-13)])
+    def test_exact_verdict_just_below_c0(self, mu, dc):
+        # c lies 1e-13 and 5e-14 below c0 (150-digit reference)
+        p = ProblemParams(mu)
+        assert convexity_verdict(p, p.c_jacobi - dc,
+                                 HillComponent.EARTH) is Verdict.CONVEX
 
     def test_mass_swap_invariance(self):
         a = thresholds(ProblemParams(0.3))
@@ -346,9 +398,10 @@ def _oracle_cases():
             marks = ()
             if mu == 0.499 and where == "between":
                 marks = pytest.mark.xfail(
-                    strict=True, reason="c_J - c0 is about 3e-13 here, "
-                    "below the resolution of the c0 bisection (ROADMAP, "
-                    "'Certify c0')")
+                    strict=True, reason="the midpoint lies about 1e-13 "
+                    "above c0, so the theory's 'nonconvex' is right; the "
+                    "grid oracle at (40, 40, 8) cannot see nonconvexity "
+                    "that close to c0 (ROADMAP, 'An oracle that zooms')")
             yield pytest.param(mu, where, marks=marks)
 
 

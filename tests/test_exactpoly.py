@@ -4,6 +4,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from euler2c.elliptic import eta
 from euler2c.errors import VariableMismatch
 from euler2c.exactpoly import (
     MultiPoly,
@@ -127,3 +128,40 @@ class TestIdentities:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             verify_identity("nope")
+
+
+class TestLadderAlgebra:
+    """The algebra behind elliptic.thresholds and convexity_verdict.
+
+    These stay out of the named identity suite, whose count of 14 the
+    verify-identities benchmark expects."""
+
+    def test_squared_boundary_cubic(self):
+        # 4(-m + sqrt(c^2 + 2c + m^2)) = -m + sqrt(m^2 + 8c^2), squared
+        # twice, is c times the cubic; c = -4 + m s and then s = 3 + t,
+        # m = 1 - eps rescale it to the cubic thresholds solves
+        c, m, s, t, eps = ring("c", "m", "s", "t", "eps")
+        cubic = c ** 3 + 8 * c ** 2 + (16 - 3 * m ** 2) * c + 6 * m ** 2
+        lhs = ((4 * c ** 2 + 16 * c + 3 * m ** 2) ** 2
+               - 9 * m ** 2 * (m ** 2 + 8 * c ** 2))
+        assert (lhs - 16 * c * cubic).is_zero
+        in_s = m * s ** 3 - 4 * s ** 2 - 3 * m * s + 18
+        assert (cubic.subs("c", m * s - 4) - m ** 2 * in_s).is_zero
+        in_t = (m * t ** 3 + (9 * m - 4) * t ** 2 - 24 * eps * t
+                - 18 * eps).subs("m", 1 - eps)
+        assert (in_s.subs("s", t + 3).subs("m", 1 - eps) - in_t).is_zero
+
+    def test_eta_below_minus_one_has_one_root(self):
+        # eta(-1 - u) has coefficients + + + - - in u for m^2 in (0, 1]
+        # (the u-coefficient vanishes at m^2 = 1), so by Descartes' rule
+        # eta has exactly one root below -1
+        u, m = ring("u", "m")
+        coeffs = eta(-1 - u, (1 - m) / 2).coeffs_in("u")
+        expected = [5 * m ** 4 / 256 + 7 * m ** 2 / 8 - 1,
+                    2 * (m ** 2 - 1), 9 * m ** 2 / 8, 2, 1]
+        assert len(coeffs) == 5
+        assert all((a - b).is_zero for a, b in zip(coeffs, expected))
+        for k, sign in ((0, "-"), (1, "-"), (2, "+")):
+            assert sign_certificate(coeffs[k], (0, 1), sign).certified
+        assert coeffs[0].evaluate({"u": 0, "m": 1}) < 0
+        assert coeffs[1].evaluate({"u": 0, "m": 1}) == 0
