@@ -192,22 +192,23 @@ class FiberwiseReport:
 def earth_boundary_near_vertex(params, c, q1_values):
     """Boundary points of the Earth Hill lobe with prescribed abscissas
     just below l, found by bisection in q2 on each vertical line (valid
-    up to and including c = c_J, where the lobes touch at (l, 0))."""
-    pts = []
-    for q1 in np.atleast_1d(q1_values):
-        lo, hi = 0.0, 1.5
-        if potential_U((float(q1), lo), params) >= c:
-            continue  # outside the lobe on the axis
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if potential_U((float(q1), mid), params) < c:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-15:
-                break
-        pts.append((float(q1), 0.5 * (lo + hi)))
-    return pts
+    up to and including c = c_J, where the lobes touch at (l, 0)).
+
+    Abscissas whose axis point lies outside the lobe are dropped; all
+    others are bisected together, each until its bracket is below 1e-15.
+    """
+    q1 = np.atleast_1d(np.asarray(q1_values, dtype=float))
+    q1 = q1[potential_U((q1, np.zeros_like(q1)), params) < c]
+    lo, hi = np.zeros_like(q1), np.full_like(q1, 1.5)
+    for _ in range(200):
+        active = hi - lo >= 1e-15
+        if not active.any():
+            break
+        mid = 0.5 * (lo + hi)
+        below = potential_U((q1, mid), params) < c
+        lo = np.where(active & below, mid, lo)
+        hi = np.where(active & ~below, mid, hi)
+    return list(zip(q1.tolist(), (0.5 * (lo + hi)).tolist()))
 
 
 def fiberwise_verdict(params, c, n_boundary=512, n_energies=12,

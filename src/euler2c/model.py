@@ -258,10 +258,13 @@ def hill_boundary(params, c, component, n=256, tol=1e-10,
     """Sample n points of the Hill-region boundary {U = c} of one bounded
     component, ordered by polar angle around the component's primary.
 
-    Each point is found by bisection along the ray from the primary,
-    bracketing the first crossing of U = c; U < c is asserted strictly
-    inside the bracket. Requires c <= c_J (at c = c_J the lobes touch at
-    (l, 0), where the ray toward the other primary is excluded).
+    Each ray from the primary starts at the Kepler radius mass / (-c),
+    where U < -mass/t <= c because the other primary only lowers U, is
+    expanded outward by 5 % steps to bracket the first crossing of
+    U = c, and is finished by Newton's method on the radial slope from
+    the U_derivs table, safeguarded by bisection inside the bracket.
+    Requires c <= c_J (at c = c_J the lobes touch at (l, 0), where the
+    ray toward the other primary is excluded).
     """
     if c > params.c_jacobi:
         raise ValueError("hill_boundary requires c <= c_jacobi")
@@ -275,9 +278,8 @@ def hill_boundary(params, c, component, n=256, tol=1e-10,
     theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     dx, dy = np.cos(theta), np.sin(theta)
 
-    def u_at(t):
-        return potential_U((origin[0] + t * dx, origin[1] + t * dy),
-                           params, Frame.STANDARD)
+    def ray(t):
+        return origin[0] + t * dx, origin[1] + t * dy
 
     # Each lobe lies on its primary's side of the line q1 = l, on which
     # U >= c_J with equality only at (l, 0); capping the ray there keeps
@@ -286,20 +288,20 @@ def hill_boundary(params, c, component, n=256, tol=1e-10,
     with np.errstate(divide="ignore"):
         t_cap = np.where(toward, (params.l - origin[0]) / dx, np.inf)
 
-    # Kepler estimate of the lobe radius gives a safe inner radius.
-    t_lo = np.full(n, min(0.25 * mass / (-c), 1e-3))
-    if np.any(u_at(t_lo) >= c):
-        t_lo = np.full(n, 1e-6)
-    u_lo = u_at(t_lo)
-    if np.any(u_lo >= c):
-        raise TraceFailure("inner bracket point is not inside {U < c}")
+    # Inside at the Kepler radius in exact arithmetic; binary64 can round
+    # U there up to c when the other primary's term is below an ulp.
+    t_lo = np.full(n, mass / (-c))
+    if np.any(potential_U(ray(t_lo), params) >= c):
+        t_lo = 0.5 * t_lo
+        if np.any(potential_U(ray(t_lo), params) >= c):
+            raise TraceFailure("inner bracket point is not inside {U < c}")
 
     # expand outward until U >= c on every ray (first crossing bracket)
     t_hi = t_lo.copy()
     pending = np.ones(n, dtype=bool)
     for _ in range(400):
         t_try = np.where(pending, np.minimum(t_hi * 1.05, t_cap), t_hi)
-        u_try = u_at(t_try)
+        u_try = potential_U(ray(t_try), params)
         crossed = pending & ((u_try >= c) | (t_try >= t_cap))
         inside = pending & ~crossed
         t_lo = np.where(inside, t_try, t_lo)
@@ -311,18 +313,27 @@ def hill_boundary(params, c, component, n=256, tol=1e-10,
         raise TraceFailure("could not bracket the Hill boundary crossing "
                            "on some ray")
 
-    for _ in range(200):
-        mid = 0.5 * (t_lo + t_hi)
-        below = u_at(mid) < c
-        t_lo = np.where(below, mid, t_lo)
-        t_hi = np.where(below, t_hi, mid)
-        if np.max(np.abs(u_at(0.5 * (t_lo + t_hi)) - c)) < tol:
+    # Newton from the inner end; a step that leaves the bracket or has a
+    # nonpositive slope is replaced by bisection, except on a converged
+    # ray, which then stays where it is.
+    t = t_lo
+    e = U_derivs(ray(t), params)
+    for _ in range(100):
+        g = e.U - c
+        done = np.abs(g) < tol
+        if done.all():
             break
-    t = 0.5 * (t_lo + t_hi)
-    q1 = origin[0] + t * dx
-    q2 = origin[1] + t * dy
-    if np.max(np.abs(u_at(t) - c)) >= tol * 10:
-        raise TraceFailure("bisection failed to reach the boundary tolerance")
+        t_lo = np.where(g < 0.0, t, t_lo)
+        t_hi = np.where(g < 0.0, t_hi, t)
+        slope = e.U_1 * dx + e.U_2 * dy
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_new = t - g / slope
+        newton = (slope > 0.0) & (t_new >= t_lo) & (t_new <= t_hi)
+        t = np.where(newton, t_new, np.where(done, t, 0.5 * (t_lo + t_hi)))
+        e = U_derivs(ray(t), params)
+    if np.max(np.abs(e.U - c)) >= tol * 10:
+        raise TraceFailure("Newton failed to reach the boundary tolerance")
+    q1, q2 = ray(t)
     if frame is Frame.CENTERED:
         q1 = q1 - 0.5
     return np.column_stack([q1, q2])

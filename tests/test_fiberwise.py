@@ -228,6 +228,53 @@ class TestVerdicts:
         for q1, q2 in pts:
             assert abs(potential_U((q1, q2), p03) - c) < 1e-9
 
+    @pytest.mark.parametrize("mu", [0.3, 0.49, 0.4999])
+    def test_vertex_boundary_matches_scalar_bisection(self, mu):
+        p = ProblemParams(mu)
+
+        def scalar(c, q1_values):
+            pts = []
+            for q1 in q1_values:
+                lo, hi = 0.0, 1.5
+                if potential_U((float(q1), lo), p) >= c:
+                    continue
+                for _ in range(200):
+                    mid = 0.5 * (lo + hi)
+                    if potential_U((float(q1), mid), p) < c:
+                        lo = mid
+                    else:
+                        hi = mid
+                    if hi - lo < 1e-15:
+                        break
+                pts.append((float(q1), 0.5 * (lo + hi)))
+            return pts
+
+        q1s = p.l - 0.1 * p.l * np.arange(1, 65) / 65.0
+        for c in (p.c_jacobi, p.c_jacobi - 1e-3):
+            ref = scalar(c, q1s)
+            assert earth_boundary_near_vertex(p, c, q1s) == ref
+        # below c_J the abscissas nearest l are off the lobe and dropped
+        assert 0 < len(ref) < len(q1s)
+
+    # C at the exact boundary point of the witness ray, from a 50-digit
+    # evaluation; the bisection this search replaced stopped 4e-12 to
+    # 3e-11 short of the root and read C off by 1.1e-8 and 2.1e-8
+    WITNESS_C = {0.1: -0.33904491000899749693, 0.3: -0.019285310775815137708}
+
+    @pytest.mark.parametrize("mu", [0.1, 0.3, 0.7, 0.95])
+    @pytest.mark.parametrize("below", [0.0, 0.1])
+    def test_verdict_pinned(self, mu, below):
+        p = ProblemParams(mu)
+        rep = fiberwise_verdict(p, p.c_jacobi - below)
+        assert rep.samples == 6656
+        if below or mu > 0.5:
+            assert rep.verdict == "convex" and rep.witness is None
+            return
+        assert rep.verdict == "nonconvex-witness"
+        e, q, cval = rep.witness
+        assert e == p.c_jacobi
+        assert cval == pytest.approx(self.WITNESS_C[mu], rel=1e-8)
+
     def test_rejects_supercritical(self, p03):
         with pytest.raises(ValueError):
             fiberwise_verdict(p03, p03.c_jacobi + 0.1)

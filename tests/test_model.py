@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from euler2c import model
 from euler2c.errors import BoundaryAmbiguous, CollisionPoint
 from euler2c.model import (
     CartesianPhasePoint,
@@ -156,6 +157,114 @@ class TestHillRegions:
         cen = hill_boundary(p03, c, HillComponent.EARTH, n=16,
                             frame=Frame.CENTERED)
         assert np.allclose(std[:, 0] - 0.5, cen[:, 0])
+
+
+def _energies(p, near):
+    cj = p.c_jacobi
+    return (-50.0, -3.0, cj - 0.2, cj - near, cj)
+
+
+def _ray_reference(p, c, comp, n):
+    """First crossing of U = c on each of hill_boundary's rays, by plain
+    bisection from half the Kepler radius; returns (t, dU/dt)."""
+    mass = 1.0 - p.mu if comp is HillComponent.EARTH else p.mu
+    ox = 0.0 if comp is HillComponent.EARTH else 1.0
+    theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    dx, dy = np.cos(theta), np.sin(theta)
+    toward = dx > 0 if comp is HillComponent.EARTH else dx < 0
+    with np.errstate(divide="ignore"):
+        cap = np.where(toward, (p.l - ox) / dx, np.inf)
+    u = lambda t: potential_U((ox + t * dx, t * dy), p)
+    lo = np.full(n, 0.5 * mass / -c)
+    assert np.all(u(lo) < c)
+    hi = lo.copy()
+    while True:
+        out = (u(hi) >= c) | (hi >= cap)
+        if out.all():
+            break
+        lo = np.where(out, lo, hi)
+        hi = np.where(out, hi, np.minimum(2.0 * hi, cap))
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        below = u(mid) < c
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    t = 0.5 * (lo + hi)
+    e = U_derivs((ox + t * dx, t * dy), p)
+    return ox, t, e.U_1 * dx + e.U_2 * dy
+
+
+class TestHillBoundaryRays:
+    """The ray search of hill_boundary: Kepler-radius start, 5 % bracket,
+    Newton finish."""
+
+    MUS = (0.001, 0.1, 0.3, 0.5, 0.7, 0.999)
+    TOL = 1e-10
+
+    @staticmethod
+    def _floor(p, pts):
+        # binary64 places a point only to an ulp of its coordinates, which
+        # moves U by about |grad U| ulp: above tol only on the Moon lobe
+        # of mu = 0.001 at c = -50, where |grad U| is about 2.5e6 at q1 = 1
+        g1, g2 = grad_U((pts[:, 0], pts[:, 1]), p)
+        eps = np.finfo(float).eps
+        return 2.0 * eps * (np.abs(g1 * pts[:, 0]) + np.abs(g2 * pts[:, 1]))
+
+    @pytest.mark.parametrize("mu", MUS)
+    def test_residual_below_tol(self, mu):
+        p = ProblemParams(mu)
+        for c in _energies(p, 1e-6):
+            for comp in HillComponent:
+                pts = hill_boundary(p, c, comp, n=512, tol=self.TOL)
+                r = np.abs(potential_U((pts[:, 0], pts[:, 1]), p) - c)
+                assert np.all(r < self.TOL + self._floor(p, pts)), \
+                    (c, comp, r.max())
+
+    @pytest.mark.parametrize("mu", MUS)
+    def test_matches_bisection_reference(self, mu):
+        p = ProblemParams(mu)
+        for c in _energies(p, 1e-6):
+            for comp in HillComponent:
+                pts = hill_boundary(p, c, comp, n=512, tol=self.TOL)
+                ox, t_ref, slope = _ray_reference(p, c, comp, 512)
+                t = np.hypot(pts[:, 0] - ox, pts[:, 1])
+                steep = np.abs(slope) > 1e-3
+                err = np.abs(t - t_ref)[steep]
+                bound = ((10.0 * self.TOL + self._floor(p, pts)[steep])
+                         / np.abs(slope[steep]))
+                assert np.all(err <= bound), (c, comp, np.max(err / bound))
+
+    def test_evaluation_count(self, monkeypatch):
+        calls = [0]
+
+        def counted(f):
+            def wrapper(*args, **kwargs):
+                calls[0] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(model, "potential_U", counted(potential_U))
+        monkeypatch.setattr(model, "U_derivs", counted(U_derivs))
+        for mu in (0.1, 0.3, 0.5, 0.7):
+            p = ProblemParams(mu)
+            for c in _energies(p, 1e-3):
+                for comp in HillComponent:
+                    calls[0] = 0
+                    hill_boundary(p, c, comp, n=512)
+                    assert calls[0] <= 60, (mu, c, comp, calls[0])
+
+    @pytest.mark.parametrize("mu", [1e-17, 1e-12])
+    def test_kepler_radius_rounded_to_c(self, mu):
+        # U on the Kepler circle rounds up to c or above on some rays,
+        # so the start is halved
+        p = ProblemParams(mu)
+        c = -1e6
+        theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
+        t = (1.0 - mu) / -c
+        assert np.any(potential_U((t * np.cos(theta), t * np.sin(theta)),
+                                  p) >= c)
+        pts = hill_boundary(p, c, HillComponent.EARTH, n=512)
+        r = np.abs(potential_U((pts[:, 0], pts[:, 1]), p) - c)
+        assert np.all(r < 1e-9)
 
 
 class TestHeavier:
