@@ -23,11 +23,14 @@ The tangent frame X, Y, Z is orthogonal and each vector has squared
 norm n2 = |grad Q|^2, so the projected Hessian is n2 times the Hessian
 of Q compressed to the tangent space. Its spectrum is closed-form: the
 eigenvalue 4 n2 and the two roots of mu^2 - B mu + n2 C = 0, where
-C = 32 A on the zero set (see _tangent_spectrum). The oracle screens
-every sample with the closed form and confirms with LAPACK (eigvalsh)
-only the samples that may hold a reported extreme, plus a fixed-stride
-audit; every reported number comes from LAPACK, and a disagreement
-beyond 1e-12 of the matrix scale raises OracleInconsistency.
+C = 32 A on the zero set (see _tangent_spectrum). The spectrum is
+invariant under rotations of the momentum, so the oracle evaluates the
+closed form once per sampled position, bounds the matrix scale over the
+momentum circle, and confirms with LAPACK (eigvalsh) only the samples
+that may hold a reported extreme, plus a fixed-stride audit; every
+reported number comes from LAPACK, and a disagreement with the
+position's closed form beyond 1e-12 of the matrix scale raises
+OracleInconsistency.
 """
 
 from __future__ import annotations
@@ -207,18 +210,25 @@ def _unpack(ep):
     return ep
 
 
+def _lam_terms(lam, c):
+    """The lambda-only frame quantities x = Q_lam and a = Q_lam_lam."""
+    ch, sh = np.cosh(lam), np.sinh(lam)
+    return -2.0 * sh * (1.0 + c * ch), -2.0 * (2.0 * c * ch ** 2 + ch - c)
+
+
+def _nu_terms(nu, params, c):
+    """The nu-only frame quantities y = Q_nu and b = Q_nu_nu."""
+    m = 1.0 - 2.0 * params.mu
+    cn, sn = np.cos(nu), np.sin(nu)
+    return (-2.0 * sn * (m + c * cn),
+            -2.0 * (2.0 * c * cn ** 2 + m * cn - c))
+
+
 def _frame_arrays(lam, nu, pl, pn, params, c):
     """Gradient entries and Hessian diagonal of Q, vectorized."""
-    m = 1.0 - 2.0 * params.mu
-    ch, sh = np.cosh(lam), np.sinh(lam)
-    cn, sn = np.cos(nu), np.sin(nu)
-    x = -2.0 * sh * (1.0 + c * ch)
-    y = -2.0 * sn * (m + c * cn)
-    z = 4.0 * pl
-    w = 4.0 * pn
-    a = -2.0 * (2.0 * c * ch ** 2 + ch - c)
-    b = -2.0 * (2.0 * c * cn ** 2 + m * cn - c)
-    return x, y, z, w, a, b
+    x, a = _lam_terms(lam, c)
+    y, b = _nu_terms(nu, params, c)
+    return x, y, 4.0 * pl, 4.0 * pn, a, b
 
 
 def hess_frame(ep, params, c, tol=1e-12):
@@ -495,17 +505,57 @@ def _nu_interval(params, c, component):
         min(1.0, max(-1.0, y_lo))), dom
 
 
-def _zero_set_arrays(params, c, component, n_lam=100, n_nu=100, n_phi=16,
-                     refine_boundary=True):
-    """Flat arrays (lam, nu, p_lam, p_nu) sampling the zero set of Q.
+@dataclass(frozen=True)
+class _ZeroSet:
+    """The zero set of Q sampled per position (lambda, nu).
+
+    The grid points with R^2 >= 0 come first, in row-major order, each
+    with its momentum radius s and one sample per angle phi; the rim
+    points follow, each one sample with zero momentum (s = 0). Flat
+    sample indices run point-major, angle-minor, rim last.
+    """
+
+    lam: np.ndarray       # the lambda grid
+    ilam: np.ndarray      # per point, its index into lam
+    nu: np.ndarray        # per point
+    s: np.ndarray         # per point, the momentum radius
+    n_grid: int           # points before the rim
+    cos_phi: np.ndarray
+    sin_phi: np.ndarray
+
+    @property
+    def counts(self):
+        """Samples per point: n_phi on the grid, one on the rim."""
+        return np.where(np.arange(self.s.size) < self.n_grid,
+                        self.cos_phi.size, 1)
+
+    @property
+    def n_samples(self):
+        return self.n_grid * (self.cos_phi.size - 1) + self.s.size
+
+    def samples(self, f):
+        """Point index and (lam, nu, p_lam, p_nu) of the flat samples f."""
+        n_phi = self.cos_phi.size
+        rim = f >= self.n_grid * n_phi
+        pt = np.where(rim, f - self.n_grid * (n_phi - 1), f // n_phi)
+        # a rim sample takes angle 0: s = 0 times (1, 0) is (+0.0, +0.0)
+        k = np.where(rim, 0, f % n_phi)
+        s = self.s[pt]
+        return (pt, self.lam[self.ilam[pt]], self.nu[pt],
+                s * self.cos_phi[k], s * self.sin_phi[k])
+
+
+def _zero_set_points(params, c, component, n_lam=100, n_nu=100, n_phi=16):
+    """The zero set of Q sampled per position (see _ZeroSet).
 
     On shell, 2(p_lam^2 + p_nu^2) = R^2 with R^2 = 2 cosh(lam)
     + c cosh(lam)^2 - 2(1-2mu) cos(nu) - c cos(nu)^2; where R^2 >= 0 the
-    momentum circle of radius sqrt(R^2/2) is sampled at n_phi angles.
-    Only the canonical cover branch nu in [0, pi] is sampled: the deck
-    transformation (nu, p_nu) -> (2 pi - nu, -p_nu) preserves Q and the
-    projected-Hessian spectrum, and the full momentum circle already
-    realizes both p_nu signs.
+    momentum circle of radius s = sqrt(R^2/2) is sampled at n_phi angles.
+    Between grid neighbors of opposite R^2 sign the rim R^2 = 0 is added
+    with zero momentum. Only the canonical cover branch nu in [0, pi] is
+    sampled: the deck transformation (nu, p_nu) -> (2 pi - nu, -p_nu)
+    preserves Q and the projected-Hessian spectrum, and the full momentum
+    circle already realizes both p_nu signs.
     """
     nu_lo, nu_hi, dom = _nu_interval(params, c, component)
     lam_max = math.acosh(dom.x_range[1])
@@ -513,44 +563,39 @@ def _zero_set_arrays(params, c, component, n_lam=100, n_nu=100, n_phi=16,
 
     lam = np.linspace(0.0, lam_max, n_lam)
     nu = np.linspace(nu_lo, nu_hi, n_nu)
-    L, N = np.meshgrid(lam, nu, indexing="ij")
-    ch, cn = np.cosh(L), np.cos(N)
+    ch, cn = np.cosh(lam)[:, None], np.cos(nu)[None, :]
     R2 = 2.0 * ch + c * ch ** 2 - 2.0 * m * cn - c * cn ** 2
+    ok = R2 >= 0.0
+    ilam, jnu = np.nonzero(ok)
+
+    # at fixed lam, R^2 = 0 is the quadratic c cn^2 + 2 m cn - k = 0 in
+    # cn = cos(nu), k = 2 cosh(lam) + c cosh(lam)^2
+    ii, jj = np.nonzero(ok[:, :-1] != ok[:, 1:])
+    ch = ch[ii, 0]
+    k = 2.0 * ch + c * ch ** 2
+    q = -(m + math.copysign(1.0, m) * np.sqrt(np.maximum(m * m + c * k,
+                                                         0.0)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = (q / c, -k / q)
+    # cos is decreasing on [0, pi]: the bracket in cn is
+    # [cos nu_{j+1}, cos nu_j]; take the root nearer to it
+    lo, hi = np.cos(nu[jj + 1]), np.cos(nu[jj])
+    d1, d2 = (np.maximum(np.maximum(lo - r, r - hi), 0.0) for r in roots)
+    cn_rim = np.clip(np.where(d2 < d1, roots[1], roots[0]), lo, hi)
+    nu_rim = np.clip(np.arccos(cn_rim), nu[jj], nu[jj + 1])
 
     phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    ok = R2 >= 0.0
-    Lf, Nf, R2f = L[ok], N[ok], R2[ok]
-    s = np.sqrt(0.5 * R2f)
-    lam_out = np.repeat(Lf, n_phi)
-    nu_out = np.repeat(Nf, n_phi)
-    pl_out = np.repeat(s, n_phi) * np.tile(np.cos(phi), Lf.size)
-    pn_out = np.repeat(s, n_phi) * np.tile(np.sin(phi), Lf.size)
+    return _ZeroSet(lam, np.concatenate([ilam, ii]),
+                    np.concatenate([nu[jnu], nu_rim]),
+                    np.concatenate([np.sqrt(0.5 * R2[ok]), np.zeros(ii.size)]),
+                    ilam.size, np.cos(phi), np.sin(phi))
 
-    if refine_boundary:
-        # add R^2 = 0 boundary points (momentum zero) between grid
-        # neighbors of opposite R^2 sign; at fixed lam, R^2 = 0 is the
-        # quadratic c cn^2 + 2 m cn - k = 0 in cn = cos(nu),
-        # k = 2 cosh(lam) + c cosh(lam)^2
-        sign = R2 >= 0.0
-        ii, jj = np.nonzero(sign[:, :-1] != sign[:, 1:])
-        ch = np.cosh(lam[ii])
-        k = 2.0 * ch + c * ch ** 2
-        q = -(m + math.copysign(1.0, m) * np.sqrt(np.maximum(m * m + c * k,
-                                                             0.0)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            roots = (q / c, -k / q)
-        # cos is decreasing on [0, pi]: the bracket in cn is
-        # [cos nu_{j+1}, cos nu_j]; take the root nearer to it
-        lo, hi = np.cos(nu[jj + 1]), np.cos(nu[jj])
-        d1, d2 = (np.maximum(np.maximum(lo - r, r - hi), 0.0) for r in roots)
-        cn_rim = np.clip(np.where(d2 < d1, roots[1], roots[0]), lo, hi)
-        nu_rim = np.clip(np.arccos(cn_rim), nu[jj], nu[jj + 1])
-        lam_out = np.concatenate([lam_out, lam[ii]])
-        nu_out = np.concatenate([nu_out, nu_rim])
-        pl_out = np.concatenate([pl_out, np.zeros(ii.size)])
-        pn_out = np.concatenate([pn_out, np.zeros(ii.size)])
 
-    return lam_out, nu_out, pl_out, pn_out
+def _zero_set_arrays(params, c, component, n_lam=100, n_nu=100, n_phi=16):
+    """Flat arrays (lam, nu, p_lam, p_nu) of every sample of
+    _zero_set_points, point-major, angle-minor, rim last."""
+    zs = _zero_set_points(params, c, component, n_lam, n_nu, n_phi)
+    return zs.samples(np.arange(zs.n_samples))[1:]
 
 
 def sample_zero_set(params, c, component, n_lam=100, n_nu=100, n_phi=16):
@@ -574,29 +619,74 @@ _CONFIRM_TOL = 1e-12
 _AUDIT_STRIDE = 64
 
 
-# samples per block of the screen, so that its temporaries stay in cache
-_BLOCK = 16384
-
-
-def _screen(lam, nu, pl, pn, params, c):
-    """Rows |grad Q|^2, matrix scale max |M_ij| and closed-form smallest
-    eigenvalue of the projected Hessian at every sample."""
-    out = np.empty((3, lam.size))
-    for i in range(0, lam.size, _BLOCK):
-        blk = slice(i, i + _BLOCK)
-        frame = _frame_arrays(lam[blk], nu[blk], pl[blk], pn[blk], params, c)
-        x, y, z, w = frame[:4]
-        out[0, blk] = x * x + y * y + z * z + w * w
-        np.max(np.abs(_projected_hessian(*frame)), axis=0, out=out[1, blk])
-        e4, mu_lo, _ = _tangent_spectrum(*frame)
-        np.minimum(e4, mu_lo, out=out[2, blk])
-    return out
-
-
 def _near_extremes(lo, hi):
     """Samples whose interval [lo, hi] may hold the minimum or the
     maximum of the values the intervals enclose."""
     return (lo <= hi.min()) | (hi >= lo.max())
+
+
+def _may_hold_extreme(ev, scale_lo, scale_hi):
+    """Samples that may hold the extreme smallest eigenvalue, absolute or
+    relative to the matrix scale, given the closed-form value ev, a
+    matrix scale in [scale_lo, scale_hi], and a closed form good to
+    _CONFIRM_TOL of that scale."""
+    span = _CONFIRM_TOL * scale_hi
+    r1 = ev / np.maximum(scale_lo, 1e-30)
+    r2 = ev / np.maximum(scale_hi, 1e-30)
+    return (_near_extremes(ev - span, ev + span)
+            | _near_extremes(np.minimum(r1, r2) - _CONFIRM_TOL,
+                             np.maximum(r1, r2) + _CONFIRM_TOL)
+            | ~np.isfinite(ev))
+
+
+def _scale_bounds(x, y, z, a, b):
+    """Lower and upper bounds on the matrix scale max |M_ij| of the
+    projected Hessian over the momentum circle through (z, 0).
+
+    The scale changes with the momentum angle. It is at least
+    max(|m00|, |m11 + m22| / 2), two entries that do not depend on the
+    angle, and at most the largest of |m00|, |m11|, |m22| (m11 and m22
+    range between their angle-0 values), |a - b| z^2 / 2 (bounding |m12|)
+    and |z| hypot((a - 4) y, (4 - b) x) (bounding |m01| and |m02| by
+    Cauchy-Schwarz), with the entries taken at angle 0. Both bounds are
+    widened by 1e-12 relative to cover rounding.
+    """
+    m00, _, _, m11, _, m22 = _projected_hessian(x, y, z, 0.0, a, b)
+    lo = np.maximum(np.abs(m00), 0.5 * np.abs(m11 + m22))
+    hi = np.max(np.abs([m00, m11, m22, 0.5 * (a - b) * z * z,
+                        z * np.hypot((a - 4.0) * y, (4.0 - b) * x)]),
+                axis=0)
+    return lo * (1.0 - 1e-12), hi * (1.0 + 1e-12)
+
+
+def _point_screen(zs, params, c):
+    """Per point of zs: whether |grad Q|^2 > 1e-12, the closed-form
+    smallest eigenvalue of the projected Hessian, and whether some sample
+    of the point may hold a reported extreme.
+
+    Q's Hessian diag(a, b, 4, 4) is invariant under rotations of the
+    momentum (p_lam, p_nu), so the spectrum depends on the momentum only
+    through its radius: it is evaluated once per point, at angle 0
+    (z = 4 s, w = 0), and the matrix scale is bounded over the circle
+    (_scale_bounds).
+    """
+    x, a = (v[zs.ilam] for v in _lam_terms(zs.lam, c))
+    y, b = _nu_terms(zs.nu, params, c)
+    z = 4.0 * zs.s
+    good = x * x + y * y + z * z > 1e-12
+    e4, mu_lo, _ = _tangent_spectrum(x, y, z, 0.0, a, b)
+    ev = np.minimum(e4, mu_lo)
+    scale_lo, scale_hi = _scale_bounds(x, y, z, a, b)
+    cand = np.zeros_like(good)
+    cand[good] = _may_hold_extreme(ev[good], scale_lo[good], scale_hi[good])
+    return good, ev, cand
+
+
+def _sample_matrices(zs, f, params, c):
+    """Point index, (lam, nu, p_lam, p_nu) and the six projected-Hessian
+    entries of the flat samples f."""
+    pt, *sample = zs.samples(f)
+    return pt, sample, _projected_hessian(*_frame_arrays(*sample, params, c))
 
 
 def oracle_convexity(params, c, component, grid=(100, 100, 16), tol=1e-9):
@@ -607,41 +697,39 @@ def oracle_convexity(params, c, component, grid=(100, 100, 16), tol=1e-9):
     verdict ('posdef' everywhere vs 'indefinite' witness). Samples with
     a vanishing gradient are counted as failures, never aborting.
 
-    Every sample is screened with the closed-form smallest eigenvalue;
-    LAPACK (eigvalsh) then confirms each sample that may hold one of the
-    reported extremes, plus every _AUDIT_STRIDE-th sample, and every
-    reported number comes from LAPACK. Raises OracleInconsistency when
-    the two differ by more than _CONFIRM_TOL times the matrix scale.
+    Each position is screened once with the closed-form smallest
+    eigenvalue, which all its momentum samples share (_point_screen).
+    Inside the positions that may hold a reported extreme, each sample's
+    exact matrix scale decides whether it may; LAPACK (eigvalsh) then
+    confirms those samples plus every _AUDIT_STRIDE-th good sample, and
+    every reported number comes from LAPACK. Raises OracleInconsistency
+    when LAPACK and the position's closed form differ by more than
+    _CONFIRM_TOL times the matrix scale.
     """
     t0 = time.perf_counter()
-    n_lam, n_nu, n_phi = grid
-    lam, nu, pl, pn = _zero_set_arrays(params, c, component,
-                                       n_lam, n_nu, n_phi)
-    g2, scale, ev = _screen(lam, nu, pl, pn, params, c)
-    good = g2 > 1e-12
-    failures = int(np.count_nonzero(~good))
-    idx_good = np.flatnonzero(good)
-    scale, ev = scale[good], ev[good]
-    denom = np.maximum(scale, 1e-30)
-    rel = ev / denom
+    zs = _zero_set_points(params, c, component, *grid)
+    good, ev, cand = _point_screen(zs, params, c)
+    counts = zs.counts
+    failures = int(counts[~good].sum())
 
-    span = _CONFIRM_TOL * scale
-    confirm = (_near_extremes(ev - span, ev + span)
-               | _near_extremes(rel - _CONFIRM_TOL, rel + _CONFIRM_TOL)
-               | ~np.isfinite(ev))
-    confirm[::_AUDIT_STRIDE] = True
-    sel = np.flatnonzero(confirm)
-    pick = idx_good[sel]
-    frame = _frame_arrays(lam[pick], nu[pick], pl[pick], pn[pick], params, c)
-    ev_sel = np.linalg.eigvalsh(_symmetric(*_projected_hessian(*frame)))[:, 0]
-    if not np.all(np.abs(ev_sel - ev[sel]) <= span[sel]):
+    confirm = np.zeros(zs.n_samples, dtype=bool)
+    confirm[np.flatnonzero(np.repeat(good, counts))[::_AUDIT_STRIDE]] = True
+    f = np.flatnonzero(np.repeat(cand, counts))
+    pt, _, entries = _sample_matrices(zs, f, params, c)
+    scale = np.max(np.abs(entries), axis=0)
+    confirm[f[_may_hold_extreme(ev[pt], scale, scale)]] = True
+
+    pt, (lam, nu, pl, pn), entries = _sample_matrices(
+        zs, np.flatnonzero(confirm), params, c)
+    scale = np.max(np.abs(entries), axis=0)
+    ev_sel = np.linalg.eigvalsh(_symmetric(*entries))[:, 0]
+    if not np.all(np.abs(ev_sel - ev[pt]) <= _CONFIRM_TOL * scale):
         raise OracleInconsistency(
             "closed-form and LAPACK smallest eigenvalues disagree")
-    rel_sel = ev_sel / denom[sel]
+    rel_sel = ev_sel / np.maximum(scale, 1e-30)
 
-    i_min = int(idx_good[sel[int(np.argmin(rel_sel))]])
-    i_max = int(idx_good[sel[int(np.argmax(rel_sel))]])
-    min_rel = float(np.min(rel_sel))
+    i_min, i_max = int(np.argmin(rel_sel)), int(np.argmax(rel_sel))
+    min_rel = float(rel_sel[i_min])
     witness_pt = (float(lam[i_min]), float(nu[i_min]),
                   float(pl[i_min]), float(pn[i_min]))
     witnesses = []
@@ -661,5 +749,5 @@ def oracle_convexity(params, c, component, grid=(100, 100, 16), tol=1e-9):
         argmax=(float(lam[i_max]), float(nu[i_max]),
                 float(pl[i_max]), float(pn[i_max])),
         witnesses=witnesses, verdict=verdict,
-        samples=int(lam.size), failures=failures,
+        samples=zs.n_samples, failures=failures,
         wall_time=time.perf_counter() - t0)

@@ -256,14 +256,17 @@ def fiberwise_verdict(params, c, n_boundary=512, n_energies=12,
         delta = 0.1 * params.l
         for n in (64, 256, 1024):
             q1s = params.l - delta * (np.arange(1, n + 1) / (n + 1.0))
-            for (q1, q2) in earth_boundary_near_vertex(params, c, q1s):
-                cv = float(curvature_numerator((q1, q2), params))
-                samples += 1
-                min_C = min(min_C, cv)
-                if cv < -tol:
-                    witness = (float(c), (q1, q2), cv)
-                    break
-            if witness is not None:
+            pts = earth_boundary_near_vertex(params, c, q1s)
+            if not pts:
+                continue
+            q1, q2 = np.array(pts).T
+            cvals = curvature_numerator((q1, q2), params)
+            hit = np.flatnonzero(cvals < -tol)
+            k = int(hit[0]) + 1 if hit.size else len(pts)
+            samples += k
+            min_C = min(min_C, float(cvals[:k].min()))
+            if hit.size:
+                witness = (float(c), pts[k - 1], float(cvals[k - 1]))
                 break
 
     verdict = "convex" if witness is None else "nonconvex-witness"

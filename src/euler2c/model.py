@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 _COLLISION_TOL = 1e-13
+# a hill_boundary ray is resolved once its bracket in t is below this
+# many units of |q1| + |q2| (four ulps)
+_RAY_ULPS = 4.0 * np.finfo(float).eps
 
 
 class Frame(Enum):
@@ -315,25 +318,31 @@ def hill_boundary(params, c, component, n=256, tol=1e-10,
 
     # Newton from the inner end; a step that leaves the bracket or has a
     # nonpositive slope is replaced by bisection, except on a converged
-    # ray, which then stays where it is.
+    # ray, which then stays where it is. A ray has converged when
+    # |U - c| < tol, or when its bracket is narrower than the rounding of
+    # the position itself: near a light primary an ulp of the position
+    # can move U by more than tol, and no iterate would get closer.
     t = t_lo
-    e = U_derivs(ray(t), params)
+    q = ray(t)
+    e = U_derivs(q, params)
     for _ in range(100):
         g = e.U - c
-        done = np.abs(g) < tol
-        if done.all():
-            break
         t_lo = np.where(g < 0.0, t, t_lo)
         t_hi = np.where(g < 0.0, t_hi, t)
+        done = ((np.abs(g) < tol)
+                | (t_hi - t_lo <= _RAY_ULPS * (np.abs(q[0]) + np.abs(q[1]))))
+        if done.all():
+            break
         slope = e.U_1 * dx + e.U_2 * dy
         with np.errstate(divide="ignore", invalid="ignore"):
             t_new = t - g / slope
         newton = (slope > 0.0) & (t_new >= t_lo) & (t_new <= t_hi)
         t = np.where(newton, t_new, np.where(done, t, 0.5 * (t_lo + t_hi)))
-        e = U_derivs(ray(t), params)
+        q = ray(t)
+        e = U_derivs(q, params)
     if np.max(np.abs(e.U - c)) >= tol * 10:
         raise TraceFailure("Newton failed to reach the boundary tolerance")
-    q1, q2 = ray(t)
+    q1, q2 = q
     if frame is Frame.CENTERED:
         q1 = q1 - 0.5
     return np.column_stack([q1, q2])

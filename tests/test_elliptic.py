@@ -435,6 +435,39 @@ class TestMassSwap:
             assert convexity_verdict(p, c, comp) is oracle
 
 
+def _check_full_eigvalsh(mu, dc, comp, grid):
+    """The oracle's report against eigvalsh on every sample, as the report
+    is defined; dc is the energy's offset above c0 as a share of
+    c_J - c0, or, when negative, its distance below c0."""
+    p = ProblemParams(mu)
+    c0 = thresholds(p).c0
+    c = c0 + dc * (p.c_jacobi - c0) if dc > 0 else c0 + dc
+    lam, nu, pl, pn = elliptic._zero_set_arrays(p, c, comp, *grid)
+    frame = elliptic._frame_arrays(lam, nu, pl, pn, p, c)
+    M = elliptic._symmetric(*elliptic._projected_hessian(*frame))
+    x, y, z, w = frame[:4]
+    good = x * x + y * y + z * z + w * w > 1e-12
+    ev = np.linalg.eigvalsh(M[good])[:, 0]
+    rel = ev / np.maximum(np.max(np.abs(M[good]), axis=(1, 2)), 1e-30)
+    idx = np.flatnonzero(good)
+    i_min, i_max = idx[np.argmin(rel)], idx[np.argmax(rel)]
+    point = [(float(lam[i]), float(nu[i]), float(pl[i]), float(pn[i]))
+             for i in (i_min, i_max)]
+    min_rel = float(rel.min())
+    verdict = ("indefinite" if min_rel < -1e-9 else
+               "posdef" if min_rel > 1e-9 else "degenerate")
+
+    rep = oracle_convexity(p, c, comp, grid=grid)
+    assert rep.verdict == verdict
+    assert rep.min_value == float(ev.min())
+    assert rep.max_value == float(ev.max())
+    assert rep.argmin == point[0] and rep.argmax == point[1]
+    assert rep.witnesses == ([point[0]] if verdict == "indefinite"
+                             else [])
+    assert rep.samples == lam.size
+    assert rep.failures == int(np.count_nonzero(~good))
+
+
 class TestOracle:
     def test_posdef_below_threshold(self, p03):
         th = thresholds(p03)
@@ -464,55 +497,48 @@ class TestOracle:
         (0.5, -0.05, HillComponent.MOON),
     ])
     def test_report_matches_full_eigvalsh(self, mu, dc, comp):
-        # reference: eigvalsh on every sample, as the report is defined;
-        # dc is the energy's offset above c0 as a share of c_J - c0, or,
-        # when negative, its distance below c0
-        p = ProblemParams(mu)
-        c0 = thresholds(p).c0
-        c = c0 + dc * (p.c_jacobi - c0) if dc > 0 else c0 + dc
-        grid = (40, 40, 8)
-        lam, nu, pl, pn = elliptic._zero_set_arrays(p, c, comp, *grid)
-        frame = elliptic._frame_arrays(lam, nu, pl, pn, p, c)
-        M = elliptic._symmetric(*elliptic._projected_hessian(*frame))
-        x, y, z, w = frame[:4]
-        good = x * x + y * y + z * z + w * w > 1e-12
-        ev = np.linalg.eigvalsh(M[good])[:, 0]
-        rel = ev / np.maximum(np.max(np.abs(M[good]), axis=(1, 2)), 1e-30)
-        idx = np.flatnonzero(good)
-        i_min, i_max = idx[np.argmin(rel)], idx[np.argmax(rel)]
-        point = [(float(lam[i]), float(nu[i]), float(pl[i]), float(pn[i]))
-                 for i in (i_min, i_max)]
-        min_rel = float(rel.min())
-        verdict = ("indefinite" if min_rel < -1e-9 else
-                   "posdef" if min_rel > 1e-9 else "degenerate")
+        _check_full_eigvalsh(mu, dc, comp, (40, 40, 8))
 
-        rep = oracle_convexity(p, c, comp, grid=grid)
-        assert rep.verdict == verdict
-        assert rep.min_value == float(ev.min())
-        assert rep.max_value == float(ev.max())
-        assert rep.argmin == point[0] and rep.argmax == point[1]
-        assert rep.witnesses == ([point[0]] if verdict == "indefinite"
-                                 else [])
-        assert rep.samples == lam.size
-        assert rep.failures == int(np.count_nonzero(~good))
-
+    # odd and single momentum angles, the mu extremes, the default grid
+    @pytest.mark.parametrize("mu, dc, comp, grid", [
+        (0.3, 0.5, HillComponent.EARTH, (30, 30, 7)),
+        (0.77, -0.2, HillComponent.MOON, (30, 30, 7)),
+        (0.3, 0.5, HillComponent.EARTH, (40, 40, 1)),
+        (0.5, -0.05, HillComponent.EARTH, (40, 40, 1)),
+        (0.001, 0.5, HillComponent.EARTH, (40, 40, 8)),
+        (0.001, -0.3, HillComponent.MOON, (30, 30, 7)),
+        (0.999, 0.5, HillComponent.MOON, (40, 40, 8)),
+        (0.999, -0.3, HillComponent.EARTH, (40, 40, 1)),
+        (0.3, 0.5, HillComponent.EARTH, (100, 100, 16)),
+    ])
+    def test_report_matches_full_eigvalsh_grid(self, mu, dc, comp, grid):
+        _check_full_eigvalsh(mu, dc, comp, grid)
     @pytest.mark.parametrize("perturb", ["all", "audit"])
     def test_wrong_closed_form_raises(self, p03, monkeypatch, perturb):
+        c, comp = p03.c_jacobi - 0.5, HillComponent.MOON
+        zs = elliptic._zero_set_points(p03, c, comp, 30, 30, 8)
+        good, _, cand = elliptic._point_screen(zs, p03, c)
+        # the point holding good sample 2 * _AUDIT_STRIDE: the screen has
+        # one closed-form value per point, and this point is no candidate
+        f = np.flatnonzero(np.repeat(good, zs.counts))
+        pt = int(zs.samples(f[[2 * elliptic._AUDIT_STRIDE]])[0][0])
+        assert not cand[pt]
         spectrum = elliptic._tangent_spectrum
 
         def wrong(*frame):
             e4, lo, hi = spectrum(*frame)
             if perturb == "all":
                 return e4, lo * (1.0 + 1e-9), hi
-            # one sample that only the fixed-stride audit confirms
             lo = lo.copy()
-            lo[2 * elliptic._AUDIT_STRIDE] += 1e-6 * abs(lo).max()
+            lo[pt] += 1e-6 * abs(lo).max()
             return e4, lo, hi
 
         monkeypatch.setattr(elliptic, "_tangent_spectrum", wrong)
+        if perturb == "audit":
+            # still no candidate: only the fixed-stride audit confirms it
+            assert not elliptic._point_screen(zs, p03, c)[2][pt]
         with pytest.raises(OracleInconsistency):
-            oracle_convexity(p03, p03.c_jacobi - 0.5, HillComponent.MOON,
-                             grid=(30, 30, 8))
+            oracle_convexity(p03, c, comp, grid=(30, 30, 8))
 
 
 def _energies(p):
@@ -551,6 +577,42 @@ class TestSpectrum:
                 scale = np.max(np.abs(M), axis=(1, 2))
                 err = np.abs(np.minimum(e4, lo) - ev)
                 assert np.all(err <= 1e-13 * scale), (comp, c)
+
+    @pytest.mark.parametrize("mu", SPECTRUM_MUS)
+    def test_rotation_invariance(self, mu):
+        # Q's Hessian diag(a, b, 4, 4) commutes with rotations of the
+        # momentum, so the spectrum at (x, y, z, w) is the spectrum at
+        # (x, y, hypot(z, w), 0); the oracle screens once per position
+        # on this
+        p = ProblemParams(mu)
+        for comp in HillComponent:
+            for c in _energies(p):
+                lam, nu, pl, pn = elliptic._zero_set_arrays(
+                    p, c, comp, 30, 30, 8)
+                x, y, z, w, a, b = elliptic._frame_arrays(
+                    lam, nu, pl, pn, p, c)
+                scale = np.max(np.abs(
+                    elliptic._projected_hessian(x, y, z, w, a, b)), axis=0)
+                turned = elliptic._tangent_spectrum(x, y, z, w, a, b)
+                upright = elliptic._tangent_spectrum(
+                    x, y, np.hypot(z, w), 0.0, a, b)
+                for u, v in zip(turned, upright):
+                    assert np.all(np.abs(u - v) <= 1e-14 * scale), (comp, c)
+
+    def test_scale_bounds_hold_around_the_circle(self, rng):
+        # the oracle picks candidate positions from these bounds on
+        # max |M_ij| over the momentum circle; frames drawn at random so
+        # that each entry in turn sets the scale
+        x, y, a, b = rng.normal(size=(4, 2000)) * [[1], [1], [5], [5]]
+        z = np.abs(rng.normal(size=2000)) * 10.0 ** rng.uniform(-3, 1, 2000)
+        lo, hi = elliptic._scale_bounds(x, y, z, a, b)
+        phi = np.linspace(0.0, 2.0 * np.pi, 97)[:, None]
+        entries = elliptic._projected_hessian(
+            x, y, z * np.cos(phi), z * np.sin(phi), a, b)
+        scale = np.max(np.abs(entries), axis=0)
+        assert np.all((lo <= scale) & (scale <= hi))
+        # the upper bound is attained to within a factor sqrt(2)
+        assert np.all(scale.max(axis=0) * math.sqrt(2.0) >= hi / (1 + 1e-12))
 
     @pytest.mark.parametrize("mu", (0.13, 0.77))
     def test_eigenvalue_product_is_det(self, mu, rng):

@@ -256,6 +256,32 @@ class TestVerdicts:
         # below c_J the abscissas nearest l are off the lobe and dropped
         assert 0 < len(ref) < len(q1s)
 
+    # witness in the first, second and third batch of the vertex window,
+    # and none at 0.4995 and 0.4999
+    @pytest.mark.parametrize("mu", [0.49, 0.497, 0.4992, 0.4995, 0.4999])
+    def test_vertex_window_matches_point_loop(self, mu):
+        p = ProblemParams(mu)
+        c = p.c_jacobi
+        rep = fiberwise_verdict(p, c)
+        # one point at a time (as one-element arrays, the arithmetic of
+        # the batch), stopping at the first C < -tol
+        witness, window, samples = None, [], 0
+        for n in (64, 256, 1024):
+            q1s = p.l - 0.1 * p.l * np.arange(1, n + 1) / (n + 1.0)
+            for q1, q2 in earth_boundary_near_vertex(p, c, q1s):
+                cv = float(curvature_numerator(([q1], [q2]), p)[0])
+                samples += 1
+                window.append(cv)
+                if cv < -1e-12:
+                    witness = (c, (q1, q2), cv)
+                    break
+            if witness is not None:
+                break
+        assert rep.witness == witness
+        assert rep.samples == 6656 + samples
+        # the window holds the minimum of C at these mass ratios
+        assert rep.min_C == min(window)
+
     # C at the exact boundary point of the witness ray, from a 50-digit
     # evaluation; the bisection this search replaced stopped 4e-12 to
     # 3e-11 short of the root and read C off by 1.1e-8 and 2.1e-8

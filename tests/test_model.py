@@ -233,7 +233,9 @@ class TestHillBoundaryRays:
                          / np.abs(slope[steep]))
                 assert np.all(err <= bound), (c, comp, np.max(err / bound))
 
-    def test_evaluation_count(self, monkeypatch):
+    @staticmethod
+    def _count_evaluations(monkeypatch):
+        """Count calls of potential_U and U_derivs inside model."""
         calls = [0]
 
         def counted(f):
@@ -244,6 +246,10 @@ class TestHillBoundaryRays:
 
         monkeypatch.setattr(model, "potential_U", counted(potential_U))
         monkeypatch.setattr(model, "U_derivs", counted(U_derivs))
+        return calls
+
+    def test_evaluation_count(self, monkeypatch):
+        calls = self._count_evaluations(monkeypatch)
         for mu in (0.1, 0.3, 0.5, 0.7):
             p = ProblemParams(mu)
             for c in _energies(p, 1e-3):
@@ -251,6 +257,20 @@ class TestHillBoundaryRays:
                     calls[0] = 0
                     hill_boundary(p, c, comp, n=512)
                     assert calls[0] <= 60, (mu, c, comp, calls[0])
+
+    def test_stops_at_position_rounding(self, monkeypatch):
+        # Moon lobe of mu = 0.001 at c = -50: the boundary lies about 2e-5
+        # from the Moon, where an ulp of q1 = 1 moves U by about 5e-10 >
+        # tol; each ray stops once its bracket is that narrow instead of
+        # iterating to the cap
+        p, c, comp = ProblemParams(0.001), -50.0, HillComponent.MOON
+        calls = self._count_evaluations(monkeypatch)
+        pts = hill_boundary(p, c, comp, n=512, tol=self.TOL)
+        assert calls[0] <= 45
+        monkeypatch.undo()
+        ox, t_ref, slope = _ray_reference(p, c, comp, 512)
+        t = np.hypot(pts[:, 0] - ox, pts[:, 1])
+        assert np.all(np.abs(t - t_ref) <= 10.0 * self.TOL / np.abs(slope))
 
     @pytest.mark.parametrize("mu", [1e-17, 1e-12])
     def test_kepler_radius_rounded_to_c(self, mu):
