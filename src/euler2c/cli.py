@@ -226,21 +226,21 @@ def _curve_hill(args, params, c):
     rows = []
     for comp in (HillComponent.EARTH, HillComponent.MOON):
         pts = hill_boundary(params, c, comp, n=args.n)
-        for q1, q2 in pts:
-            rows.append((f"hill-{comp.value}", q1, q2,
-                         fiberwise.curvature_numerator((q1, q2), params)))
+        C = fiberwise.curvature_numerator((pts[:, 0], pts[:, 1]), params)
+        rows += [(f"hill-{comp.value}", q1, q2, cv)
+                 for (q1, q2), cv in zip(pts, C)]
     # touching-cone tangents through (l, 0)
     rows += _cone_rows("cone", params.l, 0.2, args.n)
     return ["series", "q1", "q2", "C"], rows
 
 
-def _trace_zero(f, starts, args):
+def _trace_zero(f, starts, step, max_len):
     """Points of f = 0 traced from each (seed, direction); partial flag."""
     points, partial = [], False
     for seed, direction in starts:
         try:
-            pl = trace_implicit(f, seed, step=args.step,
-                                max_len=args.max_len, direction=direction)
+            pl = trace_implicit(f, seed, step=step, max_len=max_len,
+                                direction=direction)
         except TraceFailure as err:
             if err.partial is None:
                 raise
@@ -254,7 +254,8 @@ def _curve_v0(args, params, c):
     s2 = math.sqrt(2.0)
     points, partial = _trace_zero(
         levicivita.V_with_grad(params, c),
-        [((x0 - 1e-6, d * 1e-6), (-1.0, d)) for d in (s2, -s2)], args)
+        [((x0 - 1e-6, d * 1e-6), (-1.0, d)) for d in (s2, -s2)],
+        args.step, args.max_len)
     # both V=0 and F=0 pass through the axis tangency point exactly
     rows = [("v0", x, y, levicivita.F_value(x, y, params, c))
             for x, y in [(x0, 0.0)] + points]
@@ -267,26 +268,42 @@ def _curve_f0(args, params, c):
     # F = 0 passes through (x0, 0) transversally to the axis
     points, partial = _trace_zero(
         levicivita.F_with_grad(params, c),
-        [((x0, d * 1e-4), (0.0, d)) for d in (1.0, -1.0)], args)
-    rows = [("f0", x, y, levicivita.V_value(x, y, params, c))
-            for x, y in [(x0, 0.0)] + points]
+        [((x0, d * 1e-4), (0.0, d)) for d in (1.0, -1.0)],
+        args.step, args.max_len)
+    xy = np.array([(x0, 0.0)] + points)
+    V = levicivita.V_value(xy[:, 0], xy[:, 1], params, c)
+    rows = [("f0", x, y, v) for (x, y), v in zip(xy, V)]
     return ["series", "x", "y", "V"], rows, partial
 
 
 def _curve_czero(args, params):
     """The zero set of the boundary-curvature numerator C near the
-    touching cone (position space, Standard frame)."""
+    touching cone (position space, Standard frame): up to four series,
+    each traced max_len / 2 both ways from the first sign-change witness
+    farther than 10 steps from every point traced before."""
     l = params.l
     f = lambda x, y: fiberwise.curvature_numerator((x, y), params)
     rows = []
     partial = False
     rep = sign_scan(f, (l - 0.35, l + 0.35, 0.02, 0.45),
-                    grid=(120, 120), refine_depth=2, target="C")
-    for k, (wx, wy, _) in enumerate(rep.witnesses[:4]):
-        points, bad = _trace_zero(fiberwise.C_with_grad(params),
-                                  [((wx, wy), None)], args)
+                    grid=(120, 120), target="C", max_witnesses=None)
+    cg = fiberwise.C_with_grad(params)
+    traced = np.empty((0, 2))
+    k = 0
+    for wx, wy, _ in rep.witnesses:
+        if k == 4:
+            break
+        if np.any(np.hypot(traced[:, 0] - wx, traced[:, 1] - wy)
+                  < 10.0 * args.step):
+            continue
+        _, gx, gy = cg(wx, wy)
+        points, bad = _trace_zero(cg, [((wx, wy), (-gy, gx)),
+                                       ((wx, wy), (gy, -gx))],
+                                  args.step, 0.5 * args.max_len)
         partial |= bad
         rows += [(f"czero-{k}", x, y, 0.0) for x, y in points]
+        traced = np.vstack([traced, points])
+        k += 1
     rows += _cone_rows("cone", l, 0.3, args.n)
     return ["series", "q1", "q2", "zero"], rows, partial
 

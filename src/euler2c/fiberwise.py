@@ -143,15 +143,17 @@ def V_line(q1, params):
     return {"V": V, "V1": V1, "V2": V2, "V3": V3, "V4": V4}
 
 
-def C_l_derivatives(params, h=3e-3):
+def C_l_derivatives(params):
     """Certify the fourth-order contact of C with zero along the cone.
 
     Finite-difference derivatives through order three of
     t -> C(t, sqrt(2)(t - l)) at t = l all vanish; they are reported
     scaled by the (nonzero) fourth derivative, so each entry measures
     "derivative k relative to the leading term" and is small iff the
-    contact order really is four. Also returns the squared slope of the
-    C = 0 branch at (l, 0), which is exactly -U_11/U_22 = 2: the
+    contact order really is four. These stay finite differences: the
+    fourth derivative of C along the cone needs fourth derivatives of U,
+    and U_derivs stops at order three. Also returns the squared slope of
+    the C = 0 branch at (l, 0), which is exactly -U_11/U_22 = 2: the
     gradient of U vanishes at (l, 0), so the Hessian of C there is
     2[U_11 dU_2 (x) dU_2 + U_22 dU_1 (x) dU_1 - 2 U_12 dU_1 (.) dU_2],
     built from second derivatives of U alone, and U_11 = -2 U_22 on the
@@ -166,9 +168,9 @@ def C_l_derivatives(params, h=3e-3):
     c4 = fd_derivative(cline, l, 0.0, 4, 0, 1e-2)
     out = {
         "C0": cline(l) / c4,
-        "C1": fd_derivative(cline, l, 0.0, 1, 0, h) / c4,
-        "C2": fd_derivative(cline, l, 0.0, 2, 0, h) / c4,
-        "C3": fd_derivative(cline, l, 0.0, 3, 0, h) / c4,
+        "C1": fd_derivative(cline, l, 0.0, 1, 0, 3e-3) / c4,
+        "C2": fd_derivative(cline, l, 0.0, 2, 0, 3e-3) / c4,
+        "C3": fd_derivative(cline, l, 0.0, 3, 0, 3e-3) / c4,
         "C4": c4,
     }
 

@@ -28,8 +28,7 @@ import numpy as np
 
 from .errors import MoonCollision, OutsideRegion
 from .model import CartesianPhasePoint, Frame
-from .scan import (fd_derivative, level_curvature, level_curvature_grad,
-                   trace_implicit)
+from .scan import level_curvature, level_curvature_grad, trace_implicit
 
 __all__ = [
     "LCPoint",
@@ -262,14 +261,14 @@ def tangency_check(params, c=None):
     }
 
 
-def tilde_derivatives(params, c=None, h=None):
+def tilde_derivatives(params, c=None):
     """Directional derivatives along the tangent-cone line at (x0, 0).
 
     With t -> (t, sqrt(2)(t - x0)): returns the third derivative of
-    Vtilde(t) = V(t, sqrt(2)(t-x0)) both in closed form,
-    48 mu x0 (10 x0^2 - 1)/(2 x0^2 - 1)^4, and by finite differences,
-    plus the first three derivatives of Ftilde(t) = F(t, sqrt(2)(t-x0))
-    at t = x0, which all vanish there.
+    Vtilde(t) = V(t, sqrt(2)(t-x0)) in closed form,
+    48 mu x0 (10 x0^2 - 1)/(2 x0^2 - 1)^4, plus the first three
+    derivatives of Ftilde(t) = F(t, sqrt(2)(t-x0)) at t = x0, which all
+    vanish there.
 
     Because Ftilde has fourth-order contact with zero, direct finite
     differencing of its third derivative cannot certify a 1e-5 bound in
@@ -282,25 +281,15 @@ def tilde_derivatives(params, c=None, h=None):
         F~''' = 6 (V_xx + 2 V_yy)(V_xxx V_yy + V_xyy V_xx)
 
     with dV_x = V_xx + sqrt(2) V_xy; the factor V_xx + 2 V_yy vanishes
-    by the tangency identities. Raw finite-difference values are kept
-    under F1_fd/F2_fd/F3_fd as a consistency channel.
+    by the tangency identities. The finite-difference cross-checks of
+    these closed forms live in the tests.
     """
     if c is None:
         c = params.c_jacobi
     x0 = x0_of(params, c)
-    if h is None:
-        h = 1e-3
     s2 = math.sqrt(2.0)
-
-    def vt(t, _y=0.0):
-        return V_value(t, s2 * (t - x0), params, c)
-
-    def ft(t, _y=0.0):
-        return F_value(t, s2 * (t - x0), params, c)
-
     v3_closed = (48.0 * params.mu * x0 * (10.0 * x0 ** 2 - 1.0)
                  / (2.0 * x0 ** 2 - 1.0) ** 4)
-    v3_fd = fd_derivative(vt, x0, 0.0, 3, 0, h)
     e = V_eval(x0, 0.0, params, c)
     dvx = e.V_xx + s2 * e.V_xy
     f1 = e.V_x * (2.0 * e.V_yy * dvx + e.V_x * (e.V_xyy + s2 * e.V_yyy))
@@ -309,13 +298,9 @@ def tilde_derivatives(params, c=None, h=None):
                 * (e.V_xxx * e.V_yy + e.V_xyy * e.V_xx))
     return {
         "V3_closed": v3_closed,
-        "V3_fd": v3_fd,
         "F1": f1,
         "F2": f2,
         "F3": f3,
-        "F1_fd": fd_derivative(ft, x0, 0.0, 1, 0, h),
-        "F2_fd": fd_derivative(ft, x0, 0.0, 2, 0, h),
-        "F3_fd": fd_derivative(ft, x0, 0.0, 3, 0, h),
     }
 
 

@@ -1,5 +1,6 @@
-"""Generic numerics: sign scans with refinement, implicit-curve tracing,
-and finite-difference validation of closed-form derivatives.
+"""Generic numerics: sign scans that bisect every sign-changing grid edge
+at once, implicit-curve tracing, and finite-difference validation of
+closed-form derivatives.
 
 All routines are deterministic: grids are regular and traces are seeded
 explicitly, so identical inputs produce identical reports.
@@ -89,14 +90,17 @@ def level_curvature_grad(fx, fy, fxx, fxy, fyy, fxxx, fxxy, fxyy, fyyy):
             level_curvature(fx, fy, fxxy, fxyy, fyyy) + fy * det2)
 
 
-def sign_scan(f, region, grid=(400, 400), refine_depth=4, tol=1e-10,
-              target="field", max_witnesses=64):
+def sign_scan(f, region, grid=(400, 400), tol=1e-10, target="field",
+              max_witnesses=64):
     """Scan a scalar field for sign changes on a rectangle.
 
-    Cells whose corners disagree in sign are refined recursively; for each
-    sign-change cell at the deepest level a witness with |f| < tol is
-    produced by bisection along a corner-to-corner segment. Evaluation
-    failures (NaN) are counted, not fatal.
+    Every pair of grid neighbours, along either axis, whose ends are
+    finite and split by f > 0 against f <= 0 is bisected, all pairs
+    together with one array call of f per step, until |f| < tol at the
+    midpoint (a witness) or f there is not finite (the pair is dropped).
+    Witnesses come in grid order of the pair's first end, the x pair
+    before the y pair, at most ``max_witnesses`` of them (all when
+    None). Evaluation failures (NaN) are counted, not fatal.
     """
     t0 = time.perf_counter()
     x0, x1, y0, y1 = region
@@ -112,74 +116,44 @@ def sign_scan(f, region, grid=(400, 400), refine_depth=4, tol=1e-10,
     failures = int(np.count_nonzero(~np.isfinite(Z)))
     samples = Z.size
 
-    finite = Z[np.isfinite(Z)]
-    if finite.size == 0:
+    finite = np.isfinite(Z)
+    if not finite.any():
         raise TraceFailure("field evaluation failed everywhere")
     imin = np.unravel_index(np.nanargmin(Z), Z.shape)
     imax = np.unravel_index(np.nanargmax(Z), Z.shape)
     min_value, argmin = float(Z[imin]), (float(X[imin]), float(Y[imin]))
     max_value, argmax = float(Z[imax]), (float(X[imax]), float(Y[imax]))
 
-    sgn = np.sign(Z)
-    change = np.zeros((nx - 1, ny - 1), dtype=bool)
-    for dx in (0, 1):
-        for dy in (0, 1):
-            corner = sgn[dx:nx - 1 + dx, dy:ny - 1 + dy]
-            change |= corner != sgn[:nx - 1, :ny - 1]
-    cells = list(zip(*np.nonzero(change)))
+    # neighbour pairs (ia, ib) as flat indices, in the order of ia with
+    # the x pair first; bisect those whose ends are finite and split
+    idx = np.arange(Z.size).reshape(Z.shape)
+    ia = np.concatenate([idx[:-1].ravel(), idx[:, :-1].ravel()])
+    ib = np.concatenate([idx[1:].ravel(), idx[:, 1:].ravel()])
+    order = np.argsort(ia, kind="stable")
+    ia, ib = ia[order], ib[order]
+    Xf, Yf, Zf, ok = X.ravel(), Y.ravel(), Z.ravel(), finite.ravel()
+    split = ok[ia] & ok[ib] & ((Zf[ia] > 0) != (Zf[ib] > 0))
+    ia, ib = ia[split], ib[split]
 
-    witnesses = []
-
-    def bisect_segment(ax, ay, bx, by, fa, fb):
-        for _ in range(200):
-            mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
-            fm = _eval_field(f, np.asarray([[mx]]), np.asarray([[my]]))[0, 0]
-            if not math.isfinite(fm):
-                return None
-            if abs(fm) < tol:
-                return (mx, my, fm)
-            if (fm > 0) == (fa > 0):
-                ax, ay, fa = mx, my, fm
-            else:
-                bx, by, fb = mx, my, fm
-        return None
-
-    def refine(cx0, cx1, cy0, cy1, depth, nsub=4):
-        """Recursively subdivide a sign-change cell; at the deepest level
-        bisect between opposite-sign corners."""
-        gx = np.linspace(cx0, cx1, nsub + 1)
-        gy = np.linspace(cy0, cy1, nsub + 1)
-        GX, GY = np.meshgrid(gx, gy, indexing="ij")
-        GZ = _eval_field(f, GX, GY)
-        gs = np.sign(GZ)
-        for i in range(nsub):
-            for j in range(nsub):
-                if len(witnesses) >= max_witnesses:
-                    return
-                quad = gs[i:i + 2, j:j + 2]
-                if np.all(quad == quad[0, 0]) or not np.all(
-                        np.isfinite(GZ[i:i + 2, j:j + 2])):
-                    continue
-                if depth > 0:
-                    refine(gx[i], gx[i + 1], gy[j], gy[j + 1], depth - 1,
-                           nsub)
-                else:
-                    corners = [(GX[i + a, j + b], GY[i + a, j + b],
-                                GZ[i + a, j + b])
-                               for a in (0, 1) for b in (0, 1)]
-                    pos = [cr for cr in corners if cr[2] > 0]
-                    neg = [cr for cr in corners if cr[2] <= 0]
-                    if pos and neg:
-                        w = bisect_segment(pos[0][0], pos[0][1],
-                                           neg[0][0], neg[0][1],
-                                           pos[0][2], neg[0][2])
-                        if w is not None:
-                            witnesses.append(w)
-
-    for i, j in cells:
-        if len(witnesses) >= max_witnesses:
+    ax, ay, bx, by = Xf[ia], Yf[ia], Xf[ib], Yf[ib]
+    a_pos = Zf[ia] > 0
+    lane = np.arange(ia.size)
+    found = np.full((ia.size, 3), np.nan)
+    for _ in range(200):
+        if lane.size == 0:
             break
-        refine(xs[i], xs[i + 1], ys[j], ys[j + 1], refine_depth)
+        mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
+        fm = _eval_field(f, mx, my)
+        done = np.abs(fm) < tol
+        found[lane[done]] = np.stack([mx, my, fm], axis=1)[done]
+        keep = np.isfinite(fm) & ~done
+        to_a = keep & ((fm > 0) == a_pos)
+        ax, ay = np.where(to_a, mx, ax), np.where(to_a, my, ay)
+        bx, by = np.where(to_a, bx, mx), np.where(to_a, by, my)
+        ax, ay, bx, by, a_pos, lane = (v[keep] for v in
+                                       (ax, ay, bx, by, a_pos, lane))
+    witnesses = [tuple(w) for w in
+                 found[~np.isnan(found[:, 2])].tolist()][:max_witnesses]
 
     verdict = "sign-change" if witnesses else (
         "positive" if min_value > 0 else

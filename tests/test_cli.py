@@ -239,6 +239,33 @@ class TestCurve:
             q = (float(r["q1"]), float(r["q2"]))
             assert abs(curvature_numerator(q, p)) <= 1e-8
 
+    @pytest.mark.parametrize("mu", [0.01, 0.3, 0.7])
+    def test_czero_seeds_are_apart(self, capsys, tmp_path, mu):
+        # a seed within 10 steps of a traced point would redraw that branch
+        out = tmp_path / "cz.csv"
+        step = 1e-3
+        assert main(["curve", "czero", "--mu", str(mu), "--max-len", "0.25",
+                     "--step", str(step), "--out", str(out)]) == 0
+        series = {}
+        for r in self._rows(out):
+            if r["series"].startswith("czero-"):
+                series.setdefault(r["series"], []).append(
+                    (float(r["q1"]), float(r["q2"])))
+        assert list(series) == [f"czero-{k}" for k in range(len(series))]
+        assert 1 <= len(series) <= 4
+        earlier = []
+        for pts in series.values():
+            x, y = pts[0]
+            assert all(math.hypot(x - a, y - b) >= 10 * step
+                       for a, b in earlier)
+            # traced both ways from its seed, a series reaches past the
+            # end of the earlier one it continues
+            if earlier:
+                fresh = [all(math.hypot(x - a, y - b) >= 2 * step
+                             for a, b in earlier) for x, y in pts]
+                assert sum(fresh) >= len(pts) / 3
+            earlier += pts
+
     def test_csv_seventeen_digits_roundtrip(self, capsys, tmp_path):
         out = tmp_path / "c.csv"
         main(["curve", "c0curve", "--n", "5", "--out", str(out)])

@@ -21,12 +21,34 @@ def circle_vg(x, y):
 
 class TestSignScan:
     def test_finds_sign_change(self):
-        rep = sign_scan(unit_circle, (-2, 2, -2, 2), grid=(50, 50),
-                        refine_depth=2)
+        rep = sign_scan(unit_circle, (-2, 2, -2, 2), grid=(50, 50))
         assert rep.verdict == "sign-change"
         for wx, wy, wf in rep.witnesses:
             assert abs(math.hypot(wx, wy) - 1.0) < 1e-7
             assert abs(wf) < 1e-10
+
+    def test_array_calls_only(self):
+        # the grid in chunks of eight rows, then one call per bisection
+        # step over every sign-changing edge still open
+        sizes = []
+
+        def f(x, y):
+            sizes.append(np.size(x))
+            return unit_circle(x, y)
+
+        rep = sign_scan(f, (-2, 2, -2, 2), grid=(50, 50))
+        assert rep.witnesses
+        assert min(sizes) > 1
+        assert len(sizes) <= math.ceil(50 / 8) + 64
+
+    def test_witnesses_cover_circle(self):
+        rep = sign_scan(unit_circle, (-2, 2, -2, 2), grid=(50, 50),
+                        max_witnesses=None)
+        sectors = set()
+        for wx, wy, wf in rep.witnesses:
+            assert abs(unit_circle(wx, wy)) < 1e-10
+            sectors.add(int(math.degrees(math.atan2(wy, wx)) % 360 // 10))
+        assert sectors == set(range(36))
 
     def test_positive_field(self):
         rep = sign_scan(lambda x, y: x * x + y * y + 1.0, (-1, 1, -1, 1),
@@ -46,6 +68,21 @@ class TestSignScan:
                 return np.where(x > 0, np.nan, x + y)
         rep = sign_scan(f, (-1, 1, -1, 1), grid=(10, 10))
         assert rep.failures > 0
+
+    def test_nonfinite_midpoint_drops_the_edge(self):
+        # the grid is finite, the midpoint of its two split edges is not:
+        # one call for the grid, one bisection step, then nothing is open
+        calls = []
+
+        def f(x, y):
+            calls.append(np.size(x))
+            return np.where(np.abs(x) < 0.3, np.nan, x)
+
+        rep = sign_scan(f, (-1, 1, -1, 1), grid=(2, 2))
+        assert calls == [4, 2]
+        assert rep.failures == 0
+        assert not rep.witnesses
+        assert rep.verdict == "indeterminate"
 
     def test_bad_grid(self):
         with pytest.raises(ValueError):
