@@ -219,10 +219,12 @@ def fiberwise_verdict(params, c, n_boundary=512, n_energies=12,
 
     Energies run from e_min (where the boundary radius spread around the
     Earth falls below 1% and the near-Kepler-circle argument takes over;
-    a spot check at e = -100 is included) up to c. When the Earth lobe
-    is the heavier one (mu < 1/2) and c = c_J, the corollary witness
-    region q1 in (l - 0.1 l, l) is scanned with adaptive refinement as
-    well.
+    a spot check at e = -100 is included) up to c. One hill_boundary
+    call finds the boundaries of all these energies together, and one
+    curvature_numerator call evaluates C at all their points. When the
+    Earth lobe is the heavier one (mu < 1/2) and c = c_J, the corollary
+    witness region q1 in (l - 0.1 l, l) is scanned with adaptive
+    refinement as well.
     """
     cj = params.c_jacobi
     if c > cj:
@@ -238,19 +240,18 @@ def fiberwise_verdict(params, c, n_boundary=512, n_energies=12,
         e_min *= 2.0
     energies = list(np.linspace(e_min, c, n_energies)) + [-100.0]
 
-    min_C = math.inf
+    pts = hill_boundary(params, np.array(energies), HillComponent.EARTH,
+                        n=n_boundary)
+    cvals = curvature_numerator((pts[..., 0], pts[..., 1]), params)
+    samples = cvals.size
+    # the first energy whose boundary holds the least C, as a loop over
+    # the energies that keeps a strictly smaller minimum would find it
+    j, i = np.unravel_index(np.argmin(cvals), cvals.shape)
+    min_C = float(cvals[j, i])
     witness = None
-    samples = 0
-    for e in energies:
-        pts = hill_boundary(params, e, HillComponent.EARTH, n=n_boundary)
-        cvals = curvature_numerator((pts[:, 0], pts[:, 1]), params)
-        samples += len(pts)
-        i = int(np.argmin(cvals))
-        if cvals[i] < min_C:
-            min_C = float(cvals[i])
-            if cvals[i] < -tol:
-                witness = (float(e), (float(pts[i, 0]), float(pts[i, 1])),
-                           float(cvals[i]))
+    if min_C < -tol:
+        witness = (float(energies[j]),
+                   (float(pts[j, i, 0]), float(pts[j, i, 1])), min_C)
 
     if (witness is None and params.heavier is HillComponent.EARTH
             and c >= cj - 1e-12):

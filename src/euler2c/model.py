@@ -169,33 +169,41 @@ class UPotentialEval:
     U_222: float
 
 
+def _U_first(q1, q2, r1, r2, params):
+    """U, U_1 and U_2 at Standard-frame coordinates q1, q2 with distances
+    r1, r2 from _distances: the first three entries of U_derivs, and all
+    that hill_boundary's Newton steps read."""
+    a, b = 1.0 - params.mu, params.mu
+    r13, r23 = r1 ** 3, r2 ** 3
+    return (-a / r1 - b / r2,
+            a * q1 / r13 + b * (q1 - 1.0) / r23,
+            a * q2 / r13 + b * q2 / r23)
+
+
 def U_derivs(q, params):
     """All closed-form derivatives of U through order three at a
     Standard-frame position; vectorized."""
     q1, q2, r1, r2 = _distances(q, Frame.STANDARD)
+    U, U_1, U_2 = _U_first(q1, q2, r1, r2, params)
     a, b = 1.0 - params.mu, params.mu
     d1 = q1
     d2 = q1 - 1.0
-    r13, r23 = r1 ** 3, r2 ** 3
+    # squares shared by the second- and third-order terms
+    s1, s2, sq = d1 ** 2, d2 ** 2, q2 ** 2
     r15, r25 = r1 ** 5, r2 ** 5
     r17, r27 = r1 ** 7, r2 ** 7
 
-    U = -a / r1 - b / r2
-    U_1 = a * d1 / r13 + b * d2 / r23
-    U_2 = a * q2 / r13 + b * q2 / r23
-    U_11 = (a * (-2.0 * d1 ** 2 + q2 ** 2) / r15
-            + b * (-2.0 * d2 ** 2 + q2 ** 2) / r25)
+    U_11 = a * (-2.0 * s1 + sq) / r15 + b * (-2.0 * s2 + sq) / r25
     U_12 = -3.0 * q2 * (a * d1 / r15 + b * d2 / r25)
-    U_22 = (a * (d1 ** 2 - 2.0 * q2 ** 2) / r15
-            + b * (d2 ** 2 - 2.0 * q2 ** 2) / r25)
-    U_111 = (3.0 * a * d1 * (2.0 * d1 ** 2 - 3.0 * q2 ** 2) / r17
-             + 3.0 * b * d2 * (2.0 * d2 ** 2 - 3.0 * q2 ** 2) / r27)
+    U_22 = a * (s1 - 2.0 * sq) / r15 + b * (s2 - 2.0 * sq) / r25
+    U_111 = (3.0 * a * d1 * (2.0 * s1 - 3.0 * sq) / r17
+             + 3.0 * b * d2 * (2.0 * s2 - 3.0 * sq) / r27)
     U_112 = 3.0 * q2 * (a * (2.0 * d1 - q2) * (2.0 * d1 + q2) / r17
                         + b * (2.0 * d2 - q2) * (2.0 * d2 + q2) / r27)
     U_122 = (-3.0 * a * d1 * (d1 - 2.0 * q2) * (d1 + 2.0 * q2) / r17
              - 3.0 * b * d2 * (d2 - 2.0 * q2) * (d2 + 2.0 * q2) / r27)
-    U_222 = -3.0 * q2 * (a * (3.0 * d1 ** 2 - 2.0 * q2 ** 2) / r17
-                         + b * (3.0 * d2 ** 2 - 2.0 * q2 ** 2) / r27)
+    U_222 = -3.0 * q2 * (a * (3.0 * s1 - 2.0 * sq) / r17
+                         + b * (3.0 * s2 - 2.0 * sq) / r27)
     if np.ndim(U) == 0:
         return UPotentialEval(*(float(v) for v in (
             U, U_1, U_2, U_11, U_12, U_22, U_111, U_112, U_122, U_222)))
@@ -261,15 +269,24 @@ def hill_boundary(params, c, component, n=256, tol=1e-10,
     """Sample n points of the Hill-region boundary {U = c} of one bounded
     component, ordered by polar angle around the component's primary.
 
-    Each ray from the primary starts at the Kepler radius mass / (-c),
-    where U < -mass/t <= c because the other primary only lowers U, is
-    expanded outward by 5 % steps to bracket the first crossing of
-    U = c, and is finished by Newton's method on the radial slope from
-    the U_derivs table, safeguarded by bisection inside the bracket.
-    Requires c <= c_J (at c = c_J the lobes touch at (l, 0), where the
-    ray toward the other primary is excluded).
+    c is one energy, giving an (n, 2) array, or a 1-D array of m
+    energies, giving (m, n, 2); the m * n rays are solved together, one
+    array lane each, and every stage evaluates only the rays it has not
+    finished. Each ray from the primary starts at the Kepler radius
+    mass / (-c), where U < -mass/t <= c because the other primary only
+    lowers U. It steps outward by the factor 1 + s, with s = 5 % doubled
+    every step up to 100 %, to bracket the first crossing of U = c, and
+    is finished by Newton's method on the radial slope from U and its
+    gradient (_U_first), safeguarded by bisection inside the bracket. A
+    converged ray keeps the Newton step from its last evaluation and is
+    not evaluated again; |U - c| < 10 tol is then checked at every
+    returned point. Requires every c <= c_J (at c = c_J the lobes touch
+    at (l, 0), where the ray toward the other primary is excluded).
     """
-    if c > params.c_jacobi:
+    c = np.asarray(c, dtype=float)
+    if c.ndim > 1:
+        raise ValueError("c must be one energy or a 1-D array of energies")
+    if np.any(c > params.c_jacobi):
         raise ValueError("hill_boundary requires c <= c_jacobi")
     if n < 8:
         raise ValueError("need n >= 8 boundary samples")
@@ -281,9 +298,6 @@ def hill_boundary(params, c, component, n=256, tol=1e-10,
     theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     dx, dy = np.cos(theta), np.sin(theta)
 
-    def ray(t):
-        return origin[0] + t * dx, origin[1] + t * dy
-
     # Each lobe lies on its primary's side of the line q1 = l, on which
     # U >= c_J with equality only at (l, 0); capping the ray there keeps
     # the bracket on the first crossing even when the lobes touch.
@@ -291,58 +305,75 @@ def hill_boundary(params, c, component, n=256, tol=1e-10,
     with np.errstate(divide="ignore"):
         t_cap = np.where(toward, (params.l - origin[0]) / dx, np.inf)
 
+    # one lane per (energy, ray), energy-major
+    m = c.size
+    c_ray = np.repeat(np.atleast_1d(c), n)
+    dx, dy, t_cap = (np.tile(v, m) for v in (dx, dy, t_cap))
+
+    def ray(t, lane=slice(None)):
+        return origin[0] + t * dx[lane], origin[1] + t * dy[lane]
+
     # Inside at the Kepler radius in exact arithmetic; binary64 can round
     # U there up to c when the other primary's term is below an ulp.
-    t_lo = np.full(n, mass / (-c))
-    if np.any(potential_U(ray(t_lo), params) >= c):
-        t_lo = 0.5 * t_lo
-        if np.any(potential_U(ray(t_lo), params) >= c):
+    t_lo = mass / -c_ray
+    bad = np.flatnonzero(potential_U(ray(t_lo), params) >= c_ray)
+    if bad.size:
+        t_lo[bad] *= 0.5
+        if np.any(potential_U(ray(t_lo[bad], bad), params) >= c_ray[bad]):
             raise TraceFailure("inner bracket point is not inside {U < c}")
 
-    # expand outward until U >= c on every ray (first crossing bracket)
-    t_hi = t_lo.copy()
-    pending = np.ones(n, dtype=bool)
-    for _ in range(400):
-        t_try = np.where(pending, np.minimum(t_hi * 1.05, t_cap), t_hi)
-        u_try = potential_U(ray(t_try), params)
-        crossed = pending & ((u_try >= c) | (t_try >= t_cap))
-        inside = pending & ~crossed
-        t_lo = np.where(inside, t_try, t_lo)
-        t_hi = np.where(pending, t_try, t_hi)
-        pending &= ~crossed
-        if not pending.any():
+    # step outward until U >= c or the cap (first crossing bracket); a
+    # lane still pending at step k has taken every step before it
+    t_hi = np.empty_like(t_lo)
+    lane, t = np.arange(t_lo.size), t_lo.copy()
+    for k in range(400):
+        t_try = np.minimum(t * (1.0 + min(0.05 * 2.0 ** k, 1.0)),
+                           t_cap[lane])
+        crossed = ((potential_U(ray(t_try, lane), params) >= c_ray[lane])
+                   | (t_try >= t_cap[lane]))
+        t_hi[lane[crossed]] = t_try[crossed]
+        lane, t = lane[~crossed], t_try[~crossed]
+        t_lo[lane] = t
+        if lane.size == 0:
             break
     else:
         raise TraceFailure("could not bracket the Hill boundary crossing "
                            "on some ray")
 
     # Newton from the inner end; a step that leaves the bracket or has a
-    # nonpositive slope is replaced by bisection, except on a converged
-    # ray, which then stays where it is. A ray has converged when
-    # |U - c| < tol, or when its bracket is narrower than the rounding of
-    # the position itself: near a light primary an ulp of the position
-    # can move U by more than tol, and no iterate would get closer.
-    t = t_lo
-    q = ray(t)
-    e = U_derivs(q, params)
+    # nonpositive slope is replaced by bisection. A ray has converged, and
+    # is not evaluated again, when |U - c| < tol, or when its bracket is
+    # narrower than the rounding of the position itself: near a light
+    # primary an ulp of the position can move U by more than tol, and no
+    # iterate would get closer.
+    t_out = np.empty_like(t_lo)
+    lane, t, lo, hi = np.arange(t_lo.size), t_lo, t_lo, t_hi
     for _ in range(100):
-        g = e.U - c
-        t_lo = np.where(g < 0.0, t, t_lo)
-        t_hi = np.where(g < 0.0, t_hi, t)
-        done = ((np.abs(g) < tol)
-                | (t_hi - t_lo <= _RAY_ULPS * (np.abs(q[0]) + np.abs(q[1]))))
-        if done.all():
-            break
-        slope = e.U_1 * dx + e.U_2 * dy
+        q1, q2, r1, r2 = _distances(ray(t, lane), Frame.STANDARD)
+        u, u_1, u_2 = _U_first(q1, q2, r1, r2, params)
+        g = u - c_ray[lane]
+        below = g < 0.0
+        lo, hi = np.where(below, t, lo), np.where(below, hi, t)
+        slope = u_1 * dx[lane] + u_2 * dy[lane]
         with np.errstate(divide="ignore", invalid="ignore"):
             t_new = t - g / slope
-        newton = (slope > 0.0) & (t_new >= t_lo) & (t_new <= t_hi)
-        t = np.where(newton, t_new, np.where(done, t, 0.5 * (t_lo + t_hi)))
-        q = ray(t)
-        e = U_derivs(q, params)
-    if np.max(np.abs(e.U - c)) >= tol * 10:
+        newton = (slope > 0.0) & (t_new >= lo) & (t_new <= hi)
+        done = ((np.abs(g) < tol)
+                | (hi - lo <= _RAY_ULPS * (np.abs(q1) + np.abs(q2))))
+        # a converged ray still takes the Newton step from this
+        # evaluation, without another one: near the vertex the slope is
+        # small and |U - c| < tol alone leaves the point tol/slope off;
+        # U at every kept point is checked below
+        t_out[lane[done]] = np.where(newton, t_new, t)[done]
+        t = np.where(newton, t_new, 0.5 * (lo + hi))
+        lane, t, lo, hi = (v[~done] for v in (lane, t, lo, hi))
+        if lane.size == 0:
+            break
+    t_out[lane] = t
+    q1, q2 = ray(t_out)
+    if np.any(np.abs(potential_U((q1, q2), params) - c_ray) >= tol * 10):
         raise TraceFailure("Newton failed to reach the boundary tolerance")
-    q1, q2 = q
     if frame is Frame.CENTERED:
         q1 = q1 - 0.5
-    return np.column_stack([q1, q2])
+    pts = np.stack([q1, q2], axis=-1).reshape(m, n, 2)
+    return pts if c.ndim else pts[0]

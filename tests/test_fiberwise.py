@@ -20,7 +20,8 @@ from euler2c.fiberwise import (
     polar_C_derivs,
     positivity_certificates,
 )
-from euler2c.model import HillComponent, ProblemParams, potential_U
+from euler2c.model import (HillComponent, ProblemParams, hill_boundary,
+                           potential_U)
 from euler2c.scan import fd_check, fd_derivative
 
 
@@ -300,6 +301,64 @@ class TestVerdicts:
         e, q, cval = rep.witness
         assert e == p.c_jacobi
         assert cval == pytest.approx(self.WITNESS_C[mu], rel=1e-8)
+
+    @staticmethod
+    def _per_energy_verdict(p, c, tol=1e-12):
+        """fiberwise_verdict as one hill_boundary and one C call per
+        effective energy, keeping a strictly smaller minimum."""
+        e_min = min(2.0 * c, -8.0)
+        for _ in range(40):
+            pts = hill_boundary(p, e_min, HillComponent.EARTH, n=64)
+            r = np.hypot(pts[:, 0], pts[:, 1])
+            if (r.max() - r.min()) / r.mean() < 0.01:
+                break
+            e_min *= 2.0
+        energies = list(np.linspace(e_min, c, 12)) + [-100.0]
+        min_C, witness, samples = math.inf, None, 0
+        for e in energies:
+            pts = hill_boundary(p, e, HillComponent.EARTH, n=512)
+            cvals = curvature_numerator((pts[:, 0], pts[:, 1]), p)
+            samples += len(pts)
+            i = int(np.argmin(cvals))
+            if cvals[i] < min_C:
+                min_C = float(cvals[i])
+                if cvals[i] < -tol:
+                    witness = (float(e), tuple(pts[i]), float(cvals[i]))
+        if (witness is None and p.heavier is HillComponent.EARTH
+                and c >= p.c_jacobi - 1e-12):
+            for n in (64, 256, 1024):
+                q1s = p.l - 0.1 * p.l * np.arange(1, n + 1) / (n + 1.0)
+                pts = earth_boundary_near_vertex(p, c, q1s)
+                if not pts:
+                    continue
+                cvals = curvature_numerator(np.array(pts).T, p)
+                hit = np.flatnonzero(cvals < -tol)
+                k = int(hit[0]) + 1 if hit.size else len(pts)
+                samples += k
+                min_C = min(min_C, float(cvals[:k].min()))
+                if hit.size:
+                    witness = (float(c), pts[k - 1], float(cvals[k - 1]))
+                    break
+        return witness, energies, min_C, samples
+
+    @pytest.mark.parametrize("mu", [0.0001, 0.01, 0.1, 0.3, 0.45, 0.49,
+                                    0.4995, 0.5, 0.7, 0.95, 0.999])
+    def test_matches_per_energy_loop(self, mu):
+        p = ProblemParams(mu)
+        for below in (0.0, 0.05, 0.1, 0.3):
+            c = p.c_jacobi - below
+            rep = fiberwise_verdict(p, c)
+            witness, energies, min_C, samples = self._per_energy_verdict(p, c)
+            assert rep.verdict == ("convex" if witness is None
+                                   else "nonconvex-witness")
+            assert rep.energies == energies
+            assert rep.samples == samples
+            assert rep.min_C == pytest.approx(min_C, rel=1e-8, abs=1e-15)
+            if witness is None:
+                assert rep.witness is None
+                continue
+            assert rep.witness[0] == witness[0]
+            assert rep.witness[2] == pytest.approx(witness[2], rel=1e-8)
 
     def test_rejects_supercritical(self, p03):
         with pytest.raises(ValueError):

@@ -194,8 +194,8 @@ def _ray_reference(p, c, comp, n):
 
 
 class TestHillBoundaryRays:
-    """The ray search of hill_boundary: Kepler-radius start, 5 % bracket,
-    Newton finish."""
+    """The ray search of hill_boundary: Kepler-radius start, bracket by
+    geometrically growing steps, Newton finish."""
 
     MUS = (0.001, 0.1, 0.3, 0.5, 0.7, 0.999)
     TOL = 1e-10
@@ -235,7 +235,9 @@ class TestHillBoundaryRays:
 
     @staticmethod
     def _count_evaluations(monkeypatch):
-        """Count calls of potential_U and U_derivs inside model."""
+        """Count calls of potential_U, U_derivs and the first-order helper
+        _U_first inside model (a U_derivs call counts twice, since it
+        builds its first entries with _U_first)."""
         calls = [0]
 
         def counted(f):
@@ -244,8 +246,8 @@ class TestHillBoundaryRays:
                 return f(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(model, "potential_U", counted(potential_U))
-        monkeypatch.setattr(model, "U_derivs", counted(U_derivs))
+        for name in ("potential_U", "U_derivs", "_U_first"):
+            monkeypatch.setattr(model, name, counted(getattr(model, name)))
         return calls
 
     def test_evaluation_count(self, monkeypatch):
@@ -272,6 +274,24 @@ class TestHillBoundaryRays:
         t = np.hypot(pts[:, 0] - ox, pts[:, 1])
         assert np.all(np.abs(t - t_ref) <= 10.0 * self.TOL / np.abs(slope))
 
+    @pytest.mark.parametrize("mu, comp", [(0.001, HillComponent.MOON),
+                                          (0.999, HillComponent.EARTH)])
+    @pytest.mark.parametrize("below", [0.0, 1e-3])
+    def test_light_lobe_near_cj_evaluation_count(self, monkeypatch, mu,
+                                                 comp, below):
+        # the light lobe's boundary lies near the Hill radius, about 70
+        # Kepler radii out: 5 % steps took 69-73 evaluations of U to
+        # bracket it, geometrically growing steps take about 10
+        p = ProblemParams(mu)
+        calls = self._count_evaluations(monkeypatch)
+        pts = hill_boundary(p, p.c_jacobi - below, comp, n=512,
+                            tol=self.TOL)
+        assert calls[0] <= 30
+        monkeypatch.undo()
+        r = np.abs(potential_U((pts[:, 0], pts[:, 1]), p)
+                   - (p.c_jacobi - below))
+        assert np.all(r < self.TOL + self._floor(p, pts))
+
     @pytest.mark.parametrize("mu", [1e-17, 1e-12])
     def test_kepler_radius_rounded_to_c(self, mu):
         # U on the Kepler circle rounds up to c or above on some rays,
@@ -285,6 +305,92 @@ class TestHillBoundaryRays:
         pts = hill_boundary(p, c, HillComponent.EARTH, n=512)
         r = np.abs(potential_U((pts[:, 0], pts[:, 1]), p) - c)
         assert np.all(r < 1e-9)
+
+
+class TestHillBoundaryBatch:
+    """hill_boundary over an array of energies: one set of lanes."""
+
+    TOL = 1e-10
+
+    @pytest.mark.parametrize("mu", [0.01, 0.3, 0.5, 0.7, 0.999])
+    @pytest.mark.parametrize("comp", list(HillComponent))
+    def test_matches_scalar_calls(self, mu, comp):
+        p = ProblemParams(mu)
+        cj = p.c_jacobi
+        energies = np.array([-100.0, -20.0, -5.0, cj - 0.3, cj - 1e-3, cj])
+        n = 256
+        batch = hill_boundary(p, energies, comp, n=n, tol=self.TOL)
+        assert batch.shape == (len(energies), n, 2)
+        ox = 0.0 if comp is HillComponent.EARTH else 1.0
+        theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        # the ray toward the other primary meets the saddle (l, 0) at
+        # c_J, where U - c has a double root and |U - c| < tol pins the
+        # point only to about sqrt(tol)
+        saddle = 0 if comp is HillComponent.EARTH else n // 2
+        eps = np.finfo(float).eps
+        for k, c in enumerate(energies):
+            pts = hill_boundary(p, c, comp, n=n, tol=self.TOL)
+            e = U_derivs((pts[:, 0], pts[:, 1]), p)
+            slope = np.abs(e.U_1 * np.cos(theta) + e.U_2 * np.sin(theta))
+            floor = 2.0 * eps * (np.abs(e.U_1 * pts[:, 0])
+                                 + np.abs(e.U_2 * pts[:, 1]))
+            err = np.abs(np.hypot(batch[k, :, 0] - ox, batch[k, :, 1])
+                         - np.hypot(pts[:, 0] - ox, pts[:, 1]))
+            ok = err <= (10.0 * self.TOL + floor) / slope
+            if c == cj:
+                ok[saddle] = True
+            assert ok.all(), (c, np.flatnonzero(~ok))
+
+    def test_rejects_any_supercritical(self, p03):
+        cj = p03.c_jacobi
+        with pytest.raises(ValueError):
+            hill_boundary(p03, np.array([cj - 1.0, cj, cj + 1e-9]),
+                          HillComponent.EARTH)
+        with pytest.raises(ValueError):
+            hill_boundary(p03, np.full((2, 2), cj - 1.0),
+                          HillComponent.EARTH)
+
+    def test_shapes(self, p03):
+        c = p03.c_jacobi - 0.2
+        one = hill_boundary(p03, c, HillComponent.MOON, n=16)
+        assert one.shape == (16, 2)
+        batch = hill_boundary(p03, np.array([c]), HillComponent.MOON, n=16)
+        assert batch.shape == (1, 16, 2)
+        assert np.array_equal(batch[0], one)
+        cen = hill_boundary(p03, np.array([c, c - 1.0]), HillComponent.MOON,
+                            n=16, frame=Frame.CENTERED)
+        assert np.array_equal(cen[0], one - [0.5, 0.0])
+
+    def test_converged_rays_not_evaluated_again(self, monkeypatch, p03):
+        # energies whose Earth boundaries lie in disjoint radius bands
+        # (about 0.007, 0.07 and 0.4-0.55), so that the band and the
+        # polar angle of an evaluated point name its lane
+        energies = np.array([-100.0, -10.0, p03.c_jacobi])
+        n = 128
+        seen = []
+        first = model._U_first
+
+        def recording(q1, q2, r1, r2, params):
+            out = first(q1, q2, r1, r2, params)
+            seen.append((np.asarray(q1).copy(), np.asarray(q2).copy(),
+                         out[0].copy()))
+            return out
+
+        monkeypatch.setattr(model, "_U_first", recording)
+        hill_boundary(p03, energies, HillComponent.EARTH, n=n, tol=self.TOL)
+        ids, converged = [], []
+        for q1, q2, u in seen:
+            band = np.searchsorted([0.03, 0.2], np.hypot(q1, q2))
+            ray = np.rint(np.arctan2(q2, q1) / (2.0 * np.pi / n)) % n
+            lane = (band * n + ray).astype(int)
+            assert np.unique(lane).size == lane.size
+            ids.append(set(lane.tolist()))
+            converged.append(set(lane[np.abs(u - energies[band])
+                                      < self.TOL].tolist()))
+        assert len(ids[0]) == energies.size * n
+        assert len(seen) > 3
+        for j in range(len(seen) - 1):
+            assert ids[j + 1] <= ids[j] - converged[j], j
 
 
 class TestHeavier:
