@@ -6,7 +6,7 @@ numerator
     C = U_q1q1 U_q2^2 + U_q1^2 U_q2q2 - 2 U_q1q2 U_q1 U_q2
 
 is positive (kappa = C / |grad U|^3). C is scan.level_curvature applied
-to the derivative table model.U_derivs, which this module re-exports
+to U's partials from model, whose table U_derivs this module re-exports
 together with UPotentialEval. Fiberwise convexity of the
 position-fibered energy hypersurface at energy c is equivalent to
 convexity of every Hill region of effective energy e <= c, so the
@@ -29,8 +29,8 @@ import numpy as np
 from .errors import CollisionPoint
 from .exactpoly import sign_certificate, sturm_isolate
 from .model import (Frame, HillComponent, UPotentialEval, U_derivs,
-                    _distances, hill_boundary, potential_U)
-from .scan import fd_derivative, level_curvature, level_curvature_grad
+                    _distances, _U_partials, hill_boundary, potential_U)
+from .scan import level_curvature, level_curvature_grad
 
 __all__ = [
     "UPotentialEval",
@@ -71,8 +71,8 @@ class CurvatureEval:
 
 def curvature_numerator(q, params):
     """Vectorized curvature numerator C (derivative combination only)."""
-    e = U_derivs(q, params)
-    return level_curvature(e.U_1, e.U_2, e.U_11, e.U_12, e.U_22)
+    d = _U_partials(q, params, 2)
+    return level_curvature(d[1, 0], d[0, 1], d[2, 0], d[1, 1], d[0, 2])
 
 
 def C_with_grad(params):
@@ -98,8 +98,8 @@ def C_value(q, params, grad_tol=1e-9):
     kappa = C/|grad U|^3 flagged singular at the critical point."""
     q1, q2 = float(q[0]), float(q[1])
     mu = params.mu
-    e = U_derivs((q1, q2), params)
-    C = level_curvature(e.U_1, e.U_2, e.U_11, e.U_12, e.U_22)
+    d = _U_partials((q1, q2), params, 2)
+    C = level_curvature(d[1, 0], d[0, 1], d[2, 0], d[1, 1], d[0, 2])
     _, _, r1, r2 = _distances((q1, q2), Frame.STANDARD)
     r1, r2 = float(r1), float(r2)
     f, g = _aux_fg(q1, q2)
@@ -107,78 +107,58 @@ def C_value(q, params, grad_tol=1e-9):
     C_closed = (a ** 3 / r1 ** 7 + b ** 3 / r2 ** 7
                 + b * a ** 2 * (f + r2 ** 2 * g) / (r1 ** 6 * r2 ** 5)
                 + b ** 2 * a * (f + r1 ** 2 * g) / (r1 ** 5 * r2 ** 6))
-    gn = math.hypot(e.U_1, e.U_2)
+    gn = math.hypot(d[1, 0], d[0, 1])
     singular = gn < grad_tol
     kappa = math.nan if singular else C / gn ** 3
     return CurvatureEval(C, C_closed, kappa, singular, r1, r2, f, g)
 
 
+def _cone_derivative(d, i, j, k):
+    """k-th derivative of d_1^i d_2^j U along t -> (t, sqrt(2)(t - l)),
+    sum_m binom(k, m) sqrt(2)^m d_1^(i+k-m) d_2^(j+m) U, from table d."""
+    return sum(math.comb(k, m) * math.sqrt(2.0) ** m * d[i + k - m, j + m]
+               for m in range(k + 1))
+
+
 def V_line(q1, params):
-    """The potential restricted to the tangent-cone line through (l, 0):
-    V(q1) = U(q1, sqrt(2)(q1 - l)) - c_J, with closed-form derivatives
-    through order four."""
-    mu, l = params.mu, params.l
-    q1 = float(q1)
-    _, _, rho1, rho2 = _distances((q1, math.sqrt(2.0) * (q1 - l)),
-                                  Frame.STANDARD)
-    rho1, rho2 = float(rho1), float(rho2)
-    a, b = 1.0 - mu, mu
-    V = -a / rho1 - b / rho2 - params.c_jacobi
-    V1 = (a * (3.0 * q1 - 2.0 * l) / rho1 ** 3
-          + b * (3.0 * q1 - 1.0 - 2.0 * l) / rho2 ** 3)
-    V2 = 6.0 * (q1 - l) * (a * (l - 3.0 * q1) / rho1 ** 5
-                           + b * (l - 3.0 * q1 + 2.0) / rho2 ** 5)
-    V3 = -6.0 * (
-        a * (l ** 2 - 12.0 * l * q1 + 9.0 * q1 ** 2)
-        * (2.0 * l - 3.0 * q1) / rho1 ** 7
-        + b * (l ** 2 - 12.0 * l * q1 + 9.0 * q1 ** 2 + 10.0 * l
-               - 6.0 * q1 - 2.0) * (2.0 * l - 3.0 * q1 + 1.0) / rho2 ** 7)
-    poly = (13.0 * l ** 4 + 48.0 * l ** 3 * q1 - 324.0 * l ** 2 * q1 ** 2
-            + 432.0 * l * q1 ** 3 - 162.0 * q1 ** 4)
-    tail = (-100.0 * l ** 3 + 504.0 * l ** 2 * q1 - 648.0 * l * q1 ** 2
-            + 216.0 * q1 ** 3 - 102.0 * l ** 2 + 144.0 * l * q1
-            + 20.0 * l - 48.0 * q1 + 7.0)
-    V4 = (12.0 * poly * (a / rho1 ** 9 + b / rho2 ** 9)
-          + 12.0 * b * tail / rho2 ** 9)
-    return {"V": V, "V1": V1, "V2": V2, "V3": V3, "V4": V4}
+    """The potential on the tangent-cone line through (l, 0),
+    V(q1) = U(q1, sqrt(2)(q1 - l)) - c_J, and its derivatives V1..V4
+    along the line, from U's partials through order four."""
+    d = _U_partials((q1, math.sqrt(2.0) * (q1 - params.l)), params, 4)
+    out = {f"V{k}": _cone_derivative(d, 0, 0, k) for k in range(1, 5)}
+    return {"V": d[0, 0] - params.c_jacobi} | out
 
 
 def C_l_derivatives(params):
     """Certify the fourth-order contact of C with zero along the cone.
 
-    Finite-difference derivatives through order three of
-    t -> C(t, sqrt(2)(t - l)) at t = l all vanish; they are reported
-    scaled by the (nonzero) fourth derivative, so each entry measures
-    "derivative k relative to the leading term" and is small iff the
-    contact order really is four. These stay finite differences: the
-    fourth derivative of C along the cone needs fourth derivatives of U,
-    and U_derivs stops at order three. Also returns the squared slope of
-    the C = 0 branch at (l, 0), which is exactly -U_11/U_22 = 2: the
-    gradient of U vanishes at (l, 0), so the Hessian of C there is
-    2[U_11 dU_2 (x) dU_2 + U_22 dU_1 (x) dU_1 - 2 U_12 dU_1 (.) dU_2],
-    built from second derivatives of U alone, and U_11 = -2 U_22 on the
-    axis.
+    The derivatives C0..C4 of t -> C(t, sqrt(2)(t - l)) at t = l, C0..C3
+    divided by the nonzero C4, so each is small iff the contact order is
+    four: level_curvature of the Taylor series of U_1, U_2, U_11, U_12,
+    U_22 along the line, exact to degree four since U_1, U_2 vanish at
+    (l, 0).
+
+    Also returns the squared slope of the C = 0 branch at (l, 0), which
+    is exactly -U_11/U_22 = 2: the gradient of U vanishes at (l, 0), so
+    the Hessian of C there is 2[U_11 dU_2 (x) dU_2 + U_22 dU_1 (x) dU_1
+    - 2 U_12 dU_1 (.) dU_2], built from second derivatives of U alone,
+    and U_11 = -2 U_22 on the axis.
     """
-    l = params.l
-    s2 = math.sqrt(2.0)
+    # imported here: numpy.polynomial adds about 2 ms to package import
+    from numpy.polynomial import Polynomial
+    d = _U_partials((params.l, 0.0), params, 4)
+    series = [Polynomial([_cone_derivative(d, *a, n) / math.factorial(n)
+                          for n in range(5 - sum(a))])
+              for a in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))]
+    taylor = level_curvature(*series).coef
+    c = [math.factorial(k) * float(taylor[k]) for k in range(5)]
+    out = {f"C{k}": c[k] / c[4] for k in range(4)} | {"C4": c[4]}
 
-    def cline(t, _y=0.0):
-        return float(curvature_numerator((t, s2 * (t - l)), params))
-
-    c4 = fd_derivative(cline, l, 0.0, 4, 0, 1e-2)
-    out = {
-        "C0": cline(l) / c4,
-        "C1": fd_derivative(cline, l, 0.0, 1, 0, 3e-3) / c4,
-        "C2": fd_derivative(cline, l, 0.0, 2, 0, 3e-3) / c4,
-        "C3": fd_derivative(cline, l, 0.0, 3, 0, 3e-3) / c4,
-        "C4": c4,
-    }
-
-    e = U_derivs((l, 0.0), params)
-    c_11 = 2.0 * level_curvature(e.U_11, e.U_12, e.U_11, e.U_12, e.U_22)
-    c_22 = 2.0 * level_curvature(e.U_12, e.U_22, e.U_11, e.U_12, e.U_22)
+    u_11, u_12, u_22 = d[2, 0], d[1, 1], d[0, 2]
+    c_11 = 2.0 * level_curvature(u_11, u_12, u_11, u_12, u_22)
+    c_22 = 2.0 * level_curvature(u_12, u_22, u_11, u_12, u_22)
     out["slope_sq"] = -c_11 / c_22
-    out["slope_sq_hill"] = -e.U_11 / e.U_22
+    out["slope_sq_hill"] = -u_11 / u_22
     return out
 
 
@@ -223,8 +203,8 @@ def fiberwise_verdict(params, c, n_boundary=512, n_energies=12,
     call finds the boundaries of all these energies together, and one
     curvature_numerator call evaluates C at all their points. When the
     Earth lobe is the heavier one (mu < 1/2) and c = c_J, the corollary
-    witness region q1 in (l - 0.1 l, l) is scanned with adaptive
-    refinement as well.
+    witness region q1 in (l - 0.1 l, l) is scanned as well, in batches of
+    64, 256 and 1024 evenly spaced abscissas, up to the first witness.
     """
     cj = params.c_jacobi
     if c > cj:

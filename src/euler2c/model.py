@@ -14,10 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
 from .errors import BoundaryAmbiguous, CollisionPoint, TraceFailure
+from .exactpoly import ring
 
 __all__ = [
     "Frame",
@@ -62,13 +64,13 @@ def lagrange_l(mu):
     """Abscissa of the unique critical point of U on the segment between
     the primaries (Standard frame).
 
-    Continuous across mu = 1/2 where the generic formula degenerates.
+    sqrt(1-mu) / (sqrt(1-mu) + sqrt(mu)): free of cancellation, and
+    exactly 1/2 at mu = 1/2.
     """
     if not 0.0 < mu < 1.0:
         raise ValueError(f"mu must lie in (0, 1), got {mu}")
-    if mu == 0.5:
-        return 0.5
-    return (1.0 - mu - math.sqrt(mu * (1.0 - mu))) / (1.0 - 2.0 * mu)
+    a = math.sqrt(1.0 - mu)
+    return a / (a + math.sqrt(mu))
 
 
 def jacobi_energy(mu):
@@ -169,53 +171,64 @@ class UPotentialEval:
     U_222: float
 
 
-def _U_first(q1, q2, r1, r2, params):
-    """U, U_1 and U_2 at Standard-frame coordinates q1, q2 with distances
-    r1, r2 from _distances: the first three entries of U_derivs, and all
-    that hill_boundary's Newton steps read."""
-    a, b = 1.0 - params.mu, params.mu
-    r13, r23 = r1 ** 3, r2 ** 3
-    return (-a / r1 - b / r2,
-            a * q1 / r13 + b * (q1 - 1.0) / r23,
-            a * q2 / r13 + b * q2 / r23)
+@cache
+def _inverse_r_table(order):
+    """The integer polynomials P_alpha of d^alpha (1/r) = P_alpha(d) /
+    r^(2|alpha|+1), d = q - primary, from P_0 = 1 and P_{alpha+e_i} =
+    r^2 dP_alpha/dd_i - (2|alpha|+1) d_i P_alpha; as (alpha, ((coeff,
+    (e1, e2)), ...)) pairs by increasing |alpha| <= order."""
+    d1, d2 = ring("d1", "d2")
+    r2 = d1 * d1 + d2 * d2
+    table = {(0, 0): d1 ** 0}
+    for k in range(order):
+        for i in range(k, -1, -1):
+            p = table[i, k - i]
+            table[i + 1, k - i] = r2 * p.diff("d1") - (2 * k + 1) * d1 * p
+        p = table[0, k]
+        table[0, k + 1] = r2 * p.diff("d2") - (2 * k + 1) * d2 * p
+    return tuple((alpha, tuple((int(c), e) for e, c in p.terms.items()))
+                 for alpha, p in table.items())
+
+
+def _U_partials(q, params, order):
+    """{(i, j): d_1^i d_2^j U} for i + j <= order at a Standard-frame
+    position (Python floats for a scalar one): a primary of mass m adds
+    -m P_alpha(d) / r^(2|alpha|+1) = -m P_alpha(d / r^2) / r, P_alpha
+    homogeneous (_inverse_r_table), so all alpha share the monomials."""
+    q1, q2, r1, r2 = _distances(q, Frame.STANDARD)
+    if np.ndim(r1) == 0:
+        q1, q2, r1, r2 = float(q1), float(q2), float(r1), float(r2)
+    out = {}
+    for mass, d1, r in ((1.0 - params.mu, q1, r1), (params.mu, q1 - 1.0, r2)):
+        w = 1.0 / (r * r)
+        x, y = d1 * w, q2 * w
+        mono = {(0, 0): -mass / r}
+        for k in range(1, order + 1):
+            mono[k, 0] = mono[k - 1, 0] * x
+            for i in range(k):
+                mono[i, k - i] = mono[i, k - i - 1] * y
+        for alpha, terms in _inverse_r_table(order):
+            (c, e), *rest = terms
+            v = mono[e] if c == 1 else c * mono[e]
+            for c, e in rest:
+                v = v + c * mono[e]
+            out[alpha] = out[alpha] + v if alpha in out else v
+    return out
 
 
 def U_derivs(q, params):
     """All closed-form derivatives of U through order three at a
-    Standard-frame position; vectorized."""
-    q1, q2, r1, r2 = _distances(q, Frame.STANDARD)
-    U, U_1, U_2 = _U_first(q1, q2, r1, r2, params)
-    a, b = 1.0 - params.mu, params.mu
-    d1 = q1
-    d2 = q1 - 1.0
-    # squares shared by the second- and third-order terms
-    s1, s2, sq = d1 ** 2, d2 ** 2, q2 ** 2
-    r15, r25 = r1 ** 5, r2 ** 5
-    r17, r27 = r1 ** 7, r2 ** 7
-
-    U_11 = a * (-2.0 * s1 + sq) / r15 + b * (-2.0 * s2 + sq) / r25
-    U_12 = -3.0 * q2 * (a * d1 / r15 + b * d2 / r25)
-    U_22 = a * (s1 - 2.0 * sq) / r15 + b * (s2 - 2.0 * sq) / r25
-    U_111 = (3.0 * a * d1 * (2.0 * s1 - 3.0 * sq) / r17
-             + 3.0 * b * d2 * (2.0 * s2 - 3.0 * sq) / r27)
-    U_112 = 3.0 * q2 * (a * (2.0 * d1 - q2) * (2.0 * d1 + q2) / r17
-                        + b * (2.0 * d2 - q2) * (2.0 * d2 + q2) / r27)
-    U_122 = (-3.0 * a * d1 * (d1 - 2.0 * q2) * (d1 + 2.0 * q2) / r17
-             - 3.0 * b * d2 * (d2 - 2.0 * q2) * (d2 + 2.0 * q2) / r27)
-    U_222 = -3.0 * q2 * (a * (3.0 * s1 - 2.0 * sq) / r17
-                         + b * (3.0 * s2 - 2.0 * sq) / r27)
-    if np.ndim(U) == 0:
-        return UPotentialEval(*(float(v) for v in (
-            U, U_1, U_2, U_11, U_12, U_22, U_111, U_112, U_122, U_222)))
-    return UPotentialEval(U, U_1, U_2, U_11, U_12, U_22,
-                          U_111, U_112, U_122, U_222)
+    Standard-frame position (_U_partials); vectorized."""
+    d = _U_partials(q, params, 3)
+    return UPotentialEval(d[0, 0], d[1, 0], d[0, 1], d[2, 0], d[1, 1],
+                          d[0, 2], d[3, 0], d[2, 1], d[1, 2], d[0, 3])
 
 
 def grad_U(q, params, frame=Frame.STANDARD):
     """Gradient of U in Standard-frame components (frames differ by a
     translation, so the gradient is frame-independent)."""
-    e = U_derivs(to_standard(q, frame), params)
-    return e.U_1, e.U_2
+    d = _U_partials(to_standard(q, frame), params, 1)
+    return d[1, 0], d[0, 1]
 
 
 def hamiltonian_H(pt: CartesianPhasePoint, params):
@@ -277,11 +290,13 @@ def hill_boundary(params, c, component, n=256, tol=1e-10,
     lowers U. It steps outward by the factor 1 + s, with s = 5 % doubled
     every step up to 100 %, to bracket the first crossing of U = c, and
     is finished by Newton's method on the radial slope from U and its
-    gradient (_U_first), safeguarded by bisection inside the bracket. A
-    converged ray keeps the Newton step from its last evaluation and is
-    not evaluated again; |U - c| < 10 tol is then checked at every
-    returned point. Requires every c <= c_J (at c = c_J the lobes touch
-    at (l, 0), where the ray toward the other primary is excluded).
+    gradient (_U_partials), safeguarded by bisection inside the bracket.
+    A converged ray keeps the Newton step from its last evaluation and is
+    not evaluated again; |U - c| < 10 tol + 2 eps (|U_1 q1| + |U_2 q2|),
+    allowing for the rounding of q with the ray's last U_1, U_2, is then
+    checked at every returned point q. Requires every c <= c_J (at c = c_J
+    the lobes touch at (l, 0), where the ray toward the other primary is
+    excluded).
     """
     c = np.asarray(c, dtype=float)
     if c.ndim > 1:
@@ -347,14 +362,16 @@ def hill_boundary(params, c, component, n=256, tol=1e-10,
     # primary an ulp of the position can move U by more than tol, and no
     # iterate would get closer.
     t_out = np.empty_like(t_lo)
+    grad_1, grad_2 = np.empty_like(t_lo), np.empty_like(t_lo)
     lane, t, lo, hi = np.arange(t_lo.size), t_lo, t_lo, t_hi
     for _ in range(100):
-        q1, q2, r1, r2 = _distances(ray(t, lane), Frame.STANDARD)
-        u, u_1, u_2 = _U_first(q1, q2, r1, r2, params)
-        g = u - c_ray[lane]
+        q1, q2 = ray(t, lane)
+        d = _U_partials((q1, q2), params, 1)
+        grad_1[lane], grad_2[lane] = d[1, 0], d[0, 1]
+        g = d[0, 0] - c_ray[lane]
         below = g < 0.0
         lo, hi = np.where(below, t, lo), np.where(below, hi, t)
-        slope = u_1 * dx[lane] + u_2 * dy[lane]
+        slope = d[1, 0] * dx[lane] + d[0, 1] * dy[lane]
         with np.errstate(divide="ignore", invalid="ignore"):
             t_new = t - g / slope
         newton = (slope > 0.0) & (t_new >= lo) & (t_new <= hi)
@@ -371,7 +388,9 @@ def hill_boundary(params, c, component, n=256, tol=1e-10,
             break
     t_out[lane] = t
     q1, q2 = ray(t_out)
-    if np.any(np.abs(potential_U((q1, q2), params) - c_ray) >= tol * 10):
+    bound = tol * 10 + 2.0 * np.finfo(float).eps * (np.abs(grad_1 * q1)
+                                                    + np.abs(grad_2 * q2))
+    if np.any(np.abs(potential_U((q1, q2), params) - c_ray) >= bound):
         raise TraceFailure("Newton failed to reach the boundary tolerance")
     if frame is Frame.CENTERED:
         q1 = q1 - 0.5

@@ -96,12 +96,21 @@ class TestCurvature:
     def test_cone_contact(self, p03, p05):
         for p in (p03, p05):
             d = C_l_derivatives(p)
-            assert abs(d["C0"]) < 1e-8
-            assert abs(d["C1"]) < 1e-6
-            assert abs(d["C2"]) < 1e-4
-            assert abs(d["C3"]) < 1e-4
+            for k in range(4):
+                assert abs(d[f"C{k}"]) <= 1e-12, k
             assert d["slope_sq"] == pytest.approx(2.0, abs=1e-12)
             assert d["slope_sq_hill"] == pytest.approx(2.0, abs=1e-12)
+
+    # the fourth derivative of C along t -> (t, sqrt(2)(t - l)) at t = l,
+    # evaluated exactly (symbolic differentiation at the rational mu, to
+    # 30 digits)
+    @pytest.mark.parametrize("mu, c4", [(0.5, 1376256.0),
+                                        (0.3, 1371833.4336124546),
+                                        (0.12, 1388421.0287779545),
+                                        (0.01, -31754570.288854009)])
+    def test_cone_contact_exact_C4(self, mu, c4):
+        assert C_l_derivatives(ProblemParams(mu))["C4"] == \
+            pytest.approx(c4, rel=1e-12)
 
 
 class TestVLine:

@@ -1,6 +1,7 @@
 """Hamiltonian, critical constants, Hill regions, frames."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ class TestConstants:
         mu = 0.3
         expect = (1 - mu - math.sqrt(mu * (1 - mu))) / (1 - 2 * mu)
         assert lagrange_l(mu) == pytest.approx(expect, rel=1e-15)
-        assert lagrange_l(0.2) == pytest.approx(2.0 / 3.0, rel=1e-15)
+        assert lagrange_l(0.2) == 2.0 / 3.0
 
     def test_l_mass_swap_symmetry(self):
         for mu in (0.1, 0.27, 0.49):
@@ -42,7 +43,16 @@ class TestConstants:
                 pytest.approx(1.0, abs=1e-14)
 
     def test_l_continuous_at_half(self):
-        assert lagrange_l(0.5 - 1e-7) == pytest.approx(0.5, abs=1e-6)
+        # l solves (1-mu)(1-l)^2 - mu l^2 = (1-mu) - 2(1-mu) l
+        # + (1-2mu) l^2 = 0 to a few ulps of the terms, in exact arithmetic
+        # at the binary64 mu and l, with no cancellation as mu -> 1/2
+        eps = Fraction(np.finfo(float).eps)
+        for mu in (1e-8, 0.3, 0.4999, 0.5 - 1e-6, 0.5 - 1e-9, 0.5 - 1e-12,
+                   0.5, 1.0 - 1e-8):
+            m, l = Fraction(mu), Fraction(lagrange_l(mu))
+            residual = (1 - m) * (1 - l) ** 2 - m * l ** 2
+            terms = (1 - m) + 2 * (1 - m) * l + abs(1 - 2 * m) * l ** 2
+            assert abs(residual) <= 4 * eps * terms, mu
 
     def test_c_jacobi(self):
         assert jacobi_energy(0.5) == -2.0
@@ -219,6 +229,19 @@ class TestHillBoundaryRays:
                 assert np.all(r < self.TOL + self._floor(p, pts)), \
                     (c, comp, r.max())
 
+    @pytest.mark.parametrize("mu", [1e-4, 1e-3, 0.3, 0.999])
+    @pytest.mark.parametrize("c", [-50.0, -100.0, -1e4])
+    def test_residual_below_rounding_of_position(self, mu, c):
+        # deep energies put the boundary so close to a primary that the
+        # rounding of the position moves U by more than tol; the final
+        # check of hill_boundary allows for it as _floor does
+        p = ProblemParams(mu)
+        for comp in HillComponent:
+            pts = hill_boundary(p, c, comp, n=512, tol=self.TOL)
+            r = np.abs(potential_U((pts[:, 0], pts[:, 1]), p) - c)
+            assert np.all(r < self.TOL + self._floor(p, pts)), \
+                (comp, r.max())
+
     @pytest.mark.parametrize("mu", MUS)
     def test_matches_bisection_reference(self, mu):
         p = ProblemParams(mu)
@@ -235,9 +258,9 @@ class TestHillBoundaryRays:
 
     @staticmethod
     def _count_evaluations(monkeypatch):
-        """Count calls of potential_U, U_derivs and the first-order helper
-        _U_first inside model (a U_derivs call counts twice, since it
-        builds its first entries with _U_first)."""
+        """Count calls of potential_U, U_derivs and the derivative
+        generator _U_partials inside model (a U_derivs call counts twice,
+        since it reads its table from _U_partials)."""
         calls = [0]
 
         def counted(f):
@@ -246,7 +269,7 @@ class TestHillBoundaryRays:
                 return f(*args, **kwargs)
             return wrapper
 
-        for name in ("potential_U", "U_derivs", "_U_first"):
+        for name in ("potential_U", "U_derivs", "_U_partials"):
             monkeypatch.setattr(model, name, counted(getattr(model, name)))
         return calls
 
@@ -368,15 +391,15 @@ class TestHillBoundaryBatch:
         energies = np.array([-100.0, -10.0, p03.c_jacobi])
         n = 128
         seen = []
-        first = model._U_first
+        partials = model._U_partials
 
-        def recording(q1, q2, r1, r2, params):
-            out = first(q1, q2, r1, r2, params)
-            seen.append((np.asarray(q1).copy(), np.asarray(q2).copy(),
-                         out[0].copy()))
+        def recording(q, params, order):
+            out = partials(q, params, order)
+            seen.append((np.asarray(q[0]).copy(), np.asarray(q[1]).copy(),
+                         out[0, 0].copy()))
             return out
 
-        monkeypatch.setattr(model, "_U_first", recording)
+        monkeypatch.setattr(model, "_U_partials", recording)
         hill_boundary(p03, energies, HillComponent.EARTH, n=n, tol=self.TOL)
         ids, converged = [], []
         for q1, q2, u in seen:
@@ -391,6 +414,35 @@ class TestHillBoundaryBatch:
         assert len(seen) > 3
         for j in range(len(seen) - 1):
             assert ids[j + 1] <= ids[j] - converged[j], j
+
+
+class TestUPartials:
+    """The generator of U's partial derivatives of every order."""
+
+    @staticmethod
+    def _poly(alpha):
+        return {e: c for c, e in dict(model._inverse_r_table(4))[alpha]}
+
+    def test_inverse_r_tables(self):
+        # d^alpha (1/r) = P_alpha(d1, d2) / r^(2|alpha|+1)
+        assert self._poly((2, 0)) == {(2, 0): 2, (0, 2): -1}
+        assert self._poly((1, 1)) == {(1, 1): 3}
+        assert self._poly((4, 0)) == {(4, 0): 24, (2, 2): -72, (0, 4): 9}
+
+    def test_orders_share_entries(self, p03, rng):
+        q = (rng.uniform(-1, 2, 64), rng.uniform(-1, 1, 64))
+        full = model._U_partials(q, p03, 4)
+        assert len(full) == 15
+        for order in (1, 2, 3):
+            part = model._U_partials(q, p03, order)
+            assert set(part) == {a for a in full if sum(a) <= order}
+            for alpha, v in part.items():
+                assert np.array_equal(v, full[alpha]), alpha
+
+    def test_scalar_gives_floats(self, p03):
+        d = model._U_partials((0.2, 0.1), p03, 4)
+        assert all(type(v) is float for v in d.values())
+        assert d[0, 0] == potential_U((0.2, 0.1), p03)
 
 
 class TestHeavier:
