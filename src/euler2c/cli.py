@@ -7,10 +7,16 @@ verdict            convexity verdicts (theory vs numerical oracle)
 curve              figure data (boundaries, zero sets, thresholds) as CSV
 verify-identities  run the exact polynomial-identity suite
 
-Exit codes: 0 success (methods agree), 1 partial curve (a trace stopped
-early), 2 invalid input, 3 theory/oracle disagreement, 4 identity
-failure, 5 oracle fault (OracleInconsistency: two evaluations inside the
-numerical oracle disagree, a defect of the program, not of the input).
+A verdict is "convex", "nonconvex" or "undecided". The elliptic oracle
+answers "undecided" when its smallest relative eigenvalue lies within
+its tolerance of zero (a "degenerate" report); that is a partial result,
+exit 1, also against a theory verdict, never a disagreement.
+
+Exit codes: 0 success (methods agree), 1 partial result (a trace stopped
+early, or the oracle is undecided), 2 invalid input, 3 theory/oracle
+disagreement, 4 identity failure, 5 oracle fault (OracleInconsistency:
+two evaluations inside the numerical oracle disagree, a defect of the
+program, not of the input).
 
 Energies accept the symbolic forms ``cJ``, ``cJ-0.1``, ``cJ+0.05``
 resolved against the critical Jacobi energy of the given mass ratio, so
@@ -144,12 +150,17 @@ def _theory_verdict(target, params, c):
     raise ValueError(target)
 
 
+# the elliptic oracle's report verdict as a CLI verdict
+_ORACLE_VERDICT = {"posdef": "convex", "indefinite": "nonconvex",
+                   "degenerate": "undecided"}
+
+
 def cmd_verdict(args):
     params = ProblemParams(args.mu)
     c = parse_energy(args.c, params)
     t0 = time.perf_counter()
     theory = oracle = None
-    witness = None
+    witness = counters = None
     samples = 0
 
     if args.target == "elliptic":
@@ -161,9 +172,10 @@ def cmd_verdict(args):
         if args.method in ("oracle", "both"):
             rep = elliptic.oracle_convexity(params, c, comp,
                                             grid=tuple(args.grid))
-            oracle = "convex" if rep.verdict == "posdef" else "nonconvex"
+            oracle = _ORACLE_VERDICT[rep.verdict]
             samples = rep.samples
-            if rep.verdict != "posdef":
+            counters = rep.counters
+            if rep.verdict == "indefinite":
                 witness = {"point": list(rep.argmin),
                            "min_eigenvalue": rep.min_value}
     elif args.target == "levi":
@@ -200,7 +212,13 @@ def cmd_verdict(args):
         out["theory"] = theory
     if witness is not None:
         out["witness"] = witness
+    if counters is not None:
+        out["oracle_counters"] = counters
     _emit_json(out, args.out)
+    if oracle == "undecided":
+        print("warning: the oracle's smallest relative eigenvalue is within "
+              "its tolerance of zero; verdict undecided", file=sys.stderr)
+        return 1
     if (args.method == "both" and theory is not None and oracle is not None
             and theory != oracle):
         print(f"error: theory says {theory}, oracle says {oracle}",

@@ -25,12 +25,16 @@ of Q compressed to the tangent space. Its spectrum is closed-form: the
 eigenvalue 4 n2 and the two roots of mu^2 - B mu + n2 C = 0, where
 C = 32 A on the zero set (see _tangent_spectrum). The spectrum is
 invariant under rotations of the momentum, so the oracle evaluates the
-closed form once per sampled position, bounds the matrix scale over the
-momentum circle, and confirms with LAPACK (eigvalsh) only the samples
-that may hold a reported extreme, plus a fixed-stride audit; every
-reported number comes from LAPACK, and a disagreement with the
-position's closed form beyond 1e-12 of the matrix scale raises
-OracleInconsistency.
+closed form once per sampled position. The matrix scale max |M_ij| does
+turn with the momentum, but through rotation invariants: m00 is fixed,
+m11 and m22 are P +- Q cos(2 phi), and (m01, m02) has a fixed length.
+From these the oracle bounds each position's smallest and largest scale
+over the sampled angles, and so its smallest and its largest relative
+eigenvalue, each in its own interval (_scale_ranges). It confirms with
+LAPACK (eigvalsh) only the samples that may hold a reported extreme,
+plus a fixed-stride audit; every reported number comes from LAPACK, and
+a disagreement with the position's closed form beyond 1e-12 of the
+matrix scale raises OracleInconsistency.
 """
 
 from __future__ import annotations
@@ -639,24 +643,48 @@ def _may_hold_extreme(ev, scale_lo, scale_hi):
             | ~np.isfinite(ev))
 
 
-def _scale_bounds(x, y, z, a, b):
-    """Lower and upper bounds on the matrix scale max |M_ij| of the
-    projected Hessian over the momentum circle through (z, 0).
+def _scale_ranges(x, y, z, a, b, n_phi):
+    """Bounds (lo, hi) on the smallest and on the largest matrix scale
+    max |M_ij| of the projected Hessian over the n_phi sampled momentum
+    angles of the circle through (z, 0).
 
-    The scale changes with the momentum angle. It is at least
-    max(|m00|, |m11 + m22| / 2), two entries that do not depend on the
-    angle, and at most the largest of |m00|, |m11|, |m22| (m11 and m22
-    range between their angle-0 values), |a - b| z^2 / 2 (bounding |m12|)
-    and |z| hypot((a - 4) y, (4 - b) x) (bounding |m01| and |m02| by
-    Cauchy-Schwarz), with the entries taken at angle 0. Both bounds are
-    widened by 1e-12 relative to cover rounding.
+    At the angle phi, m00 is constant, m11 and m22 are
+    P +- Q cos(2 phi) and m12 = Q sin(2 phi) with P = (a+b) z^2 / 2
+    + 4 rho^2 and Q = (a-b) z^2 / 2, and (m01, m02) turns with phi at the
+    constant length amp = |z| hypot((a-4) y, (4-b) x). So every angle
+    has a scale of at least max(|m00|, |P|, amp / sqrt(2)) and at most
+    max(|m00|, |P| + |Q|, amp); the angle 0, which is sampled, reaches
+    |P| + |Q|, and some sampled angle reaches amp cos(pi / n_phi)
+    (n_phi even) or amp cos(pi / (2 n_phi)) (odd). The scale at angle 0
+    bounds the smallest from above. All bounds are widened by 1e-12
+    relative to cover rounding.
     """
-    m00, _, _, m11, _, m22 = _projected_hessian(x, y, z, 0.0, a, b)
-    lo = np.maximum(np.abs(m00), 0.5 * np.abs(m11 + m22))
-    hi = np.max(np.abs([m00, m11, m22, 0.5 * (a - b) * z * z,
-                        z * np.hypot((a - 4.0) * y, (4.0 - b) * x)]),
-                axis=0)
-    return lo * (1.0 - 1e-12), hi * (1.0 + 1e-12)
+    m00, m01, m02, m11, _, m22 = _projected_hessian(x, y, z, 0.0, a, b)
+    amp = np.sqrt(m01 * m01 + m02 * m02)
+    top = np.maximum(np.abs(m00), np.maximum(np.abs(m11), np.abs(m22)))
+    at0 = np.maximum(top, np.maximum(np.abs(m01), np.abs(m02)))
+    reach = math.cos(math.pi / (n_phi if n_phi % 2 == 0 else 2 * n_phi))
+    lo, hi = 1.0 - 1e-12, 1.0 + 1e-12
+    floor = np.maximum(np.abs(m00), 0.5 * np.abs(m11 + m22))
+    smallest = (lo * np.maximum(floor, amp / math.sqrt(2.0)), hi * at0)
+    largest = (lo * np.maximum(at0, reach * amp), hi * np.maximum(top, amp))
+    return smallest, largest
+
+
+def _relative_ranges(ev, smallest, largest):
+    """Intervals (lo, hi) holding the smallest and the largest of
+    ev / max(scale, 1e-30) over the sampled angles, given bounds (lo, hi)
+    on the smallest and on the largest scale (_scale_ranges): ev >= 0 is
+    smallest over the largest scale and largest over the smallest, ev < 0
+    the other way round."""
+    pos = ev >= 0.0
+    (s_lo, s_hi), (l_lo, l_hi) = smallest, largest
+
+    def rel(a, b):
+        return ev / np.maximum(np.where(pos, a, b), 1e-30)
+
+    return ((rel(l_hi, s_lo), rel(l_lo, s_hi)),
+            (rel(s_hi, l_lo), rel(s_lo, l_hi)))
 
 
 def _point_screen(zs, params, c):
@@ -667,8 +695,14 @@ def _point_screen(zs, params, c):
     Q's Hessian diag(a, b, 4, 4) is invariant under rotations of the
     momentum (p_lam, p_nu), so the spectrum depends on the momentum only
     through its radius: it is evaluated once per point, at angle 0
-    (z = 4 s, w = 0), and the matrix scale is bounded over the circle
-    (_scale_bounds).
+    (z = 4 s, w = 0). The matrix scale does change with the angle, so
+    each point gets two intervals of relative eigenvalues, one for its
+    smallest and one for its largest over the sampled angles, from
+    bounds on its smallest and largest scale (_scale_ranges,
+    _relative_ranges). A point is a candidate when its smallest-value
+    interval reaches the lowest upper end of all of them, when its
+    largest-value interval reaches the highest lower end, when its
+    absolute value may be extreme, or when it is not finite.
     """
     x, a = (v[zs.ilam] for v in _lam_terms(zs.lam, c))
     y, b = _nu_terms(zs.nu, params, c)
@@ -676,9 +710,19 @@ def _point_screen(zs, params, c):
     good = x * x + y * y + z * z > 1e-12
     e4, mu_lo, _ = _tangent_spectrum(x, y, z, 0.0, a, b)
     ev = np.minimum(e4, mu_lo)
-    scale_lo, scale_hi = _scale_bounds(x, y, z, a, b)
+    e = ev[good]
+    smallest, largest = _scale_ranges(x[good], y[good], z[good], a[good],
+                                      b[good], zs.cos_phi.size)
+    (lo_min, hi_min), (lo_max, hi_max) = _relative_ranges(e, smallest,
+                                                          largest)
+    # each end is good to _CONFIRM_TOL, so two compare with twice that
+    margin = 2.0 * _CONFIRM_TOL
+    span = _CONFIRM_TOL * largest[1]
     cand = np.zeros_like(good)
-    cand[good] = _may_hold_extreme(ev[good], scale_lo[good], scale_hi[good])
+    cand[good] = (_near_extremes(e - span, e + span)
+                  | (lo_min <= hi_min.min() + margin)
+                  | (hi_max >= lo_max.max() - margin)
+                  | ~np.isfinite(e))
     return good, ev, cand
 
 
@@ -704,7 +748,8 @@ def oracle_convexity(params, c, component, grid=(100, 100, 16), tol=1e-9):
     confirms those samples plus every _AUDIT_STRIDE-th good sample, and
     every reported number comes from LAPACK. Raises OracleInconsistency
     when LAPACK and the position's closed form differ by more than
-    _CONFIRM_TOL times the matrix scale.
+    _CONFIRM_TOL times the matrix scale. The report's counters give the
+    candidate positions and the samples LAPACK confirmed.
     """
     t0 = time.perf_counter()
     zs = _zero_set_points(params, c, component, *grid)
@@ -750,4 +795,6 @@ def oracle_convexity(params, c, component, grid=(100, 100, 16), tol=1e-9):
                 float(pl[i_max]), float(pn[i_max])),
         witnesses=witnesses, verdict=verdict,
         samples=zs.n_samples, failures=failures,
-        wall_time=time.perf_counter() - t0)
+        wall_time=time.perf_counter() - t0,
+        counters={"candidate_positions": int(np.count_nonzero(cand)),
+                  "lapack_samples": int(ev_sel.size)})

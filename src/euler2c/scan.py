@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,9 @@ GRAD_COLLAPSE_TOL = 1e-7
 
 @dataclass
 class ScanReport:
-    """Outcome of a sign/definiteness scan over a rectangular grid."""
+    """Outcome of a sign/definiteness scan over a rectangular grid;
+    counters holds the work counts a scan reports beyond samples and
+    failures (empty for sign_scan)."""
 
     target: str
     grid: tuple
@@ -37,6 +39,7 @@ class ScanReport:
     samples: int
     failures: int
     wall_time: float
+    counters: dict = field(default_factory=dict)
 
 
 @dataclass

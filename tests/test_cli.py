@@ -137,6 +137,48 @@ class TestVerdict:
                   "--grid", "30", "30", "8"])
         assert exc.value.code == 5
 
+    @pytest.mark.parametrize("method", ["oracle", "both"])
+    def test_degenerate_oracle_is_undecided(self, capsys, monkeypatch,
+                                            method):
+        # a degenerate oracle report is a partial result (exit 1), never a
+        # disagreement with the theory (exit 3); no real input is known to
+        # give one, so the report is made up
+        from euler2c import elliptic
+        from euler2c.scan import ScanReport
+
+        def degenerate(params, c, component, grid):
+            return ScanReport("stub", grid, 0.0, (0.0,) * 4, 1.0, (0.0,) * 4,
+                              [], "degenerate", 8, 0, 0.0,
+                              {"candidate_positions": 1,
+                               "lapack_samples": 2})
+
+        monkeypatch.setattr(elliptic, "oracle_convexity", degenerate)
+        code, out, err = run(capsys, "verdict", "elliptic", "--mu", "0.3",
+                             "--c", "cJ-0.5", "--component", "earth",
+                             "--method", method)
+        assert code == 1 and "undecided" in err
+        d = json.loads(out)
+        assert d["verdict"] == "undecided" and "witness" not in d
+        assert d.get("theory") == ("convex" if method == "both" else None)
+        assert d["oracle_counters"] == {"candidate_positions": 1,
+                                        "lapack_samples": 2}
+
+    def test_oracle_counters_in_json(self, capsys):
+        code, out, _ = run(capsys, "verdict", "elliptic", "--mu", "0.3",
+                           "--c", "cJ-0.5", "--component", "moon",
+                           "--method", "both", "--grid", "30", "30", "8")
+        assert code == 0
+        d = json.loads(out)
+        rep = oracle_convexity(ProblemParams(0.3),
+                               ProblemParams(0.3).c_jacobi - 0.5,
+                               HillComponent.MOON, grid=(30, 30, 8))
+        assert d["oracle_counters"] == rep.counters
+        assert set(rep.counters) == {"candidate_positions", "lapack_samples"}
+        code, out, _ = run(capsys, "verdict", "elliptic", "--mu", "0.3",
+                           "--c", "cJ-0.5", "--component", "moon",
+                           "--method", "theory")
+        assert "oracle_counters" not in json.loads(out)
+
     # Known exit-3 bands (ROADMAP, "Certify c0 and make verdicts
     # three-valued"); strict, so the fix that closes a band flips them.
     @pytest.mark.parametrize("target, mu", [

@@ -510,9 +510,25 @@ class TestOracle:
         (0.999, 0.5, HillComponent.MOON, (40, 40, 8)),
         (0.999, -0.3, HillComponent.EARTH, (40, 40, 1)),
         (0.3, 0.5, HillComponent.EARTH, (100, 100, 16)),
+        # far below c0, where the matrix scale sets the relative extremes
+        (0.3, -0.4, HillComponent.EARTH, (100, 100, 16)),
+        (0.7, -0.4, HillComponent.MOON, (100, 100, 16)),
+        (0.35, -0.4, HillComponent.MOON, (100, 100, 16)),
     ])
     def test_report_matches_full_eigvalsh_grid(self, mu, dc, comp, grid):
         _check_full_eigvalsh(mu, dc, comp, grid)
+
+    def test_few_candidate_positions_far_below_c0(self):
+        # the two scale ranges leave a handful of the ~7 700 positions
+        # to the exact per-sample stage; LAPACK runs on their samples and
+        # on the audit samples
+        p = ProblemParams(0.7)
+        rep = oracle_convexity(p, thresholds(p).c0 - 0.4,
+                               HillComponent.EARTH)
+        assert rep.counters["candidate_positions"] <= 20
+        audit = -(-(rep.samples - rep.failures) // elliptic._AUDIT_STRIDE)
+        assert audit <= rep.counters["lapack_samples"] <= audit + 20 * 16
+
     @pytest.mark.parametrize("perturb", ["all", "audit"])
     def test_wrong_closed_form_raises(self, p03, monkeypatch, perturb):
         c, comp = p03.c_jacobi - 0.5, HillComponent.MOON
@@ -599,20 +615,35 @@ class TestSpectrum:
                 for u, v in zip(turned, upright):
                     assert np.all(np.abs(u - v) <= 1e-14 * scale), (comp, c)
 
-    def test_scale_bounds_hold_around_the_circle(self, rng):
-        # the oracle picks candidate positions from these bounds on
-        # max |M_ij| over the momentum circle; frames drawn at random so
-        # that each entry in turn sets the scale
+    @pytest.mark.parametrize("n_phi", [1, 7, 8, 16])
+    def test_scale_ranges_hold_at_the_sampled_angles(self, rng, n_phi):
+        # the oracle picks candidate positions from these bounds on the
+        # smallest and the largest max |M_ij| over the sampled momentum
+        # angles, and on the smallest and the largest eigenvalue relative
+        # to it; frames drawn at random so that each entry in turn sets
+        # the scale
         x, y, a, b = rng.normal(size=(4, 2000)) * [[1], [1], [5], [5]]
         z = np.abs(rng.normal(size=2000)) * 10.0 ** rng.uniform(-3, 1, 2000)
-        lo, hi = elliptic._scale_bounds(x, y, z, a, b)
-        phi = np.linspace(0.0, 2.0 * np.pi, 97)[:, None]
+        smallest, largest = elliptic._scale_ranges(x, y, z, a, b, n_phi)
+        phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)[:, None]
         entries = elliptic._projected_hessian(
             x, y, z * np.cos(phi), z * np.sin(phi), a, b)
         scale = np.max(np.abs(entries), axis=0)
-        assert np.all((lo <= scale) & (scale <= hi))
-        # the upper bound is attained to within a factor sqrt(2)
-        assert np.all(scale.max(axis=0) * math.sqrt(2.0) >= hi / (1 + 1e-12))
+        # the ranges hold the brute-force extremes of the scale and of
+        # ev / scale, for either sign of ev
+        ev = rng.normal(size=2000)
+        rel = ev / scale
+        ranges = zip((smallest, largest,
+                      *elliptic._relative_ranges(ev, smallest, largest)),
+                     (scale.min(axis=0), scale.max(axis=0),
+                      rel.min(axis=0), rel.max(axis=0)))
+        for (lo, hi), brute in ranges:
+            assert np.all((lo <= brute) & (brute <= hi))
+        # the largest scale is pinned to within 1 / cos(pi / n_phi)
+        # (n_phi even), 1 / cos(pi / (2 n_phi)) (odd), and sqrt(2)
+        k = math.cos(math.pi / (n_phi if n_phi % 2 == 0 else 2 * n_phi))
+        lo, hi = largest
+        assert np.all(lo >= max(k, math.sqrt(0.5)) * hi * (1 - 3e-12))
 
     @pytest.mark.parametrize("mu", (0.13, 0.77))
     def test_eigenvalue_product_is_det(self, mu, rng):
