@@ -4,10 +4,14 @@ The package computes, certifies, and falsifies convexity of the
 regularized energy hypersurfaces and of the Hill regions below the
 critical Jacobi energy:
 
+- ``ladder``: the mass-ratio constants (ProblemParams, frames, the
+  heavier lobe) and the threshold ladder c_E'' <= c0 <= c_J with the
+  theory verdict, in Python floats and exact fractions, without NumPy.
 - ``model``: Hamiltonian, the potential U and its derivative table, Hill
-  regions, frames, shared constants and the heavier lobe.
+  regions; re-exports the constants of ``ladder``.
 - ``elliptic``: two-sheeted elliptic regularization, projected Hessian
-  of the regularized energy, thresholds c_E, c_M, c0, verdicts, oracle.
+  of the regularized energy, admissible domain, the scanning oracle;
+  re-exports the thresholds and the theory verdict of ``ladder``.
 - ``levicivita``: Levi-Civita regularization around one primary,
   boundary-convexity function F, tangency and inflection analysis.
 - ``fiberwise``: curvature of Hill-region boundaries and fiberwise
@@ -18,88 +22,65 @@ critical Jacobi energy:
   gradient, sign scans, implicit-curve tracing from a closed-form value
   and gradient, finite-difference derivative validation.
 - ``cli``: the ``euler2c`` command.
+
+The package loads lazily (PEP 562): ``import euler2c`` imports no
+submodule and not NumPy. Each public name below is imported from its
+submodule on first access and then kept, and ``euler2c.<submodule>``
+imports that submodule, so a process loads only the code it uses.
 """
 
-from .errors import (
-    BoundaryAmbiguous,
-    CollisionPoint,
-    EnergyAboveCritical,
-    Euler2CError,
-    FocalDegeneracy,
-    MoonCollision,
-    OutsideRegion,
-    SingularPoint,
-    TraceFailure,
-    VariableMismatch,
-)
-from .model import (
-    CartesianPhasePoint,
-    Frame,
-    HillComponent,
-    Membership,
-    ProblemParams,
-    U_derivs,
-    grad_U,
-    hamiltonian_H,
-    hill_boundary,
-    hill_membership,
-    jacobi_energy,
-    lagrange_l,
-    potential_U,
-)
-from .elliptic import (
-    Definiteness,
-    EllipticPoint,
-    Thresholds,
-    Verdict,
-    convexity_verdict,
-    oracle_convexity,
-    thresholds,
-)
-from .levicivita import (
-    F_value,
-    LCPoint,
-    nonconvex_witness_levi,
-    tangency_check,
-    tilde_derivatives,
-    x0_of,
-)
-from .fiberwise import (
-    C_value,
-    FiberwiseReport,
-    curvature_numerator,
-    fiberwise_verdict,
-    positivity_certificates,
-)
-from .exactpoly import (
-    MultiPoly,
-    identity_names,
-    ring,
-    sign_certificate,
-    sturm_isolate,
-    verify_all,
-    verify_identity,
-)
-from .scan import Polyline, ScanReport, fd_check, sign_scan, trace_implicit
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Euler2CError", "CollisionPoint", "MoonCollision", "FocalDegeneracy",
-    "SingularPoint", "EnergyAboveCritical", "OutsideRegion",
-    "BoundaryAmbiguous", "TraceFailure",
-    "VariableMismatch",
-    "Frame", "HillComponent", "Membership", "ProblemParams",
-    "CartesianPhasePoint", "potential_U", "grad_U", "hamiltonian_H",
-    "lagrange_l", "jacobi_energy", "hill_membership", "hill_boundary",
-    "EllipticPoint", "Definiteness", "Verdict", "Thresholds",
-    "thresholds", "convexity_verdict", "oracle_convexity",
-    "LCPoint", "F_value", "x0_of", "tangency_check", "tilde_derivatives",
-    "nonconvex_witness_levi",
-    "C_value", "FiberwiseReport", "U_derivs", "curvature_numerator",
-    "fiberwise_verdict", "positivity_certificates",
-    "MultiPoly", "ring", "sturm_isolate", "sign_certificate",
-    "identity_names", "verify_identity", "verify_all",
-    "ScanReport", "Polyline", "sign_scan", "trace_implicit", "fd_check",
-    "__version__",
-]
+# each public name and the submodule that defines it, in __all__ order
+_SOURCE = {
+    "Euler2CError": "errors", "CollisionPoint": "errors",
+    "MoonCollision": "errors", "FocalDegeneracy": "errors",
+    "SingularPoint": "errors", "EnergyAboveCritical": "errors",
+    "OutsideRegion": "errors", "BoundaryAmbiguous": "errors",
+    "TraceFailure": "errors", "VariableMismatch": "errors",
+    "Frame": "ladder", "HillComponent": "ladder", "Membership": "ladder",
+    "ProblemParams": "ladder", "CartesianPhasePoint": "ladder",
+    "potential_U": "model", "grad_U": "model", "hamiltonian_H": "model",
+    "lagrange_l": "ladder", "jacobi_energy": "ladder",
+    "hill_membership": "model", "hill_boundary": "model",
+    "EllipticPoint": "elliptic", "Definiteness": "elliptic",
+    "Verdict": "ladder", "Thresholds": "ladder", "thresholds": "ladder",
+    "convexity_verdict": "ladder", "oracle_convexity": "elliptic",
+    "LCPoint": "levicivita", "F_value": "levicivita",
+    "x0_of": "levicivita", "tangency_check": "levicivita",
+    "tilde_derivatives": "levicivita",
+    "nonconvex_witness_levi": "levicivita",
+    "C_value": "fiberwise", "FiberwiseReport": "fiberwise",
+    "U_derivs": "model", "curvature_numerator": "fiberwise",
+    "fiberwise_verdict": "fiberwise",
+    "positivity_certificates": "fiberwise",
+    "MultiPoly": "exactpoly", "ring": "exactpoly",
+    "sturm_isolate": "exactpoly", "sign_certificate": "exactpoly",
+    "identity_names": "exactpoly", "verify_identity": "exactpoly",
+    "verify_all": "exactpoly",
+    "ScanReport": "scan", "Polyline": "scan", "sign_scan": "scan",
+    "trace_implicit": "scan", "fd_check": "scan",
+}
+_SUBMODULES = frozenset({"cli", "elliptic", "errors", "exactpoly",
+                         "fiberwise", "ladder", "levicivita", "model",
+                         "scan"})
+
+__all__ = [*_SOURCE, "__version__"]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        # the import binds the submodule as an attribute of the package
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"),
+                    name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

@@ -23,6 +23,12 @@ resolved against the critical Jacobi energy of the given mass ratio, so
 figure recipes stay portable across mu. A ``--config FILE`` of
 ``key = value`` lines sets long options of the subcommand; they are
 parsed and checked like the command line, which overrides them.
+
+Each subcommand imports the library code it runs when it runs, so a
+process loads only that: ``constants``, ``curve quartic``,
+``curve c0curve``, ``verify-identities`` and every ``--method theory``
+verdict run without NumPy, ``verdict levi`` does not load ``fiberwise``
+and ``verdict elliptic`` loads neither ``levicivita`` nor ``fiberwise``.
 """
 
 from __future__ import annotations
@@ -33,13 +39,7 @@ import math
 import sys
 import time
 
-import numpy as np
-
-from . import elliptic, fiberwise, levicivita
 from .errors import Euler2CError, OracleInconsistency, TraceFailure
-from .exactpoly import identity_names, verify_all, verify_identity
-from .model import HillComponent, ProblemParams, hill_boundary
-from .scan import sign_scan, trace_implicit
 
 SCHEMA = 1
 
@@ -81,6 +81,18 @@ def _config_args(path):
     return tokens
 
 
+def _linspace(start, stop, n):
+    """n evenly spaced floats from start to stop, bit for bit those of
+    np.linspace: point i is i * step + start, the last point is stop,
+    and n = 1 gives start."""
+    if n < 0:
+        raise ValueError(f"number of samples must be >= 0, got {n}")
+    if n < 2:
+        return [float(start)][:n]
+    step = (stop - start) / (n - 1)
+    return [i * step + start for i in range(n - 1)] + [float(stop)]
+
+
 def _fmt(x):
     return "%.17g" % float(x)
 
@@ -110,9 +122,10 @@ def _emit_json(obj, path=None):
 # -- constants ---------------------------------------------------------------
 
 def cmd_constants(args):
+    from .ladder import ProblemParams, roots_ab, thresholds
     params = ProblemParams(args.mu)
-    a, b = elliptic.roots_ab(params, params.c_jacobi - 0.1)
-    th = elliptic.thresholds(params)
+    a, b = roots_ab(params, params.c_jacobi - 0.1)
+    th = thresholds(params)
     _emit_json({
         "schema": SCHEMA,
         "mu": args.mu,
@@ -132,6 +145,7 @@ def cmd_constants(args):
 def _theory_verdict(target, params, c):
     """Proved levi or fiberwise verdict where the theorems cover (mu, c),
     the critical energy being c == c_J exactly; None where they are silent."""
+    from .ladder import HillComponent
     critical = c == params.c_jacobi
     if target == "levi":
         # boundary nonconvexity at the critical energy for mu below the
@@ -156,6 +170,7 @@ _ORACLE_VERDICT = {"posdef": "convex", "indefinite": "nonconvex",
 
 
 def cmd_verdict(args):
+    from .ladder import HillComponent, ProblemParams, convexity_verdict
     params = ProblemParams(args.mu)
     c = parse_energy(args.c, params)
     t0 = time.perf_counter()
@@ -168,8 +183,9 @@ def cmd_verdict(args):
             _fail("verdict elliptic requires --component")
         comp = HillComponent(args.component)
         if args.method in ("theory", "both"):
-            theory = elliptic.convexity_verdict(params, c, comp).value
+            theory = convexity_verdict(params, c, comp).value
         if args.method in ("oracle", "both"):
+            from . import elliptic
             rep = elliptic.oracle_convexity(params, c, comp,
                                             grid=tuple(args.grid))
             oracle = _ORACLE_VERDICT[rep.verdict]
@@ -182,6 +198,7 @@ def cmd_verdict(args):
         if args.method in ("theory", "both"):
             theory = _theory_verdict("levi", params, c)
         if args.method in ("oracle", "both"):
+            from . import levicivita
             w = levicivita.nonconvex_witness_levi(params, c)
             oracle = "nonconvex" if w is not None else "convex"
             if w is not None:
@@ -190,6 +207,7 @@ def cmd_verdict(args):
         if args.method in ("theory", "both"):
             theory = _theory_verdict("fiberwise", params, c)
         if args.method in ("oracle", "both"):
+            from . import fiberwise
             rep = fiberwise.fiberwise_verdict(params, c)
             oracle = "convex" if rep.verdict == "convex" else "nonconvex"
             samples = rep.samples
@@ -234,13 +252,16 @@ def _cone_rows(name, apex, half_width, n):
     through (apex, 0) at n // 4 abscissas within half_width of apex."""
     rows = []
     for sign, suffix in ((1.0, "+"), (-1.0, "-")):
-        for t in np.linspace(-half_width, half_width, n // 4):
+        for t in _linspace(-half_width, half_width, n // 4):
             rows.append((name + suffix, apex + t,
                          sign * math.sqrt(2.0) * t, 0.0))
     return rows
 
 
 def _curve_hill(args, params, c):
+    from . import fiberwise
+    from .ladder import HillComponent
+    from .model import hill_boundary
     rows = []
     for comp in (HillComponent.EARTH, HillComponent.MOON):
         pts = hill_boundary(params, c, comp, n=args.n)
@@ -254,6 +275,7 @@ def _curve_hill(args, params, c):
 
 def _trace_zero(f, starts, step, max_len):
     """Points of f = 0 traced from each (seed, direction); partial flag."""
+    from .scan import trace_implicit
     points, partial = [], False
     for seed, direction in starts:
         try:
@@ -268,6 +290,7 @@ def _trace_zero(f, starts, step, max_len):
 
 
 def _curve_v0(args, params, c):
+    from . import levicivita
     x0 = levicivita.x0_of(params, c)
     s2 = math.sqrt(2.0)
     points, partial = _trace_zero(
@@ -282,6 +305,9 @@ def _curve_v0(args, params, c):
 
 
 def _curve_f0(args, params, c):
+    import numpy as np
+
+    from . import levicivita
     x0 = levicivita.x0_of(params, c)
     # F = 0 passes through (x0, 0) transversally to the axis
     points, partial = _trace_zero(
@@ -299,6 +325,10 @@ def _curve_czero(args, params):
     touching cone (position space, Standard frame): up to four series,
     each traced max_len / 2 both ways from the first sign-change witness
     farther than 10 steps from every point traced before."""
+    import numpy as np
+
+    from . import fiberwise
+    from .scan import sign_scan
     l = params.l
     f = lambda x, y: fiberwise.curvature_numerator((x, y), params)
     rows = []
@@ -330,8 +360,8 @@ def _curve_quartic(args):
     """Both real branches of c^2 x^4 + 3 c x^3 + x^2 + 1 = 0 in the
     (x, c) plane: c = (-3x +- sqrt(5x^2 - 4)) / (2x^2), real for
     x >= 2/sqrt(5); the lower branch passes through (1, -2)."""
-    xs = np.union1d(np.linspace(2.0 / math.sqrt(5.0), args.xmax, args.n),
-                    [1.0])  # the lower branch's point (1, -2) exactly
+    # with the lower branch's point (1, -2) exactly
+    xs = sorted({*_linspace(2.0 / math.sqrt(5.0), args.xmax, args.n), 1.0})
     rows = []
     for name, sgn in (("upper", 1.0), ("lower", -1.0)):
         for x in xs:
@@ -347,18 +377,21 @@ def _curve_quartic(args):
 def _curve_c0curve(args):
     """Thresholds c0(mu) and c_J(mu) sampled over mu; they touch at
     mu = 1/2."""
-    mus = np.linspace(args.mu_min, args.mu_max, args.n)
+    from .ladder import ProblemParams, thresholds
     rows = []
-    for mu in mus:
-        p = ProblemParams(float(mu))
-        th = elliptic.thresholds(p)
+    for mu in _linspace(args.mu_min, args.mu_max, args.n):
+        p = ProblemParams(mu)
+        th = thresholds(p)
         rows.append(("c0", mu, th.c0, p.c_jacobi))
     return ["series", "mu", "c0", "c_jacobi"], rows
 
 
 def cmd_curve(args):
     partial = False
+    if args.which in ("v0", "f0", "czero") and not args.step > 0.0:
+        _fail(f"--step must be positive, got {args.step}")
     if args.which in ("hill", "v0", "f0", "czero"):
+        from .ladder import ProblemParams
         params = ProblemParams(args.mu)
         c = parse_energy(args.c, params)
     if args.which == "hill":
@@ -386,6 +419,9 @@ def cmd_curve(args):
 # -- identities --------------------------------------------------------------
 
 def cmd_verify_identities(args):
+    from .exactpoly import identity_names, verify_all, verify_identity
+    if args.only is not None and args.only not in identity_names():
+        _fail(f"--only: unknown identity {args.only!r}; see --list")
     if args.list:
         for name in identity_names():
             print(name)
@@ -448,7 +484,8 @@ def build_parser():
     sp = sub.add_parser("verify-identities",
                         help="run the exact identity suite")
     sp.add_argument("--list", action="store_true")
-    sp.add_argument("--only", choices=identity_names(), default=None)
+    sp.add_argument("--only", default=None, metavar="NAME",
+                    help="verify only this identity (see --list)")
     return ap
 
 

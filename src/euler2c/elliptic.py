@@ -13,11 +13,12 @@ whose zero set is the compactified energy hypersurface. This module
 builds the orthogonal tangent frame of that zero set, evaluates the
 tangential Hessian and its closed-form determinant, the sign-governing
 polynomial A(x, y) in the substituted variables x = cosh(lam),
-y = cos(nu), the admissible-domain bounds, the threshold ladder ending
-in c0(mu), and a brute-force convexity oracle over sampled zero sets.
-The ladder is algebraic: c_E and c_M are roots of one cubic, c0 is
-found by Newton on its gap to c_J, and the theory verdict for the
-heavier lobe is the exact rational sign of eta, with no float c0.
+y = cos(nu), the admissible-domain bounds, and a brute-force convexity
+oracle over sampled zero sets. The threshold ladder ending in c0(mu)
+and the theory verdict are re-exported from the NumPy-free ``ladder``:
+c_E and c_M are roots of one cubic, c0 is found by Newton on its gap
+to c_J, and the theory verdict for the heavier lobe is the exact
+rational sign of eta, with no float c0.
 
 The tangent frame X, Y, Z is orthogonal and each vector has squared
 norm n2 = |grad Q|^2, so the projected Hessian is n2 times the Hessian
@@ -43,13 +44,14 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import (EnergyAboveCritical, FocalDegeneracy,
                      OracleInconsistency, SingularPoint)
-from .model import CartesianPhasePoint, Frame, HillComponent
+from .ladder import (CartesianPhasePoint, Frame, HillComponent, Thresholds,
+                     Verdict, _newton, convexity_verdict, eta, roots_ab,
+                     thresholds)
 from .scan import ScanReport
 
 __all__ = [
@@ -81,11 +83,6 @@ class Definiteness(Enum):
     POS_DEF = "posdef"
     INDEFINITE = "indefinite"
     DEGENERATE = "degenerate"
-
-
-class Verdict(Enum):
-    CONVEX = "convex"
-    NONCONVEX = "nonconvex"
 
 
 @dataclass(frozen=True)
@@ -389,116 +386,6 @@ def domain_bounds(params, c, component):
     return EllipticDomain((1.0, x_hi), y_range, component)
 
 
-def roots_ab(params, c):
-    """The two real roots of f(y) = 2cy^2 + (1-2mu)y - c with
-    -1 < a < 0 < b < 1 (for mu <= 1/2; general mu by the mass-swap
-    symmetry)."""
-    m = 1.0 - 2.0 * params.mu
-    disc = math.sqrt(m * m + 8.0 * c * c)
-    return (-m + disc) / (4.0 * c), (-m - disc) / (4.0 * c)
-
-
-def eta(c, mu):
-    """The threshold quartic in the energy; its only root below -1 is
-    c0(mu). Depends on mu only through m^2 = (1-2mu)^2; Python floats,
-    arrays, or Fractions for an exact value."""
-    m2 = (1 - 2 * mu) ** 2
-    return (c ** 4 + 2 * c ** 3 + 9 * m2 * c ** 2 / 8 + m2 * c / 4
-            + 5 * m2 * m2 / 256)
-
-
-@dataclass(frozen=True)
-class Thresholds:
-    """The energy thresholds, c_E <= c_M < c_J and c_E_pp <= c0 <= c_J: c_E
-    and c_M solve the radical boundary equations, c_E_pp is closed-form,
-    and c0 is the convexity threshold for the heavier-primary component.
-    cJ_minus_c0 keeps the gap c_J - c0 to full relative precision; within
-    about 1.3e-4 of mu = 1/2, c0 rounds to c_J."""
-
-    c_E: float
-    c_M: float
-    c_E_pp: float
-    c0: float
-    cJ_minus_c0: float
-
-
-def _newton(f, x):
-    """Newton's iteration for f(x) -> (value, slope), started on the side
-    of the root from which it converges monotonically."""
-    for _ in range(64):
-        v, d = f(x)
-        step = v / d
-        x -= step
-        if abs(step) <= 1e-15 * abs(x):
-            break
-    return x
-
-
-def thresholds(params):
-    """The threshold ladder for the given mass ratio.
-
-    Every member depends on mu only through m = |1 - 2 mu|; the c_E/c_M
-    labels refer to mu <= 1/2. Squaring the boundary equations leaves
-    c (c^3 + 8c^2 + (16 - 3m^2) c + 6m^2) = 0. With c = -4 + m (3 + t)
-    and eps = 1 - m = 2 min(mu, 1 - mu), exact in binary64, the cubic
-    is m t^3 + (9m - 4) t^2 - 24 eps t - 18 eps. c_E and c_M are its
-    roots near -3 -+ 3/sqrt(2) (both tend to -4 as mu -> 1/2); the third
-    lies above c_J and meets c_M like -+sqrt(3.6 eps) as mu -> 0.
-
-    c0 = c_J - delta. With s = sqrt(mu (1 - mu)), c_J = -1 - 2s and the
-    derivatives of eta at c_J (identity eta-at-cj), eta(c_J - delta) =
-    e0 - e1 delta + e2 delta^2 - e3 delta^3 + delta^4 with the e_k below.
-    It is convex and increasing for delta >= 0, so Newton converges
-    monotonically from e0/e1 or, where nearer, from c_J - c_E_pp (eta > 0
-    at c_E_pp).
-    """
-    mu, cj = params.mu, params.c_jacobi
-    eps = 2.0 * min(mu, 1.0 - mu)
-    m, k2, r = 1.0 - eps, 5.0 - 9.0 * eps, 3.0 / math.sqrt(2.0)
-
-    def cubic(t):
-        return (((m * t + k2) * t - 24.0 * eps) * t - 18.0 * eps,
-                (3.0 * m * t + 2.0 * k2) * t - 24.0 * eps)
-
-    c_e, c_m = (-1.0 + (m * _newton(cubic, t) - 3.0 * eps) for t in
-                (-3.0 - r, -min(math.sqrt(3.6 * eps), 3.0 - r)))
-
-    s = math.sqrt(mu * (1.0 - mu))
-    e0 = -27.0 / 256.0 * m ** 4
-    e1 = -s * ((14.0 * s + 16.0) * s + 4.5)
-    e2 = ((39.0 * s + 24.0) * s + 2.25) / 2.0
-    e3 = -2.0 - 8.0 * s
-
-    def gap(d):
-        return ((((d - e3) * d + e2) * d - e1) * d + e0,
-                ((4.0 * d - 3.0 * e3) * d + 2.0 * e2) * d - e1)
-
-    c_e_pp = -1.0 - math.sqrt(-28.0 * mu * mu + 28.0 * mu + 9.0) / 4.0
-    delta = _newton(gap, min(e0 / e1, cj - c_e_pp))
-    return Thresholds(c_e, c_m, c_e_pp, cj - delta, delta)
-
-
-def convexity_verdict(params, c, component):
-    """Theory verdict for one regularized Hill component.
-
-    The component near the lighter primary bounds a convex region for
-    every c < c_J; the component near the heavier primary does iff
-    c < c0(mu). At mu = 1/2 (params.heavier is None) both are always
-    convex. For m^2 = (1-2mu)^2 in (0, 1] the coefficients of
-    eta(-1 - u) = u^4 + 2u^3 + (9/8) m^2 u^2 + 2(m^2 - 1) u
-    + (5/256) m^4 + (7/8) m^2 - 1 change sign once, so c0 is the only
-    root of eta below -1 >= c_J: for c < c_J the heavier lobe is convex
-    iff eta(c) > 0, a sign taken exactly in rationals from c and mu.
-    """
-    if c >= params.c_jacobi:
-        raise EnergyAboveCritical(
-            f"c = {c} is not below c_J = {params.c_jacobi}")
-    if (HillComponent(component) is not params.heavier
-            or eta(Fraction(c), Fraction(params.mu)) > 0):
-        return Verdict.CONVEX
-    return Verdict.NONCONVEX
-
-
 # -- zero-set sampling and the convexity oracle ------------------------------
 
 def _nu_interval(params, c, component):
@@ -560,7 +447,18 @@ def _zero_set_points(params, c, component, n_lam=100, n_nu=100, n_phi=16):
     sampled: the deck transformation (nu, p_nu) -> (2 pi - nu, -p_nu)
     preserves Q and the projected-Hessian spectrum, and the full momentum
     circle already realizes both p_nu signs.
+
+    Requires c < c_J, where the two lobes are apart, and a grid of at
+    least two lambda and two nu values and one angle, which always
+    holds the primary's position.
     """
+    if c >= params.c_jacobi:
+        raise EnergyAboveCritical(
+            f"c = {c} is not below c_J = {params.c_jacobi}")
+    if n_lam < 2 or n_nu < 2 or n_phi < 1:
+        raise ValueError(
+            f"grid (n_lam, n_nu, n_phi) = ({n_lam}, {n_nu}, {n_phi}) needs "
+            "n_lam >= 2, n_nu >= 2 and n_phi >= 1")
     nu_lo, nu_hi, dom = _nu_interval(params, c, component)
     lam_max = math.acosh(dom.x_range[1])
     m = 1.0 - 2.0 * params.mu
@@ -608,8 +506,6 @@ def sample_zero_set(params, c, component, n_lam=100, n_nu=100, n_phi=16):
     Returns a list of EllipticPoint, each satisfying |Q| < 1e-10 by
     construction; the R^2 = 0 rim is included with zero momentum.
     """
-    if c >= params.c_jacobi:
-        raise EnergyAboveCritical("sampling requires c < c_jacobi")
     lam, nu, pl, pn = _zero_set_arrays(params, c, component,
                                        n_lam, n_nu, n_phi)
     return [EllipticPoint(float(a), float(b), float(u), float(v))
@@ -749,7 +645,8 @@ def oracle_convexity(params, c, component, grid=(100, 100, 16), tol=1e-9):
     every reported number comes from LAPACK. Raises OracleInconsistency
     when LAPACK and the position's closed form differ by more than
     _CONFIRM_TOL times the matrix scale. The report's counters give the
-    candidate positions and the samples LAPACK confirmed.
+    candidate positions and the samples LAPACK confirmed. Like the
+    theory verdict, it requires c < c_J (_zero_set_points).
     """
     t0 = time.perf_counter()
     zs = _zero_set_points(params, c, component, *grid)

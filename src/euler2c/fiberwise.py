@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollisionPoint
-from .exactpoly import sign_certificate, sturm_isolate
 from .model import (Frame, HillComponent, UPotentialEval, U_derivs,
                     _distances, _U_partials, hill_boundary, potential_U)
 from .scan import level_curvature, level_curvature_grad
@@ -353,6 +352,8 @@ def positivity_certificates():
     180^2 - 360*101 = -3960).
     """
     from fractions import Fraction as Fr
+
+    from .exactpoly import sign_certificate, sturm_isolate
     quartic = [Fr(23), Fr(-180), Fr(504), Fr(-648), Fr(324)]
     sextic = [Fr(241), Fr(-2212), Fr(9232), Fr(-21816), Fr(30348),
               Fr(-23328), Fr(7776)]

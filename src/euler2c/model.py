@@ -1,9 +1,11 @@
 """The unregularized two-fixed-centers problem.
 
-Hamiltonian H(q, p) = |p|^2/2 - (1-mu)/|q - E| - mu/|q - M|, the unique
-interior critical point (l, 0) of the effective potential U, the critical
-Jacobi energy c_J = -1 - 2*sqrt(mu(1-mu)), Hill regions, and the frame
-conventions shared by all other modules.
+Hamiltonian H(q, p) = |p|^2/2 - (1-mu)/|q - E| - mu/|q - M|, the
+potential U and its derivatives, and Hill regions. The unique interior
+critical point (l, 0) of U, the critical Jacobi energy
+c_J = -1 - 2*sqrt(mu(1-mu)), ProblemParams and the frame conventions
+shared by all other modules live in the NumPy-free ``ladder`` and are
+re-exported here.
 
 Two coordinate frames are used: Standard has the primaries at E = (0,0),
 M = (1,0); Centered shifts them to (-1/2, 0) and (1/2, 0).
@@ -11,15 +13,14 @@ M = (1,0); Centered shifts them to (-1/2, 0) and (1/2, 0).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
 from .errors import BoundaryAmbiguous, CollisionPoint, TraceFailure
-from .exactpoly import ring
+from .ladder import (CartesianPhasePoint, Frame, HillComponent, Membership,
+                     ProblemParams, jacobi_energy, lagrange_l)
 
 __all__ = [
     "Frame",
@@ -42,80 +43,6 @@ _COLLISION_TOL = 1e-13
 # a hill_boundary ray is resolved once its bracket in t is below this
 # many units of |q1| + |q2| (four ulps)
 _RAY_ULPS = 4.0 * np.finfo(float).eps
-
-
-class Frame(Enum):
-    STANDARD = "standard"   # E = (0, 0), M = (1, 0)
-    CENTERED = "centered"   # E = (-1/2, 0), M = (1/2, 0)
-
-
-class HillComponent(Enum):
-    EARTH = "earth"
-    MOON = "moon"
-
-
-class Membership(Enum):
-    EARTH = "earth"
-    MOON = "moon"
-    EXTERIOR = "exterior"
-
-
-def lagrange_l(mu):
-    """Abscissa of the unique critical point of U on the segment between
-    the primaries (Standard frame).
-
-    sqrt(1-mu) / (sqrt(1-mu) + sqrt(mu)): free of cancellation, and
-    exactly 1/2 at mu = 1/2.
-    """
-    if not 0.0 < mu < 1.0:
-        raise ValueError(f"mu must lie in (0, 1), got {mu}")
-    a = math.sqrt(1.0 - mu)
-    return a / (a + math.sqrt(mu))
-
-
-def jacobi_energy(mu):
-    """Critical Jacobi energy c_J = -1 - 2*sqrt(mu(1-mu))."""
-    if not 0.0 < mu < 1.0:
-        raise ValueError(f"mu must lie in (0, 1), got {mu}")
-    return -1.0 - 2.0 * math.sqrt(mu * (1.0 - mu))
-
-
-@dataclass(frozen=True)
-class ProblemParams:
-    """Mass ratio mu of the second (Moon) primary, with derived constants.
-
-    l is the critical-point abscissa in the Standard frame and c_jacobi
-    the critical Jacobi energy. heavier is the lobe of the heavier
-    primary (EARTH for mu < 1/2, MOON for mu > 1/2, None at exactly
-    mu = 1/2); every mass-swap decision reads it.
-    """
-
-    mu: float
-    l: float = field(init=False)
-    c_jacobi: float = field(init=False)
-    heavier: HillComponent | None = field(init=False)
-
-    def __post_init__(self):
-        if not 0.0 < self.mu < 1.0:
-            raise ValueError(f"mu must lie in (0, 1), got {self.mu}")
-        object.__setattr__(self, "l", lagrange_l(self.mu))
-        object.__setattr__(self, "c_jacobi", jacobi_energy(self.mu))
-        object.__setattr__(self, "heavier", (
-            HillComponent.EARTH if self.mu < 0.5 else
-            HillComponent.MOON if self.mu > 0.5 else None))
-
-    def primaries(self, frame=Frame.STANDARD):
-        """Positions of (Earth, Moon) in the requested frame."""
-        if frame is Frame.STANDARD:
-            return (0.0, 0.0), (1.0, 0.0)
-        return (-0.5, 0.0), (0.5, 0.0)
-
-
-@dataclass(frozen=True)
-class CartesianPhasePoint:
-    q: tuple
-    p: tuple
-    frame: Frame = Frame.STANDARD
 
 
 def to_standard(q, frame):
@@ -176,7 +103,10 @@ def _inverse_r_table(order):
     """The integer polynomials P_alpha of d^alpha (1/r) = P_alpha(d) /
     r^(2|alpha|+1), d = q - primary, from P_0 = 1 and P_{alpha+e_i} =
     r^2 dP_alpha/dd_i - (2|alpha|+1) d_i P_alpha; as (alpha, ((coeff,
-    (e1, e2)), ...)) pairs by increasing |alpha| <= order."""
+    (e1, e2)), ...)) pairs by increasing |alpha| <= order. Imports
+    exactpoly on its first call, so only the code that differentiates U
+    loads it."""
+    from .exactpoly import ring
     d1, d2 = ring("d1", "d2")
     r2 = d1 * d1 + d2 * d2
     table = {(0, 0): d1 ** 0}

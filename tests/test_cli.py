@@ -7,10 +7,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from euler2c.cli import main, parse_energy
-from euler2c.elliptic import oracle_convexity
+from euler2c.cli import _linspace, main, parse_energy
+from euler2c.elliptic import oracle_convexity, thresholds
 from euler2c.fiberwise import curvature_numerator
 from euler2c.model import HillComponent, ProblemParams
 
@@ -204,6 +205,16 @@ class TestVerdict:
         assert code == 0
         assert json.loads(out)["verdict"] == verdict
 
+    @pytest.mark.parametrize("method", ["theory", "oracle", "both"])
+    def test_elliptic_requires_energy_below_cj(self, capsys, method):
+        # one input range, c < c_J, for every method: at c = c_J the two
+        # lobes touch at the saddle
+        with pytest.raises(SystemExit) as exc:
+            main(["verdict", "elliptic", "--mu", "0.3", "--c", "cJ",
+                  "--component", "earth", "--method", method])
+        assert exc.value.code == 2
+        assert "not below c_J" in capsys.readouterr().err
+
     def test_elliptic_requires_component(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verdict", "elliptic", "--mu", "0.5", "--c", "-2.5"])
@@ -316,6 +327,82 @@ class TestCurve:
             assert "%.17g" % v == r["c0"]
 
 
+class TestOptionRanges:
+    @pytest.mark.parametrize("argv, option", [
+        (["verdict", "elliptic", "--component", "earth", "--grid", "2", "2",
+          "0"], "grid"),
+        (["verdict", "elliptic", "--component", "earth", "--grid", "5", "1",
+          "4"], "grid"),
+        (["curve", "f0", "--step", "0"], "--step"),
+        (["curve", "czero", "--step", "0"], "--step"),
+    ], ids=["grid-no-angle", "grid-one-nu", "f0-step-0", "czero-step-0"])
+    def test_exit_2_naming_option(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--mu", "0.3", "--c", "cJ-0.1"])
+        assert exc.value.code == 2
+        assert option in capsys.readouterr().err
+
+
+def _fmt_row(name, *values):
+    return ",".join([name] + ["%.17g" % float(v) for v in values])
+
+
+def _quartic_reference(n, xmax):
+    """curve quartic as np.linspace and np.union1d sample it."""
+    xs = np.union1d(np.linspace(2.0 / math.sqrt(5.0), xmax, n), [1.0])
+    lines = ["series,x,c,residual"]
+    for name, sgn in (("upper", 1.0), ("lower", -1.0)):
+        for x in xs:
+            cval = ((-3.0 * x + sgn * math.sqrt(max(5.0 * x * x - 4.0, 0.0)))
+                    / (2.0 * x * x))
+            resid = cval * cval * x ** 4 + 3.0 * cval * x ** 3 + x * x + 1.0
+            lines.append(_fmt_row(name, x, cval, resid))
+    return "\n".join(lines) + "\n"
+
+
+def _c0curve_reference(n, mu_min, mu_max):
+    """curve c0curve as np.linspace samples it."""
+    lines = ["series,mu,c0,c_jacobi"]
+    for mu in np.linspace(mu_min, mu_max, n):
+        p = ProblemParams(float(mu))
+        lines.append(_fmt_row("c0", mu, thresholds(p).c0, p.c_jacobi))
+    return "\n".join(lines) + "\n"
+
+
+class TestSampler:
+    @pytest.mark.parametrize("start, stop", [
+        (0.05, 0.95), (-0.3, 0.3), (4.0, 2.0 / math.sqrt(5.0)), (1.0, 1.0),
+        (0.1, 0.7)])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 64, 101])
+    def test_linspace_bit_for_bit(self, start, stop, n):
+        assert ([x.hex() for x in _linspace(start, stop, n)]
+                == [float(x).hex() for x in np.linspace(start, stop, n)])
+
+    def test_negative_count(self):
+        with pytest.raises(ValueError):
+            _linspace(0.0, 1.0, -1)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 101, 256])
+    @pytest.mark.parametrize("opts, xmax", [([], 4.0),
+                                            (["--xmax", "2.5"], 2.5)])
+    def test_quartic_csv_matches_numpy(self, capsys, n, opts, xmax):
+        code, out, _ = run(capsys, "curve", "quartic", "--n", str(n), *opts)
+        assert code == 0 and out == _quartic_reference(n, xmax)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 101, 256])
+    @pytest.mark.parametrize("opts, lo, hi", [
+        ([], 0.05, 0.95), (["--mu-min", "0.2", "--mu-max", "0.6"], 0.2, 0.6)])
+    def test_c0curve_csv_matches_numpy(self, capsys, n, opts, lo, hi):
+        code, out, _ = run(capsys, "curve", "c0curve", "--n", str(n), *opts)
+        assert code == 0 and out == _c0curve_reference(n, lo, hi)
+
+    @pytest.mark.parametrize("which", ["quartic", "c0curve"])
+    def test_negative_n_exit_2(self, capsys, which):
+        with pytest.raises(SystemExit) as exc:
+            main(["curve", which, "--n", "-1"])
+        assert exc.value.code == 2
+
+
 class TestConfigFile:
     def test_preloads_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.txt"
@@ -387,13 +474,78 @@ class TestIdentities:
         assert "Pass" in out
 
 
-def test_import_does_not_load_scipy():
+_SUBMODULES = ["cli", "elliptic", "errors", "exactpoly", "fiberwise",
+               "ladder", "levicivita", "model", "scan"]
+
+
+def _cli(*argv):
+    return f"from euler2c.cli import main; assert main({list(argv)!r}) == 0"
+
+
+# a command that runs only the ladder loads neither
+_LADDER_ONLY = ["numpy", "euler2c.exactpoly"]
+
+# (statement run in a fresh interpreter, modules it must not load)
+_IMPORT_CONTRACT = {
+    "bare-import": ("import euler2c",
+                    ["numpy"] + [f"euler2c.{m}" for m in _SUBMODULES]),
+    "cli-import": ("import euler2c.cli", ["numpy"]),
+    "constants": (_cli("constants", "--mu", "0.3"), _LADDER_ONLY),
+    "curve-quartic": (_cli("curve", "quartic"), _LADDER_ONLY),
+    "curve-c0curve": (_cli("curve", "c0curve"), _LADDER_ONLY),
+    "verify-identities": (_cli("verify-identities"), ["numpy"]),
+    "verify-identities-list": (_cli("verify-identities", "--list"),
+                               ["numpy"]),
+    "verdict-theory": (_cli("verdict", "elliptic", "--mu", "0.3", "--c",
+                            "cJ-0.2", "--component", "earth", "--method",
+                            "theory"), _LADDER_ONLY),
+    "verdict-levi": (_cli("verdict", "levi", "--mu", "0.3", "--c", "cJ"),
+                     ["euler2c.fiberwise"]),
+    "verdict-elliptic": (_cli("verdict", "elliptic", "--mu", "0.3", "--c",
+                              "cJ-0.2", "--component", "earth", "--grid",
+                              "20", "20", "4"),
+                         ["euler2c.levicivita", "euler2c.fiberwise",
+                          "euler2c.exactpoly"]),
+    "all-names": (
+        "import euler2c\n"
+        f"for name in euler2c.__all__ + {_SUBMODULES!r}:\n"
+        "    getattr(euler2c, name)\n"
+        "assert set(euler2c.__all__) <= set(dir(euler2c))", []),
+    "star-import": (
+        "from euler2c import *\nimport euler2c\n"
+        "missing = [n for n in euler2c.__all__ if n not in globals()]\n"
+        "assert not missing, missing", []),
+    "same-objects": (
+        "import euler2c\nfrom euler2c import elliptic, ladder, model\n"
+        "for mod in (model, elliptic):\n"
+        "    for name in ladder.__all__ + ['_newton']:\n"
+        "        if hasattr(mod, name):\n"
+        "            assert getattr(mod, name) is getattr(ladder, name), name\n"
+        "assert model.HillComponent is elliptic.HillComponent\n"
+        "assert elliptic.thresholds is ladder.thresholds\n"
+        "for name in euler2c.__all__[:-1]:\n"
+        "    mod = euler2c._SOURCE[name]\n"
+        "    assert getattr(euler2c, name) is getattr(\n"
+        "        getattr(euler2c, mod), name), name", []),
+}
+
+
+@pytest.mark.parametrize("case", list(_IMPORT_CONTRACT))
+def test_import_does_not_load_scipy(case):
+    # each case in a fresh interpreter: a package import, or a command
+    # that must load only the modules it runs
+    code, absent = _IMPORT_CONTRACT[case]
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    res = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, euler2c.cli; "
-         "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, check=True)
-    assert res.stdout.strip() == "[]"
+    script = ("import contextlib, io, sys\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              + "".join(f"    {line}\n" for line in code.splitlines())
+              + "print(' '.join(sys.modules))")
+    res = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    loaded = res.stdout.split()
+    for name in ["scipy", *absent]:
+        assert not [k for k in loaded
+                    if k == name or k.startswith(name + ".")], name

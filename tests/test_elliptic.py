@@ -469,6 +469,19 @@ def _check_full_eigvalsh(mu, dc, comp, grid):
 
 
 class TestOracle:
+    @pytest.mark.parametrize("comp", list(HillComponent))
+    def test_requires_energy_below_cj(self, p03, comp):
+        # the input range of the theory verdict
+        with pytest.raises(EnergyAboveCritical):
+            oracle_convexity(p03, p03.c_jacobi, comp, grid=(20, 20, 4))
+
+    @pytest.mark.parametrize("grid", [(2, 2, 0), (5, 1, 4), (1, 5, 4),
+                                      (-3, 10, 4)])
+    def test_rejects_unfillable_grid(self, p03, grid):
+        with pytest.raises(ValueError, match="grid"):
+            oracle_convexity(p03, p03.c_jacobi - 0.1, HillComponent.EARTH,
+                             grid=grid)
+
     def test_posdef_below_threshold(self, p03):
         th = thresholds(p03)
         rep = oracle_convexity(p03, th.c0 - 0.1, HillComponent.EARTH,
