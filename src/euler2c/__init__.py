@@ -16,6 +16,8 @@ critical Jacobi energy:
   boundary-convexity function F, tangency and inflection analysis.
 - ``fiberwise``: curvature of Hill-region boundaries and fiberwise
   convexity sweeps, with the equal-mass polar closed forms.
+- ``formulas``: the polynomials the program evaluates and the identity
+  suite certifies, one body each for floats, arrays and exact polynomials.
 - ``exactpoly``: exact rational polynomial arithmetic, Sturm-based sign
   certificates, and the named identity suite behind the proofs.
 - ``scan``: the level-set curvature numerator behind C and F and its
@@ -64,8 +66,8 @@ _SOURCE = {
     "trace_implicit": "scan", "fd_check": "scan",
 }
 _SUBMODULES = frozenset({"cli", "elliptic", "errors", "exactpoly",
-                         "fiberwise", "ladder", "levicivita", "model",
-                         "scan"})
+                         "fiberwise", "formulas", "ladder", "levicivita",
+                         "model", "scan"})
 
 __all__ = [*_SOURCE, "__version__"]
 

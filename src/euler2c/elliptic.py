@@ -47,6 +47,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import formulas
 from .errors import (EnergyAboveCritical, FocalDegeneracy,
                      OracleInconsistency, SingularPoint)
 from .ladder import (CartesianPhasePoint, Frame, HillComponent, Thresholds,
@@ -101,9 +102,7 @@ class HessFrameData:
     """Gradient entries and Hessian diagonal of Q at a point.
 
     x = Q_lam, y = Q_nu, z = Q_{p_lam}, w = Q_{p_nu}; a = Q_{lam lam},
-    b = Q_{nu nu}; the momentum diagonal entries cc = d = 4 identically
-    (the coefficient usually called c is renamed cc here because c is
-    the energy).
+    b = Q_{nu nu}; the momentum diagonal entries are 4 identically.
     """
 
     x: float
@@ -112,8 +111,6 @@ class HessFrameData:
     w: float
     a: float
     b: float
-    cc: float = 4.0
-    d: float = 4.0
 
 
 @dataclass(frozen=True)
@@ -214,15 +211,14 @@ def _unpack(ep):
 def _lam_terms(lam, c):
     """The lambda-only frame quantities x = Q_lam and a = Q_lam_lam."""
     ch, sh = np.cosh(lam), np.sinh(lam)
-    return -2.0 * sh * (1.0 + c * ch), -2.0 * (2.0 * c * ch ** 2 + ch - c)
+    return -2.0 * sh * (1.0 + c * ch), -2.0 * formulas.g(ch, c, 1)
 
 
 def _nu_terms(nu, params, c):
     """The nu-only frame quantities y = Q_nu and b = Q_nu_nu."""
     m = 1.0 - 2.0 * params.mu
     cn, sn = np.cos(nu), np.sin(nu)
-    return (-2.0 * sn * (m + c * cn),
-            -2.0 * (2.0 * c * cn ** 2 + m * cn - c))
+    return -2.0 * sn * (m + c * cn), -2.0 * formulas.g(cn, c, m)
 
 
 def _frame_arrays(lam, nu, pl, pn, params, c):
@@ -254,19 +250,6 @@ def frame_vectors(h: HessFrameData):
     Y = np.array([-z, -w, x, y])
     Z = np.array([-w, z, -y, x])
     return X, Y, Z
-
-
-def _projected_hessian(x, y, z, w, a, b):
-    """The six entries (m00, m01, m02, m11, m12, m22) of the Hessian of Q
-    in the tangent frame X, Y, Z, for scalars or arrays of the frame
-    quantities; the momentum diagonal entries of the Hessian are 4."""
-    m00 = a * y * y + b * x * x + 4.0 * w * w + 4.0 * z * z
-    m01 = (a - 4.0) * y * z + (4.0 - b) * w * x
-    m02 = (a - 4.0) * w * y + (b - 4.0) * x * z
-    m11 = a * z * z + b * w * w + 4.0 * x * x + 4.0 * y * y
-    m12 = (a - b) * w * z
-    m22 = a * w * w + b * z * z + 4.0 * y * y + 4.0 * x * x
-    return m00, m01, m02, m11, m12, m22
 
 
 def _symmetric(m00, m01, m02, m11, m12, m22):
@@ -315,18 +298,17 @@ def _tangent_spectrum(x, y, z, w, a, b):
 def tangential_hessian_det(ep, params, c):
     """Determinant of the Hessian of Q projected to the tangent frame,
     both as a numeric 3x3 determinant and by the closed-form product
-    (x^2+y^2+z^2+w^2)^2 (b cc d x^2 + a cc d y^2 + a b d z^2 + a b cc w^2).
+    (x^2+y^2+z^2+w^2)^2 (16 b x^2 + 16 a y^2 + 4 a b z^2 + 4 a b w^2).
 
     Returns (numeric, closed_form).
     """
     h = hess_frame(ep, params, c)
-    M = _symmetric(*_projected_hessian(h.x, h.y, h.z, h.w, h.a, h.b))
+    M = _symmetric(*formulas.projected_hessian(h.x, h.y, h.z, h.w,
+                                               h.a, h.b))
     numeric = float(np.linalg.det(M))
     n2 = h.x ** 2 + h.y ** 2 + h.z ** 2 + h.w ** 2
-    closed = n2 ** 2 * (h.b * h.cc * h.d * h.x ** 2
-                        + h.a * h.cc * h.d * h.y ** 2
-                        + h.a * h.b * h.d * h.z ** 2
-                        + h.a * h.b * h.cc * h.w ** 2)
+    closed = n2 ** 2 * (h.b * 4 * 4 * h.x ** 2 + h.a * 4 * 4 * h.y ** 2
+                        + h.a * h.b * 4 * h.z ** 2 + h.a * h.b * 4 * h.w ** 2)
     return numeric, float(closed)
 
 
@@ -334,7 +316,8 @@ def tangential_hessian_definiteness(ep, params, c, tol=1e-9):
     """Classification of the projected Hessian by leading principal
     minors, with a tolerance relative to the matrix scale."""
     h = hess_frame(ep, params, c)
-    M = _symmetric(*_projected_hessian(h.x, h.y, h.z, h.w, h.a, h.b))
+    M = _symmetric(*formulas.projected_hessian(h.x, h.y, h.z, h.w,
+                                               h.a, h.b))
     scale = float(np.max(np.abs(M))) or 1.0
     m1 = M[0, 0]
     m2 = M[0, 0] * M[1, 1] - M[0, 1] ** 2
@@ -353,14 +336,8 @@ def A_value(x, y, params, c):
     """The sign-governing polynomial A in the substituted variables
     x = cosh(lam), y = cos(nu). On the zero set of Q, 32*A equals
     Q_ll Q_nn (Q_pl^2 + Q_pn^2) + 4 (Q_ll Q_nu^2 + Q_nn Q_lam^2)."""
-    m = 1.0 - 2.0 * params.mu
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    gx = 2.0 * c * x ** 2 + x - c
-    gy = 2.0 * c * y ** 2 + m * y - c
-    a = ((c * x ** 2 + 2.0 * x - c * y ** 2 - 2.0 * m * y) * gx * gy
-         - (1.0 - y ** 2) * (m + c * y) ** 2 * gx
-         - (x ** 2 - 1.0) * (1.0 + c * x) ** 2 * gy)
+    a = formulas.A(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
+                   c, 1.0 - 2.0 * params.mu)
     return float(a) if np.ndim(a) == 0 else a
 
 
@@ -555,7 +532,8 @@ def _scale_ranges(x, y, z, a, b, n_phi):
     bounds the smallest from above. All bounds are widened by 1e-12
     relative to cover rounding.
     """
-    m00, m01, m02, m11, _, m22 = _projected_hessian(x, y, z, 0.0, a, b)
+    m00, m01, m02, m11, _, m22 = formulas.projected_hessian(x, y, z, 0.0,
+                                                            a, b)
     amp = np.sqrt(m01 * m01 + m02 * m02)
     top = np.maximum(np.abs(m00), np.maximum(np.abs(m11), np.abs(m22)))
     at0 = np.maximum(top, np.maximum(np.abs(m01), np.abs(m02)))
@@ -626,7 +604,8 @@ def _sample_matrices(zs, f, params, c):
     """Point index, (lam, nu, p_lam, p_nu) and the six projected-Hessian
     entries of the flat samples f."""
     pt, *sample = zs.samples(f)
-    return pt, sample, _projected_hessian(*_frame_arrays(*sample, params, c))
+    return pt, sample, formulas.projected_hessian(
+        *_frame_arrays(*sample, params, c))
 
 
 def oracle_convexity(params, c, component, grid=(100, 100, 16), tol=1e-9):

@@ -5,6 +5,10 @@ Sparse multivariate polynomials over arbitrary-precision rationals
 root isolation, and a suite of machine-checked polynomial identities
 underlying the convexity analysis of the two-fixed-centers problem.
 
+The identities evaluate the bodies of ``formulas`` and ``ladder.eta``
+that the float code calls; the printed or factored side of each is the
+independent reference written here.
+
 Everything in this module is exact: no floating point enters any
 computation, so a passing identity means the polynomial difference is
 identically zero.
@@ -13,11 +17,14 @@ identically zero.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
+from . import formulas
 from .errors import VariableMismatch
+from .ladder import eta
 
 __all__ = [
     "MultiPoly",
@@ -509,141 +516,115 @@ def _det3(m):
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
-def _elliptic_A(x, y, c, m):
-    """The sign-governing polynomial of the tangential Hessian test,
-    in substituted variables x = cosh(lambda), y = cos(nu)."""
-    one = MultiPoly.constant(1, x.vars)
-    return ((c * x ** 2 + 2 * x - c * y ** 2 - 2 * m * y)
-            * (2 * c * x ** 2 + x - c) * (2 * c * y ** 2 + m * y - c)
-            - (one - y ** 2) * (m + c * y) ** 2 * (2 * c * x ** 2 + x - c)
-            - (x ** 2 - one) * (one + c * x) ** 2 * (2 * c * y ** 2 + m * y - c))
-
-
-def _eta_of(c, m):
-    """The threshold quartic in the energy, with m = 1 - 2*mu."""
-    return (c ** 4 + 2 * c ** 3 + Fraction(9, 8) * m ** 2 * c ** 2
-            + Fraction(1, 4) * m ** 2 * c + Fraction(5, 256) * m ** 4)
+@cache
+def _elliptic_A():
+    """formulas.A over Q[x, y, c, m], built once per process."""
+    return formulas.A(*ring("x", "y", "c", "m"))
 
 
 def _id_det_frame():
     a, b, cc, d, x, y, z, w = ring("a", "b", "cc", "d", "x", "y", "z", "w")
-    X = [-y, x, w, -z]
-    Y = [-z, -w, x, y]
-    Z = [-w, z, -y, x]
-    H = [a, b, cc, d]
-    cols = [X, Y, Z]
-    M = [[sum_poly(h * u * v for h, u, v in zip(H, ci, cj))
+    # the tangent frame X, Y, Z of grad Q = (x, y, z, w)
+    cols = [[-y, x, w, -z], [-z, -w, x, y], [-w, z, -y, x]]
+    M = [[sum(h * u * v for h, u, v in zip([a, b, cc, d], ci, cj))
           for cj in cols] for ci in cols]
     det = _det3(M)
     closed = ((x ** 2 + y ** 2 + z ** 2 + w ** 2) ** 2
               * (b * cc * d * x ** 2 + a * cc * d * y ** 2
                  + a * b * d * z ** 2 + a * b * cc * w ** 2))
-    return [det - closed]
-
-
-def sum_poly(items):
-    items = list(items)
-    total = items[0]
-    for p in items[1:]:
-        total = total + p
-    return total
+    # the program's six entries are this compression at cc = d = 4
+    upper = (M[0][0], M[0][1], M[0][2], M[1][1], M[1][2], M[2][2])
+    entries = [e.subs("cc", 4).subs("d", 4) - f for e, f in
+               zip(upper, formulas.projected_hessian(x, y, z, w, a, b))]
+    # on the zero set, C of _tangent_spectrum is 32 A: a = -2 g(x),
+    # b = -2 g(y), Q_lam^2 = 4 (x^2 - 1)(1 + cx)^2, Q_nu^2 = 4 (1 - y^2)
+    # (m + cy)^2 and z^2 + w^2 = 8 R^2, R^2 = 2x + cx^2 - 2my - cy^2
+    x, y, c, m = ring("x", "y", "c", "m")
+    a, b = -2 * formulas.g(x, c, 1), -2 * formulas.g(y, c, m)
+    q_lam2 = 4 * (x ** 2 - 1) * (1 + c * x) ** 2
+    q_nu2 = 4 * (1 - y ** 2) * (m + c * y) ** 2
+    s = 8 * (2 * x + c * x ** 2 - 2 * m * y - c * y ** 2)
+    on_shell = a * b * s + 4 * (a * q_nu2 + b * q_lam2) - 32 * _elliptic_A()
+    return [det - closed, *entries, on_shell]
 
 
 def _a_dy_quad(x, y, c, m):
-    one = MultiPoly.constant(1, x.vars)
     return (-c * (2 * c * x ** 2 + x - c) * y ** 2
             - 2 * (2 * c * x ** 2 + x - c) * m * y
-            + c ** 2 * x ** 4 + 3 * c * x ** 3 + x ** 2 + one)
+            + c ** 2 * x ** 4 + 3 * c * x ** 3 + x ** 2 + 1)
 
 
 def _id_a_dy_factor():
     x, y, c, m = ring("x", "y", "c", "m")
-    A = _elliptic_A(x, y, c, m)
-    return [A.diff("y") - (m + 4 * c * y) * _a_dy_quad(x, y, c, m)]
+    return [_elliptic_A().diff("y")
+            - (m + 4 * c * y) * _a_dy_quad(x, y, c, m)]
 
 
 def _id_a_critical_y0():
     x, y, c, m = ring("x", "y", "c", "m")
-    one = MultiPoly.constant(1, x.vars)
-    A = _elliptic_A(x, y, c, m)
-    target = (2 * c * x ** 2 + x - c) * (y ** 2 - one) * (c * y + m) ** 2
-    return [reduce_mod_quadratic(A - target, "y", _a_dy_quad(x, y, c, m))]
+    target = (2 * c * x ** 2 + x - c) * (y ** 2 - 1) * (c * y + m) ** 2
+    return [reduce_mod_quadratic(_elliptic_A() - target, "y",
+                                 _a_dy_quad(x, y, c, m))]
 
 
 def _id_a_dx_factor():
     x, y, c, m = ring("x", "y", "c", "m")
-    one = MultiPoly.constant(1, x.vars)
-    A = _elliptic_A(x, y, c, m)
+    A = _elliptic_A()
     f = 2 * c * y ** 2 + m * y - c
-    g = _h_poly(y, c, m) + f * (c * x ** 2 + 2 * x - c - 2 * one)
-    d1 = A.diff("x") - (one + 4 * c * x) * g
+    g = _h_poly(y, c, m) + f * (c * x ** 2 + 2 * x - c - 2)
+    d1 = A.diff("x") - (1 + 4 * c * x) * g
     # A(1, y) = (c + 1) * h(y)
-    d2 = A.subs("x", 1) - (c + one) * _h_poly(y, c, m)
+    d2 = A.subs("x", 1) - (c + 1) * _h_poly(y, c, m)
     return [d1, d2]
 
 
 def _h_poly(y, c, m):
-    one = MultiPoly.constant(1, y.vars)
-    return ((2 * c * y ** 2 + m * y - c) * (c + 2 * one)
+    return ((2 * c * y ** 2 + m * y - c) * (c + 2)
             - (c ** 2 * y ** 4 + 3 * c * m * y ** 3 + m ** 2 * y ** 2 + m ** 2))
 
 
 def _id_h_boundary_roots():
     y, c, m = ring("y", "c", "m")
-    one = MultiPoly.constant(1, y.vars)
-    h = _h_poly(y, c, m)
-    quad = -c * y ** 2 - 2 * m * y + c + 2 * one
-    target = (c ** 2 + 2 * c + m ** 2) * (y ** 2 - one)
-    return [reduce_mod_quadratic(h - target, "y", quad)]
+    quad = -c * y ** 2 - 2 * m * y + c + 2
+    target = (c ** 2 + 2 * c + m ** 2) * (y ** 2 - 1)
+    return [reduce_mod_quadratic(_h_poly(y, c, m) - target, "y", quad)]
 
 
 def _id_h_interior_root():
-    # h(-m/(4c)) = -eta(c)/c^2, cleared of denominators by (4c)^4.
-    y, c, m = ring("y", "c", "m")
-    h = _h_poly(y, c, m)
-    coeffs = h.coeffs_in("y")
-    four_c = 4 * c
+    # h(-m/(4c)) = -eta(c)/c^2, cleared of denominators by (4c)^4:
     # sum_k h_k * (-m)^k * (4c)^(4-k) = -(256) * c^2 * eta(c)
-    total = MultiPoly(y.vars)
-    for k, hk in enumerate(coeffs):
-        total = total + hk * (-m) ** k * four_c ** (4 - k)
-    eta = _eta_of(c, m)
-    return [total + 256 * c ** 2 * eta]
+    y, c, m = ring("y", "c", "m")
+    total = sum(hk * (-m) ** k * (4 * c) ** (4 - k)
+                for k, hk in enumerate(_h_poly(y, c, m).coeffs_in("y")))
+    return [total + 256 * c ** 2 * eta(c, (1 - m) / 2)]
 
 
 def _id_eta_at_cj():
     # eta and its first two energy-derivatives at c_J = -1 - 2s,
     # s^2 = mu(1-mu), m = 1 - 2mu.
     mu, s, c = ring("mu", "s", "c")
-    one = MultiPoly.constant(1, mu.vars)
-    rel = SurdRelation("s", mu * (one - mu))
-    m = one - 2 * mu
-    cJ = -one - 2 * s
-    eta = _eta_of(c, m)
-    diffs = []
+    rel = SurdRelation("s", mu * (1 - mu))
+    cJ = -1 - 2 * s
+    eta_c = eta(c, mu)
     vals = [
-        (eta, -Fraction(27, 256) * (one - 2 * mu) ** 4),
-        (eta.diff("c"),
-         (14 * mu ** 2 - 14 * mu - Fraction(9, 2) * one) * s
-         - 16 * mu * (one - mu)),
-        (eta.diff("c").diff("c"),
-         -39 * mu ** 2 + 39 * mu + Fraction(9, 4) * one + 24 * s),
+        (eta_c, -Fraction(27, 256) * (1 - 2 * mu) ** 4),
+        (eta_c.diff("c"),
+         (14 * mu ** 2 - 14 * mu - Fraction(9, 2)) * s
+         - 16 * mu * (1 - mu)),
+        (eta_c.diff("c").diff("c"),
+         -39 * mu ** 2 + 39 * mu + Fraction(9, 4) + 24 * s),
     ]
-    for expr, closed in vals:
-        diffs.append(rel.reduce(expr.subs("c", cJ)) - rel.reduce(closed))
-    return diffs
+    return [rel.reduce(expr.subs("c", cJ)) - rel.reduce(closed)
+            for expr, closed in vals]
 
 
 def _id_eta_at_ce2():
     mu, t, c = ring("mu", "t", "c")
-    one = MultiPoly.constant(1, mu.vars)
-    rel = SurdRelation("t", -28 * mu ** 2 + 28 * mu + 9 * one)
-    m = one - 2 * mu
-    cE2 = -one - t / 4
-    eta = _eta_of(c, m)
-    closed = (Fraction(9, 32) * (one - 2 * mu) ** 2
-              * (t - 4 * mu ** 2 + 4 * mu + 3 * one))
-    return [rel.reduce(eta.subs("c", cE2)) - rel.reduce(closed)]
+    rel = SurdRelation("t", -28 * mu ** 2 + 28 * mu + 9)
+    cE2 = -1 - t / 4
+    closed = (Fraction(9, 32) * (1 - 2 * mu) ** 2
+              * (t - 4 * mu ** 2 + 4 * mu + 3))
+    return [rel.reduce(eta(c, mu).subs("c", cE2)) - rel.reduce(closed)]
 
 
 def _id_levi_critical_curve():
@@ -652,51 +633,32 @@ def _id_levi_critical_curve():
     # and E * Ebar = -mu c (c^2 + 2c + m^2), so V(x0,0)=0 iff
     # c^2 + 2c + m^2 = 0, i.e. c = -1 +- 2 sqrt(mu(1-mu)).
     mu, c, w = ring("mu", "c", "w")
-    one = MultiPoly.constant(1, mu.vars)
     rel = SurdRelation("w", -mu * c)
-    m = one - 2 * mu
+    m = 1 - 2 * mu
     E = -w * (c + m) + 2 * mu * c
     Ebar = -w * (c + m) - 2 * mu * c
     d1 = rel.reduce(E * Ebar) + mu * c * (c ** 2 + 2 * c + m ** 2)
     # construction of E from x0^2 = (c+w)/(2c):
     # 2 c w V(x0,0) = -c w (c+w) + mu c (c+w) - (1-mu) c w  equals  c * E
-    lhs = -c * w * (c + w) + mu * c * (c + w) - (one - mu) * c * w
+    lhs = -c * w * (c + w) + mu * c * (c + w) - (1 - mu) * c * w
     d2 = rel.reduce(lhs - c * E)
     return [d1, d2]
 
 
 def _id_lc_radicand():
     x, y = ring("x", "y")
-    one = MultiPoly.constant(1, x.vars)
-    rad = (4 * x ** 4 + 8 * x ** 2 * y ** 2 - 4 * x ** 2
-           + 4 * y ** 4 + 4 * y ** 2 + one)
-    return [rad - ((2 * x ** 2 - 2 * y ** 2 - one) ** 2
-                   + 16 * x ** 2 * y ** 2)]
+    return [formulas.lc_radicand(x, y)
+            - ((2 * x ** 2 - 2 * y ** 2 - 1) ** 2 + 16 * x ** 2 * y ** 2)]
 
 
-def _f0_parts():
-    x, y = ring("x", "y")
-    R = Fraction
-    P1 = (4 * x ** 4 * y ** 4
-          - (R(65, 7) * x ** 5 + 8 * x ** 3) * y ** 3
-          + (R(235, 28) * x ** 6 + R(345, 28) * x ** 4 + 6 * x ** 2) * y ** 2
-          - (4 * x ** 7 + R(38, 7) * x ** 5 + 6 * x ** 3 + 2 * x) * y
-          + (x ** 8 + R(13, 28) * x ** 6 + R(9, 7) * x ** 4 + x ** 2
-             + MultiPoly.constant(R(1, 4), x.vars)))
-    P2 = (R(13, 2) * x ** 3 * y ** 4
-          - (R(393, 28) * x ** 4 + R(207, 28) * x ** 2) * y ** 3
-          + (R(333, 28) * x ** 5 + R(297, 28) * x ** 3 + R(39, 14) * x) * y ** 2
-          - (5 * x ** 6 + R(21, 4) * x ** 4 + R(27, 14) * x ** 2
-             + MultiPoly.constant(R(5, 14), x.vars)) * y
-          + (x ** 7 + R(27, 28) * x ** 5 + R(3, 14) * x ** 3))
-    one = MultiPoly.constant(1, x.vars)
-    F0 = (x ** 2 - 2 * x * y + one) * P1 ** 2 - x ** 4 * P2 ** 2
-    return x, y, P1, P2, F0
+@cache
+def _f0():
+    """formulas.F0 over Q[x, y], built once per process."""
+    return formulas.F0(*ring("x", "y"))
 
 
 def _f0_printed(x, y):
     R = Fraction
-    one = MultiPoly.constant(1, x.vars)
     return (
         -32 * x ** 9 * y ** 9
         + (R(3425, 28) * x ** 10 + 144 * x ** 8) * y ** 8
@@ -724,26 +686,26 @@ def _f0_printed(x, y):
         + (R(33, 14) * x ** 14 + R(4365, 784) * x ** 12
            + R(1221, 196) * x ** 10 + R(2307, 392) * x ** 8
            + R(249, 56) * x ** 6 + R(15, 7) * x ** 4 + R(9, 16) * x ** 2
-           + R(1, 16) * one))
+           + R(1, 16)))
 
 
 def _id_f0_expansion():
-    x, y, _, _, F0 = _f0_parts()
-    one = MultiPoly.constant(1, x.vars)
+    x, y = ring("x", "y")
+    F0 = _f0()
     d1 = F0 - _f0_printed(x, y)
     # boundary factorization F0(x, 1)
-    fac = (Fraction(1, 784) * (one - 2 * x) * (one - x) ** 2
-           * (2 * x ** 2 - 2 * x + one)
-           * (60 * x ** 4 - 120 * x ** 3 + 102 * x ** 2 - 42 * x + 7 * one)
+    fac = (Fraction(1, 784) * (1 - 2 * x) * (1 - x) ** 2
+           * (2 * x ** 2 - 2 * x + 1)
+           * (60 * x ** 4 - 120 * x ** 3 + 102 * x ** 2 - 42 * x + 7)
            * (28 * x ** 6 - 84 * x ** 5 + 150 * x ** 4 - 160 * x ** 3
-              + 108 * x ** 2 - 42 * x + 7 * one))
+              + 108 * x ** 2 - 42 * x + 7))
     d2 = F0.subs("y", 1) - fac
     return [d1, d2]
 
 
 def _id_f0_discriminant():
-    x, y, _, _, F0 = _f0_parts()
-    co = F0.coeffs_in("y")
+    x, _ = ring("x", "y")
+    co = _f0().coeffs_in("y")
     a9, a8, a7 = co[9], co[8], co[7]
     f8 = factorial(8)
     # discriminant of the 7th y-derivative of F0 (a quadratic in y):
@@ -757,26 +719,16 @@ def _id_f0_discriminant():
 
 def _id_c0_resultant():
     (q,) = ring("q")
-    R = Fraction
-    one = MultiPoly.constant(1, q.vars)
-    aq = (q ** 5 - R(8, 3) * q ** 4 + R(53, 18) * q ** 3
-          - R(169, 108) * q ** 2 + R(10, 27) * q - R(5, 216) * one)
-    bq = (q ** 5 - R(7, 3) * q ** 4 + R(41, 18) * q ** 3
-          - R(137, 108) * q ** 2 + R(11, 27) * q - R(13, 216) * one)
-    sext = (7776 * q ** 6 - 23328 * q ** 5 + 30348 * q ** 4
-            - 21816 * q ** 3 + 9232 * q ** 2 - 2212 * q + 241 * one)
-    lhs = ((12 * q ** 2 - 8 * q + 2 * one) * aq ** 2
-           - (12 * q ** 2 - 16 * q + 6 * one) * bq ** 2)
-    return [lhs - R(1, 11664) * (2 * q - one) ** 3 * sext]
+    lhs = ((12 * q ** 2 - 8 * q + 2) * formulas.aq(q) ** 2
+           - (12 * q ** 2 - 16 * q + 6) * formulas.bq(q) ** 2)
+    return [lhs - (2 * q - 1) ** 3 * formulas.sextic(q) / 11664]
 
 
 def _id_equal_mass_slope():
     (q,) = ring("q")
-    one = MultiPoly.constant(1, q.vars)
-    quart = (324 * q ** 4 - 648 * q ** 3 + 504 * q ** 2 - 180 * q + 23 * one)
-    lhs = ((3 * q - one) ** 2 * (6 * q ** 2 - 8 * q + 3 * one) ** 3
-           - (3 * q - 2 * one) ** 2 * (6 * q ** 2 - 4 * q + one) ** 3)
-    return [lhs - (one - 2 * q) ** 3 * quart]
+    lhs = ((3 * q - 1) ** 2 * (6 * q ** 2 - 8 * q + 3) ** 3
+           - (3 * q - 2) ** 2 * (6 * q ** 2 - 4 * q + 1) ** 3)
+    return [lhs - (1 - 2 * q) ** 3 * formulas.quartic(q)]
 
 
 _IDENTITIES = {

@@ -16,7 +16,8 @@ All positions here are in the Standard frame (Earth at the origin,
 Moon at (1, 0)). The equal-mass analysis uses polar coordinates around
 the Earth with closed forms for the radial and angular derivatives of C
 and the auxiliary polynomials F, F0, G, a, b, and the cone-restricted
-curvature C0(q1); their exact-arithmetic identities live in exactpoly.
+curvature C0(q1); F0 and the polynomials of F and C0 are the bodies of
+``formulas`` that the identities in exactpoly certify.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import formulas
 from .errors import CollisionPoint
 from .model import (Frame, HillComponent, UPotentialEval, U_derivs,
                     _distances, _U_partials, hill_boundary, potential_U)
@@ -273,45 +275,24 @@ def lemma_polynomials(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     s = np.sqrt(x ** 2 - 2.0 * x * y + 1.0)
-    P1 = (4.0 * x ** 4 * y ** 4
-          - (65.0 / 7.0 * x ** 5 + 8.0 * x ** 3) * y ** 3
-          + (235.0 / 28.0 * x ** 6 + 345.0 / 28.0 * x ** 4
-             + 6.0 * x ** 2) * y ** 2
-          - (4.0 * x ** 7 + 38.0 / 7.0 * x ** 5 + 6.0 * x ** 3
-             + 2.0 * x) * y
-          + (x ** 8 + 13.0 / 28.0 * x ** 6 + 9.0 / 7.0 * x ** 4
-             + x ** 2 + 0.25))
-    P2 = (6.5 * x ** 3 * y ** 4
-          - (393.0 / 28.0 * x ** 4 + 207.0 / 28.0 * x ** 2) * y ** 3
-          + (333.0 / 28.0 * x ** 5 + 297.0 / 28.0 * x ** 3
-             + 39.0 / 14.0 * x) * y ** 2
-          - (5.0 * x ** 6 + 5.25 * x ** 4 + 27.0 / 14.0 * x ** 2
-             + 5.0 / 14.0) * y
-          + (x ** 7 + 27.0 / 28.0 * x ** 5 + 3.0 / 14.0 * x ** 3))
-    F = P1 * s + x ** 2 * P2
-    F0 = (x ** 2 - 2.0 * x * y + 1.0) * P1 ** 2 - x ** 4 * P2 ** 2
+    F = formulas.P1(x, y) * s + x ** 2 * formulas.P2(x, y)
     a_aux = (6.0 * x ** 3 * y ** 2 - (10.0 * x ** 4 - 6.0 * x ** 2) * y
              + 14.0 * x ** 5 - 16.0 * x ** 3)
     b_aux = (-14.0 * x ** 3 * y ** 3 + (27.0 * x ** 4 - 9.0 * x ** 2) * y ** 2
              - (24.0 * x ** 5 - 18.0 * x ** 3 - 12.0 * x) * y
              + 14.0 * x ** 6 - 3.0 * x ** 4 - 12.0 * x ** 2 - 2.0)
-    G = a_aux * s + b_aux
-    C0 = cone_curvature_C0(x)
-    return {"F_rderi": F, "F0": F0, "G": G, "a_aux": a_aux,
-            "b_aux": b_aux, "C0": C0}
+    return {"F_rderi": F, "F0": formulas.F0(x, y), "G": a_aux * s + b_aux,
+            "a_aux": a_aux, "b_aux": b_aux, "C0": cone_curvature_C0(x)}
 
 
 def cone_curvature_C0(q1):
     """Closed form of the equal-mass curvature numerator restricted to
     the cone lines q2 = +-sqrt(2)(q1 - 1/2); positive for q1 < 1/2."""
     q1 = np.asarray(q1, dtype=float)
-    aq = (q1 ** 5 - 8.0 / 3.0 * q1 ** 4 + 53.0 / 18.0 * q1 ** 3
-          - 169.0 / 108.0 * q1 ** 2 + 10.0 / 27.0 * q1 - 5.0 / 216.0)
-    bq = (q1 ** 5 - 7.0 / 3.0 * q1 ** 4 + 41.0 / 18.0 * q1 ** 3
-          - 137.0 / 108.0 * q1 ** 2 + 11.0 / 27.0 * q1 - 13.0 / 216.0)
     s1 = np.sqrt(12.0 * q1 ** 2 - 8.0 * q1 + 2.0)
     s2 = np.sqrt(12.0 * q1 ** 2 - 16.0 * q1 + 6.0)
-    num = -864.0 * (1.0 - 2.0 * q1) * (aq * s1 + bq * s2)
+    num = (-864.0 * (1.0 - 2.0 * q1)
+           * (formulas.aq(q1) * s1 + formulas.bq(q1) * s2))
     den = ((6.0 * q1 ** 2 - 8.0 * q1 + 3.0) ** 3
            * (6.0 * q1 ** 2 - 4.0 * q1 + 1.0) ** 3 * s1 * s2)
     out = num / den
@@ -344,29 +325,23 @@ def polar_C_derivs(r, theta, params):
 def positivity_certificates():
     """Exact Sturm certificates behind the equal-mass positivity lemmas.
 
-    quartic: 324q^4 - 648q^3 + 504q^2 - 180q + 23 stays negative on
-    (1/3, 1/2), with value exactly -1 at q = 1/3; sextic:
-    7776x^6 - 23328x^5 + 30348x^4 - 21816x^3 + 9232x^2 - 2212x + 241 is
-    positive for x < 1/2, with value exactly 21/4 at x = 1/2; the
-    quadratic 360x^2 - 360x + 101 has no real root (reduced discriminant
-    180^2 - 360*101 = -3960).
+    formulas.quartic stays negative on (1/3, 1/2), with value exactly -1
+    at q = 1/3; formulas.sextic is positive for q < 1/2, with value
+    exactly 21/4 at q = 1/2; the quadratic 360x^2 - 360x + 101 has no
+    real root (reduced discriminant 180^2 - 360*101 = -3960).
     """
     from fractions import Fraction as Fr
 
-    from .exactpoly import sign_certificate, sturm_isolate
-    quartic = [Fr(23), Fr(-180), Fr(504), Fr(-648), Fr(324)]
-    sextic = [Fr(241), Fr(-2212), Fr(9232), Fr(-21816), Fr(30348),
-              Fr(-23328), Fr(7776)]
+    from .exactpoly import ring, sign_certificate, sturm_isolate
+    (q,) = ring("q")
     quad = [Fr(101), Fr(-360), Fr(360)]
-    quartic_third = sum(c * Fr(1, 3) ** k for k, c in enumerate(quartic))
-    sextic_half = sum(c * Fr(1, 2) ** k for k, c in enumerate(sextic))
     return {
         "quartic_negative": sign_certificate(
-            quartic, (Fr(1, 3), Fr(1, 2)), "-"),
+            formulas.quartic(q), (Fr(1, 3), Fr(1, 2)), "-"),
         "sextic_positive": sign_certificate(
-            sextic, (None, Fr(1, 2)), "+"),
+            formulas.sextic(q), (None, Fr(1, 2)), "+"),
         "quadratic_no_real_root": len(sturm_isolate(quad)) == 0,
         "quadratic_discriminant": 180 ** 2 - 360 * 101,
-        "quartic_at_one_third": quartic_third,   # exactly -1
-        "sextic_at_one_half": sextic_half,       # exactly 21/4
+        "quartic_at_one_third": formulas.quartic(Fr(1, 3)),   # exactly -1
+        "sextic_at_one_half": formulas.sextic(Fr(1, 2)),      # exactly 21/4
     }

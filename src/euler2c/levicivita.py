@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import formulas
 from .errors import MoonCollision, OutsideRegion
 from .model import CartesianPhasePoint, Frame
 from .scan import level_curvature, level_curvature_grad, trace_implicit
@@ -78,10 +79,8 @@ def radicand(x, y):
     """rho(x, y) = |2 v^2 - 1|^2 expanded; equals
     (2x^2 - 2y^2 - 1)^2 + 16 x^2 y^2, hence nonnegative, vanishing only
     at the Moon preimages."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r = (4.0 * x ** 4 + 8.0 * x ** 2 * y ** 2 - 4.0 * x ** 2
-         + 4.0 * y ** 4 + 4.0 * y ** 2 + 1.0)
+    r = formulas.lc_radicand(np.asarray(x, dtype=float),
+                             np.asarray(y, dtype=float))
     return float(r) if np.ndim(r) == 0 else r
 
 

@@ -475,7 +475,7 @@ class TestIdentities:
 
 
 _SUBMODULES = ["cli", "elliptic", "errors", "exactpoly", "fiberwise",
-               "ladder", "levicivita", "model", "scan"]
+               "formulas", "ladder", "levicivita", "model", "scan"]
 
 
 def _cli(*argv):

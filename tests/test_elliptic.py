@@ -6,7 +6,7 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
-from euler2c import elliptic
+from euler2c import elliptic, formulas
 from euler2c.errors import (
     EnergyAboveCritical,
     FocalDegeneracy,
@@ -444,7 +444,7 @@ def _check_full_eigvalsh(mu, dc, comp, grid):
     c = c0 + dc * (p.c_jacobi - c0) if dc > 0 else c0 + dc
     lam, nu, pl, pn = elliptic._zero_set_arrays(p, c, comp, *grid)
     frame = elliptic._frame_arrays(lam, nu, pl, pn, p, c)
-    M = elliptic._symmetric(*elliptic._projected_hessian(*frame))
+    M = elliptic._symmetric(*formulas.projected_hessian(*frame))
     x, y, z, w = frame[:4]
     good = x * x + y * y + z * z + w * w > 1e-12
     ev = np.linalg.eigvalsh(M[good])[:, 0]
@@ -599,7 +599,7 @@ class TestSpectrum:
                 corner = math.pi if comp is HillComponent.EARTH else 0.0
                 assert np.any((lam == 0.0) & (nu == corner))
                 frame = elliptic._frame_arrays(lam, nu, pl, pn, p, c)
-                entries = elliptic._projected_hessian(*frame)
+                entries = formulas.projected_hessian(*frame)
                 M = elliptic._symmetric(*entries)
                 ev = np.linalg.eigvalsh(M)[:, 0]
                 e4, lo, _ = elliptic._tangent_spectrum(*frame)
@@ -621,7 +621,7 @@ class TestSpectrum:
                 x, y, z, w, a, b = elliptic._frame_arrays(
                     lam, nu, pl, pn, p, c)
                 scale = np.max(np.abs(
-                    elliptic._projected_hessian(x, y, z, w, a, b)), axis=0)
+                    formulas.projected_hessian(x, y, z, w, a, b)), axis=0)
                 turned = elliptic._tangent_spectrum(x, y, z, w, a, b)
                 upright = elliptic._tangent_spectrum(
                     x, y, np.hypot(z, w), 0.0, a, b)
@@ -639,7 +639,7 @@ class TestSpectrum:
         z = np.abs(rng.normal(size=2000)) * 10.0 ** rng.uniform(-3, 1, 2000)
         smallest, largest = elliptic._scale_ranges(x, y, z, a, b, n_phi)
         phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)[:, None]
-        entries = elliptic._projected_hessian(
+        entries = formulas.projected_hessian(
             x, y, z * np.cos(phi), z * np.sin(phi), a, b)
         scale = np.max(np.abs(entries), axis=0)
         # the ranges hold the brute-force extremes of the scale and of

@@ -1,11 +1,15 @@
 """Exact polynomial arithmetic, Sturm isolation, and the identity suite."""
 
+import inspect
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 
+from euler2c import elliptic, exactpoly, fiberwise, formulas, levicivita
 from euler2c.elliptic import eta
 from euler2c.errors import VariableMismatch
+from euler2c.model import ProblemParams
 from euler2c.exactpoly import (
     MultiPoly,
     SurdRelation,
@@ -165,3 +169,78 @@ class TestLadderAlgebra:
             assert sign_certificate(coeffs[k], (0, 1), sign).certified
         assert coeffs[0].evaluate({"u": 0, "m": 1}) < 0
         assert coeffs[1].evaluate({"u": 0, "m": 1}) == 0
+
+
+def _clear_exact_caches():
+    exactpoly._elliptic_A.cache_clear()
+    exactpoly._f0.cache_clear()
+
+
+# (identity, shared body, change to the body's value given its arguments,
+# a float call site of the body)
+_MUTATIONS = [
+    ("det-frame", "projected_hessian",
+     lambda e, x, y, z, w, a, b: (e[0] + x * y, *e[1:]),
+     lambda: elliptic.tangential_hessian_det(
+         elliptic.EllipticPoint(0.4, 1.0, 0.3, -0.2), ProblemParams(0.3),
+         -2.3)[0]),
+    ("a-dy-factor", "A", lambda v, x, y, c, m: v + x * y,
+     lambda: elliptic.A_value(1.5, 0.2, ProblemParams(0.3), -2.3)),
+    ("a-dy-factor", "g", lambda v, t, c, m: v + t,
+     lambda: elliptic._lam_terms(0.4, -2.3)[1]),
+    ("lc-radicand", "lc_radicand", lambda v, x, y: v + x * y,
+     lambda: levicivita.radicand(0.3, 0.4)),
+    # the coefficient 393 of P2 becomes 394
+    ("f0-expansion", "P2", lambda v, x, y: v - x ** 4 * y ** 3 / 28,
+     lambda: fiberwise.lemma_polynomials(0.6, 0.3)["F0"]),
+    ("c0-resultant", "aq", lambda v, q: v + q / 216,
+     lambda: fiberwise.cone_curvature_C0(0.3)),
+    ("c0-resultant", "sextic", lambda v, q: v + q, None),
+    ("equal-mass-slope", "quartic", lambda v, q: v + q, None),
+]
+
+
+class TestSharedFormulas:
+    """The identity suite evaluates the bodies in ``formulas`` that the
+    float code calls, so changing one of them breaks its identity."""
+
+    @pytest.mark.parametrize("identity, body, change, probe", _MUTATIONS,
+                             ids=[f"{m[1]}-{m[0]}" for m in _MUTATIONS])
+    def test_identity_reads_the_program_formula(self, monkeypatch, identity,
+                                                body, change, probe):
+        original = getattr(formulas, body)
+        before = probe() if probe else None
+        monkeypatch.setattr(formulas, body,
+                            lambda *args: change(original(*args), *args))
+        _clear_exact_caches()
+        try:
+            assert not verify_identity(identity).passed
+            if probe:
+                assert probe() != before
+        finally:
+            monkeypatch.undo()
+            _clear_exact_caches()
+        assert verify_identity(identity).passed
+        if probe:
+            assert probe() == before
+
+    @pytest.mark.parametrize("name", formulas.__all__)
+    def test_one_body_for_every_number_type(self, name):
+        # the body evaluated on Fractions is its MultiPoly evaluated
+        # exactly, and on floats and arrays it rounds that value (Python
+        # and NumPy powers may round differently)
+        body = getattr(formulas, name)
+        names = list(inspect.signature(body).parameters)
+        point = dict(zip(names, [Fr(7, 5), Fr(-1, 3), Fr(-9, 4), Fr(2, 5),
+                                 Fr(3, 2), Fr(-5, 2)]))
+        exact = body(*point.values())
+        poly = body(*ring(*names))
+        as_float = body(*map(float, point.values()))
+        as_array = body(*(np.full(3, float(v)) for v in point.values()))
+        if name != "projected_hessian":
+            exact, poly, as_float, as_array = ([v] for v in (
+                exact, poly, as_float, as_array))
+        for e, p, f, a in zip(exact, poly, as_float, as_array):
+            assert p.evaluate(point) == e
+            for v in (f, a):
+                assert v == pytest.approx(float(e), rel=1e-12, abs=1e-12)
