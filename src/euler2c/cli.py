@@ -34,6 +34,7 @@ and ``verdict elliptic`` loads neither ``levicivita`` nor ``fiberwise``.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -290,6 +291,8 @@ def _trace_zero(f, starts, step, max_len):
 
 
 def _curve_v0(args, params, c):
+    import numpy as np
+
     from . import levicivita
     x0 = levicivita.x0_of(params, c)
     s2 = math.sqrt(2.0)
@@ -298,8 +301,9 @@ def _curve_v0(args, params, c):
         [((x0 - 1e-6, d * 1e-6), (-1.0, d)) for d in (s2, -s2)],
         args.step, args.max_len)
     # both V=0 and F=0 pass through the axis tangency point exactly
-    rows = [("v0", x, y, levicivita.F_value(x, y, params, c))
-            for x, y in [(x0, 0.0)] + points]
+    xy = np.array([(x0, 0.0)] + points)
+    F = levicivita.F_value(xy[:, 0], xy[:, 1], params, c)
+    rows = [("v0", x, y, f) for (x, y), f in zip(xy, F)]
     rows += _cone_rows("tangent", x0, 0.3, args.n)
     return ["series", "x", "y", "F"], rows, partial
 
@@ -529,5 +533,18 @@ def main(argv=None):
     return 0
 
 
+def run(argv=None):
+    """Console entry point: ``main`` in a process about to exit.
+
+    Freezing the heap on the way out moves every object alive then,
+    most of them left by NumPy's import, out of the collector's reach,
+    so the interpreter's final collections skip them. ``main`` itself
+    leaves the collector alone for in-process callers."""
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

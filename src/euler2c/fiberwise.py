@@ -291,8 +291,15 @@ def cone_curvature_C0(q1):
     q1 = np.asarray(q1, dtype=float)
     s1 = np.sqrt(12.0 * q1 ** 2 - 8.0 * q1 + 2.0)
     s2 = np.sqrt(12.0 * q1 ** 2 - 16.0 * q1 + 6.0)
+    a_s1 = formulas.aq(q1) * s1
+    b_s2 = formulas.bq(q1) * s2
+    # where the two terms have opposite signs their sum cancels; there
+    # the c0-resultant identity gives it as a quotient of terms that do not
+    opposite = a_s1 * b_s2 < 0.0
+    quotient = ((2.0 * q1 - 1.0) ** 3 * formulas.sextic(q1)
+                / (11664.0 * np.where(opposite, a_s1 - b_s2, 1.0)))
     num = (-864.0 * (1.0 - 2.0 * q1)
-           * (formulas.aq(q1) * s1 + formulas.bq(q1) * s2))
+           * np.where(opposite, quotient, a_s1 + b_s2))
     den = ((6.0 * q1 ** 2 - 8.0 * q1 + 3.0) ** 3
            * (6.0 * q1 ** 2 - 4.0 * q1 + 1.0) ** 3 * s1 * s2)
     out = num / den

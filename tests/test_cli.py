@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import csv
+import gc
 import json
 import math
 import os
@@ -10,10 +11,15 @@ import sys
 import numpy as np
 import pytest
 
+from euler2c import levicivita
 from euler2c.cli import _linspace, main, parse_energy
 from euler2c.elliptic import oracle_convexity, thresholds
 from euler2c.fiberwise import curvature_numerator
 from euler2c.model import HillComponent, ProblemParams
+from euler2c.scan import trace_implicit
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -270,6 +276,32 @@ class TestCurve:
                 for r in rows)
         assert d < 1e-6
 
+    @pytest.mark.parametrize("mu", [0.3, 0.7])
+    def test_v0_rows_are_the_trace_with_scalar_F(self, capsys, tmp_path,
+                                                 mu):
+        # the F column comes from one array call over the traced points;
+        # each row still agrees with a scalar F_value at its point
+        out = tmp_path / "v.csv"
+        assert main(["curve", "v0", "--mu", str(mu), "--max-len", "0.5",
+                     "--n", "64", "--out", str(out)]) == 0
+        rows = self._rows(out)
+        p = ProblemParams(mu)
+        c = p.c_jacobi
+        x0 = levicivita.x0_of(p, c)
+        s2 = math.sqrt(2.0)
+        traced = [trace_implicit(levicivita.V_with_grad(p, c),
+                                 (x0 - 1e-6, d * 1e-6), step=1e-3,
+                                 max_len=0.5, direction=(-1.0, d)).points
+                  for d in (s2, -s2)]
+        expected = np.vstack([[(x0, 0.0)], *traced])
+        v0 = [r for r in rows if r["series"] == "v0"]
+        assert len(rows) == len(expected) + 2 * (64 // 4)
+        xy = np.array([(float(r["x"]), float(r["y"])) for r in v0])
+        assert np.array_equal(xy, expected)
+        F = np.array([float(r["F"]) for r in v0])
+        scalar = np.array([levicivita.F_value(x, y, p, c) for x, y in xy])
+        assert np.max(np.abs(F - scalar)) <= 1e-14 * np.max(np.abs(scalar))
+
     def test_f0_passes_through_x0(self, capsys, tmp_path):
         out = tmp_path / "f.csv"
         assert main(["curve", "f0", "--mu", "0.3", "--c", "cJ",
@@ -474,6 +506,44 @@ class TestIdentities:
         assert "Pass" in out
 
 
+class TestEntryPoint:
+    def test_main_leaves_collector_alone(self, capsys):
+        # in-process callers keep a normal collector, also after an exit
+        assert main(["constants", "--mu", "0.3"]) == 0
+        with pytest.raises(SystemExit):
+            main(["constants", "--mu", "1.5"])
+        assert gc.isenabled() and gc.get_freeze_count() == 0
+
+    def _module(self, *argv):
+        return subprocess.run(
+            [sys.executable, "-m", "euler2c.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+            text=True)
+
+    def test_module_exit_codes(self):
+        res = self._module("constants", "--mu", "0.3")
+        assert res.returncode == 0, res.stderr
+        assert set(json.loads(res.stdout)) == {
+            "schema", "mu", "l", "c_jacobi", "a", "b", "c_e_pp", "c0",
+            "cJ_minus_c0"}
+        res = self._module("verdict", "elliptic", "--mu", "0.3", "--c", "cJ",
+                           "--component", "earth", "--method", "oracle")
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.startswith("error: ")
+
+    def test_run_returns_code_and_freezes(self):
+        script = ("import contextlib, gc, io\n"
+                  "from euler2c.cli import run\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    code = run(['verify-identities', '--list'])\n"
+                  "print(code, gc.get_freeze_count() > 0)")
+        res = subprocess.run([sys.executable, "-c", script],
+                             env=dict(os.environ, PYTHONPATH=SRC),
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "0 True\n"
+
+
 _SUBMODULES = ["cli", "elliptic", "errors", "exactpoly", "fiberwise",
                "formulas", "ladder", "levicivita", "model", "scan"]
 
@@ -535,9 +605,7 @@ def test_import_does_not_load_scipy(case):
     # each case in a fresh interpreter: a package import, or a command
     # that must load only the modules it runs
     code, absent = _IMPORT_CONTRACT[case]
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     script = ("import contextlib, io, sys\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               + "".join(f"    {line}\n" for line in code.splitlines())

@@ -1,10 +1,12 @@
 """Hill-boundary curvature and fiberwise convexity."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+from euler2c import formulas
 from euler2c.errors import CollisionPoint
 from euler2c.fiberwise import (
     C_l_derivatives,
@@ -205,6 +207,26 @@ class TestEqualMassPolar:
         q = np.linspace(0.05, 0.49, 300)
         c0 = cone_curvature_C0(q)
         assert np.all(c0 > 1e-10)
+
+    def test_cone_curvature_matches_decimal_reference(self):
+        # the same aq/bq bodies in 60-digit decimal arithmetic; near
+        # q = 1/2 the direct sum aq s1 + bq s2 cancels to about 1e-10
+        def reference(q):
+            q = Decimal(float(q))
+            s1 = (12 * q ** 2 - 8 * q + 2).sqrt()
+            s2 = (12 * q ** 2 - 16 * q + 6).sqrt()
+            num = (-864 * (1 - 2 * q)
+                   * (formulas.aq(q) * s1 + formulas.bq(q) * s2))
+            den = ((6 * q ** 2 - 8 * q + 3) ** 3
+                   * (6 * q ** 2 - 4 * q + 1) ** 3 * s1 * s2)
+            return num / den
+
+        q = np.linspace(0.05, 0.49, 300)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for qi, got in zip(q, cone_curvature_C0(q)):
+                ref = reference(qi)
+                assert abs(Decimal(float(got)) / ref - 1) < Decimal("1e-12")
 
     def test_cone_curvature_matches_direct(self, p05):
         for q1 in np.linspace(0.05, 0.49, 40):
