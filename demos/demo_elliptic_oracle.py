@@ -28,7 +28,7 @@ for label, c in (("below c0", th.c0 - 0.1),
         rep = oracle_convexity(p, c, comp, grid=(60, 60, 8))
         print(f"  {comp.value:5s}: theory={theory:9s} "
               f"oracle={rep.verdict:10s} min_eig={rep.min_value:.3e} "
-              f"({rep.samples} samples)")
+              f"({rep.samples} positions)")
         if rep.witnesses:
             lam, nu, pl, pn = rep.witnesses[0]
             print(f"         witness at lam={lam:.4f} nu={nu:.4f} "

@@ -364,6 +364,7 @@ def _curve_quartic(args):
     """Both real branches of c^2 x^4 + 3 c x^3 + x^2 + 1 = 0 in the
     (x, c) plane: c = (-3x +- sqrt(5x^2 - 4)) / (2x^2), real for
     x >= 2/sqrt(5); the lower branch passes through (1, -2)."""
+    from .formulas import xc_quartic
     # with the lower branch's point (1, -2) exactly
     xs = sorted({*_linspace(2.0 / math.sqrt(5.0), args.xmax, args.n), 1.0})
     rows = []
@@ -372,8 +373,7 @@ def _curve_quartic(args):
             disc = 5.0 * x * x - 4.0
             cval = (-3.0 * x + sgn * math.sqrt(max(disc, 0.0))) \
                 / (2.0 * x * x)
-            resid = cval * cval * x ** 4 + 3.0 * cval * x ** 3 \
-                + x * x + 1.0
+            resid = xc_quartic(x, cval)
             rows.append((name, x, cval, resid))
     return ["series", "x", "c", "residual"], rows
 

@@ -24,18 +24,14 @@ The tangent frame X, Y, Z is orthogonal and each vector has squared
 norm n2 = |grad Q|^2, so the projected Hessian is n2 times the Hessian
 of Q compressed to the tangent space. Its spectrum is closed-form: the
 eigenvalue 4 n2 and the two roots of mu^2 - B mu + n2 C = 0, where
-C = 32 A on the zero set (see _tangent_spectrum). The spectrum is
-invariant under rotations of the momentum, so the oracle evaluates the
-closed form once per sampled position. The matrix scale max |M_ij| does
-turn with the momentum, but through rotation invariants: m00 is fixed,
-m11 and m22 are P +- Q cos(2 phi), and (m01, m02) has a fixed length.
-From these the oracle bounds each position's smallest and largest scale
-over the sampled angles, and so its smallest and its largest relative
-eigenvalue, each in its own interval (_scale_ranges). It confirms with
-LAPACK (eigvalsh) only the samples that may hold a reported extreme,
-plus a fixed-stride audit; every reported number comes from LAPACK, and
-a disagreement with the position's closed form beyond 1e-12 of the
-matrix scale raises OracleInconsistency.
+C = 32 A on the zero set (see _tangent_spectrum). Q's Hessian
+diag(a, b, 4, 4) commutes with rotations of the momentum, so the
+spectrum is one per position (lambda, nu), and so is the scale
+n2 max(|a|, |b|, 4) that bounds every eigenvalue. The oracle evaluates
+the closed form once per sampled position and divides by that scale;
+LAPACK (eigvalsh) audits every fourth position and the positions of the
+reported extremes, each at a different momentum angle, and a
+disagreement beyond 1e-12 of the scale raises OracleInconsistency.
 """
 
 from __future__ import annotations
@@ -195,10 +191,8 @@ def Q_value(ep, params, c):
     """Regularized Hamiltonian Q_c; accepts an EllipticPoint or arrays
     (lam, nu, p_lam, p_nu) as a tuple."""
     lam, nu, pl, pn = _unpack(ep)
-    m = 1.0 - 2.0 * params.mu
-    ch, cn = np.cosh(lam), np.cos(nu)
-    q = (2.0 * pl ** 2 - 2.0 * ch - c * ch ** 2
-         + 2.0 * pn ** 2 + 2.0 * m * cn + c * cn ** 2)
+    q = (2.0 * (pl ** 2 + pn ** 2)
+         - formulas.R2(np.cosh(lam), np.cos(nu), c, 1.0 - 2.0 * params.mu))
     return float(q) if np.isscalar(q) or np.ndim(q) == 0 else q
 
 
@@ -378,9 +372,8 @@ class _ZeroSet:
     """The zero set of Q sampled per position (lambda, nu).
 
     The grid points with R^2 >= 0 come first, in row-major order, each
-    with its momentum radius s and one sample per angle phi; the rim
-    points follow, each one sample with zero momentum (s = 0). Flat
-    sample indices run point-major, angle-minor, rim last.
+    with its momentum radius s, whose circle is sampled at the angles
+    phi; the rim points follow, each with zero momentum (s = 0).
     """
 
     lam: np.ndarray       # the lambda grid
@@ -391,33 +384,11 @@ class _ZeroSet:
     cos_phi: np.ndarray
     sin_phi: np.ndarray
 
-    @property
-    def counts(self):
-        """Samples per point: n_phi on the grid, one on the rim."""
-        return np.where(np.arange(self.s.size) < self.n_grid,
-                        self.cos_phi.size, 1)
-
-    @property
-    def n_samples(self):
-        return self.n_grid * (self.cos_phi.size - 1) + self.s.size
-
-    def samples(self, f):
-        """Point index and (lam, nu, p_lam, p_nu) of the flat samples f."""
-        n_phi = self.cos_phi.size
-        rim = f >= self.n_grid * n_phi
-        pt = np.where(rim, f - self.n_grid * (n_phi - 1), f // n_phi)
-        # a rim sample takes angle 0: s = 0 times (1, 0) is (+0.0, +0.0)
-        k = np.where(rim, 0, f % n_phi)
-        s = self.s[pt]
-        return (pt, self.lam[self.ilam[pt]], self.nu[pt],
-                s * self.cos_phi[k], s * self.sin_phi[k])
-
 
 def _zero_set_points(params, c, component, n_lam=100, n_nu=100, n_phi=16):
     """The zero set of Q sampled per position (see _ZeroSet).
 
-    On shell, 2(p_lam^2 + p_nu^2) = R^2 with R^2 = 2 cosh(lam)
-    + c cosh(lam)^2 - 2(1-2mu) cos(nu) - c cos(nu)^2; where R^2 >= 0 the
+    On shell, 2(p_lam^2 + p_nu^2) = R^2 (formulas.R2); where R^2 >= 0 the
     momentum circle of radius s = sqrt(R^2/2) is sampled at n_phi angles.
     Between grid neighbors of opposite R^2 sign the rim R^2 = 0 is added
     with zero momentum. Only the canonical cover branch nu in [0, pi] is
@@ -443,15 +414,14 @@ def _zero_set_points(params, c, component, n_lam=100, n_nu=100, n_phi=16):
     lam = np.linspace(0.0, lam_max, n_lam)
     nu = np.linspace(nu_lo, nu_hi, n_nu)
     ch, cn = np.cosh(lam)[:, None], np.cos(nu)[None, :]
-    R2 = 2.0 * ch + c * ch ** 2 - 2.0 * m * cn - c * cn ** 2
+    R2 = formulas.R2(ch, cn, c, m)
     ok = R2 >= 0.0
     ilam, jnu = np.nonzero(ok)
 
     # at fixed lam, R^2 = 0 is the quadratic c cn^2 + 2 m cn - k = 0 in
-    # cn = cos(nu), k = 2 cosh(lam) + c cosh(lam)^2
+    # cn = cos(nu), where k is R^2 at cn = 0
     ii, jj = np.nonzero(ok[:, :-1] != ok[:, 1:])
-    ch = ch[ii, 0]
-    k = 2.0 * ch + c * ch ** 2
+    k = formulas.R2(ch[ii, 0], 0.0, c, m)
     q = -(m + math.copysign(1.0, m) * np.sqrt(np.maximum(m * m + c * k,
                                                          0.0)))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -470,142 +440,29 @@ def _zero_set_points(params, c, component, n_lam=100, n_nu=100, n_phi=16):
                     ilam.size, np.cos(phi), np.sin(phi))
 
 
-def _zero_set_arrays(params, c, component, n_lam=100, n_nu=100, n_phi=16):
-    """Flat arrays (lam, nu, p_lam, p_nu) of every sample of
-    _zero_set_points, point-major, angle-minor, rim last."""
-    zs = _zero_set_points(params, c, component, n_lam, n_nu, n_phi)
-    return zs.samples(np.arange(zs.n_samples))[1:]
-
-
 def sample_zero_set(params, c, component, n_lam=100, n_nu=100, n_phi=16):
     """Sample the zero set of Q_c over one Hill component.
 
     Returns a list of EllipticPoint, each satisfying |Q| < 1e-10 by
-    construction; the R^2 = 0 rim is included with zero momentum.
+    construction: every grid position at the n_phi momentum angles
+    2 pi k / n_phi in turn, then the R^2 = 0 rim with zero momentum.
     """
-    lam, nu, pl, pn = _zero_set_arrays(params, c, component,
-                                       n_lam, n_nu, n_phi)
-    return [EllipticPoint(float(a), float(b), float(u), float(v))
-            for a, b, u, v in zip(lam, nu, pl, pn)]
+    zs = _zero_set_points(params, c, component, n_lam, n_nu, n_phi)
+    lam, nu, s = zs.lam[zs.ilam].tolist(), zs.nu.tolist(), zs.s.tolist()
+    n = zs.n_grid
+    angles = list(zip(zs.cos_phi.tolist(), zs.sin_phi.tolist()))
+    return ([EllipticPoint(u, v, r * cp, r * sp)
+             for u, v, r in zip(lam[:n], nu[:n], s[:n]) for cp, sp in angles]
+            + [EllipticPoint(u, v, 0.0, 0.0)
+               for u, v in zip(lam[n:], nu[n:])])
 
 
-# closed-form spectrum against LAPACK, relative to the matrix scale; the
-# closed form is good to about 4e-16 and eigvalsh to about 2e-15
+# closed-form spectrum against LAPACK, relative to the scale
+# n2 max(|a|, |b|, 4); the closed form is good to about 4e-16 of it and
+# eigvalsh to about 2e-15
 _CONFIRM_TOL = 1e-12
-# every this many good samples is confirmed whatever its value
-_AUDIT_STRIDE = 64
-
-
-def _near_extremes(lo, hi):
-    """Samples whose interval [lo, hi] may hold the minimum or the
-    maximum of the values the intervals enclose."""
-    return (lo <= hi.min()) | (hi >= lo.max())
-
-
-def _may_hold_extreme(ev, scale_lo, scale_hi):
-    """Samples that may hold the extreme smallest eigenvalue, absolute or
-    relative to the matrix scale, given the closed-form value ev, a
-    matrix scale in [scale_lo, scale_hi], and a closed form good to
-    _CONFIRM_TOL of that scale."""
-    span = _CONFIRM_TOL * scale_hi
-    r1 = ev / np.maximum(scale_lo, 1e-30)
-    r2 = ev / np.maximum(scale_hi, 1e-30)
-    return (_near_extremes(ev - span, ev + span)
-            | _near_extremes(np.minimum(r1, r2) - _CONFIRM_TOL,
-                             np.maximum(r1, r2) + _CONFIRM_TOL)
-            | ~np.isfinite(ev))
-
-
-def _scale_ranges(x, y, z, a, b, n_phi):
-    """Bounds (lo, hi) on the smallest and on the largest matrix scale
-    max |M_ij| of the projected Hessian over the n_phi sampled momentum
-    angles of the circle through (z, 0).
-
-    At the angle phi, m00 is constant, m11 and m22 are
-    P +- Q cos(2 phi) and m12 = Q sin(2 phi) with P = (a+b) z^2 / 2
-    + 4 rho^2 and Q = (a-b) z^2 / 2, and (m01, m02) turns with phi at the
-    constant length amp = |z| hypot((a-4) y, (4-b) x). So every angle
-    has a scale of at least max(|m00|, |P|, amp / sqrt(2)) and at most
-    max(|m00|, |P| + |Q|, amp); the angle 0, which is sampled, reaches
-    |P| + |Q|, and some sampled angle reaches amp cos(pi / n_phi)
-    (n_phi even) or amp cos(pi / (2 n_phi)) (odd). The scale at angle 0
-    bounds the smallest from above. All bounds are widened by 1e-12
-    relative to cover rounding.
-    """
-    m00, m01, m02, m11, _, m22 = formulas.projected_hessian(x, y, z, 0.0,
-                                                            a, b)
-    amp = np.sqrt(m01 * m01 + m02 * m02)
-    top = np.maximum(np.abs(m00), np.maximum(np.abs(m11), np.abs(m22)))
-    at0 = np.maximum(top, np.maximum(np.abs(m01), np.abs(m02)))
-    reach = math.cos(math.pi / (n_phi if n_phi % 2 == 0 else 2 * n_phi))
-    lo, hi = 1.0 - 1e-12, 1.0 + 1e-12
-    floor = np.maximum(np.abs(m00), 0.5 * np.abs(m11 + m22))
-    smallest = (lo * np.maximum(floor, amp / math.sqrt(2.0)), hi * at0)
-    largest = (lo * np.maximum(at0, reach * amp), hi * np.maximum(top, amp))
-    return smallest, largest
-
-
-def _relative_ranges(ev, smallest, largest):
-    """Intervals (lo, hi) holding the smallest and the largest of
-    ev / max(scale, 1e-30) over the sampled angles, given bounds (lo, hi)
-    on the smallest and on the largest scale (_scale_ranges): ev >= 0 is
-    smallest over the largest scale and largest over the smallest, ev < 0
-    the other way round."""
-    pos = ev >= 0.0
-    (s_lo, s_hi), (l_lo, l_hi) = smallest, largest
-
-    def rel(a, b):
-        return ev / np.maximum(np.where(pos, a, b), 1e-30)
-
-    return ((rel(l_hi, s_lo), rel(l_lo, s_hi)),
-            (rel(s_hi, l_lo), rel(s_lo, l_hi)))
-
-
-def _point_screen(zs, params, c):
-    """Per point of zs: whether |grad Q|^2 > 1e-12, the closed-form
-    smallest eigenvalue of the projected Hessian, and whether some sample
-    of the point may hold a reported extreme.
-
-    Q's Hessian diag(a, b, 4, 4) is invariant under rotations of the
-    momentum (p_lam, p_nu), so the spectrum depends on the momentum only
-    through its radius: it is evaluated once per point, at angle 0
-    (z = 4 s, w = 0). The matrix scale does change with the angle, so
-    each point gets two intervals of relative eigenvalues, one for its
-    smallest and one for its largest over the sampled angles, from
-    bounds on its smallest and largest scale (_scale_ranges,
-    _relative_ranges). A point is a candidate when its smallest-value
-    interval reaches the lowest upper end of all of them, when its
-    largest-value interval reaches the highest lower end, when its
-    absolute value may be extreme, or when it is not finite.
-    """
-    x, a = (v[zs.ilam] for v in _lam_terms(zs.lam, c))
-    y, b = _nu_terms(zs.nu, params, c)
-    z = 4.0 * zs.s
-    good = x * x + y * y + z * z > 1e-12
-    e4, mu_lo, _ = _tangent_spectrum(x, y, z, 0.0, a, b)
-    ev = np.minimum(e4, mu_lo)
-    e = ev[good]
-    smallest, largest = _scale_ranges(x[good], y[good], z[good], a[good],
-                                      b[good], zs.cos_phi.size)
-    (lo_min, hi_min), (lo_max, hi_max) = _relative_ranges(e, smallest,
-                                                          largest)
-    # each end is good to _CONFIRM_TOL, so two compare with twice that
-    margin = 2.0 * _CONFIRM_TOL
-    span = _CONFIRM_TOL * largest[1]
-    cand = np.zeros_like(good)
-    cand[good] = (_near_extremes(e - span, e + span)
-                  | (lo_min <= hi_min.min() + margin)
-                  | (hi_max >= lo_max.max() - margin)
-                  | ~np.isfinite(e))
-    return good, ev, cand
-
-
-def _sample_matrices(zs, f, params, c):
-    """Point index, (lam, nu, p_lam, p_nu) and the six projected-Hessian
-    entries of the flat samples f."""
-    pt, *sample = zs.samples(f)
-    return pt, sample, formulas.projected_hessian(
-        *_frame_arrays(*sample, params, c))
+# LAPACK audits every this many positions whatever their values
+_AUDIT_STRIDE = 4
 
 
 def oracle_convexity(params, c, component, grid=(100, 100, 16), tol=1e-9):
@@ -613,50 +470,64 @@ def oracle_convexity(params, c, component, grid=(100, 100, 16), tol=1e-9):
     a sampled zero set.
 
     Reports the minimum smallest eigenvalue, its witness point, and a
-    verdict ('posdef' everywhere vs 'indefinite' witness). Samples with
+    verdict ('posdef' everywhere vs 'indefinite' witness). Positions with
     a vanishing gradient are counted as failures, never aborting.
 
-    Each position is screened once with the closed-form smallest
-    eigenvalue, which all its momentum samples share (_point_screen).
-    Inside the positions that may hold a reported extreme, each sample's
-    exact matrix scale decides whether it may; LAPACK (eigvalsh) then
-    confirms those samples plus every _AUDIT_STRIDE-th good sample, and
-    every reported number comes from LAPACK. Raises OracleInconsistency
-    when LAPACK and the position's closed form differ by more than
-    _CONFIRM_TOL times the matrix scale. The report's counters give the
-    candidate positions and the samples LAPACK confirmed. Like the
-    theory verdict, it requires c < c_J (_zero_set_points).
+    Q's Hessian diag(a, b, 4, 4) commutes with rotations of the momentum,
+    so every momentum at a position (lambda, nu) has one spectrum: the
+    oracle evaluates its closed form once per position, at angle 0
+    (p_lam = s, p_nu = 0), and divides the smallest eigenvalue ev by the
+    rotation-invariant scale n2 max(|a|, |b|, 4), which bounds every
+    eigenvalue. The verdict compares the smallest of these relative
+    eigenvalues with tol; samples and failures count positions, and n_phi
+    only picks the audit angles.
+
+    LAPACK (eigvalsh) audits every _AUDIT_STRIDE-th position, the
+    positions of the reported extremes, and any position whose closed form
+    is not finite; the k-th audited position is taken at the k-th sampled
+    momentum angle (mod n_phi), so the audit also tests rotation
+    invariance. Raises OracleInconsistency when LAPACK and the closed form
+    differ by more than _CONFIRM_TOL times the scale. The report's
+    counters give the positions with a spectrum and the LAPACK samples.
+    Like the theory verdict, it requires c < c_J (_zero_set_points).
     """
     t0 = time.perf_counter()
     zs = _zero_set_points(params, c, component, *grid)
-    good, ev, cand = _point_screen(zs, params, c)
-    counts = zs.counts
-    failures = int(counts[~good].sum())
+    x, a = (v[zs.ilam] for v in _lam_terms(zs.lam, c))
+    y, b = _nu_terms(zs.nu, params, c)
+    z = 4.0 * zs.s
+    n2 = x * x + y * y + z * z
+    pos = np.flatnonzero(n2 > 1e-12)
+    x, y, z, a, b, n2, nu, s = (v[pos] for v in (x, y, z, a, b, n2, zs.nu,
+                                                 zs.s))
+    lam = zs.lam[zs.ilam[pos]]
+    e4, mu_lo, _ = _tangent_spectrum(x, y, z, 0.0, a, b)
+    ev = np.minimum(e4, mu_lo)
+    scale = n2 * np.maximum(np.maximum(np.abs(a), np.abs(b)), 4.0)
+    rel = ev / scale
+    i_min, i_max = int(np.argmin(rel)), int(np.argmax(rel))
 
-    confirm = np.zeros(zs.n_samples, dtype=bool)
-    confirm[np.flatnonzero(np.repeat(good, counts))[::_AUDIT_STRIDE]] = True
-    f = np.flatnonzero(np.repeat(cand, counts))
-    pt, _, entries = _sample_matrices(zs, f, params, c)
-    scale = np.max(np.abs(entries), axis=0)
-    confirm[f[_may_hold_extreme(ev[pt], scale, scale)]] = True
-
-    pt, (lam, nu, pl, pn), entries = _sample_matrices(
-        zs, np.flatnonzero(confirm), params, c)
-    scale = np.max(np.abs(entries), axis=0)
-    ev_sel = np.linalg.eigvalsh(_symmetric(*entries))[:, 0]
-    if not np.all(np.abs(ev_sel - ev[pt]) <= _CONFIRM_TOL * scale):
+    audit = ~np.isfinite(ev)
+    audit[::_AUDIT_STRIDE] = True
+    audit[[i_min, i_max, int(np.argmin(ev)), int(np.argmax(ev))]] = True
+    k = np.flatnonzero(audit)
+    turn = np.arange(k.size) % zs.cos_phi.size
+    entries = formulas.projected_hessian(
+        x[k], y[k], 4.0 * (s[k] * zs.cos_phi[turn]),
+        4.0 * (s[k] * zs.sin_phi[turn]), a[k], b[k])
+    lapack = np.linalg.eigvalsh(_symmetric(*entries))[:, 0]
+    if not np.all(np.abs(lapack - ev[k]) <= _CONFIRM_TOL * scale[k]):
         raise OracleInconsistency(
             "closed-form and LAPACK smallest eigenvalues disagree")
-    rel_sel = ev_sel / np.maximum(scale, 1e-30)
 
-    i_min, i_max = int(np.argmin(rel_sel)), int(np.argmax(rel_sel))
-    min_rel = float(rel_sel[i_min])
-    witness_pt = (float(lam[i_min]), float(nu[i_min]),
-                  float(pl[i_min]), float(pn[i_min]))
+    def point(i):
+        return float(lam[i]), float(nu[i]), float(s[i]), 0.0
+
+    min_rel = float(rel[i_min])
     witnesses = []
     if min_rel < -tol:
         verdict = "indefinite"
-        witnesses.append(witness_pt)
+        witnesses.append(point(i_min))
     elif min_rel > tol:
         verdict = "posdef"
     else:
@@ -665,12 +536,10 @@ def oracle_convexity(params, c, component, grid=(100, 100, 16), tol=1e-9):
         target=f"tangential-hessian mu={params.mu} c={c} "
                f"{HillComponent(component).value}",
         grid=grid,
-        min_value=float(ev_sel.min()), argmin=witness_pt,
-        max_value=float(ev_sel.max()),
-        argmax=(float(lam[i_max]), float(nu[i_max]),
-                float(pl[i_max]), float(pn[i_max])),
+        min_value=float(ev.min()), argmin=point(i_min),
+        max_value=float(ev.max()), argmax=point(i_max),
         witnesses=witnesses, verdict=verdict,
-        samples=zs.n_samples, failures=failures,
+        samples=zs.s.size, failures=zs.s.size - pos.size,
         wall_time=time.perf_counter() - t0,
-        counters={"candidate_positions": int(np.count_nonzero(cand)),
-                  "lapack_samples": int(ev_sel.size)})
+        counters={"positions": int(pos.size),
+                  "lapack_samples": int(k.size)})

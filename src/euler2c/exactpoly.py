@@ -551,7 +551,7 @@ def _id_det_frame():
 def _a_dy_quad(x, y, c, m):
     return (-c * (2 * c * x ** 2 + x - c) * y ** 2
             - 2 * (2 * c * x ** 2 + x - c) * m * y
-            + c ** 2 * x ** 4 + 3 * c * x ** 3 + x ** 2 + 1)
+            + formulas.xc_quartic(x, c))
 
 
 def _id_a_dy_factor():

@@ -9,8 +9,8 @@ in the equal-mass polar chart, and q = q1 on its cone lines. This module
 imports nothing, so it loads neither NumPy nor exactpoly.
 """
 
-__all__ = ["g", "A", "projected_hessian", "lc_radicand", "P1", "P2", "F0",
-           "aq", "bq", "quartic", "sextic"]
+__all__ = ["g", "R2", "A", "projected_hessian", "lc_radicand", "P1", "P2",
+           "F0", "aq", "bq", "quartic", "sextic", "xc_quartic"]
 
 
 def g(t, c, m):
@@ -19,10 +19,16 @@ def g(t, c, m):
     return 2 * c * t ** 2 + m * t - c
 
 
+def R2(x, y, c, m):
+    """R^2 = 2 (p_lam^2 + p_nu^2) on the zero set of Q; the lobes are
+    where it is >= 0."""
+    return 2 * x + c * x ** 2 - 2 * m * y - c * y ** 2
+
+
 def A(x, y, c, m):
     """The sign-governing polynomial of the tangential Hessian test."""
     gx, gy = g(x, c, 1), g(y, c, m)
-    return ((c * x ** 2 + 2 * x - c * y ** 2 - 2 * m * y) * gx * gy
+    return (R2(x, y, c, m) * gx * gy
             - (1 - y ** 2) * (m + c * y) ** 2 * gx
             - (x ** 2 - 1) * (1 + c * x) ** 2 * gy)
 
@@ -90,3 +96,9 @@ def sextic(q):
     """Positive for q < 1/2 (c0-resultant lemma)."""
     return (7776 * q ** 6 - 23328 * q ** 5 + 30348 * q ** 4
             - 21816 * q ** 3 + 9232 * q ** 2 - 2212 * q + 241)
+
+
+def xc_quartic(x, c):
+    """c^2 x^4 + 3c x^3 + x^2 + 1, the y-free term of A_y / (m + 4cy);
+    ``curve quartic`` traces its zero set in the (x, c) plane."""
+    return c * c * x ** 4 + 3 * c * x ** 3 + x * x + 1

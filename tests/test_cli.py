@@ -156,8 +156,7 @@ class TestVerdict:
         def degenerate(params, c, component, grid):
             return ScanReport("stub", grid, 0.0, (0.0,) * 4, 1.0, (0.0,) * 4,
                               [], "degenerate", 8, 0, 0.0,
-                              {"candidate_positions": 1,
-                               "lapack_samples": 2})
+                              {"positions": 8, "lapack_samples": 2})
 
         monkeypatch.setattr(elliptic, "oracle_convexity", degenerate)
         code, out, err = run(capsys, "verdict", "elliptic", "--mu", "0.3",
@@ -167,8 +166,7 @@ class TestVerdict:
         d = json.loads(out)
         assert d["verdict"] == "undecided" and "witness" not in d
         assert d.get("theory") == ("convex" if method == "both" else None)
-        assert d["oracle_counters"] == {"candidate_positions": 1,
-                                        "lapack_samples": 2}
+        assert d["oracle_counters"] == {"positions": 8, "lapack_samples": 2}
 
     def test_oracle_counters_in_json(self, capsys):
         code, out, _ = run(capsys, "verdict", "elliptic", "--mu", "0.3",
@@ -180,7 +178,12 @@ class TestVerdict:
                                ProblemParams(0.3).c_jacobi - 0.5,
                                HillComponent.MOON, grid=(30, 30, 8))
         assert d["oracle_counters"] == rep.counters
-        assert set(rep.counters) == {"candidate_positions", "lapack_samples"}
+        assert set(rep.counters) == {"positions", "lapack_samples"}
+        # samples count positions, and LAPACK audits every fourth of those
+        # with a spectrum
+        positions = rep.counters["positions"]
+        assert d["samples"] == rep.samples == positions + rep.failures
+        assert rep.counters["lapack_samples"] >= -(-positions // 4)
         code, out, _ = run(capsys, "verdict", "elliptic", "--mu", "0.3",
                            "--c", "cJ-0.5", "--component", "moon",
                            "--method", "theory")

@@ -435,23 +435,54 @@ class TestMassSwap:
             assert convexity_verdict(p, c, comp) is oracle
 
 
+def _sample_arrays(params, c, component, *grid):
+    """(lam, nu, p_lam, p_nu) arrays of sample_zero_set."""
+    return np.array([(e.lam, e.nu, e.p_lam, e.p_nu) for e in
+                     sample_zero_set(params, c, component, *grid)]).T
+
+
 def _check_full_eigvalsh(mu, dc, comp, grid):
-    """The oracle's report against eigvalsh on every sample, as the report
-    is defined; dc is the energy's offset above c0 as a share of
-    c_J - c0, or, when negative, its distance below c0."""
+    """The oracle's report against eigvalsh at every angle of every
+    position, and against the report's definition: one closed-form
+    spectrum per position at angle 0, relative to the rotation-invariant
+    scale n2 max(|a|, |b|, 4); dc is the energy's offset above c0 as a
+    share of c_J - c0, or, when negative, its distance below c0."""
     p = ProblemParams(mu)
     c0 = thresholds(p).c0
     c = c0 + dc * (p.c_jacobi - c0) if dc > 0 else c0 + dc
-    lam, nu, pl, pn = elliptic._zero_set_arrays(p, c, comp, *grid)
-    frame = elliptic._frame_arrays(lam, nu, pl, pn, p, c)
-    M = elliptic._symmetric(*formulas.projected_hessian(*frame))
-    x, y, z, w = frame[:4]
-    good = x * x + y * y + z * z + w * w > 1e-12
-    ev = np.linalg.eigvalsh(M[good])[:, 0]
-    rel = ev / np.maximum(np.max(np.abs(M[good]), axis=(1, 2)), 1e-30)
+    lam, nu, pl, pn = _sample_arrays(p, c, comp, *grid)
+    # each grid position holds n_phi samples, angle 0 first, and each rim
+    # position one, last
+    zs = elliptic._zero_set_points(p, c, comp, *grid)
+    per = np.where(np.arange(zs.s.size) < zs.n_grid, grid[2], 1)
+    at = np.repeat(np.arange(zs.s.size), per)
+    first = np.cumsum(per) - per
+    assert np.array_equal(lam, zs.lam[zs.ilam][at])
+    assert np.array_equal(nu, zs.nu[at])
+    assert np.array_equal(pl[first], zs.s) and np.all(pn[first] == 0.0)
+
+    x, y, z, w, a, b = elliptic._frame_arrays(lam, nu, pl, pn, p, c)
+    n2 = x * x + y * y + z * z + w * w
+    e4, lo, _ = elliptic._tangent_spectrum(
+        *(v[first] for v in (x, y, z, w, a, b)))
+    ev = np.minimum(e4, lo)
+    scale = n2[first] * np.maximum(np.maximum(np.abs(a[first]),
+                                              np.abs(b[first])), 4.0)
+    good = n2[first] > 1e-12
+    # the new scale bounds the matrix, and LAPACK at every angle agrees
+    # with the position's closed form
+    M = elliptic._symmetric(*formulas.projected_hessian(x, y, z, w, a, b))
+    ok = good[at]
+    lapack = np.linalg.eigvalsh(M[ok])[:, 0]
+    assert np.all(np.abs(M[ok]).max(axis=(1, 2))
+                  <= scale[at][ok] * (1 + 1e-12))
+    assert np.all(np.abs(lapack - ev[at][ok])
+                  <= elliptic._CONFIRM_TOL * scale[at][ok])
+
     idx = np.flatnonzero(good)
+    rel = ev[good] / scale[good]
     i_min, i_max = idx[np.argmin(rel)], idx[np.argmax(rel)]
-    point = [(float(lam[i]), float(nu[i]), float(pl[i]), float(pn[i]))
+    point = [tuple(float(v[first[i]]) for v in (lam, nu, pl, pn))
              for i in (i_min, i_max)]
     min_rel = float(rel.min())
     verdict = ("indefinite" if min_rel < -1e-9 else
@@ -459,13 +490,16 @@ def _check_full_eigvalsh(mu, dc, comp, grid):
 
     rep = oracle_convexity(p, c, comp, grid=grid)
     assert rep.verdict == verdict
-    assert rep.min_value == float(ev.min())
-    assert rep.max_value == float(ev.max())
+    assert rep.min_value == float(ev[good].min())
+    assert rep.max_value == float(ev[good].max())
     assert rep.argmin == point[0] and rep.argmax == point[1]
+    assert rep.argmin[3] == 0.0
     assert rep.witnesses == ([point[0]] if verdict == "indefinite"
                              else [])
-    assert rep.samples == lam.size
+    assert rep.samples == zs.s.size
     assert rep.failures == int(np.count_nonzero(~good))
+    assert rep.counters["positions"] == idx.size
+    assert rep.counters["lapack_samples"] >= -(-idx.size // 4)
 
 
 class TestOracle:
@@ -531,43 +565,108 @@ class TestOracle:
     def test_report_matches_full_eigvalsh_grid(self, mu, dc, comp, grid):
         _check_full_eigvalsh(mu, dc, comp, grid)
 
-    def test_few_candidate_positions_far_below_c0(self):
-        # the two scale ranges leave a handful of the ~7 700 positions
-        # to the exact per-sample stage; LAPACK runs on their samples and
-        # on the audit samples
-        p = ProblemParams(0.7)
-        rep = oracle_convexity(p, thresholds(p).c0 - 0.4,
-                               HillComponent.EARTH)
-        assert rep.counters["candidate_positions"] <= 20
-        audit = -(-(rep.samples - rep.failures) // elliptic._AUDIT_STRIDE)
-        assert audit <= rep.counters["lapack_samples"] <= audit + 20 * 16
+    @pytest.mark.parametrize("mu, dc, comp", [
+        (0.3, 0.5, HillComponent.EARTH),
+        (0.77, -0.2, HillComponent.MOON),
+    ])
+    def test_momentum_angles_only_pick_the_audit(self, mu, dc, comp):
+        # one spectrum per position: n_phi changes none of the report but
+        # the grid it echoes; it turns the audited samples, not their count
+        p = ProblemParams(mu)
+        c0 = thresholds(p).c0
+        c = c0 + dc * (p.c_jacobi - c0) if dc > 0 else c0 + dc
+        reps = [oracle_convexity(p, c, comp, grid=(40, 40, n_phi))
+                for n_phi in (7, 8, 16)]
+        for rep in reps:
+            rep.grid = rep.wall_time = None
+        assert reps[0] == reps[1] == reps[2]
 
-    @pytest.mark.parametrize("perturb", ["all", "audit"])
+    @pytest.mark.parametrize("n_phi", [1, 7, 8])
+    def test_audit_turns_through_every_angle(self, p03, monkeypatch, n_phi):
+        # the k-th audited position is taken at the angle 2 pi k / n_phi,
+        # so LAPACK also sees rotated momenta
+        entries = formulas.projected_hessian
+        seen = []
+
+        def record(x, y, z, w, a, b):
+            seen.append((np.asarray(z), np.asarray(w)))
+            return entries(x, y, z, w, a, b)
+
+        monkeypatch.setattr(formulas, "projected_hessian", record)
+        oracle_convexity(p03, p03.c_jacobi - 0.5, HillComponent.EARTH,
+                         grid=(30, 30, n_phi))
+        (z, w), = seen
+        moving = np.hypot(z, w) > 0.0
+        turn = np.round(np.arctan2(w, z)[moving] * n_phi / (2 * np.pi))
+        k = np.flatnonzero(moving) % n_phi
+        assert np.array_equal(turn % n_phi, k)
+        assert set(k) == set(range(n_phi))
+
+    @pytest.mark.parametrize("mu, dc, comp, grid", [
+        (0.7, -0.4, HillComponent.EARTH, (100, 100, 16)),
+        (0.3, 0.5, HillComponent.MOON, (40, 40, 8)),
+        (0.001, -0.3, HillComponent.MOON, (30, 30, 7)),
+        (0.999, 0.5, HillComponent.MOON, (40, 40, 1)),
+    ], ids=["far-below-c0", "between", "odd-angles", "one-angle"])
+    def test_audit_covers_every_fourth_position(self, mu, dc, comp, grid):
+        # LAPACK audits every fourth position, plus at most the four
+        # positions of the reported extremes (no closed form is
+        # non-finite here)
+        p = ProblemParams(mu)
+        c0 = thresholds(p).c0
+        c = c0 + dc * (p.c_jacobi - c0) if dc > 0 else c0 + dc
+        rep = oracle_convexity(p, c, comp, grid=grid)
+        positions = rep.counters["positions"]
+        assert positions == rep.samples - rep.failures > 0
+        stride = -(-positions // elliptic._AUDIT_STRIDE)
+        assert elliptic._AUDIT_STRIDE == 4
+        assert stride <= rep.counters["lapack_samples"] <= stride + 4
+
+    @pytest.mark.parametrize("perturb", ["all", "audit", "extreme", "nan"])
     def test_wrong_closed_form_raises(self, p03, monkeypatch, perturb):
         c, comp = p03.c_jacobi - 0.5, HillComponent.MOON
-        zs = elliptic._zero_set_points(p03, c, comp, 30, 30, 8)
-        good, _, cand = elliptic._point_screen(zs, p03, c)
-        # the point holding good sample 2 * _AUDIT_STRIDE: the screen has
-        # one closed-form value per point, and this point is no candidate
-        f = np.flatnonzero(np.repeat(good, zs.counts))
-        pt = int(zs.samples(f[[2 * elliptic._AUDIT_STRIDE]])[0][0])
-        assert not cand[pt]
         spectrum = elliptic._tangent_spectrum
+        # the position of the stride audit's third sample
+        pt = 2 * elliptic._AUDIT_STRIDE
+        seen = {}
 
         def wrong(*frame):
             e4, lo, hi = spectrum(*frame)
             if perturb == "all":
                 return e4, lo * (1.0 + 1e-9), hi
+            if perturb == "nan":
+                lo = lo.copy()
+                lo[1] = np.nan
+                return e4, lo, hi
+            if perturb == "extreme":
+                # lower the smallest eigenvalue where the stride audit
+                # does not look: only the audit of the reported extremes
+                # confirms it
+                i = int(np.argmin(np.minimum(e4, lo)))
+                assert i % elliptic._AUDIT_STRIDE != 0
+                d = 1e-6 * abs(lo).max()
+                e4, lo = e4.copy(), lo.copy()
+                e4[i] -= d
+                lo[i] -= d
+                return e4, lo, hi
             lo = lo.copy()
             lo[pt] += 1e-6 * abs(lo).max()
+            seen.update(frame=frame, ev=np.minimum(e4, lo))
             return e4, lo, hi
 
         monkeypatch.setattr(elliptic, "_tangent_spectrum", wrong)
-        if perturb == "audit":
-            # still no candidate: only the fixed-stride audit confirms it
-            assert not elliptic._point_screen(zs, p03, c)[2][pt]
         with pytest.raises(OracleInconsistency):
             oracle_convexity(p03, c, comp, grid=(30, 30, 8))
+        if perturb == "audit":
+            # the perturbed position holds no reported extreme, so only
+            # the fixed-stride audit confirms it
+            x, y, z, _, a, b = seen["frame"]
+            ev = seen["ev"]
+            rel = ev / ((x * x + y * y + z * z)
+                        * np.maximum(np.maximum(abs(a), abs(b)), 4.0))
+            assert np.all(np.isfinite(ev))
+            assert pt not in {np.argmin(rel), np.argmax(rel), np.argmin(ev),
+                              np.argmax(ev)}
 
 
 def _energies(p):
@@ -591,8 +690,7 @@ class TestSpectrum:
         p = ProblemParams(mu)
         for comp in HillComponent:
             for c in _energies(p):
-                lam, nu, pl, pn = elliptic._zero_set_arrays(
-                    p, c, comp, 30, 30, 8)
+                lam, nu, pl, pn = _sample_arrays(p, c, comp, 30, 30, 8)
                 # the rim (zero momentum) and the rho = 0 corner at
                 # lam = 0 and nu = pi (Earth) or nu = 0 (Moon)
                 assert np.any((pl == 0.0) & (pn == 0.0))
@@ -616,8 +714,7 @@ class TestSpectrum:
         p = ProblemParams(mu)
         for comp in HillComponent:
             for c in _energies(p):
-                lam, nu, pl, pn = elliptic._zero_set_arrays(
-                    p, c, comp, 30, 30, 8)
+                lam, nu, pl, pn = _sample_arrays(p, c, comp, 30, 30, 8)
                 x, y, z, w, a, b = elliptic._frame_arrays(
                     lam, nu, pl, pn, p, c)
                 scale = np.max(np.abs(
@@ -629,34 +726,28 @@ class TestSpectrum:
                     assert np.all(np.abs(u - v) <= 1e-14 * scale), (comp, c)
 
     @pytest.mark.parametrize("n_phi", [1, 7, 8, 16])
-    def test_scale_ranges_hold_at_the_sampled_angles(self, rng, n_phi):
-        # the oracle picks candidate positions from these bounds on the
-        # smallest and the largest max |M_ij| over the sampled momentum
-        # angles, and on the smallest and the largest eigenvalue relative
-        # to it; frames drawn at random so that each entry in turn sets
+    def test_invariant_scale_bounds_every_angle(self, rng, n_phi):
+        # the oracle divides by n2 max(|a|, |b|, 4): the matrix is n2
+        # times diag(a, b, 4, 4) compressed to grad Q^perp, so this bounds
+        # every entry and every eigenvalue at every momentum angle, and
+        # the closed form of the upright frame holds at each of them;
+        # frames drawn at random so that each of a, b and 4 in turn sets
         # the scale
         x, y, a, b = rng.normal(size=(4, 2000)) * [[1], [1], [5], [5]]
         z = np.abs(rng.normal(size=2000)) * 10.0 ** rng.uniform(-3, 1, 2000)
-        smallest, largest = elliptic._scale_ranges(x, y, z, a, b, n_phi)
-        phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)[:, None]
-        entries = formulas.projected_hessian(
-            x, y, z * np.cos(phi), z * np.sin(phi), a, b)
-        scale = np.max(np.abs(entries), axis=0)
-        # the ranges hold the brute-force extremes of the scale and of
-        # ev / scale, for either sign of ev
-        ev = rng.normal(size=2000)
-        rel = ev / scale
-        ranges = zip((smallest, largest,
-                      *elliptic._relative_ranges(ev, smallest, largest)),
-                     (scale.min(axis=0), scale.max(axis=0),
-                      rel.min(axis=0), rel.max(axis=0)))
-        for (lo, hi), brute in ranges:
-            assert np.all((lo <= brute) & (brute <= hi))
-        # the largest scale is pinned to within 1 / cos(pi / n_phi)
-        # (n_phi even), 1 / cos(pi / (2 n_phi)) (odd), and sqrt(2)
-        k = math.cos(math.pi / (n_phi if n_phi % 2 == 0 else 2 * n_phi))
-        lo, hi = largest
-        assert np.all(lo >= max(k, math.sqrt(0.5)) * hi * (1 - 3e-12))
+        n2 = x * x + y * y + z * z
+        scale = n2 * np.maximum(np.maximum(np.abs(a), np.abs(b)), 4.0)
+        e4, lo, hi = elliptic._tangent_spectrum(x, y, z, 0.0, a, b)
+        phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+        for cp, sp in zip(np.cos(phi), np.sin(phi)):
+            M = elliptic._symmetric(*formulas.projected_hessian(
+                x, y, z * cp, z * sp, a, b))
+            assert np.all(np.abs(M).max(axis=(1, 2)) <= scale * (1 + 1e-12))
+            ev = np.linalg.eigvalsh(M)
+            assert np.all(np.abs(ev).max(axis=1) <= scale * (1 + 1e-12))
+            closed = np.sort(np.stack([e4, lo, hi], axis=1), axis=1)
+            assert np.all(np.abs(ev - closed)
+                          <= elliptic._CONFIRM_TOL * scale[:, None])
 
     @pytest.mark.parametrize("mu", (0.13, 0.77))
     def test_eigenvalue_product_is_det(self, mu, rng):
@@ -716,8 +807,7 @@ class TestRim:
         p = ProblemParams(mu)
         c = p.c_jacobi - dc
         n_lam, n_nu = 60, 60
-        lam, nu, pl, pn = elliptic._zero_set_arrays(p, c, comp,
-                                                    n_lam, n_nu, 4)
+        lam, nu, pl, pn = _sample_arrays(p, c, comp, n_lam, n_nu, 4)
         r_lam, nu_a, nu_b, nu_ref = _rim_reference(p, c, comp, n_lam, n_nu)
         k = r_lam.size
         assert k > 10

@@ -1,12 +1,14 @@
 """Exact polynomial arithmetic, Sturm isolation, and the identity suite."""
 
+import argparse
 import inspect
 from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
 
-from euler2c import elliptic, exactpoly, fiberwise, formulas, levicivita
+from euler2c import (cli, elliptic, exactpoly, fiberwise, formulas,
+                     levicivita)
 from euler2c.elliptic import eta
 from euler2c.errors import VariableMismatch
 from euler2c.model import ProblemParams
@@ -184,8 +186,14 @@ _MUTATIONS = [
      lambda: elliptic.tangential_hessian_det(
          elliptic.EllipticPoint(0.4, 1.0, 0.3, -0.2), ProblemParams(0.3),
          -2.3)[0]),
+    ("det-frame", "R2", lambda v, x, y, c, m: v + x * y,
+     lambda: elliptic.Q_value(
+         elliptic.EllipticPoint(0.4, 1.0, 0.3, -0.2), ProblemParams(0.3),
+         -2.3)),
     ("a-dy-factor", "A", lambda v, x, y, c, m: v + x * y,
      lambda: elliptic.A_value(1.5, 0.2, ProblemParams(0.3), -2.3)),
+    ("a-dy-factor", "xc_quartic", lambda v, x, c: v + x,
+     lambda: cli._curve_quartic(argparse.Namespace(xmax=2.0, n=5))),
     ("a-dy-factor", "g", lambda v, t, c, m: v + t,
      lambda: elliptic._lam_terms(0.4, -2.3)[1]),
     ("lc-radicand", "lc_radicand", lambda v, x, y: v + x * y,
