@@ -27,8 +27,11 @@ parsed and checked like the command line, which overrides them.
 Each subcommand imports the library code it runs when it runs, so a
 process loads only that: ``constants``, ``curve quartic``,
 ``curve c0curve``, ``verify-identities`` and every ``--method theory``
-verdict run without NumPy, ``verdict levi`` does not load ``fiberwise``
-and ``verdict elliptic`` loads neither ``levicivita`` nor ``fiberwise``.
+verdict run without NumPy, ``verdict levi`` loads neither ``model`` nor
+``fiberwise``, and ``verdict elliptic`` loads neither ``levicivita`` nor
+``fiberwise``. The console script and ``python -m euler2c.cli`` enter
+through ``run``, which gives OpenBLAS one thread and turns the cyclic
+collector off before the subcommand loads anything.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import argparse
 import gc
 import json
 import math
+import os
 import sys
 import time
 
@@ -177,7 +181,7 @@ def cmd_verdict(args):
     t0 = time.perf_counter()
     theory = oracle = None
     witness = counters = None
-    samples = 0
+    samples = failures = 0
 
     if args.target == "elliptic":
         if args.component is None:
@@ -191,6 +195,7 @@ def cmd_verdict(args):
                                             grid=tuple(args.grid))
             oracle = _ORACLE_VERDICT[rep.verdict]
             samples = rep.samples
+            failures = rep.failures
             counters = rep.counters
             if rep.verdict == "indefinite":
                 witness = {"point": list(rep.argmin),
@@ -225,6 +230,7 @@ def cmd_verdict(args):
         "method": args.method,
         "verdict": verdict,
         "samples": samples,
+        "failures": failures,
         "runtime": time.perf_counter() - t0,
     }
     if theory is not None and args.method == "both":
@@ -536,10 +542,22 @@ def main(argv=None):
 def run(argv=None):
     """Console entry point: ``main`` in a process about to exit.
 
-    Freezing the heap on the way out moves every object alive then,
-    most of them left by NumPy's import, out of the collector's reach,
-    so the interpreter's final collections skip them. ``main`` itself
-    leaves the collector alone for in-process callers."""
+    It sets up the process for one short command before any subcommand
+    imports NumPy. OpenBLAS gets one thread unless the environment's
+    ``OPENBLAS_NUM_THREADS`` says otherwise. The cyclic collector stays
+    off for the life of the process. Freezing the heap on the way out
+    moves every object alive then, most of them left by NumPy's import,
+    out of reach of the collections the interpreter still makes while
+    it shuts down. ``main`` itself changes neither the environment nor
+    the collector, for in-process callers."""
+    # The library's only LAPACK work is batched 3x3 eigvalsh and 2x2 or
+    # 3x3 det and solve, too small to split, but a multi-threaded
+    # OpenBLAS starts a worker thread per extra core when NumPy loads,
+    # which spin-waits for work that never comes and burns CPU time.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # A short process frees everything at exit; collections during
+    # NumPy's import only walk objects that live until then.
+    gc.disable()
     try:
         return main(argv)
     finally:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import formulas
 from .errors import MoonCollision, OutsideRegion
-from .model import CartesianPhasePoint, Frame
+from .ladder import CartesianPhasePoint, Frame
 from .scan import level_curvature, level_curvature_grad, trace_implicit
 
 __all__ = [

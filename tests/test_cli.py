@@ -97,6 +97,7 @@ class TestVerdict:
         assert code == 0
         d = json.loads(out)
         assert d["verdict"] == "nonconvex"
+        assert d["samples"] == d["failures"] == 0
         x, y = d["witness"]["point"]
         assert 0.44 < x < 0.55 and abs(y) < 0.1
 
@@ -104,7 +105,9 @@ class TestVerdict:
         code, out, _ = run(capsys, "verdict", "fiberwise", "--mu", "0.5",
                            "--c", "-2.2")
         assert code == 0
-        assert json.loads(out)["verdict"] == "convex"
+        d = json.loads(out)
+        assert d["verdict"] == "convex"
+        assert d["samples"] > 0 and d["failures"] == 0
 
     def test_levi_no_theorem_above_inflection(self, capsys):
         # mu >= 16/17: the theorem is silent and the oracle finds no
@@ -187,7 +190,26 @@ class TestVerdict:
         code, out, _ = run(capsys, "verdict", "elliptic", "--mu", "0.3",
                            "--c", "cJ-0.5", "--component", "moon",
                            "--method", "theory")
-        assert "oracle_counters" not in json.loads(out)
+        d = json.loads(out)
+        assert "oracle_counters" not in d
+        assert d["samples"] == d["failures"] == 0
+
+    @pytest.mark.parametrize("mu", [0.499, 0.501])
+    @pytest.mark.parametrize("component", ["earth", "moon"])
+    def test_oracle_failures_in_json(self, capsys, mu, component):
+        # midway between c0 and c_J the rim position at lambda = 0 next
+        # to the L1 saddle has |grad Q|^2 = 8.4e-13 <= 1e-12: each lobe
+        # drops exactly that position, and the JSON says so
+        p = ProblemParams(mu)
+        c = 0.5 * (thresholds(p).c0 + p.c_jacobi)
+        code, out, _ = run(capsys, "verdict", "elliptic", "--mu", str(mu),
+                           "--c", repr(c), "--component", component,
+                           "--method", "oracle")
+        assert code == 0
+        d = json.loads(out)
+        assert d["failures"] == 1
+        assert d["samples"] == d["oracle_counters"]["positions"] + 1
+        assert list(d)[list(d).index("samples") + 1] == "failures"
 
     # Known exit-3 bands (ROADMAP, "Certify c0 and make verdicts
     # three-valued"); strict, so the fix that closes a band flips them.
@@ -546,6 +568,54 @@ class TestEntryPoint:
         assert res.returncode == 0, res.stderr
         assert res.stdout == "0 True\n"
 
+    # the variables a bundled OpenBLAS reads for its thread count
+    _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                  "OMP_NUM_THREADS")
+
+    def _fresh(self, script, **preset):
+        env = {k: v for k, v in os.environ.items()
+               if k not in self._BLAS_VARS}
+        env.update(preset, PYTHONPATH=SRC)
+        res = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        return json.loads(res.stdout)
+
+    _RUN_ELLIPTIC = (
+        "import contextlib, gc, io, json, os\n"
+        "from euler2c.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = run(['verdict', 'elliptic', '--mu', '0.3', '--c',\n"
+        "                'cJ-0.2', '--component', 'earth', '--method',\n"
+        "                'both', '--grid', '20', '20', '4'])\n"
+        "task = '/proc/self/task'\n"
+        "print(json.dumps([code, os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+        "                  gc.isenabled(), gc.get_freeze_count() > 0,\n"
+        "                  len(os.listdir(task)) if os.path.isdir(task)\n"
+        "                  else None]))")
+
+    @pytest.mark.parametrize("preset, threads", [(None, "1"), ("2", "2")])
+    def test_run_sets_blas_threads_and_collector(self, preset, threads):
+        # run() gives OpenBLAS one thread unless the user chose a count,
+        # and leaves the collector off and the heap frozen
+        env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+        code, value, enabled, frozen, _ = self._fresh(self._RUN_ELLIPTIC,
+                                                      **env)
+        assert code == 0 and value == threads
+        assert not enabled and frozen
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="needs /proc to count threads")
+    def test_run_process_has_one_thread(self):
+        *_, threads = self._fresh(self._RUN_ELLIPTIC)
+        assert threads == 1
+        # the control: in the same environment NumPy's import alone
+        # starts a BLAS worker per extra CPU this process may run on
+        control = self._fresh("import json, os, numpy\n"
+                              "print(len(os.listdir('/proc/self/task')))")
+        if len(os.sched_getaffinity(0)) > 1:
+            assert control > 1
+
 
 _SUBMODULES = ["cli", "elliptic", "errors", "exactpoly", "fiberwise",
                "formulas", "ladder", "levicivita", "model", "scan"]
@@ -573,7 +643,13 @@ _IMPORT_CONTRACT = {
                             "cJ-0.2", "--component", "earth", "--method",
                             "theory"), _LADDER_ONLY),
     "verdict-levi": (_cli("verdict", "levi", "--mu", "0.3", "--c", "cJ"),
-                     ["euler2c.fiberwise"]),
+                     ["euler2c.model", "euler2c.fiberwise"]),
+    "verdict-fiberwise": (_cli("verdict", "fiberwise", "--mu", "0.3",
+                               "--c", "cJ"),
+                          ["euler2c.levicivita", "euler2c.elliptic"]),
+    "curve-v0": (_cli("curve", "v0", "--mu", "0.3", "--max-len", "0.25"),
+                 ["euler2c.model", "euler2c.fiberwise", "euler2c.elliptic",
+                  "euler2c.exactpoly"]),
     "verdict-elliptic": (_cli("verdict", "elliptic", "--mu", "0.3", "--c",
                               "cJ-0.2", "--component", "earth", "--grid",
                               "20", "20", "4"),
