@@ -20,9 +20,10 @@ critical Jacobi energy:
   suite certifies, one body each for floats, arrays and exact polynomials.
 - ``exactpoly``: exact rational polynomial arithmetic, Sturm-based sign
   certificates, and the named identity suite behind the proofs.
-- ``scan``: the level-set curvature numerator behind C and F and its
-  gradient, sign scans, implicit-curve tracing from a closed-form value
-  and gradient, finite-difference derivative validation.
+- ``scan``: the level-set curvature numerator behind C and F, its
+  gradient and its series along a tangent cone, sign scans,
+  implicit-curve tracing from a closed-form value and gradient,
+  finite-difference derivative validation.
 - ``cli``: the ``euler2c`` command.
 
 The package loads lazily (PEP 562): ``import euler2c`` imports no

@@ -55,19 +55,20 @@ def _fail(msg, code=2):
 
 
 def parse_energy(text, params):
-    """Resolve an energy literal; ``cJ`` (optionally +/- a float offset)
-    refers to the critical Jacobi energy of ``params``."""
+    """Resolve the ``--c`` energy literal; ``cJ`` (optionally +/- a float
+    offset) refers to the critical Jacobi energy of ``params``. Raises
+    ValueError unless the energy is finite."""
     s = str(text).strip()
     if s.startswith("cJ"):
-        rest = s[2:]
-        off = 0.0
-        if rest:
-            try:
-                off = float(rest)
-            except ValueError:
-                raise ValueError(f"bad symbolic energy {text!r}")
-        return params.c_jacobi + off
-    return float(s)
+        try:
+            c = params.c_jacobi + float(s[2:] or 0.0)
+        except ValueError:
+            raise ValueError(f"bad symbolic energy {text!r}")
+    else:
+        c = float(s)
+    if not math.isfinite(c):
+        raise ValueError(f"--c must be a finite energy, got {text!r}")
+    return c
 
 
 def _config_args(path):
@@ -344,7 +345,7 @@ def _curve_czero(args, params):
     rows = []
     partial = False
     rep = sign_scan(f, (l - 0.35, l + 0.35, 0.02, 0.45),
-                    grid=(120, 120), target="C", max_witnesses=None)
+                    grid=(120, 120), target="C")
     cg = fiberwise.C_with_grad(params)
     traced = np.empty((0, 2))
     k = 0
@@ -398,8 +399,11 @@ def _curve_c0curve(args):
 
 def cmd_curve(args):
     partial = False
-    if args.which in ("v0", "f0", "czero") and not args.step > 0.0:
-        _fail(f"--step must be positive, got {args.step}")
+    if args.which in ("v0", "f0", "czero"):
+        for name, value in (("--step", args.step),
+                            ("--max-len", args.max_len)):
+            if not 0.0 < value < math.inf:
+                _fail(f"{name} must be finite and positive, got {value}")
     if args.which in ("hill", "v0", "f0", "czero"):
         from .ladder import ProblemParams
         params = ProblemParams(args.mu)

@@ -75,6 +75,9 @@ __all__ = [
     "oracle_convexity",
 ]
 
+_GRAD_FLOOR = 1e-12
+_DEFINITE_TOL = 1e-9
+
 
 class Definiteness(Enum):
     POS_DEF = "posdef"
@@ -222,15 +225,15 @@ def _frame_arrays(lam, nu, pl, pn, params, c):
     return x, y, 4.0 * pl, 4.0 * pn, a, b
 
 
-def hess_frame(ep, params, c, tol=1e-12):
+def hess_frame(ep, params, c):
     """Closed-form frame data of Q at a phase point.
 
-    Raises SingularPoint when the gradient of Q vanishes (never happens
-    on the zero set for c < c_J).
+    Raises SingularPoint when |grad Q|^2 < _GRAD_FLOOR (never happens on
+    the zero set for c < c_J).
     """
     lam, nu, pl, pn = _unpack(ep)
     x, y, z, w, a, b = _frame_arrays(lam, nu, pl, pn, params, c)
-    if x * x + y * y + z * z + w * w < tol:
+    if x * x + y * y + z * z + w * w < _GRAD_FLOOR:
         raise SingularPoint("gradient of Q vanishes at this point")
     return HessFrameData(float(x), float(y), float(z), float(w),
                          float(a), float(b))
@@ -306,9 +309,10 @@ def tangential_hessian_det(ep, params, c):
     return numeric, float(closed)
 
 
-def tangential_hessian_definiteness(ep, params, c, tol=1e-9):
+def tangential_hessian_definiteness(ep, params, c):
     """Classification of the projected Hessian by leading principal
-    minors, with a tolerance relative to the matrix scale."""
+    minors, with the tolerance _DEFINITE_TOL relative to the matrix
+    scale."""
     h = hess_frame(ep, params, c)
     M = _symmetric(*formulas.projected_hessian(h.x, h.y, h.z, h.w,
                                                h.a, h.b))
@@ -316,7 +320,7 @@ def tangential_hessian_definiteness(ep, params, c, tol=1e-9):
     m1 = M[0, 0]
     m2 = M[0, 0] * M[1, 1] - M[0, 1] ** 2
     m3 = float(np.linalg.det(M))
-    eps1, eps2, eps3 = tol * scale, tol * scale ** 2, tol * scale ** 3
+    eps1, eps2, eps3 = (_DEFINITE_TOL * scale ** k for k in (1, 2, 3))
     if m1 > eps1 and m2 > eps2 and m3 > eps3:
         return Definiteness.POS_DEF
     if abs(m1) <= eps1 or abs(m2) <= eps2 or abs(m3) <= eps3:
@@ -465,13 +469,13 @@ _CONFIRM_TOL = 1e-12
 _AUDIT_STRIDE = 4
 
 
-def oracle_convexity(params, c, component, grid=(100, 100, 16), tol=1e-9):
+def oracle_convexity(params, c, component, grid=(100, 100, 16)):
     """Brute-force convexity oracle: projected-Hessian definiteness over
     a sampled zero set.
 
     Reports the minimum smallest eigenvalue, its witness point, and a
     verdict ('posdef' everywhere vs 'indefinite' witness). Positions with
-    a vanishing gradient are counted as failures, never aborting.
+    |grad Q|^2 <= _GRAD_FLOOR are counted as failures, never aborting.
 
     Q's Hessian diag(a, b, 4, 4) commutes with rotations of the momentum,
     so every momentum at a position (lambda, nu) has one spectrum: the
@@ -479,8 +483,8 @@ def oracle_convexity(params, c, component, grid=(100, 100, 16), tol=1e-9):
     (p_lam = s, p_nu = 0), and divides the smallest eigenvalue ev by the
     rotation-invariant scale n2 max(|a|, |b|, 4), which bounds every
     eigenvalue. The verdict compares the smallest of these relative
-    eigenvalues with tol; samples and failures count positions, and n_phi
-    only picks the audit angles.
+    eigenvalues with _DEFINITE_TOL; samples and failures count
+    positions, and n_phi only picks the audit angles.
 
     LAPACK (eigvalsh) audits every _AUDIT_STRIDE-th position, the
     positions of the reported extremes, and any position whose closed form
@@ -497,7 +501,7 @@ def oracle_convexity(params, c, component, grid=(100, 100, 16), tol=1e-9):
     y, b = _nu_terms(zs.nu, params, c)
     z = 4.0 * zs.s
     n2 = x * x + y * y + z * z
-    pos = np.flatnonzero(n2 > 1e-12)
+    pos = np.flatnonzero(n2 > _GRAD_FLOOR)
     x, y, z, a, b, n2, nu, s = (v[pos] for v in (x, y, z, a, b, n2, zs.nu,
                                                  zs.s))
     lam = zs.lam[zs.ilam[pos]]
@@ -525,10 +529,10 @@ def oracle_convexity(params, c, component, grid=(100, 100, 16), tol=1e-9):
 
     min_rel = float(rel[i_min])
     witnesses = []
-    if min_rel < -tol:
+    if min_rel < -_DEFINITE_TOL:
         verdict = "indefinite"
         witnesses.append(point(i_min))
-    elif min_rel > tol:
+    elif min_rel > _DEFINITE_TOL:
         verdict = "posdef"
     else:
         verdict = "degenerate"

@@ -7,10 +7,11 @@ numerator
 
 is positive (kappa = C / |grad U|^3). C is scan.level_curvature applied
 to U's partials from model, whose table U_derivs this module re-exports
-together with UPotentialEval. Fiberwise convexity of the
-position-fibered energy hypersurface at energy c is equivalent to
-convexity of every Hill region of effective energy e <= c, so the
-verdict routine sweeps effective energies.
+together with UPotentialEval; its contact with zero along the tangent
+cone at (l, 0) is scan.cone_contact of U's partials there. Fiberwise
+convexity of the position-fibered energy hypersurface at energy c is
+equivalent to convexity of every Hill region of effective energy
+e <= c, so the verdict routine sweeps effective energies.
 
 All positions here are in the Standard frame (Earth at the origin,
 Moon at (1, 0)). The equal-mass analysis uses polar coordinates around
@@ -29,9 +30,10 @@ import numpy as np
 
 from . import formulas
 from .errors import CollisionPoint
-from .model import (Frame, HillComponent, UPotentialEval, U_derivs,
-                    _distances, _U_partials, hill_boundary, potential_U)
-from .scan import level_curvature, level_curvature_grad
+from .model import (HillComponent, UPotentialEval, U_derivs, _distances,
+                    _U_partials, hill_boundary, potential_U)
+from .scan import (_cone_derivative, cone_contact, level_curvature,
+                   level_curvature_grad)
 
 __all__ = [
     "UPotentialEval",
@@ -48,6 +50,11 @@ __all__ = [
     "lemma_polynomials",
     "positivity_certificates",
 ]
+
+_GRAD_TOL = 1e-9
+_N_BOUNDARY = 512
+_N_ENERGIES = 12
+_C_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -93,15 +100,16 @@ def _aux_fg(q1, q2):
     return f, g
 
 
-def C_value(q, params, grad_tol=1e-9):
+def C_value(q, params):
     """Curvature numerator of the Hill boundary through q, computed two
     ways (derivative combination and explicit closed form), with
-    kappa = C/|grad U|^3 flagged singular at the critical point."""
+    kappa = C/|grad U|^3 flagged singular where |grad U| < _GRAD_TOL,
+    as at the critical point."""
     q1, q2 = float(q[0]), float(q[1])
     mu = params.mu
     d = _U_partials((q1, q2), params, 2)
     C = level_curvature(d[1, 0], d[0, 1], d[2, 0], d[1, 1], d[0, 2])
-    _, _, r1, r2 = _distances((q1, q2), Frame.STANDARD)
+    _, _, r1, r2 = _distances((q1, q2))
     r1, r2 = float(r1), float(r2)
     f, g = _aux_fg(q1, q2)
     a, b = 1.0 - mu, mu
@@ -109,22 +117,16 @@ def C_value(q, params, grad_tol=1e-9):
                 + b * a ** 2 * (f + r2 ** 2 * g) / (r1 ** 6 * r2 ** 5)
                 + b ** 2 * a * (f + r1 ** 2 * g) / (r1 ** 5 * r2 ** 6))
     gn = math.hypot(d[1, 0], d[0, 1])
-    singular = gn < grad_tol
+    singular = gn < _GRAD_TOL
     kappa = math.nan if singular else C / gn ** 3
     return CurvatureEval(C, C_closed, kappa, singular, r1, r2, f, g)
-
-
-def _cone_derivative(d, i, j, k):
-    """k-th derivative of d_1^i d_2^j U along t -> (t, sqrt(2)(t - l)),
-    sum_m binom(k, m) sqrt(2)^m d_1^(i+k-m) d_2^(j+m) U, from table d."""
-    return sum(math.comb(k, m) * math.sqrt(2.0) ** m * d[i + k - m, j + m]
-               for m in range(k + 1))
 
 
 def V_line(q1, params):
     """The potential on the tangent-cone line through (l, 0),
     V(q1) = U(q1, sqrt(2)(q1 - l)) - c_J, and its derivatives V1..V4
-    along the line, from U's partials through order four."""
+    along the line, from U's partials through order four
+    (scan._cone_derivative)."""
     d = _U_partials((q1, math.sqrt(2.0) * (q1 - params.l)), params, 4)
     out = {f"V{k}": _cone_derivative(d, 0, 0, k) for k in range(1, 5)}
     return {"V": d[0, 0] - params.c_jacobi} | out
@@ -135,9 +137,8 @@ def C_l_derivatives(params):
 
     The derivatives C0..C4 of t -> C(t, sqrt(2)(t - l)) at t = l, C0..C3
     divided by the nonzero C4, so each is small iff the contact order is
-    four: level_curvature of the Taylor series of U_1, U_2, U_11, U_12,
-    U_22 along the line, exact to degree four since U_1, U_2 vanish at
-    (l, 0).
+    four: scan.cone_contact of U's partials at (l, 0) through order four,
+    exact to degree four since U_1, U_2 vanish there.
 
     Also returns the squared slope of the C = 0 branch at (l, 0), which
     is exactly -U_11/U_22 = 2: the gradient of U vanishes at (l, 0), so
@@ -145,14 +146,8 @@ def C_l_derivatives(params):
     - 2 U_12 dU_1 (.) dU_2], built from second derivatives of U alone,
     and U_11 = -2 U_22 on the axis.
     """
-    # imported here: numpy.polynomial adds about 2 ms to package import
-    from numpy.polynomial import Polynomial
     d = _U_partials((params.l, 0.0), params, 4)
-    series = [Polynomial([_cone_derivative(d, *a, n) / math.factorial(n)
-                          for n in range(5 - sum(a))])
-              for a in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))]
-    taylor = level_curvature(*series).coef
-    c = [math.factorial(k) * float(taylor[k]) for k in range(5)]
+    c = cone_contact(d, 4)
     out = {f"C{k}": c[k] / c[4] for k in range(4)} | {"C4": c[4]}
 
     u_11, u_12, u_22 = d[2, 0], d[1, 1], d[0, 2]
@@ -194,18 +189,19 @@ def earth_boundary_near_vertex(params, c, q1_values):
     return list(zip(q1.tolist(), (0.5 * (lo + hi)).tolist()))
 
 
-def fiberwise_verdict(params, c, n_boundary=512, n_energies=12,
-                      tol=1e-12):
-    """Scan C along Earth Hill boundaries over effective energies.
+def fiberwise_verdict(params, c):
+    """Scan C along Earth Hill boundaries over effective energies; C
+    below -_C_TOL is a witness.
 
-    Energies run from e_min (where the boundary radius spread around the
-    Earth falls below 1% and the near-Kepler-circle argument takes over;
-    a spot check at e = -100 is included) up to c. One hill_boundary
-    call finds the boundaries of all these energies together, and one
-    curvature_numerator call evaluates C at all their points. When the
-    Earth lobe is the heavier one (mu < 1/2) and c = c_J, the corollary
-    witness region q1 in (l - 0.1 l, l) is scanned as well, in batches of
-    64, 256 and 1024 evenly spaced abscissas, up to the first witness.
+    _N_ENERGIES energies run from e_min (where the boundary radius
+    spread around the Earth falls below 1% and the near-Kepler-circle
+    argument takes over) up to c, and a spot check at e = -100 is added.
+    One hill_boundary call finds the boundaries of all these energies
+    together, _N_BOUNDARY points each, and one curvature_numerator call
+    evaluates C at all their points. When the Earth lobe is the heavier
+    one (mu < 1/2) and c = c_J, the corollary witness region q1 in
+    (l - 0.1 l, l) is scanned as well, in batches of 64, 256 and 1024
+    evenly spaced abscissas, up to the first witness.
     """
     cj = params.c_jacobi
     if c > cj:
@@ -219,10 +215,10 @@ def fiberwise_verdict(params, c, n_boundary=512, n_energies=12,
         if (r.max() - r.min()) / r.mean() < 0.01:
             break
         e_min *= 2.0
-    energies = list(np.linspace(e_min, c, n_energies)) + [-100.0]
+    energies = list(np.linspace(e_min, c, _N_ENERGIES)) + [-100.0]
 
     pts = hill_boundary(params, np.array(energies), HillComponent.EARTH,
-                        n=n_boundary)
+                        n=_N_BOUNDARY)
     cvals = curvature_numerator((pts[..., 0], pts[..., 1]), params)
     samples = cvals.size
     # the first energy whose boundary holds the least C, as a loop over
@@ -230,7 +226,7 @@ def fiberwise_verdict(params, c, n_boundary=512, n_energies=12,
     j, i = np.unravel_index(np.argmin(cvals), cvals.shape)
     min_C = float(cvals[j, i])
     witness = None
-    if min_C < -tol:
+    if min_C < -_C_TOL:
         witness = (float(energies[j]),
                    (float(pts[j, i, 0]), float(pts[j, i, 1])), min_C)
 
@@ -245,7 +241,7 @@ def fiberwise_verdict(params, c, n_boundary=512, n_energies=12,
                 continue
             q1, q2 = np.array(pts).T
             cvals = curvature_numerator((q1, q2), params)
-            hit = np.flatnonzero(cvals < -tol)
+            hit = np.flatnonzero(cvals < -_C_TOL)
             k = int(hit[0]) + 1 if hit.size else len(pts)
             samples += k
             min_C = min(min_C, float(cvals[:k].min()))
@@ -320,7 +316,7 @@ def polar_C_derivs(r, theta, params):
     if r <= 0.0:
         raise CollisionPoint("polar chart requires r > 0")
     q = (r * math.cos(theta), r * math.sin(theta))
-    rho = float(_distances(q, Frame.STANDARD)[3])
+    rho = float(_distances(q)[3])
     aux = lemma_polynomials(r, math.cos(theta))
     C = float(curvature_numerator(q, params))
     dC_dr = -7.0 * float(aux["F_rderi"]) / (2.0 * r ** 8 * rho ** 9)

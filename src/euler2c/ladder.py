@@ -101,11 +101,9 @@ class ProblemParams:
             HillComponent.EARTH if self.mu < 0.5 else
             HillComponent.MOON if self.mu > 0.5 else None))
 
-    def primaries(self, frame=Frame.STANDARD):
-        """Positions of (Earth, Moon) in the requested frame."""
-        if frame is Frame.STANDARD:
-            return (0.0, 0.0), (1.0, 0.0)
-        return (-0.5, 0.0), (0.5, 0.0)
+    def primaries(self):
+        """Positions of (Earth, Moon) in the Standard frame."""
+        return (0.0, 0.0), (1.0, 0.0)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,8 @@ import numpy as np
 from . import formulas
 from .errors import MoonCollision, OutsideRegion
 from .ladder import CartesianPhasePoint, Frame
-from .scan import level_curvature, level_curvature_grad, trace_implicit
+from .scan import (cone_contact, level_curvature, level_curvature_grad,
+                   trace_implicit)
 
 __all__ = [
     "LCPoint",
@@ -48,6 +49,9 @@ __all__ = [
 ]
 
 _RAD_TOL = 1e-24
+_OUTSIDE_TOL = 1e-9
+_WITNESS_TOL = 1e-8
+_WITNESS_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -222,31 +226,31 @@ def F_with_grad(params, c):
     return f
 
 
-def salomao_lhs(x, y, params, c, tol=1e-9):
+def salomao_lhs(x, y, params, c):
     """Full convexity criterion 2 (0 - V)(V_xx V_yy - V_xy^2) + F for
     the K-system at its zero energy; reduces to F on the boundary V = 0.
 
-    Raises OutsideRegion when V > tol (point outside the projected
-    region of K_c^{-1}(0)).
+    Raises OutsideRegion when V > _OUTSIDE_TOL (point outside the
+    projected region of K_c^{-1}(0)).
     """
     e = V_eval(x, y, params, c)
-    if np.any(np.asarray(e.V) > tol):
+    if np.any(np.asarray(e.V) > _OUTSIDE_TOL):
         raise OutsideRegion("V > 0: point outside the projected region")
     f = level_curvature(e.V_x, e.V_y, e.V_xx, e.V_xy, e.V_yy)
     out = 2.0 * (0.0 - e.V) * (e.V_xx * e.V_yy - e.V_xy ** 2) + f
     return float(out) if np.ndim(out) == 0 else out
 
 
-def tangency_check(params, c=None):
-    """Tangency data of V = 0 at the critical point (x0, 0).
+def tangency_check(params):
+    """Tangency data of V = 0 at the critical point (x0, 0), at the
+    critical energy c = c_J.
 
     Returns a dict with slope_sq = -V_xx/V_yy (expected 2: the zero set
     is tangent to the lines y = +-sqrt(2)(x - x0)), together with the
     evaluated and closed-form second derivatives
     V_xx(x0,0) = -8c(1 - sqrt(-c/mu)), V_yy(x0,0) = 4c(1 - sqrt(-c/mu)).
     """
-    if c is None:
-        c = params.c_jacobi
+    c = params.c_jacobi
     x0 = x0_of(params, c)
     e = V_eval(x0, 0.0, params, c)
     s = math.sqrt(-c / params.mu)
@@ -260,63 +264,44 @@ def tangency_check(params, c=None):
     }
 
 
-def tilde_derivatives(params, c=None):
-    """Directional derivatives along the tangent-cone line at (x0, 0).
+def tilde_derivatives(params):
+    """Directional derivatives along the tangent-cone line at (x0, 0),
+    at the critical energy c = c_J.
 
     With t -> (t, sqrt(2)(t - x0)): returns the third derivative of
     Vtilde(t) = V(t, sqrt(2)(t-x0)) in closed form,
     48 mu x0 (10 x0^2 - 1)/(2 x0^2 - 1)^4, plus the first three
-    derivatives of Ftilde(t) = F(t, sqrt(2)(t-x0)) at t = x0, which all
-    vanish there.
-
-    Because Ftilde has fourth-order contact with zero, direct finite
-    differencing of its third derivative cannot certify a 1e-5 bound in
-    binary64; the F1/F2/F3 entries therefore use the reduced closed
-    forms valid at a critical point of V on the symmetry axis (where
-    V_x = V_y = V_xy = 0):
-
-        F~'   = V_x * (2 V_yy dV_x + V_x (V_xyy + sqrt(2) V_yyy))
-        F~''  = 2 V_xx V_yy (V_xx + 2 V_yy)
-        F~''' = 6 (V_xx + 2 V_yy)(V_xxx V_yy + V_xyy V_xx)
-
-    with dV_x = V_xx + sqrt(2) V_xy; the factor V_xx + 2 V_yy vanishes
-    by the tangency identities. The finite-difference cross-checks of
-    these closed forms live in the tests.
+    derivatives F1, F2, F3 of Ftilde(t) = F(t, sqrt(2)(t-x0)) at t = x0,
+    which all vanish there. Because Ftilde has fourth-order contact with
+    zero, finite differences cannot resolve them in binary64; they are
+    scan.cone_contact of the order-three table of V at (x0, 0), exact to
+    degree three since V_x and V_y vanish there.
     """
-    if c is None:
-        c = params.c_jacobi
+    c = params.c_jacobi
     x0 = x0_of(params, c)
-    s2 = math.sqrt(2.0)
     v3_closed = (48.0 * params.mu * x0 * (10.0 * x0 ** 2 - 1.0)
                  / (2.0 * x0 ** 2 - 1.0) ** 4)
     e = V_eval(x0, 0.0, params, c)
-    dvx = e.V_xx + s2 * e.V_xy
-    f1 = e.V_x * (2.0 * e.V_yy * dvx + e.V_x * (e.V_xyy + s2 * e.V_yyy))
-    f2 = 2.0 * e.V_xx * e.V_yy * (e.V_xx + 2.0 * e.V_yy)
-    f3 = 6.0 * ((e.V_xx + 2.0 * e.V_yy)
-                * (e.V_xxx * e.V_yy + e.V_xyy * e.V_xx))
-    return {
-        "V3_closed": v3_closed,
-        "F1": f1,
-        "F2": f2,
-        "F3": f3,
-    }
+    _, f1, f2, f3 = cone_contact({
+        (0, 0): e.V, (1, 0): e.V_x, (0, 1): e.V_y, (2, 0): e.V_xx,
+        (1, 1): e.V_xy, (0, 2): e.V_yy, (3, 0): e.V_xxx, (2, 1): e.V_xxy,
+        (1, 2): e.V_xyy, (0, 3): e.V_yyy}, 3)
+    return {"V3_closed": v3_closed, "F1": f1, "F2": f2, "F3": f3}
 
 
-def nonconvex_witness_levi(params, c=None, tol=1e-8, step=1e-3,
-                           window=None):
+def nonconvex_witness_levi(params, c=None):
     """Search for a non-convexity witness on V^{-1}(0) just below x0.
 
-    Traces the boundary curve from a seed on the tangent cone at
-    (x0 - 1e-4, 1e-4 sqrt(2)) toward decreasing x and returns the first
-    point with F < -tol as (x, y, F), or None if no sign violation is
-    met within the window x in (x0 - window, x0).
+    Traces the boundary curve in steps of _WITNESS_STEP from a seed on
+    the tangent cone at (x0 - 1e-4, 1e-4 sqrt(2)) toward decreasing x
+    and returns the first point with F < -_WITNESS_TOL as (x, y, F), or
+    None if no sign violation is met within the window x in
+    (x0 - 0.1 x0, x0).
     """
     if c is None:
         c = params.c_jacobi
     x0 = x0_of(params, c)
-    if window is None:
-        window = 0.1 * x0
+    window = 0.1 * x0
     seed = (x0 - 1e-4, 1e-4 * math.sqrt(2.0))
     found = []
 
@@ -324,12 +309,12 @@ def nonconvex_witness_levi(params, c=None, tol=1e-8, step=1e-3,
         if x < x0 - window:
             return True
         fv = F_value(x, y, params, c)
-        if fv < -tol:
+        if fv < -_WITNESS_TOL:
             found.append((x, y, fv))
             return True
         return False
 
-    trace_implicit(V_with_grad(params, c), seed, step=step,
+    trace_implicit(V_with_grad(params, c), seed, step=_WITNESS_STEP,
                    max_len=4.0 * window, direction=(-1.0, math.sqrt(2.0)),
                    stop=stop)
     return found[0] if found else None

@@ -7,8 +7,10 @@ c_J = -1 - 2*sqrt(mu(1-mu)), ProblemParams and the frame conventions
 shared by all other modules live in the NumPy-free ``ladder`` and are
 re-exported here.
 
-Two coordinate frames are used: Standard has the primaries at E = (0,0),
-M = (1,0); Centered shifts them to (-1/2, 0) and (1/2, 0).
+Positions are in the Standard frame, with the primaries at E = (0, 0)
+and M = (1, 0). A CartesianPhasePoint may be in the Centered frame,
+which shifts them to (-1/2, 0) and (1/2, 0); hamiltonian_H reads its
+frame.
 """
 
 from __future__ import annotations
@@ -40,31 +42,19 @@ __all__ = [
 ]
 
 _COLLISION_TOL = 1e-13
+# hill_membership calls a point this close to the level ambiguous, and a
+# hill_boundary ray has converged once it is this close
+_LEVEL_TOL = 1e-10
 # a hill_boundary ray is resolved once its bracket in t is below this
 # many units of |q1| + |q2| (four ulps)
 _RAY_ULPS = 4.0 * np.finfo(float).eps
 
 
-def to_standard(q, frame):
-    """Convert a position to the Standard frame."""
-    if frame is Frame.STANDARD:
-        return q
-    return (np.asarray(q[0]) + 0.5, np.asarray(q[1]))
-
-
-def to_centered(q, frame):
-    """Convert a position to the Centered frame."""
-    if frame is Frame.CENTERED:
-        return q
-    return (np.asarray(q[0]) - 0.5, np.asarray(q[1]))
-
-
-def _distances(q, frame):
-    """Standard-frame coordinates of q and its distances r1, r2 to the
+def _distances(q):
+    """The coordinates of q as arrays and its distances r1, r2 to the
     Earth and the Moon; the one place that applies the collision rule."""
-    q1, q2 = to_standard(q, frame)
-    q1 = np.asarray(q1, dtype=float)
-    q2 = np.asarray(q2, dtype=float)
+    q1 = np.asarray(q[0], dtype=float)
+    q2 = np.asarray(q[1], dtype=float)
     r1 = np.hypot(q1, q2)
     r2 = np.hypot(q1 - 1.0, q2)
     if np.any(r1 < _COLLISION_TOL) or np.any(r2 < _COLLISION_TOL):
@@ -72,12 +62,12 @@ def _distances(q, frame):
     return q1, q2, r1, r2
 
 
-def potential_U(q, params, frame=Frame.STANDARD):
+def potential_U(q, params):
     """Potential U(q) = -(1-mu)/|q - E| - mu/|q - M|; always negative.
 
     Accepts scalar pairs or numpy-array pairs.
     """
-    _, _, r1, r2 = _distances(q, frame)
+    _, _, r1, r2 = _distances(q)
     out = -(1.0 - params.mu) / r1 - params.mu / r2
     return float(out) if np.isscalar(out) or out.ndim == 0 else out
 
@@ -125,7 +115,7 @@ def _U_partials(q, params, order):
     position (Python floats for a scalar one): a primary of mass m adds
     -m P_alpha(d) / r^(2|alpha|+1) = -m P_alpha(d / r^2) / r, P_alpha
     homogeneous (_inverse_r_table), so all alpha share the monomials."""
-    q1, q2, r1, r2 = _distances(q, Frame.STANDARD)
+    q1, q2, r1, r2 = _distances(q)
     if np.ndim(r1) == 0:
         q1, q2, r1, r2 = float(q1), float(q2), float(r1), float(r2)
     out = {}
@@ -154,61 +144,60 @@ def U_derivs(q, params):
                           d[0, 2], d[3, 0], d[2, 1], d[1, 2], d[0, 3])
 
 
-def grad_U(q, params, frame=Frame.STANDARD):
-    """Gradient of U in Standard-frame components (frames differ by a
-    translation, so the gradient is frame-independent)."""
-    d = _U_partials(to_standard(q, frame), params, 1)
+def grad_U(q, params):
+    """Gradient of U."""
+    d = _U_partials(q, params, 1)
     return d[1, 0], d[0, 1]
 
 
 def hamiltonian_H(pt: CartesianPhasePoint, params):
-    """H(q, p) = |p|^2 / 2 + U(q)."""
+    """H(q, p) = |p|^2 / 2 + U(q), shifting q of a Centered point to the
+    Standard frame."""
     p1, p2 = pt.p
-    return 0.5 * (p1 * p1 + p2 * p2) + potential_U(pt.q, params, pt.frame)
+    q1, q2 = pt.q
+    if pt.frame is Frame.CENTERED:
+        q1 = q1 + 0.5
+    return 0.5 * (p1 * p1 + p2 * p2) + potential_U((q1, q2), params)
 
 
-def _segment_inside_check(q_std, primary, params, c, nsamp=32):
+def _segment_inside_check(q, primary, params, c, nsamp=32):
     """Assert that the straight segment from q to its primary stays in
     the sublevel set {U <= c} (skipping the immediate neighborhood of
     the primary, where U -> -inf anyway)."""
     t = np.linspace(1e-6, 1.0, nsamp)
-    q1 = primary[0] + t * (q_std[0] - primary[0])
-    q2 = primary[1] + t * (q_std[1] - primary[1])
-    u = potential_U((q1, q2), params, Frame.STANDARD)
+    q1 = primary[0] + t * (q[0] - primary[0])
+    q2 = primary[1] + t * (q[1] - primary[1])
+    u = potential_U((q1, q2), params)
     if np.any(u > c + 1e-9):
         raise AssertionError(
             "segment to primary exits the Hill sublevel set; "
             "component classification by sign of q1 - l is not valid here")
 
 
-def hill_membership(q, params, c, frame=Frame.STANDARD, tol=1e-10,
-                    check_segment=True):
+def hill_membership(q, params, c):
     """Classify a position against the Hill region of energy c < c_J.
 
-    Exterior iff U(q) > c; otherwise Earth if the Standard-frame q1 is
-    below the critical abscissa l, Moon if above. Raises
-    BoundaryAmbiguous when |U - c| < tol.
+    Exterior iff U(q) > c; otherwise Earth if q1 is below the critical
+    abscissa l, Moon if above, after checking that the segment from q
+    to that primary stays inside. Raises BoundaryAmbiguous when
+    |U - c| < _LEVEL_TOL.
     """
     if c >= params.c_jacobi:
         raise ValueError("hill_membership requires c < c_jacobi")
-    u = potential_U(q, params, frame)
-    if abs(u - c) < tol:
-        raise BoundaryAmbiguous(f"|U - c| = {abs(u - c):.3e} < tol")
+    u = potential_U(q, params)
+    if abs(u - c) < _LEVEL_TOL:
+        raise BoundaryAmbiguous(f"|U - c| = {abs(u - c):.3e} < {_LEVEL_TOL}")
     if u > c:
         return Membership.EXTERIOR
-    q_std = to_standard(q, frame)
-    earth, moon = params.primaries(Frame.STANDARD)
-    if q_std[0] < params.l:
-        if check_segment:
-            _segment_inside_check(q_std, earth, params, c)
+    earth, moon = params.primaries()
+    if q[0] < params.l:
+        _segment_inside_check(q, earth, params, c)
         return Membership.EARTH
-    if check_segment:
-        _segment_inside_check(q_std, moon, params, c)
+    _segment_inside_check(q, moon, params, c)
     return Membership.MOON
 
 
-def hill_boundary(params, c, component, n=256, tol=1e-10,
-                  frame=Frame.STANDARD):
+def hill_boundary(params, c, component, n=256):
     """Sample n points of the Hill-region boundary {U = c} of one bounded
     component, ordered by polar angle around the component's primary.
 
@@ -221,11 +210,12 @@ def hill_boundary(params, c, component, n=256, tol=1e-10,
     every step up to 100 %, to bracket the first crossing of U = c, and
     is finished by Newton's method on the radial slope from U and its
     gradient (_U_partials), safeguarded by bisection inside the bracket.
-    A converged ray keeps the Newton step from its last evaluation and is
-    not evaluated again; |U - c| < 10 tol + 2 eps (|U_1 q1| + |U_2 q2|),
-    allowing for the rounding of q with the ray's last U_1, U_2, is then
-    checked at every returned point q. Requires every c <= c_J (at c = c_J
-    the lobes touch at (l, 0), where the ray toward the other primary is
+    A ray converges at |U - c| < tol = _LEVEL_TOL; it keeps the Newton
+    step from its last evaluation and is not evaluated again.
+    |U - c| < 10 tol + 2 eps (|U_1 q1| + |U_2 q2|), allowing for the
+    rounding of q with the ray's last U_1, U_2, is then checked at every
+    returned point q. Requires every c <= c_J (at c = c_J the lobes
+    touch at (l, 0), where the ray toward the other primary is
     excluded).
     """
     c = np.asarray(c, dtype=float)
@@ -236,7 +226,7 @@ def hill_boundary(params, c, component, n=256, tol=1e-10,
     if n < 8:
         raise ValueError("need n >= 8 boundary samples")
     component = HillComponent(component)
-    earth, moon = params.primaries(Frame.STANDARD)
+    earth, moon = params.primaries()
     origin = earth if component is HillComponent.EARTH else moon
     mass = 1.0 - params.mu if component is HillComponent.EARTH else params.mu
 
@@ -305,7 +295,7 @@ def hill_boundary(params, c, component, n=256, tol=1e-10,
         with np.errstate(divide="ignore", invalid="ignore"):
             t_new = t - g / slope
         newton = (slope > 0.0) & (t_new >= lo) & (t_new <= hi)
-        done = ((np.abs(g) < tol)
+        done = ((np.abs(g) < _LEVEL_TOL)
                 | (hi - lo <= _RAY_ULPS * (np.abs(q1) + np.abs(q2))))
         # a converged ray still takes the Newton step from this
         # evaluation, without another one: near the vertex the slope is
@@ -318,11 +308,9 @@ def hill_boundary(params, c, component, n=256, tol=1e-10,
             break
     t_out[lane] = t
     q1, q2 = ray(t_out)
-    bound = tol * 10 + 2.0 * np.finfo(float).eps * (np.abs(grad_1 * q1)
+    bound = _LEVEL_TOL * 10 + 2.0 * np.finfo(float).eps * (np.abs(grad_1 * q1)
                                                     + np.abs(grad_2 * q2))
     if np.any(np.abs(potential_U((q1, q2), params) - c_ray) >= bound):
         raise TraceFailure("Newton failed to reach the boundary tolerance")
-    if frame is Frame.CENTERED:
-        q1 = q1 - 0.5
     pts = np.stack([q1, q2], axis=-1).reshape(m, n, 2)
     return pts if c.ndim else pts[0]

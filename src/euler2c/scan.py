@@ -1,6 +1,7 @@
-"""Generic numerics: sign scans that bisect every sign-changing grid edge
-at once, implicit-curve tracing, and finite-difference validation of
-closed-form derivatives.
+"""Generic numerics: the curvature numerator of a level set, its
+gradient and its series along a tangent-cone line, sign scans that
+bisect every sign-changing grid edge at once, implicit-curve tracing,
+and finite-difference validation of closed-form derivatives.
 
 All routines are deterministic: grids are regular and traces are seeded
 explicitly, so identical inputs produce identical reports.
@@ -17,9 +18,13 @@ import numpy as np
 from .errors import TraceFailure
 
 __all__ = ["ScanReport", "Polyline", "level_curvature",
-           "level_curvature_grad", "sign_scan", "trace_implicit", "fd_check"]
+           "level_curvature_grad", "cone_contact", "sign_scan",
+           "trace_implicit", "fd_check"]
 
 GRAD_COLLAPSE_TOL = 1e-7
+# |f| below this is on the zero set, for a scan witness and a trace
+# point alike; perfbench/checks.py relies on traces keeping it at 1e-10
+ZERO_TOL = 1e-10
 
 
 @dataclass
@@ -58,22 +63,11 @@ class Polyline:
 
 
 def _eval_field(f, X, Y):
-    """Evaluate f on coordinate arrays, vectorized when possible."""
-    try:
-        Z = np.asarray(f(X, Y), dtype=float)
-        if Z.shape != X.shape:
-            raise ValueError
-        return Z
-    except Exception:
-        Z = np.empty(X.shape)
-        flat = Z.ravel()
-        xf, yf = X.ravel(), Y.ravel()
-        for i in range(flat.size):
-            try:
-                flat[i] = f(xf[i], yf[i])
-            except Exception:
-                flat[i] = np.nan
-        return Z
+    """f on coordinate arrays, which must give an array of their shape."""
+    Z = np.asarray(f(X, Y), dtype=float)
+    if Z.shape != X.shape:
+        raise ValueError(f"field of shape {Z.shape} on a {X.shape} grid")
+    return Z
 
 
 def level_curvature(fx, fy, fxx, fxy, fyy):
@@ -93,17 +87,40 @@ def level_curvature_grad(fx, fy, fxx, fxy, fyy, fxxx, fxxy, fxyy, fyyy):
             level_curvature(fx, fy, fxxy, fxyy, fyyy) + fy * det2)
 
 
-def sign_scan(f, region, grid=(400, 400), tol=1e-10, target="field",
-              max_witnesses=64):
+def _cone_derivative(d, i, j, k):
+    """k-th derivative of d_1^i d_2^j f along t -> apex + t (1, sqrt 2),
+    sum_m binom(k, m) sqrt(2)^m d_1^(i+k-m) d_2^(j+m) f, from the table
+    d = {(i, j): d_1^i d_2^j f at the apex}."""
+    return sum(math.comb(k, m) * math.sqrt(2.0) ** m * d[i + k - m, j + m]
+               for m in range(k + 1))
+
+
+def cone_contact(d, order):
+    """Derivatives K0..K_order at t = 0 of t -> K(apex + t (1, sqrt 2)),
+    K = level_curvature of f, from the table d of f's partials at the
+    apex through ``order``: level_curvature of the Taylor series of f_1,
+    f_2 (to degree order - 1) and f_11, f_12, f_22 (to order - 2), exact
+    to degree order when f_1 and f_2 vanish at the apex."""
+    # imported here: numpy.polynomial adds about 2 ms to package import
+    from numpy.polynomial import Polynomial
+    series = [Polynomial([_cone_derivative(d, *a, n) / math.factorial(n)
+                          for n in range(order + 1 - sum(a))])
+              for a in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))]
+    taylor = level_curvature(*series).coef
+    return [math.factorial(k) * float(taylor[k]) for k in range(order + 1)]
+
+
+def sign_scan(f, region, grid=(400, 400), target="field"):
     """Scan a scalar field for sign changes on a rectangle.
 
-    Every pair of grid neighbours, along either axis, whose ends are
-    finite and split by f > 0 against f <= 0 is bisected, all pairs
-    together with one array call of f per step, until |f| < tol at the
-    midpoint (a witness) or f there is not finite (the pair is dropped).
-    Witnesses come in grid order of the pair's first end, the x pair
-    before the y pair, at most ``max_witnesses`` of them (all when
-    None). Evaluation failures (NaN) are counted, not fatal.
+    f gets coordinate arrays only and must return an array of their
+    shape (ValueError otherwise); its exceptions propagate. Every pair
+    of grid neighbours, along either axis, whose ends are finite and
+    split by f > 0 against f <= 0 is bisected, all pairs together with
+    one array call of f per step, until |f| < ZERO_TOL at the midpoint
+    (a witness) or f there is not finite (the pair is dropped). All
+    witnesses are returned, in grid order of the pair's first end, the
+    x pair before the y pair. Non-finite grid values count as failures.
     """
     t0 = time.perf_counter()
     x0, x1, y0, y1 = region
@@ -147,7 +164,7 @@ def sign_scan(f, region, grid=(400, 400), tol=1e-10, target="field",
             break
         mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
         fm = _eval_field(f, mx, my)
-        done = np.abs(fm) < tol
+        done = np.abs(fm) < ZERO_TOL
         found[lane[done]] = np.stack([mx, my, fm], axis=1)[done]
         keep = np.isfinite(fm) & ~done
         to_a = keep & ((fm > 0) == a_pos)
@@ -155,8 +172,7 @@ def sign_scan(f, region, grid=(400, 400), tol=1e-10, target="field",
         bx, by = np.where(to_a, bx, mx), np.where(to_a, by, my)
         ax, ay, bx, by, a_pos, lane = (v[keep] for v in
                                        (ax, ay, bx, by, a_pos, lane))
-    witnesses = [tuple(w) for w in
-                 found[~np.isnan(found[:, 2])].tolist()][:max_witnesses]
+    witnesses = [tuple(w) for w in found[~np.isnan(found[:, 2])].tolist()]
 
     verdict = "sign-change" if witnesses else (
         "positive" if min_value > 0 else
@@ -166,15 +182,16 @@ def sign_scan(f, region, grid=(400, 400), tol=1e-10, target="field",
                       time.perf_counter() - t0)
 
 
-def trace_implicit(f, seed, step=1e-3, max_len=10.0, tol=1e-10,
-                   direction=None, stop=None):
+def trace_implicit(f, seed, step=1e-3, max_len=10.0, direction=None,
+                   stop=None):
     """Trace the implicit curve f = 0 by predictor-corrector, where
     ``f(x, y)`` returns ``(value, f_x, f_y)`` from one evaluation per
     Newton iterate.
 
     The predictor steps along the unit tangent (perpendicular to the
     gradient); the corrector projects back onto the curve by Newton
-    iterations. Tracing terminates on closure (return near the seed),
+    iterations, to |f| < ZERO_TOL (100 ZERO_TOL after 20 of them).
+    Tracing terminates on closure (return near the seed),
     on exceeding ``max_len`` of arc length, on gradient collapse
     (||grad f|| < 1e-7, flagged), or when the optional ``stop`` predicate
     returns True at a vertex.
@@ -185,7 +202,7 @@ def trace_implicit(f, seed, step=1e-3, max_len=10.0, tol=1e-10,
     def project(x, y):
         for _ in range(20):
             v, gx, gy = f(x, y)
-            if abs(v) < tol:
+            if abs(v) < ZERO_TOL:
                 return x, y, v, gx, gy
             n2 = gx * gx + gy * gy
             if n2 < GRAD_COLLAPSE_TOL ** 2:
@@ -193,7 +210,7 @@ def trace_implicit(f, seed, step=1e-3, max_len=10.0, tol=1e-10,
             x -= v * gx / n2
             y -= v * gy / n2
         v, gx, gy = f(x, y)
-        if abs(v) < 100 * tol:
+        if abs(v) < 100 * ZERO_TOL:
             return x, y, v, gx, gy
         return None
 

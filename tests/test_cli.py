@@ -39,6 +39,12 @@ class TestEnergyParsing:
         with pytest.raises(ValueError):
             parse_energy("cJx", p03)
 
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "cJ+inf",
+                                      "cJ-inf", "1e400"])
+    def test_nonfinite(self, p03, text):
+        with pytest.raises(ValueError, match="--c"):
+            parse_energy(text, p03)
+
 
 class TestConstants:
     def test_equal_mass(self, capsys):
@@ -392,12 +398,26 @@ class TestOptionRanges:
           "4"], "grid"),
         (["curve", "f0", "--step", "0"], "--step"),
         (["curve", "czero", "--step", "0"], "--step"),
-    ], ids=["grid-no-angle", "grid-one-nu", "f0-step-0", "czero-step-0"])
+        (["verdict", "elliptic", "--c=-inf", "--component", "earth",
+          "--method", "theory"], "--c"),
+        (["verdict", "elliptic", "--c=-inf", "--component", "earth",
+          "--method", "oracle"], "--c"),
+        (["curve", "v0", "--max-len", "inf"], "--max-len"),
+        (["curve", "v0", "--step", "inf"], "--step"),
+        (["curve", "v0", "--max-len", "0"], "--max-len"),
+        (["curve", "v0", "--max-len", "-1"], "--max-len"),
+    ], ids=["grid-no-angle", "grid-one-nu", "f0-step-0", "czero-step-0",
+            "c-inf-theory", "c-inf-oracle", "v0-max-len-inf", "v0-step-inf",
+            "v0-max-len-0", "v0-max-len-negative"])
     def test_exit_2_naming_option(self, capsys, argv, option):
+        # the defaults go before the case's options, which override them;
+        # no traceback and no partial output, the option is named instead
         with pytest.raises(SystemExit) as exc:
-            main([*argv, "--mu", "0.3", "--c", "cJ-0.1"])
+            main([*argv[:2], "--mu", "0.3", "--c", "cJ-0.1", *argv[2:]])
         assert exc.value.code == 2
-        assert option in capsys.readouterr().err
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert option in out.err
 
 
 def _fmt_row(name, *values):

@@ -243,6 +243,12 @@ class TestVerdicts:
             assert rep.verdict == "convex"
             assert rep.min_C > 0
 
+    def test_sample_count(self, p05):
+        # 12 energies up to c and the spot check at -100, 512 points each;
+        # at mu = 1/2 there is no vertex window
+        rep = fiberwise_verdict(p05, p05.c_jacobi - 0.2)
+        assert rep.samples == 13 * 512
+
     def test_unequal_mass_critical_witness(self, p03):
         rep = fiberwise_verdict(p03, p03.c_jacobi)
         assert rep.verdict == "nonconvex-witness"

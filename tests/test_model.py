@@ -22,8 +22,6 @@ from euler2c.model import (
     jacobi_energy,
     lagrange_l,
     potential_U,
-    to_centered,
-    to_standard,
 )
 
 
@@ -111,13 +109,11 @@ class TestPotential:
         expect = 0.5 * (0.25 + 0.04) + potential_U((0.3, 0.4), p03)
         assert hamiltonian_H(pt, p03) == pytest.approx(expect, rel=1e-15)
 
-    def test_frames_shift(self, p03):
-        u_std = potential_U((0.3, 0.4), p03, Frame.STANDARD)
-        u_cen = potential_U((0.3 - 0.5, 0.4), p03, Frame.CENTERED)
-        assert u_std == pytest.approx(u_cen, rel=1e-15)
-        q = (0.3, 0.4)
-        back = to_standard(to_centered(q, Frame.STANDARD), Frame.CENTERED)
-        assert back[0] == pytest.approx(q[0]) and back[1] == q[1]
+    def test_hamiltonian_centered_point(self, p03):
+        # a Centered point is the Standard one shifted by -1/2 in q1
+        std = CartesianPhasePoint((0.25, 0.4), (0.5, -0.2), Frame.STANDARD)
+        cen = CartesianPhasePoint((-0.25, 0.4), (0.5, -0.2), Frame.CENTERED)
+        assert hamiltonian_H(cen, p03) == hamiltonian_H(std, p03)
 
 
 class TestHillRegions:
@@ -160,13 +156,6 @@ class TestHillRegions:
     def test_boundary_rejects_supercritical(self, p03):
         with pytest.raises(ValueError):
             hill_boundary(p03, p03.c_jacobi + 0.1, HillComponent.EARTH)
-
-    def test_boundary_centered_frame(self, p03):
-        c = p03.c_jacobi - 0.5
-        std = hill_boundary(p03, c, HillComponent.EARTH, n=16)
-        cen = hill_boundary(p03, c, HillComponent.EARTH, n=16,
-                            frame=Frame.CENTERED)
-        assert np.allclose(std[:, 0] - 0.5, cen[:, 0])
 
 
 def _energies(p, near):
@@ -224,7 +213,7 @@ class TestHillBoundaryRays:
         p = ProblemParams(mu)
         for c in _energies(p, 1e-6):
             for comp in HillComponent:
-                pts = hill_boundary(p, c, comp, n=512, tol=self.TOL)
+                pts = hill_boundary(p, c, comp, n=512)
                 r = np.abs(potential_U((pts[:, 0], pts[:, 1]), p) - c)
                 assert np.all(r < self.TOL + self._floor(p, pts)), \
                     (c, comp, r.max())
@@ -237,7 +226,7 @@ class TestHillBoundaryRays:
         # check of hill_boundary allows for it as _floor does
         p = ProblemParams(mu)
         for comp in HillComponent:
-            pts = hill_boundary(p, c, comp, n=512, tol=self.TOL)
+            pts = hill_boundary(p, c, comp, n=512)
             r = np.abs(potential_U((pts[:, 0], pts[:, 1]), p) - c)
             assert np.all(r < self.TOL + self._floor(p, pts)), \
                 (comp, r.max())
@@ -247,7 +236,7 @@ class TestHillBoundaryRays:
         p = ProblemParams(mu)
         for c in _energies(p, 1e-6):
             for comp in HillComponent:
-                pts = hill_boundary(p, c, comp, n=512, tol=self.TOL)
+                pts = hill_boundary(p, c, comp, n=512)
                 ox, t_ref, slope = _ray_reference(p, c, comp, 512)
                 t = np.hypot(pts[:, 0] - ox, pts[:, 1])
                 steep = np.abs(slope) > 1e-3
@@ -290,7 +279,7 @@ class TestHillBoundaryRays:
         # iterating to the cap
         p, c, comp = ProblemParams(0.001), -50.0, HillComponent.MOON
         calls = self._count_evaluations(monkeypatch)
-        pts = hill_boundary(p, c, comp, n=512, tol=self.TOL)
+        pts = hill_boundary(p, c, comp, n=512)
         assert calls[0] <= 45
         monkeypatch.undo()
         ox, t_ref, slope = _ray_reference(p, c, comp, 512)
@@ -307,8 +296,7 @@ class TestHillBoundaryRays:
         # bracket it, geometrically growing steps take about 10
         p = ProblemParams(mu)
         calls = self._count_evaluations(monkeypatch)
-        pts = hill_boundary(p, p.c_jacobi - below, comp, n=512,
-                            tol=self.TOL)
+        pts = hill_boundary(p, p.c_jacobi - below, comp, n=512)
         assert calls[0] <= 30
         monkeypatch.undo()
         r = np.abs(potential_U((pts[:, 0], pts[:, 1]), p)
@@ -342,7 +330,7 @@ class TestHillBoundaryBatch:
         cj = p.c_jacobi
         energies = np.array([-100.0, -20.0, -5.0, cj - 0.3, cj - 1e-3, cj])
         n = 256
-        batch = hill_boundary(p, energies, comp, n=n, tol=self.TOL)
+        batch = hill_boundary(p, energies, comp, n=n)
         assert batch.shape == (len(energies), n, 2)
         ox = 0.0 if comp is HillComponent.EARTH else 1.0
         theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
@@ -352,7 +340,7 @@ class TestHillBoundaryBatch:
         saddle = 0 if comp is HillComponent.EARTH else n // 2
         eps = np.finfo(float).eps
         for k, c in enumerate(energies):
-            pts = hill_boundary(p, c, comp, n=n, tol=self.TOL)
+            pts = hill_boundary(p, c, comp, n=n)
             e = U_derivs((pts[:, 0], pts[:, 1]), p)
             slope = np.abs(e.U_1 * np.cos(theta) + e.U_2 * np.sin(theta))
             floor = 2.0 * eps * (np.abs(e.U_1 * pts[:, 0])
@@ -380,9 +368,6 @@ class TestHillBoundaryBatch:
         batch = hill_boundary(p03, np.array([c]), HillComponent.MOON, n=16)
         assert batch.shape == (1, 16, 2)
         assert np.array_equal(batch[0], one)
-        cen = hill_boundary(p03, np.array([c, c - 1.0]), HillComponent.MOON,
-                            n=16, frame=Frame.CENTERED)
-        assert np.array_equal(cen[0], one - [0.5, 0.0])
 
     def test_converged_rays_not_evaluated_again(self, monkeypatch, p03):
         # energies whose Earth boundaries lie in disjoint radius bands
@@ -400,7 +385,7 @@ class TestHillBoundaryBatch:
             return out
 
         monkeypatch.setattr(model, "_U_partials", recording)
-        hill_boundary(p03, energies, HillComponent.EARTH, n=n, tol=self.TOL)
+        hill_boundary(p03, energies, HillComponent.EARTH, n=n)
         ids, converged = [], []
         for q1, q2, u in seen:
             band = np.searchsorted([0.03, 0.2], np.hypot(q1, q2))

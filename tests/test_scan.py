@@ -42,8 +42,7 @@ class TestSignScan:
         assert len(sizes) <= math.ceil(50 / 8) + 64
 
     def test_witnesses_cover_circle(self):
-        rep = sign_scan(unit_circle, (-2, 2, -2, 2), grid=(50, 50),
-                        max_witnesses=None)
+        rep = sign_scan(unit_circle, (-2, 2, -2, 2), grid=(50, 50))
         sectors = set()
         for wx, wy, wf in rep.witnesses:
             assert abs(unit_circle(wx, wy)) < 1e-10
@@ -83,6 +82,26 @@ class TestSignScan:
         assert rep.failures == 0
         assert not rep.witnesses
         assert rep.verdict == "indeterminate"
+
+    def test_all_witnesses_returned(self):
+        # the zero lines x = k pi, k = 1..19, each cross one x edge in
+        # each of the 50 rows: all 950 edges give a witness, not 64
+        rep = sign_scan(lambda x, y: np.sin(x), (0.5, 20 * np.pi - 0.5,
+                                                 0.0, 1.0), grid=(400, 50))
+        assert len(rep.witnesses) == 19 * 50
+        assert all(abs(math.sin(wx)) < 1e-10 for wx, _, _ in rep.witnesses)
+
+    def test_field_exception_propagates(self):
+        def f(x, y):
+            raise ZeroDivisionError("field undefined")
+        with pytest.raises(ZeroDivisionError):
+            sign_scan(f, (-1, 1, -1, 1), grid=(10, 10))
+
+    def test_field_of_wrong_shape(self):
+        with pytest.raises(ValueError):
+            sign_scan(lambda x, y: 1.0, (-1, 1, -1, 1), grid=(10, 10))
+        with pytest.raises(ValueError):
+            sign_scan(lambda x, y: np.ravel(x), (-1, 1, -1, 1), grid=(10, 10))
 
     def test_bad_grid(self):
         with pytest.raises(ValueError):
