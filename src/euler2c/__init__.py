@@ -21,7 +21,8 @@ critical Jacobi energy:
 - ``exactpoly``: exact rational polynomial arithmetic, Sturm-based sign
   certificates, and the named identity suite behind the proofs.
 - ``scan``: the level-set curvature numerator behind C and F, its
-  gradient and its series along a tangent cone, sign scans,
+  gradient and its series along a tangent cone, read from one partials
+  table; the witness search just inside a touching vertex; sign scans,
   implicit-curve tracing from a closed-form value and gradient,
   finite-difference derivative validation.
 - ``cli``: the ``euler2c`` command.

@@ -20,7 +20,9 @@ program, not of the input).
 
 Energies accept the symbolic forms ``cJ``, ``cJ-0.1``, ``cJ+0.05``
 resolved against the critical Jacobi energy of the given mass ratio, so
-figure recipes stay portable across mu. A ``--config FILE`` of
+figure recipes stay portable across mu. An energy above c_J is invalid
+input (exit 2) for every command that computes at it; a ``--method
+theory`` levi or fiberwise verdict there is null. A ``--config FILE`` of
 ``key = value`` lines sets long options of the subcommand; they are
 parsed and checked like the command line, which overrides them.
 
@@ -68,6 +70,14 @@ def parse_energy(text, params):
         c = float(s)
     if not math.isfinite(c):
         raise ValueError(f"--c must be a finite energy, got {text!r}")
+    return c
+
+
+def _not_above_critical(c, params):
+    """The energy c of a command that computes at it; above c_J, where
+    the lobes have merged and no result of the paper applies, exit 2."""
+    if c > params.c_jacobi:
+        _fail(f"--c must not exceed c_J = {params.c_jacobi!r}, got {c!r}")
     return c
 
 
@@ -148,37 +158,18 @@ def cmd_constants(args):
 
 # -- verdicts ----------------------------------------------------------------
 
-def _theory_verdict(target, params, c):
-    """Proved levi or fiberwise verdict where the theorems cover (mu, c),
-    the critical energy being c == c_J exactly; None where they are silent."""
-    from .ladder import HillComponent
-    critical = c == params.c_jacobi
-    if target == "levi":
-        # boundary nonconvexity at the critical energy for mu below the
-        # inflection threshold 16/17
-        if critical and params.mu < 16.0 / 17.0:
-            return "nonconvex"
-        return None
-    if target == "fiberwise":
-        if params.heavier is None and c <= params.c_jacobi:
-            return "convex"
-        # the witness lies on the Earth lobe, so the theorem speaks only
-        # when that lobe is the heavier one
-        if critical and params.heavier is HillComponent.EARTH:
-            return "nonconvex"
-        return None
-    raise ValueError(target)
-
-
 # the elliptic oracle's report verdict as a CLI verdict
 _ORACLE_VERDICT = {"posdef": "convex", "indefinite": "nonconvex",
                    "degenerate": "undecided"}
 
 
 def cmd_verdict(args):
-    from .ladder import HillComponent, ProblemParams, convexity_verdict
+    from .ladder import (HillComponent, ProblemParams, convexity_verdict,
+                         theorem_verdict)
     params = ProblemParams(args.mu)
     c = parse_energy(args.c, params)
+    if args.method != "theory":
+        _not_above_critical(c, params)
     t0 = time.perf_counter()
     theory = oracle = None
     witness = counters = None
@@ -189,7 +180,7 @@ def cmd_verdict(args):
             _fail("verdict elliptic requires --component")
         comp = HillComponent(args.component)
         if args.method in ("theory", "both"):
-            theory = convexity_verdict(params, c, comp).value
+            theory = convexity_verdict(params, c, comp)
         if args.method in ("oracle", "both"):
             from . import elliptic
             rep = elliptic.oracle_convexity(params, c, comp,
@@ -203,7 +194,7 @@ def cmd_verdict(args):
                            "min_eigenvalue": rep.min_value}
     elif args.target == "levi":
         if args.method in ("theory", "both"):
-            theory = _theory_verdict("levi", params, c)
+            theory = theorem_verdict("levi", params, c)
         if args.method in ("oracle", "both"):
             from . import levicivita
             w = levicivita.nonconvex_witness_levi(params, c)
@@ -212,7 +203,7 @@ def cmd_verdict(args):
                 witness = {"point": [w[0], w[1]], "F": w[2]}
     elif args.target == "fiberwise":
         if args.method in ("theory", "both"):
-            theory = _theory_verdict("fiberwise", params, c)
+            theory = theorem_verdict("fiberwise", params, c)
         if args.method in ("oracle", "both"):
             from . import fiberwise
             rep = fiberwise.fiberwise_verdict(params, c)
@@ -224,6 +215,8 @@ def cmd_verdict(args):
     else:
         _fail(f"unknown verdict target {args.target!r}")
 
+    if theory is not None:
+        theory = theory.value
     verdict = oracle if oracle is not None else theory
     out = {
         "schema": SCHEMA,
@@ -407,7 +400,7 @@ def cmd_curve(args):
     if args.which in ("hill", "v0", "f0", "czero"):
         from .ladder import ProblemParams
         params = ProblemParams(args.mu)
-        c = parse_energy(args.c, params)
+        c = _not_above_critical(parse_energy(args.c, params), params)
     if args.which == "hill":
         header, rows = _curve_hill(args, params, c)
     elif args.which == "v0":

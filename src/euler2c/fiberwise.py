@@ -5,13 +5,14 @@ numerator
 
     C = U_q1q1 U_q2^2 + U_q1^2 U_q2q2 - 2 U_q1q2 U_q1 U_q2
 
-is positive (kappa = C / |grad U|^3). C is scan.level_curvature applied
-to U's partials from model, whose table U_derivs this module re-exports
-together with UPotentialEval; its contact with zero along the tangent
-cone at (l, 0) is scan.cone_contact of U's partials there. Fiberwise
-convexity of the position-fibered energy hypersurface at energy c is
-equivalent to convexity of every Hill region of effective energy
-e <= c, so the verdict routine sweeps effective energies.
+is positive (kappa = C / |grad U|^3). C is scan.level_curvature of U's
+partials table from model (U_derivs, re-exported here); its contact
+with zero along the tangent cone at (l, 0) is scan.cone_contact of U's
+partials there. Fiberwise convexity of the position-fibered energy
+hypersurface at energy c is equivalent to convexity of every Hill
+region of effective energy e <= c, so the verdict routine sweeps
+effective energies, and at c_J searches the Earth lobe just inside the
+vertex (l, 0) with scan.vertex_window.
 
 All positions here are in the Standard frame (Earth at the origin,
 Moon at (1, 0)). The equal-mass analysis uses polar coordinates around
@@ -30,13 +31,12 @@ import numpy as np
 
 from . import formulas
 from .errors import CollisionPoint
-from .model import (HillComponent, UPotentialEval, U_derivs, _distances,
-                    _U_partials, hill_boundary, potential_U)
+from .model import (HillComponent, U_derivs, _distances, _U_partials,
+                    hill_boundary, potential_U)
 from .scan import (_cone_derivative, cone_contact, level_curvature,
-                   level_curvature_grad)
+                   level_curvature_grad, vertex_window)
 
 __all__ = [
-    "UPotentialEval",
     "CurvatureEval",
     "FiberwiseReport",
     "U_derivs",
@@ -45,7 +45,6 @@ __all__ = [
     "V_line",
     "C_l_derivatives",
     "fiberwise_verdict",
-    "earth_boundary_near_vertex",
     "polar_C_derivs",
     "lemma_polynomials",
     "positivity_certificates",
@@ -79,17 +78,14 @@ class CurvatureEval:
 
 def curvature_numerator(q, params):
     """Vectorized curvature numerator C (derivative combination only)."""
-    d = _U_partials(q, params, 2)
-    return level_curvature(d[1, 0], d[0, 1], d[2, 0], d[1, 1], d[0, 2])
+    return level_curvature(_U_partials(q, params, 2))
 
 
 def C_with_grad(params):
     """(q1, q2) -> (C, C_q1, C_q2) from one U_derivs call, to trace C = 0."""
     def f(q1, q2):
-        e = U_derivs((q1, q2), params)
-        return (level_curvature(e.U_1, e.U_2, e.U_11, e.U_12, e.U_22),
-                *level_curvature_grad(e.U_1, e.U_2, e.U_11, e.U_12, e.U_22,
-                                      e.U_111, e.U_112, e.U_122, e.U_222))
+        d = U_derivs((q1, q2), params)
+        return level_curvature(d), *level_curvature_grad(d)
     return f
 
 
@@ -108,7 +104,7 @@ def C_value(q, params):
     q1, q2 = float(q[0]), float(q[1])
     mu = params.mu
     d = _U_partials((q1, q2), params, 2)
-    C = level_curvature(d[1, 0], d[0, 1], d[2, 0], d[1, 1], d[0, 2])
+    C = level_curvature(d)
     _, _, r1, r2 = _distances((q1, q2))
     r1, r2 = float(r1), float(r2)
     f, g = _aux_fg(q1, q2)
@@ -150,11 +146,11 @@ def C_l_derivatives(params):
     c = cone_contact(d, 4)
     out = {f"C{k}": c[k] / c[4] for k in range(4)} | {"C4": c[4]}
 
-    u_11, u_12, u_22 = d[2, 0], d[1, 1], d[0, 2]
-    c_11 = 2.0 * level_curvature(u_11, u_12, u_11, u_12, u_22)
-    c_22 = 2.0 * level_curvature(u_12, u_22, u_11, u_12, u_22)
+    hess = {a: d[a] for a in ((2, 0), (1, 1), (0, 2))}
+    c_11 = 2.0 * level_curvature(hess | {(1, 0): d[2, 0], (0, 1): d[1, 1]})
+    c_22 = 2.0 * level_curvature(hess | {(1, 0): d[1, 1], (0, 1): d[0, 2]})
     out["slope_sq"] = -c_11 / c_22
-    out["slope_sq_hill"] = -u_11 / u_22
+    out["slope_sq_hill"] = -d[2, 0] / d[0, 2]
     return out
 
 
@@ -165,28 +161,6 @@ class FiberwiseReport:
     energies: list
     min_C: float
     samples: int
-
-
-def earth_boundary_near_vertex(params, c, q1_values):
-    """Boundary points of the Earth Hill lobe with prescribed abscissas
-    just below l, found by bisection in q2 on each vertical line (valid
-    up to and including c = c_J, where the lobes touch at (l, 0)).
-
-    Abscissas whose axis point lies outside the lobe are dropped; all
-    others are bisected together, each until its bracket is below 1e-15.
-    """
-    q1 = np.atleast_1d(np.asarray(q1_values, dtype=float))
-    q1 = q1[potential_U((q1, np.zeros_like(q1)), params) < c]
-    lo, hi = np.zeros_like(q1), np.full_like(q1, 1.5)
-    for _ in range(200):
-        active = hi - lo >= 1e-15
-        if not active.any():
-            break
-        mid = 0.5 * (lo + hi)
-        below = potential_U((q1, mid), params) < c
-        lo = np.where(active & below, mid, lo)
-        hi = np.where(active & ~below, mid, hi)
-    return list(zip(q1.tolist(), (0.5 * (lo + hi)).tolist()))
 
 
 def fiberwise_verdict(params, c):
@@ -200,8 +174,8 @@ def fiberwise_verdict(params, c):
     together, _N_BOUNDARY points each, and one curvature_numerator call
     evaluates C at all their points. When the Earth lobe is the heavier
     one (mu < 1/2) and c = c_J, the corollary witness region q1 in
-    (l - 0.1 l, l) is scanned as well, in batches of 64, 256 and 1024
-    evenly spaced abscissas, up to the first witness.
+    (l - 0.1 l, l) is searched as well: scan.vertex_window on U < c, up
+    to the first witness.
     """
     cj = params.c_jacobi
     if c > cj:
@@ -233,21 +207,14 @@ def fiberwise_verdict(params, c):
     if (witness is None and params.heavier is HillComponent.EARTH
             and c >= cj - 1e-12):
         # corollary regime: look just below the touching point (l, 0)
-        delta = 0.1 * params.l
-        for n in (64, 256, 1024):
-            q1s = params.l - delta * (np.arange(1, n + 1) / (n + 1.0))
-            pts = earth_boundary_near_vertex(params, c, q1s)
-            if not pts:
-                continue
-            q1, q2 = np.array(pts).T
-            cvals = curvature_numerator((q1, q2), params)
-            hit = np.flatnonzero(cvals < -_C_TOL)
-            k = int(hit[0]) + 1 if hit.size else len(pts)
-            samples += k
-            min_C = min(min_C, float(cvals[:k].min()))
-            if hit.size:
-                witness = (float(c), pts[k - 1], float(cvals[k - 1]))
-                break
+        found, read, least = vertex_window(
+            lambda q1, q2: potential_U((q1, q2), params) < c,
+            lambda q1, q2: curvature_numerator((q1, q2), params),
+            params.l, 0.1 * params.l, _C_TOL)
+        samples += read
+        min_C = min(min_C, least)
+        if found is not None:
+            witness = (float(c), found[:2], found[2])
 
     verdict = "convex" if witness is None else "nonconvex-witness"
     return FiberwiseReport(verdict, witness, energies, min_C, samples)

@@ -2,11 +2,12 @@
 
 The problem's parameters (ProblemParams: the critical abscissa l, the
 critical Jacobi energy c_J and the heavier lobe), the frame and lobe
-names shared by every module, and the threshold ladder
-c_E'' <= c0 <= c_J with the theory verdict for one regularized Hill
-component. Everything here is Python floats plus one exact Fraction
-sign, so the ``constants`` and ``curve c0curve`` commands and a theory
-verdict run without importing NumPy. ``model`` and ``elliptic``
+names shared by every module, the threshold ladder c_E'' <= c0 <= c_J
+with the theory verdict for one regularized Hill component, and the
+ranges of the boundary (levi) and fiberwise theorems. Everything here
+is Python floats plus one exact Fraction sign, so the ``constants`` and
+``curve c0curve`` commands and every theory verdict run without
+importing NumPy. ``model`` and ``elliptic``
 re-export these names.
 """
 
@@ -33,6 +34,7 @@ __all__ = [
     "eta",
     "thresholds",
     "convexity_verdict",
+    "theorem_verdict",
 ]
 
 
@@ -221,3 +223,25 @@ def convexity_verdict(params, c, component):
             or eta(Fraction(c), Fraction(params.mu)) > 0):
         return Verdict.CONVEX
     return Verdict.NONCONVEX
+
+
+def theorem_verdict(target, params, c):
+    """Proved verdict of the boundary theorem (target "levi") or the
+    fiberwise theorem ("fiberwise") where it covers (mu, c), the
+    critical energy being c == c_J exactly; None where it is silent."""
+    critical = c == params.c_jacobi
+    if target == "levi":
+        # boundary nonconvexity at the critical energy for mu below the
+        # inflection threshold 16/17
+        if critical and params.mu < 16.0 / 17.0:
+            return Verdict.NONCONVEX
+        return None
+    if target == "fiberwise":
+        if params.heavier is None and c <= params.c_jacobi:
+            return Verdict.CONVEX
+        # the witness lies on the Earth lobe, so the theorem speaks only
+        # when that lobe is the heavier one
+        if critical and params.heavier is HillComponent.EARTH:
+            return Verdict.NONCONVEX
+        return None
+    raise ValueError(target)

@@ -14,9 +14,12 @@ V = 0; strict convexity is governed by the sign of
 
 along it (the potential criterion for mechanical Hamiltonians, evaluated
 at the K-system energy 0). This module provides closed-form derivatives
-of V through order three, the three critical points of V, the tangency
-data at (+-x0, 0), the directional derivative lemmas along the tangent
-cone, and a witness search for non-convexity near the critical energy.
+of V through order three, as the partials table {(i, j): d_x^i d_y^j V}
+that model.U_derivs returns for U, so F is scan.level_curvature of it;
+the three critical points of V, the tangency data at (+-x0, 0), the
+directional derivative lemmas along the tangent cone, and a witness
+search for non-convexity just inside (x0, 0), scan.vertex_window on
+the region V < 0.
 """
 
 from __future__ import annotations
@@ -30,11 +33,10 @@ from . import formulas
 from .errors import MoonCollision, OutsideRegion
 from .ladder import CartesianPhasePoint, Frame
 from .scan import (cone_contact, level_curvature, level_curvature_grad,
-                   trace_implicit)
+                   vertex_window)
 
 __all__ = [
     "LCPoint",
-    "LCPotentialEval",
     "K_value",
     "radicand",
     "V_eval",
@@ -51,7 +53,6 @@ __all__ = [
 _RAD_TOL = 1e-24
 _OUTSIDE_TOL = 1e-9
 _WITNESS_TOL = 1e-8
-_WITNESS_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -61,22 +62,6 @@ class LCPoint:
 
     v: tuple
     u: tuple
-
-
-@dataclass(frozen=True)
-class LCPotentialEval:
-    """Value and partial derivatives through order three of V at a point."""
-
-    V: float
-    V_x: float
-    V_y: float
-    V_xx: float
-    V_xy: float
-    V_yy: float
-    V_xxx: float
-    V_xxy: float
-    V_xyy: float
-    V_yyy: float
 
 
 def radicand(x, y):
@@ -124,10 +109,10 @@ def lc_to_cartesian(pt: LCPoint):
 
 
 def V_eval(x, y, params, c):
-    """Closed-form value and derivatives of V through order three.
-
-    All entries are validated against finite differences; vectorized over
-    numpy inputs (returns arrays inside the dataclass in that case).
+    """The table {(i, j): d_x^i d_y^j V} of V's closed-form value and
+    partials through order three, the form of model.U_derivs: Python
+    floats at a scalar point, arrays of the inputs' shape otherwise.
+    All entries are validated against finite differences.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -177,20 +162,17 @@ def V_eval(x, y, params, c):
     V_xyy = -96.0 * mu * x * n_xyy / r72
     V_yyy = -48.0 * mu * y * n_yyy / r72
 
-    if np.ndim(V) == 0:
-        return LCPotentialEval(float(V), float(V_x), float(V_y),
-                               float(V_xx), float(V_xy), float(V_yy),
-                               float(V_xxx), float(V_xxy), float(V_xyy),
-                               float(V_yyy))
-    return LCPotentialEval(V, V_x, V_y, V_xx, V_xy, V_yy,
-                           V_xxx, V_xxy, V_xyy, V_yyy)
+    d = {(0, 0): V, (1, 0): V_x, (0, 1): V_y, (2, 0): V_xx, (1, 1): V_xy,
+         (0, 2): V_yy, (3, 0): V_xxx, (2, 1): V_xxy, (1, 2): V_xyy,
+         (0, 3): V_yyy}
+    return {k: float(v) for k, v in d.items()} if np.ndim(V) == 0 else d
 
 
 def V_with_grad(params, c):
     """(x, y) -> (V, V_x, V_y) from one V_eval call, to trace V = 0."""
     def f(x, y):
-        e = V_eval(x, y, params, c)
-        return e.V, e.V_x, e.V_y
+        d = V_eval(x, y, params, c)
+        return d[0, 0], d[1, 0], d[0, 1]
     return f
 
 
@@ -211,18 +193,14 @@ def F_value(x, y, params, c):
     """Boundary convexity function F = V_xx V_y^2 + V_yy V_x^2
     - 2 V_x V_y V_xy; positive along V = 0 iff the regularized region
     is locally convex there."""
-    e = V_eval(x, y, params, c)
-    f = level_curvature(e.V_x, e.V_y, e.V_xx, e.V_xy, e.V_yy)
-    return float(f) if np.ndim(f) == 0 else f
+    return level_curvature(V_eval(x, y, params, c))
 
 
 def F_with_grad(params, c):
     """(x, y) -> (F, F_x, F_y) from one V_eval call, to trace F = 0."""
     def f(x, y):
-        e = V_eval(x, y, params, c)
-        return (level_curvature(e.V_x, e.V_y, e.V_xx, e.V_xy, e.V_yy),
-                *level_curvature_grad(e.V_x, e.V_y, e.V_xx, e.V_xy, e.V_yy,
-                                      e.V_xxx, e.V_xxy, e.V_xyy, e.V_yyy))
+        d = V_eval(x, y, params, c)
+        return level_curvature(d), *level_curvature_grad(d)
     return f
 
 
@@ -233,12 +211,11 @@ def salomao_lhs(x, y, params, c):
     Raises OutsideRegion when V > _OUTSIDE_TOL (point outside the
     projected region of K_c^{-1}(0)).
     """
-    e = V_eval(x, y, params, c)
-    if np.any(np.asarray(e.V) > _OUTSIDE_TOL):
+    d = V_eval(x, y, params, c)
+    if np.any(np.asarray(d[0, 0]) > _OUTSIDE_TOL):
         raise OutsideRegion("V > 0: point outside the projected region")
-    f = level_curvature(e.V_x, e.V_y, e.V_xx, e.V_xy, e.V_yy)
-    out = 2.0 * (0.0 - e.V) * (e.V_xx * e.V_yy - e.V_xy ** 2) + f
-    return float(out) if np.ndim(out) == 0 else out
+    return (2.0 * (0.0 - d[0, 0]) * (d[2, 0] * d[0, 2] - d[1, 1] ** 2)
+            + level_curvature(d))
 
 
 def tangency_check(params):
@@ -252,14 +229,14 @@ def tangency_check(params):
     """
     c = params.c_jacobi
     x0 = x0_of(params, c)
-    e = V_eval(x0, 0.0, params, c)
+    d = V_eval(x0, 0.0, params, c)
     s = math.sqrt(-c / params.mu)
     return {
         "x0": x0,
-        "slope_sq": -e.V_xx / e.V_yy,
-        "V_xx": e.V_xx,
+        "slope_sq": -d[2, 0] / d[0, 2],
+        "V_xx": d[2, 0],
         "V_xx_closed": -8.0 * c * (1.0 - s),
-        "V_yy": e.V_yy,
+        "V_yy": d[0, 2],
         "V_yy_closed": 4.0 * c * (1.0 - s),
     }
 
@@ -281,40 +258,22 @@ def tilde_derivatives(params):
     x0 = x0_of(params, c)
     v3_closed = (48.0 * params.mu * x0 * (10.0 * x0 ** 2 - 1.0)
                  / (2.0 * x0 ** 2 - 1.0) ** 4)
-    e = V_eval(x0, 0.0, params, c)
-    _, f1, f2, f3 = cone_contact({
-        (0, 0): e.V, (1, 0): e.V_x, (0, 1): e.V_y, (2, 0): e.V_xx,
-        (1, 1): e.V_xy, (0, 2): e.V_yy, (3, 0): e.V_xxx, (2, 1): e.V_xxy,
-        (1, 2): e.V_xyy, (0, 3): e.V_yyy}, 3)
+    _, f1, f2, f3 = cone_contact(V_eval(x0, 0.0, params, c), 3)
     return {"V3_closed": v3_closed, "F1": f1, "F2": f2, "F3": f3}
 
 
 def nonconvex_witness_levi(params, c=None):
     """Search for a non-convexity witness on V^{-1}(0) just below x0.
 
-    Traces the boundary curve in steps of _WITNESS_STEP from a seed on
-    the tangent cone at (x0 - 1e-4, 1e-4 sqrt(2)) toward decreasing x
-    and returns the first point with F < -_WITNESS_TOL as (x, y, F), or
-    None if no sign violation is met within the window x in
-    (x0 - 0.1 x0, x0).
+    scan.vertex_window on the region V < 0 with apex x0 and window
+    0.1 x0: returns the boundary point nearest x0 among its abscissas
+    with F < -_WITNESS_TOL as (x, y, F), or None if no abscissa in
+    (x0 - 0.1 x0, x0) has one. V > 0 at y = 1.5 for every c <= c_J.
     """
     if c is None:
         c = params.c_jacobi
     x0 = x0_of(params, c)
-    window = 0.1 * x0
-    seed = (x0 - 1e-4, 1e-4 * math.sqrt(2.0))
-    found = []
-
-    def stop(x, y):
-        if x < x0 - window:
-            return True
-        fv = F_value(x, y, params, c)
-        if fv < -_WITNESS_TOL:
-            found.append((x, y, fv))
-            return True
-        return False
-
-    trace_implicit(V_with_grad(params, c), seed, step=_WITNESS_STEP,
-                   max_len=4.0 * window, direction=(-1.0, math.sqrt(2.0)),
-                   stop=stop)
-    return found[0] if found else None
+    witness, _, _ = vertex_window(
+        lambda x, y: V_value(x, y, params, c) < 0.0,
+        lambda x, y: F_value(x, y, params, c), x0, 0.1 * x0, _WITNESS_TOL)
+    return witness

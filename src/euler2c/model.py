@@ -15,7 +15,6 @@ frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -30,7 +29,6 @@ __all__ = [
     "Membership",
     "ProblemParams",
     "CartesianPhasePoint",
-    "UPotentialEval",
     "potential_U",
     "U_derivs",
     "grad_U",
@@ -70,22 +68,6 @@ def potential_U(q, params):
     _, _, r1, r2 = _distances(q)
     out = -(1.0 - params.mu) / r1 - params.mu / r2
     return float(out) if np.isscalar(out) or out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class UPotentialEval:
-    """U and its partial derivatives through order three (Standard frame)."""
-
-    U: float
-    U_1: float
-    U_2: float
-    U_11: float
-    U_12: float
-    U_22: float
-    U_111: float
-    U_112: float
-    U_122: float
-    U_222: float
 
 
 @cache
@@ -137,11 +119,10 @@ def _U_partials(q, params, order):
 
 
 def U_derivs(q, params):
-    """All closed-form derivatives of U through order three at a
-    Standard-frame position (_U_partials); vectorized."""
-    d = _U_partials(q, params, 3)
-    return UPotentialEval(d[0, 0], d[1, 0], d[0, 1], d[2, 0], d[1, 1],
-                          d[0, 2], d[3, 0], d[2, 1], d[1, 2], d[0, 3])
+    """The table {(i, j): d_1^i d_2^j U} through order three at a
+    Standard-frame position (_U_partials): Python floats for a scalar
+    one, arrays otherwise; levicivita.V_eval returns V's in this form."""
+    return _U_partials(q, params, 3)
 
 
 def grad_U(q, params):

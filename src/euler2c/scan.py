@@ -1,7 +1,9 @@
 """Generic numerics: the curvature numerator of a level set, its
-gradient and its series along a tangent-cone line, sign scans that
-bisect every sign-changing grid edge at once, implicit-curve tracing,
-and finite-difference validation of closed-form derivatives.
+gradient and its series along a tangent-cone line, all read from one
+partials table {(i, j): d_x^i d_y^j f}; the witness search just inside
+the vertex where two lobes of a level set touch; sign scans that bisect
+every sign-changing grid edge at once; implicit-curve tracing; and
+finite-difference validation of closed-form derivatives.
 
 All routines are deterministic: grids are regular and traces are seeded
 explicitly, so identical inputs produce identical reports.
@@ -18,8 +20,8 @@ import numpy as np
 from .errors import TraceFailure
 
 __all__ = ["ScanReport", "Polyline", "level_curvature",
-           "level_curvature_grad", "cone_contact", "sign_scan",
-           "trace_implicit", "fd_check"]
+           "level_curvature_grad", "cone_contact", "vertex_window",
+           "sign_scan", "trace_implicit", "fd_check"]
 
 GRAD_COLLAPSE_TOL = 1e-7
 # |f| below this is on the zero set, for a scan witness and a trace
@@ -70,21 +72,27 @@ def _eval_field(f, X, Y):
     return Z
 
 
-def level_curvature(fx, fy, fxx, fxy, fyy):
+def level_curvature(d):
     """Curvature numerator f_xx f_y^2 + f_yy f_x^2 - 2 f_x f_y f_xy of
-    the level set of f through a point, from the partial derivatives of
-    f there; the curvature is this over |grad f|^3. Elementwise on
+    the level set of f through a point, from the table d = {(i, j):
+    d_x^i d_y^j f} of f's partials there (the entries of orders one and
+    two are read); the curvature is this over |grad f|^3. Elementwise on
     arrays."""
-    return fxx * fy ** 2 + fyy * fx ** 2 - 2.0 * fx * fy * fxy
+    fx, fy = d[1, 0], d[0, 1]
+    return d[2, 0] * fy ** 2 + d[0, 2] * fx ** 2 - 2.0 * fx * fy * d[1, 1]
 
 
-def level_curvature_grad(fx, fy, fxx, fxy, fyy, fxxx, fxxy, fxyy, fyyy):
-    """Gradient of K = level_curvature(fx, fy, fxx, fxy, fyy) from the
-    partials of f through order three: K_x is K of (fxxx, fxxy, fxyy) plus
-    2 fx det Hess f, K_y is K of (fxxy, fxyy, fyyy) plus 2 fy det Hess f."""
-    det2 = 2.0 * (fxx * fyy - fxy ** 2)
-    return (level_curvature(fx, fy, fxxx, fxxy, fxyy) + fx * det2,
-            level_curvature(fx, fy, fxxy, fxyy, fyyy) + fy * det2)
+def level_curvature_grad(d):
+    """Gradient of K = level_curvature(d) from the table d of f's
+    partials through order three: K_x is K with the second partials
+    replaced by (f_xxx, f_xxy, f_xyy), plus 2 f_x det Hess f, and K_y is
+    K with (f_xxy, f_xyy, f_yyy), plus 2 f_y det Hess f."""
+    fx, fy = d[1, 0], d[0, 1]
+    det2 = 2.0 * (d[2, 0] * d[0, 2] - d[1, 1] ** 2)
+    return tuple(level_curvature({(1, 0): fx, (0, 1): fy,
+                                  (2, 0): d[2 + i, j], (1, 1): d[1 + i, 1 + j],
+                                  (0, 2): d[i, 2 + j]}) + g * det2
+                 for i, j, g in ((1, 0, fx), (0, 1, fy)))
 
 
 def _cone_derivative(d, i, j, k):
@@ -103,11 +111,55 @@ def cone_contact(d, order):
     to degree order when f_1 and f_2 vanish at the apex."""
     # imported here: numpy.polynomial adds about 2 ms to package import
     from numpy.polynomial import Polynomial
-    series = [Polynomial([_cone_derivative(d, *a, n) / math.factorial(n)
-                          for n in range(order + 1 - sum(a))])
-              for a in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))]
-    taylor = level_curvature(*series).coef
+    series = {a: Polynomial([_cone_derivative(d, *a, n) / math.factorial(n)
+                             for n in range(order + 1 - sum(a))])
+              for a in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
+    taylor = level_curvature(series).coef
     return [math.factorial(k) * float(taylor[k]) for k in range(order + 1)]
+
+
+def vertex_window(inside, curvature, apex, window, tol):
+    """Witness search on the boundary of a region just inside the vertex
+    (apex, 0) where two of its lobes touch, as U = c_J at (l, 0) or
+    V = 0 at (x0, 0) at the critical energy.
+
+    Batches of 64, 256 and 1024 abscissas x = apex - window k / (n + 1),
+    k = 1..n, are read in turn. inside(x, y) tells on arrays whether
+    points lie in the region. Abscissas whose axis point is not inside
+    are dropped; on the vertical line of each other one, y in [0, 1.5]
+    is bisected for the boundary, all lines together, until every
+    bracket is below 1e-15 (inside must fail at y = 1.5). curvature(x, y)
+    at these boundary points is read in order up to the first value
+    below -tol.
+
+    Returns (witness, read, minimum): the first such point as
+    (x, y, curvature) or None, the number of points read over all
+    batches, and the least value read (inf if none was).
+    """
+    read, minimum = 0, math.inf
+    for n in (64, 256, 1024):
+        x = apex - window * (np.arange(1, n + 1) / (n + 1.0))
+        x = x[inside(x, np.zeros_like(x))]
+        if x.size == 0:
+            continue
+        lo, hi = np.zeros_like(x), np.full_like(x, 1.5)
+        for _ in range(200):
+            active = hi - lo >= 1e-15
+            if not active.any():
+                break
+            mid = 0.5 * (lo + hi)
+            below = inside(x, mid)
+            lo = np.where(active & below, mid, lo)
+            hi = np.where(active & ~below, mid, hi)
+        y = 0.5 * (lo + hi)
+        values = curvature(x, y)
+        hit = np.flatnonzero(values < -tol)
+        k = int(hit[0]) if hit.size else x.size - 1
+        read += k + 1
+        minimum = min(minimum, float(values[:k + 1].min()))
+        if hit.size:
+            return (float(x[k]), float(y[k]), float(values[k])), read, minimum
+    return None, read, minimum
 
 
 def sign_scan(f, region, grid=(400, 400), target="field"):
@@ -182,8 +234,7 @@ def sign_scan(f, region, grid=(400, 400), target="field"):
                       time.perf_counter() - t0)
 
 
-def trace_implicit(f, seed, step=1e-3, max_len=10.0, direction=None,
-                   stop=None):
+def trace_implicit(f, seed, step=1e-3, max_len=10.0, direction=None):
     """Trace the implicit curve f = 0 by predictor-corrector, where
     ``f(x, y)`` returns ``(value, f_x, f_y)`` from one evaluation per
     Newton iterate.
@@ -192,9 +243,8 @@ def trace_implicit(f, seed, step=1e-3, max_len=10.0, direction=None,
     gradient); the corrector projects back onto the curve by Newton
     iterations, to |f| < ZERO_TOL (100 ZERO_TOL after 20 of them).
     Tracing terminates on closure (return near the seed),
-    on exceeding ``max_len`` of arc length, on gradient collapse
-    (||grad f|| < 1e-7, flagged), or when the optional ``stop`` predicate
-    returns True at a vertex.
+    on exceeding ``max_len`` of arc length, or on gradient collapse
+    (||grad f|| < 1e-7, flagged).
 
     ``direction`` (a 2-vector) orients the first step; subsequent steps
     keep a consistent orientation.
@@ -247,8 +297,6 @@ def trace_implicit(f, seed, step=1e-3, max_len=10.0, direction=None,
         x, y, v, gx, gy = nxt
         pts.append((x, y))
         residuals.append(abs(v))
-        if stop is not None and stop(x, y):
-            break
         if k > 4 and math.hypot(x - pts[0][0], y - pts[0][1]) < 0.75 * step:
             closed = True
             break

@@ -23,7 +23,6 @@ from euler2c.fiberwise import (
     U_derivs,
     V_line,
     curvature_numerator,
-    earth_boundary_near_vertex,
     polar_C_derivs,
 )
 from euler2c.levicivita import (
@@ -34,8 +33,9 @@ from euler2c.levicivita import (
     tilde_derivatives,
     x0_of,
 )
-from euler2c.model import HillComponent, ProblemParams, hill_boundary
-from euler2c.scan import fd_derivative
+from euler2c.model import (HillComponent, ProblemParams, hill_boundary,
+                           potential_U)
+from euler2c.scan import fd_derivative, vertex_window
 
 
 def test_01_exact_identity_suite():
@@ -137,15 +137,13 @@ def test_06_fiberwise_convexity_and_witness():
         assert np.min(cv) > 1e-10
     p3 = ProblemParams(0.3)
     delta = 0.1 * p3.l
-    found = None
-    q1s = p3.l - delta * np.linspace(0.01, 1.0, 200)
-    for q1, q2 in earth_boundary_near_vertex(p3, p3.c_jacobi, q1s):
-        cv = float(curvature_numerator((q1, q2), p3))
-        if cv < 0:
-            found = (q1, q2, cv)
-            break
+    found, _, _ = vertex_window(
+        lambda q1, q2: potential_U((q1, q2), p3) < p3.c_jacobi,
+        lambda q1, q2: curvature_numerator((q1, q2), p3), p3.l, delta, 0.0)
     assert found is not None
-    assert p3.l - delta < found[0] < p3.l
+    q1, q2, cv = found
+    assert p3.l - delta < q1 < p3.l
+    assert cv == float(curvature_numerator((q1, q2), p3)) < 0
     assert time.perf_counter() - t0 < 30.0
 
 
@@ -179,17 +177,15 @@ def test_07_derivative_tables():
 
     # -- U through order 3 over >= 500 interior samples
     pts = _sample_points(rng, 500, [(0.0, 0.0), (1.0, 0.0)])
-    ladder = [
-        ("U_1", "U", 1, 0), ("U_2", "U", 0, 1),
-        ("U_11", "U_1", 1, 0), ("U_12", "U_1", 0, 1),
-        ("U_22", "U_2", 0, 1),
-        ("U_111", "U_11", 1, 0), ("U_112", "U_11", 0, 1),
-        ("U_122", "U_12", 0, 1), ("U_222", "U_22", 0, 1),
-    ]
+    # each partial against a first difference of the one below it
+    ladder = [((i + ox, j + oy), (i, j), ox, oy)
+              for i, j, ox, oy in [(0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 1, 0),
+                                   (1, 0, 0, 1), (0, 1, 0, 1), (2, 0, 1, 0),
+                                   (2, 0, 0, 1), (1, 1, 0, 1), (0, 2, 0, 1)]]
     for name, base, ox, oy in ladder:
-        fb = lambda x, y: getattr(U_derivs((x, y), p), base)
+        fb = lambda x, y: U_derivs((x, y), p)[base]
         worst = 0.0
-        vals = [getattr(U_derivs(q, p), name) for q in pts]
+        vals = [U_derivs(q, p)[name] for q in pts]
         scale = max(abs(v) for v in vals)
         for (x, y), v in zip(pts, vals):
             fd = _fd1(fb, x, y, ox, oy, 1e-5)
@@ -201,20 +197,13 @@ def test_07_derivative_tables():
     moon_pre = math.sqrt(0.5)
     pts = _sample_points(rng, 500, [(moon_pre, 0.0), (-moon_pre, 0.0)],
                          min_dist=0.15, box=(-1.0, 1.0, -1.0, 1.0))
-    ladder = [
-        ("V_x", "V", 1, 0), ("V_y", "V", 0, 1),
-        ("V_xx", "V_x", 1, 0), ("V_xy", "V_x", 0, 1),
-        ("V_yy", "V_y", 0, 1),
-        ("V_xxx", "V_xx", 1, 0), ("V_xxy", "V_xx", 0, 1),
-        ("V_xyy", "V_xy", 0, 1), ("V_yyy", "V_yy", 0, 1),
-    ]
     for name, base, ox, oy in ladder:
-        if base == "V":
+        if base == (0, 0):
             fb = lambda x, y: levicivita.V_value(x, y, p, c)
         else:
-            fb = lambda x, y: getattr(V_eval(x, y, p, c), base)
+            fb = lambda x, y: V_eval(x, y, p, c)[base]
         worst = 0.0
-        vals = [getattr(V_eval(x, y, p, c), name) for x, y in pts]
+        vals = [V_eval(x, y, p, c)[name] for x, y in pts]
         scale = max(abs(v) for v in vals)
         for (x, y), v in zip(pts, vals):
             fd = _fd1(fb, x, y, ox, oy, 1e-5)

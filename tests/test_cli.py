@@ -242,6 +242,15 @@ class TestVerdict:
         assert code == 0
         assert json.loads(out)["verdict"] == verdict
 
+    @pytest.mark.parametrize("target", ["levi", "fiberwise"])
+    def test_theory_silent_above_cj(self, capsys, target):
+        # the theory computes nothing at the energy: above c_J no
+        # theorem applies, and the verdict says so
+        code, out, _ = run(capsys, "verdict", target, "--mu", "0.3",
+                           "--c", "cJ+0.1", "--method", "theory")
+        assert code == 0
+        assert json.loads(out)["verdict"] is None
+
     @pytest.mark.parametrize("method", ["theory", "oracle", "both"])
     def test_elliptic_requires_energy_below_cj(self, capsys, method):
         # one input range, c < c_J, for every method: at c = c_J the two
@@ -406,9 +415,25 @@ class TestOptionRanges:
         (["curve", "v0", "--step", "inf"], "--step"),
         (["curve", "v0", "--max-len", "0"], "--max-len"),
         (["curve", "v0", "--max-len", "-1"], "--max-len"),
+        # every command that computes at the energy refuses one above c_J
+        (["curve", "hill", "--c", "cJ+0.1"], "--c"),
+        (["curve", "v0", "--c", "cJ+0.1"], "--c"),
+        (["curve", "f0", "--c", "cJ+0.1"], "--c"),
+        (["curve", "czero", "--c", "cJ+5"], "--c"),
+        (["verdict", "levi", "--c", "cJ+0.1", "--method", "oracle"], "--c"),
+        (["verdict", "levi", "--c", "cJ+0.1", "--method", "both"], "--c"),
+        (["verdict", "fiberwise", "--c", "cJ+0.1", "--method", "oracle"],
+         "--c"),
+        (["verdict", "fiberwise", "--c", "cJ+0.1"], "--c"),
+        (["verdict", "elliptic", "--c", "cJ+0.1", "--component", "earth",
+          "--method", "oracle"], "--c"),
     ], ids=["grid-no-angle", "grid-one-nu", "f0-step-0", "czero-step-0",
             "c-inf-theory", "c-inf-oracle", "v0-max-len-inf", "v0-step-inf",
-            "v0-max-len-0", "v0-max-len-negative"])
+            "v0-max-len-0", "v0-max-len-negative", "hill-above-cj",
+            "v0-above-cj", "f0-above-cj", "czero-above-cj",
+            "levi-oracle-above-cj", "levi-both-above-cj",
+            "fiberwise-oracle-above-cj", "fiberwise-both-above-cj",
+            "elliptic-oracle-above-cj"])
     def test_exit_2_naming_option(self, capsys, argv, option):
         # the defaults go before the case's options, which override them;
         # no traceback and no partial output, the option is named instead
@@ -662,6 +687,11 @@ _IMPORT_CONTRACT = {
     "verdict-theory": (_cli("verdict", "elliptic", "--mu", "0.3", "--c",
                             "cJ-0.2", "--component", "earth", "--method",
                             "theory"), _LADDER_ONLY),
+    "verdict-theory-levi": (_cli("verdict", "levi", "--mu", "0.3", "--c",
+                                 "cJ", "--method", "theory"), _LADDER_ONLY),
+    "verdict-theory-fiberwise": (_cli("verdict", "fiberwise", "--mu", "0.5",
+                                      "--c", "cJ-0.1", "--method", "theory"),
+                                 _LADDER_ONLY),
     "verdict-levi": (_cli("verdict", "levi", "--mu", "0.3", "--c", "cJ"),
                      ["euler2c.model", "euler2c.fiberwise"]),
     "verdict-fiberwise": (_cli("verdict", "fiberwise", "--mu", "0.3",

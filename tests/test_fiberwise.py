@@ -16,7 +16,6 @@ from euler2c.fiberwise import (
     V_line,
     cone_curvature_C0,
     curvature_numerator,
-    earth_boundary_near_vertex,
     fiberwise_verdict,
     lemma_polynomials,
     polar_C_derivs,
@@ -24,34 +23,32 @@ from euler2c.fiberwise import (
 )
 from euler2c.model import (HillComponent, ProblemParams, hill_boundary,
                            potential_U)
-from euler2c.scan import fd_check, fd_derivative
+from euler2c.scan import fd_check, fd_derivative, vertex_window
 
 
 class TestUDerivatives:
     def test_value_matches_potential(self, p03, rng):
         for _ in range(10):
             q = (rng.uniform(-1, 2), rng.uniform(0.1, 1))
-            assert U_derivs(q, p03).U == pytest.approx(
+            assert U_derivs(q, p03)[0, 0] == pytest.approx(
                 potential_U(q, p03), rel=1e-14)
 
     def test_first_and_second_fd(self, p03):
         f = lambda x, y: potential_U((x, y), p03)
         for q in [(0.3, 0.4), (1.3, -0.5), (-0.6, 0.3)]:
-            e = U_derivs(q, p03)
-            checks = [((1, 0), e.U_1, 1e-5), ((0, 1), e.U_2, 1e-5),
-                      ((2, 0), e.U_11, 1e-4), ((1, 1), e.U_12, 1e-4),
-                      ((0, 2), e.U_22, 1e-4)]
-            for (ox, oy), val, h in checks:
+            d = U_derivs(q, p03)
+            for (ox, oy) in [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
+                h = 1e-5 if ox + oy == 1 else 1e-4
                 fd = fd_derivative(f, q[0], q[1], ox, oy, h)
-                assert fd == pytest.approx(val, rel=1e-6, abs=1e-8)
+                assert fd == pytest.approx(d[ox, oy], rel=1e-6, abs=1e-8)
 
     def test_third_order_hierarchical(self, p03):
-        pairs = [("U_111", "U_11", 1, 0), ("U_112", "U_11", 0, 1),
-                 ("U_122", "U_12", 0, 1), ("U_222", "U_22", 0, 1)]
+        pairs = [((3, 0), (2, 0), 1, 0), ((2, 1), (2, 0), 0, 1),
+                 ((1, 2), (1, 1), 0, 1), ((0, 3), (0, 2), 0, 1)]
         for name, base, ox, oy in pairs:
-            fb = lambda x, y: getattr(U_derivs((x, y), p03), base)
+            fb = lambda x, y: U_derivs((x, y), p03)[base]
             for q in [(0.3, 0.4), (1.3, -0.5), (-0.6, 0.3)]:
-                closed = getattr(U_derivs(q, p03), name)
+                closed = U_derivs(q, p03)[name]
                 fd = fd_derivative(fb, q[0], q[1], ox, oy, 1e-5)
                 assert fd == pytest.approx(closed, rel=1e-6, abs=1e-7), name
 
@@ -91,9 +88,9 @@ class TestCurvature:
     def test_kappa_regular_elsewhere(self, p03):
         ev = C_value((0.2, 0.1), p03)
         assert not ev.kappa_singular
+        d = U_derivs((0.2, 0.1), p03)
         assert ev.kappa == pytest.approx(
-            ev.C / math.hypot(U_derivs((0.2, 0.1), p03).U_1,
-                              U_derivs((0.2, 0.1), p03).U_2) ** 3)
+            ev.C / math.hypot(d[1, 0], d[0, 1]) ** 3)
 
     def test_cone_contact(self, p03, p05):
         for p in (p03, p05):
@@ -236,6 +233,21 @@ class TestEqualMassPolar:
                 direct, rel=1e-8)
 
 
+def _window_batches(p, c):
+    """The boundary points of each batch of the fiberwise vertex window,
+    as scan.vertex_window bisects them for U < c, all read: the
+    curvature it is handed records them and never reports a witness."""
+    batches = []
+
+    def record(q1, q2):
+        batches.append(list(zip(q1.tolist(), q2.tolist())))
+        return np.zeros_like(q1)
+
+    vertex_window(lambda q1, q2: potential_U((q1, q2), p) < c, record,
+                  p.l, 0.1 * p.l, 0.0)
+    return batches
+
+
 class TestVerdicts:
     def test_equal_mass_convex(self, p05):
         for e in (-2.1, -3.0):
@@ -260,10 +272,10 @@ class TestVerdicts:
 
     def test_vertex_boundary_solver(self, p03):
         c = p03.c_jacobi
-        q1s = p03.l - np.linspace(0.01, 0.05, 5)
-        pts = earth_boundary_near_vertex(p03, c, q1s)
-        assert len(pts) == 5
-        for q1, q2 in pts:
+        batches = _window_batches(p03, c)
+        assert [len(b) for b in batches] == [64, 256, 1024]
+        for q1, q2 in batches[0]:
+            assert p03.l - 0.1 * p03.l < q1 < p03.l and q2 > 0.0
             assert abs(potential_U((q1, q2), p03) - c) < 1e-9
 
     @pytest.mark.parametrize("mu", [0.3, 0.49, 0.4999])
@@ -287,10 +299,11 @@ class TestVerdicts:
                 pts.append((float(q1), 0.5 * (lo + hi)))
             return pts
 
-        q1s = p.l - 0.1 * p.l * np.arange(1, 65) / 65.0
+        # the first batch of scan.vertex_window's abscissas
+        q1s = p.l - 0.1 * p.l * (np.arange(1, 65) / 65.0)
         for c in (p.c_jacobi, p.c_jacobi - 1e-3):
             ref = scalar(c, q1s)
-            assert earth_boundary_near_vertex(p, c, q1s) == ref
+            assert _window_batches(p, c)[0] == ref
         # below c_J the abscissas nearest l are off the lobe and dropped
         assert 0 < len(ref) < len(q1s)
 
@@ -304,9 +317,8 @@ class TestVerdicts:
         # one point at a time (as one-element arrays, the arithmetic of
         # the batch), stopping at the first C < -tol
         witness, window, samples = None, [], 0
-        for n in (64, 256, 1024):
-            q1s = p.l - 0.1 * p.l * np.arange(1, n + 1) / (n + 1.0)
-            for q1, q2 in earth_boundary_near_vertex(p, c, q1s):
+        for batch in _window_batches(p, c):
+            for q1, q2 in batch:
                 cv = float(curvature_numerator(([q1], [q2]), p)[0])
                 samples += 1
                 window.append(cv)
@@ -363,11 +375,7 @@ class TestVerdicts:
                     witness = (float(e), tuple(pts[i]), float(cvals[i]))
         if (witness is None and p.heavier is HillComponent.EARTH
                 and c >= p.c_jacobi - 1e-12):
-            for n in (64, 256, 1024):
-                q1s = p.l - 0.1 * p.l * np.arange(1, n + 1) / (n + 1.0)
-                pts = earth_boundary_near_vertex(p, c, q1s)
-                if not pts:
-                    continue
+            for pts in _window_batches(p, c):
                 cvals = curvature_numerator(np.array(pts).T, p)
                 hit = np.flatnonzero(cvals < -tol)
                 k = int(hit[0]) + 1 if hit.size else len(pts)

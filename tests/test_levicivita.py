@@ -23,7 +23,7 @@ from euler2c.levicivita import (
     tilde_derivatives,
     x0_of,
 )
-from euler2c.model import ProblemParams, hamiltonian_H
+from euler2c.model import ProblemParams, U_derivs, hamiltonian_H
 from euler2c.scan import fd_check, fd_derivative
 
 X0_03 = 0.5497072294690329  # x0(mu=0.3, c=c_J)
@@ -64,13 +64,8 @@ class TestDerivatives:
         c = p03.c_jacobi
         f = lambda x, y: V_value(x, y, p03, c)
         pts = [(0.3, 0.2), (0.55, 0.1), (0.2, -0.4), (-0.5, 0.3)]
-        derivs = {
-            (1, 0): lambda x, y: V_eval(x, y, p03, c).V_x,
-            (0, 1): lambda x, y: V_eval(x, y, p03, c).V_y,
-            (2, 0): lambda x, y: V_eval(x, y, p03, c).V_xx,
-            (1, 1): lambda x, y: V_eval(x, y, p03, c).V_xy,
-            (0, 2): lambda x, y: V_eval(x, y, p03, c).V_yy,
-        }
+        derivs = {a: lambda x, y, a=a: V_eval(x, y, p03, c)[a]
+                  for a in [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]}
         table = fd_check(f, derivs, pts, h=1e-5)
         assert all(err < 1e-6 for err in table.values())
 
@@ -80,15 +75,15 @@ class TestDerivatives:
         # roundoff at the 1e-6 level)
         c = p03.c_jacobi
         pairs = [
-            ("V_xxx", "V_xx", 1, 0),
-            ("V_xxy", "V_xx", 0, 1),
-            ("V_xyy", "V_xy", 0, 1),
-            ("V_yyy", "V_yy", 0, 1),
+            ((3, 0), (2, 0), 1, 0),
+            ((2, 1), (2, 0), 0, 1),
+            ((1, 2), (1, 1), 0, 1),
+            ((0, 3), (0, 2), 0, 1),
         ]
         for name, base, ox, oy in pairs:
-            fb = lambda x, y: getattr(V_eval(x, y, p03, c), base)
+            fb = lambda x, y: V_eval(x, y, p03, c)[base]
             for (x, y) in [(0.3, 0.2), (0.55, 0.1), (-0.4, 0.35)]:
-                closed = getattr(V_eval(x, y, p03, c), name)
+                closed = V_eval(x, y, p03, c)[name]
                 fd = fd_derivative(fb, x, y, ox, oy, 1e-5)
                 assert fd == pytest.approx(closed, rel=1e-6, abs=1e-6), \
                     (name, x, y)
@@ -102,8 +97,8 @@ class TestDerivatives:
         V, F = V_with_grad(p, c), F_with_grad(p, c)
         pts = [(0.3, 0.2), (0.55, 0.1), (0.2, -0.4), (-0.5, 0.3)]
         for x, y in pts:
-            e = V_eval(x, y, p, c)
-            assert V(x, y) == (V_value(x, y, p, c), e.V_x, e.V_y)
+            d = V_eval(x, y, p, c)
+            assert V(x, y) == (V_value(x, y, p, c), d[1, 0], d[0, 1])
             assert F(x, y)[0] == F_value(x, y, p, c)
         table = fd_check(lambda x, y: F(x, y)[0],
                          {(1, 0): lambda x, y: F(x, y)[1],
@@ -114,9 +109,18 @@ class TestDerivatives:
         c = p03.c_jacobi
         xs = np.array([0.3, 0.4])
         ys = np.array([0.2, -0.1])
-        e = V_eval(xs, ys, p03, c)
+        d = V_eval(xs, ys, p03, c)
         s = V_eval(0.3, 0.2, p03, c)
-        assert e.V_xx[0] == s.V_xx and e.V_yyy[0] == s.V_yyy
+        assert all(d[a].shape == (2,) and d[a][0] == s[a] for a in s)
+
+    def test_same_table_as_U(self, p03):
+        # V_eval and model.U_derivs hand the curvature code one format:
+        # the ten partials through order three, Python floats at a point
+        d = V_eval(0.3, 0.2, p03, p03.c_jacobi)
+        u = U_derivs((0.3, 0.2), p03)
+        keys = {(i, j) for i in range(4) for j in range(4 - i)}
+        assert set(d) == set(u) == keys
+        assert all(type(v) is float for v in [*d.values(), *u.values()])
 
 
 class TestCriticalPoints:
@@ -126,8 +130,8 @@ class TestCriticalPoints:
     def test_three_critical_points(self, p03):
         c = p03.c_jacobi
         for (x, y) in critical_points_V(p03, c):
-            e = V_eval(x, y, p03, c)
-            assert abs(e.V_x) < 1e-12 and abs(e.V_y) < 1e-12
+            d = V_eval(x, y, p03, c)
+            assert abs(d[1, 0]) < 1e-12 and abs(d[0, 1]) < 1e-12
 
     def test_boundary_through_x0(self, p03):
         c = p03.c_jacobi
@@ -197,6 +201,32 @@ class TestWitness:
     def test_no_witness_above_inflection(self):
         p = ProblemParams(0.95)
         assert nonconvex_witness_levi(p) is None
+
+    @pytest.mark.parametrize("mu", np.round(np.linspace(0.005, 0.925, 47), 3))
+    def test_witness_where_theorem_applies(self, mu):
+        # at c_J below mu = 16/17 the boundary is nonconvex (the band
+        # [0.93, 16/17) is the strict xfail levi-0.935 of test_cli)
+        p = ProblemParams(float(mu))
+        w = nonconvex_witness_levi(p)
+        assert w is not None
+        x, y, f = w
+        x0 = x0_of(p, p.c_jacobi)
+        assert x0 - 0.1 * x0 < x < x0 and f < -1e-8
+        assert abs(V_value(x, y, p, p.c_jacobi)) < 1e-10
+
+    @pytest.mark.parametrize("mu", [0.955, 0.96, 0.97, 0.98, 0.99, 0.999])
+    def test_no_witness_past_the_inflection(self, mu):
+        assert nonconvex_witness_levi(ProblemParams(mu)) is None
+
+    def test_witness_below_critical_energy(self):
+        # no theorem applies below c_J, but the boundary is nonconvex
+        # there: the vertex window finds F = -0.062 at (0.584, 0.041)
+        p = ProblemParams(0.1)
+        c = p.c_jacobi - 0.01
+        x, y, f = nonconvex_witness_levi(p, c)
+        assert f < -0.01
+        assert f == pytest.approx(F_value(x, y, p, c), rel=1e-12)
+        assert abs(V_value(x, y, p, c)) < 1e-10
 
     def test_axis_crossings_nonnegative(self, p03):
         # F along the axis inside the region stays >= 0 (nonconvexity

@@ -188,8 +188,8 @@ def _ray_reference(p, c, comp, n):
         below = u(mid) < c
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     t = 0.5 * (lo + hi)
-    e = U_derivs((ox + t * dx, t * dy), p)
-    return ox, t, e.U_1 * dx + e.U_2 * dy
+    d = U_derivs((ox + t * dx, t * dy), p)
+    return ox, t, d[1, 0] * dx + d[0, 1] * dy
 
 
 class TestHillBoundaryRays:
@@ -341,10 +341,10 @@ class TestHillBoundaryBatch:
         eps = np.finfo(float).eps
         for k, c in enumerate(energies):
             pts = hill_boundary(p, c, comp, n=n)
-            e = U_derivs((pts[:, 0], pts[:, 1]), p)
-            slope = np.abs(e.U_1 * np.cos(theta) + e.U_2 * np.sin(theta))
-            floor = 2.0 * eps * (np.abs(e.U_1 * pts[:, 0])
-                                 + np.abs(e.U_2 * pts[:, 1]))
+            d = U_derivs((pts[:, 0], pts[:, 1]), p)
+            slope = np.abs(d[1, 0] * np.cos(theta) + d[0, 1] * np.sin(theta))
+            floor = 2.0 * eps * (np.abs(d[1, 0] * pts[:, 0])
+                                 + np.abs(d[0, 1] * pts[:, 1]))
             err = np.abs(np.hypot(batch[k, :, 0] - ox, batch[k, :, 1])
                          - np.hypot(pts[:, 0] - ox, pts[:, 1]))
             ok = err <= (10.0 * self.TOL + floor) / slope

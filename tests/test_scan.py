@@ -1,4 +1,5 @@
-"""Sign scans, implicit-curve tracing, finite-difference checking."""
+"""Level-set curvature, the vertex-window search, sign scans,
+implicit-curve tracing, finite-difference checking."""
 
 import math
 
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 
 from euler2c.errors import TraceFailure
-from euler2c.scan import fd_check, fd_derivative, sign_scan, trace_implicit
+from euler2c.scan import (fd_check, fd_derivative, level_curvature,
+                          level_curvature_grad, sign_scan, trace_implicit,
+                          vertex_window)
 
 
 def unit_circle(x, y):
@@ -17,6 +20,87 @@ def circle_vg(x, y):
     """The unit circle as (value, f_x, f_y), the form trace_implicit
     takes."""
     return unit_circle(x, y), 2.0 * x, 2.0 * y
+
+
+class TestLevelCurvature:
+    @staticmethod
+    def _circle_table(x, y):
+        # f = x^2 + y^2 through order three
+        return {(0, 0): x * x + y * y, (1, 0): 2.0 * x, (0, 1): 2.0 * y,
+                (2, 0): 2.0, (1, 1): 0.0, (0, 2): 2.0, (3, 0): 0.0,
+                (2, 1): 0.0, (1, 2): 0.0, (0, 3): 0.0}
+
+    def test_reads_the_partials_table(self):
+        # K = 8 (x^2 + y^2), so the curvature K / |grad f|^3 is 1 / r
+        for x, y in [(0.6, 0.8), (-1.5, 2.0), (0.0, 3.0)]:
+            d = self._circle_table(x, y)
+            k = level_curvature(d)
+            assert k == pytest.approx(8.0 * (x * x + y * y), rel=1e-15)
+            assert k / math.hypot(2 * x, 2 * y) ** 3 == pytest.approx(
+                1.0 / math.hypot(x, y), rel=1e-15)
+            assert level_curvature_grad(d) == pytest.approx(
+                (16.0 * x, 16.0 * y), rel=1e-15)
+
+    def test_elementwise_on_arrays(self):
+        x, y = np.array([0.6, -1.5]), np.array([0.8, 2.0])
+        k = level_curvature(self._circle_table(x, y))
+        assert k.tolist() == [level_curvature(self._circle_table(a, b))
+                              for a, b in zip(x, y)]
+
+
+class TestVertexWindow:
+    """The region y^2 < 1 - x, whose boundary meets the axis at the
+    apex x = 1, with a stand-in curvature x - 0.95."""
+
+    @staticmethod
+    def inside(x, y):
+        return y * y < 1.0 - x
+
+    def test_first_witness_and_count(self):
+        w, read, least = vertex_window(self.inside, lambda x, y: x - 0.95,
+                                       1.0, 0.1, 0.0)
+        # 0.1 k / 65 first exceeds 0.05 at k = 33 of the first batch
+        x, y, k = w
+        assert x == 1.0 - 0.1 * (33 / 65.0)
+        assert y == pytest.approx(math.sqrt(1.0 - x), abs=1e-15)
+        assert k == x - 0.95 < 0.0
+        assert read == 33 and least == k
+
+    def test_batches_read_in_full_without_witness(self):
+        seen = []
+
+        def curvature(x, y):
+            seen.append(x.size)
+            return 1.0 + x
+
+        w, read, least = vertex_window(self.inside, curvature, 1.0, 0.1,
+                                       0.0)
+        assert w is None
+        assert seen == [64, 256, 1024] and read == 64 + 256 + 1024
+        assert least == 1.0 + (1.0 - 0.1 * (1024 / 1025.0))
+
+    def test_tolerance(self):
+        w, _, least = vertex_window(self.inside, lambda x, y: 0.0 * x - 1e-9,
+                                    1.0, 0.1, 1e-8)
+        assert w is None and least == -1e-9
+
+    def test_abscissas_off_the_region_are_dropped(self):
+        # the region y^2 < 0.985 - x leaves the abscissas within 0.015
+        # of the apex 1 off the axis, k <= 0.15 (n + 1); none at all for
+        # 0.8 - x
+        seen = []
+
+        def curvature(x, y):
+            seen.append(x.copy())
+            return 1.0 + x
+
+        _, read, _ = vertex_window(lambda x, y: y * y < 0.985 - x,
+                                   curvature, 1.0, 0.1, 0.0)
+        assert [x.size for x in seen] == [64 - 9, 256 - 38, 1024 - 153]
+        assert all(np.all(x < 0.985) for x in seen)
+        assert read == sum(x.size for x in seen)
+        assert vertex_window(lambda x, y: y * y < 0.8 - x, curvature, 1.0,
+                             0.1, 0.0) == (None, 0, math.inf)
 
 
 class TestSignScan:
@@ -136,13 +220,6 @@ class TestTraceImplicit:
         dn = trace_implicit(circle_vg, (1.0, 0.0), step=0.01,
                             max_len=0.1, direction=(0, -1))
         assert up.points[-1][1] > 0 > dn.points[-1][1]
-
-    def test_stop_predicate(self):
-        pl = trace_implicit(circle_vg, (1.0, 0.0), step=0.01,
-                            max_len=10.0, direction=(0, 1),
-                            stop=lambda x, y: y > 0.5)
-        assert 0.5 < pl.points[-1][1] < 0.52
-        assert not pl.closed
 
     def test_seed_projection_failure(self):
         # no zero set at all: the seed cannot be projected
