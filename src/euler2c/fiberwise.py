@@ -210,7 +210,7 @@ def fiberwise_verdict(params, c):
         found, read, least = vertex_window(
             lambda q1, q2: potential_U((q1, q2), params) < c,
             lambda q1, q2: curvature_numerator((q1, q2), params),
-            params.l, 0.1 * params.l, _C_TOL)
+            params.l, _C_TOL)
         samples += read
         min_C = min(min_C, least)
         if found is not None:

@@ -265,8 +265,7 @@ def tilde_derivatives(params):
 def nonconvex_witness_levi(params, c=None):
     """Search for a non-convexity witness on V^{-1}(0) just below x0.
 
-    scan.vertex_window on the region V < 0 with apex x0 and window
-    0.1 x0: returns the boundary point nearest x0 among its abscissas
+    scan.vertex_window on the region V < 0 with apex x0: returns the boundary point nearest x0 among its abscissas
     with F < -_WITNESS_TOL as (x, y, F), or None if no abscissa in
     (x0 - 0.1 x0, x0) has one. V > 0 at y = 1.5 for every c <= c_J.
     """
@@ -275,5 +274,5 @@ def nonconvex_witness_levi(params, c=None):
     x0 = x0_of(params, c)
     witness, _, _ = vertex_window(
         lambda x, y: V_value(x, y, params, c) < 0.0,
-        lambda x, y: F_value(x, y, params, c), x0, 0.1 * x0, _WITNESS_TOL)
+        lambda x, y: F_value(x, y, params, c), x0, _WITNESS_TOL)
     return witness

@@ -27,6 +27,8 @@ GRAD_COLLAPSE_TOL = 1e-7
 # |f| below this is on the zero set, for a scan witness and a trace
 # point alike; perfbench/checks.py relies on traces keeping it at 1e-10
 ZERO_TOL = 1e-10
+# vertex_window searches the abscissas within this fraction of the apex
+_WINDOW = 0.1
 
 
 @dataclass
@@ -89,10 +91,11 @@ def level_curvature_grad(d):
     K with (f_xxy, f_xyy, f_yyy), plus 2 f_y det Hess f."""
     fx, fy = d[1, 0], d[0, 1]
     det2 = 2.0 * (d[2, 0] * d[0, 2] - d[1, 1] ** 2)
-    return tuple(level_curvature({(1, 0): fx, (0, 1): fy,
-                                  (2, 0): d[2 + i, j], (1, 1): d[1 + i, 1 + j],
-                                  (0, 2): d[i, 2 + j]}) + g * det2
-                 for i, j, g in ((1, 0, fx), (0, 1, fy)))
+    kx = (d[3, 0] * fy ** 2 + d[1, 2] * fx ** 2 - 2.0 * fx * fy * d[2, 1]
+          + fx * det2)
+    ky = (d[2, 1] * fy ** 2 + d[0, 3] * fx ** 2 - 2.0 * fx * fy * d[1, 2]
+          + fy * det2)
+    return kx, ky
 
 
 def _cone_derivative(d, i, j, k):
@@ -118,12 +121,12 @@ def cone_contact(d, order):
     return [math.factorial(k) * float(taylor[k]) for k in range(order + 1)]
 
 
-def vertex_window(inside, curvature, apex, window, tol):
+def vertex_window(inside, curvature, apex, tol):
     """Witness search on the boundary of a region just inside the vertex
     (apex, 0) where two of its lobes touch, as U = c_J at (l, 0) or
     V = 0 at (x0, 0) at the critical energy.
 
-    Batches of 64, 256 and 1024 abscissas x = apex - window k / (n + 1),
+    Batches of 64, 256 and 1024 abscissas x = apex - 0.1 apex k / (n + 1),
     k = 1..n, are read in turn. inside(x, y) tells on arrays whether
     points lie in the region. Abscissas whose axis point is not inside
     are dropped; on the vertical line of each other one, y in [0, 1.5]
@@ -137,6 +140,7 @@ def vertex_window(inside, curvature, apex, window, tol):
     batches, and the least value read (inf if none was).
     """
     read, minimum = 0, math.inf
+    window = _WINDOW * apex
     for n in (64, 256, 1024):
         x = apex - window * (np.arange(1, n + 1) / (n + 1.0))
         x = x[inside(x, np.zeros_like(x))]

@@ -139,7 +139,7 @@ def test_06_fiberwise_convexity_and_witness():
     delta = 0.1 * p3.l
     found, _, _ = vertex_window(
         lambda q1, q2: potential_U((q1, q2), p3) < p3.c_jacobi,
-        lambda q1, q2: curvature_numerator((q1, q2), p3), p3.l, delta, 0.0)
+        lambda q1, q2: curvature_numerator((q1, q2), p3), p3.l, 0.0)
     assert found is not None
     q1, q2, cv = found
     assert p3.l - delta < q1 < p3.l

@@ -244,7 +244,7 @@ def _window_batches(p, c):
         return np.zeros_like(q1)
 
     vertex_window(lambda q1, q2: potential_U((q1, q2), p) < c, record,
-                  p.l, 0.1 * p.l, 0.0)
+                  p.l, 0.0)
     return batches
 
 

@@ -58,7 +58,7 @@ class TestVertexWindow:
 
     def test_first_witness_and_count(self):
         w, read, least = vertex_window(self.inside, lambda x, y: x - 0.95,
-                                       1.0, 0.1, 0.0)
+                                       1.0, 0.0)
         # 0.1 k / 65 first exceeds 0.05 at k = 33 of the first batch
         x, y, k = w
         assert x == 1.0 - 0.1 * (33 / 65.0)
@@ -73,15 +73,14 @@ class TestVertexWindow:
             seen.append(x.size)
             return 1.0 + x
 
-        w, read, least = vertex_window(self.inside, curvature, 1.0, 0.1,
-                                       0.0)
+        w, read, least = vertex_window(self.inside, curvature, 1.0, 0.0)
         assert w is None
         assert seen == [64, 256, 1024] and read == 64 + 256 + 1024
         assert least == 1.0 + (1.0 - 0.1 * (1024 / 1025.0))
 
     def test_tolerance(self):
         w, _, least = vertex_window(self.inside, lambda x, y: 0.0 * x - 1e-9,
-                                    1.0, 0.1, 1e-8)
+                                    1.0, 1e-8)
         assert w is None and least == -1e-9
 
     def test_abscissas_off_the_region_are_dropped(self):
@@ -95,12 +94,12 @@ class TestVertexWindow:
             return 1.0 + x
 
         _, read, _ = vertex_window(lambda x, y: y * y < 0.985 - x,
-                                   curvature, 1.0, 0.1, 0.0)
+                                   curvature, 1.0, 0.0)
         assert [x.size for x in seen] == [64 - 9, 256 - 38, 1024 - 153]
         assert all(np.all(x < 0.985) for x in seen)
         assert read == sum(x.size for x in seen)
         assert vertex_window(lambda x, y: y * y < 0.8 - x, curvature, 1.0,
-                             0.1, 0.0) == (None, 0, math.inf)
+                             0.0) == (None, 0, math.inf)
 
 
 class TestSignScan:
