@@ -29,5 +29,7 @@ p3 = ProblemParams(0.3)
 rep = fiberwise_verdict(p3, p3.c_jacobi)
 print(f"\nmu = 0.3 at the critical energy: verdict = {rep.verdict}")
 e, (q1, q2), cval = rep.witness
-print(f"witness on the boundary: C({q1:.6f}, {q2:.6f}) = {cval:.6e}")
-print(f"vertex abscissa l = {p3.l:.6f} (witness sits just inside)")
+print(f"witness on the boundary of its own energy e = U(q) = {e:.12f} "
+      f"<= c_J = {p3.c_jacobi:.12f}:")
+print(f"  C({q1:.6f}, {q2:.6f}) = {cval:.6e}  ({rep.samples} positions read)")
+print(f"vertex abscissa l = {p3.l:.6f} (the witness lies short of it)")

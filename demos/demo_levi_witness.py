@@ -26,9 +26,9 @@ print(f"mu = {p.mu}:  x0 = {t['x0']:.15f}")
 print(f"tangent cone slope^2 = {t['slope_sq']:.15f}  (exactly 2)")
 print(f"V_xx(x0,0) = {t['V_xx']:.6f} < 0 < V_yy(x0,0) = {t['V_yy']:.6f}")
 
-w = nonconvex_witness_levi(p)
-x, y, f = w
-print(f"\nwitness: F({x:.15f}, {y:.6e}) = {f:.6e} < 0")
+(x, y, f), read, _ = nonconvex_witness_levi(p)
+print(f"\nwitness: F({x:.15f}, {y:.6e}) = {f:.6e} < 0 "
+      f"(boundary points read: {read})")
 print(f"distance inside x0: {x0_of(p, p.c_jacobi) - x:.3e}")
 
 print("\ncubic coefficient along the cone (sign flips at mu = 16/17):")

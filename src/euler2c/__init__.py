@@ -10,19 +10,21 @@ critical Jacobi energy:
 - ``model``: Hamiltonian, the potential U and its derivative table, Hill
   regions; re-exports the constants of ``ladder``.
 - ``elliptic``: two-sheeted elliptic regularization, projected Hessian
-  of the regularized energy, admissible domain, the scanning oracle;
-  re-exports the thresholds and the theory verdict of ``ladder``.
+  of the regularized energy, the scanning oracle; re-exports the
+  thresholds and the theory verdict of ``ladder``.
 - ``levicivita``: Levi-Civita regularization around one primary,
   boundary-convexity function F, tangency and inflection analysis.
-- ``fiberwise``: curvature of Hill-region boundaries and fiberwise
-  convexity sweeps, with the equal-mass polar closed forms.
+- ``fiberwise``: curvature of Hill-region boundaries and the fiberwise
+  verdict over the Earth Hill region, with the equal-mass polar closed
+  forms.
 - ``formulas``: the polynomials the program evaluates and the identity
   suite certifies, one body each for floats, arrays and exact polynomials.
 - ``exactpoly``: exact rational polynomial arithmetic, Sturm-based sign
   certificates, and the named identity suite behind the proofs.
 - ``scan``: the level-set curvature numerator behind C and F, its
   gradient and its series along a tangent cone, read from one partials
-  table; the witness search just inside a touching vertex; sign scans,
+  table; the witness search just inside a touching vertex; one Hill
+  lobe's positions in elliptic coordinates for both oracles; sign scans,
   implicit-curve tracing from a closed-form value and gradient,
   finite-difference derivative validation.
 - ``cli``: the ``euler2c`` command.

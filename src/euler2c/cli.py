@@ -22,9 +22,11 @@ Energies accept the symbolic forms ``cJ``, ``cJ-0.1``, ``cJ+0.05``
 resolved against the critical Jacobi energy of the given mass ratio, so
 figure recipes stay portable across mu. An energy above c_J is invalid
 input (exit 2) for every command that computes at it; a ``--method
-theory`` levi or fiberwise verdict there is null. A ``--config FILE`` of
-``key = value`` lines sets long options of the subcommand; they are
-parsed and checked like the command line, which overrides them.
+theory`` levi or fiberwise verdict there is null. Only ``verdict
+elliptic`` takes ``--component``; levi and fiberwise refuse it (exit
+2). A ``--config FILE`` of ``key = value`` lines sets long options of
+the subcommand; they are parsed and checked like the command line,
+which overrides them.
 
 Each subcommand imports the library code it runs when it runs, so a
 process loads only that: ``constants``, ``curve quartic``,
@@ -166,6 +168,9 @@ _ORACLE_VERDICT = {"posdef": "convex", "indefinite": "nonconvex",
 def cmd_verdict(args):
     from .ladder import (HillComponent, ProblemParams, convexity_verdict,
                          theorem_verdict)
+    if args.target != "elliptic" and args.component is not None:
+        _fail(f"--component: verdict {args.target} reads the Earth lobe "
+              "only; the option is for verdict elliptic")
     params = ProblemParams(args.mu)
     c = parse_energy(args.c, params)
     if args.method != "theory":
@@ -197,7 +202,7 @@ def cmd_verdict(args):
             theory = theorem_verdict("levi", params, c)
         if args.method in ("oracle", "both"):
             from . import levicivita
-            w = levicivita.nonconvex_witness_levi(params, c)
+            w, samples, _ = levicivita.nonconvex_witness_levi(params, c)
             oracle = "nonconvex" if w is not None else "convex"
             if w is not None:
                 witness = {"point": [w[0], w[1]], "F": w[2]}

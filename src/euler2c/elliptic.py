@@ -13,9 +13,10 @@ whose zero set is the compactified energy hypersurface. This module
 builds the orthogonal tangent frame of that zero set, evaluates the
 tangential Hessian and its closed-form determinant, the sign-governing
 polynomial A(x, y) in the substituted variables x = cosh(lam),
-y = cos(nu), the admissible-domain bounds, and a brute-force convexity
-oracle over sampled zero sets. The threshold ladder ending in c0(mu)
-and the theory verdict are re-exported from the NumPy-free ``ladder``:
+y = cos(nu), and a brute-force convexity oracle over the zero set above
+the positions of scan.hill_region, which the fiberwise verdict reads
+too; scan's chart and domain bounds are re-exported. The threshold
+ladder ending in c0(mu) and the theory verdict are re-exported from the NumPy-free ``ladder``:
 c_E and c_M are roots of one cubic, c0 is found by Newton on its gap
 to c_J, and the theory verdict for the heavier lobe is the exact
 rational sign of eta, with no float c0.
@@ -49,7 +50,8 @@ from .errors import (EnergyAboveCritical, FocalDegeneracy,
 from .ladder import (CartesianPhasePoint, Frame, HillComponent, Thresholds,
                      Verdict, _newton, convexity_verdict, eta, roots_ab,
                      thresholds)
-from .scan import ScanReport
+from .scan import (EllipticDomain, HillRegion, ScanReport, domain_bounds,
+                   elliptic_to_cartesian, hill_region)
 
 __all__ = [
     "EllipticPoint",
@@ -110,27 +112,6 @@ class HessFrameData:
     w: float
     a: float
     b: float
-
-
-@dataclass(frozen=True)
-class EllipticDomain:
-    """Admissible rectangle in the substituted variables x = cosh(lam),
-    y = cos(nu) for one Hill component."""
-
-    x_range: tuple
-    y_range: tuple
-    component: HillComponent
-
-
-def elliptic_to_cartesian(lam, nu):
-    """Centered-frame position of elliptic coordinates (lam, nu)."""
-    lam = np.asarray(lam, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    q1 = 0.5 * np.cosh(lam) * np.cos(nu)
-    q2 = 0.5 * np.sinh(lam) * np.sin(nu)
-    if q1.ndim == 0:
-        return float(q1), float(q2)
-    return q1, q2
 
 
 def _coords_from_position(q1, q2):
@@ -328,7 +309,7 @@ def tangential_hessian_definiteness(ep, params, c):
     return Definiteness.INDEFINITE
 
 
-# -- the function A and the domain -------------------------------------------
+# -- the function A ----------------------------------------------------------
 
 def A_value(x, y, params, c):
     """The sign-governing polynomial A in the substituted variables
@@ -339,52 +320,15 @@ def A_value(x, y, params, c):
     return float(a) if np.ndim(a) == 0 else a
 
 
-def domain_bounds(params, c, component):
-    """Closed-form admissible rectangle in (x, y) = (cosh lam, cos nu)
-    for one component of the zero set; requires c <= c_J (the rectangle
-    degenerates at equality)."""
-    if c > params.c_jacobi:
-        raise EnergyAboveCritical(
-            f"c = {c} above critical Jacobi energy {params.c_jacobi}")
-    component = HillComponent(component)
-    m = 1.0 - 2.0 * params.mu
-    rad_y = max(c * c + 2.0 * c + m * m, 0.0)
-    sy = math.sqrt(rad_y)
-    if component is HillComponent.EARTH:
-        rad_x = max(c * c - 2.0 * m * c + 1.0, 0.0)
-        x_hi = (-1.0 - math.sqrt(rad_x)) / c
-        y_range = (-1.0, (-m + sy) / c)
-    else:
-        rad_x = max(c * c + 2.0 * m * c + 1.0, 0.0)
-        x_hi = (-1.0 - math.sqrt(rad_x)) / c
-        y_range = ((-m - sy) / c, 1.0)
-    return EllipticDomain((1.0, x_hi), y_range, component)
-
-
 # -- zero-set sampling and the convexity oracle ------------------------------
 
-def _nu_interval(params, c, component):
-    dom = domain_bounds(params, c, component)
-    y_lo, y_hi = dom.y_range
-    # nu = arccos(y) is decreasing: Earth nu in [arccos(y_hi), pi]
-    return math.acos(min(1.0, max(-1.0, y_hi))), math.acos(
-        min(1.0, max(-1.0, y_lo))), dom
-
-
 @dataclass(frozen=True)
-class _ZeroSet:
-    """The zero set of Q sampled per position (lambda, nu).
+class _ZeroSet(HillRegion):
+    """The zero set of Q sampled per position (lambda, nu): the positions
+    of a HillRegion, each with its momentum radius s (zero on the rim),
+    whose circle is sampled at the angles phi."""
 
-    The grid points with R^2 >= 0 come first, in row-major order, each
-    with its momentum radius s, whose circle is sampled at the angles
-    phi; the rim points follow, each with zero momentum (s = 0).
-    """
-
-    lam: np.ndarray       # the lambda grid
-    ilam: np.ndarray      # per point, its index into lam
-    nu: np.ndarray        # per point
-    s: np.ndarray         # per point, the momentum radius
-    n_grid: int           # points before the rim
+    s: np.ndarray
     cos_phi: np.ndarray
     sin_phi: np.ndarray
 
@@ -392,13 +336,13 @@ class _ZeroSet:
 def _zero_set_points(params, c, component, n_lam=100, n_nu=100, n_phi=16):
     """The zero set of Q sampled per position (see _ZeroSet).
 
-    On shell, 2(p_lam^2 + p_nu^2) = R^2 (formulas.R2); where R^2 >= 0 the
-    momentum circle of radius s = sqrt(R^2/2) is sampled at n_phi angles.
-    Between grid neighbors of opposite R^2 sign the rim R^2 = 0 is added
-    with zero momentum. Only the canonical cover branch nu in [0, pi] is
-    sampled: the deck transformation (nu, p_nu) -> (2 pi - nu, -p_nu)
-    preserves Q and the projected-Hessian spectrum, and the full momentum
-    circle already realizes both p_nu signs.
+    The positions are scan.hill_region's. On shell, 2(p_lam^2 + p_nu^2)
+    = R^2 (formulas.R2), so the momentum circle of a position has radius
+    s = sqrt(R^2/2), sampled at n_phi angles; the rim has zero momentum.
+    Only the canonical cover branch nu in [0, pi] is sampled: the deck
+    transformation (nu, p_nu) -> (2 pi - nu, -p_nu) preserves Q and the
+    projected-Hessian spectrum, and the full momentum circle already
+    realizes both p_nu signs.
 
     Requires c < c_J, where the two lobes are apart, and a grid of at
     least two lambda and two nu values and one angle, which always
@@ -411,37 +355,10 @@ def _zero_set_points(params, c, component, n_lam=100, n_nu=100, n_phi=16):
         raise ValueError(
             f"grid (n_lam, n_nu, n_phi) = ({n_lam}, {n_nu}, {n_phi}) needs "
             "n_lam >= 2, n_nu >= 2 and n_phi >= 1")
-    nu_lo, nu_hi, dom = _nu_interval(params, c, component)
-    lam_max = math.acosh(dom.x_range[1])
-    m = 1.0 - 2.0 * params.mu
-
-    lam = np.linspace(0.0, lam_max, n_lam)
-    nu = np.linspace(nu_lo, nu_hi, n_nu)
-    ch, cn = np.cosh(lam)[:, None], np.cos(nu)[None, :]
-    R2 = formulas.R2(ch, cn, c, m)
-    ok = R2 >= 0.0
-    ilam, jnu = np.nonzero(ok)
-
-    # at fixed lam, R^2 = 0 is the quadratic c cn^2 + 2 m cn - k = 0 in
-    # cn = cos(nu), where k is R^2 at cn = 0
-    ii, jj = np.nonzero(ok[:, :-1] != ok[:, 1:])
-    k = formulas.R2(ch[ii, 0], 0.0, c, m)
-    q = -(m + math.copysign(1.0, m) * np.sqrt(np.maximum(m * m + c * k,
-                                                         0.0)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        roots = (q / c, -k / q)
-    # cos is decreasing on [0, pi]: the bracket in cn is
-    # [cos nu_{j+1}, cos nu_j]; take the root nearer to it
-    lo, hi = np.cos(nu[jj + 1]), np.cos(nu[jj])
-    d1, d2 = (np.maximum(np.maximum(lo - r, r - hi), 0.0) for r in roots)
-    cn_rim = np.clip(np.where(d2 < d1, roots[1], roots[0]), lo, hi)
-    nu_rim = np.clip(np.arccos(cn_rim), nu[jj], nu[jj + 1])
-
+    region = hill_region(params, c, component, n_lam, n_nu)
     phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    return _ZeroSet(lam, np.concatenate([ilam, ii]),
-                    np.concatenate([nu[jnu], nu_rim]),
-                    np.concatenate([np.sqrt(0.5 * R2[ok]), np.zeros(ii.size)]),
-                    ilam.size, np.cos(phi), np.sin(phi))
+    return _ZeroSet(**vars(region), s=np.sqrt(0.5 * region.R2),
+                    cos_phi=np.cos(phi), sin_phi=np.sin(phi))
 
 
 def sample_zero_set(params, c, component, n_lam=100, n_nu=100, n_phi=16):

@@ -10,9 +10,11 @@ partials table from model (U_derivs, re-exported here); its contact
 with zero along the tangent cone at (l, 0) is scan.cone_contact of U's
 partials there. Fiberwise convexity of the position-fibered energy
 hypersurface at energy c is equivalent to convexity of every Hill
-region of effective energy e <= c, so the verdict routine sweeps
-effective energies, and at c_J searches the Earth lobe just inside the
-vertex (l, 0) with scan.vertex_window.
+region of effective energy e <= c. Every position q lies on the boundary
+of its own region, e = U(q), so this is one statement about one region:
+C > 0 on the Earth lobe of energy c. The verdict routine reads C on the
+lobe as scan.hill_region samples it, and, for the heavier Earth lobe,
+just inside the vertex (l, 0) with scan.vertex_window.
 
 All positions here are in the Standard frame (Earth at the origin,
 Moon at (1, 0)). The equal-mass analysis uses polar coordinates around
@@ -32,9 +34,10 @@ import numpy as np
 from . import formulas
 from .errors import CollisionPoint
 from .model import (HillComponent, U_derivs, _distances, _U_partials,
-                    hill_boundary, potential_U)
-from .scan import (_cone_derivative, cone_contact, level_curvature,
-                   level_curvature_grad, vertex_window)
+                    potential_U)
+from .scan import (_cone_derivative, cone_contact, elliptic_to_cartesian,
+                   hill_region, level_curvature, level_curvature_grad,
+                   vertex_window)
 
 __all__ = [
     "CurvatureEval",
@@ -51,8 +54,8 @@ __all__ = [
 ]
 
 _GRAD_TOL = 1e-9
-_N_BOUNDARY = 512
-_N_ENERGIES = 12
+# the Earth region is read on this many lambda and as many nu values
+_N_REGION = 100
 _C_TOL = 1e-12
 
 
@@ -157,55 +160,36 @@ def C_l_derivatives(params):
 @dataclass
 class FiberwiseReport:
     verdict: str                 # "convex" | "nonconvex-witness"
-    witness: tuple | None        # (effective energy, (q1, q2), C)
-    energies: list
+    witness: tuple | None        # (effective energy U(q), (q1, q2), C)
     min_C: float
     samples: int
 
 
 def fiberwise_verdict(params, c):
-    """Scan C along Earth Hill boundaries over effective energies; C
-    below -_C_TOL is a witness.
+    """C over the Earth Hill region of energy c, whose every position q
+    lies on the boundary of its own energy U(q); C below -_C_TOL is a
+    witness, reported with that energy.
 
-    _N_ENERGIES energies run from e_min (where the boundary radius
-    spread around the Earth falls below 1% and the near-Kepler-circle
-    argument takes over) up to c, and a spot check at e = -100 is added.
-    One hill_boundary call finds the boundaries of all these energies
-    together, _N_BOUNDARY points each, and one curvature_numerator call
-    evaluates C at all their points. When the Earth lobe is the heavier
-    one (mu < 1/2) and c = c_J, the corollary witness region q1 in
-    (l - 0.1 l, l) is searched as well: scan.vertex_window on U < c, up
-    to the first witness.
+    One curvature_numerator call reads the positions of scan.hill_region
+    (_N_REGION x _N_REGION and the rim, without the Earth) and keeps the
+    least C. For the heavier Earth lobe (mu < 1/2) without a witness
+    there, scan.vertex_window on U < c searches q1 in (l - 0.1 l, l).
     """
-    cj = params.c_jacobi
-    if c > cj:
+    if c > params.c_jacobi:
         raise ValueError("fiberwise_verdict requires c <= c_jacobi")
+    region = hill_region(params, c, HillComponent.EARTH, _N_REGION,
+                         _N_REGION)
+    q1, q2 = elliptic_to_cartesian(region.lam[region.ilam], region.nu)
+    q1 = q1 + 0.5
+    # the Earth, where C is not defined, is the grid point (0, 0)
+    off = (q1 != 0.0) | (q2 != 0.0)
+    q1, q2 = q1[off], q2[off]
+    cvals = curvature_numerator((q1, q2), params)
+    i = int(np.argmin(cvals))
+    min_C, samples = float(cvals[i]), cvals.size
+    found = (float(q1[i]), float(q2[i]), min_C) if min_C < -_C_TOL else None
 
-    # find e_min: walk down until the boundary is circular to 1%
-    e_min = min(2.0 * c, -8.0)
-    for _ in range(40):
-        pts = hill_boundary(params, e_min, HillComponent.EARTH, n=64)
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        if (r.max() - r.min()) / r.mean() < 0.01:
-            break
-        e_min *= 2.0
-    energies = list(np.linspace(e_min, c, _N_ENERGIES)) + [-100.0]
-
-    pts = hill_boundary(params, np.array(energies), HillComponent.EARTH,
-                        n=_N_BOUNDARY)
-    cvals = curvature_numerator((pts[..., 0], pts[..., 1]), params)
-    samples = cvals.size
-    # the first energy whose boundary holds the least C, as a loop over
-    # the energies that keeps a strictly smaller minimum would find it
-    j, i = np.unravel_index(np.argmin(cvals), cvals.shape)
-    min_C = float(cvals[j, i])
-    witness = None
-    if min_C < -_C_TOL:
-        witness = (float(energies[j]),
-                   (float(pts[j, i, 0]), float(pts[j, i, 1])), min_C)
-
-    if (witness is None and params.heavier is HillComponent.EARTH
-            and c >= cj - 1e-12):
+    if found is None and params.heavier is HillComponent.EARTH:
         # corollary regime: look just below the touching point (l, 0)
         found, read, least = vertex_window(
             lambda q1, q2: potential_U((q1, q2), params) < c,
@@ -213,11 +197,13 @@ def fiberwise_verdict(params, c):
             params.l, _C_TOL)
         samples += read
         min_C = min(min_C, least)
-        if found is not None:
-            witness = (float(c), found[:2], found[2])
 
-    verdict = "convex" if witness is None else "nonconvex-witness"
-    return FiberwiseReport(verdict, witness, energies, min_C, samples)
+    if found is None:
+        return FiberwiseReport("convex", None, min_C, samples)
+    q = found[:2]
+    return FiberwiseReport("nonconvex-witness",
+                           (potential_U(q, params), q, found[2]),
+                           min_C, samples)
 
 
 # -- equal-mass polar analysis ------------------------------------------------

@@ -265,14 +265,15 @@ def tilde_derivatives(params):
 def nonconvex_witness_levi(params, c=None):
     """Search for a non-convexity witness on V^{-1}(0) just below x0.
 
-    scan.vertex_window on the region V < 0 with apex x0: returns the boundary point nearest x0 among its abscissas
-    with F < -_WITNESS_TOL as (x, y, F), or None if no abscissa in
-    (x0 - 0.1 x0, x0) has one. V > 0 at y = 1.5 for every c <= c_J.
+    scan.vertex_window on the region V < 0 with apex x0, which returns
+    (witness, read, least): the boundary point nearest x0 among its
+    abscissas with F < -_WITNESS_TOL as (x, y, F), or None if no abscissa
+    in (x0 - 0.1 x0, x0) has one; the number of boundary points read;
+    and the least F read. V > 0 at y = 1.5 for every c <= c_J.
     """
     if c is None:
         c = params.c_jacobi
-    x0 = x0_of(params, c)
-    witness, _, _ = vertex_window(
+    return vertex_window(
         lambda x, y: V_value(x, y, params, c) < 0.0,
-        lambda x, y: F_value(x, y, params, c), x0, _WITNESS_TOL)
-    return witness
+        lambda x, y: F_value(x, y, params, c), x0_of(params, c),
+        _WITNESS_TOL)

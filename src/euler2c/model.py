@@ -180,29 +180,25 @@ def hill_membership(q, params, c):
 
 def hill_boundary(params, c, component, n=256):
     """Sample n points of the Hill-region boundary {U = c} of one bounded
-    component, ordered by polar angle around the component's primary.
+    component, ordered by polar angle around the component's primary, as
+    an (n, 2) array.
 
-    c is one energy, giving an (n, 2) array, or a 1-D array of m
-    energies, giving (m, n, 2); the m * n rays are solved together, one
-    array lane each, and every stage evaluates only the rays it has not
-    finished. Each ray from the primary starts at the Kepler radius
-    mass / (-c), where U < -mass/t <= c because the other primary only
-    lowers U. It steps outward by the factor 1 + s, with s = 5 % doubled
-    every step up to 100 %, to bracket the first crossing of U = c, and
-    is finished by Newton's method on the radial slope from U and its
-    gradient (_U_partials), safeguarded by bisection inside the bracket.
+    The n rays are solved together, one array lane each, and every stage
+    evaluates only the rays it has not finished. Each ray from the
+    primary starts at the Kepler radius mass / (-c), where U < -mass/t
+    <= c because the other primary only lowers U. It steps outward by
+    the factor 1 + s, with s = 5 % doubled every step up to 100 %, to
+    bracket the first crossing of U = c, and is finished by Newton's
+    method on the radial slope from U and its gradient (_U_partials),
+    safeguarded by bisection inside the bracket.
     A ray converges at |U - c| < tol = _LEVEL_TOL; it keeps the Newton
     step from its last evaluation and is not evaluated again.
     |U - c| < 10 tol + 2 eps (|U_1 q1| + |U_2 q2|), allowing for the
     rounding of q with the ray's last U_1, U_2, is then checked at every
-    returned point q. Requires every c <= c_J (at c = c_J the lobes
-    touch at (l, 0), where the ray toward the other primary is
-    excluded).
+    returned point q. Requires c <= c_J (at c = c_J the lobes touch at
+    (l, 0), where the ray toward the other primary is excluded).
     """
-    c = np.asarray(c, dtype=float)
-    if c.ndim > 1:
-        raise ValueError("c must be one energy or a 1-D array of energies")
-    if np.any(c > params.c_jacobi):
+    if c > params.c_jacobi:
         raise ValueError("hill_boundary requires c <= c_jacobi")
     if n < 8:
         raise ValueError("need n >= 8 boundary samples")
@@ -221,21 +217,16 @@ def hill_boundary(params, c, component, n=256):
     with np.errstate(divide="ignore"):
         t_cap = np.where(toward, (params.l - origin[0]) / dx, np.inf)
 
-    # one lane per (energy, ray), energy-major
-    m = c.size
-    c_ray = np.repeat(np.atleast_1d(c), n)
-    dx, dy, t_cap = (np.tile(v, m) for v in (dx, dy, t_cap))
-
     def ray(t, lane=slice(None)):
         return origin[0] + t * dx[lane], origin[1] + t * dy[lane]
 
     # Inside at the Kepler radius in exact arithmetic; binary64 can round
     # U there up to c when the other primary's term is below an ulp.
-    t_lo = mass / -c_ray
-    bad = np.flatnonzero(potential_U(ray(t_lo), params) >= c_ray)
+    t_lo = np.full(n, mass / -c)
+    bad = np.flatnonzero(potential_U(ray(t_lo), params) >= c)
     if bad.size:
         t_lo[bad] *= 0.5
-        if np.any(potential_U(ray(t_lo[bad], bad), params) >= c_ray[bad]):
+        if np.any(potential_U(ray(t_lo[bad], bad), params) >= c):
             raise TraceFailure("inner bracket point is not inside {U < c}")
 
     # step outward until U >= c or the cap (first crossing bracket); a
@@ -245,7 +236,7 @@ def hill_boundary(params, c, component, n=256):
     for k in range(400):
         t_try = np.minimum(t * (1.0 + min(0.05 * 2.0 ** k, 1.0)),
                            t_cap[lane])
-        crossed = ((potential_U(ray(t_try, lane), params) >= c_ray[lane])
+        crossed = ((potential_U(ray(t_try, lane), params) >= c)
                    | (t_try >= t_cap[lane]))
         t_hi[lane[crossed]] = t_try[crossed]
         lane, t = lane[~crossed], t_try[~crossed]
@@ -269,7 +260,7 @@ def hill_boundary(params, c, component, n=256):
         q1, q2 = ray(t, lane)
         d = _U_partials((q1, q2), params, 1)
         grad_1[lane], grad_2[lane] = d[1, 0], d[0, 1]
-        g = d[0, 0] - c_ray[lane]
+        g = d[0, 0] - c
         below = g < 0.0
         lo, hi = np.where(below, t, lo), np.where(below, hi, t)
         slope = d[1, 0] * dx[lane] + d[0, 1] * dy[lane]
@@ -291,7 +282,6 @@ def hill_boundary(params, c, component, n=256):
     q1, q2 = ray(t_out)
     bound = _LEVEL_TOL * 10 + 2.0 * np.finfo(float).eps * (np.abs(grad_1 * q1)
                                                     + np.abs(grad_2 * q2))
-    if np.any(np.abs(potential_U((q1, q2), params) - c_ray) >= bound):
+    if np.any(np.abs(potential_U((q1, q2), params) - c) >= bound):
         raise TraceFailure("Newton failed to reach the boundary tolerance")
-    pts = np.stack([q1, q2], axis=-1).reshape(m, n, 2)
-    return pts if c.ndim else pts[0]
+    return np.stack([q1, q2], axis=-1)

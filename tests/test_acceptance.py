@@ -112,7 +112,7 @@ def test_05_boundary_nonconvexity_witness():
     p = ProblemParams(0.3)
     c = p.c_jacobi
     x0 = x0_of(p, c)
-    w = nonconvex_witness_levi(p, c)
+    w, _, _ = nonconvex_witness_levi(p, c)
     assert w is not None
     x, y, f = w
     assert f < -1e-8

@@ -103,9 +103,21 @@ class TestVerdict:
         assert code == 0
         d = json.loads(out)
         assert d["verdict"] == "nonconvex"
-        assert d["samples"] == d["failures"] == 0
+        assert d["samples"] > 0 and d["failures"] == 0
         x, y = d["witness"]["point"]
         assert 0.44 < x < 0.55 and abs(y) < 0.1
+
+    @pytest.mark.parametrize("mu", [0.3, 0.95])
+    def test_levi_samples_are_points_read(self, capsys, mu):
+        # the window reads up to its first witness (mu = 0.3), or all
+        # 64 + 256 + 1024 boundary points when there is none (0.95)
+        p = ProblemParams(mu)
+        _, read, _ = levicivita.nonconvex_witness_levi(p, p.c_jacobi)
+        code, out, _ = run(capsys, "verdict", "levi", "--mu", str(mu),
+                           "--c", "cJ", "--method", "oracle")
+        assert code == 0
+        assert json.loads(out)["samples"] == read
+        assert read == 1344 if mu > 0.5 else 0 < read < 1344
 
     def test_fiberwise_equal_mass(self, capsys):
         code, out, _ = run(capsys, "verdict", "fiberwise", "--mu", "0.5",
@@ -427,13 +439,22 @@ class TestOptionRanges:
         (["verdict", "fiberwise", "--c", "cJ+0.1"], "--c"),
         (["verdict", "elliptic", "--c", "cJ+0.1", "--component", "earth",
           "--method", "oracle"], "--c"),
+        # levi and fiberwise read the Earth lobe only
+        (["verdict", "fiberwise", "--component", "moon"], "--component"),
+        (["verdict", "fiberwise", "--component", "earth", "--method",
+          "theory"], "--component"),
+        (["verdict", "levi", "--component", "moon"], "--component"),
+        (["verdict", "levi", "--component", "earth", "--method", "oracle"],
+         "--component"),
     ], ids=["grid-no-angle", "grid-one-nu", "f0-step-0", "czero-step-0",
             "c-inf-theory", "c-inf-oracle", "v0-max-len-inf", "v0-step-inf",
             "v0-max-len-0", "v0-max-len-negative", "hill-above-cj",
             "v0-above-cj", "f0-above-cj", "czero-above-cj",
             "levi-oracle-above-cj", "levi-both-above-cj",
             "fiberwise-oracle-above-cj", "fiberwise-both-above-cj",
-            "elliptic-oracle-above-cj"])
+            "elliptic-oracle-above-cj", "fiberwise-component-moon",
+            "fiberwise-component-theory", "levi-component-moon",
+            "levi-component-oracle"])
     def test_exit_2_naming_option(self, capsys, argv, option):
         # the defaults go before the case's options, which override them;
         # no traceback and no partial output, the option is named instead

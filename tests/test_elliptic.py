@@ -772,10 +772,11 @@ class TestSpectrum:
 def _rim_reference(params, c, component, n_lam, n_nu):
     """The rim as bisected in nu between grid neighbors of opposite R^2
     sign (60 halvings), with its brackets."""
-    nu_lo, nu_hi, dom = elliptic._nu_interval(params, c, component)
+    dom = domain_bounds(params, c, component)
+    y_lo, y_hi = (min(1.0, max(-1.0, y)) for y in dom.y_range)
     m = 1.0 - 2.0 * params.mu
     lam = np.linspace(0.0, math.acosh(dom.x_range[1]), n_lam)
-    nu = np.linspace(nu_lo, nu_hi, n_nu)
+    nu = np.linspace(math.acos(y_hi), math.acos(y_lo), n_nu)
     ch, cn = np.cosh(lam)[:, None], np.cos(nu)[None, :]
     sign = 2.0 * ch + c * ch ** 2 - 2.0 * m * cn - c * cn ** 2 >= 0.0
     rim = []

@@ -23,7 +23,8 @@ from euler2c.fiberwise import (
 )
 from euler2c.model import (HillComponent, ProblemParams, hill_boundary,
                            potential_U)
-from euler2c.scan import fd_check, fd_derivative, vertex_window
+from euler2c.scan import (elliptic_to_cartesian, fd_check, fd_derivative,
+                          hill_region, vertex_window)
 
 
 class TestUDerivatives:
@@ -248,6 +249,48 @@ def _window_batches(p, c):
     return batches
 
 
+def _region(p, c):
+    """The Earth-region positions fiberwise_verdict reads, and C there:
+    scan.hill_region's 100 x 100 grid and rim in the Standard frame,
+    without the Earth."""
+    r = hill_region(p, c, HillComponent.EARTH, 100, 100)
+    q1, q2 = elliptic_to_cartesian(r.lam[r.ilam], r.nu)
+    q1 = q1 + 0.5
+    off = (q1 != 0.0) | (q2 != 0.0)
+    return q1[off], q2[off], curvature_numerator((q1[off], q2[off]), p)
+
+
+def _C_decimal(q, mu):
+    """C at the binary64 position q in 50-digit decimal arithmetic, from
+    the partials of -m / r of each primary."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x, y = Decimal(q[0]), Decimal(q[1])
+        u1 = u2 = u11 = u12 = u22 = Decimal(0)
+        for m, px in ((1 - Decimal(mu), 0), (Decimal(mu), 1)):
+            dx = x - px
+            r2 = dx * dx + y * y
+            r3 = r2 * r2.sqrt()
+            r5 = r3 * r2
+            u1 += m * dx / r3
+            u2 += m * y / r3
+            u11 += m * (1 / r3 - 3 * dx * dx / r5)
+            u22 += m * (1 / r3 - 3 * y * y / r5)
+            u12 -= 3 * m * dx * y / r5
+        return u11 * u2 ** 2 + u22 * u1 ** 2 - 2 * u12 * u1 * u2
+
+
+def _check_witness(rep, p, c):
+    """A witness recomputes, lies in the region of energy c, and is on
+    the boundary of its own energy U(q)."""
+    e, q, cval = rep.witness
+    assert rep.verdict == "nonconvex-witness"
+    assert cval == pytest.approx(float(curvature_numerator(q, p)),
+                                 rel=1e-9) and cval < -1e-12
+    assert e == potential_U(q, p) <= c + 1e-9
+    assert rep.min_C <= cval
+
+
 class TestVerdicts:
     def test_equal_mass_convex(self, p05):
         for e in (-2.1, -3.0):
@@ -256,19 +299,19 @@ class TestVerdicts:
             assert rep.min_C > 0
 
     def test_sample_count(self, p05):
-        # 12 energies up to c and the spot check at -100, 512 points each;
-        # at mu = 1/2 there is no vertex window
-        rep = fiberwise_verdict(p05, p05.c_jacobi - 0.2)
-        assert rep.samples == 13 * 512
+        # one C per position of the Earth region but the Earth; at
+        # mu = 1/2 there is no vertex window
+        c = p05.c_jacobi - 0.2
+        rep = fiberwise_verdict(p05, c)
+        q1, _, cvals = _region(p05, c)
+        assert rep.samples == q1.size > 5000
+        assert rep.min_C == cvals.min()
 
     def test_unequal_mass_critical_witness(self, p03):
         rep = fiberwise_verdict(p03, p03.c_jacobi)
-        assert rep.verdict == "nonconvex-witness"
-        e, (q1, q2), cval = rep.witness
-        assert cval < 0
-        # witness sits on the Earth lobe boundary near the vertex
-        assert q1 < p03.l
-        assert abs(potential_U((q1, q2), p03) - e) < 1e-8
+        _check_witness(rep, p03, p03.c_jacobi)
+        # in the Earth lobe, short of the vertex
+        assert rep.witness[1][0] < p03.l
 
     def test_vertex_boundary_solver(self, p03):
         c = p03.c_jacobi
@@ -307,54 +350,74 @@ class TestVerdicts:
         # below c_J the abscissas nearest l are off the lobe and dropped
         assert 0 < len(ref) < len(q1s)
 
-    # witness in the first, second and third batch of the vertex window,
+    # at c_J the region grid holds no C < -1e-12 at these mass ratios;
+    # the window has its witness in the first, second and third batch,
     # and none at 0.4995 and 0.4999
     @pytest.mark.parametrize("mu", [0.49, 0.497, 0.4992, 0.4995, 0.4999])
     def test_vertex_window_matches_point_loop(self, mu):
         p = ProblemParams(mu)
         c = p.c_jacobi
         rep = fiberwise_verdict(p, c)
+        q1, _, cvals = _region(p, c)
+        assert cvals.min() >= -1e-12
         # one point at a time (as one-element arrays, the arithmetic of
         # the batch), stopping at the first C < -tol
-        witness, window, samples = None, [], 0
+        witness, window = None, []
         for batch in _window_batches(p, c):
-            for q1, q2 in batch:
-                cv = float(curvature_numerator(([q1], [q2]), p)[0])
-                samples += 1
+            for q in batch:
+                cv = float(curvature_numerator(([q[0]], [q[1]]), p)[0])
                 window.append(cv)
                 if cv < -1e-12:
-                    witness = (c, (q1, q2), cv)
+                    witness = (potential_U(q, p), q, cv)
                     break
             if witness is not None:
                 break
         assert rep.witness == witness
-        assert rep.samples == 6656 + samples
-        # the window holds the minimum of C at these mass ratios
-        assert rep.min_C == min(window)
+        assert rep.samples == q1.size + len(window)
+        assert rep.min_C == min(cvals.min(), min(window))
 
-    # C at the exact boundary point of the witness ray, from a 50-digit
-    # evaluation; the bisection this search replaced stopped 4e-12 to
-    # 3e-11 short of the root and read C off by 1.1e-8 and 2.1e-8
-    WITNESS_C = {0.1: -0.33904491000899749693, 0.3: -0.019285310775815137708}
+    # C at the least-C position of the region grid at c_J, from _C_decimal
+    WITNESS_C = {0.1: -0.33893247334169422978, 0.3: -0.019313047878533365224}
 
     @pytest.mark.parametrize("mu", [0.1, 0.3, 0.7, 0.95])
     @pytest.mark.parametrize("below", [0.0, 0.1])
     def test_verdict_pinned(self, mu, below):
         p = ProblemParams(mu)
-        rep = fiberwise_verdict(p, p.c_jacobi - below)
-        assert rep.samples == 6656
+        c = p.c_jacobi - below
+        rep = fiberwise_verdict(p, c)
+        q1, _, cvals = _region(p, c)
+        # no point of the window is read: below c_J its axis points are
+        # off the lobe, and at c_J the grid already holds the witness
+        assert rep.samples == q1.size
+        assert rep.min_C == cvals.min()
         if below or mu > 0.5:
             assert rep.verdict == "convex" and rep.witness is None
             return
-        assert rep.verdict == "nonconvex-witness"
+        _check_witness(rep, p, c)
         e, q, cval = rep.witness
-        assert e == p.c_jacobi
-        assert cval == pytest.approx(self.WITNESS_C[mu], rel=1e-8)
+        assert cval == cvals.min()
+        assert float(_C_decimal(q, mu)) == pytest.approx(cval, rel=1e-10)
+        assert cval == pytest.approx(self.WITNESS_C[mu], rel=1e-10)
+
+    def test_window_below_critical_energy(self):
+        # the grid misses the negative C just inside the vertex at
+        # c_J - 1e-6; the window, which runs at every c <= c_J for the
+        # heavier Earth lobe, finds it
+        p = ProblemParams(0.43)
+        c = p.c_jacobi - 1e-6
+        rep = fiberwise_verdict(p, c)
+        q1, _, cvals = _region(p, c)
+        assert cvals.min() > 0.0
+        _check_witness(rep, p, c)
+        assert p.l - 0.1 * p.l < rep.witness[1][0] < p.l
+        assert rep.samples > q1.size
 
     @staticmethod
     def _per_energy_verdict(p, c, tol=1e-12):
-        """fiberwise_verdict as one hill_boundary and one C call per
-        effective energy, keeping a strictly smaller minimum."""
+        """The witness of the boundary sweep the region grid replaced:
+        one hill_boundary and one C call per effective energy, from where
+        the Earth boundary is circular to 1 % up to c, plus e = -100,
+        then the vertex window at c_J for the heavier Earth lobe."""
         e_min = min(2.0 * c, -8.0)
         for _ in range(40):
             pts = hill_boundary(p, e_min, HillComponent.EARTH, n=64)
@@ -362,12 +425,10 @@ class TestVerdicts:
             if (r.max() - r.min()) / r.mean() < 0.01:
                 break
             e_min *= 2.0
-        energies = list(np.linspace(e_min, c, 12)) + [-100.0]
-        min_C, witness, samples = math.inf, None, 0
-        for e in energies:
+        min_C, witness = math.inf, None
+        for e in list(np.linspace(e_min, c, 12)) + [-100.0]:
             pts = hill_boundary(p, e, HillComponent.EARTH, n=512)
             cvals = curvature_numerator((pts[:, 0], pts[:, 1]), p)
-            samples += len(pts)
             i = int(np.argmin(cvals))
             if cvals[i] < min_C:
                 min_C = float(cvals[i])
@@ -375,35 +436,27 @@ class TestVerdicts:
                     witness = (float(e), tuple(pts[i]), float(cvals[i]))
         if (witness is None and p.heavier is HillComponent.EARTH
                 and c >= p.c_jacobi - 1e-12):
-            for pts in _window_batches(p, c):
-                cvals = curvature_numerator(np.array(pts).T, p)
-                hit = np.flatnonzero(cvals < -tol)
-                k = int(hit[0]) + 1 if hit.size else len(pts)
-                samples += k
-                min_C = min(min_C, float(cvals[:k].min()))
-                if hit.size:
-                    witness = (float(c), pts[k - 1], float(cvals[k - 1]))
-                    break
-        return witness, energies, min_C, samples
+            witness = vertex_window(
+                lambda q1, q2: potential_U((q1, q2), p) < c,
+                lambda q1, q2: curvature_numerator((q1, q2), p), p.l,
+                tol)[0]
+        return witness
 
     @pytest.mark.parametrize("mu", [0.0001, 0.01, 0.1, 0.3, 0.45, 0.49,
                                     0.4995, 0.5, 0.7, 0.95, 0.999])
     def test_matches_per_energy_loop(self, mu):
+        # the region grid gives the sweep's verdict, on witnesses of its own
         p = ProblemParams(mu)
         for below in (0.0, 0.05, 0.1, 0.3):
             c = p.c_jacobi - below
             rep = fiberwise_verdict(p, c)
-            witness, energies, min_C, samples = self._per_energy_verdict(p, c)
+            witness = self._per_energy_verdict(p, c)
             assert rep.verdict == ("convex" if witness is None
-                                   else "nonconvex-witness")
-            assert rep.energies == energies
-            assert rep.samples == samples
-            assert rep.min_C == pytest.approx(min_C, rel=1e-8, abs=1e-15)
+                                   else "nonconvex-witness"), below
             if witness is None:
-                assert rep.witness is None
-                continue
-            assert rep.witness[0] == witness[0]
-            assert rep.witness[2] == pytest.approx(witness[2], rel=1e-8)
+                assert rep.witness is None and rep.min_C >= -1e-12
+            else:
+                _check_witness(rep, p, c)
 
     def test_rejects_supercritical(self, p03):
         with pytest.raises(ValueError):

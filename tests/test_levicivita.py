@@ -191,7 +191,7 @@ class TestTangency:
 
 class TestWitness:
     def test_witness_mu03(self, p03):
-        w = nonconvex_witness_levi(p03)
+        w, _, _ = nonconvex_witness_levi(p03)
         assert w is not None
         x, y, f = w
         x0 = x0_of(p03, p03.c_jacobi)
@@ -200,14 +200,16 @@ class TestWitness:
 
     def test_no_witness_above_inflection(self):
         p = ProblemParams(0.95)
-        assert nonconvex_witness_levi(p) is None
+        w, read, least = nonconvex_witness_levi(p)
+        # every batch of the window is read: 64 + 256 + 1024 points
+        assert w is None and read == 1344 and least >= -1e-8
 
     @pytest.mark.parametrize("mu", np.round(np.linspace(0.005, 0.925, 47), 3))
     def test_witness_where_theorem_applies(self, mu):
         # at c_J below mu = 16/17 the boundary is nonconvex (the band
         # [0.93, 16/17) is the strict xfail levi-0.935 of test_cli)
         p = ProblemParams(float(mu))
-        w = nonconvex_witness_levi(p)
+        w, _, _ = nonconvex_witness_levi(p)
         assert w is not None
         x, y, f = w
         x0 = x0_of(p, p.c_jacobi)
@@ -216,14 +218,14 @@ class TestWitness:
 
     @pytest.mark.parametrize("mu", [0.955, 0.96, 0.97, 0.98, 0.99, 0.999])
     def test_no_witness_past_the_inflection(self, mu):
-        assert nonconvex_witness_levi(ProblemParams(mu)) is None
+        assert nonconvex_witness_levi(ProblemParams(mu))[0] is None
 
     def test_witness_below_critical_energy(self):
         # no theorem applies below c_J, but the boundary is nonconvex
         # there: the vertex window finds F = -0.062 at (0.584, 0.041)
         p = ProblemParams(0.1)
         c = p.c_jacobi - 0.01
-        x, y, f = nonconvex_witness_levi(p, c)
+        (x, y, f), _, _ = nonconvex_witness_levi(p, c)
         assert f < -0.01
         assert f == pytest.approx(F_value(x, y, p, c), rel=1e-12)
         assert abs(V_value(x, y, p, c)) < 1e-10

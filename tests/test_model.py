@@ -319,61 +319,63 @@ class TestHillBoundaryRays:
 
 
 class TestHillBoundaryBatch:
-    """hill_boundary over an array of energies: one set of lanes."""
+    """hill_boundary solves its n rays as one batch of array lanes."""
 
     TOL = 1e-10
 
     @pytest.mark.parametrize("mu", [0.01, 0.3, 0.5, 0.7, 0.999])
     @pytest.mark.parametrize("comp", list(HillComponent))
     def test_matches_scalar_calls(self, mu, comp):
+        # a lane's point does not depend on the lanes beside it: the 256
+        # rays of one call against calls of 8 rays at the same angles
+        # (every 32nd ray), energy by energy
         p = ProblemParams(mu)
         cj = p.c_jacobi
-        energies = np.array([-100.0, -20.0, -5.0, cj - 0.3, cj - 1e-3, cj])
-        n = 256
-        batch = hill_boundary(p, energies, comp, n=n)
-        assert batch.shape == (len(energies), n, 2)
+        n, k = 256, 8
         ox = 0.0 if comp is HillComponent.EARTH else 1.0
-        theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)[::n // k]
         # the ray toward the other primary meets the saddle (l, 0) at
         # c_J, where U - c has a double root and |U - c| < tol pins the
         # point only to about sqrt(tol)
-        saddle = 0 if comp is HillComponent.EARTH else n // 2
+        saddle = 0 if comp is HillComponent.EARTH else k // 2
         eps = np.finfo(float).eps
-        for k, c in enumerate(energies):
-            pts = hill_boundary(p, c, comp, n=n)
-            d = U_derivs((pts[:, 0], pts[:, 1]), p)
+        for c in (-100.0, -20.0, -5.0, cj - 0.3, cj - 1e-3, cj):
+            pts = hill_boundary(p, c, comp, n=n)[::n // k]
+            few = hill_boundary(p, c, comp, n=k)
+            d = U_derivs((few[:, 0], few[:, 1]), p)
             slope = np.abs(d[1, 0] * np.cos(theta) + d[0, 1] * np.sin(theta))
-            floor = 2.0 * eps * (np.abs(d[1, 0] * pts[:, 0])
-                                 + np.abs(d[0, 1] * pts[:, 1]))
-            err = np.abs(np.hypot(batch[k, :, 0] - ox, batch[k, :, 1])
-                         - np.hypot(pts[:, 0] - ox, pts[:, 1]))
+            floor = 2.0 * eps * (np.abs(d[1, 0] * few[:, 0])
+                                 + np.abs(d[0, 1] * few[:, 1]))
+            err = np.abs(np.hypot(pts[:, 0] - ox, pts[:, 1])
+                         - np.hypot(few[:, 0] - ox, few[:, 1]))
             ok = err <= (10.0 * self.TOL + floor) / slope
             if c == cj:
                 ok[saddle] = True
             assert ok.all(), (c, np.flatnonzero(~ok))
 
     def test_rejects_any_supercritical(self, p03):
+        # c_J itself is allowed, anything above it is not
         cj = p03.c_jacobi
-        with pytest.raises(ValueError):
-            hill_boundary(p03, np.array([cj - 1.0, cj, cj + 1e-9]),
-                          HillComponent.EARTH)
-        with pytest.raises(ValueError):
-            hill_boundary(p03, np.full((2, 2), cj - 1.0),
-                          HillComponent.EARTH)
+        hill_boundary(p03, cj, HillComponent.EARTH, n=8)
+        for c in (np.nextafter(cj, 0.0), cj + 1e-9):
+            with pytest.raises(ValueError):
+                hill_boundary(p03, c, HillComponent.EARTH)
 
     def test_shapes(self, p03):
+        # one (q1, q2) row per ray, the first ray at angle 0
         c = p03.c_jacobi - 0.2
-        one = hill_boundary(p03, c, HillComponent.MOON, n=16)
-        assert one.shape == (16, 2)
-        batch = hill_boundary(p03, np.array([c]), HillComponent.MOON, n=16)
-        assert batch.shape == (1, 16, 2)
-        assert np.array_equal(batch[0], one)
+        for comp, ox in ((HillComponent.EARTH, 0.0), (HillComponent.MOON,
+                                                        1.0)):
+            for n in (8, 16, 33):
+                pts = hill_boundary(p03, c, comp, n=n)
+                assert pts.shape == (n, 2)
+                assert pts[0, 1] == 0.0 and pts[0, 0] > ox
 
     def test_converged_rays_not_evaluated_again(self, monkeypatch, p03):
-        # energies whose Earth boundaries lie in disjoint radius bands
-        # (about 0.007, 0.07 and 0.4-0.55), so that the band and the
-        # polar angle of an evaluated point name its lane
-        energies = np.array([-100.0, -10.0, p03.c_jacobi])
+        # at c_J, where the ray toward the Moon meets the saddle and
+        # converges last; the polar angle of an evaluated point names its
+        # lane
+        c = p03.c_jacobi
         n = 128
         seen = []
         partials = model._U_partials
@@ -385,17 +387,15 @@ class TestHillBoundaryBatch:
             return out
 
         monkeypatch.setattr(model, "_U_partials", recording)
-        hill_boundary(p03, energies, HillComponent.EARTH, n=n)
+        hill_boundary(p03, c, HillComponent.EARTH, n=n)
         ids, converged = [], []
         for q1, q2, u in seen:
-            band = np.searchsorted([0.03, 0.2], np.hypot(q1, q2))
-            ray = np.rint(np.arctan2(q2, q1) / (2.0 * np.pi / n)) % n
-            lane = (band * n + ray).astype(int)
+            lane = (np.rint(np.arctan2(q2, q1) / (2.0 * np.pi / n))
+                    % n).astype(int)
             assert np.unique(lane).size == lane.size
             ids.append(set(lane.tolist()))
-            converged.append(set(lane[np.abs(u - energies[band])
-                                      < self.TOL].tolist()))
-        assert len(ids[0]) == energies.size * n
+            converged.append(set(lane[np.abs(u - c) < self.TOL].tolist()))
+        assert len(ids[0]) == n
         assert len(seen) > 3
         for j in range(len(seen) - 1):
             assert ids[j + 1] <= ids[j] - converged[j], j

@@ -1,5 +1,6 @@
-"""Level-set curvature, the vertex-window search, sign scans,
-implicit-curve tracing, finite-difference checking."""
+"""Level-set curvature, the vertex-window search, the Hill-region
+sampler, sign scans, implicit-curve tracing, finite-difference
+checking."""
 
 import math
 
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 
 from euler2c.errors import TraceFailure
-from euler2c.scan import (fd_check, fd_derivative, level_curvature,
-                          level_curvature_grad, sign_scan, trace_implicit,
-                          vertex_window)
+from euler2c.model import HillComponent, ProblemParams, potential_U
+from euler2c.scan import (elliptic_to_cartesian, fd_check, fd_derivative,
+                          hill_region, level_curvature, level_curvature_grad,
+                          sign_scan, trace_implicit, vertex_window)
 
 
 def unit_circle(x, y):
@@ -101,6 +103,44 @@ class TestVertexWindow:
         assert vertex_window(lambda x, y: y * y < 0.8 - x, curvature, 1.0,
                              0.0) == (None, 0, math.inf)
 
+
+class TestHillRegion:
+    @staticmethod
+    def _positions(r):
+        """Standard-frame positions of a HillRegion."""
+        q1, q2 = elliptic_to_cartesian(r.lam[r.ilam], r.nu)
+        return q1 + 0.5, q2
+
+    @pytest.mark.parametrize("mu", [0.02, 0.3, 0.4995, 0.7, 0.999])
+    def test_at_critical_energy(self, mu):
+        # at c_J the lobes touch at (l, 0): every Earth position is finite,
+        # stays on the Earth's side of q1 = l up to rounding, and lies in
+        # {U <= c}; only the Earth itself has no U
+        p = ProblemParams(mu)
+        c = p.c_jacobi
+        q1, q2 = self._positions(hill_region(p, c, HillComponent.EARTH, 100,
+                                             100))
+        assert np.all(np.isfinite(q1)) and np.all(np.isfinite(q2))
+        assert q1.max() <= p.l + 4.0 * np.spacing(p.l)
+        off = (q1 != 0.0) | (q2 != 0.0)
+        assert np.count_nonzero(~off) == 1
+        assert np.max(potential_U((q1[off], q2[off]), p) - c) <= 1e-9
+
+    @pytest.mark.parametrize("comp", list(HillComponent))
+    def test_below_critical_energy(self, comp):
+        # R^2 = -4 r1 r2 (U - c): the grid points lie in {U <= c} and the
+        # rim on {U = c}; the primary is the one grid point without U
+        p = ProblemParams(0.3)
+        c = p.c_jacobi - 0.3
+        r = hill_region(p, c, comp, 40, 40)
+        q1, q2 = self._positions(r)
+        u = np.full(q1.size, -np.inf)
+        off = np.hypot(q1 - (comp is HillComponent.MOON), q2) != 0.0
+        assert np.count_nonzero(~off[:r.n_grid]) == 1 and off[r.n_grid:].all()
+        u[off] = potential_U((q1[off], q2[off]), p) - c
+        assert r.n_grid < r.ilam.size
+        assert np.all(u[:r.n_grid] <= 1e-12)
+        assert np.abs(u[r.n_grid:]).max() < 1e-9
 
 class TestSignScan:
     def test_finds_sign_change(self):
