@@ -4,19 +4,20 @@ The package computes, certifies, and falsifies convexity of the
 regularized energy hypersurfaces and of the Hill regions below the
 critical Jacobi energy:
 
-- ``ladder``: the mass-ratio constants (ProblemParams, frames, the
-  heavier lobe) and the threshold ladder c_E'' <= c0 <= c_J with the
+- ``ladder``: the mass-ratio constants (ProblemParams, the lobe names,
+  the heavier lobe) and the threshold ladder c_E'' <= c0 <= c_J with the
   theory verdict, in Python floats and exact fractions, without NumPy.
-- ``model``: Hamiltonian, the potential U and its derivative table, Hill
-  regions; re-exports the constants of ``ladder``.
-- ``elliptic``: two-sheeted elliptic regularization, projected Hessian
-  of the regularized energy, the scanning oracle; re-exports the
-  thresholds and the theory verdict of ``ladder``.
+- ``model``: the potential U and its derivative table, Hill-region
+  boundaries; re-exports the constants of ``ladder``.
+- ``elliptic``: two-sheeted elliptic regularization, the closed-form
+  spectrum of the projected Hessian of the regularized energy, the
+  scanning oracle; re-exports the thresholds and the theory verdict of
+  ``ladder``.
 - ``levicivita``: Levi-Civita regularization around one primary,
   boundary-convexity function F, tangency and inflection analysis.
 - ``fiberwise``: curvature of Hill-region boundaries and the fiberwise
-  verdict over the Earth Hill region, with the equal-mass polar closed
-  forms.
+  verdict over the Earth Hill region, with the equal-mass polar
+  polynomials.
 - ``formulas``: the polynomials the program evaluates and the identity
   suite certifies, one body each for floats, arrays and exact polynomials.
 - ``exactpoly``: exact rational polynomial arithmetic, Sturm-based sign
@@ -24,9 +25,8 @@ critical Jacobi energy:
 - ``scan``: the level-set curvature numerator behind C and F, its
   gradient and its series along a tangent cone, read from one partials
   table; the witness search just inside a touching vertex; one Hill
-  lobe's positions in elliptic coordinates for both oracles; sign scans,
-  implicit-curve tracing from a closed-form value and gradient,
-  finite-difference derivative validation.
+  lobe's positions in elliptic coordinates for both oracles; sign scans
+  and implicit-curve tracing from a closed-form value and gradient.
 - ``cli``: the ``euler2c`` command.
 
 The package loads lazily (PEP 562): ``import euler2c`` imports no
@@ -42,23 +42,17 @@ __version__ = "0.1.0"
 # each public name and the submodule that defines it, in __all__ order
 _SOURCE = {
     "Euler2CError": "errors", "CollisionPoint": "errors",
-    "MoonCollision": "errors", "FocalDegeneracy": "errors",
-    "SingularPoint": "errors", "EnergyAboveCritical": "errors",
-    "OutsideRegion": "errors", "BoundaryAmbiguous": "errors",
+    "MoonCollision": "errors", "EnergyAboveCritical": "errors",
     "TraceFailure": "errors", "VariableMismatch": "errors",
-    "Frame": "ladder", "HillComponent": "ladder", "Membership": "ladder",
-    "ProblemParams": "ladder", "CartesianPhasePoint": "ladder",
-    "potential_U": "model", "grad_U": "model", "hamiltonian_H": "model",
-    "lagrange_l": "ladder", "jacobi_energy": "ladder",
-    "hill_membership": "model", "hill_boundary": "model",
-    "EllipticPoint": "elliptic", "Definiteness": "elliptic",
+    "HillComponent": "ladder", "ProblemParams": "ladder",
+    "potential_U": "model", "lagrange_l": "ladder",
+    "jacobi_energy": "ladder", "hill_boundary": "model",
     "Verdict": "ladder", "Thresholds": "ladder", "thresholds": "ladder",
     "convexity_verdict": "ladder", "oracle_convexity": "elliptic",
-    "LCPoint": "levicivita", "F_value": "levicivita",
-    "x0_of": "levicivita", "tangency_check": "levicivita",
-    "tilde_derivatives": "levicivita",
+    "F_value": "levicivita", "x0_of": "levicivita",
+    "tangency_check": "levicivita", "tilde_derivatives": "levicivita",
     "nonconvex_witness_levi": "levicivita",
-    "C_value": "fiberwise", "FiberwiseReport": "fiberwise",
+    "FiberwiseReport": "fiberwise",
     "U_derivs": "model", "curvature_numerator": "fiberwise",
     "fiberwise_verdict": "fiberwise",
     "positivity_certificates": "fiberwise",
@@ -67,7 +61,7 @@ _SOURCE = {
     "identity_names": "exactpoly", "verify_identity": "exactpoly",
     "verify_all": "exactpoly",
     "ScanReport": "scan", "Polyline": "scan", "sign_scan": "scan",
-    "trace_implicit": "scan", "fd_check": "scan",
+    "trace_implicit": "scan",
 }
 _SUBMODULES = frozenset({"cli", "elliptic", "errors", "exactpoly",
                          "fiberwise", "formulas", "ladder", "levicivita",

@@ -10,7 +10,10 @@ verify-identities  run the exact polynomial-identity suite
 A verdict is "convex", "nonconvex" or "undecided". The elliptic oracle
 answers "undecided" when its smallest relative eigenvalue lies within
 its tolerance of zero (a "degenerate" report); that is a partial result,
-exit 1, also against a theory verdict, never a disagreement.
+exit 1, also against a theory verdict, never a disagreement. The levi
+and fiberwise oracles also report ``least_value``, the least boundary
+curvature (F or C) they read, so a verdict near the witness tolerance
+shows how near.
 
 Exit codes: 0 success (methods agree), 1 partial result (a trace stopped
 early, or the oracle is undecided), 2 invalid input, 3 theory/oracle
@@ -177,7 +180,7 @@ def cmd_verdict(args):
         _not_above_critical(c, params)
     t0 = time.perf_counter()
     theory = oracle = None
-    witness = counters = None
+    witness = counters = least = None
     samples = failures = 0
 
     if args.target == "elliptic":
@@ -202,7 +205,7 @@ def cmd_verdict(args):
             theory = theorem_verdict("levi", params, c)
         if args.method in ("oracle", "both"):
             from . import levicivita
-            w, samples, _ = levicivita.nonconvex_witness_levi(params, c)
+            w, samples, least = levicivita.nonconvex_witness_levi(params, c)
             oracle = "nonconvex" if w is not None else "convex"
             if w is not None:
                 witness = {"point": [w[0], w[1]], "F": w[2]}
@@ -213,7 +216,7 @@ def cmd_verdict(args):
             from . import fiberwise
             rep = fiberwise.fiberwise_verdict(params, c)
             oracle = "convex" if rep.verdict == "convex" else "nonconvex"
-            samples = rep.samples
+            samples, least = rep.samples, rep.min_C
             if rep.witness is not None:
                 e, q, cv = rep.witness
                 witness = {"energy": e, "point": list(q), "C": cv}
@@ -232,6 +235,10 @@ def cmd_verdict(args):
         "failures": failures,
         "runtime": time.perf_counter() - t0,
     }
+    if least is not None:
+        # the least F (levi) or C (fiberwise) the oracle read; null if it
+        # read no point
+        out["least_value"] = least if math.isfinite(least) else None
     if theory is not None and args.method == "both":
         out["theory"] = theory
     if witness is not None:

@@ -13,27 +13,9 @@ class MoonCollision(Euler2CError):
     """The Levi-Civita radicand vanishes (regularized Moon collision)."""
 
 
-class FocalDegeneracy(Euler2CError):
-    """Momentum pullback requested at a focus, where the coordinate
-    Jacobian is singular."""
-
-
-class SingularPoint(Euler2CError):
-    """Gradient of the defining function vanishes; no tangent frame."""
-
-
 class EnergyAboveCritical(Euler2CError):
     """Energy at or above the critical Jacobi energy where a bounded
     component is required."""
-
-
-class OutsideRegion(Euler2CError):
-    """Point lies outside the projected energy region."""
-
-
-class BoundaryAmbiguous(Euler2CError):
-    """Point is on a Hill-region boundary within tolerance; membership
-    is not well defined."""
 
 
 class OracleInconsistency(Euler2CError):

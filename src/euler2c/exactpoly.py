@@ -522,10 +522,14 @@ def _elliptic_A():
     return formulas.A(*ring("x", "y", "c", "m"))
 
 
+def _tangent_frame(x, y, z, w):
+    """The tangent frame X, Y, Z of grad Q = (x, y, z, w)."""
+    return [[-y, x, w, -z], [-z, -w, x, y], [-w, z, -y, x]]
+
+
 def _id_det_frame():
     a, b, cc, d, x, y, z, w = ring("a", "b", "cc", "d", "x", "y", "z", "w")
-    # the tangent frame X, Y, Z of grad Q = (x, y, z, w)
-    cols = [[-y, x, w, -z], [-z, -w, x, y], [-w, z, -y, x]]
+    cols = _tangent_frame(x, y, z, w)
     M = [[sum(h * u * v for h, u, v in zip([a, b, cc, d], ci, cj))
           for cj in cols] for ci in cols]
     det = _det3(M)

@@ -18,65 +18,37 @@ just inside the vertex (l, 0) with scan.vertex_window.
 
 All positions here are in the Standard frame (Earth at the origin,
 Moon at (1, 0)). The equal-mass analysis uses polar coordinates around
-the Earth with closed forms for the radial and angular derivatives of C
-and the auxiliary polynomials F, F0, G, a, b, and the cone-restricted
-curvature C0(q1); F0 and the polynomials of F and C0 are the bodies of
-``formulas`` that the identities in exactpoly certify.
+the Earth: lemma_polynomials gives the numerators F and G of the radial
+and angular derivatives of C, the auxiliary polynomials F0, a, b, and
+the cone-restricted curvature C0(q1); F0 and the polynomials of F and
+C0 are the bodies of ``formulas`` that the identities in exactpoly
+certify.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import formulas
-from .errors import CollisionPoint
-from .model import (HillComponent, U_derivs, _distances, _U_partials,
-                    potential_U)
-from .scan import (_cone_derivative, cone_contact, elliptic_to_cartesian,
-                   hill_region, level_curvature, level_curvature_grad,
-                   vertex_window)
+from .model import HillComponent, U_derivs, _U_partials, potential_U
+from .scan import (cone_contact, elliptic_to_cartesian, hill_region,
+                   level_curvature, level_curvature_grad, vertex_window)
 
 __all__ = [
-    "CurvatureEval",
     "FiberwiseReport",
     "U_derivs",
-    "C_value",
     "C_with_grad",
-    "V_line",
     "C_l_derivatives",
     "fiberwise_verdict",
-    "polar_C_derivs",
     "lemma_polynomials",
     "positivity_certificates",
 ]
 
-_GRAD_TOL = 1e-9
 # the Earth region is read on this many lambda and as many nu values
 _N_REGION = 100
 _C_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class CurvatureEval:
-    """Curvature data of a Hill boundary through a point.
-
-    C is the curvature numerator from the derivative combination;
-    C_closed the same quantity from the explicit rational closed form
-    (the two agree to 1e-8 relative); kappa = C/|grad U|^3, NaN-flagged
-    at the critical point (l, 0) where the gradient vanishes.
-    """
-
-    C: float
-    C_closed: float
-    kappa: float
-    kappa_singular: bool
-    r1: float
-    r2: float
-    f_aux: float
-    g_aux: float
 
 
 def curvature_numerator(q, params):
@@ -90,45 +62,6 @@ def C_with_grad(params):
         d = U_derivs((q1, q2), params)
         return level_curvature(d), *level_curvature_grad(d)
     return f
-
-
-def _aux_fg(q1, q2):
-    f = (q1 ** 4 - 2.0 * q1 ** 3 + 2.0 * q1 ** 2 * q2 ** 2 + q1 ** 2
-         - 2.0 * q1 * q2 ** 2 + q2 ** 4 - 2.0 * q2 ** 2)
-    g = 2.0 * q1 ** 2 - 2.0 * q1 + 2.0 * q2 ** 2
-    return f, g
-
-
-def C_value(q, params):
-    """Curvature numerator of the Hill boundary through q, computed two
-    ways (derivative combination and explicit closed form), with
-    kappa = C/|grad U|^3 flagged singular where |grad U| < _GRAD_TOL,
-    as at the critical point."""
-    q1, q2 = float(q[0]), float(q[1])
-    mu = params.mu
-    d = _U_partials((q1, q2), params, 2)
-    C = level_curvature(d)
-    _, _, r1, r2 = _distances((q1, q2))
-    r1, r2 = float(r1), float(r2)
-    f, g = _aux_fg(q1, q2)
-    a, b = 1.0 - mu, mu
-    C_closed = (a ** 3 / r1 ** 7 + b ** 3 / r2 ** 7
-                + b * a ** 2 * (f + r2 ** 2 * g) / (r1 ** 6 * r2 ** 5)
-                + b ** 2 * a * (f + r1 ** 2 * g) / (r1 ** 5 * r2 ** 6))
-    gn = math.hypot(d[1, 0], d[0, 1])
-    singular = gn < _GRAD_TOL
-    kappa = math.nan if singular else C / gn ** 3
-    return CurvatureEval(C, C_closed, kappa, singular, r1, r2, f, g)
-
-
-def V_line(q1, params):
-    """The potential on the tangent-cone line through (l, 0),
-    V(q1) = U(q1, sqrt(2)(q1 - l)) - c_J, and its derivatives V1..V4
-    along the line, from U's partials through order four
-    (scan._cone_derivative)."""
-    d = _U_partials((q1, math.sqrt(2.0) * (q1 - params.l)), params, 4)
-    out = {f"V{k}": _cone_derivative(d, 0, 0, k) for k in range(1, 5)}
-    return {"V": d[0, 0] - params.c_jacobi} | out
 
 
 def C_l_derivatives(params):
@@ -208,18 +141,17 @@ def fiberwise_verdict(params, c):
 
 # -- equal-mass polar analysis ------------------------------------------------
 
-def _check_equal_mass(params):
-    if params.heavier is not None:
-        raise ValueError("the polar closed forms require mu = 1/2")
-
-
 def lemma_polynomials(x, y):
     """The auxiliary functions of the equal-mass polar derivatives,
     evaluated at (x, y) = (r, cos theta):
 
     F (radial numerator), its boundary polynomial F0 = F * conjugate
     combination, G (angular numerator) with its surd-free parts a, b,
-    and the cone-restricted curvature C0 (as a function of q1 = x).
+    and the cone-restricted curvature C0 (as a function of q1 = x). At
+    mu = 1/2, with rho = sqrt(r^2 - 2 r cos t + 1) the Moon distance,
+
+        dC/dr     = -7 F(r, cos t) / (2 r^8 rho^9),
+        dC/dtheta = -G(r, cos t) sin t / (8 r^5 rho^9).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -253,29 +185,6 @@ def cone_curvature_C0(q1):
            * (6.0 * q1 ** 2 - 4.0 * q1 + 1.0) ** 3 * s1 * s2)
     out = num / den
     return float(out) if np.ndim(out) == 0 else out
-
-
-def polar_C_derivs(r, theta, params):
-    """Equal-mass curvature numerator and its polar derivatives around
-    the Earth, from the closed forms
-
-        dC/dr     = -7 F(r, cos t) / (2 r^8 rho^9),
-        dC/dtheta = -G(r, cos t) sin t / (8 r^5 rho^9),
-
-    with rho = sqrt(r^2 - 2 r cos t + 1) from model._distances."""
-    _check_equal_mass(params)
-    r = float(r)
-    theta = float(theta)
-    if r <= 0.0:
-        raise CollisionPoint("polar chart requires r > 0")
-    q = (r * math.cos(theta), r * math.sin(theta))
-    rho = float(_distances(q)[3])
-    aux = lemma_polynomials(r, math.cos(theta))
-    C = float(curvature_numerator(q, params))
-    dC_dr = -7.0 * float(aux["F_rderi"]) / (2.0 * r ** 8 * rho ** 9)
-    dC_dtheta = (-float(aux["G"]) * math.sin(theta)
-                 / (8.0 * r ** 5 * rho ** 9))
-    return {"C": C, "C_r": dC_dr, "C_theta": dC_dtheta}
 
 
 def positivity_certificates():

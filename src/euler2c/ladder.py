@@ -1,14 +1,13 @@
 """Mass-ratio constants and the threshold ladder, without NumPy.
 
 The problem's parameters (ProblemParams: the critical abscissa l, the
-critical Jacobi energy c_J and the heavier lobe), the frame and lobe
-names shared by every module, the threshold ladder c_E'' <= c0 <= c_J
-with the theory verdict for one regularized Hill component, and the
-ranges of the boundary (levi) and fiberwise theorems. Everything here
-is Python floats plus one exact Fraction sign, so the ``constants`` and
-``curve c0curve`` commands and every theory verdict run without
-importing NumPy. ``model`` and ``elliptic``
-re-export these names.
+critical Jacobi energy c_J and the heavier lobe), the lobe names shared
+by every module, the threshold ladder c_E'' <= c0 <= c_J with the
+theory verdict for one regularized Hill component, and the ranges of
+the boundary (levi) and fiberwise theorems. Everything here is Python
+floats plus one exact Fraction sign, so the ``constants`` and ``curve
+c0curve`` commands and every theory verdict run without importing
+NumPy. ``model`` and ``elliptic`` re-export these names.
 """
 
 from __future__ import annotations
@@ -21,11 +20,8 @@ from fractions import Fraction
 from .errors import EnergyAboveCritical
 
 __all__ = [
-    "Frame",
     "HillComponent",
-    "Membership",
     "ProblemParams",
-    "CartesianPhasePoint",
     "lagrange_l",
     "jacobi_energy",
     "Verdict",
@@ -38,20 +34,9 @@ __all__ = [
 ]
 
 
-class Frame(Enum):
-    STANDARD = "standard"   # E = (0, 0), M = (1, 0)
-    CENTERED = "centered"   # E = (-1/2, 0), M = (1/2, 0)
-
-
 class HillComponent(Enum):
     EARTH = "earth"
     MOON = "moon"
-
-
-class Membership(Enum):
-    EARTH = "earth"
-    MOON = "moon"
-    EXTERIOR = "exterior"
 
 
 class Verdict(Enum):
@@ -106,13 +91,6 @@ class ProblemParams:
     def primaries(self):
         """Positions of (Earth, Moon) in the Standard frame."""
         return (0.0, 0.0), (1.0, 0.0)
-
-
-@dataclass(frozen=True)
-class CartesianPhasePoint:
-    q: tuple
-    p: tuple
-    frame: Frame = Frame.STANDARD
 
 
 def roots_ab(params, c):

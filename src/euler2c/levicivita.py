@@ -1,14 +1,17 @@
 """Levi-Civita regularization and the potential-based convexity test.
 
-The 2-to-1 symplectic map q = 2 v^2, p = u / conj(v) (Standard frame,
-Earth at the origin) turns the energy hypersurface H = c into the zero
-set of K_c(v, u) = |u|^2 / 2 + V_c(v) with
+The 2-to-1 map q = 2 v^2, p = u / conj(v) (Standard frame, Earth at
+the origin) pulls p.dq back to 4 u.dv, so it is symplectic up to the
+constant factor 4, and it turns the energy hypersurface H = c into the
+zero set of K_c(v, u) = |v|^2 (H - c) = |u|^2 / 2 + V_c(v) with
 
     V_c(x, y) = -c (x^2+y^2) - mu (x^2+y^2) / sqrt(rho) - (1-mu)/2,
     rho = 4x^4 + 8x^2y^2 - 4x^2 + 4y^4 + 4y^2 + 1,
 
-removing the Earth collision. The boundary of the regularized region is
-V = 0; strict convexity is governed by the sign of
+removing the Earth collision; |q - 1|^2 = rho, so rho^(-1/2) is the
+inverse distance to the Moon. The tests check these identities exactly.
+The boundary of the regularized region is V = 0; strict convexity is
+governed by the sign of
 
     F = V_xx V_y^2 + V_yy V_x^2 - 2 V_x V_y V_xy
 
@@ -16,8 +19,8 @@ along it (the potential criterion for mechanical Hamiltonians, evaluated
 at the K-system energy 0). This module provides closed-form derivatives
 of V through order three, as the partials table {(i, j): d_x^i d_y^j V}
 that model.U_derivs returns for U, so F is scan.level_curvature of it;
-the three critical points of V, the tangency data at (+-x0, 0), the
-directional derivative lemmas along the tangent cone, and a witness
+the off-center critical points (+-x0, 0) of V, the tangency data there,
+the directional derivative lemmas along the tangent cone, and a witness
 search for non-convexity just inside (x0, 0), scan.vertex_window on
 the region V < 0.
 """
@@ -25,43 +28,27 @@ the region V < 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import formulas
-from .errors import MoonCollision, OutsideRegion
-from .ladder import CartesianPhasePoint, Frame
+from .errors import MoonCollision
 from .scan import (cone_contact, level_curvature, level_curvature_grad,
                    vertex_window)
 
 __all__ = [
-    "LCPoint",
-    "K_value",
     "radicand",
     "V_eval",
     "V_with_grad",
-    "critical_points_V",
     "F_value",
     "F_with_grad",
-    "salomao_lhs",
     "tilde_derivatives",
     "tangency_check",
     "nonconvex_witness_levi",
 ]
 
 _RAD_TOL = 1e-24
-_OUTSIDE_TOL = 1e-9
 _WITNESS_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class LCPoint:
-    """Levi-Civita phase point: position v and conjugate variable u,
-    each a real pair standing for a complex number."""
-
-    v: tuple
-    u: tuple
 
 
 def radicand(x, y):
@@ -86,26 +73,6 @@ def V_value(x, y, params, c):
     v = _v_value(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
                  rho, params.mu, c)
     return float(v) if np.ndim(v) == 0 else v
-
-
-def K_value(pt: LCPoint, params, c):
-    """Regularized Hamiltonian K_c(v, u) = |u|^2 / 2 + V_c(v)."""
-    x, y = pt.v
-    u1, u2 = pt.u
-    return 0.5 * (u1 * u1 + u2 * u2) + V_value(x, y, params, c)
-
-
-def lc_to_cartesian(pt: LCPoint):
-    """Standard-frame phase point of an LC point (q = 2 v^2, p = u/conj(v));
-    v must be nonzero."""
-    x, y = pt.v
-    v = complex(x, y)
-    if abs(v) < 1e-15:
-        raise ZeroDivisionError("p = u / conj(v) undefined at v = 0")
-    q = 2.0 * v * v
-    p = complex(*pt.u) / v.conjugate()
-    return CartesianPhasePoint((q.real, q.imag), (p.real, p.imag),
-                               Frame.STANDARD)
 
 
 def V_eval(x, y, params, c):
@@ -183,12 +150,6 @@ def x0_of(params, c):
     return math.sqrt(0.5 * (1.0 - math.sqrt(params.mu / (-c))))
 
 
-def critical_points_V(params, c):
-    """The three critical points of V_c: the origin and (+-x0, 0)."""
-    x0 = x0_of(params, c)
-    return ((0.0, 0.0), (x0, 0.0), (-x0, 0.0))
-
-
 def F_value(x, y, params, c):
     """Boundary convexity function F = V_xx V_y^2 + V_yy V_x^2
     - 2 V_x V_y V_xy; positive along V = 0 iff the regularized region
@@ -202,20 +163,6 @@ def F_with_grad(params, c):
         d = V_eval(x, y, params, c)
         return level_curvature(d), *level_curvature_grad(d)
     return f
-
-
-def salomao_lhs(x, y, params, c):
-    """Full convexity criterion 2 (0 - V)(V_xx V_yy - V_xy^2) + F for
-    the K-system at its zero energy; reduces to F on the boundary V = 0.
-
-    Raises OutsideRegion when V > _OUTSIDE_TOL (point outside the
-    projected region of K_c^{-1}(0)).
-    """
-    d = V_eval(x, y, params, c)
-    if np.any(np.asarray(d[0, 0]) > _OUTSIDE_TOL):
-        raise OutsideRegion("V > 0: point outside the projected region")
-    return (2.0 * (0.0 - d[0, 0]) * (d[2, 0] * d[0, 2] - d[1, 1] ** 2)
-            + level_curvature(d))
 
 
 def tangency_check(params):

@@ -1,16 +1,15 @@
 """The unregularized two-fixed-centers problem.
 
-Hamiltonian H(q, p) = |p|^2/2 - (1-mu)/|q - E| - mu/|q - M|, the
-potential U and its derivatives, and Hill regions. The unique interior
-critical point (l, 0) of U, the critical Jacobi energy
-c_J = -1 - 2*sqrt(mu(1-mu)), ProblemParams and the frame conventions
-shared by all other modules live in the NumPy-free ``ladder`` and are
-re-exported here.
+The potential U(q) = -(1-mu)/|q - E| - mu/|q - M| of the Hamiltonian
+H(q, p) = |p|^2/2 + U(q), its derivative table, and the boundaries of
+the Hill regions. The unique interior critical point (l, 0) of U, the
+critical Jacobi energy c_J = -1 - 2*sqrt(mu(1-mu)), ProblemParams and
+the lobe names shared by all other modules live in the NumPy-free
+``ladder`` and are re-exported here.
 
 Positions are in the Standard frame, with the primaries at E = (0, 0)
-and M = (1, 0). A CartesianPhasePoint may be in the Centered frame,
-which shifts them to (-1/2, 0) and (1/2, 0); hamiltonian_H reads its
-frame.
+and M = (1, 0). The elliptic chart of ``scan`` and ``elliptic`` is
+centered instead, with the primaries at (-1/2, 0) and (1/2, 0).
 """
 
 from __future__ import annotations
@@ -19,29 +18,21 @@ from functools import cache
 
 import numpy as np
 
-from .errors import BoundaryAmbiguous, CollisionPoint, TraceFailure
-from .ladder import (CartesianPhasePoint, Frame, HillComponent, Membership,
-                     ProblemParams, jacobi_energy, lagrange_l)
+from .errors import CollisionPoint, TraceFailure
+from .ladder import HillComponent, ProblemParams, jacobi_energy, lagrange_l
 
 __all__ = [
-    "Frame",
     "HillComponent",
-    "Membership",
     "ProblemParams",
-    "CartesianPhasePoint",
     "potential_U",
     "U_derivs",
-    "grad_U",
-    "hamiltonian_H",
     "lagrange_l",
     "jacobi_energy",
-    "hill_membership",
     "hill_boundary",
 ]
 
 _COLLISION_TOL = 1e-13
-# hill_membership calls a point this close to the level ambiguous, and a
-# hill_boundary ray has converged once it is this close
+# a hill_boundary ray has converged once |U - c| is below this
 _LEVEL_TOL = 1e-10
 # a hill_boundary ray is resolved once its bracket in t is below this
 # many units of |q1| + |q2| (four ulps)
@@ -123,59 +114,6 @@ def U_derivs(q, params):
     Standard-frame position (_U_partials): Python floats for a scalar
     one, arrays otherwise; levicivita.V_eval returns V's in this form."""
     return _U_partials(q, params, 3)
-
-
-def grad_U(q, params):
-    """Gradient of U."""
-    d = _U_partials(q, params, 1)
-    return d[1, 0], d[0, 1]
-
-
-def hamiltonian_H(pt: CartesianPhasePoint, params):
-    """H(q, p) = |p|^2 / 2 + U(q), shifting q of a Centered point to the
-    Standard frame."""
-    p1, p2 = pt.p
-    q1, q2 = pt.q
-    if pt.frame is Frame.CENTERED:
-        q1 = q1 + 0.5
-    return 0.5 * (p1 * p1 + p2 * p2) + potential_U((q1, q2), params)
-
-
-def _segment_inside_check(q, primary, params, c, nsamp=32):
-    """Assert that the straight segment from q to its primary stays in
-    the sublevel set {U <= c} (skipping the immediate neighborhood of
-    the primary, where U -> -inf anyway)."""
-    t = np.linspace(1e-6, 1.0, nsamp)
-    q1 = primary[0] + t * (q[0] - primary[0])
-    q2 = primary[1] + t * (q[1] - primary[1])
-    u = potential_U((q1, q2), params)
-    if np.any(u > c + 1e-9):
-        raise AssertionError(
-            "segment to primary exits the Hill sublevel set; "
-            "component classification by sign of q1 - l is not valid here")
-
-
-def hill_membership(q, params, c):
-    """Classify a position against the Hill region of energy c < c_J.
-
-    Exterior iff U(q) > c; otherwise Earth if q1 is below the critical
-    abscissa l, Moon if above, after checking that the segment from q
-    to that primary stays inside. Raises BoundaryAmbiguous when
-    |U - c| < _LEVEL_TOL.
-    """
-    if c >= params.c_jacobi:
-        raise ValueError("hill_membership requires c < c_jacobi")
-    u = potential_U(q, params)
-    if abs(u - c) < _LEVEL_TOL:
-        raise BoundaryAmbiguous(f"|U - c| = {abs(u - c):.3e} < {_LEVEL_TOL}")
-    if u > c:
-        return Membership.EXTERIOR
-    earth, moon = params.primaries()
-    if q[0] < params.l:
-        _segment_inside_check(q, earth, params, c)
-        return Membership.EARTH
-    _segment_inside_check(q, moon, params, c)
-    return Membership.MOON
 
 
 def hill_boundary(params, c, component, n=256):

@@ -3,8 +3,8 @@ gradient and its series along a tangent-cone line, all read from one
 partials table {(i, j): d_x^i d_y^j f}; the witness search just inside
 the vertex where two lobes of a level set touch; the positions of one
 Hill lobe, sampled in elliptic coordinates for both oracles; sign scans
-that bisect every sign-changing grid edge at once; implicit-curve
-tracing; and finite-difference validation of closed-form derivatives.
+that bisect every sign-changing grid edge at once; and implicit-curve
+tracing.
 
 All routines are deterministic: grids are regular and traces are seeded
 explicitly, so identical inputs produce identical reports.
@@ -25,7 +25,7 @@ from .ladder import HillComponent
 __all__ = ["ScanReport", "Polyline", "EllipticDomain", "HillRegion",
            "level_curvature", "level_curvature_grad", "cone_contact",
            "vertex_window", "elliptic_to_cartesian", "domain_bounds",
-           "hill_region", "sign_scan", "trace_implicit", "fd_check"]
+           "hill_region", "sign_scan", "trace_implicit"]
 
 GRAD_COLLAPSE_TOL = 1e-7
 # |f| below this is on the zero set, for a scan witness and a trace
@@ -83,9 +83,10 @@ def level_curvature(d):
     the level set of f through a point, from the table d = {(i, j):
     d_x^i d_y^j f} of f's partials there (the entries of orders one and
     two are read); the curvature is this over |grad f|^3. Elementwise on
-    arrays."""
+    arrays; the integer literals let it run on exactpoly.MultiPoly
+    tables too."""
     fx, fy = d[1, 0], d[0, 1]
-    return d[2, 0] * fy ** 2 + d[0, 2] * fx ** 2 - 2.0 * fx * fy * d[1, 1]
+    return d[2, 0] * fy ** 2 + d[0, 2] * fx ** 2 - 2 * fx * fy * d[1, 1]
 
 
 def level_curvature_grad(d):
@@ -94,10 +95,10 @@ def level_curvature_grad(d):
     replaced by (f_xxx, f_xxy, f_xyy), plus 2 f_x det Hess f, and K_y is
     K with (f_xxy, f_xyy, f_yyy), plus 2 f_y det Hess f."""
     fx, fy = d[1, 0], d[0, 1]
-    det2 = 2.0 * (d[2, 0] * d[0, 2] - d[1, 1] ** 2)
-    kx = (d[3, 0] * fy ** 2 + d[1, 2] * fx ** 2 - 2.0 * fx * fy * d[2, 1]
+    det2 = 2 * (d[2, 0] * d[0, 2] - d[1, 1] ** 2)
+    kx = (d[3, 0] * fy ** 2 + d[1, 2] * fx ** 2 - 2 * fx * fy * d[2, 1]
           + fx * det2)
-    ky = (d[2, 1] * fy ** 2 + d[0, 3] * fx ** 2 - 2.0 * fx * fy * d[1, 2]
+    ky = (d[2, 1] * fy ** 2 + d[0, 3] * fx ** 2 - 2 * fx * fy * d[1, 2]
           + fy * det2)
     return kx, ky
 
@@ -411,58 +412,3 @@ def _mk_polyline(pts, residuals, closed, collapse_point):
     return Polyline(np.asarray(pts, dtype=float), closed,
                     float(np.max(residuals)), float(np.mean(residuals)),
                     collapse_point is not None, collapse_point)
-
-
-# -- finite differences -----------------------------------------------------
-
-_STENCILS = {
-    1: ([(1, 0.5), (-1, -0.5)], 1),
-    2: ([(1, 1.0), (0, -2.0), (-1, 1.0)], 2),
-    3: ([(2, 0.5), (1, -1.0), (-1, 1.0), (-2, -0.5)], 3),
-    4: ([(2, 1.0), (1, -4.0), (0, 6.0), (-1, -4.0), (-2, 1.0)], 4),
-}
-
-
-def fd_derivative(f, x, y, order_x, order_y, h):
-    """Central finite-difference estimate of a mixed partial derivative
-    of f(x, y), composing 1-D second-order stencils."""
-    if order_x == 0 and order_y == 0:
-        return f(x, y)
-    if order_x > 0:
-        offs, power = _STENCILS[order_x]
-        return sum(w * fd_derivative(f, x + k * h, y, 0, order_y, h)
-                   for k, w in offs) / h ** power
-    offs, power = _STENCILS[order_y]
-    return sum(w * f(x, y + k * h) for k, w in offs) / h ** power
-
-
-def fd_check(f, derivs, points, h=1e-5, h4=1e-3, scale_floor=1e-8):
-    """Compare claimed derivative evaluators against finite differences.
-
-    Parameters
-    ----------
-    f : callable (x, y) -> value
-    derivs : dict mapping (order_x, order_y) to a callable (x, y)
-    points : iterable of (x, y) sample points interior to the domain
-    h : step for orders 1-3; h4 : step for total order 4
-
-    Returns a dict mapping each multi-index to its maximum scaled relative
-    error over the sample points. The scale per point is |closed value|,
-    floored by the largest closed value seen for that derivative (times
-    scale_floor) so that incidental zeros of a derivative do not blow up
-    the quotient.
-    """
-    points = list(points)
-    table = {}
-    for key, claimed in derivs.items():
-        ox, oy = key
-        step = h4 if ox + oy >= 4 else h
-        exact = [claimed(x, y) for (x, y) in points]
-        scale = max((abs(e) for e in exact), default=1.0)
-        floor = max(scale * scale_floor, 1e-300)
-        worst = 0.0
-        for (x, y), e in zip(points, exact):
-            approx = fd_derivative(f, x, y, ox, oy, step)
-            worst = max(worst, abs(approx - e) / max(abs(e), floor))
-        table[key] = worst
-    return table

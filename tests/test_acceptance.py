@@ -4,7 +4,8 @@ Each test pins one headline guarantee of the package: the exact identity
 suite, the derived constants, the threshold ladder, theory-vs-oracle
 agreement for the regularized Hessian, the boundary non-convexity
 witness, fiberwise convexity at equal masses, derivative validation,
-cross-evaluation oracles, the tangency constants, and the figure data.
+exact cross-evaluation of the closed forms, the tangency constants, and
+the figure data.
 """
 
 import csv
@@ -14,16 +15,14 @@ import time
 import numpy as np
 import pytest
 
-from euler2c import elliptic, fiberwise, levicivita
+from euler2c import elliptic, levicivita, model, scan
 from euler2c.cli import main
-from euler2c.exactpoly import verify_all
+from euler2c.exactpoly import verify_all, verify_identity
 from euler2c.fiberwise import (
     C_l_derivatives,
-    C_value,
     U_derivs,
-    V_line,
     curvature_numerator,
-    polar_C_derivs,
+    lemma_polynomials,
 )
 from euler2c.levicivita import (
     F_value,
@@ -35,7 +34,11 @@ from euler2c.levicivita import (
 )
 from euler2c.model import (HillComponent, ProblemParams, hill_boundary,
                            potential_U)
-from euler2c.scan import fd_derivative, vertex_window
+from euler2c.scan import vertex_window
+from finite_differences import fd_derivative
+
+import regularizations
+from regularizations import holds
 
 
 def test_01_exact_identity_suite():
@@ -210,24 +213,29 @@ def test_07_derivative_tables():
             worst = max(worst, abs(fd - v) / max(abs(v), 1e-5 * scale))
         assert worst < 1e-6, (name, worst)
 
-    # -- V_line through order 4 over >= 500 samples
+    # -- U along the cone line through (l, 0), through order 4, over
+    # >= 500 samples
+    def line(t, p):
+        d = model._U_partials((t, math.sqrt(2.0) * (t - p.l)), p, 4)
+        return [d[0, 0]] + [scan._cone_derivative(d, 0, 0, k)
+                            for k in range(1, 5)]
+
     ts = rng.uniform(0.05, 0.55, 500)
-    for key, base in (("V1", "V"), ("V2", "V1"), ("V3", "V2"),
-                      ("V4", "V3")):
-        fb = lambda t, _y=0.0: V_line(t, p)[base]
+    for k in range(1, 5):
+        fb = lambda t, _y=0.0: line(t, p)[k - 1]
         worst = 0.0
-        vals = [V_line(t, p)[key] for t in ts]
+        vals = [line(t, p)[k] for t in ts]
         scale = max(abs(v) for v in vals)
         for t, v in zip(ts, vals):
             fd = _fd1(fb, float(t), 0.0, 1, 0, 1e-5)
             worst = max(worst, abs(fd - v) / max(abs(v), 1e-5 * scale))
-        assert worst < 1e-6, (key, worst)
+        assert worst < 1e-6, (k, worst)
 
-    # V_line fourth derivative pinned value at equal masses
-    assert V_line(0.5, ProblemParams(0.5))["V4"] == \
-        pytest.approx(2688.0, rel=1e-6)
+    # the fourth derivative along the line, pinned at equal masses
+    assert line(0.5, ProblemParams(0.5))[4] == pytest.approx(2688.0, rel=1e-6)
 
-    # -- polar C_r / C_theta over >= 500 samples, equal masses
+    # -- the polar closed forms of C_r and C_theta (lemma_polynomials)
+    # over >= 500 samples, equal masses
     p5 = ProblemParams(0.5)
 
     def cp(r, t):
@@ -242,36 +250,23 @@ def test_07_derivative_tables():
         if math.hypot(r * math.cos(t) - 1.0, r * math.sin(t)) < 0.15:
             continue
         n += 1
-        d = polar_C_derivs(r, t, p5)
+        aux = lemma_polynomials(r, math.cos(t))
+        rho = math.sqrt(r * r - 2.0 * r * math.cos(t) + 1.0)
+        c_r = -7.0 * float(aux["F_rderi"]) / (2.0 * r ** 8 * rho ** 9)
+        c_t = -float(aux["G"]) * math.sin(t) / (8.0 * r ** 5 * rho ** 9)
         fr = _fd1(cp, r, t, 1, 0, 1e-5)
         ft = _fd1(cp, r, t, 0, 1, 1e-5)
-        worst_r = max(worst_r, abs(fr - d["C_r"]) / max(abs(d["C_r"]), 1.0))
-        worst_t = max(worst_t,
-                      abs(ft - d["C_theta"]) / max(abs(d["C_theta"]), 1.0))
+        worst_r = max(worst_r, abs(fr - c_r) / max(abs(c_r), 1.0))
+        worst_t = max(worst_t, abs(ft - c_t) / max(abs(c_t), 1.0))
     assert worst_r < 1e-6 and worst_t < 1e-6
 
 
 def test_08_cross_evaluation_oracles():
-    rng = np.random.default_rng(8)
-    p = ProblemParams(0.3)
-    # curvature numerator: derivative combination vs explicit closed form
-    pts = _sample_points(rng, 1000, [(0.0, 0.0), (1.0, 0.0)],
-                         min_dist=0.05)
-    for q in pts:
-        ev = C_value(q, p)
-        scale = max(abs(ev.C), abs(ev.C_closed), 1e-30)
-        assert abs(ev.C - ev.C_closed) / scale < 1e-8
-
-    # tangential Hessian determinant: numeric 3x3 vs closed product
-    c = p.c_jacobi - 0.4
-    samples = elliptic.sample_zero_set(p, c, HillComponent.EARTH,
-                                       n_lam=40, n_nu=40, n_phi=4)
-    idx = rng.choice(len(samples), size=1000, replace=False)
-    for i in idx:
-        numeric, closed = elliptic.tangential_hessian_det(
-            samples[int(i)], p, c)
-        scale = max(abs(numeric), abs(closed), 1e-30)
-        assert abs(numeric - closed) / scale < 1e-8
+    # each closed form against the evaluation it replaces, exactly: the
+    # curvature numerator C (scan.level_curvature of U's partials) and the
+    # projected-Hessian determinant (det-frame)
+    assert holds(regularizations.curvature_closed_form())
+    assert verify_identity("det-frame").passed
 
 
 def test_09_tangency_constants():

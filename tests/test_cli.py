@@ -7,10 +7,12 @@ import math
 import os
 import subprocess
 import sys
+import tokenize
 
 import numpy as np
 import pytest
 
+import euler2c
 from euler2c import levicivita
 from euler2c.cli import _linspace, main, parse_energy
 from euler2c.elliptic import oracle_convexity, thresholds
@@ -118,6 +120,33 @@ class TestVerdict:
         assert code == 0
         assert json.loads(out)["samples"] == read
         assert read == 1344 if mu > 0.5 else 0 < read < 1344
+
+    def test_levi_least_value(self, capsys):
+        # the least F the window read; its first hit is below -tol
+        p = ProblemParams(0.3)
+        w, _, least = levicivita.nonconvex_witness_levi(p, p.c_jacobi)
+        code, out, _ = run(capsys, "verdict", "levi", "--mu", "0.3",
+                           "--c", "cJ")
+        d = json.loads(out)
+        assert code == 0 and d["least_value"] == least <= w[2] < -1e-8
+
+    def test_fiberwise_least_value_inside_tolerance(self, capsys):
+        # at mu = 0.4995 and c_J the least C read is negative, but inside
+        # the tolerance 1e-12, so no witness: the report shows how near
+        code, out, _ = run(capsys, "verdict", "fiberwise", "--mu", "0.4995",
+                           "--c", "cJ", "--method", "oracle")
+        d = json.loads(out)
+        assert code == 0 and d["verdict"] == "convex"
+        assert -1e-12 < d["least_value"] < 0.0
+        assert d["least_value"] == pytest.approx(-4.26e-13, rel=1e-2)
+
+    @pytest.mark.parametrize("argv", [
+        ["elliptic", "--component", "earth", "--c", "cJ-0.2", "--grid",
+         "20", "20", "4"],
+        ["levi", "--method", "theory"], ["fiberwise", "--method", "theory"]])
+    def test_least_value_only_from_a_boundary_oracle(self, capsys, argv):
+        _, out, _ = run(capsys, "verdict", *argv, "--mu", "0.3")
+        assert "least_value" not in json.loads(out)
 
     def test_fiberwise_equal_mass(self, capsys):
         code, out, _ = run(capsys, "verdict", "fiberwise", "--mu", "0.5",
@@ -767,3 +796,42 @@ def test_import_does_not_load_scipy(case):
     for name in ["scipy", *absent]:
         assert not [k for k in loaded
                     if k == name or k.startswith(name + ".")], name
+
+
+# the program's own files, where a public name needs a caller: the
+# package's modules but __init__ (its name table), the demos and the
+# benchmark
+_PROGRAM = [os.path.join(SRC, "euler2c", f)
+            for f in os.listdir(os.path.join(SRC, "euler2c"))
+            if f.endswith(".py") and f != "__init__.py"] + [
+    os.path.join(os.path.dirname(SRC), d, f)
+    for d in ("demos", "perfbench")
+    for f in os.listdir(os.path.join(os.path.dirname(SRC), d))
+    if f.endswith(".py")]
+
+
+def _referenced_names(path):
+    """The identifiers a file uses: NAME tokens outside import statements
+    and other than the name a def or class statement defines (strings,
+    comments and docstrings are not NAME tokens)."""
+    names, in_import, start, prev = set(), False, True, None
+    with tokenize.open(path) as fh:
+        for tok in tokenize.generate_tokens(fh.readline):
+            if tok.type in (tokenize.NEWLINE, tokenize.ENDMARKER):
+                in_import, start = False, True
+            elif tok.type == tokenize.NAME:
+                if start:
+                    in_import = tok.string in ("import", "from")
+                if not in_import and prev not in ("def", "class"):
+                    names.add(tok.string)
+                start = False
+            prev = tok.string if tok.type == tokenize.NAME else None
+    return names
+
+
+def test_public_names_have_program_callers():
+    # a name in euler2c.__all__ that only the tests use is dead weight
+    used = set().union(*map(_referenced_names, _PROGRAM))
+    unused = [n for n in euler2c.__all__ if n != "__version__"
+              and n not in used]
+    assert not unused

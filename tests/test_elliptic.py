@@ -6,41 +6,22 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
-from euler2c import elliptic, formulas
-from euler2c.errors import (
-    EnergyAboveCritical,
-    FocalDegeneracy,
-    OracleInconsistency,
-    SingularPoint,
-)
+from euler2c import elliptic, exactpoly, formulas
+from euler2c.errors import EnergyAboveCritical, OracleInconsistency
 from euler2c.elliptic import (
-    A_value,
-    Definiteness,
-    EllipticPoint,
-    Q_value,
     Verdict,
-    cartesian_to_elliptic,
     convexity_verdict,
-    domain_bounds,
-    elliptic_to_cartesian,
-    elliptic_to_cartesian_phase,
     eta,
-    frame_vectors,
-    hess_frame,
     oracle_convexity,
     roots_ab,
-    sample_zero_set,
-    tangential_hessian_det,
-    tangential_hessian_definiteness,
     thresholds,
 )
-from euler2c.model import (
-    CartesianPhasePoint,
-    Frame,
-    HillComponent,
-    ProblemParams,
-    hamiltonian_H,
-)
+from euler2c.exactpoly import ring
+from euler2c.model import HillComponent, ProblemParams
+from euler2c.scan import domain_bounds, elliptic_to_cartesian
+
+import regularizations
+from regularizations import holds
 
 # the threshold ladder (c_E, c_M, c0, c_J - c0) of the binary64 mu, to 42
 # significant digits from a 150-digit bisection of the unsquared boundary
@@ -79,6 +60,27 @@ C_EPP_03 = -1.9643650760992957
 C0_03 = -1.916913738881517
 
 
+def _frame(lam, nu, pl, pn, params, c):
+    """The oracle's frame quantities (x, y, z, w, a, b) of Q at phase
+    points: the gradient and the Hessian diagonal diag(a, b, 4, 4)."""
+    x, a = elliptic._lam_terms(lam, c)
+    y, b = elliptic._nu_terms(nu, params, c)
+    return x, y, 4.0 * pl, 4.0 * pn, a, b
+
+
+def _sample_arrays(params, c, component, n_lam=100, n_nu=100, n_phi=16):
+    """(lam, nu, p_lam, p_nu) arrays of the zero set of Q that
+    _zero_set_points samples: every grid position at each of its n_phi
+    momentum angles in turn, then the rim with zero momentum."""
+    zs = elliptic._zero_set_points(params, c, component, n_lam, n_nu, n_phi)
+    n, lam = zs.n_grid, zs.lam[zs.ilam]
+    rim = np.zeros(lam.size - n)
+    return (np.concatenate([np.repeat(lam[:n], n_phi), lam[n:]]),
+            np.concatenate([np.repeat(zs.nu[:n], n_phi), zs.nu[n:]]),
+            np.concatenate([np.outer(zs.s[:n], zs.cos_phi).ravel(), rim]),
+            np.concatenate([np.outer(zs.s[:n], zs.sin_phi).ravel(), rim]))
+
+
 class TestCoordinates:
     def test_foci_at_centered_primaries(self):
         assert elliptic_to_cartesian(0.0, 0.0) == (0.5, 0.0)
@@ -86,134 +88,122 @@ class TestCoordinates:
         assert q1 == pytest.approx(-0.5) and abs(q2) < 1e-16
 
     def test_roundtrip_phase(self):
-        pt = CartesianPhasePoint((0.3, 0.4), (-0.2, 0.7), Frame.CENTERED)
-        first, second = cartesian_to_elliptic(pt)
-        back = elliptic_to_cartesian_phase(first)
-        assert back.q[0] == pytest.approx(0.3, abs=1e-12)
-        assert back.q[1] == pytest.approx(0.4, abs=1e-12)
-        assert back.p[0] == pytest.approx(-0.2, abs=1e-12)
-        assert back.p[1] == pytest.approx(0.7, abs=1e-12)
-        # the cover identification mirrors q2 (sign disambiguated by
-        # the branch), flipping q2 and p2 together
-        mirr = elliptic_to_cartesian_phase(second)
-        assert mirr.q[0] == pytest.approx(0.3, abs=1e-12)
-        assert mirr.q[1] == pytest.approx(-0.4, abs=1e-12)
-        assert mirr.p[0] == pytest.approx(-0.2, abs=1e-12)
-        assert mirr.p[1] == pytest.approx(-0.7, abs=1e-12)
+        # exact: J^T J = J J^T = (x^2 - y^2)/4 I, so p = 4 J (p_lam, p_nu)
+        # / (x^2 - y^2) inverts the momentum pullback off the foci
+        assert holds(regularizations.elliptic_metric())
 
     def test_preimages_equal_Q(self, p03):
-        pt = CartesianPhasePoint((0.3, 0.4), (-0.2, 0.7), Frame.CENTERED)
-        first, second = cartesian_to_elliptic(pt)
+        # the deck transformation (nu, p_nu) -> (2 pi - nu, -p_nu) keeps
+        # R^2, so Q, and the projected-Hessian spectrum: the oracle samples
+        # only the branch nu in [0, pi]
         c = p03.c_jacobi - 0.4
-        assert Q_value(first, p03, c) == pytest.approx(
-            Q_value(second, p03, c), rel=1e-14)
+        lam, nu, pl, pn = _sample_arrays(p03, c, HillComponent.EARTH,
+                                         20, 20, 4)
+        m = 1.0 - 2.0 * p03.mu
+        assert np.allclose(
+            formulas.R2(np.cosh(lam), np.cos(2 * math.pi - nu), c, m),
+            formulas.R2(np.cosh(lam), np.cos(nu), c, m), rtol=0, atol=1e-13)
+        first = _frame(lam, nu, pl, pn, p03, c)
+        second = _frame(lam, 2 * math.pi - nu, pl, -pn, p03, c)
+        scale = np.max(np.abs(formulas.projected_hessian(*first)), axis=0)
+        for u, v in zip(elliptic._tangent_spectrum(*first),
+                        elliptic._tangent_spectrum(*second)):
+            assert np.all(np.abs(u - v) <= 1e-12 * scale)
 
     def test_deck_transformation(self):
-        pt = CartesianPhasePoint((0.3, 0.4), (-0.2, 0.7), Frame.CENTERED)
-        first, second = cartesian_to_elliptic(pt)
-        assert second.nu == pytest.approx(2 * math.pi - first.nu)
-        assert second.p_nu == -first.p_nu
+        # the second preimage (lam, 2 pi - nu) is the mirror image in q2
+        for lam, nu in ((0.3, 0.4), (1.2, 2.5), (0.0, 1.0)):
+            q1, q2 = elliptic_to_cartesian(lam, nu)
+            m1, m2 = elliptic_to_cartesian(lam, 2 * math.pi - nu)
+            assert m1 == pytest.approx(q1, abs=1e-15)
+            assert m2 == pytest.approx(-q2, abs=1e-15)
 
     def test_focal_degeneracy(self):
-        pt = CartesianPhasePoint((0.5, 0.0), (0.1, 0.1), Frame.CENTERED)
-        with pytest.raises(FocalDegeneracy):
-            cartesian_to_elliptic(pt)
+        # exact: det J = (x^2 - y^2)/4 = (sinh^2 lam + sin^2 nu)/4 vanishes
+        # only at the foci, which are the primaries (+-1/2, 0)
+        assert holds(regularizations.elliptic_jacobian_det())
 
     def test_frame_required(self):
-        pt = CartesianPhasePoint((0.3, 0.4), (0.0, 0.0), Frame.STANDARD)
-        with pytest.raises(ValueError):
-            cartesian_to_elliptic(pt)
+        # exact: the chart is in the Centered frame, (x +- y)/2 being the
+        # distances to the primaries at (-+1/2, 0)
+        assert holds(regularizations.elliptic_distances())
 
 
 class TestQ:
-    def test_q_factors_h_minus_c(self, p03, rng):
-        # Q = (H - c) (cosh^2 lam - cos^2 nu) on phase space
-        c = p03.c_jacobi - 0.4
-        for _ in range(25):
-            lam = rng.uniform(0.2, 1.5)
-            nu = rng.uniform(0.1, math.pi - 0.1)
-            pl, pn = rng.uniform(-1, 1, 2)
-            ep = EllipticPoint(lam, nu, pl, pn)
-            cart = elliptic_to_cartesian_phase(ep)
-            h = hamiltonian_H(cart, p03)
-            factor = math.cosh(lam) ** 2 - math.cos(nu) ** 2
-            assert Q_value(ep, p03, c) == pytest.approx(
-                (h - c) * factor, rel=1e-11, abs=1e-11)
+    def test_q_factors_h_minus_c(self):
+        # exact: Q = (H - c)(cosh^2 lam - cos^2 nu) on phase space, with
+        # the program's formulas.R2
+        assert holds(regularizations.elliptic_hamiltonian())
 
     def test_zero_set_on_shell(self, p03):
         c = p03.c_jacobi - 0.4
-        pts = sample_zero_set(p03, c, HillComponent.EARTH,
-                              n_lam=20, n_nu=20, n_phi=4)
-        assert len(pts) > 100
-        for ep in pts[::17]:
-            assert abs(Q_value(ep, p03, c)) < 1e-10
+        lam, nu, pl, pn = _sample_arrays(p03, c, HillComponent.EARTH,
+                                         n_lam=20, n_nu=20, n_phi=4)
+        assert lam.size > 100
+        Q = 2.0 * (pl ** 2 + pn ** 2) - formulas.R2(
+            np.cosh(lam), np.cos(nu), c, 1.0 - 2.0 * p03.mu)
+        assert np.all(np.abs(Q) < 1e-10)
 
     def test_zero_set_requires_subcritical(self, p03):
         with pytest.raises(EnergyAboveCritical):
-            sample_zero_set(p03, p03.c_jacobi, HillComponent.EARTH)
+            elliptic._zero_set_points(p03, p03.c_jacobi, HillComponent.EARTH)
 
     def test_zero_set_includes_rim(self, p03):
         c = p03.c_jacobi - 0.4
-        pts = sample_zero_set(p03, c, HillComponent.MOON,
-                              n_lam=20, n_nu=20, n_phi=4)
-        rim = [ep for ep in pts if ep.p_lam == 0.0 and ep.p_nu == 0.0]
-        assert rim
+        _, _, pl, pn = _sample_arrays(p03, c, HillComponent.MOON,
+                                      n_lam=20, n_nu=20, n_phi=4)
+        assert np.any((pl == 0.0) & (pn == 0.0))
 
 
 class TestProjectedHessian:
-    def _point(self, p03, c):
-        pts = sample_zero_set(p03, c, HillComponent.EARTH,
-                              n_lam=12, n_nu=12, n_phi=4)
-        return pts[len(pts) // 3]
+    def test_frame_orthogonality(self):
+        # exact: the frame X, Y, Z of det-frame is orthogonal to
+        # grad Q = (x, y, z, w) and orthogonal, with squared norm n2
+        x, y, z, w = ring("x", "y", "z", "w")
+        grad = [x, y, z, w]
+        frame = exactpoly._tangent_frame(x, y, z, w)
+        n2 = x ** 2 + y ** 2 + z ** 2 + w ** 2
+        for i, u in enumerate(frame):
+            assert sum(a * b for a, b in zip(u, grad)).is_zero
+            for j, v in enumerate(frame):
+                dot = sum(a * b for a, b in zip(u, v))
+                assert (dot - (n2 if i == j else 0)).is_zero
 
-    def test_frame_orthogonality(self, p03):
+    def test_det_closed_form(self, p03):
+        # the assembled matrix against the det-frame product
+        # n2^2 (16 b x^2 + 16 a y^2 + 4 a b (z^2 + w^2)) on the zero set
         c = p03.c_jacobi - 0.4
-        h = hess_frame(self._point(p03, c), p03, c)
-        g = np.array([h.x, h.y, h.z, h.w])
-        X, Y, Z = frame_vectors(h)
-        for v in (X, Y, Z):
-            assert abs(v @ g) < 1e-12
-        assert abs(X @ Y) < 1e-12 and abs(X @ Z) < 1e-12 \
-            and abs(Y @ Z) < 1e-12
+        x, y, z, w, a, b = _frame(*_sample_arrays(
+            p03, c, HillComponent.EARTH, 15, 15, 6), p03, c)
+        numeric = np.linalg.det(elliptic._symmetric(
+            *formulas.projected_hessian(x, y, z, w, a, b)))
+        n2 = x * x + y * y + z * z + w * w
+        closed = n2 ** 2 * (16 * b * x * x + 16 * a * y * y
+                            + 4 * a * b * (z * z + w * w))
+        scale = np.maximum(np.maximum(np.abs(numeric), np.abs(closed)),
+                           1e-30)
+        assert np.all(np.abs(numeric - closed) / scale < 1e-8)
 
-    def test_det_closed_form(self, p03, rng):
+    def test_a_bracket_identity(self, p03):
+        # on shell the oracle's roots multiply to n2 C with
+        # C = a b (z^2 + w^2) + 4 (a y^2 + b x^2) = 32 A(cosh lam, cos nu)
         c = p03.c_jacobi - 0.4
-        pts = sample_zero_set(p03, c, HillComponent.EARTH,
-                              n_lam=15, n_nu=15, n_phi=6)
-        idx = rng.choice(len(pts), size=200, replace=False)
-        for i in idx:
-            numeric, closed = tangential_hessian_det(pts[i], p03, c)
-            scale = max(abs(numeric), abs(closed), 1e-30)
-            assert abs(numeric - closed) / scale < 1e-8
-
-    def test_a_bracket_identity(self, p03, rng):
-        # on shell: a b (z^2 + w^2) + 4 (a y^2 + b x^2) = 32 A(ch, cn)
-        c = p03.c_jacobi - 0.4
-        pts = sample_zero_set(p03, c, HillComponent.MOON,
-                              n_lam=15, n_nu=15, n_phi=6)
-        for i in rng.choice(len(pts), size=100, replace=False):
-            ep = pts[i]
-            h = hess_frame(ep, p03, c)
-            lhs = (h.a * h.b * (h.z ** 2 + h.w ** 2)
-                   + 4.0 * (h.a * h.y ** 2 + h.b * h.x ** 2))
-            rhs = 32.0 * A_value(math.cosh(ep.lam), math.cos(ep.nu),
-                                 p03, c)
-            assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
-
-    def test_singular_point_raises(self, p05):
-        # at mu = 1/2 the gradient vanishes at lam = 0, nu = pi/2, p = 0
-        with pytest.raises(SingularPoint):
-            hess_frame(EllipticPoint(0.0, math.pi / 2, 0.0, 0.0),
-                       p05, -2.5)
+        lam, nu, pl, pn = _sample_arrays(p03, c, HillComponent.MOON,
+                                         15, 15, 6)
+        x, y, z, w, a, b = _frame(lam, nu, pl, pn, p03, c)
+        _, lo, hi = elliptic._tangent_spectrum(x, y, z, w, a, b)
+        n2 = x * x + y * y + z * z + w * w
+        A = formulas.A(np.cosh(lam), np.cos(nu), c, 1.0 - 2.0 * p03.mu)
+        size = n2 * (np.abs(a * b) * (z * z + w * w)
+                     + 4.0 * (np.abs(a) * y * y + np.abs(b) * x * x))
+        assert np.all(np.abs(lo * hi - 32.0 * n2 * A) <= 1e-10 * n2 * size)
 
     def test_definiteness_enum(self, p05):
-        c = -2.5
-        pts = sample_zero_set(p05, c, HillComponent.EARTH,
-                              n_lam=10, n_nu=10, n_phi=4)
-        kinds = {tangential_hessian_definiteness(ep, p05, c)
-                 for ep in pts[::5]}
-        assert kinds <= {Definiteness.POS_DEF, Definiteness.DEGENERATE}
-        assert Definiteness.POS_DEF in kinds
+        # at equal masses every lobe is convex: the oracle reads the
+        # projected Hessian positive definite
+        rep = oracle_convexity(p05, -2.5, HillComponent.EARTH,
+                               grid=(10, 10, 4))
+        assert rep.verdict == "posdef" and rep.failures == 0
 
 
 class TestDomain:
@@ -435,12 +425,6 @@ class TestMassSwap:
             assert convexity_verdict(p, c, comp) is oracle
 
 
-def _sample_arrays(params, c, component, *grid):
-    """(lam, nu, p_lam, p_nu) arrays of sample_zero_set."""
-    return np.array([(e.lam, e.nu, e.p_lam, e.p_nu) for e in
-                     sample_zero_set(params, c, component, *grid)]).T
-
-
 def _check_full_eigvalsh(mu, dc, comp, grid):
     """The oracle's report against eigvalsh at every angle of every
     position, and against the report's definition: one closed-form
@@ -461,7 +445,7 @@ def _check_full_eigvalsh(mu, dc, comp, grid):
     assert np.array_equal(nu, zs.nu[at])
     assert np.array_equal(pl[first], zs.s) and np.all(pn[first] == 0.0)
 
-    x, y, z, w, a, b = elliptic._frame_arrays(lam, nu, pl, pn, p, c)
+    x, y, z, w, a, b = _frame(lam, nu, pl, pn, p, c)
     n2 = x * x + y * y + z * z + w * w
     e4, lo, _ = elliptic._tangent_spectrum(
         *(v[first] for v in (x, y, z, w, a, b)))
@@ -531,9 +515,10 @@ class TestOracle:
         assert rep.verdict == "indefinite"
         assert rep.witnesses
         lam, nu, pl, pn = rep.witnesses[0]
-        d = tangential_hessian_definiteness(
-            EllipticPoint(lam, nu, pl, pn), p03, mid)
-        assert d is Definiteness.INDEFINITE
+        frame = _frame(np.array([lam]), np.array([nu]), np.array([pl]),
+                       np.array([pn]), p03, mid)
+        M = elliptic._symmetric(*formulas.projected_hessian(*frame))
+        assert np.linalg.eigvalsh(M)[0, 0] < 0.0
 
     @pytest.mark.parametrize("mu, dc, comp", [
         (0.3, -0.1, HillComponent.EARTH),
@@ -696,7 +681,7 @@ class TestSpectrum:
                 assert np.any((pl == 0.0) & (pn == 0.0))
                 corner = math.pi if comp is HillComponent.EARTH else 0.0
                 assert np.any((lam == 0.0) & (nu == corner))
-                frame = elliptic._frame_arrays(lam, nu, pl, pn, p, c)
+                frame = _frame(lam, nu, pl, pn, p, c)
                 entries = formulas.projected_hessian(*frame)
                 M = elliptic._symmetric(*entries)
                 ev = np.linalg.eigvalsh(M)[:, 0]
@@ -715,8 +700,7 @@ class TestSpectrum:
         for comp in HillComponent:
             for c in _energies(p):
                 lam, nu, pl, pn = _sample_arrays(p, c, comp, 30, 30, 8)
-                x, y, z, w, a, b = elliptic._frame_arrays(
-                    lam, nu, pl, pn, p, c)
+                x, y, z, w, a, b = _frame(lam, nu, pl, pn, p, c)
                 scale = np.max(np.abs(
                     formulas.projected_hessian(x, y, z, w, a, b)), axis=0)
                 turned = elliptic._tangent_spectrum(x, y, z, w, a, b)
@@ -750,23 +734,22 @@ class TestSpectrum:
                           <= elliptic._CONFIRM_TOL * scale[:, None])
 
     @pytest.mark.parametrize("mu", (0.13, 0.77))
-    def test_eigenvalue_product_is_det(self, mu, rng):
+    def test_eigenvalue_product_is_det(self, mu):
+        # 4 n2 mu_lo mu_hi is the det-frame product
+        # n2^2 (16 b x^2 + 16 a y^2 + 4 a b (z^2 + w^2))
         p = ProblemParams(mu)
         for comp in HillComponent:
             for c in _energies(p):
-                pts = sample_zero_set(p, c, comp, n_lam=15, n_nu=15, n_phi=6)
-                for i in rng.choice(len(pts), size=40, replace=False):
-                    h = hess_frame(pts[i], p, c)
-                    e4, lo, hi = elliptic._tangent_spectrum(
-                        *(np.array([v]) for v in
-                          (h.x, h.y, h.z, h.w, h.a, h.b)))
-                    closed = tangential_hessian_det(pts[i], p, c)[1]
-                    n2 = h.x ** 2 + h.y ** 2 + h.z ** 2 + h.w ** 2
-                    size = 4.0 * n2 ** 2 * (
-                        abs(4.0 * h.b * h.x ** 2) + abs(4.0 * h.a * h.y ** 2)
-                        + abs(h.a * h.b) * (h.z ** 2 + h.w ** 2))
-                    assert abs(float(e4[0] * lo[0] * hi[0]) - closed) \
-                        <= 1e-13 * size
+                x, y, z, w, a, b = _frame(*_sample_arrays(p, c, comp, 15, 15,
+                                                          6), p, c)
+                e4, lo, hi = elliptic._tangent_spectrum(x, y, z, w, a, b)
+                n2 = x * x + y * y + z * z + w * w
+                closed = n2 ** 2 * (16 * b * x * x + 16 * a * y * y
+                                    + 4 * a * b * (z * z + w * w))
+                size = 4.0 * n2 ** 2 * (
+                    np.abs(4.0 * b * x * x) + np.abs(4.0 * a * y * y)
+                    + np.abs(a * b) * (z * z + w * w))
+                assert np.all(np.abs(e4 * lo * hi - closed) <= 1e-13 * size)
 
 
 def _rim_reference(params, c, component, n_lam, n_nu):

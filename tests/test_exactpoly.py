@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from euler2c import (cli, elliptic, exactpoly, fiberwise, formulas,
-                     levicivita)
+                     levicivita, scan)
 from euler2c.elliptic import eta
-from euler2c.errors import VariableMismatch
-from euler2c.model import ProblemParams
+from euler2c.errors import OracleInconsistency, VariableMismatch
+from euler2c.model import HillComponent, ProblemParams
 from euler2c.exactpoly import (
     MultiPoly,
     SurdRelation,
@@ -178,20 +178,26 @@ def _clear_exact_caches():
     exactpoly._f0.cache_clear()
 
 
+def _audited_oracle():
+    """The oracle's extremes on a small grid, or the fault its LAPACK
+    audit of the projected-Hessian entries raises."""
+    try:
+        rep = elliptic.oracle_convexity(ProblemParams(0.3), -2.3,
+                                        HillComponent.EARTH, grid=(10, 10, 2))
+    except OracleInconsistency:
+        return "inconsistent"
+    return rep.min_value, rep.max_value
+
+
 # (identity, shared body, change to the body's value given its arguments,
-# a float call site of the body)
+# a float call site of the body, or None where the program has none)
 _MUTATIONS = [
     ("det-frame", "projected_hessian",
-     lambda e, x, y, z, w, a, b: (e[0] + x * y, *e[1:]),
-     lambda: elliptic.tangential_hessian_det(
-         elliptic.EllipticPoint(0.4, 1.0, 0.3, -0.2), ProblemParams(0.3),
-         -2.3)[0]),
+     lambda e, x, y, z, w, a, b: (e[0] + x * y, *e[1:]), _audited_oracle),
     ("det-frame", "R2", lambda v, x, y, c, m: v + x * y,
-     lambda: elliptic.Q_value(
-         elliptic.EllipticPoint(0.4, 1.0, 0.3, -0.2), ProblemParams(0.3),
-         -2.3)),
-    ("a-dy-factor", "A", lambda v, x, y, c, m: v + x * y,
-     lambda: elliptic.A_value(1.5, 0.2, ProblemParams(0.3), -2.3)),
+     lambda: scan.hill_region(ProblemParams(0.3), -2.3, HillComponent.EARTH,
+                              10, 10).R2.tolist()),
+    ("a-dy-factor", "A", lambda v, x, y, c, m: v + x * y, None),
     ("a-dy-factor", "xc_quartic", lambda v, x, c: v + x,
      lambda: cli._curve_quartic(argparse.Namespace(xmax=2.0, n=5))),
     ("a-dy-factor", "g", lambda v, t, c, m: v + t,

@@ -6,25 +6,34 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from euler2c import formulas
+from euler2c import formulas, model, scan
 from euler2c.errors import CollisionPoint
 from euler2c.fiberwise import (
     C_l_derivatives,
-    C_value,
     C_with_grad,
     U_derivs,
-    V_line,
     cone_curvature_C0,
     curvature_numerator,
     fiberwise_verdict,
     lemma_polynomials,
-    polar_C_derivs,
     positivity_certificates,
 )
 from euler2c.model import (HillComponent, ProblemParams, hill_boundary,
                            potential_U)
-from euler2c.scan import (elliptic_to_cartesian, fd_check, fd_derivative,
-                          hill_region, vertex_window)
+from euler2c.scan import elliptic_to_cartesian, hill_region, vertex_window
+from finite_differences import fd_check, fd_derivative
+
+import regularizations
+from regularizations import holds
+
+
+def _cone_line(t, p):
+    """The potential on the tangent-cone line through (l, 0),
+    V(t) = U(t, sqrt(2)(t - l)) - c_J, and its derivatives V1..V4 along
+    the line, from U's partials through order four."""
+    d = model._U_partials((t, math.sqrt(2.0) * (t - p.l)), p, 4)
+    out = {f"V{k}": scan._cone_derivative(d, 0, 0, k) for k in range(1, 5)}
+    return {"V": d[0, 0] - p.c_jacobi} | out
 
 
 class TestUDerivatives:
@@ -59,14 +68,10 @@ class TestUDerivatives:
 
 
 class TestCurvature:
-    def test_two_computations_agree(self, p03, rng):
-        for _ in range(300):
-            q = (rng.uniform(-1.5, 2.5), rng.uniform(-1.5, 1.5))
-            if min(math.hypot(*q), math.hypot(q[0] - 1, q[1])) < 0.05:
-                continue
-            ev = C_value(q, p03)
-            scale = max(abs(ev.C), abs(ev.C_closed), 1e-12)
-            assert abs(ev.C - ev.C_closed) / scale < 1e-8
+    def test_two_computations_agree(self):
+        # exact: scan.level_curvature of U's partials, times (r1 r2)^7, is
+        # the closed-form numerator P7
+        assert holds(regularizations.curvature_closed_form())
 
     @pytest.mark.parametrize("mu", [0.3, 0.7])
     def test_traced_value_and_gradient(self, mu):
@@ -83,15 +88,11 @@ class TestCurvature:
         assert all(err < 1e-6 for err in table.values()), table
 
     def test_kappa_singular_at_critical_point(self, p03):
-        ev = C_value((p03.l, 0.0), p03)
-        assert ev.kappa_singular and math.isnan(ev.kappa)
-
-    def test_kappa_regular_elsewhere(self, p03):
-        ev = C_value((0.2, 0.1), p03)
-        assert not ev.kappa_singular
-        d = U_derivs((0.2, 0.1), p03)
-        assert ev.kappa == pytest.approx(
-            ev.C / math.hypot(d[1, 0], d[0, 1]) ** 3)
+        # grad U and C vanish at (l, 0), so kappa = C / |grad U|^3 is
+        # undefined there
+        d = U_derivs((p03.l, 0.0), p03)
+        assert math.hypot(d[1, 0], d[0, 1]) < 1e-9
+        assert abs(curvature_numerator((p03.l, 0.0), p03)) < 1e-20
 
     def test_cone_contact(self, p03, p05):
         for p in (p03, p05):
@@ -115,26 +116,26 @@ class TestCurvature:
 
 class TestVLine:
     def test_derivative_ladder(self, p03):
-        f = lambda t, _y=0.0: V_line(t, p03)["V"]
+        f = lambda t, _y=0.0: _cone_line(t, p03)["V"]
         for t in (0.15, 0.3, 0.45):
-            d = V_line(t, p03)
+            d = _cone_line(t, p03)
             assert fd_derivative(f, t, 0, 1, 0, 1e-6) == pytest.approx(
                 d["V1"], rel=1e-6, abs=1e-7)
-            f1 = lambda t, _y=0.0: V_line(t, p03)["V1"]
+            f1 = lambda t, _y=0.0: _cone_line(t, p03)["V1"]
             assert fd_derivative(f1, t, 0, 1, 0, 1e-6) == pytest.approx(
                 d["V2"], rel=1e-6, abs=1e-7)
-            f2 = lambda t, _y=0.0: V_line(t, p03)["V2"]
+            f2 = lambda t, _y=0.0: _cone_line(t, p03)["V2"]
             assert fd_derivative(f2, t, 0, 1, 0, 1e-6) == pytest.approx(
                 d["V3"], rel=1e-6, abs=1e-6)
-            f3 = lambda t, _y=0.0: V_line(t, p03)["V3"]
+            f3 = lambda t, _y=0.0: _cone_line(t, p03)["V3"]
             assert fd_derivative(f3, t, 0, 1, 0, 1e-6) == pytest.approx(
                 d["V4"], rel=1e-5, abs=1e-5)
 
     def test_equal_mass_fourth_derivative(self, p05):
-        assert V_line(0.5, p05)["V4"] == pytest.approx(2688.0, rel=1e-12)
+        assert _cone_line(0.5, p05)["V4"] == pytest.approx(2688.0, rel=1e-12)
 
     def test_critical_point_values(self, p03):
-        d = V_line(p03.l, p03)
+        d = _cone_line(p03.l, p03)
         assert abs(d["V"]) < 1e-13
         assert abs(d["V1"]) < 1e-13
         # the third derivative has the closed value
@@ -146,34 +147,30 @@ class TestVLine:
 
 class TestEqualMassPolar:
     def test_polar_derivatives_vs_fd(self, p05):
+        # dC/dr = -7 F / (2 r^8 rho^9) and dC/dtheta = -G sin t /
+        # (8 r^5 rho^9), rho the Moon distance, F and G of
+        # lemma_polynomials
         def cp(r, t):
             return float(curvature_numerator(
                 (r * math.cos(t), r * math.sin(t)), p05))
         for r in (0.35, 0.6):
             for t in (0.7, 1.9):
-                d = polar_C_derivs(r, t, p05)
-                assert d["C"] == pytest.approx(cp(r, t), rel=1e-12)
+                aux = lemma_polynomials(r, math.cos(t))
+                rho = math.sqrt(r * r - 2.0 * r * math.cos(t) + 1.0)
+                c_r = -7.0 * float(aux["F_rderi"]) / (2.0 * r ** 8 * rho ** 9)
+                c_t = (-float(aux["G"]) * math.sin(t)
+                       / (8.0 * r ** 5 * rho ** 9))
                 assert fd_derivative(cp, r, t, 1, 0, 1e-6) == \
-                    pytest.approx(d["C_r"], rel=1e-6)
+                    pytest.approx(c_r, rel=1e-6)
                 assert fd_derivative(cp, r, t, 0, 1, 1e-6) == \
-                    pytest.approx(d["C_theta"], rel=1e-6)
+                    pytest.approx(c_t, rel=1e-6)
 
     def test_moon_collision_rule(self, p05):
-        # the polar chart evaluates and raises exactly where the
-        # curvature numerator does, also on the axis where
-        # r^2 - 2 r cos t + 1 cancels to zero
-        near = (1.0 + 5e-13, 0.0)
-        assert polar_C_derivs(near[0], 0.0, p05)["C"] == \
-            curvature_numerator(near, p05)
-        nearer = (1.0 + 5e-14, 0.0)
+        # C evaluates and raises where model's collision rule says, also
+        # on the axis where the Moon distance cancels to nearly zero
+        assert math.isfinite(curvature_numerator((1.0 + 5e-13, 0.0), p05))
         with pytest.raises(CollisionPoint):
-            curvature_numerator(nearer, p05)
-        with pytest.raises(CollisionPoint):
-            polar_C_derivs(nearer[0], 0.0, p05)
-
-    def test_requires_equal_mass(self, p03):
-        with pytest.raises(ValueError):
-            polar_C_derivs(0.5, 1.0, p03)
+            curvature_numerator((1.0 + 5e-14, 0.0), p05)
 
     def test_G_matches_parts(self, p05):
         aux = lemma_polynomials(0.6, 0.3)

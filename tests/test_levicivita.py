@@ -1,30 +1,31 @@
 """Levi-Civita regularization: potential derivatives, tangency, witnesses."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from euler2c.errors import MoonCollision, OutsideRegion
+from euler2c.errors import MoonCollision
+from euler2c.exactpoly import ring
+from euler2c.ladder import theorem_verdict
 from euler2c.levicivita import (
     F_value,
     F_with_grad,
-    K_value,
-    LCPoint,
     V_eval,
     V_value,
     V_with_grad,
-    critical_points_V,
-    lc_to_cartesian,
     nonconvex_witness_levi,
     radicand,
-    salomao_lhs,
     tangency_check,
     tilde_derivatives,
     x0_of,
 )
-from euler2c.model import ProblemParams, U_derivs, hamiltonian_H
-from euler2c.scan import fd_check, fd_derivative
+from euler2c.model import ProblemParams, U_derivs
+from finite_differences import fd_check, fd_derivative
+
+import regularizations
+from regularizations import holds
 
 X0_03 = 0.5497072294690329  # x0(mu=0.3, c=c_J)
 
@@ -36,17 +37,21 @@ class TestRegularization:
             expect = (2 * x * x - 2 * y * y - 1) ** 2 + 16 * x * x * y * y
             assert radicand(x, y) == pytest.approx(expect, rel=1e-14)
 
-    def test_K_is_conformal_H(self, p03, rng):
-        # K_c(v, u) = (H(q, p) - c) |v|^2 under q = 2 v^2, p = u/conj(v)
-        c = p03.c_jacobi - 0.3
-        for _ in range(20):
-            x, y = rng.uniform(0.2, 0.8, 2)
-            u = tuple(rng.uniform(-1, 1, 2))
-            pt = LCPoint((x, y), u)
-            cart = lc_to_cartesian(pt)
-            h = hamiltonian_H(cart, p03)
-            assert K_value(pt, p03, c) == pytest.approx(
-                (h - c) * (x * x + y * y), rel=1e-11, abs=1e-12)
+    def test_K_is_conformal_H(self):
+        # exact: K_c(v, u) = (H(q, p) - c) |v|^2 under q = 2 v^2,
+        # p = u/conj(v), with w = rho^(-1/2) the inverse Moon distance
+        assert holds(regularizations.levi_civita_hamiltonian())
+
+    def test_chart_distances(self):
+        # exact: |q| = 2 |v|^2 and |q - 1|^2 = rho (formulas.lc_radicand)
+        assert holds(regularizations.levi_civita_distances())
+
+    def test_pullback_is_four_u_dv(self):
+        # exact: p.dq = 4 u.dv, so the map is symplectic up to the
+        # factor 4, not 1
+        assert holds(regularizations.levi_civita_pullback(4))
+        assert not any(d.is_zero
+                       for d in regularizations.levi_civita_pullback(1))
 
     def test_moon_collision(self, p03):
         # v^2 = 1/2 maps to the Moon q = (1, 0)
@@ -129,7 +134,8 @@ class TestCriticalPoints:
 
     def test_three_critical_points(self, p03):
         c = p03.c_jacobi
-        for (x, y) in critical_points_V(p03, c):
+        x0 = x0_of(p03, c)
+        for (x, y) in ((0.0, 0.0), (x0, 0.0), (-x0, 0.0)):
             d = V_eval(x, y, p03, c)
             assert abs(d[1, 0]) < 1e-12 and abs(d[0, 1]) < 1e-12
 
@@ -183,10 +189,31 @@ class TestTangency:
         assert v93 > 0 > v95
 
     def test_inflection_threshold_exact(self):
-        # 10 x0^2 - 1 = 0 exactly at mu = 16/17 (c = c_J(16/17))
-        p = ProblemParams(16.0 / 17.0)
-        x0 = x0_of(p, p.c_jacobi)
-        assert 10.0 * x0 * x0 - 1.0 == pytest.approx(0.0, abs=1e-12)
+        # the cone's third derivative is proportional to 10 x0^2 - 1, with
+        # x0^2 = (1 - sqrt(mu / -c_J)) / 2 and c_J = -1 - 2 sqrt(mu (1 - mu)):
+        # at mu = 16/17, sqrt(mu (1 - mu)) = 4/17, c_J = -25/17 and
+        # mu / -c_J = 16/25, so x0^2 = 1/10 exactly
+        mu = Fraction(16, 17)
+        root = Fraction(4, 17)
+        assert root ** 2 == mu * (1 - mu)
+        cj = -1 - 2 * root
+        assert cj == Fraction(-25, 17) and mu / -cj == Fraction(16, 25)
+        assert (1 - Fraction(4, 5)) / 2 == Fraction(1, 10)
+        # 10 x0^2 = 1 iff 25 mu = 16 (-c_J) = 16 + 32 sqrt(mu (1 - mu));
+        # squared, (25 mu - 16)^2 = 1024 mu (1 - mu), that is
+        # 1649 mu^2 - 1824 mu + 256 = (17 mu - 16)(97 mu - 16) = 0; the
+        # unsquared form needs 25 mu >= 16, which leaves 16/17 alone
+        (m,) = ring("mu")
+        squared = (25 * m - 16) ** 2 - 1024 * m * (1 - m)
+        assert (squared - (1649 * m ** 2 - 1824 * m + 256)).is_zero
+        assert (squared - (17 * m - 16) * (97 * m - 16)).is_zero
+        assert 25 * Fraction(16, 97) < 16 <= 25 * mu
+        # the threshold of the levi theorem is this 16/17, rounded once
+        assert 16.0 / 17.0 == float(mu)
+        below = ProblemParams(float(mu) - 1e-12)
+        assert theorem_verdict("levi", below, below.c_jacobi) is not None
+        assert theorem_verdict("levi", ProblemParams(float(mu)),
+                               ProblemParams(float(mu)).c_jacobi) is None
 
 
 class TestWitness:
@@ -238,13 +265,3 @@ class TestWitness:
         for x in np.linspace(-x0 + 1e-3, x0 - 1e-3, 41):
             if V_value(x, 0.0, p03, c) <= 0:
                 assert F_value(x, 0.0, p03, c) >= -1e-10
-
-    def test_salomao_outside_region(self, p03):
-        with pytest.raises(OutsideRegion):
-            salomao_lhs(2.0, 2.0, p03, p03.c_jacobi)
-
-    def test_salomao_reduces_to_F_on_boundary(self, p03):
-        c = p03.c_jacobi
-        x0 = x0_of(p03, c)
-        assert salomao_lhs(x0, 0.0, p03, c) == pytest.approx(
-            F_value(x0, 0.0, p03, c), abs=1e-12)

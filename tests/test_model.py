@@ -1,4 +1,4 @@
-"""Hamiltonian, critical constants, Hill regions, frames."""
+"""The potential, critical constants, Hill regions."""
 
 import math
 from fractions import Fraction
@@ -7,18 +7,12 @@ import numpy as np
 import pytest
 
 from euler2c import model
-from euler2c.errors import BoundaryAmbiguous, CollisionPoint
+from euler2c.errors import CollisionPoint
 from euler2c.model import (
-    CartesianPhasePoint,
-    Frame,
     HillComponent,
-    Membership,
     ProblemParams,
     U_derivs,
-    grad_U,
-    hamiltonian_H,
     hill_boundary,
-    hill_membership,
     jacobi_energy,
     lagrange_l,
     potential_U,
@@ -58,8 +52,8 @@ class TestConstants:
             -1 - math.sqrt(3) / 2, rel=1e-15)
 
     def test_l_is_critical_point(self, p03):
-        g1, g2 = grad_U((p03.l, 0.0), p03)
-        assert abs(g1) < 1e-14 and abs(g2) < 1e-14
+        d = U_derivs((p03.l, 0.0), p03)
+        assert abs(d[1, 0]) < 1e-14 and abs(d[0, 1]) < 1e-14
 
     def test_critical_value_is_c_jacobi(self, p03):
         assert potential_U((p03.l, 0.0), p03) == \
@@ -87,8 +81,8 @@ class TestPotential:
 
     @pytest.mark.parametrize("primary", [0.0, 1.0])
     def test_one_collision_rule(self, p03, primary):
-        # U, its gradient and its derivative table reject the same points
-        for f in (potential_U, grad_U, U_derivs):
+        # U and its derivative table reject the same points
+        for f in (potential_U, U_derivs):
             with pytest.raises(CollisionPoint):
                 f((primary + 5e-14, 0.0), p03)
             f((primary + 5e-13, 0.0), p03)
@@ -96,7 +90,8 @@ class TestPotential:
     def test_gradient_fd(self, p03):
         h = 1e-7
         for q in ((0.3, 0.4), (1.2, -0.5), (-0.7, 0.2)):
-            g1, g2 = grad_U(q, p03)
+            d = U_derivs(q, p03)
+            g1, g2 = d[1, 0], d[0, 1]
             f1 = (potential_U((q[0] + h, q[1]), p03)
                   - potential_U((q[0] - h, q[1]), p03)) / (2 * h)
             f2 = (potential_U((q[0], q[1] + h), p03)
@@ -104,35 +99,8 @@ class TestPotential:
             assert g1 == pytest.approx(f1, rel=1e-6)
             assert g2 == pytest.approx(f2, rel=1e-6)
 
-    def test_hamiltonian(self, p03):
-        pt = CartesianPhasePoint((0.3, 0.4), (0.5, -0.2))
-        expect = 0.5 * (0.25 + 0.04) + potential_U((0.3, 0.4), p03)
-        assert hamiltonian_H(pt, p03) == pytest.approx(expect, rel=1e-15)
-
-    def test_hamiltonian_centered_point(self, p03):
-        # a Centered point is the Standard one shifted by -1/2 in q1
-        std = CartesianPhasePoint((0.25, 0.4), (0.5, -0.2), Frame.STANDARD)
-        cen = CartesianPhasePoint((-0.25, 0.4), (0.5, -0.2), Frame.CENTERED)
-        assert hamiltonian_H(cen, p03) == hamiltonian_H(std, p03)
-
 
 class TestHillRegions:
-    def test_membership_basic(self, p03):
-        c = p03.c_jacobi - 0.3
-        assert hill_membership((0.05, 0.0), p03, c) is Membership.EARTH
-        assert hill_membership((0.97, 0.0), p03, c) is Membership.MOON
-        assert hill_membership((0.5, 1.5), p03, c) is Membership.EXTERIOR
-
-    def test_membership_boundary_ambiguous(self, p03):
-        c = p03.c_jacobi - 0.3
-        pts = hill_boundary(p03, c, HillComponent.EARTH, n=8)
-        with pytest.raises(BoundaryAmbiguous):
-            hill_membership(tuple(pts[0]), p03, c)
-
-    def test_membership_rejects_supercritical(self, p03):
-        with pytest.raises(ValueError):
-            hill_membership((0.1, 0.0), p03, p03.c_jacobi + 0.1)
-
     def test_boundary_residual(self, p03):
         c = p03.c_jacobi - 0.5
         for comp in HillComponent:
@@ -204,7 +172,8 @@ class TestHillBoundaryRays:
         # binary64 places a point only to an ulp of its coordinates, which
         # moves U by about |grad U| ulp: above tol only on the Moon lobe
         # of mu = 0.001 at c = -50, where |grad U| is about 2.5e6 at q1 = 1
-        g1, g2 = grad_U((pts[:, 0], pts[:, 1]), p)
+        d = U_derivs((pts[:, 0], pts[:, 1]), p)
+        g1, g2 = d[1, 0], d[0, 1]
         eps = np.finfo(float).eps
         return 2.0 * eps * (np.abs(g1 * pts[:, 0]) + np.abs(g2 * pts[:, 1]))
 

@@ -1,6 +1,6 @@
 """Level-set curvature, the vertex-window search, the Hill-region
-sampler, sign scans, implicit-curve tracing, finite-difference
-checking."""
+sampler, sign scans, implicit-curve tracing, and the tests'
+finite-difference helpers."""
 
 import math
 
@@ -9,9 +9,10 @@ import pytest
 
 from euler2c.errors import TraceFailure
 from euler2c.model import HillComponent, ProblemParams, potential_U
-from euler2c.scan import (elliptic_to_cartesian, fd_check, fd_derivative,
-                          hill_region, level_curvature, level_curvature_grad,
-                          sign_scan, trace_implicit, vertex_window)
+from euler2c.scan import (elliptic_to_cartesian, hill_region,
+                          level_curvature, level_curvature_grad, sign_scan,
+                          trace_implicit, vertex_window)
+from finite_differences import fd_check, fd_derivative
 
 
 def unit_circle(x, y):
