@@ -9,7 +9,8 @@ verify-identities  run the exact polynomial-identity suite
 
 A verdict is "convex", "nonconvex" or "undecided". The elliptic oracle
 answers "undecided" when its smallest relative eigenvalue lies within
-its tolerance of zero (a "degenerate" report); that is a partial result,
+its tolerance of zero (a "degenerate" report), and the levi oracle when
+its vertex window read no boundary point; that is a partial result,
 exit 1, also against a theory verdict, never a disagreement. The levi
 and fiberwise oracles also report ``least_value``, the least boundary
 curvature (F or C) they read, so a verdict near the witness tolerance
@@ -166,6 +167,13 @@ def cmd_constants(args):
 # the elliptic oracle's report verdict as a CLI verdict
 _ORACLE_VERDICT = {"posdef": "convex", "indefinite": "nonconvex",
                    "degenerate": "undecided"}
+# why an oracle answered "undecided", by verdict target
+_UNDECIDED = {
+    "elliptic": "the oracle's smallest relative eigenvalue is within its "
+                "tolerance of zero",
+    "levi": "the vertex window read no point of the boundary V = 0 below "
+            "x0",
+}
 
 
 def cmd_verdict(args):
@@ -206,7 +214,9 @@ def cmd_verdict(args):
         if args.method in ("oracle", "both"):
             from . import levicivita
             w, samples, least = levicivita.nonconvex_witness_levi(params, c)
-            oracle = "nonconvex" if w is not None else "convex"
+            # a window that read no boundary point is no evidence
+            oracle = ("nonconvex" if w is not None else
+                      "convex" if samples else "undecided")
             if w is not None:
                 witness = {"point": [w[0], w[1]], "F": w[2]}
     elif args.target == "fiberwise":
@@ -247,8 +257,8 @@ def cmd_verdict(args):
         out["oracle_counters"] = counters
     _emit_json(out, args.out)
     if oracle == "undecided":
-        print("warning: the oracle's smallest relative eigenvalue is within "
-              "its tolerance of zero; verdict undecided", file=sys.stderr)
+        print(f"warning: {_UNDECIDED[args.target]}; verdict undecided",
+              file=sys.stderr)
         return 1
     if (args.method == "both" and theory is not None and oracle is not None
             and theory != oracle):

@@ -33,8 +33,8 @@ import numpy as np
 
 from . import formulas
 from .errors import MoonCollision
-from .scan import (cone_contact, level_curvature, level_curvature_grad,
-                   vertex_window)
+from .scan import (cone_contact, cone_contact_size, level_curvature,
+                   level_curvature_grad, vertex_window)
 
 __all__ = [
     "radicand",
@@ -199,14 +199,23 @@ def tilde_derivatives(params):
     which all vanish there. Because Ftilde has fourth-order contact with
     zero, finite differences cannot resolve them in binary64; they are
     scan.cone_contact of the order-three table of V at (x0, 0), exact to
-    degree three since V_x and V_y vanish there.
+    degree three since V_x and V_y vanish there. Each F_k is divided by
+    the size of the terms that cancel in it (scan.cone_contact_size),
+    where every partial of V counts as the sizes of its two terms, the
+    Kepler term of -c |v|^2 and the Moon's term; they cancel in V_x.
     """
     c = params.c_jacobi
     x0 = x0_of(params, c)
     v3_closed = (48.0 * params.mu * x0 * (10.0 * x0 ** 2 - 1.0)
                  / (2.0 * x0 ** 2 - 1.0) ** 4)
-    _, f1, f2, f3 = cone_contact(V_eval(x0, 0.0, params, c), 3)
-    return {"V3_closed": v3_closed, "F1": f1, "F2": f2, "F3": f3}
+    d = V_eval(x0, 0.0, params, c)
+    kepler = {(1, 0): -2.0 * c * x0, (2, 0): -2.0 * c, (0, 2): -2.0 * c}
+    size = {a: abs(kepler.get(a, 0.0)) + abs(v - kepler.get(a, 0.0))
+            for a, v in d.items()}
+    f = cone_contact(d, 3)
+    scale = cone_contact_size(size, 3)
+    return {"V3_closed": v3_closed} | {f"F{k}": f[k] / scale[k]
+                                       for k in (1, 2, 3)}
 
 
 def nonconvex_witness_levi(params, c=None):

@@ -2,7 +2,8 @@
 
 The potential U(q) = -(1-mu)/|q - E| - mu/|q - M| of the Hamiltonian
 H(q, p) = |p|^2/2 + U(q), its derivative table, and the boundaries of
-the Hill regions. The unique interior critical point (l, 0) of U, the
+the Hill regions in closed form, read from the rim of the elliptic
+chart. The unique interior critical point (l, 0) of U, the
 critical Jacobi energy c_J = -1 - 2*sqrt(mu(1-mu)), ProblemParams and
 the lobe names shared by all other modules live in the NumPy-free
 ``ladder`` and are re-exported here.
@@ -14,11 +15,12 @@ centered instead, with the primaries at (-1/2, 0) and (1/2, 0).
 
 from __future__ import annotations
 
+import math
 from functools import cache
 
 import numpy as np
 
-from .errors import CollisionPoint, TraceFailure
+from .errors import CollisionPoint
 from .ladder import HillComponent, ProblemParams, jacobi_energy, lagrange_l
 
 __all__ = [
@@ -32,11 +34,6 @@ __all__ = [
 ]
 
 _COLLISION_TOL = 1e-13
-# a hill_boundary ray has converged once |U - c| is below this
-_LEVEL_TOL = 1e-10
-# a hill_boundary ray is resolved once its bracket in t is below this
-# many units of |q1| + |q2| (four ulps)
-_RAY_ULPS = 4.0 * np.finfo(float).eps
 
 
 def _distances(q):
@@ -118,108 +115,43 @@ def U_derivs(q, params):
 
 def hill_boundary(params, c, component, n=256):
     """Sample n points of the Hill-region boundary {U = c} of one bounded
-    component, ordered by polar angle around the component's primary, as
-    an (n, 2) array.
+    component as an (n, 2) array, in closed form: no iteration and no
+    tolerance. The points run in polar-angle order around the lobe's
+    primary, the first at polar angle 0.
 
-    The n rays are solved together, one array lane each, and every stage
-    evaluates only the rays it has not finished. Each ray from the
-    primary starts at the Kepler radius mass / (-c), where U < -mass/t
-    <= c because the other primary only lowers U. It steps outward by
-    the factor 1 + s, with s = 5 % doubled every step up to 100 %, to
-    bracket the first crossing of U = c, and is finished by Newton's
-    method on the radial slope from U and its gradient (_U_partials),
-    safeguarded by bisection inside the bracket.
-    A ray converges at |U - c| < tol = _LEVEL_TOL; it keeps the Newton
-    step from its last evaluation and is not evaluated again.
-    |U - c| < 10 tol + 2 eps (|U_1 q1| + |U_2 q2|), allowing for the
-    rounding of q with the ray's last U_1, U_2, is then checked at every
-    returned point q. Requires c <= c_J (at c = c_J the lobes touch at
-    (l, 0), where the ray toward the other primary is excluded).
+    The boundary is the rim R^2 = 0 (formulas.R2) of the elliptic chart,
+    in offsets from the primary. For the Earth, x = cosh(lam) = 1 + u and
+    y = cos(nu) = -1 + v give R^2 = c u^2 + 2(1 + c) u + K(v), with
+    K(v) = -c (v_E - v)(v_2 - v) and v_E, v_2 = ((m - c) -+ s)/(-c),
+    where m = 1 - 2 mu and s^2 = c^2 + 2c + m^2 = (c - c_J)(c - c_J'),
+    c_J' = -1 + 2 sqrt(mu(1 - mu)); so s = 0 exactly at c = c_J, where
+    the point at v_E is (l, 0). The points are sampled in the elliptic
+    angle, v = v_E cos^2(phi/2) for phi_k = 2 pi k / n, each on the
+    positive root u, and are then q1 = (v - u + uv)/2 and q2 = +-sqrt(u
+    (2 + u) v (2 - v))/2 with the sign of sin(phi). v_E = 2(1 + m)/((m -
+    c) + s) and u = K / (-(1 + c) + sqrt((1 + c)^2 - cK)) are free of
+    cancellation. The Moon lobe is the mirror image q1 -> 1 - q1 with
+    m -> -m and phi -> pi - phi; in both, 1 + m is twice the lobe's own
+    mass, 1 - mu or mu, never 1 - (1 - mu). Requires a finite c <= c_J.
     """
-    if c > params.c_jacobi:
-        raise ValueError("hill_boundary requires c <= c_jacobi")
+    if not -math.inf < c <= params.c_jacobi:
+        raise ValueError("hill_boundary requires a finite c <= c_jacobi")
     if n < 8:
         raise ValueError("need n >= 8 boundary samples")
-    component = HillComponent(component)
-    earth, moon = params.primaries()
-    origin = earth if component is HillComponent.EARTH else moon
-    mass = 1.0 - params.mu if component is HillComponent.EARTH else params.mu
-
-    theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    dx, dy = np.cos(theta), np.sin(theta)
-
-    # Each lobe lies on its primary's side of the line q1 = l, on which
-    # U >= c_J with equality only at (l, 0); capping the ray there keeps
-    # the bracket on the first crossing even when the lobes touch.
-    toward = dx > 0 if component is HillComponent.EARTH else dx < 0
-    with np.errstate(divide="ignore"):
-        t_cap = np.where(toward, (params.l - origin[0]) / dx, np.inf)
-
-    def ray(t, lane=slice(None)):
-        return origin[0] + t * dx[lane], origin[1] + t * dy[lane]
-
-    # Inside at the Kepler radius in exact arithmetic; binary64 can round
-    # U there up to c when the other primary's term is below an ulp.
-    t_lo = np.full(n, mass / -c)
-    bad = np.flatnonzero(potential_U(ray(t_lo), params) >= c)
-    if bad.size:
-        t_lo[bad] *= 0.5
-        if np.any(potential_U(ray(t_lo[bad], bad), params) >= c):
-            raise TraceFailure("inner bracket point is not inside {U < c}")
-
-    # step outward until U >= c or the cap (first crossing bracket); a
-    # lane still pending at step k has taken every step before it
-    t_hi = np.empty_like(t_lo)
-    lane, t = np.arange(t_lo.size), t_lo.copy()
-    for k in range(400):
-        t_try = np.minimum(t * (1.0 + min(0.05 * 2.0 ** k, 1.0)),
-                           t_cap[lane])
-        crossed = ((potential_U(ray(t_try, lane), params) >= c)
-                   | (t_try >= t_cap[lane]))
-        t_hi[lane[crossed]] = t_try[crossed]
-        lane, t = lane[~crossed], t_try[~crossed]
-        t_lo[lane] = t
-        if lane.size == 0:
-            break
-    else:
-        raise TraceFailure("could not bracket the Hill boundary crossing "
-                           "on some ray")
-
-    # Newton from the inner end; a step that leaves the bracket or has a
-    # nonpositive slope is replaced by bisection. A ray has converged, and
-    # is not evaluated again, when |U - c| < tol, or when its bracket is
-    # narrower than the rounding of the position itself: near a light
-    # primary an ulp of the position can move U by more than tol, and no
-    # iterate would get closer.
-    t_out = np.empty_like(t_lo)
-    grad_1, grad_2 = np.empty_like(t_lo), np.empty_like(t_lo)
-    lane, t, lo, hi = np.arange(t_lo.size), t_lo, t_lo, t_hi
-    for _ in range(100):
-        q1, q2 = ray(t, lane)
-        d = _U_partials((q1, q2), params, 1)
-        grad_1[lane], grad_2[lane] = d[1, 0], d[0, 1]
-        g = d[0, 0] - c
-        below = g < 0.0
-        lo, hi = np.where(below, t, lo), np.where(below, hi, t)
-        slope = d[1, 0] * dx[lane] + d[0, 1] * dy[lane]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_new = t - g / slope
-        newton = (slope > 0.0) & (t_new >= lo) & (t_new <= hi)
-        done = ((np.abs(g) < _LEVEL_TOL)
-                | (hi - lo <= _RAY_ULPS * (np.abs(q1) + np.abs(q2))))
-        # a converged ray still takes the Newton step from this
-        # evaluation, without another one: near the vertex the slope is
-        # small and |U - c| < tol alone leaves the point tol/slope off;
-        # U at every kept point is checked below
-        t_out[lane[done]] = np.where(newton, t_new, t)[done]
-        t = np.where(newton, t_new, 0.5 * (lo + hi))
-        lane, t, lo, hi = (v[~done] for v in (lane, t, lo, hi))
-        if lane.size == 0:
-            break
-    t_out[lane] = t
-    q1, q2 = ray(t_out)
-    bound = _LEVEL_TOL * 10 + 2.0 * np.finfo(float).eps * (np.abs(grad_1 * q1)
-                                                    + np.abs(grad_2 * q2))
-    if np.any(np.abs(potential_U((q1, q2), params) - c) >= bound):
-        raise TraceFailure("Newton failed to reach the boundary tolerance")
-    return np.stack([q1, q2], axis=-1)
+    earth = HillComponent(component) is HillComponent.EARTH
+    mu = params.mu
+    m, mass = (1.0 - 2.0 * mu, 1.0 - mu) if earth else (2.0 * mu - 1.0, mu)
+    s = math.sqrt((c - params.c_jacobi)
+                  * (c + 1.0 - 2.0 * math.sqrt(mu * (1.0 - mu))))
+    v_E = 4.0 * mass / ((m - c) + s)
+    phi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    v = v_E * (np.cos if earth else np.sin)(0.5 * phi) ** 2
+    # K(v) with w = v_E - v, exact or without cancellation, and v_2 - v
+    # = 2s/(-c) + w: no cancellation at c_J, where v_2 = v_E
+    w = v_E - v
+    K = w * (2.0 * s - c * w)
+    u = K / (-(1.0 + c) + np.sqrt((1.0 + c) ** 2 - c * K))
+    q1 = 0.5 * (v - u + u * v)
+    q2 = np.copysign(0.5 * np.sqrt(u * (2.0 + u) * v * (2.0 - v)),
+                     np.sin(phi))
+    return np.stack([q1 if earth else 1.0 - q1, q2], axis=-1)

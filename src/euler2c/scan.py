@@ -1,6 +1,7 @@
 """Generic numerics: the curvature numerator of a level set, its
-gradient and its series along a tangent-cone line, all read from one
-partials table {(i, j): d_x^i d_y^j f}; the witness search just inside
+gradient and its series along a tangent-cone line (with the size of the
+terms that cancel in it), all read from one partials table
+{(i, j): d_x^i d_y^j f}; the witness search just inside
 the vertex where two lobes of a level set touch; the positions of one
 Hill lobe, sampled in elliptic coordinates for both oracles; sign scans
 that bisect every sign-changing grid edge at once; and implicit-curve
@@ -24,8 +25,8 @@ from .ladder import HillComponent
 
 __all__ = ["ScanReport", "Polyline", "EllipticDomain", "HillRegion",
            "level_curvature", "level_curvature_grad", "cone_contact",
-           "vertex_window", "elliptic_to_cartesian", "domain_bounds",
-           "hill_region", "sign_scan", "trace_implicit"]
+           "cone_contact_size", "vertex_window", "elliptic_to_cartesian",
+           "domain_bounds", "hill_region", "sign_scan", "trace_implicit"]
 
 GRAD_COLLAPSE_TOL = 1e-7
 # |f| below this is on the zero set, for a scan witness and a trace
@@ -111,19 +112,37 @@ def _cone_derivative(d, i, j, k):
                for m in range(k + 1))
 
 
+def _cone_series(d, order):
+    """The Taylor series along the cone line of f_1, f_2 (to degree
+    order - 1) and f_11, f_12, f_22 (to order - 2), from the table d."""
+    # imported here: numpy.polynomial adds about 2 ms to package import
+    from numpy.polynomial import Polynomial
+    return {a: Polynomial([_cone_derivative(d, *a, n) / math.factorial(n)
+                           for n in range(order + 1 - sum(a))])
+            for a in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
+
+
+def _derivatives_at_zero(series, order):
+    taylor = level_curvature(series).coef
+    return [math.factorial(k) * float(taylor[k]) for k in range(order + 1)]
+
+
 def cone_contact(d, order):
     """Derivatives K0..K_order at t = 0 of t -> K(apex + t (1, sqrt 2)),
     K = level_curvature of f, from the table d of f's partials at the
     apex through ``order``: level_curvature of the Taylor series of f_1,
     f_2 (to degree order - 1) and f_11, f_12, f_22 (to order - 2), exact
     to degree order when f_1 and f_2 vanish at the apex."""
-    # imported here: numpy.polynomial adds about 2 ms to package import
-    from numpy.polynomial import Polynomial
-    series = {a: Polynomial([_cone_derivative(d, *a, n) / math.factorial(n)
-                             for n in range(order + 1 - sum(a))])
-              for a in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
-    taylor = level_curvature(series).coef
-    return [math.factorial(k) * float(taylor[k]) for k in range(order + 1)]
+    return _derivatives_at_zero(_cone_series(d, order), order)
+
+
+def cone_contact_size(size, order):
+    """The size of the terms that cancel in each derivative K0..K_order
+    of cone_contact: the same expansion of a table of nonnegative sizes
+    of f's partials, with f_12 negated so that every product adds."""
+    series = _cone_series(size, order)
+    series[1, 1] = -series[1, 1]
+    return _derivatives_at_zero(series, order)
 
 
 def vertex_window(inside, curvature, apex, tol):

@@ -1,5 +1,6 @@
-"""The exact identities behind the two regularizations of the paper and
-the closed form of the Hill-boundary curvature C.
+"""The exact identities behind the two regularizations of the paper, the
+closed form of the Hill boundary in the elliptic chart and that of the
+Hill-boundary curvature C.
 
 Each function returns polynomial differences that are all zero exactly
 when its identity holds, like the named identities of exactpoly, and
@@ -96,6 +97,34 @@ def elliptic_hamiltonian():
     rhs = (8 * (Jp[0] ** 2 + Jp[1] ** 2)
            + k * (4 * (-(1 - mu) * r2 - mu * r1) - c * k))
     return [_reduce(Q * k - rhs, rels)]
+
+
+def hill_rim_offsets():
+    """The closed form of model.hill_boundary, in offsets x = 1 + u,
+    y = -1 + v from the Earth (the Moon's are the same with m -> -m):
+
+    R^2 = c u^2 + 2(1 + c) u + K(v), with K(v) = -c (v - v_E)(v - v_2)
+    and -c v_E, -c v_2 = (m - c) -+ s, so that c K = -(c v + m - c - s)
+    (c v + m - c + s); (m - c + s)(m - c - s) = -2c(1 + m), which gives
+    v_E = 2(1 + m)/((m - c) + s); s^2 = c^2 + 2c + m^2 = (c - c_J)
+    (c - c_J') for m = 1 - 2 mu, c_J, c_J' = -1 -+ 2t, t^2 = mu(1 - mu);
+    and in the Standard frame |q| = r1 = (u + v)/2, q1 = (v - u + uv)/2
+    and 4 q2^2 = u (2 + u) v (2 - v)."""
+    u, v, c, m, s, mu, t, sh, sn = ring("u", "v", "c", "m", "s", "mu", "t",
+                                        "sh", "sn")
+    x, y = 1 + u, -1 + v
+    rels = (SurdRelation("s", c ** 2 + 2 * c + m ** 2),
+            SurdRelation("t", mu * (1 - mu)),
+            SurdRelation("sh", x ** 2 - 1), SurdRelation("sn", 1 - y ** 2))
+    K = formulas.R2(x, y, c, m) - c * u ** 2 - 2 * (1 + c) * u
+    q1, q2 = (x * y + 1) / 2, sh * sn / 2
+    return [_reduce(c * K + (c * v + m - c - s) * (c * v + m - c + s), rels),
+            _reduce((m - c + s) * (m - c - s) + 2 * c * (1 + m), rels),
+            _reduce((c + 1 + 2 * t) * (c + 1 - 2 * t)
+                    - (c ** 2 + 2 * c + (1 - 2 * mu) ** 2), rels),
+            _reduce(q1 ** 2 + q2 ** 2 - ((u + v) / 2) ** 2, rels),
+            q1 - (v - u + u * v) / 2,
+            _reduce(4 * q2 ** 2 - u * (2 + u) * v * (2 - v), rels)]
 
 
 def _levi_civita():

@@ -165,6 +165,20 @@ class TestVerdict:
         d = json.loads(out)
         assert d["verdict"] == "convex" and "theory" not in d
 
+    @pytest.mark.parametrize("method", ["oracle", "both"])
+    def test_levi_window_without_points_is_undecided(self, capsys, method):
+        # at c_J - 0.5 the lobe V < 0 ends on the axis more than 0.1 x0
+        # below x0, outside the window: no point read is no evidence, a
+        # partial result (exit 1), and no theorem applies there
+        code, out, err = run(capsys, "verdict", "levi", "--mu", "0.3",
+                             "--c", "cJ-0.5", "--method", method)
+        assert code == 1 and "vertex window read no point" in err
+        assert "eigenvalue" not in err
+        d = json.loads(out)
+        assert d["verdict"] == "undecided" and d["samples"] == 0
+        assert d["least_value"] is None
+        assert "witness" not in d and "theory" not in d
+
     @pytest.mark.parametrize("mu, verdict", [(0.3, "nonconvex"),
                                              (0.7, "convex")])
     def test_fiberwise_heavier_earth_only(self, capsys, mu, verdict):

@@ -9,7 +9,8 @@ import pytest
 
 from euler2c.errors import TraceFailure
 from euler2c.model import HillComponent, ProblemParams, potential_U
-from euler2c.scan import (elliptic_to_cartesian, hill_region,
+from euler2c.scan import (cone_contact, cone_contact_size,
+                          elliptic_to_cartesian, hill_region,
                           level_curvature, level_curvature_grad, sign_scan,
                           trace_implicit, vertex_window)
 from finite_differences import fd_check, fd_derivative
@@ -49,6 +50,20 @@ class TestLevelCurvature:
         k = level_curvature(self._circle_table(x, y))
         assert k.tolist() == [level_curvature(self._circle_table(a, b))
                               for a, b in zip(x, y)]
+
+    def test_cone_contact_size(self, rng):
+        # every product of the expansion counts by its size: a derivative
+        # is at most its size, and equal to it when no term has a sign,
+        # here nonnegative partials with f_12 = 0 along the line
+        alphas = [(i, j) for i in range(4) for j in range(4 - i)]
+        for _ in range(20):
+            d = {a: rng.normal() for a in alphas}
+            size = {a: abs(v) for a, v in d.items()}
+            for k, s in zip(cone_contact(d, 3), cone_contact_size(size, 3)):
+                assert abs(k) <= s * (1.0 + 1e-12)
+            size.update({(1, 1): 0.0, (2, 1): 0.0, (1, 2): 0.0})
+            assert cone_contact(size, 3) == pytest.approx(
+                cone_contact_size(size, 3), rel=1e-14)
 
 
 class TestVertexWindow:
