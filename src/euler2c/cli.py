@@ -569,10 +569,10 @@ def run(argv=None):
     out of reach of the collections the interpreter still makes while
     it shuts down. ``main`` itself changes neither the environment nor
     the collector, for in-process callers."""
-    # The library's only LAPACK work is batched 3x3 eigvalsh and 2x2 or
-    # 3x3 det and solve, too small to split, but a multi-threaded
-    # OpenBLAS starts a worker thread per extra core when NumPy loads,
-    # which spin-waits for work that never comes and burns CPU time.
+    # The library's only LAPACK call is the oracle's batched 3x3
+    # eigvalsh, too small to split, but a multi-threaded OpenBLAS starts
+    # a worker thread per extra core when NumPy loads, which spin-waits
+    # for work that never comes and burns CPU time.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     # A short process frees everything at exit; collections during
     # NumPy's import only walk objects that live until then.

@@ -3,8 +3,10 @@
 Each body is written once, with integer literals and plain operators, so
 it runs on Python floats, NumPy arrays, Fractions and exactpoly.MultiPoly
 alike: the float modules call it, and the identity suite in exactpoly
-evaluates it exactly. Variables: x = cosh(lambda), y = cos(nu), c the
-energy and m = 1 - 2 mu in the elliptic chart; (x, y) = (r, cos theta)
+evaluates it exactly. The equal-mass bodies P1, P2, aq and bq are read
+by proofs only, the identities of exactpoly and the equal-mass lemmas
+in tests/regularizations.py. Variables: x = cosh(lambda), y = cos(nu),
+c the energy and m = 1 - 2 mu in the elliptic chart; (x, y) = (r, cos theta)
 in the equal-mass polar chart, and q = q1 on its cone lines. This module
 imports nothing, so it loads neither NumPy nor exactpoly.
 """
@@ -52,8 +54,9 @@ def lc_radicand(x, y):
 
 
 def P1(x, y):
-    """The equal-mass radial numerator is F = P1 sqrt(x^2 - 2xy + 1)
-    + x^2 P2."""
+    """At mu = 1/2, dC/dr = -7 F / (2 r^8 rho^9) with the radial
+    numerator F = P1 rho + x^2 P2, x = r and rho = sqrt(x^2 - 2xy + 1)
+    the Moon distance."""
     return (112 * x ** 4 * y ** 4
             - (260 * x ** 5 + 224 * x ** 3) * y ** 3
             + (235 * x ** 6 + 345 * x ** 4 + 168 * x ** 2) * y ** 2
@@ -76,8 +79,9 @@ def F0(x, y):
 
 
 def aq(q):
-    """The cone curvature C0 is a multiple of aq(q) sqrt(12q^2 - 8q + 2)
-    + bq(q) sqrt(12q^2 - 16q + 6)."""
+    """At mu = 1/2, C on the cone lines q2 = +-sqrt(2)(q - 1/2) is
+    -864 (1 - 2q)(aq s1 + bq s2) over a positive denominator, with
+    s1 = sqrt(12q^2 - 8q + 2) and s2 = sqrt(12q^2 - 16q + 6)."""
     return (216 * q ** 5 - 576 * q ** 4 + 636 * q ** 3 - 338 * q ** 2
             + 80 * q - 5) / 216
 

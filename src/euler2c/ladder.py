@@ -88,10 +88,6 @@ class ProblemParams:
             HillComponent.EARTH if self.mu < 0.5 else
             HillComponent.MOON if self.mu > 0.5 else None))
 
-    def primaries(self):
-        """Positions of (Earth, Moon) in the Standard frame."""
-        return (0.0, 0.0), (1.0, 0.0)
-
 
 def roots_ab(params, c):
     """The two real roots of f(y) = 2cy^2 + (1-2mu)y - c with

@@ -18,12 +18,7 @@ import pytest
 from euler2c import elliptic, levicivita, model, scan
 from euler2c.cli import main
 from euler2c.exactpoly import verify_all, verify_identity
-from euler2c.fiberwise import (
-    C_l_derivatives,
-    U_derivs,
-    curvature_numerator,
-    lemma_polynomials,
-)
+from euler2c.fiberwise import U_derivs, curvature_numerator
 from euler2c.levicivita import (
     F_value,
     V_eval,
@@ -173,7 +168,8 @@ def test_07_derivative_tables():
     Each order-k table is differenced from the closed order-(k-1) table,
     so every comparison is a first or second difference of an analytic
     expression; direct high-order differences of the base function would
-    drown in binary64 roundoff long before 1e-6.
+    drown in binary64 roundoff long before 1e-6. The equal-mass polar
+    derivatives of C have closed forms, checked exactly.
     """
     rng = np.random.default_rng(7)
     p = ProblemParams(0.3)
@@ -234,31 +230,8 @@ def test_07_derivative_tables():
     # the fourth derivative along the line, pinned at equal masses
     assert line(0.5, ProblemParams(0.5))[4] == pytest.approx(2688.0, rel=1e-6)
 
-    # -- the polar closed forms of C_r and C_theta (lemma_polynomials)
-    # over >= 500 samples, equal masses
-    p5 = ProblemParams(0.5)
-
-    def cp(r, t):
-        return float(curvature_numerator(
-            (r * math.cos(t), r * math.sin(t)), p5))
-
-    worst_r = worst_t = 0.0
-    n = 0
-    while n < 500:
-        r = rng.uniform(0.2, 0.8)
-        t = rng.uniform(0.2, math.pi - 0.2)
-        if math.hypot(r * math.cos(t) - 1.0, r * math.sin(t)) < 0.15:
-            continue
-        n += 1
-        aux = lemma_polynomials(r, math.cos(t))
-        rho = math.sqrt(r * r - 2.0 * r * math.cos(t) + 1.0)
-        c_r = -7.0 * float(aux["F_rderi"]) / (2.0 * r ** 8 * rho ** 9)
-        c_t = -float(aux["G"]) * math.sin(t) / (8.0 * r ** 5 * rho ** 9)
-        fr = _fd1(cp, r, t, 1, 0, 1e-5)
-        ft = _fd1(cp, r, t, 0, 1, 1e-5)
-        worst_r = max(worst_r, abs(fr - c_r) / max(abs(c_r), 1.0))
-        worst_t = max(worst_t, abs(ft - c_t) / max(abs(c_t), 1.0))
-    assert worst_r < 1e-6 and worst_t < 1e-6
+    # -- the polar closed forms of C_r and C_theta at equal masses, exact
+    assert holds(regularizations.equal_mass_polar_derivatives())
 
 
 def test_08_cross_evaluation_oracles():
@@ -270,11 +243,11 @@ def test_08_cross_evaluation_oracles():
 
 
 def test_09_tangency_constants():
+    # exact, for any mu: -U_11/U_22 and the squared slope of the C = 0
+    # branch at (l, 0) are 2
+    assert holds(regularizations.cone_contact())
     for mu in (0.3, 0.5, 0.12):
         p = ProblemParams(mu)
-        d = C_l_derivatives(p)
-        assert d["slope_sq_hill"] == pytest.approx(2.0, abs=1e-8)
-        assert d["slope_sq"] == pytest.approx(2.0, abs=1e-8)
         t = tangency_check(p)
         assert t["slope_sq"] == pytest.approx(2.0, abs=1e-8)
 

@@ -7,8 +7,7 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
-from euler2c import (cli, elliptic, exactpoly, fiberwise, formulas,
-                     levicivita, scan)
+from euler2c import cli, elliptic, exactpoly, formulas, levicivita, scan
 from euler2c.elliptic import eta
 from euler2c.errors import OracleInconsistency, VariableMismatch
 from euler2c.model import HillComponent, ProblemParams
@@ -23,6 +22,9 @@ from euler2c.exactpoly import (
     verify_all,
     verify_identity,
 )
+
+import regularizations
+from regularizations import holds
 
 
 class TestMultiPoly:
@@ -190,7 +192,8 @@ def _audited_oracle():
 
 
 # (identity, shared body, change to the body's value given its arguments,
-# a float call site of the body, or None where the program has none)
+# a float call site of the body, or for a body that only proofs read the
+# equal-mass identity of regularizations that reads it, or None)
 _MUTATIONS = [
     ("det-frame", "projected_hessian",
      lambda e, x, y, z, w, a, b: (e[0] + x * y, *e[1:]), _audited_oracle),
@@ -206,9 +209,9 @@ _MUTATIONS = [
      lambda: levicivita.radicand(0.3, 0.4)),
     # the coefficient 393 of P2 becomes 394
     ("f0-expansion", "P2", lambda v, x, y: v - x ** 4 * y ** 3 / 28,
-     lambda: fiberwise.lemma_polynomials(0.6, 0.3)["F0"]),
+     lambda: holds(regularizations.equal_mass_polar_derivatives())),
     ("c0-resultant", "aq", lambda v, q: v + q / 216,
-     lambda: fiberwise.cone_curvature_C0(0.3)),
+     lambda: holds(regularizations.equal_mass_cone_curvature())),
     ("c0-resultant", "sextic", lambda v, q: v + q, None),
     ("equal-mass-slope", "quartic", lambda v, q: v + q, None),
 ]

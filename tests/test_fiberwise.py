@@ -2,20 +2,19 @@
 
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from euler2c import formulas, model, scan
 from euler2c.errors import CollisionPoint
+from euler2c.exactpoly import ring, sign_certificate, verify_identity
 from euler2c.fiberwise import (
-    C_l_derivatives,
     C_with_grad,
     U_derivs,
-    cone_curvature_C0,
     curvature_numerator,
     fiberwise_verdict,
-    lemma_polynomials,
     positivity_certificates,
 )
 from euler2c.model import (HillComponent, ProblemParams, hill_boundary,
@@ -94,24 +93,28 @@ class TestCurvature:
         assert math.hypot(d[1, 0], d[0, 1]) < 1e-9
         assert abs(curvature_numerator((p03.l, 0.0), p03)) < 1e-20
 
-    def test_cone_contact(self, p03, p05):
-        for p in (p03, p05):
-            d = C_l_derivatives(p)
-            for k in range(4):
-                assert abs(d[f"C{k}"]) <= 1e-12, k
-            assert d["slope_sq"] == pytest.approx(2.0, abs=1e-12)
-            assert d["slope_sq_hill"] == pytest.approx(2.0, abs=1e-12)
+    def test_cone_contact(self):
+        # exact, for any mu: C and its first three derivatives along
+        # t -> (l + t, sqrt(2) t) vanish at t = 0, and the squared slopes
+        # -U_11/U_22 and -C_11/C_22 at (l, 0) are 2
+        assert holds(regularizations.cone_contact())
 
-    # the fourth derivative of C along t -> (t, sqrt(2)(t - l)) at t = l,
-    # evaluated exactly (symbolic differentiation at the rational mu, to
-    # 30 digits)
+    # the fourth derivative of C along t -> (l + t, sqrt(2) t) at t = 0,
+    # from its exact polynomial in l, with l to 50 digits at the rational
+    # mu (exact at mu = 1/2, where l = 1/2)
     @pytest.mark.parametrize("mu, c4", [(0.5, 1376256.0),
                                         (0.3, 1371833.4336124546),
                                         (0.12, 1388421.0287779545),
                                         (0.01, -31754570.288854009)])
     def test_cone_contact_exact_C4(self, mu, c4):
-        assert C_l_derivatives(ProblemParams(mu))["C4"] == \
-            pytest.approx(c4, rel=1e-12)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            mu = Decimal(str(mu))
+            l = Fraction(1 / (1 + (mu / (1 - mu)).sqrt()))
+        C4 = regularizations.cone_contact_C4(l)
+        assert float(C4) == pytest.approx(c4, rel=1e-12)
+        if mu == Decimal("0.5"):
+            assert l == Fraction(1, 2) and C4 == 1376256
 
 
 class TestVLine:
@@ -146,24 +149,11 @@ class TestVLine:
 
 
 class TestEqualMassPolar:
-    def test_polar_derivatives_vs_fd(self, p05):
-        # dC/dr = -7 F / (2 r^8 rho^9) and dC/dtheta = -G sin t /
-        # (8 r^5 rho^9), rho the Moon distance, F and G of
-        # lemma_polynomials
-        def cp(r, t):
-            return float(curvature_numerator(
-                (r * math.cos(t), r * math.sin(t)), p05))
-        for r in (0.35, 0.6):
-            for t in (0.7, 1.9):
-                aux = lemma_polynomials(r, math.cos(t))
-                rho = math.sqrt(r * r - 2.0 * r * math.cos(t) + 1.0)
-                c_r = -7.0 * float(aux["F_rderi"]) / (2.0 * r ** 8 * rho ** 9)
-                c_t = (-float(aux["G"]) * math.sin(t)
-                       / (8.0 * r ** 5 * rho ** 9))
-                assert fd_derivative(cp, r, t, 1, 0, 1e-6) == \
-                    pytest.approx(c_r, rel=1e-6)
-                assert fd_derivative(cp, r, t, 0, 1, 1e-6) == \
-                    pytest.approx(c_t, rel=1e-6)
+    def test_polar_derivatives_vs_fd(self):
+        # exact: dC/dr = -7 F / (2 r^8 rho^9) and dC/dtheta = -G sin t /
+        # (8 r^5 rho^9), rho the Moon distance, F = P1 rho + r^2 P2 and
+        # G = a rho + b
+        assert holds(regularizations.equal_mass_polar_derivatives())
 
     def test_moon_collision_rule(self, p05):
         # C evaluates and raises where model's collision rule says, also
@@ -172,63 +162,25 @@ class TestEqualMassPolar:
         with pytest.raises(CollisionPoint):
             curvature_numerator((1.0 + 5e-14, 0.0), p05)
 
-    def test_G_matches_parts(self, p05):
-        aux = lemma_polynomials(0.6, 0.3)
-        s = math.sqrt(0.6 ** 2 - 2 * 0.6 * 0.3 + 1)
-        assert aux["G"] == pytest.approx(
-            aux["a_aux"] * s + aux["b_aux"], rel=1e-13)
+    def test_F0_vanishes_on_F_zero_set(self):
+        # F0 is the surd-free norm of F, F (P1 rho - r^2 P2) = F0, so
+        # every zero of F is a zero of F0
+        assert holds(regularizations.equal_mass_radial_norm())
 
-    def test_F0_vanishes_on_F_zero_set(self, p05):
-        # F0 is the surd-free norm of F: every zero of F is a zero of F0
-        x = 0.6
-        ys = np.linspace(-1.0, 1.0, 400)
-        fv = lemma_polynomials(x, ys)["F_rderi"]
-        idx = np.nonzero(np.sign(fv[:-1]) != np.sign(fv[1:]))[0]
-        assert idx.size > 0
-        for i in idx:
-            a, b = ys[i], ys[i + 1]
-            for _ in range(80):
-                m = 0.5 * (a + b)
-                fm = float(lemma_polynomials(x, m)["F_rderi"])
-                if (fm > 0) == (float(
-                        lemma_polynomials(x, a)["F_rderi"]) > 0):
-                    a = m
-                else:
-                    b = m
-            root = 0.5 * (a + b)
-            assert abs(float(lemma_polynomials(x, root)["F0"])) < 1e-10
+    def test_cone_curvature_positive(self):
+        # on the cone, C has the sign of -(aq s1 + bq s2) for q < 1/2; by
+        # c0-resultant (aq s1)^2 - (bq s2)^2 = (2q - 1)^3 sextic / 11664,
+        # which is negative there since the sextic is positive, so the sum
+        # has the sign of bq, which is negative there
+        (q,) = ring("q")
+        assert verify_identity("c0-resultant").passed
+        assert positivity_certificates()["sextic_positive"].certified
+        assert sign_certificate(formulas.bq(q), (None, Fraction(1, 2)),
+                                "-").certified
 
-    def test_cone_curvature_positive(self, p05):
-        q = np.linspace(0.05, 0.49, 300)
-        c0 = cone_curvature_C0(q)
-        assert np.all(c0 > 1e-10)
-
-    def test_cone_curvature_matches_decimal_reference(self):
-        # the same aq/bq bodies in 60-digit decimal arithmetic; near
-        # q = 1/2 the direct sum aq s1 + bq s2 cancels to about 1e-10
-        def reference(q):
-            q = Decimal(float(q))
-            s1 = (12 * q ** 2 - 8 * q + 2).sqrt()
-            s2 = (12 * q ** 2 - 16 * q + 6).sqrt()
-            num = (-864 * (1 - 2 * q)
-                   * (formulas.aq(q) * s1 + formulas.bq(q) * s2))
-            den = ((6 * q ** 2 - 8 * q + 3) ** 3
-                   * (6 * q ** 2 - 4 * q + 1) ** 3 * s1 * s2)
-            return num / den
-
-        q = np.linspace(0.05, 0.49, 300)
-        with localcontext() as ctx:
-            ctx.prec = 60
-            for qi, got in zip(q, cone_curvature_C0(q)):
-                ref = reference(qi)
-                assert abs(Decimal(float(got)) / ref - 1) < Decimal("1e-12")
-
-    def test_cone_curvature_matches_direct(self, p05):
-        for q1 in np.linspace(0.05, 0.49, 40):
-            direct = float(curvature_numerator(
-                (q1, math.sqrt(2.0) * (q1 - 0.5)), p05))
-            assert cone_curvature_C0(q1) == pytest.approx(
-                direct, rel=1e-8)
+    def test_cone_curvature_matches_direct(self):
+        # exact: C on q2 = +-sqrt(2)(q1 - 1/2) is the aq/bq closed form
+        assert holds(regularizations.equal_mass_cone_curvature())
 
 
 def _window_batches(p, c):
