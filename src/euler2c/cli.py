@@ -313,21 +313,26 @@ def _trace_zero(f, starts, step, max_len):
 
 
 def _curve_v0(args, params, c):
+    """V = 0 as the preimage v = +-sqrt(q/2) of both Hill rims U = c
+    (n/4 points each), in boundary order: one loop for the Earth (the
+    +sqrt half from polar angle 0, then the -sqrt half), two for the Moon."""
     import numpy as np
 
     from . import levicivita
-    x0 = levicivita.x0_of(params, c)
-    s2 = math.sqrt(2.0)
-    points, partial = _trace_zero(
-        levicivita.V_with_grad(params, c),
-        [((x0 - 1e-6, d * 1e-6), (-1.0, d)) for d in (s2, -s2)],
-        args.step, args.max_len)
-    # both V=0 and F=0 pass through the axis tangency point exactly
-    xy = np.array([(x0, 0.0)] + points)
-    F = levicivita.F_value(xy[:, 0], xy[:, 1], params, c)
-    rows = [("v0", x, y, f) for (x, y), f in zip(xy, F)]
-    rows += _cone_rows("tangent", x0, 0.3, args.n)
-    return ["series", "x", "y", "F"], rows, partial
+    from .model import hill_boundary
+    rows = []
+    for comp, names in (("earth", ("v0-earth", "v0-earth")),
+                        ("moon", ("v0-moon+", "v0-moon-"))):
+        q = hill_boundary(params, c, comp, n=args.n // 4)
+        v = np.sqrt(0.5 * (q[:, 0] + 1j * q[:, 1]))
+        # the Earth rim winds around 0: past polar angle pi, the other root
+        v[(comp == "earth") & (q[:, 1] < 0.0)] *= -1.0
+        v = np.concatenate([v, -v])
+        F = levicivita.F_value(v.real, v.imag, params, c)
+        rows += [(names[k >= len(q)], z.real, z.imag, f)
+                 for k, (z, f) in enumerate(zip(v, F))]
+    rows += _cone_rows("tangent", levicivita.x0_of(params, c), 0.3, args.n)
+    return ["series", "x", "y", "F"], rows
 
 
 def _curve_f0(args, params, c):
@@ -414,11 +419,13 @@ def _curve_c0curve(args):
 
 def cmd_curve(args):
     partial = False
-    if args.which in ("v0", "f0", "czero"):
+    if args.which in ("f0", "czero"):
         for name, value in (("--step", args.step),
                             ("--max-len", args.max_len)):
             if not 0.0 < value < math.inf:
                 _fail(f"{name} must be finite and positive, got {value}")
+    if args.which == "v0" and args.n < 32:
+        _fail(f"--n must be at least 32 for curve v0, got {args.n}")
     if args.which in ("hill", "v0", "f0", "czero"):
         from .ladder import ProblemParams
         params = ProblemParams(args.mu)
@@ -426,7 +433,7 @@ def cmd_curve(args):
     if args.which == "hill":
         header, rows = _curve_hill(args, params, c)
     elif args.which == "v0":
-        header, rows, partial = _curve_v0(args, params, c)
+        header, rows = _curve_v0(args, params, c)
     elif args.which == "f0":
         header, rows, partial = _curve_f0(args, params, c)
     elif args.which == "czero":
@@ -504,8 +511,9 @@ def build_parser():
                                       "quartic", "c0curve"])
     _add_common(sp)
     sp.add_argument("--n", type=int, default=256)
-    sp.add_argument("--step", type=float, default=1e-3)
-    sp.add_argument("--max-len", type=float, default=3.0)
+    traced = "read by the traced curves f0 and czero only"
+    sp.add_argument("--step", type=float, default=1e-3, help=traced)
+    sp.add_argument("--max-len", type=float, default=3.0, help=traced)
     sp.add_argument("--xmax", type=float, default=4.0)
     sp.add_argument("--mu-min", type=float, default=0.05)
     sp.add_argument("--mu-max", type=float, default=0.95)

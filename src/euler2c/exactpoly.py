@@ -652,7 +652,7 @@ def _id_levi_critical_curve():
 def _id_lc_radicand():
     x, y = ring("x", "y")
     return [formulas.lc_radicand(x, y)
-            - ((2 * x ** 2 - 2 * y ** 2 - 1) ** 2 + 16 * x ** 2 * y ** 2)]
+            - (4 * (x ** 2 + y ** 2) ** 2 - 4 * x ** 2 + 4 * y ** 2 + 1)]
 
 
 @cache

@@ -48,9 +48,9 @@ def projected_hessian(x, y, z, w, a, b):
 
 
 def lc_radicand(x, y):
-    """The Levi-Civita radicand |2 v^2 - 1|^2, expanded."""
-    return (4 * x ** 4 + 8 * x ** 2 * y ** 2 - 4 * x ** 2
-            + 4 * y ** 4 + 4 * y ** 2 + 1)
+    """The Levi-Civita radicand |2 v^2 - 1|^2 = |q - 1|^2 as a sum of
+    squares; expanded, it loses half the digits next to the Moon."""
+    return (2 * x ** 2 - 2 * y ** 2 - 1) ** 2 + 16 * x ** 2 * y ** 2
 
 
 def P1(x, y):

@@ -6,12 +6,13 @@ constant factor 4, and it turns the energy hypersurface H = c into the
 zero set of K_c(v, u) = |v|^2 (H - c) = |u|^2 / 2 + V_c(v) with
 
     V_c(x, y) = -c (x^2+y^2) - mu (x^2+y^2) / sqrt(rho) - (1-mu)/2,
-    rho = 4x^4 + 8x^2y^2 - 4x^2 + 4y^4 + 4y^2 + 1,
+    rho = (2x^2 - 2y^2 - 1)^2 + 16 x^2 y^2,
 
 removing the Earth collision; |q - 1|^2 = rho, so rho^(-1/2) is the
 inverse distance to the Moon. The tests check these identities exactly.
-The boundary of the regularized region is V = 0; strict convexity is
-governed by the sign of
+The boundary of the regularized region is V = 0; as V_c(v) = |v|^2
+(U(2 v^2) - c), it is the preimage of the Hill boundary U = c (read in
+closed form by ``curve v0``). Its strict convexity follows the sign of
 
     F = V_xx V_y^2 + V_yy V_x^2 - 2 V_x V_y V_xy
 
@@ -39,7 +40,6 @@ from .scan import (cone_contact, cone_contact_size, level_curvature,
 __all__ = [
     "radicand",
     "V_eval",
-    "V_with_grad",
     "F_value",
     "F_with_grad",
     "tilde_derivatives",
@@ -52,9 +52,9 @@ _WITNESS_TOL = 1e-8
 
 
 def radicand(x, y):
-    """rho(x, y) = |2 v^2 - 1|^2 expanded; equals
-    (2x^2 - 2y^2 - 1)^2 + 16 x^2 y^2, hence nonnegative, vanishing only
-    at the Moon preimages."""
+    """rho(x, y) = |2 v^2 - 1|^2 = |q - 1|^2 (formulas.lc_radicand), a sum
+    of squares: nonnegative, zero only at the Moon preimages, and as
+    accurate relative to itself as q - 1 next to them."""
     r = formulas.lc_radicand(np.asarray(x, dtype=float),
                              np.asarray(y, dtype=float))
     return float(r) if np.ndim(r) == 0 else r
@@ -133,14 +133,6 @@ def V_eval(x, y, params, c):
          (0, 2): V_yy, (3, 0): V_xxx, (2, 1): V_xxy, (1, 2): V_xyy,
          (0, 3): V_yyy}
     return {k: float(v) for k, v in d.items()} if np.ndim(V) == 0 else d
-
-
-def V_with_grad(params, c):
-    """(x, y) -> (V, V_x, V_y) from one V_eval call, to trace V = 0."""
-    def f(x, y):
-        d = V_eval(x, y, params, c)
-        return d[0, 0], d[1, 0], d[0, 1]
-    return f
 
 
 def x0_of(params, c):

@@ -18,7 +18,6 @@ from euler2c.cli import _linspace, main, parse_energy
 from euler2c.elliptic import oracle_convexity, thresholds
 from euler2c.fiberwise import curvature_numerator
 from euler2c.model import HillComponent, ProblemParams
-from euler2c.scan import trace_implicit
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
@@ -365,37 +364,51 @@ class TestCurve:
         out = tmp_path / "v.csv"
         assert main(["curve", "v0", "--mu", "0.3", "--c", "cJ",
                      "--out", str(out)]) == 0
-        rows = [r for r in self._rows(out) if r["series"] == "v0"]
+        rows = [r for r in self._rows(out) if r["series"] == "v0-earth"]
         x0 = 0.5497072294690329
         d = min(math.hypot(float(r["x"]) - x0, float(r["y"]))
                 for r in rows)
         assert d < 1e-6
 
     @pytest.mark.parametrize("mu", [0.3, 0.7])
-    def test_v0_rows_are_the_trace_with_scalar_F(self, capsys, tmp_path,
-                                                 mu):
-        # the F column comes from one array call over the traced points;
-        # each row still agrees with a scalar F_value at its point
+    @pytest.mark.parametrize("energy", ["cJ", "cJ-0.5"],
+                             ids=["cJ", "below-cJ"])
+    def test_v0_rows_are_closed_loops_on_V_zero(self, capsys, tmp_path, mu,
+                                                energy):
+        # the preimage of both Hill rims: n v0 rows in three loops, each
+        # in boundary order, and the tangent lines' n/2 rows
+        n = 64
         out = tmp_path / "v.csv"
-        assert main(["curve", "v0", "--mu", str(mu), "--max-len", "0.5",
-                     "--n", "64", "--out", str(out)]) == 0
-        rows = self._rows(out)
+        assert main(["curve", "v0", "--mu", str(mu), "--c", energy,
+                     "--n", str(n), "--out", str(out)]) == 0
         p = ProblemParams(mu)
-        c = p.c_jacobi
-        x0 = levicivita.x0_of(p, c)
-        s2 = math.sqrt(2.0)
-        traced = [trace_implicit(levicivita.V_with_grad(p, c),
-                                 (x0 - 1e-6, d * 1e-6), step=1e-3,
-                                 max_len=0.5, direction=(-1.0, d)).points
-                  for d in (s2, -s2)]
-        expected = np.vstack([[(x0, 0.0)], *traced])
-        v0 = [r for r in rows if r["series"] == "v0"]
-        assert len(rows) == len(expected) + 2 * (64 // 4)
-        xy = np.array([(float(r["x"]), float(r["y"])) for r in v0])
-        assert np.array_equal(xy, expected)
-        F = np.array([float(r["F"]) for r in v0])
-        scalar = np.array([levicivita.F_value(x, y, p, c) for x, y in xy])
-        assert np.max(np.abs(F - scalar)) <= 1e-14 * np.max(np.abs(scalar))
+        c = parse_energy(energy, p)
+        series = {}
+        for r in self._rows(out):
+            series.setdefault(r["series"], []).append(
+                (float(r["x"]), float(r["y"]), float(r["F"])))
+        assert list(series) == ["v0-earth", "v0-moon+", "v0-moon-",
+                                "tangent+", "tangent-"]
+        assert [len(v) for v in series.values()] == [n // 2, n // 4, n // 4,
+                                                     n // 4, n // 4]
+        loops = {k: np.array(series[k]) for k in list(series)[:3]}
+        for xyF in loops.values():
+            xy = xyF[:, :2]
+            # no jump anywhere, from the last point back to the first too;
+            # a half-angle off by pi would jump by 2|v|, about 1 on Earth's
+            steps = np.hypot(*(np.roll(xy, -1, axis=0) - xy).T)
+            assert np.max(steps) < 0.25
+            assert np.max(np.abs(levicivita.V_value(
+                xy[:, 0], xy[:, 1], p, c))) <= 1e-12
+            # F from one array call is the scalar F at every point
+            scalar = [levicivita.F_value(x, y, p, c) for x, y in xy]
+            assert np.max(np.abs(xyF[:, 2] - scalar)) \
+                <= 1e-14 * np.max(np.abs(scalar))
+        earth = loops["v0-earth"]
+        assert np.array_equal(earth[n // 4:, :2], -earth[:n // 4, :2])
+        assert np.array_equal(loops["v0-moon-"][:, :2],
+                              -loops["v0-moon+"][:, :2])
+        assert np.all(loops["v0-moon+"][:, 0] > 0.0)
 
     def test_f0_passes_through_x0(self, capsys, tmp_path):
         out = tmp_path / "f.csv"
@@ -466,10 +479,11 @@ class TestOptionRanges:
           "--method", "theory"], "--c"),
         (["verdict", "elliptic", "--c=-inf", "--component", "earth",
           "--method", "oracle"], "--c"),
-        (["curve", "v0", "--max-len", "inf"], "--max-len"),
-        (["curve", "v0", "--step", "inf"], "--step"),
-        (["curve", "v0", "--max-len", "0"], "--max-len"),
-        (["curve", "v0", "--max-len", "-1"], "--max-len"),
+        (["curve", "f0", "--max-len", "inf"], "--max-len"),
+        (["curve", "f0", "--step", "inf"], "--step"),
+        (["curve", "f0", "--max-len", "0"], "--max-len"),
+        (["curve", "f0", "--max-len", "-1"], "--max-len"),
+        (["curve", "v0", "--n", "31"], "--n"),
         # every command that computes at the energy refuses one above c_J
         (["curve", "hill", "--c", "cJ+0.1"], "--c"),
         (["curve", "v0", "--c", "cJ+0.1"], "--c"),
@@ -490,8 +504,9 @@ class TestOptionRanges:
         (["verdict", "levi", "--component", "earth", "--method", "oracle"],
          "--component"),
     ], ids=["grid-no-angle", "grid-one-nu", "f0-step-0", "czero-step-0",
-            "c-inf-theory", "c-inf-oracle", "v0-max-len-inf", "v0-step-inf",
-            "v0-max-len-0", "v0-max-len-negative", "hill-above-cj",
+            "c-inf-theory", "c-inf-oracle", "f0-max-len-inf", "f0-step-inf",
+            "f0-max-len-0", "f0-max-len-negative", "v0-n-below-32",
+            "hill-above-cj",
             "v0-above-cj", "f0-above-cj", "czero-above-cj",
             "levi-oracle-above-cj", "levi-both-above-cj",
             "fiberwise-oracle-above-cj", "fiberwise-both-above-cj",
@@ -762,7 +777,7 @@ _IMPORT_CONTRACT = {
                                "--c", "cJ"),
                           ["euler2c.levicivita", "euler2c.elliptic"]),
     "curve-v0": (_cli("curve", "v0", "--mu", "0.3", "--max-len", "0.25"),
-                 ["euler2c.model", "euler2c.fiberwise", "euler2c.elliptic",
+                 ["euler2c.fiberwise", "euler2c.elliptic",
                   "euler2c.exactpoly"]),
     "verdict-elliptic": (_cli("verdict", "elliptic", "--mu", "0.3", "--c",
                               "cJ-0.2", "--component", "earth", "--grid",

@@ -14,14 +14,14 @@ from euler2c.levicivita import (
     F_with_grad,
     V_eval,
     V_value,
-    V_with_grad,
     nonconvex_witness_levi,
     radicand,
     tangency_check,
     tilde_derivatives,
     x0_of,
 )
-from euler2c.model import ProblemParams, U_derivs
+from euler2c.model import (HillComponent, ProblemParams, U_derivs,
+                           hill_boundary)
 from finite_differences import fd_check, fd_derivative
 
 import regularizations
@@ -36,6 +36,19 @@ class TestRegularization:
             x, y = rng.uniform(-1, 1, 2)
             expect = (2 * x * x - 2 * y * y - 1) ** 2 + 16 * x * x * y * y
             assert radicand(x, y) == pytest.approx(expect, rel=1e-14)
+
+    def test_radicand_near_moon_preimage(self):
+        # at mu = 1e-4, c = -100 the Moon rim lies about 1e-6 from the
+        # Moon; on its preimage the expanded radicand was off by 3.3e-4
+        # relative to |q - 1|^2 and |V| read 8.3e-3
+        p = ProblemParams(1e-4)
+        q = hill_boundary(p, -100.0, HillComponent.MOON, n=64)
+        v = np.sqrt(0.5 * (q[:, 0] + 1j * q[:, 1]))
+        for x, y in ((v.real, v.imag), (-v.real, -v.imag)):
+            rho = radicand(x, y)
+            assert np.max(np.abs(rho / ((q[:, 0] - 1.0) ** 2 + q[:, 1] ** 2)
+                                 - 1.0)) <= 1e-8
+            assert np.max(np.abs(V_value(x, y, p, -100.0))) <= 1e-7
 
     def test_K_is_conformal_H(self):
         # exact: K_c(v, u) = (H(q, p) - c) |v|^2 under q = 2 v^2,
@@ -95,15 +108,13 @@ class TestDerivatives:
 
     @pytest.mark.parametrize("mu", [0.3, 0.7])
     def test_traced_value_and_gradient(self, mu):
-        # V and F with their gradients from one V_eval call; the F
-        # gradient is scan.level_curvature_grad of the third-order table
+        # F with its gradient from one V_eval call; the gradient is
+        # scan.level_curvature_grad of the third-order table
         p = ProblemParams(mu)
         c = p.c_jacobi
-        V, F = V_with_grad(p, c), F_with_grad(p, c)
+        F = F_with_grad(p, c)
         pts = [(0.3, 0.2), (0.55, 0.1), (0.2, -0.4), (-0.5, 0.3)]
         for x, y in pts:
-            d = V_eval(x, y, p, c)
-            assert V(x, y) == (V_value(x, y, p, c), d[1, 0], d[0, 1])
             assert F(x, y)[0] == F_value(x, y, p, c)
         table = fd_check(lambda x, y: F(x, y)[0],
                          {(1, 0): lambda x, y: F(x, y)[1],
