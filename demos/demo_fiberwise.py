@@ -4,7 +4,9 @@ At equal masses the curvature numerator C of the zero-velocity curves
 is strictly positive on every bounded component for all subcritical
 energies, so the Hill lobes are convex fibers.  For unequal masses the
 Earth lobe loses convexity at the critical energy: C turns negative on
-the boundary just before the cone vertex at q1 = l.
+the boundary just before the cone vertex at q1 = l.  The verdict reads
+C over the Earth region and its closed-form rim, and reports the least
+value as the witness.
 """
 
 import numpy as np
@@ -31,5 +33,6 @@ print(f"\nmu = 0.3 at the critical energy: verdict = {rep.verdict}")
 e, (q1, q2), cval = rep.witness
 print(f"witness on the boundary of its own energy e = U(q) = {e:.12f} "
       f"<= c_J = {p3.c_jacobi:.12f}:")
-print(f"  C({q1:.6f}, {q2:.6f}) = {cval:.6e}  ({rep.samples} positions read)")
+print(f"  C({q1:.6f}, {q2:.6f}) = {cval:.6e}  ({rep.samples} positions "
+      "read, the rim's included)")
 print(f"vertex abscissa l = {p3.l:.6f} (the witness lies short of it)")

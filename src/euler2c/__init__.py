@@ -24,9 +24,9 @@ critical Jacobi energy:
   certificates, and the named identity suite behind the proofs.
 - ``scan``: the level-set curvature numerator behind C and F, its
   gradient and its series along a tangent cone, read from one partials
-  table; the witness search just inside a touching vertex; one Hill
-  lobe's positions in elliptic coordinates for both oracles; sign scans
-  and implicit-curve tracing from a closed-form value and gradient.
+  table; one Hill lobe's positions in elliptic coordinates for both
+  oracles; sign scans and implicit-curve tracing from a closed-form
+  value and gradient.
 - ``cli``: the ``euler2c`` command.
 
 The package loads lazily (PEP 562): ``import euler2c`` imports no

@@ -7,14 +7,13 @@ verdict            convexity verdicts (theory vs numerical oracle)
 curve              figure data (boundaries, zero sets, thresholds) as CSV
 verify-identities  run the exact polynomial-identity suite
 
-A verdict is "convex", "nonconvex" or "undecided". The elliptic oracle
-answers "undecided" when its smallest relative eigenvalue lies within
-its tolerance of zero (a "degenerate" report), and the levi oracle when
-its vertex window read no boundary point; that is a partial result,
-exit 1, also against a theory verdict, never a disagreement. The levi
-and fiberwise oracles also report ``least_value``, the least boundary
-curvature (F or C) they read, so a verdict near the witness tolerance
-shows how near.
+A verdict is "convex", "nonconvex" or "undecided". Only the elliptic
+oracle answers "undecided": when its smallest relative eigenvalue lies
+within its tolerance of zero (a "degenerate" report); that is a partial
+result, exit 1, also against a theory verdict, never a disagreement.
+The levi and fiberwise oracles also report ``least_value``, the least
+boundary curvature (F or C) they read, so a verdict near the witness
+tolerance shows how near.
 
 Exit codes: 0 success (methods agree), 1 partial result (a trace stopped
 early, or the oracle is undecided), 2 invalid input, 3 theory/oracle
@@ -35,8 +34,8 @@ which overrides them.
 Each subcommand imports the library code it runs when it runs, so a
 process loads only that: ``constants``, ``curve quartic``,
 ``curve c0curve``, ``verify-identities`` and every ``--method theory``
-verdict run without NumPy, ``verdict levi`` loads neither ``model`` nor
-``fiberwise``, and ``verdict elliptic`` loads neither ``levicivita`` nor
+verdict run without NumPy, ``verdict levi`` does not load ``fiberwise``,
+and ``verdict elliptic`` loads neither ``levicivita`` nor
 ``fiberwise``. The console script and ``python -m euler2c.cli`` enter
 through ``run``, which gives OpenBLAS one thread and turns the cyclic
 collector off before the subcommand loads anything.
@@ -167,13 +166,6 @@ def cmd_constants(args):
 # the elliptic oracle's report verdict as a CLI verdict
 _ORACLE_VERDICT = {"posdef": "convex", "indefinite": "nonconvex",
                    "degenerate": "undecided"}
-# why an oracle answered "undecided", by verdict target
-_UNDECIDED = {
-    "elliptic": "the oracle's smallest relative eigenvalue is within its "
-                "tolerance of zero",
-    "levi": "the vertex window read no point of the boundary V = 0 below "
-            "x0",
-}
 
 
 def cmd_verdict(args):
@@ -214,9 +206,7 @@ def cmd_verdict(args):
         if args.method in ("oracle", "both"):
             from . import levicivita
             w, samples, least = levicivita.nonconvex_witness_levi(params, c)
-            # a window that read no boundary point is no evidence
-            oracle = ("nonconvex" if w is not None else
-                      "convex" if samples else "undecided")
+            oracle = "convex" if w is None else "nonconvex"
             if w is not None:
                 witness = {"point": [w[0], w[1]], "F": w[2]}
     elif args.target == "fiberwise":
@@ -246,9 +236,8 @@ def cmd_verdict(args):
         "runtime": time.perf_counter() - t0,
     }
     if least is not None:
-        # the least F (levi) or C (fiberwise) the oracle read; null if it
-        # read no point
-        out["least_value"] = least if math.isfinite(least) else None
+        # the least F (levi) or C (fiberwise) the oracle read
+        out["least_value"] = least
     if theory is not None and args.method == "both":
         out["theory"] = theory
     if witness is not None:
@@ -257,8 +246,8 @@ def cmd_verdict(args):
         out["oracle_counters"] = counters
     _emit_json(out, args.out)
     if oracle == "undecided":
-        print(f"warning: {_UNDECIDED[args.target]}; verdict undecided",
-              file=sys.stderr)
+        print("warning: the oracle's smallest relative eigenvalue is within "
+              "its tolerance of zero; verdict undecided", file=sys.stderr)
         return 1
     if (args.method == "both" and theory is not None and oracle is not None
             and theory != oracle):
@@ -324,9 +313,7 @@ def _curve_v0(args, params, c):
     for comp, names in (("earth", ("v0-earth", "v0-earth")),
                         ("moon", ("v0-moon+", "v0-moon-"))):
         q = hill_boundary(params, c, comp, n=args.n // 4)
-        v = np.sqrt(0.5 * (q[:, 0] + 1j * q[:, 1]))
-        # the Earth rim winds around 0: past polar angle pi, the other root
-        v[(comp == "earth") & (q[:, 1] < 0.0)] *= -1.0
+        v = levicivita.rim_preimage(q, unwind=comp == "earth")
         v = np.concatenate([v, -v])
         F = levicivita.F_value(v.real, v.imag, params, c)
         rows += [(names[k >= len(q)], z.real, z.imag, f)
@@ -424,8 +411,11 @@ def cmd_curve(args):
                             ("--max-len", args.max_len)):
             if not 0.0 < value < math.inf:
                 _fail(f"{name} must be finite and positive, got {value}")
-    if args.which == "v0" and args.n < 32:
-        _fail(f"--n must be at least 32 for curve v0, got {args.n}")
+    # hill_boundary takes at least 8 points per rim, and v0 asks for n/4
+    least_n = {"hill": 8, "v0": 32}.get(args.which)
+    if least_n is not None and args.n < least_n:
+        _fail(f"--n must be at least {least_n} for curve {args.which}, "
+              f"got {args.n}")
     if args.which in ("hill", "v0", "f0", "czero"):
         from .ladder import ProblemParams
         params = ProblemParams(args.mu)

@@ -12,8 +12,8 @@ equivalent to convexity of every Hill region of effective energy
 e <= c. Every position q lies on the boundary of its own region,
 e = U(q), so this is one statement about one region: C > 0 on the Earth
 lobe of energy c. The verdict routine reads C on the lobe as
-scan.hill_region samples it, and, for the heavier Earth lobe, just
-inside the vertex (l, 0) with scan.vertex_window.
+scan.hill_region samples it, and on its rim U = c in closed form
+(model.hill_boundary), which reaches the vertex (l, 0) at c_J.
 
 All positions here are in the Standard frame (Earth at the origin,
 Moon at (1, 0)). The equal-mass lemmas of the paper are exact: the
@@ -32,9 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import formulas
-from .model import HillComponent, U_derivs, _U_partials, potential_U
+from .model import (HillComponent, U_derivs, _U_partials, hill_boundary,
+                    potential_U)
 from .scan import (elliptic_to_cartesian, hill_region, level_curvature,
-                   level_curvature_grad, vertex_window)
+                   level_curvature_grad)
 
 __all__ = [
     "FiberwiseReport",
@@ -44,8 +45,10 @@ __all__ = [
     "positivity_certificates",
 ]
 
-# the Earth region is read on this many lambda and as many nu values
+# the Earth region is read on this many lambda and as many nu values,
+# and its rim at this many points
 _N_REGION = 100
+_N_RIM = 1024
 _C_TOL = 1e-12
 
 
@@ -76,9 +79,10 @@ def fiberwise_verdict(params, c):
     witness, reported with that energy.
 
     One curvature_numerator call reads the positions of scan.hill_region
-    (_N_REGION x _N_REGION and the rim, without the Earth) and keeps the
-    least C. For the heavier Earth lobe (mu < 1/2) without a witness
-    there, scan.vertex_window on U < c searches q1 in (l - 0.1 l, l).
+    (_N_REGION x _N_REGION and the rim, without the Earth) and _N_RIM
+    points of the rim U = c from model.hill_boundary, and keeps the least
+    C. The rim holds the boundary next to the vertex (l, 0), where C
+    turns negative first and where the grid alone can miss it.
     """
     if c > params.c_jacobi:
         raise ValueError("fiberwise_verdict requires c <= c_jacobi")
@@ -88,27 +92,18 @@ def fiberwise_verdict(params, c):
     q1 = q1 + 0.5
     # the Earth, where C is not defined, is the grid point (0, 0)
     off = (q1 != 0.0) | (q2 != 0.0)
-    q1, q2 = q1[off], q2[off]
+    rim = hill_boundary(params, c, HillComponent.EARTH, _N_RIM)
+    q1 = np.concatenate([q1[off], rim[:, 0]])
+    q2 = np.concatenate([q2[off], rim[:, 1]])
     cvals = curvature_numerator((q1, q2), params)
     i = int(np.argmin(cvals))
-    min_C, samples = float(cvals[i]), cvals.size
-    found = (float(q1[i]), float(q2[i]), min_C) if min_C < -_C_TOL else None
-
-    if found is None and params.heavier is HillComponent.EARTH:
-        # corollary regime: look just below the touching point (l, 0)
-        found, read, least = vertex_window(
-            lambda q1, q2: potential_U((q1, q2), params) < c,
-            lambda q1, q2: curvature_numerator((q1, q2), params),
-            params.l, _C_TOL)
-        samples += read
-        min_C = min(min_C, least)
-
-    if found is None:
-        return FiberwiseReport("convex", None, min_C, samples)
-    q = found[:2]
-    return FiberwiseReport("nonconvex-witness",
-                           (potential_U(q, params), q, found[2]),
-                           min_C, samples)
+    min_C = float(cvals[i])
+    if min_C < -_C_TOL:
+        q = (float(q1[i]), float(q2[i]))
+        return FiberwiseReport("nonconvex-witness",
+                               (potential_U(q, params), q, min_C),
+                               min_C, cvals.size)
+    return FiberwiseReport("convex", None, min_C, cvals.size)
 
 
 def positivity_certificates():

@@ -11,8 +11,9 @@ zero set of K_c(v, u) = |v|^2 (H - c) = |u|^2 / 2 + V_c(v) with
 removing the Earth collision; |q - 1|^2 = rho, so rho^(-1/2) is the
 inverse distance to the Moon. The tests check these identities exactly.
 The boundary of the regularized region is V = 0; as V_c(v) = |v|^2
-(U(2 v^2) - c), it is the preimage of the Hill boundary U = c (read in
-closed form by ``curve v0``). Its strict convexity follows the sign of
+(U(2 v^2) - c), it is the preimage v = +-sqrt(q/2) of the Hill boundary
+U = c, read in closed form from model.hill_boundary (rim_preimage). Its
+strict convexity follows the sign of
 
     F = V_xx V_y^2 + V_yy V_x^2 - 2 V_x V_y V_xy
 
@@ -22,8 +23,7 @@ of V through order three, as the partials table {(i, j): d_x^i d_y^j V}
 that model.U_derivs returns for U, so F is scan.level_curvature of it;
 the off-center critical points (+-x0, 0) of V, the tangency data there,
 the directional derivative lemmas along the tangent cone, and a witness
-search for non-convexity just inside (x0, 0), scan.vertex_window on
-the region V < 0.
+search for non-convexity, F read on the preimage of the Earth rim.
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ import numpy as np
 
 from . import formulas
 from .errors import MoonCollision
+from .model import HillComponent, hill_boundary
 from .scan import (cone_contact, cone_contact_size, level_curvature,
-                   level_curvature_grad, vertex_window)
+                   level_curvature_grad)
 
 __all__ = [
     "radicand",
@@ -44,11 +45,14 @@ __all__ = [
     "F_with_grad",
     "tilde_derivatives",
     "tangency_check",
+    "rim_preimage",
     "nonconvex_witness_levi",
 ]
 
 _RAD_TOL = 1e-24
 _WITNESS_TOL = 1e-8
+# the witness search reads F at this many points of the Earth loop
+_N_RIM = 1024
 
 
 def radicand(x, y):
@@ -210,18 +214,33 @@ def tilde_derivatives(params):
                                        for k in (1, 2, 3)}
 
 
-def nonconvex_witness_levi(params, c=None):
-    """Search for a non-convexity witness on V^{-1}(0) just below x0.
+def rim_preimage(q, unwind=False):
+    """The principal roots v = sqrt(q/2) of the points q of a Hill rim
+    (an (n, 2) array of model.hill_boundary) as a complex array: points
+    of V = 0, whose other half is -v. With unwind, the points past polar
+    angle pi take the other root, so that along a rim that winds around
+    0 (the Earth's) the half-angle runs on from 0 in one arc."""
+    v = np.sqrt(0.5 * (q[:, 0] + 1j * q[:, 1]))
+    if unwind:
+        v[q[:, 1] < 0.0] *= -1.0
+    return v
 
-    scan.vertex_window on the region V < 0 with apex x0, which returns
-    (witness, read, least): the boundary point nearest x0 among its
-    abscissas with F < -_WITNESS_TOL as (x, y, F), or None if no abscissa
-    in (x0 - 0.1 x0, x0) has one; the number of boundary points read;
-    and the least F read. V > 0 at y = 1.5 for every c <= c_J.
+
+def nonconvex_witness_levi(params, c=None):
+    """Search for a non-convexity witness on the Earth loop of V = 0.
+
+    F is read at the principal roots of _N_RIM points of the Earth rim
+    U = c (rim_preimage); as F(-v) = F(v), they cover the loop. Returns
+    (witness, read, least): the point of least F as (x, y, F) if that
+    value is below -_WITNESS_TOL, else None; the number of points read;
+    and the least F read.
     """
     if c is None:
         c = params.c_jacobi
-    return vertex_window(
-        lambda x, y: V_value(x, y, params, c) < 0.0,
-        lambda x, y: F_value(x, y, params, c), x0_of(params, c),
-        _WITNESS_TOL)
+    v = rim_preimage(hill_boundary(params, c, HillComponent.EARTH, _N_RIM))
+    F = F_value(v.real, v.imag, params, c)
+    i = int(np.argmin(F))
+    least = float(F[i])
+    found = ((float(v[i].real), float(v[i].imag), least)
+             if least < -_WITNESS_TOL else None)
+    return found, F.size, least

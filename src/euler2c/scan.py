@@ -1,11 +1,9 @@
 """Generic numerics: the curvature numerator of a level set, its
 gradient and its series along a tangent-cone line (with the size of the
 terms that cancel in it), all read from one partials table
-{(i, j): d_x^i d_y^j f}; the witness search just inside
-the vertex where two lobes of a level set touch; the positions of one
-Hill lobe, sampled in elliptic coordinates for both oracles; sign scans
-that bisect every sign-changing grid edge at once; and implicit-curve
-tracing.
+{(i, j): d_x^i d_y^j f}; the positions of one Hill lobe, sampled in
+elliptic coordinates for both oracles; sign scans that bisect every
+sign-changing grid edge at once; and implicit-curve tracing.
 
 All routines are deterministic: grids are regular and traces are seeded
 explicitly, so identical inputs produce identical reports.
@@ -25,15 +23,13 @@ from .ladder import HillComponent
 
 __all__ = ["ScanReport", "Polyline", "EllipticDomain", "HillRegion",
            "level_curvature", "level_curvature_grad", "cone_contact",
-           "cone_contact_size", "vertex_window", "elliptic_to_cartesian",
-           "domain_bounds", "hill_region", "sign_scan", "trace_implicit"]
+           "cone_contact_size", "elliptic_to_cartesian", "domain_bounds",
+           "hill_region", "sign_scan", "trace_implicit"]
 
 GRAD_COLLAPSE_TOL = 1e-7
 # |f| below this is on the zero set, for a scan witness and a trace
 # point alike; perfbench/checks.py relies on traces keeping it at 1e-10
 ZERO_TOL = 1e-10
-# vertex_window searches the abscissas within this fraction of the apex
-_WINDOW = 0.1
 
 
 @dataclass
@@ -143,51 +139,6 @@ def cone_contact_size(size, order):
     series = _cone_series(size, order)
     series[1, 1] = -series[1, 1]
     return _derivatives_at_zero(series, order)
-
-
-def vertex_window(inside, curvature, apex, tol):
-    """Witness search on the boundary of a region just inside the vertex
-    (apex, 0) where two of its lobes touch, as U = c_J at (l, 0) or
-    V = 0 at (x0, 0) at the critical energy.
-
-    Batches of 64, 256 and 1024 abscissas x = apex - 0.1 apex k / (n + 1),
-    k = 1..n, are read in turn. inside(x, y) tells on arrays whether
-    points lie in the region. Abscissas whose axis point is not inside
-    are dropped; on the vertical line of each other one, y in [0, 1.5]
-    is bisected for the boundary, all lines together, until every
-    bracket is below 1e-15 (inside must fail at y = 1.5). curvature(x, y)
-    at these boundary points is read in order up to the first value
-    below -tol.
-
-    Returns (witness, read, minimum): the first such point as
-    (x, y, curvature) or None, the number of points read over all
-    batches, and the least value read (inf if none was).
-    """
-    read, minimum = 0, math.inf
-    window = _WINDOW * apex
-    for n in (64, 256, 1024):
-        x = apex - window * (np.arange(1, n + 1) / (n + 1.0))
-        x = x[inside(x, np.zeros_like(x))]
-        if x.size == 0:
-            continue
-        lo, hi = np.zeros_like(x), np.full_like(x, 1.5)
-        for _ in range(200):
-            active = hi - lo >= 1e-15
-            if not active.any():
-                break
-            mid = 0.5 * (lo + hi)
-            below = inside(x, mid)
-            lo = np.where(active & below, mid, lo)
-            hi = np.where(active & ~below, mid, hi)
-        y = 0.5 * (lo + hi)
-        values = curvature(x, y)
-        hit = np.flatnonzero(values < -tol)
-        k = int(hit[0]) if hit.size else x.size - 1
-        read += k + 1
-        minimum = min(minimum, float(values[:k + 1].min()))
-        if hit.size:
-            return (float(x[k]), float(y[k]), float(values[k])), read, minimum
-    return None, read, minimum
 
 
 # -- one Hill lobe in elliptic coordinates ------------------------------------

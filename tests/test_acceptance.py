@@ -29,7 +29,6 @@ from euler2c.levicivita import (
 )
 from euler2c.model import (HillComponent, ProblemParams, hill_boundary,
                            potential_U)
-from euler2c.scan import vertex_window
 from finite_differences import fd_derivative
 
 import regularizations
@@ -133,15 +132,17 @@ def test_06_fiberwise_convexity_and_witness():
         cv = curvature_numerator((pts[:, 0], pts[:, 1]), p)
         assert pts.shape[0] >= 2000
         assert np.min(cv) > 1e-10
+    # at c_J the least C on the closed-form Earth rim lies just short of
+    # the vertex (l, 0), and is negative
     p3 = ProblemParams(0.3)
-    delta = 0.1 * p3.l
-    found, _, _ = vertex_window(
-        lambda q1, q2: potential_U((q1, q2), p3) < p3.c_jacobi,
-        lambda q1, q2: curvature_numerator((q1, q2), p3), p3.l, 0.0)
-    assert found is not None
-    q1, q2, cv = found
-    assert p3.l - delta < q1 < p3.l
-    assert cv == float(curvature_numerator((q1, q2), p3)) < 0
+    c = p3.c_jacobi
+    pts = hill_boundary(p3, c, HillComponent.EARTH, n=1024)
+    cv = curvature_numerator((pts[:, 0], pts[:, 1]), p3)
+    k = int(np.argmin(cv))
+    q1, q2 = pts[k].tolist()
+    assert p3.l - 0.1 * p3.l < q1 < p3.l
+    assert cv[k] == float(curvature_numerator((q1, q2), p3)) < 0
+    assert abs(potential_U((q1, q2), p3) - c) < 1e-14
     assert time.perf_counter() - t0 < 30.0
 
 

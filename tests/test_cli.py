@@ -110,24 +110,24 @@ class TestVerdict:
 
     @pytest.mark.parametrize("mu", [0.3, 0.95])
     def test_levi_samples_are_points_read(self, capsys, mu):
-        # the window reads up to its first witness (mu = 0.3), or all
-        # 64 + 256 + 1024 boundary points when there is none (0.95)
+        # F at 1024 points of the Earth loop, with a witness (mu = 0.3)
+        # or without one (0.95)
         p = ProblemParams(mu)
         _, read, _ = levicivita.nonconvex_witness_levi(p, p.c_jacobi)
         code, out, _ = run(capsys, "verdict", "levi", "--mu", str(mu),
                            "--c", "cJ", "--method", "oracle")
         assert code == 0
-        assert json.loads(out)["samples"] == read
-        assert read == 1344 if mu > 0.5 else 0 < read < 1344
+        assert json.loads(out)["samples"] == read == 1024
 
     def test_levi_least_value(self, capsys):
-        # the least F the window read; its first hit is below -tol
+        # the least F read, which is the witness's F when below -tol
         p = ProblemParams(0.3)
         w, _, least = levicivita.nonconvex_witness_levi(p, p.c_jacobi)
         code, out, _ = run(capsys, "verdict", "levi", "--mu", "0.3",
                            "--c", "cJ")
         d = json.loads(out)
-        assert code == 0 and d["least_value"] == least <= w[2] < -1e-8
+        assert code == 0 and d["least_value"] == least == w[2] < -1e-8
+        assert d["witness"]["F"] == least
 
     def test_fiberwise_least_value_inside_tolerance(self, capsys):
         # at mu = 0.4995 and c_J the least C read is negative, but inside
@@ -137,7 +137,7 @@ class TestVerdict:
         d = json.loads(out)
         assert code == 0 and d["verdict"] == "convex"
         assert -1e-12 < d["least_value"] < 0.0
-        assert d["least_value"] == pytest.approx(-4.26e-13, rel=1e-2)
+        assert d["least_value"] == pytest.approx(-7.32e-13, rel=1e-2)
 
     @pytest.mark.parametrize("argv", [
         ["elliptic", "--component", "earth", "--c", "cJ-0.2", "--grid",
@@ -165,17 +165,15 @@ class TestVerdict:
         assert d["verdict"] == "convex" and "theory" not in d
 
     @pytest.mark.parametrize("method", ["oracle", "both"])
-    def test_levi_window_without_points_is_undecided(self, capsys, method):
-        # at c_J - 0.5 the lobe V < 0 ends on the axis more than 0.1 x0
-        # below x0, outside the window: no point read is no evidence, a
-        # partial result (exit 1), and no theorem applies there
+    def test_levi_far_below_critical_energy_is_convex(self, capsys, method):
+        # at c_J - 0.5, far from the vertex, F is positive on the whole
+        # Earth loop; no theorem applies there
         code, out, err = run(capsys, "verdict", "levi", "--mu", "0.3",
                              "--c", "cJ-0.5", "--method", method)
-        assert code == 1 and "vertex window read no point" in err
-        assert "eigenvalue" not in err
+        assert code == 0 and err == ""
         d = json.loads(out)
-        assert d["verdict"] == "undecided" and d["samples"] == 0
-        assert d["least_value"] is None
+        assert d["verdict"] == "convex" and d["samples"] == 1024
+        assert d["least_value"] == pytest.approx(9.38, rel=1e-3)
         assert "witness" not in d and "theory" not in d
 
     @pytest.mark.parametrize("mu, verdict", [(0.3, "nonconvex"),
@@ -276,7 +274,7 @@ class TestVerdict:
     @pytest.mark.parametrize("target, mu", [
         pytest.param("fiberwise", 0.4995, marks=pytest.mark.xfail(
             strict=True, reason="mu in [0.4995, 1/2): min_C is about "
-            "-4e-13, inside tol = 1e-12, so the oracle finds no witness")),
+            "-7e-13, inside tol = 1e-12, so the oracle finds no witness")),
         pytest.param("levi", 0.935, marks=pytest.mark.xfail(
             strict=True, reason="mu in [0.9315, 16/17): the theorem "
             "claims nonconvex but the witness search finds no F < -tol")),
@@ -359,6 +357,16 @@ class TestCurve:
                      "--n", "32", "--out", str(out)]) == 0
         series = {r["series"] for r in self._rows(out)}
         assert {"hill-earth", "hill-moon", "cone+", "cone-"} <= series
+
+    @pytest.mark.parametrize("which, n, rows", [("hill", 8, 16 + 4),
+                                                ("v0", 32, 32 + 16)])
+    def test_least_n(self, capsys, which, n, rows):
+        # the least --n each curve takes: hill_boundary's 8 points per
+        # rim, and v0's n/4; one below it exits 2, naming --n
+        # (TestOptionRanges)
+        code, out, _ = run(capsys, "curve", which, "--mu", "0.3",
+                           "--n", str(n))
+        assert code == 0 and len(out.splitlines()) == 1 + rows
 
     def test_v0_passes_through_x0(self, capsys, tmp_path):
         out = tmp_path / "v.csv"
@@ -484,6 +492,7 @@ class TestOptionRanges:
         (["curve", "f0", "--max-len", "0"], "--max-len"),
         (["curve", "f0", "--max-len", "-1"], "--max-len"),
         (["curve", "v0", "--n", "31"], "--n"),
+        (["curve", "hill", "--n", "7"], "--n"),
         # every command that computes at the energy refuses one above c_J
         (["curve", "hill", "--c", "cJ+0.1"], "--c"),
         (["curve", "v0", "--c", "cJ+0.1"], "--c"),
@@ -506,6 +515,7 @@ class TestOptionRanges:
     ], ids=["grid-no-angle", "grid-one-nu", "f0-step-0", "czero-step-0",
             "c-inf-theory", "c-inf-oracle", "f0-max-len-inf", "f0-step-inf",
             "f0-max-len-0", "f0-max-len-negative", "v0-n-below-32",
+            "hill-n-below-8",
             "hill-above-cj",
             "v0-above-cj", "f0-above-cj", "czero-above-cj",
             "levi-oracle-above-cj", "levi-both-above-cj",
@@ -772,7 +782,8 @@ _IMPORT_CONTRACT = {
                                       "--c", "cJ-0.1", "--method", "theory"),
                                  _LADDER_ONLY),
     "verdict-levi": (_cli("verdict", "levi", "--mu", "0.3", "--c", "cJ"),
-                     ["euler2c.model", "euler2c.fiberwise"]),
+                     ["euler2c.fiberwise", "euler2c.elliptic",
+                      "euler2c.exactpoly"]),
     "verdict-fiberwise": (_cli("verdict", "fiberwise", "--mu", "0.3",
                                "--c", "cJ"),
                           ["euler2c.levicivita", "euler2c.elliptic"]),

@@ -19,7 +19,7 @@ from euler2c.fiberwise import (
 )
 from euler2c.model import (HillComponent, ProblemParams, hill_boundary,
                            potential_U)
-from euler2c.scan import elliptic_to_cartesian, hill_region, vertex_window
+from euler2c.scan import elliptic_to_cartesian, hill_region
 from finite_differences import fd_check, fd_derivative
 
 import regularizations
@@ -183,21 +183,6 @@ class TestEqualMassPolar:
         assert holds(regularizations.equal_mass_cone_curvature())
 
 
-def _window_batches(p, c):
-    """The boundary points of each batch of the fiberwise vertex window,
-    as scan.vertex_window bisects them for U < c, all read: the
-    curvature it is handed records them and never reports a witness."""
-    batches = []
-
-    def record(q1, q2):
-        batches.append(list(zip(q1.tolist(), q2.tolist())))
-        return np.zeros_like(q1)
-
-    vertex_window(lambda q1, q2: potential_U((q1, q2), p) < c, record,
-                  p.l, 0.0)
-    return batches
-
-
 def _region(p, c):
     """The Earth-region positions fiberwise_verdict reads, and C there:
     scan.hill_region's 100 x 100 grid and rim in the Standard frame,
@@ -207,6 +192,13 @@ def _region(p, c):
     q1 = q1 + 0.5
     off = (q1 != 0.0) | (q2 != 0.0)
     return q1[off], q2[off], curvature_numerator((q1[off], q2[off]), p)
+
+
+def _rim(p, c):
+    """The Earth rim U = c that fiberwise_verdict reads after the region,
+    1024 closed-form points of hill_boundary, and C there."""
+    rim = hill_boundary(p, c, HillComponent.EARTH, n=1024)
+    return rim, curvature_numerator((rim[:, 0], rim[:, 1]), p)
 
 
 def _C_decimal(q, mu):
@@ -248,13 +240,15 @@ class TestVerdicts:
             assert rep.min_C > 0
 
     def test_sample_count(self, p05):
-        # one C per position of the Earth region but the Earth; at
-        # mu = 1/2 there is no vertex window
+        # one C per position of the Earth region but the Earth, and per
+        # point of its rim
         c = p05.c_jacobi - 0.2
         rep = fiberwise_verdict(p05, c)
         q1, _, cvals = _region(p05, c)
-        assert rep.samples == q1.size > 5000
-        assert rep.min_C == cvals.min()
+        rim, crim = _rim(p05, c)
+        assert q1.size > 5000
+        assert rep.samples == q1.size + len(rim) == q1.size + 1024
+        assert rep.min_C == min(cvals.min(), crim.min())
 
     def test_unequal_mass_critical_witness(self, p03):
         rep = fiberwise_verdict(p03, p03.c_jacobi)
@@ -263,70 +257,67 @@ class TestVerdicts:
         assert rep.witness[1][0] < p03.l
 
     def test_vertex_boundary_solver(self, p03):
+        # the rim next to the vertex (l, 0), where C turns negative first:
+        # at c_J its first point is the vertex, and the points within
+        # 0.1 l of it lie on U = c, short of l
         c = p03.c_jacobi
-        batches = _window_batches(p03, c)
-        assert [len(b) for b in batches] == [64, 256, 1024]
-        for q1, q2 in batches[0]:
-            assert p03.l - 0.1 * p03.l < q1 < p03.l and q2 > 0.0
-            assert abs(potential_U((q1, q2), p03) - c) < 1e-9
+        rim, _ = _rim(p03, c)
+        assert rim[0].tolist() == pytest.approx([p03.l, 0.0], abs=1e-15)
+        near = rim[(rim[:, 0] > 0.9 * p03.l) & (rim[:, 1] > 0.0)]
+        assert len(near) > 64 and np.all(near[:, 0] < p03.l)
+        u = potential_U((near[:, 0], near[:, 1]), p03)
+        assert np.max(np.abs(u - c)) < 1e-9
 
     @pytest.mark.parametrize("mu", [0.3, 0.49, 0.4999])
     def test_vertex_boundary_matches_scalar_bisection(self, mu):
+        # the closed-form rim within 0.1 l of the vertex against the
+        # boundary that bisection of U < c on its vertical line finds;
+        # next to the saddle at c_J, U_q2 is small, so either q2 is good
+        # to about 1e-11 only
         p = ProblemParams(mu)
-
-        def scalar(c, q1_values):
-            pts = []
-            for q1 in q1_values:
+        for c in (p.c_jacobi, p.c_jacobi - 1e-3):
+            rim, _ = _rim(p, c)
+            near = rim[(rim[:, 0] > 0.9 * p.l) & (rim[:, 1] > 0.0)]
+            assert len(near) > 64
+            for q1, q2 in near.tolist():
                 lo, hi = 0.0, 1.5
-                if potential_U((float(q1), lo), p) >= c:
-                    continue
-                for _ in range(200):
+                assert potential_U((q1, lo), p) < c
+                while hi - lo >= 1e-15:
                     mid = 0.5 * (lo + hi)
-                    if potential_U((float(q1), mid), p) < c:
+                    if potential_U((q1, mid), p) < c:
                         lo = mid
                     else:
                         hi = mid
-                    if hi - lo < 1e-15:
-                        break
-                pts.append((float(q1), 0.5 * (lo + hi)))
-            return pts
-
-        # the first batch of scan.vertex_window's abscissas
-        q1s = p.l - 0.1 * p.l * (np.arange(1, 65) / 65.0)
-        for c in (p.c_jacobi, p.c_jacobi - 1e-3):
-            ref = scalar(c, q1s)
-            assert _window_batches(p, c)[0] == ref
-        # below c_J the abscissas nearest l are off the lobe and dropped
-        assert 0 < len(ref) < len(q1s)
+                assert abs(0.5 * (lo + hi) - q2) < 1e-10
 
     # at c_J the region grid holds no C < -1e-12 at these mass ratios;
-    # the window has its witness in the first, second and third batch,
-    # and none at 0.4995 and 0.4999
-    @pytest.mark.parametrize("mu", [0.49, 0.497, 0.4992, 0.4995, 0.4999])
-    def test_vertex_window_matches_point_loop(self, mu):
+    # the rim does for mu < 0.4995 (the fiberwise-0.4995 strict xfail of
+    # test_cli), and for mu > 1/2, the lighter Earth lobe, nowhere
+    @pytest.mark.parametrize("mu, witness", [
+        (0.49, True), (0.497, True), (0.4992, True), (0.4995, False),
+        (0.4999, False), (0.7, False), (0.95, False)])
+    def test_rim_read_matches_direct_read(self, mu, witness):
         p = ProblemParams(mu)
         c = p.c_jacobi
         rep = fiberwise_verdict(p, c)
-        q1, _, cvals = _region(p, c)
+        _, _, cvals = _region(p, c)
+        rim, crim = _rim(p, c)
+        k = int(np.argmin(crim))
         assert cvals.min() >= -1e-12
-        # one point at a time (as one-element arrays, the arithmetic of
-        # the batch), stopping at the first C < -tol
-        witness, window = None, []
-        for batch in _window_batches(p, c):
-            for q in batch:
-                cv = float(curvature_numerator(([q[0]], [q[1]]), p)[0])
-                window.append(cv)
-                if cv < -1e-12:
-                    witness = (potential_U(q, p), q, cv)
-                    break
-            if witness is not None:
-                break
-        assert rep.witness == witness
-        assert rep.samples == q1.size + len(window)
-        assert rep.min_C == min(cvals.min(), min(window))
+        assert rep.samples == cvals.size + len(rim)
+        assert rep.min_C == min(cvals.min(), crim[k])
+        if not witness:
+            assert rep.verdict == "convex" and rep.min_C >= -1e-12
+            return
+        _check_witness(rep, p, c)
+        assert rep.witness == (potential_U(tuple(rim[k]), p),
+                               tuple(rim[k].tolist()), crim[k])
+        assert abs(rep.witness[0] - c) < 1e-14
 
-    # C at the least-C position of the region grid at c_J, from _C_decimal
-    WITNESS_C = {0.1: -0.33893247334169422978, 0.3: -0.019313047878533365224}
+    # C at the least-C position of the region grid and the rim at c_J,
+    # from _C_decimal
+    WITNESS_C = {0.1: -0.34010468894272694704,
+                 0.3: -0.019401337994643893225}
 
     @pytest.mark.parametrize("mu", [0.1, 0.3, 0.7, 0.95])
     @pytest.mark.parametrize("below", [0.0, 0.1])
@@ -335,38 +326,39 @@ class TestVerdicts:
         c = p.c_jacobi - below
         rep = fiberwise_verdict(p, c)
         q1, _, cvals = _region(p, c)
-        # no point of the window is read: below c_J its axis points are
-        # off the lobe, and at c_J the grid already holds the witness
-        assert rep.samples == q1.size
-        assert rep.min_C == cvals.min()
+        rim, crim = _rim(p, c)
+        assert rep.samples == q1.size + len(rim)
+        assert rep.min_C == min(cvals.min(), crim.min())
         if below or mu > 0.5:
             assert rep.verdict == "convex" and rep.witness is None
             return
         _check_witness(rep, p, c)
         e, q, cval = rep.witness
-        assert cval == cvals.min()
+        assert cval == rep.min_C
         assert float(_C_decimal(q, mu)) == pytest.approx(cval, rel=1e-10)
         assert cval == pytest.approx(self.WITNESS_C[mu], rel=1e-10)
 
     def test_window_below_critical_energy(self):
         # the grid misses the negative C just inside the vertex at
-        # c_J - 1e-6; the window, which runs at every c <= c_J for the
-        # heavier Earth lobe, finds it
+        # c_J - 1e-6; the rim, read at every c <= c_J, finds it on U = c
+        # within 0.1 l of the vertex
         p = ProblemParams(0.43)
         c = p.c_jacobi - 1e-6
         rep = fiberwise_verdict(p, c)
-        q1, _, cvals = _region(p, c)
+        _, _, cvals = _region(p, c)
         assert cvals.min() > 0.0
         _check_witness(rep, p, c)
-        assert p.l - 0.1 * p.l < rep.witness[1][0] < p.l
-        assert rep.samples > q1.size
+        e, q, _ = rep.witness
+        assert 0.9 * p.l < q[0] < p.l
+        assert abs(e - c) < 1e-14
 
     @staticmethod
     def _per_energy_verdict(p, c, tol=1e-12):
         """The witness of the boundary sweep the region grid replaced:
         one hill_boundary and one C call per effective energy, from where
         the Earth boundary is circular to 1 % up to c, plus e = -100,
-        then the vertex window at c_J for the heavier Earth lobe."""
+        then the rim at c_J read at the verdict's 1024 points for the
+        heavier Earth lobe."""
         e_min = min(2.0 * c, -8.0)
         for _ in range(40):
             pts = hill_boundary(p, e_min, HillComponent.EARTH, n=64)
@@ -385,10 +377,10 @@ class TestVerdicts:
                     witness = (float(e), tuple(pts[i]), float(cvals[i]))
         if (witness is None and p.heavier is HillComponent.EARTH
                 and c >= p.c_jacobi - 1e-12):
-            witness = vertex_window(
-                lambda q1, q2: potential_U((q1, q2), p) < c,
-                lambda q1, q2: curvature_numerator((q1, q2), p), p.l,
-                tol)[0]
+            pts, cvals = _rim(p, c)
+            i = int(np.argmin(cvals))
+            if cvals[i] < -tol:
+                witness = (c, tuple(pts[i]), float(cvals[i]))
         return witness
 
     @pytest.mark.parametrize("mu", [0.0001, 0.01, 0.1, 0.3, 0.45, 0.49,

@@ -16,6 +16,7 @@ from euler2c.levicivita import (
     V_value,
     nonconvex_witness_levi,
     radicand,
+    rim_preimage,
     tangency_check,
     tilde_derivatives,
     x0_of,
@@ -242,8 +243,31 @@ class TestWitness:
     def test_no_witness_above_inflection(self):
         p = ProblemParams(0.95)
         w, read, least = nonconvex_witness_levi(p)
-        # every batch of the window is read: 64 + 256 + 1024 points
-        assert w is None and read == 1344 and least >= -1e-8
+        # F at 1024 points of the Earth loop
+        assert w is None and read == 1024 and least >= -1e-8
+
+    # at c_J the loop is nonconvex below mu = 16/17, on both sides of 1/2;
+    # at mu = 0.95, and at mu = 0.7 just below c_J, it is convex
+    @pytest.mark.parametrize("mu, below, witness", [
+        (0.3, 0.0, True), (0.3, 1e-3, True), (0.7, 0.0, True),
+        (0.9, 0.0, True), (0.7, 1e-3, False), (0.95, 0.0, False)])
+    def test_witness_is_least_of_direct_rim_read(self, mu, below, witness):
+        # F at the principal roots sqrt(q/2) of hill_boundary's Earth rim
+        p = ProblemParams(mu)
+        c = p.c_jacobi - below
+        q = hill_boundary(p, c, HillComponent.EARTH, n=1024)
+        v = np.sqrt(0.5 * (q[:, 0] + 1j * q[:, 1]))
+        F = F_value(v.real, v.imag, p, c)
+        k = int(np.argmin(F))
+        w, read, least = nonconvex_witness_levi(p, c)
+        assert read == F.size and least == F[k]
+        if not witness:
+            assert w is None and least >= -1e-8
+            return
+        assert w == (v[k].real, v[k].imag, F[k]) and F[k] < -1e-8
+        assert abs(V_value(w[0], w[1], p, c)) < 1e-10
+        x0 = x0_of(p, c)
+        assert x0 - 0.1 * x0 < w[0] < x0
 
     @pytest.mark.parametrize("mu", np.round(np.linspace(0.005, 0.925, 47), 3))
     def test_witness_where_theorem_applies(self, mu):
@@ -263,13 +287,35 @@ class TestWitness:
 
     def test_witness_below_critical_energy(self):
         # no theorem applies below c_J, but the boundary is nonconvex
-        # there: the vertex window finds F = -0.062 at (0.584, 0.041)
+        # there: the rim read finds F = -0.777 at (0.574, 0.066)
         p = ProblemParams(0.1)
         c = p.c_jacobi - 0.01
         (x, y, f), _, _ = nonconvex_witness_levi(p, c)
         assert f < -0.01
         assert f == pytest.approx(F_value(x, y, p, c), rel=1e-12)
         assert abs(V_value(x, y, p, c)) < 1e-10
+
+    @pytest.mark.parametrize("mu", [0.3, 0.7])
+    @pytest.mark.parametrize("below", [0.0, 0.5])
+    def test_rim_preimage(self, mu, below):
+        # +-sqrt(q/2) of either rim lies on V = 0; unwound, the roots of
+        # the Earth rim, which winds around 0, run in half-angle from 0
+        # to pi in one arc
+        p = ProblemParams(mu)
+        c = p.c_jacobi - below
+        for comp in HillComponent:
+            q = hill_boundary(p, c, comp, n=256)
+            v = rim_preimage(q)
+            for z in (v, -v):
+                assert np.max(np.abs(V_value(z.real, z.imag, p, c))) < 1e-12
+            u = rim_preimage(q, unwind=True)
+            flip = q[:, 1] < 0.0
+            assert np.array_equal(u[~flip], v[~flip])
+            assert np.array_equal(u[flip], -v[flip])
+        half = np.angle(rim_preimage(
+            hill_boundary(p, c, HillComponent.EARTH, n=256), unwind=True))
+        assert half[0] == 0.0 and np.all(np.diff(half) > 0.0)
+        assert half[-1] < np.pi
 
     def test_axis_crossings_nonnegative(self, p03):
         # F along the axis inside the region stays >= 0 (nonconvexity

@@ -1,6 +1,5 @@
-"""Level-set curvature, the vertex-window search, the Hill-region
-sampler, sign scans, implicit-curve tracing, and the tests'
-finite-difference helpers."""
+"""Level-set curvature, the Hill-region sampler, sign scans,
+implicit-curve tracing, and the tests' finite-difference helpers."""
 
 import math
 
@@ -12,7 +11,7 @@ from euler2c.model import HillComponent, ProblemParams, potential_U
 from euler2c.scan import (cone_contact, cone_contact_size,
                           elliptic_to_cartesian, hill_region,
                           level_curvature, level_curvature_grad, sign_scan,
-                          trace_implicit, vertex_window)
+                          trace_implicit)
 from finite_differences import fd_check, fd_derivative
 
 
@@ -64,60 +63,6 @@ class TestLevelCurvature:
             size.update({(1, 1): 0.0, (2, 1): 0.0, (1, 2): 0.0})
             assert cone_contact(size, 3) == pytest.approx(
                 cone_contact_size(size, 3), rel=1e-14)
-
-
-class TestVertexWindow:
-    """The region y^2 < 1 - x, whose boundary meets the axis at the
-    apex x = 1, with a stand-in curvature x - 0.95."""
-
-    @staticmethod
-    def inside(x, y):
-        return y * y < 1.0 - x
-
-    def test_first_witness_and_count(self):
-        w, read, least = vertex_window(self.inside, lambda x, y: x - 0.95,
-                                       1.0, 0.0)
-        # 0.1 k / 65 first exceeds 0.05 at k = 33 of the first batch
-        x, y, k = w
-        assert x == 1.0 - 0.1 * (33 / 65.0)
-        assert y == pytest.approx(math.sqrt(1.0 - x), abs=1e-15)
-        assert k == x - 0.95 < 0.0
-        assert read == 33 and least == k
-
-    def test_batches_read_in_full_without_witness(self):
-        seen = []
-
-        def curvature(x, y):
-            seen.append(x.size)
-            return 1.0 + x
-
-        w, read, least = vertex_window(self.inside, curvature, 1.0, 0.0)
-        assert w is None
-        assert seen == [64, 256, 1024] and read == 64 + 256 + 1024
-        assert least == 1.0 + (1.0 - 0.1 * (1024 / 1025.0))
-
-    def test_tolerance(self):
-        w, _, least = vertex_window(self.inside, lambda x, y: 0.0 * x - 1e-9,
-                                    1.0, 1e-8)
-        assert w is None and least == -1e-9
-
-    def test_abscissas_off_the_region_are_dropped(self):
-        # the region y^2 < 0.985 - x leaves the abscissas within 0.015
-        # of the apex 1 off the axis, k <= 0.15 (n + 1); none at all for
-        # 0.8 - x
-        seen = []
-
-        def curvature(x, y):
-            seen.append(x.copy())
-            return 1.0 + x
-
-        _, read, _ = vertex_window(lambda x, y: y * y < 0.985 - x,
-                                   curvature, 1.0, 0.0)
-        assert [x.size for x in seen] == [64 - 9, 256 - 38, 1024 - 153]
-        assert all(np.all(x < 0.985) for x in seen)
-        assert read == sum(x.size for x in seen)
-        assert vertex_window(lambda x, y: y * y < 0.8 - x, curvature, 1.0,
-                             0.0) == (None, 0, math.inf)
 
 
 class TestHillRegion:
