@@ -6,7 +6,10 @@ energies, so the Hill lobes are convex fibers.  For unequal masses the
 Earth lobe loses convexity at the critical energy: C turns negative on
 the boundary just before the cone vertex at q1 = l.  The verdict reads
 C over the Earth region and its closed-form rim, and reports the least
-value as the witness.
+value as the witness.  For mu > 1/2 the heavier lobe is the Moon's: the
+Earth lobe of the problem with the masses swapped, mirrored by
+q1 -> 1 - q1, so mu = 0.7's Moon witness is mu = 0.3's Earth witness
+mirrored.
 """
 
 import numpy as np
@@ -36,3 +39,12 @@ print(f"witness on the boundary of its own energy e = U(q) = {e:.12f} "
 print(f"  C({q1:.6f}, {q2:.6f}) = {cval:.6e}  ({rep.samples} positions "
       "read, the rim's included)")
 print(f"vertex abscissa l = {p3.l:.6f} (the witness lies short of it)")
+
+p7 = ProblemParams(0.7)
+rep7 = fiberwise_verdict(p7.swapped(), p7.c_jacobi)
+e7, (s1, s2), cval7 = rep7.witness
+print(f"\nmu = 0.7, Moon lobe (the swapped problem's Earth lobe): verdict = "
+      f"{rep7.verdict}")
+print(f"  C({1.0 - s1:.6f}, {s2:.6f}) = {cval7:.6e}, beside mu = 0.3's "
+      f"C({q1:.6f}, {q2:.6f}) = {cval:.6e}")
+print(f"vertex abscissa l = {p7.l:.6f} (the Moon witness lies beyond it)")

@@ -4,8 +4,9 @@ The package computes, certifies, and falsifies convexity of the
 regularized energy hypersurfaces and of the Hill regions below the
 critical Jacobi energy:
 
-- ``ladder``: the mass-ratio constants (ProblemParams, the lobe names,
-  the heavier lobe) and the threshold ladder c_E'' <= c0 <= c_J with the
+- ``ladder``: the mass-ratio constants (ProblemParams with its mass swap,
+  which reads every Moon lobe as the swapped problem's Earth lobe; the
+  lobe names) and the threshold ladder c_E'' <= c0 <= c_J with the
   theory verdict, in Python floats and exact fractions, without NumPy.
 - ``model``: the potential U and its derivative table, Hill-region
   boundaries; re-exports the constants of ``ladder``.
@@ -45,8 +46,7 @@ _SOURCE = {
     "MoonCollision": "errors", "EnergyAboveCritical": "errors",
     "TraceFailure": "errors", "VariableMismatch": "errors",
     "HillComponent": "ladder", "ProblemParams": "ladder",
-    "potential_U": "model", "lagrange_l": "ladder",
-    "jacobi_energy": "ladder", "hill_boundary": "model",
+    "potential_U": "model", "hill_boundary": "model",
     "Verdict": "ladder", "Thresholds": "ladder", "thresholds": "ladder",
     "convexity_verdict": "ladder", "oracle_convexity": "elliptic",
     "F_value": "levicivita", "x0_of": "levicivita",

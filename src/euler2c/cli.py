@@ -25,9 +25,10 @@ Energies accept the symbolic forms ``cJ``, ``cJ-0.1``, ``cJ+0.05``
 resolved against the critical Jacobi energy of the given mass ratio, so
 figure recipes stay portable across mu. An energy above c_J is invalid
 input (exit 2) for every command that computes at it; a ``--method
-theory`` levi or fiberwise verdict there is null. Only ``verdict
-elliptic`` takes ``--component``; levi and fiberwise refuse it (exit
-2). A ``--config FILE`` of ``key = value`` lines sets long options of
+theory`` levi or fiberwise verdict there is null. ``verdict elliptic``
+requires ``--component``; levi and fiberwise read the Earth lobe
+without it, the Moon's as the swapped problem's Earth lobe. A
+``--config FILE`` of ``key = value`` lines sets long options of
 the subcommand; they are parsed and checked like the command line,
 which overrides them.
 
@@ -171,9 +172,9 @@ _ORACLE_VERDICT = {"posdef": "convex", "indefinite": "nonconvex",
 def cmd_verdict(args):
     from .ladder import (HillComponent, ProblemParams, convexity_verdict,
                          theorem_verdict)
-    if args.target != "elliptic" and args.component is not None:
-        _fail(f"--component: verdict {args.target} reads the Earth lobe "
-              "only; the option is for verdict elliptic")
+    if args.target == "elliptic" and args.component is None:
+        _fail("verdict elliptic requires --component")
+    comp = HillComponent(args.component or "earth")
     params = ProblemParams(args.mu)
     c = parse_energy(args.c, params)
     if args.method != "theory":
@@ -183,10 +184,10 @@ def cmd_verdict(args):
     witness = counters = least = None
     samples = failures = 0
 
+    # levi and fiberwise read the Moon as the swapped problem's Earth
+    moon = comp is HillComponent.MOON
+    lobe = params.swapped() if moon else params
     if args.target == "elliptic":
-        if args.component is None:
-            _fail("verdict elliptic requires --component")
-        comp = HillComponent(args.component)
         if args.method in ("theory", "both"):
             theory = convexity_verdict(params, c, comp)
         if args.method in ("oracle", "both"):
@@ -202,24 +203,25 @@ def cmd_verdict(args):
                            "min_eigenvalue": rep.min_value}
     elif args.target == "levi":
         if args.method in ("theory", "both"):
-            theory = theorem_verdict("levi", params, c)
+            theory = theorem_verdict("levi", lobe, c)
         if args.method in ("oracle", "both"):
             from . import levicivita
-            w, samples, least = levicivita.nonconvex_witness_levi(params, c)
+            w, samples, least = levicivita.nonconvex_witness_levi(lobe, c)
             oracle = "convex" if w is None else "nonconvex"
             if w is not None:
                 witness = {"point": [w[0], w[1]], "F": w[2]}
     elif args.target == "fiberwise":
         if args.method in ("theory", "both"):
-            theory = theorem_verdict("fiberwise", params, c)
+            theory = theorem_verdict("fiberwise", lobe, c)
         if args.method in ("oracle", "both"):
             from . import fiberwise
-            rep = fiberwise.fiberwise_verdict(params, c)
+            rep = fiberwise.fiberwise_verdict(lobe, c)
             oracle = "convex" if rep.verdict == "convex" else "nonconvex"
             samples, least = rep.samples, rep.min_C
             if rep.witness is not None:
-                e, q, cv = rep.witness
-                witness = {"energy": e, "point": list(q), "C": cv}
+                e, (q1, q2), cv = rep.witness
+                witness = {"energy": e, "point": [1.0 - q1 if moon else q1,
+                                                  q2], "C": cv}
     else:
         _fail(f"unknown verdict target {args.target!r}")
 
@@ -230,6 +232,7 @@ def cmd_verdict(args):
         "schema": SCHEMA,
         "claim": f"{args.target} convexity, mu={args.mu}, c={c}",
         "method": args.method,
+        "component": comp.value,
         "verdict": verdict,
         "samples": samples,
         "failures": failures,

@@ -71,7 +71,7 @@ def _lam_terms(lam, c):
 
 def _nu_terms(nu, params, c):
     """The nu-only frame quantities y = Q_nu and b = Q_nu_nu."""
-    m = 1.0 - 2.0 * params.mu
+    m = params.m
     cn, sn = np.cos(nu), np.sin(nu)
     return -2.0 * sn * (m + c * cn), -2.0 * formulas.g(cn, c, m)
 
@@ -132,8 +132,8 @@ class _ZeroSet(HillRegion):
     sin_phi: np.ndarray
 
 
-def _zero_set_points(params, c, component, n_lam=100, n_nu=100, n_phi=16):
-    """The zero set of Q sampled per position (see _ZeroSet).
+def _zero_set_points(params, c, n_lam=100, n_nu=100, n_phi=16):
+    """The zero set of Q over the Earth lobe per position (see _ZeroSet).
 
     The positions are scan.hill_region's. On shell, 2(p_lam^2 + p_nu^2)
     = R^2 (formulas.R2), so the momentum circle of a position has radius
@@ -154,7 +154,7 @@ def _zero_set_points(params, c, component, n_lam=100, n_nu=100, n_phi=16):
         raise ValueError(
             f"grid (n_lam, n_nu, n_phi) = ({n_lam}, {n_nu}, {n_phi}) needs "
             "n_lam >= 2, n_nu >= 2 and n_phi >= 1")
-    region = hill_region(params, c, component, n_lam, n_nu)
+    region = hill_region(params, c, n_lam, n_nu)
     phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     return _ZeroSet(**vars(region), s=np.sqrt(0.5 * region.R2),
                     cos_phi=np.cos(phi), sin_phi=np.sin(phi))
@@ -192,18 +192,23 @@ def oracle_convexity(params, c, component, grid=(100, 100, 16)):
     invariance. Raises OracleInconsistency when LAPACK and the closed form
     differ by more than _CONFIRM_TOL times the scale. The report's
     counters give the positions with a spectrum and the LAPACK samples.
-    Like the theory verdict, it requires c < c_J (_zero_set_points).
+    Like the theory verdict, it requires c < c_J (_zero_set_points). The
+    Moon's lobe is the Earth lobe of params.swapped(), reported with
+    nu -> pi - nu; the spectrum reads Q_nu only through its square.
     """
     t0 = time.perf_counter()
-    zs = _zero_set_points(params, c, component, *grid)
+    moon = HillComponent(component) is HillComponent.MOON
+    lobe = params.swapped() if moon else params
+    zs = _zero_set_points(lobe, c, *grid)
     x, a = (v[zs.ilam] for v in _lam_terms(zs.lam, c))
-    y, b = _nu_terms(zs.nu, params, c)
+    y, b = _nu_terms(zs.nu, lobe, c)
     z = 4.0 * zs.s
     n2 = x * x + y * y + z * z
     pos = np.flatnonzero(n2 > _GRAD_FLOOR)
     x, y, z, a, b, n2, nu, s = (v[pos] for v in (x, y, z, a, b, n2, zs.nu,
                                                  zs.s))
     lam = zs.lam[zs.ilam[pos]]
+    nu = np.pi - nu if moon else nu
     e4, mu_lo, _ = _tangent_spectrum(x, y, z, 0.0, a, b)
     ev = np.minimum(e4, mu_lo)
     scale = n2 * np.maximum(np.maximum(np.abs(a), np.abs(b)), 4.0)

@@ -11,7 +11,8 @@ convexity of the position-fibered energy hypersurface at energy c is
 equivalent to convexity of every Hill region of effective energy
 e <= c. Every position q lies on the boundary of its own region,
 e = U(q), so this is one statement about one region: C > 0 on the Earth
-lobe of energy c. The verdict routine reads C on the lobe as
+lobe of energy c (the Moon's is that of params.swapped()). The verdict
+routine reads C on the lobe as
 scan.hill_region samples it, and on its rim U = c in closed form
 (model.hill_boundary), which reaches the vertex (l, 0) at c_J.
 
@@ -86,8 +87,7 @@ def fiberwise_verdict(params, c):
     """
     if c > params.c_jacobi:
         raise ValueError("fiberwise_verdict requires c <= c_jacobi")
-    region = hill_region(params, c, HillComponent.EARTH, _N_REGION,
-                         _N_REGION)
+    region = hill_region(params, c, _N_REGION, _N_REGION)
     q1, q2 = elliptic_to_cartesian(region.lam[region.ilam], region.nu)
     q1 = q1 + 0.5
     # the Earth, where C is not defined, is the grid point (0, 0)

@@ -1,13 +1,14 @@
 """Mass-ratio constants and the threshold ladder, without NumPy.
 
-The problem's parameters (ProblemParams: the critical abscissa l, the
-critical Jacobi energy c_J and the heavier lobe), the lobe names shared
-by every module, the threshold ladder c_E'' <= c0 <= c_J with the
-theory verdict for one regularized Hill component, and the ranges of
-the boundary (levi) and fiberwise theorems. Everything here is Python
-floats plus one exact Fraction sign, so the ``constants`` and ``curve
-c0curve`` commands and every theory verdict run without importing
-NumPy. ``model`` and ``elliptic`` re-export these names.
+The problem's parameters (ProblemParams: the two masses, m, the
+critical abscissa l, the critical Jacobi energy c_J and the mass swap),
+the lobe names shared by every module, the threshold ladder c_E'' <= c0
+<= c_J with the theory verdict for one regularized Hill component, and
+the ranges of the boundary (levi) and fiberwise theorems. Everything
+here is Python floats plus one exact Fraction sign, so the
+``constants`` and ``curve c0curve`` commands and every theory verdict
+run without importing NumPy. ``model`` and ``elliptic`` re-export these
+names.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from .errors import EnergyAboveCritical
 __all__ = [
     "HillComponent",
     "ProblemParams",
-    "lagrange_l",
-    "jacobi_energy",
     "Verdict",
     "Thresholds",
     "roots_ab",
@@ -44,56 +43,53 @@ class Verdict(Enum):
     NONCONVEX = "nonconvex"
 
 
-def lagrange_l(mu):
-    """Abscissa of the unique critical point of U on the segment between
-    the primaries (Standard frame).
-
-    sqrt(1-mu) / (sqrt(1-mu) + sqrt(mu)): free of cancellation, and
-    exactly 1/2 at mu = 1/2.
-    """
-    if not 0.0 < mu < 1.0:
-        raise ValueError(f"mu must lie in (0, 1), got {mu}")
-    a = math.sqrt(1.0 - mu)
-    return a / (a + math.sqrt(mu))
-
-
-def jacobi_energy(mu):
-    """Critical Jacobi energy c_J = -1 - 2*sqrt(mu(1-mu))."""
-    if not 0.0 < mu < 1.0:
-        raise ValueError(f"mu must lie in (0, 1), got {mu}")
-    return -1.0 - 2.0 * math.sqrt(mu * (1.0 - mu))
-
-
 @dataclass(frozen=True)
 class ProblemParams:
-    """Mass ratio mu of the second (Moon) primary, with derived constants.
-
-    l is the critical-point abscissa in the Standard frame and c_jacobi
-    the critical Jacobi energy. heavier is the lobe of the heavier
-    primary (EARTH for mu < 1/2, MOON for mu > 1/2, None at exactly
-    mu = 1/2); every mass-swap decision reads it.
-    """
+    """Mass mu of the second (Moon) primary, with derived constants:
+    earth_mass = 1 - mu, m = 1 - 2 mu, and from the two masses the
+    critical-point abscissa l (Standard frame) and the critical Jacobi
+    energy c_jacobi. swapped() exchanges the masses: its Earth lobe is this
+    problem's Moon lobe mirrored by q1 -> 1 - q1, so every lobe routine
+    computes the Earth lobe only."""
 
     mu: float
+    earth_mass: float = field(init=False)
+    m: float = field(init=False)
     l: float = field(init=False)
     c_jacobi: float = field(init=False)
-    heavier: HillComponent | None = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.mu < 1.0:
             raise ValueError(f"mu must lie in (0, 1), got {self.mu}")
-        object.__setattr__(self, "l", lagrange_l(self.mu))
-        object.__setattr__(self, "c_jacobi", jacobi_energy(self.mu))
-        object.__setattr__(self, "heavier", (
-            HillComponent.EARTH if self.mu < 0.5 else
-            HillComponent.MOON if self.mu > 0.5 else None))
+        self._derive(self.mu, 1.0 - self.mu, 1.0 - 2.0 * self.mu)
+
+    def _derive(self, mu, earth_mass, m):
+        # l is free of cancellation, and exactly 1/2 at mu = 1/2
+        a = math.sqrt(earth_mass)
+        self.__dict__.update(
+            mu=mu, earth_mass=earth_mass, m=m, l=a / (a + math.sqrt(mu)),
+            c_jacobi=-1.0 - 2.0 * math.sqrt(mu * earth_mass))
+
+    def swapped(self):
+        """The problem with the two masses exchanged bit for bit and m
+        negated; never 1 - (1 - mu). c_jacobi is unchanged bit for bit."""
+        other = object.__new__(ProblemParams)
+        other._derive(self.earth_mass, self.mu, -self.m)
+        return other
+
+    def discriminant_root(self, c):
+        """s = sqrt(c^2 + 2c + m^2) = sqrt((c - c_J)(c - c_J')), c_J' =
+        -1 + 2 sqrt(mu (1 - mu)), of the rims R^2 = 0 on the axis; zero
+        exactly at c = c_J, free of cancellation. Requires c <= c_J."""
+        return math.sqrt((c - self.c_jacobi) * (
+            c + 1.0 - 2.0 * math.sqrt(self.mu * self.earth_mass)))
 
 
 def roots_ab(params, c):
-    """The two real roots of f(y) = 2cy^2 + (1-2mu)y - c with
-    -1 < a < 0 < b < 1 (for mu <= 1/2; general mu by the mass-swap
-    symmetry)."""
-    m = 1.0 - 2.0 * params.mu
+    """The two real roots of f(y) = 2cy^2 + my - c, m = 1 - 2 mu, with
+    -1 < a < 0 < b < 1 for mu <= 1/2 (-b and -a of the swapped
+    problem for mu > 1/2)."""
+    m = params.m
     disc = math.sqrt(m * m + 8.0 * c * c)
     return (-m + disc) / (4.0 * c), (-m - disc) / (4.0 * c)
 
@@ -137,8 +133,9 @@ def _newton(f, x):
 def thresholds(params):
     """The threshold ladder for the given mass ratio.
 
-    Every member depends on mu only through m = |1 - 2 mu|; the c_E/c_M
-    labels refer to mu <= 1/2. Squaring the boundary equations leaves
+    Every member depends on mu only through the lighter mass, the same
+    bits for the swapped problem; the c_E/c_M labels refer to mu <= 1/2.
+    With m = |1 - 2 mu|, squaring the boundary equations leaves
     c (c^3 + 8c^2 + (16 - 3m^2) c + 6m^2) = 0. With c = -4 + m (3 + t)
     and eps = 1 - m = 2 min(mu, 1 - mu), exact in binary64, the cubic
     is m t^3 + (9m - 4) t^2 - 24 eps t - 18 eps. c_E and c_M are its
@@ -152,9 +149,9 @@ def thresholds(params):
     monotonically from e0/e1 or, where nearer, from c_J - c_E_pp (eta > 0
     at c_E_pp).
     """
-    mu, cj = params.mu, params.c_jacobi
-    eps = 2.0 * min(mu, 1.0 - mu)
-    m, k2, r = 1.0 - eps, 5.0 - 9.0 * eps, 3.0 / math.sqrt(2.0)
+    light = min(params.mu, params.earth_mass)
+    cj, eps, m = params.c_jacobi, 2.0 * light, abs(params.m)
+    k2, r = 5.0 - 9.0 * eps, 3.0 / math.sqrt(2.0)
 
     def cubic(t):
         return (((m * t + k2) * t - 24.0 * eps) * t - 18.0 * eps,
@@ -163,7 +160,7 @@ def thresholds(params):
     c_e, c_m = (-1.0 + (m * _newton(cubic, t) - 3.0 * eps) for t in
                 (-3.0 - r, -min(math.sqrt(3.6 * eps), 3.0 - r)))
 
-    s = math.sqrt(mu * (1.0 - mu))
+    s = math.sqrt(params.mu * params.earth_mass)
     e0 = -27.0 / 256.0 * m ** 4
     e1 = -s * ((14.0 * s + 16.0) * s + 4.5)
     e2 = ((39.0 * s + 24.0) * s + 2.25) / 2.0
@@ -173,7 +170,8 @@ def thresholds(params):
         return ((((d - e3) * d + e2) * d - e1) * d + e0,
                 ((4.0 * d - 3.0 * e3) * d + 2.0 * e2) * d - e1)
 
-    c_e_pp = -1.0 - math.sqrt(-28.0 * mu * mu + 28.0 * mu + 9.0) / 4.0
+    c_e_pp = -1.0 - math.sqrt(-28.0 * light * light + 28.0 * light
+                              + 9.0) / 4.0
     delta = _newton(gap, min(e0 / e1, cj - c_e_pp))
     return Thresholds(c_e, c_m, c_e_pp, cj - delta, delta)
 
@@ -181,41 +179,42 @@ def thresholds(params):
 def convexity_verdict(params, c, component):
     """Theory verdict for one regularized Hill component.
 
-    The component near the lighter primary bounds a convex region for
-    every c < c_J; the component near the heavier primary does iff
-    c < c0(mu). At mu = 1/2 (params.heavier is None) both are always
-    convex. For m^2 = (1-2mu)^2 in (0, 1] the coefficients of
-    eta(-1 - u) = u^4 + 2u^3 + (9/8) m^2 u^2 + 2(m^2 - 1) u
-    + (5/256) m^4 + (7/8) m^2 - 1 change sign once, so c0 is the only
-    root of eta below -1 >= c_J: for c < c_J the heavier lobe is convex
-    iff eta(c) > 0, a sign taken exactly in rationals from c and mu.
+    The Moon's is the Earth lobe of params.swapped(). The lobe of the
+    lighter primary bounds a convex region for every c < c_J; the lobe of
+    the heavier primary does iff c < c0(mu). At mu = 1/2 both are convex.
+    For m^2 = (1-2mu)^2 in (0, 1] the coefficients of eta(-1 - u) = u^4
+    + 2u^3 + (9/8) m^2 u^2 + 2(m^2 - 1) u + (5/256) m^4 + (7/8) m^2 - 1
+    change sign once, so c0 is the only root of eta below -1 >= c_J: for
+    c < c_J the heavier lobe is convex iff eta(c) > 0, a sign taken
+    exactly in rationals from c and the given mu for either lobe.
     """
     if c >= params.c_jacobi:
         raise EnergyAboveCritical(
             f"c = {c} is not below c_J = {params.c_jacobi}")
-    if (HillComponent(component) is not params.heavier
-            or eta(Fraction(c), Fraction(params.mu)) > 0):
+    lobe = (params.swapped() if HillComponent(component) is HillComponent.MOON
+            else params)
+    # m > 0: the lobe's own primary, the Earth, is the heavier one
+    if lobe.m <= 0.0 or eta(Fraction(c), Fraction(params.mu)) > 0:
         return Verdict.CONVEX
     return Verdict.NONCONVEX
 
 
 def theorem_verdict(target, params, c):
     """Proved verdict of the boundary theorem (target "levi") or the
-    fiberwise theorem ("fiberwise") where it covers (mu, c), the
-    critical energy being c == c_J exactly; None where it is silent."""
+    fiberwise theorem ("fiberwise") for the Earth lobe where it covers
+    (mu, c), c == c_J exactly being critical; None where it is silent."""
     critical = c == params.c_jacobi
     if target == "levi":
-        # boundary nonconvexity at the critical energy for mu below the
-        # inflection threshold 16/17
+        # boundary nonconvexity at the critical energy, regularized at the
+        # Earth, for a Moon mass below the inflection threshold 16/17
         if critical and params.mu < 16.0 / 17.0:
             return Verdict.NONCONVEX
         return None
     if target == "fiberwise":
-        if params.heavier is None and c <= params.c_jacobi:
+        if params.m == 0.0 and c <= params.c_jacobi:
             return Verdict.CONVEX
-        # the witness lies on the Earth lobe, so the theorem speaks only
-        # when that lobe is the heavier one
-        if critical and params.heavier is HillComponent.EARTH:
+        # the witness lies next to the vertex on the heavier lobe
+        if critical and params.m > 0.0:
             return Verdict.NONCONVEX
         return None
     raise ValueError(target)

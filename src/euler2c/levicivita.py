@@ -23,7 +23,8 @@ of V through order three, as the partials table {(i, j): d_x^i d_y^j V}
 that model.U_derivs returns for U, so F is scan.level_curvature of it;
 the off-center critical points (+-x0, 0) of V, the tangency data there,
 the directional derivative lemmas along the tangent cone, and a witness
-search for non-convexity, F read on the preimage of the Earth rim.
+search for non-convexity, F read on the preimage of the Earth rim (of
+params.swapped() at the Moon, in the chart q = 1 - 2 conj(v)^2).
 """
 
 from __future__ import annotations
@@ -64,9 +65,9 @@ def radicand(x, y):
     return float(r) if np.ndim(r) == 0 else r
 
 
-def _v_value(x, y, rho, mu, c):
+def _v_value(x, y, rho, params, c):
     s2 = x * x + y * y
-    return -c * s2 - mu * s2 / np.sqrt(rho) - (1.0 - mu) / 2.0
+    return -c * s2 - params.mu * s2 / np.sqrt(rho) - 0.5 * params.earth_mass
 
 
 def V_value(x, y, params, c):
@@ -75,7 +76,7 @@ def V_value(x, y, params, c):
     if np.any(np.asarray(rho) < _RAD_TOL):
         raise MoonCollision("V undefined at a Moon preimage")
     v = _v_value(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
-                 rho, params.mu, c)
+                 rho, params, c)
     return float(v) if np.ndim(v) == 0 else v
 
 
@@ -96,7 +97,7 @@ def V_eval(x, y, params, c):
     r72 = rho ** 3.5
     x2, y2 = x * x, y * y
 
-    V = _v_value(x, y, rho, mu, c)
+    V = _v_value(x, y, rho, params, c)
     V_x = -2.0 * c * x + 2.0 * mu * x * (2.0 * x2 - 6.0 * y2 - 1.0) / r32
     V_y = -2.0 * c * y + 2.0 * mu * y * (6.0 * x2 - 2.0 * y2 - 1.0) / r32
 

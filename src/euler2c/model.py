@@ -3,10 +3,10 @@
 The potential U(q) = -(1-mu)/|q - E| - mu/|q - M| of the Hamiltonian
 H(q, p) = |p|^2/2 + U(q), its derivative table, and the boundaries of
 the Hill regions in closed form, read from the rim of the elliptic
-chart. The unique interior critical point (l, 0) of U, the
-critical Jacobi energy c_J = -1 - 2*sqrt(mu(1-mu)), ProblemParams and
-the lobe names shared by all other modules live in the NumPy-free
-``ladder`` and are re-exported here.
+chart. The unique interior critical point (l, 0) of U, the critical
+Jacobi energy c_J = -1 - 2*sqrt(mu(1-mu)), ProblemParams with its mass
+swap and the lobe names shared by all other modules live in the
+NumPy-free ``ladder`` and are re-exported here.
 
 Positions are in the Standard frame, with the primaries at E = (0, 0)
 and M = (1, 0). The elliptic chart of ``scan`` and ``elliptic`` is
@@ -21,15 +21,13 @@ from functools import cache
 import numpy as np
 
 from .errors import CollisionPoint
-from .ladder import HillComponent, ProblemParams, jacobi_energy, lagrange_l
+from .ladder import HillComponent, ProblemParams
 
 __all__ = [
     "HillComponent",
     "ProblemParams",
     "potential_U",
     "U_derivs",
-    "lagrange_l",
-    "jacobi_energy",
     "hill_boundary",
 ]
 
@@ -54,7 +52,7 @@ def potential_U(q, params):
     Accepts scalar pairs or numpy-array pairs.
     """
     _, _, r1, r2 = _distances(q)
-    out = -(1.0 - params.mu) / r1 - params.mu / r2
+    out = -params.earth_mass / r1 - params.mu / r2
     return float(out) if np.isscalar(out) or out.ndim == 0 else out
 
 
@@ -89,7 +87,8 @@ def _U_partials(q, params, order):
     if np.ndim(r1) == 0:
         q1, q2, r1, r2 = float(q1), float(q2), float(r1), float(r2)
     out = {}
-    for mass, d1, r in ((1.0 - params.mu, q1, r1), (params.mu, q1 - 1.0, r2)):
+    for mass, d1, r in ((params.earth_mass, q1, r1),
+                        (params.mu, q1 - 1.0, r2)):
         w = 1.0 / (r * r)
         x, y = d1 * w, q2 * w
         mono = {(0, 0): -mass / r}
@@ -116,36 +115,32 @@ def U_derivs(q, params):
 def hill_boundary(params, c, component, n=256):
     """Sample n points of the Hill-region boundary {U = c} of one bounded
     component as an (n, 2) array, in closed form: no iteration and no
-    tolerance. The points run in polar-angle order around the lobe's
-    primary, the first at polar angle 0.
+    tolerance. The Earth's run counterclockwise from polar angle 0; the
+    Moon's are the swapped problem's Earth points mirrored by q1 -> 1 - q1,
+    clockwise from polar angle pi around the Moon.
 
     The boundary is the rim R^2 = 0 (formulas.R2) of the elliptic chart,
-    in offsets from the primary. For the Earth, x = cosh(lam) = 1 + u and
-    y = cos(nu) = -1 + v give R^2 = c u^2 + 2(1 + c) u + K(v), with
-    K(v) = -c (v_E - v)(v_2 - v) and v_E, v_2 = ((m - c) -+ s)/(-c),
-    where m = 1 - 2 mu and s^2 = c^2 + 2c + m^2 = (c - c_J)(c - c_J'),
-    c_J' = -1 + 2 sqrt(mu(1 - mu)); so s = 0 exactly at c = c_J, where
-    the point at v_E is (l, 0). The points are sampled in the elliptic
-    angle, v = v_E cos^2(phi/2) for phi_k = 2 pi k / n, each on the
-    positive root u, and are then q1 = (v - u + uv)/2 and q2 = +-sqrt(u
-    (2 + u) v (2 - v))/2 with the sign of sin(phi). v_E = 2(1 + m)/((m -
-    c) + s) and u = K / (-(1 + c) + sqrt((1 + c)^2 - cK)) are free of
-    cancellation. The Moon lobe is the mirror image q1 -> 1 - q1 with
-    m -> -m and phi -> pi - phi; in both, 1 + m is twice the lobe's own
-    mass, 1 - mu or mu, never 1 - (1 - mu). Requires a finite c <= c_J.
+    in offsets from the Earth. x = cosh(lam) = 1 + u and y = cos(nu) =
+    -1 + v give R^2 = c u^2 + 2(1 + c) u + K(v), with K(v) = -c (v_E -
+    v)(v_2 - v) and v_E, v_2 = ((m - c) -+ s)/(-c), where m = 1 - 2 mu
+    and s = ProblemParams.discriminant_root(c), zero exactly at c = c_J,
+    where the point at v_E is (l, 0). The points are sampled in the
+    elliptic angle, v = v_E cos^2(phi/2) for phi_k = 2 pi k / n, each on
+    the positive root u, and are then q1 = (v - u + uv)/2 and q2 =
+    +-sqrt(u (2 + u) v (2 - v))/2 with the sign of sin(phi). v_E = 4 (1 -
+    mu)/((m - c) + s) and u = K / (-(1 + c) + sqrt((1 + c)^2 - cK)) are
+    free of cancellation. Requires a finite c <= c_J.
     """
     if not -math.inf < c <= params.c_jacobi:
         raise ValueError("hill_boundary requires a finite c <= c_jacobi")
     if n < 8:
         raise ValueError("need n >= 8 boundary samples")
-    earth = HillComponent(component) is HillComponent.EARTH
-    mu = params.mu
-    m, mass = (1.0 - 2.0 * mu, 1.0 - mu) if earth else (2.0 * mu - 1.0, mu)
-    s = math.sqrt((c - params.c_jacobi)
-                  * (c + 1.0 - 2.0 * math.sqrt(mu * (1.0 - mu))))
-    v_E = 4.0 * mass / ((m - c) + s)
+    moon = HillComponent(component) is HillComponent.MOON
+    lobe = params.swapped() if moon else params
+    s = lobe.discriminant_root(c)
+    v_E = 4.0 * lobe.earth_mass / ((lobe.m - c) + s)
     phi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    v = v_E * (np.cos if earth else np.sin)(0.5 * phi) ** 2
+    v = v_E * np.cos(0.5 * phi) ** 2
     # K(v) with w = v_E - v, exact or without cancellation, and v_2 - v
     # = 2s/(-c) + w: no cancellation at c_J, where v_2 = v_E
     w = v_E - v
@@ -154,4 +149,4 @@ def hill_boundary(params, c, component, n=256):
     q1 = 0.5 * (v - u + u * v)
     q2 = np.copysign(0.5 * np.sqrt(u * (2.0 + u) * v * (2.0 - v)),
                      np.sin(phi))
-    return np.stack([q1 if earth else 1.0 - q1, q2], axis=-1)
+    return np.stack([1.0 - q1 if moon else q1, q2], axis=-1)

@@ -1,8 +1,8 @@
 """Generic numerics: the curvature numerator of a level set, its
 gradient and its series along a tangent-cone line (with the size of the
 terms that cancel in it), all read from one partials table
-{(i, j): d_x^i d_y^j f}; the positions of one Hill lobe, sampled in
-elliptic coordinates for both oracles; sign scans that bisect every
+{(i, j): d_x^i d_y^j f}; the Earth lobe's positions in elliptic
+coordinates for both oracles; sign scans that bisect every
 sign-changing grid edge at once; and implicit-curve tracing.
 
 All routines are deterministic: grids are regular and traces are seeded
@@ -19,7 +19,6 @@ import numpy as np
 
 from . import formulas
 from .errors import EnergyAboveCritical, TraceFailure
-from .ladder import HillComponent
 
 __all__ = ["ScanReport", "Polyline", "EllipticDomain", "HillRegion",
            "level_curvature", "level_curvature_grad", "cone_contact",
@@ -141,21 +140,21 @@ def cone_contact_size(size, order):
     return _derivatives_at_zero(series, order)
 
 
-# -- one Hill lobe in elliptic coordinates ------------------------------------
+# -- the Earth's Hill lobe in elliptic coordinates ----------------------------
 
 @dataclass(frozen=True)
 class EllipticDomain:
     """Admissible rectangle in the substituted variables x = cosh(lam),
-    y = cos(nu) for one Hill component."""
+    y = cos(nu) for the Earth's Hill lobe."""
 
     x_range: tuple
     y_range: tuple
-    component: HillComponent
 
 
 @dataclass(frozen=True)
 class HillRegion:
-    """Positions (lambda, nu) of one Hill lobe, R^2 >= 0: the grid points
+    """Positions (lambda, nu) of the Earth's Hill lobe, R^2 >= 0: the grid
+    points
     first, in row-major order, then the rim R^2 = 0."""
 
     lam: np.ndarray       # the lambda grid
@@ -176,39 +175,35 @@ def elliptic_to_cartesian(lam, nu):
     return q1, q2
 
 
-def domain_bounds(params, c, component):
+def domain_bounds(params, c):
     """Closed-form admissible rectangle in (x, y) = (cosh lam, cos nu)
-    for one component of the zero set; requires c <= c_J (the rectangle
-    degenerates at equality)."""
+    for the Earth's component of the zero set; requires c <= c_J (at
+    equality it degenerates, y reaching the vertex (l, 0) at 2l - 1)."""
     if c > params.c_jacobi:
         raise EnergyAboveCritical(
             f"c = {c} above critical Jacobi energy {params.c_jacobi}")
-    component = HillComponent(component)
-    earth = component is HillComponent.EARTH
-    m = 1.0 - 2.0 * params.mu
-    sy = math.sqrt(max(c * c + 2.0 * c + m * m, 0.0))
-    mx = m if earth else -m
-    x_hi = (-1.0 - math.sqrt(max(c * c - 2.0 * mx * c + 1.0, 0.0))) / c
-    y_range = (-1.0, (-m + sy) / c) if earth else ((-m - sy) / c, 1.0)
-    return EllipticDomain((1.0, x_hi), y_range, component)
+    m = params.m
+    x_hi = (-1.0 - math.sqrt(max(c * c - 2.0 * m * c + 1.0, 0.0))) / c
+    return EllipticDomain((1.0, x_hi),
+                          (-1.0, (-m + params.discriminant_root(c)) / c))
 
 
-def hill_region(params, c, component, n_lam, n_nu):
-    """Sample one Hill lobe of energy c <= c_J (see HillRegion).
+def hill_region(params, c, n_lam, n_nu):
+    """Sample the Earth's Hill lobe of energy c <= c_J (see HillRegion).
 
-    R^2 = formulas.R2(cosh lam, cos nu, c, 1 - 2 mu) = -4 r1 r2 (U - c),
-    so the lobe is R^2 >= 0 in the domain_bounds rectangle. Its n_lam x
+    R^2 = formulas.R2(cosh lam, cos nu, c, m) = -4 r1 r2 (U - c), so
+    the lobe is R^2 >= 0 in the domain_bounds rectangle. Its n_lam x
     n_nu grid keeps the points with R^2 >= 0, which include the primary
     (lam = 0); between grid neighbors of opposite R^2 sign the rim
     R^2 = 0 is added in closed form. Only the branch nu in [0, pi],
     q2 >= 0, is sampled.
     """
-    dom = domain_bounds(params, c, component)
-    m = 1.0 - 2.0 * params.mu
+    dom = domain_bounds(params, c)
+    m = params.m
     lam = np.linspace(0.0, math.acosh(dom.x_range[1]), n_lam)
     # nu = arccos(y) is decreasing: the Earth's nu runs up to pi
-    nu = np.linspace(*(math.acos(min(1.0, max(-1.0, y)))
-                       for y in dom.y_range[::-1]), n_nu)
+    nu = np.linspace(math.acos(min(1.0, max(-1.0, dom.y_range[1]))),
+                     math.pi, n_nu)
     ch, cn = np.cosh(lam)[:, None], np.cos(nu)[None, :]
     R2 = formulas.R2(ch, cn, c, m)
     ok = R2 >= 0.0

@@ -46,12 +46,11 @@ def test_01_exact_identity_suite():
 
 
 def test_02_constants_and_eta_normalization():
-    from euler2c.model import jacobi_energy, lagrange_l
-    assert jacobi_energy(0.5) == -2.0
-    assert lagrange_l(0.5) == 0.5
+    assert ProblemParams(0.5).c_jacobi == -2.0
+    assert ProblemParams(0.5).l == 0.5
     rng = np.random.default_rng(2)
     for mu in rng.uniform(0.01, 0.99, 50):
-        cj = jacobi_energy(float(mu))
+        cj = ProblemParams(float(mu)).c_jacobi
         m4 = (1.0 - 2.0 * mu) ** 4
         assert abs(elliptic.eta(cj, float(mu)) + (27.0 / 256.0) * m4) \
             < 1e-12

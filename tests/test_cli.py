@@ -179,14 +179,50 @@ class TestVerdict:
     @pytest.mark.parametrize("mu, verdict", [(0.3, "nonconvex"),
                                              (0.7, "convex")])
     def test_fiberwise_heavier_earth_only(self, capsys, mu, verdict):
-        # the Earth lobe, which the oracle scans, is the heavier one
-        # only for mu < 1/2
+        # without --component the verdict is the Earth lobe's, the heavier
+        # one only for mu < 1/2
         code, out, _ = run(capsys, "verdict", "fiberwise", "--mu", str(mu),
                            "--c", "cJ", "--method", "both")
         assert code == 0
         d = json.loads(out)
-        assert d["verdict"] == verdict
+        assert d["verdict"] == verdict and d["component"] == "earth"
         assert d.get("theory") == (verdict if mu < 0.5 else None)
+
+    def test_fiberwise_moon_is_the_swapped_earth(self, capsys):
+        # at mu = 0.7 the Moon lobe is the heavier one: the mirror image of
+        # mu = 0.3's Earth lobe, witness and all, in the Standard frame
+        code, out, _ = run(capsys, "verdict", "fiberwise", "--mu", "0.7",
+                           "--c", "cJ", "--component", "moon")
+        assert code == 0
+        moon = json.loads(out)
+        code, out, _ = run(capsys, "verdict", "fiberwise", "--mu", "0.3",
+                           "--c", "cJ")
+        earth = json.loads(out)
+        assert moon["verdict"] == moon["theory"] == "nonconvex"
+        assert moon["component"] == "moon"
+        assert moon["least_value"] == pytest.approx(-0.0194013379946,
+                                                    rel=1e-11)
+        (q1, q2) = moon["witness"]["point"]
+        (e1, e2) = earth["witness"]["point"]
+        assert q1 > ProblemParams(0.7).l
+        assert q1 == pytest.approx(1.0 - e1, abs=1e-15)
+        # C is even in q2, so either of the two mirror points may be least
+        assert abs(q2) == pytest.approx(abs(e2), abs=1e-15)
+        assert moon["witness"]["C"] == pytest.approx(earth["witness"]["C"],
+                                                     rel=1e-9)
+
+    @pytest.mark.parametrize("mu, verdict", [(0.3, "nonconvex"),
+                                             (0.05, "convex")])
+    def test_levi_moon(self, capsys, mu, verdict):
+        # regularized at the Moon the theorem reads the Earth's mass 1 - mu
+        # against 16/17: nonconvex at mu = 0.3, silent at mu = 0.05, where
+        # the oracle reads a convex boundary (the mirror of mu = 0.95)
+        code, out, _ = run(capsys, "verdict", "levi", "--mu", str(mu),
+                           "--c", "cJ", "--component", "moon")
+        assert code == 0
+        d = json.loads(out)
+        assert d["verdict"] == verdict and d["component"] == "moon"
+        assert d.get("theory") == (verdict if mu == 0.3 else None)
 
     def test_oracle_fault_exit_5(self, capsys, monkeypatch):
         # an internal disagreement of the oracle is a fault of the
@@ -505,13 +541,6 @@ class TestOptionRanges:
         (["verdict", "fiberwise", "--c", "cJ+0.1"], "--c"),
         (["verdict", "elliptic", "--c", "cJ+0.1", "--component", "earth",
           "--method", "oracle"], "--c"),
-        # levi and fiberwise read the Earth lobe only
-        (["verdict", "fiberwise", "--component", "moon"], "--component"),
-        (["verdict", "fiberwise", "--component", "earth", "--method",
-          "theory"], "--component"),
-        (["verdict", "levi", "--component", "moon"], "--component"),
-        (["verdict", "levi", "--component", "earth", "--method", "oracle"],
-         "--component"),
     ], ids=["grid-no-angle", "grid-one-nu", "f0-step-0", "czero-step-0",
             "c-inf-theory", "c-inf-oracle", "f0-max-len-inf", "f0-step-inf",
             "f0-max-len-0", "f0-max-len-negative", "v0-n-below-32",
@@ -520,9 +549,7 @@ class TestOptionRanges:
             "v0-above-cj", "f0-above-cj", "czero-above-cj",
             "levi-oracle-above-cj", "levi-both-above-cj",
             "fiberwise-oracle-above-cj", "fiberwise-both-above-cj",
-            "elliptic-oracle-above-cj", "fiberwise-component-moon",
-            "fiberwise-component-theory", "levi-component-moon",
-            "levi-component-oracle"])
+            "elliptic-oracle-above-cj"])
     def test_exit_2_naming_option(self, capsys, argv, option):
         # the defaults go before the case's options, which override them;
         # no traceback and no partial output, the option is named instead
@@ -532,6 +559,25 @@ class TestOptionRanges:
         out = capsys.readouterr()
         assert out.out == ""
         assert option in out.err
+
+    @pytest.mark.parametrize("argv, lobe", [
+        (["verdict", "fiberwise", "--component", "moon"], "moon"),
+        (["verdict", "fiberwise", "--component", "earth", "--method",
+          "theory"], "earth"),
+        (["verdict", "levi", "--component", "moon"], "moon"),
+        (["verdict", "levi", "--component", "earth", "--method", "oracle"],
+         "earth"),
+    ], ids=["fiberwise-component-moon", "fiberwise-component-theory",
+            "levi-component-moon", "levi-component-oracle"])
+    def test_component_names_the_lobe(self, capsys, argv, lobe):
+        # levi and fiberwise answer for either lobe, and name it
+        code, out, err = run(capsys, *argv[:2], "--mu", "0.3", "--c",
+                             "cJ-0.1", *argv[2:])
+        assert code == 0 and err == ""
+        d = json.loads(out)
+        assert d["component"] == lobe
+        assert d["verdict"] in (("convex",) if "theory" not in argv
+                                else (None,))
 
 
 def _fmt_row(name, *values):

@@ -68,15 +68,26 @@ def _frame(lam, nu, pl, pn, params, c):
     return x, y, 4.0 * pl, 4.0 * pn, a, b
 
 
+def _lobe(params, component):
+    """The problem whose Earth lobe is the given lobe of params."""
+    if HillComponent(component) is HillComponent.MOON:
+        return params.swapped()
+    return params
+
+
 def _sample_arrays(params, c, component, n_lam=100, n_nu=100, n_phi=16):
-    """(lam, nu, p_lam, p_nu) arrays of the zero set of Q that
-    _zero_set_points samples: every grid position at each of its n_phi
-    momentum angles in turn, then the rim with zero momentum."""
-    zs = elliptic._zero_set_points(params, c, component, n_lam, n_nu, n_phi)
+    """(lam, nu, p_lam, p_nu) arrays of the zero set of Q over one lobe
+    of params that _zero_set_points samples: every grid position at each
+    of its n_phi momentum angles in turn, then the rim with zero
+    momentum. The Moon's are the swapped problem's Earth positions with
+    nu -> pi - nu."""
+    zs = elliptic._zero_set_points(_lobe(params, component), c, n_lam,
+                                   n_nu, n_phi)
     n, lam = zs.n_grid, zs.lam[zs.ilam]
+    nu = np.pi - zs.nu if component is HillComponent.MOON else zs.nu
     rim = np.zeros(lam.size - n)
     return (np.concatenate([np.repeat(lam[:n], n_phi), lam[n:]]),
-            np.concatenate([np.repeat(zs.nu[:n], n_phi), zs.nu[n:]]),
+            np.concatenate([np.repeat(nu[:n], n_phi), nu[n:]]),
             np.concatenate([np.outer(zs.s[:n], zs.cos_phi).ravel(), rim]),
             np.concatenate([np.outer(zs.s[:n], zs.sin_phi).ravel(), rim]))
 
@@ -146,7 +157,7 @@ class TestQ:
 
     def test_zero_set_requires_subcritical(self, p03):
         with pytest.raises(EnergyAboveCritical):
-            elliptic._zero_set_points(p03, p03.c_jacobi, HillComponent.EARTH)
+            elliptic._zero_set_points(p03, p03.c_jacobi)
 
     def test_zero_set_includes_rim(self, p03):
         c = p03.c_jacobi - 0.4
@@ -209,22 +220,40 @@ class TestProjectedHessian:
 class TestDomain:
     def test_bounds_earth(self, p03):
         c = p03.c_jacobi - 0.4
-        dom = domain_bounds(p03, c, HillComponent.EARTH)
+        dom = domain_bounds(p03, c)
         assert dom.x_range[0] == 1.0 and dom.x_range[1] > 1.0
         assert -1.0 == dom.y_range[0] < dom.y_range[1] < 1.0
 
     def test_bounds_moon(self, p03):
+        # the Moon's rectangle is the swapped problem's Earth rectangle,
+        # mirrored by y -> -y: it ends at y = 1, the far side of the Moon
         c = p03.c_jacobi - 0.4
-        dom = domain_bounds(p03, c, HillComponent.MOON)
-        assert dom.y_range[1] == 1.0 and dom.y_range[0] > -1.0
+        dom = domain_bounds(p03.swapped(), c)
+        assert -1.0 == dom.y_range[0] < dom.y_range[1] < 1.0
+        y_lo, y_hi = -dom.y_range[1], -dom.y_range[0]
+        assert y_hi == 1.0 and y_lo > -1.0
+        assert formulas.R2(1.0, y_lo, c, p03.m) == pytest.approx(0.0,
+                                                                  abs=1e-14)
 
     def test_bounds_allows_critical(self, p03):
-        dom = domain_bounds(p03, p03.c_jacobi, HillComponent.EARTH)
+        dom = domain_bounds(p03, p03.c_jacobi)
         assert dom.x_range[1] >= 1.0
+
+    @pytest.mark.parametrize("mu", [0.1, 0.3, 0.7, 0.999])
+    def test_bounds_reach_the_vertex_at_critical(self, mu):
+        # at c_J both rectangles reach the vertex (l, 0), y = 2l - 1 in
+        # the Centered frame: the discriminant (c - c_J)(c - c_J') is
+        # zero there, where c^2 + 2c + m^2 cancels to about 1e-8
+        p = ProblemParams(mu)
+        assert abs(domain_bounds(p, p.c_jacobi).y_range[1]
+                   - (2.0 * p.l - 1.0)) <= 3e-16
+        q = p.swapped()
+        assert abs(domain_bounds(q, q.c_jacobi).y_range[1]
+                   - (2.0 * q.l - 1.0)) <= 3e-16
 
     def test_bounds_rejects_supercritical(self, p03):
         with pytest.raises(EnergyAboveCritical):
-            domain_bounds(p03, p03.c_jacobi + 0.1, HillComponent.EARTH)
+            domain_bounds(p03, p03.c_jacobi + 0.1)
 
     def test_roots_ab_bracket(self, p03):
         a, b = roots_ab(p03, p03.c_jacobi - 0.1)
@@ -286,13 +315,15 @@ class TestThresholds:
             assert th.c_E < th.c_M < th.c_E_pp <= th.c0 <= p.c_jacobi
             assert abs(th.c_E + 4.0) <= 3.0 * m
             assert abs(th.c_M + 4.0) <= 3.0 * m
-            light = SWAPPED[p.heavier]
+            heavier = (HillComponent.EARTH if p.earth_mass > p.mu
+                       else HillComponent.MOON)
+            light = SWAPPED[heavier]
             for c in (th.c0 - 0.5, p.c_jacobi - 0.5):
                 for comp in HillComponent:
                     assert convexity_verdict(p, c, comp) is Verdict.CONVEX
             if th.cJ_minus_c0 > 4.0 * math.ulp(p.c_jacobi):
                 mid = p.c_jacobi - th.cJ_minus_c0 / 2.0
-                assert (convexity_verdict(p, mid, p.heavier)
+                assert (convexity_verdict(p, mid, heavier)
                         is Verdict.NONCONVEX)
                 assert convexity_verdict(p, mid, light) is Verdict.CONVEX
 
@@ -434,10 +465,13 @@ def _check_full_eigvalsh(mu, dc, comp, grid):
     p = ProblemParams(mu)
     c0 = thresholds(p).c0
     c = c0 + dc * (p.c_jacobi - c0) if dc > 0 else c0 + dc
-    lam, nu, pl, pn = _sample_arrays(p, c, comp, *grid)
+    # the oracle reads the Moon as the swapped problem's Earth lobe and
+    # reports its positions with nu -> pi - nu
+    lobe = _lobe(p, comp)
+    lam, nu, pl, pn = _sample_arrays(lobe, c, HillComponent.EARTH, *grid)
     # each grid position holds n_phi samples, angle 0 first, and each rim
     # position one, last
-    zs = elliptic._zero_set_points(p, c, comp, *grid)
+    zs = elliptic._zero_set_points(lobe, c, *grid)
     per = np.where(np.arange(zs.s.size) < zs.n_grid, grid[2], 1)
     at = np.repeat(np.arange(zs.s.size), per)
     first = np.cumsum(per) - per
@@ -445,7 +479,7 @@ def _check_full_eigvalsh(mu, dc, comp, grid):
     assert np.array_equal(nu, zs.nu[at])
     assert np.array_equal(pl[first], zs.s) and np.all(pn[first] == 0.0)
 
-    x, y, z, w, a, b = _frame(lam, nu, pl, pn, p, c)
+    x, y, z, w, a, b = _frame(lam, nu, pl, pn, lobe, c)
     n2 = x * x + y * y + z * z + w * w
     e4, lo, _ = elliptic._tangent_spectrum(
         *(v[first] for v in (x, y, z, w, a, b)))
@@ -466,6 +500,8 @@ def _check_full_eigvalsh(mu, dc, comp, grid):
     idx = np.flatnonzero(good)
     rel = ev[good] / scale[good]
     i_min, i_max = idx[np.argmin(rel)], idx[np.argmax(rel)]
+    if comp is HillComponent.MOON:
+        nu = np.pi - nu
     point = [tuple(float(v[first[i]]) for v in (lam, nu, pl, pn))
              for i in (i_min, i_max)]
     min_rel = float(rel.min())
@@ -609,7 +645,9 @@ class TestOracle:
 
     @pytest.mark.parametrize("perturb", ["all", "audit", "extreme", "nan"])
     def test_wrong_closed_form_raises(self, p03, monkeypatch, perturb):
-        c, comp = p03.c_jacobi - 0.5, HillComponent.MOON
+        # on the Earth lobe, whose least eigenvalue lies at a position
+        # that the stride audit skips on this grid
+        c, comp = p03.c_jacobi - 0.5, HillComponent.EARTH
         spectrum = elliptic._tangent_spectrum
         # the position of the stride audit's third sample
         pt = 2 * elliptic._AUDIT_STRIDE
@@ -641,7 +679,7 @@ class TestOracle:
 
         monkeypatch.setattr(elliptic, "_tangent_spectrum", wrong)
         with pytest.raises(OracleInconsistency):
-            oracle_convexity(p03, c, comp, grid=(30, 30, 8))
+            oracle_convexity(p03, c, comp, grid=(31, 30, 8))
         if perturb == "audit":
             # the perturbed position holds no reported extreme, so only
             # the fixed-stride audit confirms it
@@ -752,12 +790,12 @@ class TestSpectrum:
                 assert np.all(np.abs(e4 * lo * hi - closed) <= 1e-13 * size)
 
 
-def _rim_reference(params, c, component, n_lam, n_nu):
-    """The rim as bisected in nu between grid neighbors of opposite R^2
-    sign (60 halvings), with its brackets."""
-    dom = domain_bounds(params, c, component)
+def _rim_reference(params, c, n_lam, n_nu):
+    """The Earth lobe's rim as bisected in nu between grid neighbors of
+    opposite R^2 sign (60 halvings), with its brackets."""
+    dom = domain_bounds(params, c)
     y_lo, y_hi = (min(1.0, max(-1.0, y)) for y in dom.y_range)
-    m = 1.0 - 2.0 * params.mu
+    m = params.m
     lam = np.linspace(0.0, math.acosh(dom.x_range[1]), n_lam)
     nu = np.linspace(math.acos(y_hi), math.acos(y_lo), n_nu)
     ch, cn = np.cosh(lam)[:, None], np.cos(nu)[None, :]
@@ -788,11 +826,13 @@ class TestRim:
                                         (0.5, 0.3), (0.77, 0.4)])
     @pytest.mark.parametrize("comp", list(HillComponent))
     def test_closed_form_rim(self, mu, dc, comp):
-        p = ProblemParams(mu)
+        # the Moon's rim is the Earth rim of the swapped problem
+        p = _lobe(ProblemParams(mu), comp)
         c = p.c_jacobi - dc
         n_lam, n_nu = 60, 60
-        lam, nu, pl, pn = _sample_arrays(p, c, comp, n_lam, n_nu, 4)
-        r_lam, nu_a, nu_b, nu_ref = _rim_reference(p, c, comp, n_lam, n_nu)
+        lam, nu, pl, pn = _sample_arrays(p, c, HillComponent.EARTH, n_lam,
+                                         n_nu, 4)
+        r_lam, nu_a, nu_b, nu_ref = _rim_reference(p, c, n_lam, n_nu)
         k = r_lam.size
         assert k > 10
         # the rim comes last, in the reference's order
@@ -800,7 +840,7 @@ class TestRim:
         assert np.array_equal(lam[-k:], r_lam)
         rim = nu[-k:]
         assert np.all((nu_a <= rim) & (rim <= nu_b))
-        m = 1.0 - 2.0 * mu
+        m = p.m
         ch, cn = np.cosh(r_lam), np.cos(rim)
         assert np.abs(2.0 * ch + c * ch ** 2 - 2.0 * m * cn
                       - c * cn ** 2).max() <= 1e-12

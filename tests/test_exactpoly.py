@@ -198,8 +198,8 @@ _MUTATIONS = [
     ("det-frame", "projected_hessian",
      lambda e, x, y, z, w, a, b: (e[0] + x * y, *e[1:]), _audited_oracle),
     ("det-frame", "R2", lambda v, x, y, c, m: v + x * y,
-     lambda: scan.hill_region(ProblemParams(0.3), -2.3, HillComponent.EARTH,
-                              10, 10).R2.tolist()),
+     lambda: scan.hill_region(ProblemParams(0.3), -2.3, 10,
+                              10).R2.tolist()),
     ("a-dy-factor", "A", lambda v, x, y, c, m: v + x * y, None),
     ("a-dy-factor", "xc_quartic", lambda v, x, c: v + x,
      lambda: cli._curve_quartic(argparse.Namespace(xmax=2.0, n=5))),

@@ -187,7 +187,7 @@ def _region(p, c):
     """The Earth-region positions fiberwise_verdict reads, and C there:
     scan.hill_region's 100 x 100 grid and rim in the Standard frame,
     without the Earth."""
-    r = hill_region(p, c, HillComponent.EARTH, 100, 100)
+    r = hill_region(p, c, 100, 100)
     q1, q2 = elliptic_to_cartesian(r.lam[r.ilam], r.nu)
     q1 = q1 + 0.5
     off = (q1 != 0.0) | (q2 != 0.0)
@@ -375,7 +375,7 @@ class TestVerdicts:
                 min_C = float(cvals[i])
                 if cvals[i] < -tol:
                     witness = (float(e), tuple(pts[i]), float(cvals[i]))
-        if (witness is None and p.heavier is HillComponent.EARTH
+        if (witness is None and p.earth_mass > p.mu
                 and c >= p.c_jacobi - 1e-12):
             pts, cvals = _rim(p, c)
             i = int(np.argmin(cvals))

@@ -13,13 +13,15 @@ from euler2c.model import (
     ProblemParams,
     U_derivs,
     hill_boundary,
-    jacobi_energy,
-    lagrange_l,
     potential_U,
 )
 
 import regularizations
 from regularizations import holds
+
+
+def lagrange_l(mu):
+    return ProblemParams(mu).l
 
 
 class TestConstants:
@@ -50,8 +52,8 @@ class TestConstants:
             assert abs(residual) <= 4 * eps * terms, mu
 
     def test_c_jacobi(self):
-        assert jacobi_energy(0.5) == -2.0
-        assert jacobi_energy(0.25) == pytest.approx(
+        assert ProblemParams(0.5).c_jacobi == -2.0
+        assert ProblemParams(0.25).c_jacobi == pytest.approx(
             -1 - math.sqrt(3) / 2, rel=1e-15)
 
     def test_l_is_critical_point(self, p03):
@@ -301,16 +303,19 @@ class TestHillBoundaryBatch:
                 hill_boundary(p03, c, HillComponent.EARTH)
 
     def test_shapes(self, p03):
-        # one (q1, q2) row per point, the first at polar angle 0, then by
-        # increasing polar angle around the primary
+        # one (q1, q2) row per point by polar angle around the primary: the
+        # Earth's from polar angle 0 counterclockwise, the Moon's (the
+        # mirror image of the swapped problem's Earth rim) from polar
+        # angle pi clockwise
         c = p03.c_jacobi - 0.2
-        for comp, ox in ((HillComponent.EARTH, 0.0), (HillComponent.MOON,
-                                                        1.0)):
+        for comp, ox, turn in ((HillComponent.EARTH, 0.0, 1.0),
+                               (HillComponent.MOON, 1.0, -1.0)):
             for n in (8, 16, 33):
                 pts = hill_boundary(p03, c, comp, n=n)
                 assert pts.shape == (n, 2)
-                assert pts[0, 1] == 0.0 and pts[0, 0] > ox
-                theta = np.unwrap(np.arctan2(pts[:, 1], pts[:, 0] - ox))
+                assert pts[0, 1] == 0.0 and turn * (pts[0, 0] - ox) > 0.0
+                theta = np.unwrap(np.arctan2(pts[:, 1],
+                                             turn * (pts[:, 0] - ox)))
                 assert np.all(np.diff(theta) > 0.0)
 
 
@@ -344,10 +349,21 @@ class TestUPartials:
 
 
 class TestHeavier:
+    """The heavier primary, read from the masses: m = 1 - 2 mu is positive
+    when the Earth is the heavier one, and the swap exchanges the masses
+    and negates m."""
+
     @pytest.mark.parametrize("mu", [0.05, 0.2, 0.35, 0.45, 0.499])
     def test_swaps_with_the_masses(self, mu):
-        assert ProblemParams(mu).heavier is HillComponent.EARTH
-        assert ProblemParams(1.0 - mu).heavier is HillComponent.MOON
+        p = ProblemParams(mu)
+        assert p.earth_mass > p.mu and p.m > 0.0
+        q = ProblemParams(1.0 - mu)
+        assert q.earth_mass < q.mu and q.m < 0.0
+        s = p.swapped()
+        assert (s.mu, s.earth_mass, s.m) == (p.earth_mass, p.mu, -p.m)
+        assert s.m < 0.0
 
     def test_equal_mass_has_none(self):
-        assert ProblemParams(0.5).heavier is None
+        p = ProblemParams(0.5)
+        assert p.earth_mass == p.mu and p.m == 0.0
+        assert p.swapped() == p

@@ -75,14 +75,14 @@ class TestHillRegion:
     @pytest.mark.parametrize("mu", [0.02, 0.3, 0.4995, 0.7, 0.999])
     def test_at_critical_energy(self, mu):
         # at c_J the lobes touch at (l, 0): every Earth position is finite,
-        # stays on the Earth's side of q1 = l up to rounding, and lies in
-        # {U <= c}; only the Earth itself has no U
+        # stays on the Earth's side of q1 = l up to the rounding of the
+        # shift q1 = 1/2 + (Centered q1), and lies in {U <= c}; only the
+        # Earth itself has no U
         p = ProblemParams(mu)
         c = p.c_jacobi
-        q1, q2 = self._positions(hill_region(p, c, HillComponent.EARTH, 100,
-                                             100))
+        q1, q2 = self._positions(hill_region(p, c, 100, 100))
         assert np.all(np.isfinite(q1)) and np.all(np.isfinite(q2))
-        assert q1.max() <= p.l + 4.0 * np.spacing(p.l)
+        assert q1.max() <= p.l + 4.0 * np.spacing(0.5)
         off = (q1 != 0.0) | (q2 != 0.0)
         assert np.count_nonzero(~off) == 1
         assert np.max(potential_U((q1[off], q2[off]), p) - c) <= 1e-9
@@ -90,13 +90,18 @@ class TestHillRegion:
     @pytest.mark.parametrize("comp", list(HillComponent))
     def test_below_critical_energy(self, comp):
         # R^2 = -4 r1 r2 (U - c): the grid points lie in {U <= c} and the
-        # rim on {U = c}; the primary is the one grid point without U
+        # rim on {U = c}; the primary is the one grid point without U. The
+        # Moon's lobe is the swapped problem's Earth lobe, mirrored by
+        # q1 -> 1 - q1
         p = ProblemParams(0.3)
         c = p.c_jacobi - 0.3
-        r = hill_region(p, c, comp, 40, 40)
+        moon = comp is HillComponent.MOON
+        r = hill_region(p.swapped() if moon else p, c, 40, 40)
         q1, q2 = self._positions(r)
+        if moon:
+            q1 = 1.0 - q1
         u = np.full(q1.size, -np.inf)
-        off = np.hypot(q1 - (comp is HillComponent.MOON), q2) != 0.0
+        off = np.hypot(q1 - moon, q2) != 0.0
         assert np.count_nonzero(~off[:r.n_grid]) == 1 and off[r.n_grid:].all()
         u[off] = potential_U((q1[off], q2[off]), p) - c
         assert r.n_grid < r.ilam.size
