@@ -8,8 +8,9 @@ critical Jacobi energy:
   which reads every Moon lobe as the swapped problem's Earth lobe; the
   lobe names) and the threshold ladder c_E'' <= c0 <= c_J with the
   theory verdict, in Python floats and exact fractions, without NumPy.
-- ``model``: the potential U and its derivative table, Hill-region
-  boundaries; re-exports the constants of ``ladder``.
+- ``model``: the potential U and its derivative table, and the Earth's
+  Hill lobe in closed form: its boundary and the positions that both
+  oracles read; re-exports the constants of ``ladder``.
 - ``elliptic``: two-sheeted elliptic regularization, the closed-form
   spectrum of the projected Hessian of the regularized energy, the
   scanning oracle; re-exports the thresholds and the theory verdict of
@@ -25,9 +26,8 @@ critical Jacobi energy:
   certificates, and the named identity suite behind the proofs.
 - ``scan``: the level-set curvature numerator behind C and F, its
   gradient and its series along a tangent cone, read from one partials
-  table; one Hill lobe's positions in elliptic coordinates for both
-  oracles; sign scans and implicit-curve tracing from a closed-form
-  value and gradient.
+  table; sign scans and implicit-curve tracing from a closed-form value
+  and gradient.
 - ``cli``: the ``euler2c`` command.
 
 The package loads lazily (PEP 562): ``import euler2c`` imports no

@@ -12,7 +12,7 @@ regularized Hamiltonian at energy c is
 whose zero set is the compactified energy hypersurface. This module
 holds the closed-form spectrum of the Hessian of Q projected to the
 tangent space of that zero set, and a brute-force convexity oracle over
-the zero set above the positions of scan.hill_region, which the
+the zero set above the positions of model.hill_region, which the
 fiberwise verdict reads too. The chart itself, and the identity
 Q = (H - c)(cosh^2 lam - cos^2 nu), are checked exactly in the tests.
 The threshold ladder ending in c0(mu) and the theory verdict are
@@ -39,7 +39,6 @@ disagreement beyond 1e-12 of the scale raises OracleInconsistency.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +46,8 @@ from . import formulas
 from .errors import EnergyAboveCritical, OracleInconsistency
 from .ladder import (HillComponent, Thresholds, Verdict, convexity_verdict,
                      eta, roots_ab, thresholds)
-from .scan import HillRegion, ScanReport, hill_region
+from .model import hill_region
+from .scan import ScanReport
 
 __all__ = [
     "Verdict",
@@ -119,46 +119,7 @@ def _tangent_spectrum(x, y, z, w, a, b):
     return 4.0 * n2, mu_lo, mu_hi
 
 
-# -- zero-set sampling and the convexity oracle ------------------------------
-
-@dataclass(frozen=True)
-class _ZeroSet(HillRegion):
-    """The zero set of Q sampled per position (lambda, nu): the positions
-    of a HillRegion, each with its momentum radius s (zero on the rim),
-    whose circle is sampled at the angles phi."""
-
-    s: np.ndarray
-    cos_phi: np.ndarray
-    sin_phi: np.ndarray
-
-
-def _zero_set_points(params, c, n_lam=100, n_nu=100, n_phi=16):
-    """The zero set of Q over the Earth lobe per position (see _ZeroSet).
-
-    The positions are scan.hill_region's. On shell, 2(p_lam^2 + p_nu^2)
-    = R^2 (formulas.R2), so the momentum circle of a position has radius
-    s = sqrt(R^2/2), sampled at n_phi angles; the rim has zero momentum.
-    Only the canonical cover branch nu in [0, pi] is sampled: the deck
-    transformation (nu, p_nu) -> (2 pi - nu, -p_nu) preserves Q and the
-    projected-Hessian spectrum, and the full momentum circle already
-    realizes both p_nu signs.
-
-    Requires c < c_J, where the two lobes are apart, and a grid of at
-    least two lambda and two nu values and one angle, which always
-    holds the primary's position.
-    """
-    if c >= params.c_jacobi:
-        raise EnergyAboveCritical(
-            f"c = {c} is not below c_J = {params.c_jacobi}")
-    if n_lam < 2 or n_nu < 2 or n_phi < 1:
-        raise ValueError(
-            f"grid (n_lam, n_nu, n_phi) = ({n_lam}, {n_nu}, {n_phi}) needs "
-            "n_lam >= 2, n_nu >= 2 and n_phi >= 1")
-    region = hill_region(params, c, n_lam, n_nu)
-    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    return _ZeroSet(**vars(region), s=np.sqrt(0.5 * region.R2),
-                    cos_phi=np.cos(phi), sin_phi=np.sin(phi))
-
+# -- the convexity oracle ----------------------------------------------------
 
 # closed-form spectrum against LAPACK, relative to the scale
 # n2 max(|a|, |b|, 4); the closed form is good to about 4e-16 of it and
@@ -176,6 +137,12 @@ def oracle_convexity(params, c, component, grid=(100, 100, 16)):
     verdict ('posdef' everywhere vs 'indefinite' witness). Positions with
     |grad Q|^2 <= _GRAD_FLOOR are counted as failures, never aborting.
 
+    The positions are those of model.hill_region, the grid and then the
+    rim, with nu in [0, pi]: the deck transformation (nu, p_nu) -> (2 pi
+    - nu, -p_nu) preserves Q and the spectrum. On shell, 2(p_lam^2 +
+    p_nu^2) = R^2 (formulas.R2), so a position's momentum circle has
+    radius s = sqrt(R^2/2), zero on the rim.
+
     Q's Hessian diag(a, b, 4, 4) commutes with rotations of the momentum,
     so every momentum at a position (lambda, nu) has one spectrum: the
     oracle evaluates its closed form once per position, at angle 0
@@ -192,22 +159,32 @@ def oracle_convexity(params, c, component, grid=(100, 100, 16)):
     invariance. Raises OracleInconsistency when LAPACK and the closed form
     differ by more than _CONFIRM_TOL times the scale. The report's
     counters give the positions with a spectrum and the LAPACK samples.
-    Like the theory verdict, it requires c < c_J (_zero_set_points). The
-    Moon's lobe is the Earth lobe of params.swapped(), reported with
+    Like the theory verdict, it requires c < c_J, where the two lobes
+    are apart, and a grid of at least two lambda and two nu values and
+    one angle, which always holds the primary's position. The Moon's
+    lobe is the Earth lobe of params.swapped(), reported with
     nu -> pi - nu; the spectrum reads Q_nu only through its square.
     """
     t0 = time.perf_counter()
+    if c >= params.c_jacobi:
+        raise EnergyAboveCritical(
+            f"c = {c} is not below c_J = {params.c_jacobi}")
+    n_lam, n_nu, n_phi = grid
+    if n_lam < 2 or n_nu < 2 or n_phi < 1:
+        raise ValueError(
+            f"grid (n_lam, n_nu, n_phi) = ({n_lam}, {n_nu}, {n_phi}) needs "
+            "n_lam >= 2, n_nu >= 2 and n_phi >= 1")
     moon = HillComponent(component) is HillComponent.MOON
     lobe = params.swapped() if moon else params
-    zs = _zero_set_points(lobe, c, *grid)
-    x, a = (v[zs.ilam] for v in _lam_terms(zs.lam, c))
-    y, b = _nu_terms(zs.nu, lobe, c)
-    z = 4.0 * zs.s
+    region = hill_region(lobe, c, n_lam, n_nu)
+    s = np.sqrt(0.5 * region.R2)
+    x, a = _lam_terms(region.lam, c)
+    y, b = _nu_terms(region.nu, lobe, c)
+    z = 4.0 * s
     n2 = x * x + y * y + z * z
     pos = np.flatnonzero(n2 > _GRAD_FLOOR)
-    x, y, z, a, b, n2, nu, s = (v[pos] for v in (x, y, z, a, b, n2, zs.nu,
-                                                 zs.s))
-    lam = zs.lam[zs.ilam[pos]]
+    x, y, z, a, b, n2, lam, nu, s = (v[pos] for v in (
+        x, y, z, a, b, n2, region.lam, region.nu, s))
     nu = np.pi - nu if moon else nu
     e4, mu_lo, _ = _tangent_spectrum(x, y, z, 0.0, a, b)
     ev = np.minimum(e4, mu_lo)
@@ -219,10 +196,11 @@ def oracle_convexity(params, c, component, grid=(100, 100, 16)):
     audit[::_AUDIT_STRIDE] = True
     audit[[i_min, i_max, int(np.argmin(ev)), int(np.argmax(ev))]] = True
     k = np.flatnonzero(audit)
-    turn = np.arange(k.size) % zs.cos_phi.size
+    phi = np.linspace(0.0, 2.0 * np.pi, n_phi,
+                      endpoint=False)[np.arange(k.size) % n_phi]
     entries = formulas.projected_hessian(
-        x[k], y[k], 4.0 * (s[k] * zs.cos_phi[turn]),
-        4.0 * (s[k] * zs.sin_phi[turn]), a[k], b[k])
+        x[k], y[k], 4.0 * (s[k] * np.cos(phi)), 4.0 * (s[k] * np.sin(phi)),
+        a[k], b[k])
     lapack = np.linalg.eigvalsh(_symmetric(*entries))[:, 0]
     if not np.all(np.abs(lapack - ev[k]) <= _CONFIRM_TOL * scale[k]):
         raise OracleInconsistency(
@@ -247,7 +225,7 @@ def oracle_convexity(params, c, component, grid=(100, 100, 16)):
         min_value=float(ev.min()), argmin=point(i_min),
         max_value=float(ev.max()), argmax=point(i_max),
         witnesses=witnesses, verdict=verdict,
-        samples=zs.s.size, failures=zs.s.size - pos.size,
+        samples=region.R2.size, failures=region.R2.size - pos.size,
         wall_time=time.perf_counter() - t0,
         counters={"positions": int(pos.size),
                   "lapack_samples": int(k.size)})

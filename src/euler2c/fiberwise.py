@@ -12,9 +12,8 @@ equivalent to convexity of every Hill region of effective energy
 e <= c. Every position q lies on the boundary of its own region,
 e = U(q), so this is one statement about one region: C > 0 on the Earth
 lobe of energy c (the Moon's is that of params.swapped()). The verdict
-routine reads C on the lobe as
-scan.hill_region samples it, and on its rim U = c in closed form
-(model.hill_boundary), which reaches the vertex (l, 0) at c_J.
+routine reads C on the lobe as model.hill_region samples it, a grid and
+the closed-form rim U = c, which reaches the vertex (l, 0) at c_J.
 
 All positions here are in the Standard frame (Earth at the origin,
 Moon at (1, 0)). The equal-mass lemmas of the paper are exact: the
@@ -33,10 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import formulas
-from .model import (HillComponent, U_derivs, _U_partials, hill_boundary,
-                    potential_U)
-from .scan import (elliptic_to_cartesian, hill_region, level_curvature,
-                   level_curvature_grad)
+from .model import U_derivs, _U_partials, hill_region, potential_U
+from .scan import level_curvature, level_curvature_grad
 
 __all__ = [
     "FiberwiseReport",
@@ -46,10 +43,8 @@ __all__ = [
     "positivity_certificates",
 ]
 
-# the Earth region is read on this many lambda and as many nu values,
-# and its rim at this many points
+# the Earth region is read on this many lambda and as many nu values
 _N_REGION = 100
-_N_RIM = 1024
 _C_TOL = 1e-12
 
 
@@ -75,26 +70,21 @@ class FiberwiseReport:
 
 
 def fiberwise_verdict(params, c):
-    """C over the Earth Hill region of energy c, whose every position q
-    lies on the boundary of its own energy U(q); C below -_C_TOL is a
-    witness, reported with that energy.
+    """C over the Earth Hill region of energy c <= c_J, whose every
+    position q lies on the boundary of its own energy U(q); C below
+    -_C_TOL is a witness, reported with that energy.
 
-    One curvature_numerator call reads the positions of scan.hill_region
-    (_N_REGION x _N_REGION and the rim, without the Earth) and _N_RIM
-    points of the rim U = c from model.hill_boundary, and keeps the least
-    C. The rim holds the boundary next to the vertex (l, 0), where C
-    turns negative first and where the grid alone can miss it.
+    One curvature_numerator call reads the positions of model.hill_region
+    (_N_REGION x _N_REGION and the rim, without the Earth) and keeps the
+    least C; C is even in q2, so the region's q2 >= 0 half stands for
+    all of it. The rim holds the boundary next to the vertex (l, 0), where C turns
+    negative first and where the grid alone can miss it.
     """
-    if c > params.c_jacobi:
-        raise ValueError("fiberwise_verdict requires c <= c_jacobi")
     region = hill_region(params, c, _N_REGION, _N_REGION)
-    q1, q2 = elliptic_to_cartesian(region.lam[region.ilam], region.nu)
-    q1 = q1 + 0.5
+    q1, q2 = region.q.T
     # the Earth, where C is not defined, is the grid point (0, 0)
     off = (q1 != 0.0) | (q2 != 0.0)
-    rim = hill_boundary(params, c, HillComponent.EARTH, _N_RIM)
-    q1 = np.concatenate([q1[off], rim[:, 0]])
-    q2 = np.concatenate([q2[off], rim[:, 1]])
+    q1, q2 = q1[off], q2[off]
     cvals = curvature_numerator((q1, q2), params)
     i = int(np.argmin(cvals))
     min_C = float(cvals[i])

@@ -52,7 +52,8 @@ __all__ = [
 
 _RAD_TOL = 1e-24
 _WITNESS_TOL = 1e-8
-# the witness search reads F at this many points of the Earth loop
+# the witness search reads F at the q2 >= 0 half of this many points of
+# the Earth rim
 _N_RIM = 1024
 
 
@@ -230,15 +231,18 @@ def rim_preimage(q, unwind=False):
 def nonconvex_witness_levi(params, c=None):
     """Search for a non-convexity witness on the Earth loop of V = 0.
 
-    F is read at the principal roots of _N_RIM points of the Earth rim
-    U = c (rim_preimage); as F(-v) = F(v), they cover the loop. Returns
-    (witness, read, least): the point of least F as (x, y, F) if that
-    value is below -_WITNESS_TOL, else None; the number of points read;
-    and the least F read.
+    F is read at the principal roots of the q2 >= 0 half (elliptic angle
+    in [0, pi]) of _N_RIM points of the Earth rim U = c (rim_preimage).
+    The roots of the other half are the conjugates of these, F is even
+    in y and F(-v) = F(v), so they cover the loop. Returns (witness,
+    read, least): the point of least F as (x, y, F) if that value is
+    below -_WITNESS_TOL, else None; the number of points read; and the
+    least F read.
     """
     if c is None:
         c = params.c_jacobi
-    v = rim_preimage(hill_boundary(params, c, HillComponent.EARTH, _N_RIM))
+    q = hill_boundary(params, c, HillComponent.EARTH, _N_RIM)
+    v = rim_preimage(q[:_N_RIM // 2 + 1])
     F = F_value(v.real, v.imag, params, c)
     i = int(np.argmin(F))
     least = float(F[i])

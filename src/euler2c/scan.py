@@ -1,9 +1,8 @@
 """Generic numerics: the curvature numerator of a level set, its
 gradient and its series along a tangent-cone line (with the size of the
 terms that cancel in it), all read from one partials table
-{(i, j): d_x^i d_y^j f}; the Earth lobe's positions in elliptic
-coordinates for both oracles; sign scans that bisect every
-sign-changing grid edge at once; and implicit-curve tracing.
+{(i, j): d_x^i d_y^j f}; sign scans that bisect every sign-changing
+grid edge at once; and implicit-curve tracing.
 
 All routines are deterministic: grids are regular and traces are seeded
 explicitly, so identical inputs produce identical reports.
@@ -17,13 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import formulas
-from .errors import EnergyAboveCritical, TraceFailure
+from .errors import TraceFailure
 
-__all__ = ["ScanReport", "Polyline", "EllipticDomain", "HillRegion",
-           "level_curvature", "level_curvature_grad", "cone_contact",
-           "cone_contact_size", "elliptic_to_cartesian", "domain_bounds",
-           "hill_region", "sign_scan", "trace_implicit"]
+__all__ = ["ScanReport", "Polyline", "level_curvature",
+           "level_curvature_grad", "cone_contact", "cone_contact_size",
+           "sign_scan", "trace_implicit"]
 
 GRAD_COLLAPSE_TOL = 1e-7
 # |f| below this is on the zero set, for a scan witness and a trace
@@ -138,95 +135,6 @@ def cone_contact_size(size, order):
     series = _cone_series(size, order)
     series[1, 1] = -series[1, 1]
     return _derivatives_at_zero(series, order)
-
-
-# -- the Earth's Hill lobe in elliptic coordinates ----------------------------
-
-@dataclass(frozen=True)
-class EllipticDomain:
-    """Admissible rectangle in the substituted variables x = cosh(lam),
-    y = cos(nu) for the Earth's Hill lobe."""
-
-    x_range: tuple
-    y_range: tuple
-
-
-@dataclass(frozen=True)
-class HillRegion:
-    """Positions (lambda, nu) of the Earth's Hill lobe, R^2 >= 0: the grid
-    points
-    first, in row-major order, then the rim R^2 = 0."""
-
-    lam: np.ndarray       # the lambda grid
-    ilam: np.ndarray      # per point, its index into lam
-    nu: np.ndarray        # per point
-    R2: np.ndarray        # per point, R^2 (zero on the rim)
-    n_grid: int           # points before the rim
-
-
-def elliptic_to_cartesian(lam, nu):
-    """Centered-frame position of elliptic coordinates (lam, nu)."""
-    lam = np.asarray(lam, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    q1 = 0.5 * np.cosh(lam) * np.cos(nu)
-    q2 = 0.5 * np.sinh(lam) * np.sin(nu)
-    if q1.ndim == 0:
-        return float(q1), float(q2)
-    return q1, q2
-
-
-def domain_bounds(params, c):
-    """Closed-form admissible rectangle in (x, y) = (cosh lam, cos nu)
-    for the Earth's component of the zero set; requires c <= c_J (at
-    equality it degenerates, y reaching the vertex (l, 0) at 2l - 1)."""
-    if c > params.c_jacobi:
-        raise EnergyAboveCritical(
-            f"c = {c} above critical Jacobi energy {params.c_jacobi}")
-    m = params.m
-    x_hi = (-1.0 - math.sqrt(max(c * c - 2.0 * m * c + 1.0, 0.0))) / c
-    return EllipticDomain((1.0, x_hi),
-                          (-1.0, (-m + params.discriminant_root(c)) / c))
-
-
-def hill_region(params, c, n_lam, n_nu):
-    """Sample the Earth's Hill lobe of energy c <= c_J (see HillRegion).
-
-    R^2 = formulas.R2(cosh lam, cos nu, c, m) = -4 r1 r2 (U - c), so
-    the lobe is R^2 >= 0 in the domain_bounds rectangle. Its n_lam x
-    n_nu grid keeps the points with R^2 >= 0, which include the primary
-    (lam = 0); between grid neighbors of opposite R^2 sign the rim
-    R^2 = 0 is added in closed form. Only the branch nu in [0, pi],
-    q2 >= 0, is sampled.
-    """
-    dom = domain_bounds(params, c)
-    m = params.m
-    lam = np.linspace(0.0, math.acosh(dom.x_range[1]), n_lam)
-    # nu = arccos(y) is decreasing: the Earth's nu runs up to pi
-    nu = np.linspace(math.acos(min(1.0, max(-1.0, dom.y_range[1]))),
-                     math.pi, n_nu)
-    ch, cn = np.cosh(lam)[:, None], np.cos(nu)[None, :]
-    R2 = formulas.R2(ch, cn, c, m)
-    ok = R2 >= 0.0
-    ilam, jnu = np.nonzero(ok)
-
-    # at fixed lam, R^2 = 0 is the quadratic c cn^2 + 2 m cn - k = 0 in
-    # cn = cos(nu), where k is R^2 at cn = 0
-    ii, jj = np.nonzero(ok[:, :-1] != ok[:, 1:])
-    k = formulas.R2(ch[ii, 0], 0.0, c, m)
-    q = -(m + math.copysign(1.0, m) * np.sqrt(np.maximum(m * m + c * k,
-                                                         0.0)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        roots = (q / c, -k / q)
-    # cos is decreasing on [0, pi]: the bracket in cn is
-    # [cos nu_{j+1}, cos nu_j]; take the root nearer to it
-    lo, hi = np.cos(nu[jj + 1]), np.cos(nu[jj])
-    d1, d2 = (np.maximum(np.maximum(lo - r, r - hi), 0.0) for r in roots)
-    cn_rim = np.clip(np.where(d2 < d1, roots[1], roots[0]), lo, hi)
-    nu_rim = np.clip(np.arccos(cn_rim), nu[jj], nu[jj + 1])
-
-    return HillRegion(lam, np.concatenate([ilam, ii]),
-                      np.concatenate([nu[jnu], nu_rim]),
-                      np.concatenate([R2[ok], np.zeros(ii.size)]), ilam.size)
 
 
 def sign_scan(f, region, grid=(400, 400), target="field"):

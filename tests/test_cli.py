@@ -110,14 +110,14 @@ class TestVerdict:
 
     @pytest.mark.parametrize("mu", [0.3, 0.95])
     def test_levi_samples_are_points_read(self, capsys, mu):
-        # F at 1024 points of the Earth loop, with a witness (mu = 0.3)
-        # or without one (0.95)
+        # F at the q2 >= 0 half of 1024 points of the Earth rim, with a
+        # witness (mu = 0.3) or without one (0.95)
         p = ProblemParams(mu)
         _, read, _ = levicivita.nonconvex_witness_levi(p, p.c_jacobi)
         code, out, _ = run(capsys, "verdict", "levi", "--mu", str(mu),
                            "--c", "cJ", "--method", "oracle")
         assert code == 0
-        assert json.loads(out)["samples"] == read == 1024
+        assert json.loads(out)["samples"] == read == 513
 
     def test_levi_least_value(self, capsys):
         # the least F read, which is the witness's F when below -tol
@@ -172,7 +172,7 @@ class TestVerdict:
                              "--c", "cJ-0.5", "--method", method)
         assert code == 0 and err == ""
         d = json.loads(out)
-        assert d["verdict"] == "convex" and d["samples"] == 1024
+        assert d["verdict"] == "convex" and d["samples"] == 513
         assert d["least_value"] == pytest.approx(9.38, rel=1e-3)
         assert "witness" not in d and "theory" not in d
 
@@ -307,17 +307,27 @@ class TestVerdict:
 
     # Known exit-3 bands (ROADMAP, "Certify c0 and make verdicts
     # three-valued"); strict, so the fix that closes a band flips them.
-    @pytest.mark.parametrize("target, mu", [
-        pytest.param("fiberwise", 0.4995, marks=pytest.mark.xfail(
-            strict=True, reason="mu in [0.4995, 1/2): min_C is about "
-            "-7e-13, inside tol = 1e-12, so the oracle finds no witness")),
-        pytest.param("levi", 0.935, marks=pytest.mark.xfail(
-            strict=True, reason="mu in [0.9315, 16/17): the theorem "
-            "claims nonconvex but the witness search finds no F < -tol")),
+    # The Moon lobe at mu = 0.065 is the Earth lobe of mu = 0.935,
+    # mirrored.
+    _LEVI_BAND = ("mu in [0.9315, 16/17): the theorem claims nonconvex "
+                  "but the witness search finds no F < -tol")
+
+    @pytest.mark.parametrize("target, mu, component", [
+        pytest.param("fiberwise", 0.4995, "earth", id="fiberwise-0.4995",
+                     marks=pytest.mark.xfail(
+                         strict=True, reason="mu in [0.4995, 1/2): min_C "
+                         "is about -7e-13, inside tol = 1e-12, so the "
+                         "oracle finds no witness")),
+        pytest.param("levi", 0.935, "earth", id="levi-0.935",
+                     marks=pytest.mark.xfail(strict=True, reason=_LEVI_BAND)),
+        pytest.param("levi", 0.065, "moon", id="levi-0.065-moon",
+                     marks=pytest.mark.xfail(strict=True, reason=_LEVI_BAND)),
     ])
-    def test_theory_oracle_agree_at_band(self, capsys, target, mu):
+    def test_theory_oracle_agree_at_band(self, capsys, target, mu,
+                                         component):
         code, _, _ = run(capsys, "verdict", target, "--mu", str(mu),
-                         "--c", "cJ", "--method", "both")
+                         "--c", "cJ", "--component", component,
+                         "--method", "both")
         assert code == 0
 
     @pytest.mark.parametrize("target", ["levi", "fiberwise"])

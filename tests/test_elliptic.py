@@ -6,7 +6,7 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
-from euler2c import elliptic, exactpoly, formulas
+from euler2c import elliptic, exactpoly, formulas, model
 from euler2c.errors import EnergyAboveCritical, OracleInconsistency
 from euler2c.elliptic import (
     Verdict,
@@ -17,8 +17,8 @@ from euler2c.elliptic import (
     thresholds,
 )
 from euler2c.exactpoly import ring
-from euler2c.model import HillComponent, ProblemParams
-from euler2c.scan import domain_bounds, elliptic_to_cartesian
+from euler2c.model import (HillComponent, ProblemParams, hill_boundary,
+                           hill_region)
 
 import regularizations
 from regularizations import holds
@@ -77,26 +77,29 @@ def _lobe(params, component):
 
 def _sample_arrays(params, c, component, n_lam=100, n_nu=100, n_phi=16):
     """(lam, nu, p_lam, p_nu) arrays of the zero set of Q over one lobe
-    of params that _zero_set_points samples: every grid position at each
-    of its n_phi momentum angles in turn, then the rim with zero
-    momentum. The Moon's are the swapped problem's Earth positions with
-    nu -> pi - nu."""
-    zs = elliptic._zero_set_points(_lobe(params, component), c, n_lam,
-                                   n_nu, n_phi)
-    n, lam = zs.n_grid, zs.lam[zs.ilam]
-    nu = np.pi - zs.nu if component is HillComponent.MOON else zs.nu
+    of params that the oracle samples: every grid position of
+    model.hill_region at each of n_phi momentum angles in turn, on its
+    circle of radius sqrt(R^2/2), then the rim with zero momentum. The
+    Moon's are the swapped problem's Earth positions with nu -> pi - nu."""
+    r = hill_region(_lobe(params, component), c, n_lam, n_nu)
+    n, lam = r.n_grid, r.lam
+    nu = np.pi - r.nu if component is HillComponent.MOON else r.nu
+    s = np.sqrt(0.5 * r.R2[:n])
+    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     rim = np.zeros(lam.size - n)
     return (np.concatenate([np.repeat(lam[:n], n_phi), lam[n:]]),
             np.concatenate([np.repeat(nu[:n], n_phi), nu[n:]]),
-            np.concatenate([np.outer(zs.s[:n], zs.cos_phi).ravel(), rim]),
-            np.concatenate([np.outer(zs.s[:n], zs.sin_phi).ravel(), rim]))
+            np.concatenate([np.outer(s, np.cos(phi)).ravel(), rim]),
+            np.concatenate([np.outer(s, np.sin(phi)).ravel(), rim]))
 
 
 class TestCoordinates:
     def test_foci_at_centered_primaries(self):
-        assert elliptic_to_cartesian(0.0, 0.0) == (0.5, 0.0)
-        q1, q2 = elliptic_to_cartesian(0.0, math.pi)
-        assert q1 == pytest.approx(-0.5) and abs(q2) < 1e-16
+        # the foci (lam, nu) = (0, pi) and (0, 0), the Centered primaries
+        # (-1/2, 0) and (1/2, 0), are the offsets (u, v) = (0, 0) and
+        # (0, 2) of model's chart: the Standard Earth and Moon, exactly
+        assert model._chart(0.0, 0.0) == (0.0, 0.0)
+        assert model._chart(0.0, 2.0) == (1.0, 0.0)
 
     def test_roundtrip_phase(self):
         # exact: J^T J = J J^T = (x^2 - y^2)/4 I, so p = 4 J (p_lam, p_nu)
@@ -122,12 +125,18 @@ class TestCoordinates:
             assert np.all(np.abs(u - v) <= 1e-12 * scale)
 
     def test_deck_transformation(self):
-        # the second preimage (lam, 2 pi - nu) is the mirror image in q2
+        # the second preimage (lam, 2 pi - nu) has the offsets u = cosh
+        # lam - 1, v = cos nu + 1 of the first: model's chart gives both
+        # the Centered chart (cosh lam cos nu, sinh lam sin nu)/2 shifted
+        # by 1/2, with q2 >= 0, and the two are mirror images in q2
         for lam, nu in ((0.3, 0.4), (1.2, 2.5), (0.0, 1.0)):
-            q1, q2 = elliptic_to_cartesian(lam, nu)
-            m1, m2 = elliptic_to_cartesian(lam, 2 * math.pi - nu)
-            assert m1 == pytest.approx(q1, abs=1e-15)
-            assert m2 == pytest.approx(-q2, abs=1e-15)
+            for n in (nu, 2 * math.pi - nu):
+                q1, q2 = model._chart(math.cosh(lam) - 1.0,
+                                      math.cos(n) + 1.0)
+                assert q1 == pytest.approx(
+                    0.5 * math.cosh(lam) * math.cos(n) + 0.5, abs=1e-15)
+                assert q2 == pytest.approx(
+                    abs(0.5 * math.sinh(lam) * math.sin(n)), abs=1e-15)
 
     def test_focal_degeneracy(self):
         # exact: det J = (x^2 - y^2)/4 = (sinh^2 lam + sin^2 nu)/4 vanishes
@@ -156,8 +165,12 @@ class TestQ:
         assert np.all(np.abs(Q) < 1e-10)
 
     def test_zero_set_requires_subcritical(self, p03):
+        # the lobe is sampled at c_J, where it touches the Moon's, but the
+        # oracle's zero set is not
+        assert hill_region(p03, p03.c_jacobi, 2, 2).n_grid >= 1
         with pytest.raises(EnergyAboveCritical):
-            elliptic._zero_set_points(p03, p03.c_jacobi)
+            oracle_convexity(p03, p03.c_jacobi, HillComponent.EARTH,
+                             grid=(2, 2, 1))
 
     def test_zero_set_includes_rim(self, p03):
         c = p03.c_jacobi - 0.4
@@ -218,42 +231,54 @@ class TestProjectedHessian:
 
 
 class TestDomain:
+    """The rectangle of model.hill_region's grid, from the rim's offsets
+    u = cosh lam - 1 <= u(v = 0) and v = cos nu + 1 <= v_E."""
+
     def test_bounds_earth(self, p03):
+        # the rim's last point bounds u, its first v; the grid lies
+        # strictly inside, from the Earth's corner (0, 0)
         c = p03.c_jacobi - 0.4
-        dom = domain_bounds(p03, c)
-        assert dom.x_range[0] == 1.0 and dom.x_range[1] > 1.0
-        assert -1.0 == dom.y_range[0] < dom.y_range[1] < 1.0
+        r = hill_region(p03, c, 50, 50)
+        n = r.n_grid
+        u, v = r.u[n:], r.v[n:]
+        assert u.max() == u[-1] > 0.0 == u[0]
+        assert v.max() == v[0] < 2.0 and v[-1] < 1e-30
+        assert np.all(r.u[:n] < u[-1]) and np.all(r.v[:n] < v[0])
+        assert r.u[:n].min() == r.v[:n].min() == 0.0
 
     def test_bounds_moon(self, p03):
-        # the Moon's rectangle is the swapped problem's Earth rectangle,
-        # mirrored by y -> -y: it ends at y = 1, the far side of the Moon
+        # the Moon's region is the swapped problem's Earth region,
+        # mirrored by q1 -> 1 - q1: its rim is the Moon rim's first half,
+        # from the side facing the Earth to the far side of the Moon
         c = p03.c_jacobi - 0.4
-        dom = domain_bounds(p03.swapped(), c)
-        assert -1.0 == dom.y_range[0] < dom.y_range[1] < 1.0
-        y_lo, y_hi = -dom.y_range[1], -dom.y_range[0]
-        assert y_hi == 1.0 and y_lo > -1.0
-        assert formulas.R2(1.0, y_lo, c, p03.m) == pytest.approx(0.0,
-                                                                  abs=1e-14)
+        r = hill_region(p03.swapped(), c, 50, 50)
+        rim = r.q[r.n_grid:]
+        moon = hill_boundary(p03, c, HillComponent.MOON, 1024)[:rim.shape[0]]
+        assert np.array_equal(1.0 - rim[:, 0], moon[:, 0])
+        assert np.array_equal(rim[:, 1], moon[:, 1])
+        assert moon[0, 0] < 1.0 < moon[-1, 0] and abs(moon[-1, 1]) < 1e-15
 
     def test_bounds_allows_critical(self, p03):
-        dom = domain_bounds(p03, p03.c_jacobi)
-        assert dom.x_range[1] >= 1.0
+        r = hill_region(p03, p03.c_jacobi, 50, 50)
+        assert r.n_grid > 0 and r.lam.max() > 0.0
 
     @pytest.mark.parametrize("mu", [0.1, 0.3, 0.7, 0.999])
     def test_bounds_reach_the_vertex_at_critical(self, mu):
-        # at c_J both rectangles reach the vertex (l, 0), y = 2l - 1 in
-        # the Centered frame: the discriminant (c - c_J)(c - c_J') is
-        # zero there, where c^2 + 2c + m^2 cancels to about 1e-8
-        p = ProblemParams(mu)
-        assert abs(domain_bounds(p, p.c_jacobi).y_range[1]
-                   - (2.0 * p.l - 1.0)) <= 3e-16
-        q = p.swapped()
-        assert abs(domain_bounds(q, q.c_jacobi).y_range[1]
-                   - (2.0 * q.l - 1.0)) <= 3e-16
+        # at c_J both lobes reach the vertex (l, 0): the v-extent v_E is
+        # 2l, cos nu = 2l - 1 in the Centered frame, and the rim's first
+        # point is (l, 0); the discriminant (c - c_J)(c - c_J') is zero
+        # there, where c^2 + 2c + m^2 cancels to about 1e-8
+        for p in (ProblemParams(mu), ProblemParams(mu).swapped()):
+            r = hill_region(p, p.c_jacobi, 50, 50)
+            n = r.n_grid
+            assert abs(r.v[n] - 2.0 * p.l) <= 4.0 * np.spacing(2.0 * p.l)
+            assert abs(math.cos(r.nu[n]) - (2.0 * p.l - 1.0)) <= 3e-16
+            assert r.lam[n] == r.u[n] == 0.0
+            assert r.q[n].tolist() == pytest.approx([p.l, 0.0], abs=3e-16)
 
     def test_bounds_rejects_supercritical(self, p03):
-        with pytest.raises(EnergyAboveCritical):
-            domain_bounds(p03, p03.c_jacobi + 0.1)
+        with pytest.raises(ValueError):
+            hill_region(p03, p03.c_jacobi + 0.1, 50, 50)
 
     def test_roots_ab_bracket(self, p03):
         a, b = roots_ab(p03, p03.c_jacobi - 0.1)
@@ -471,13 +496,14 @@ def _check_full_eigvalsh(mu, dc, comp, grid):
     lam, nu, pl, pn = _sample_arrays(lobe, c, HillComponent.EARTH, *grid)
     # each grid position holds n_phi samples, angle 0 first, and each rim
     # position one, last
-    zs = elliptic._zero_set_points(lobe, c, *grid)
-    per = np.where(np.arange(zs.s.size) < zs.n_grid, grid[2], 1)
-    at = np.repeat(np.arange(zs.s.size), per)
+    r = hill_region(lobe, c, *grid[:2])
+    per = np.where(np.arange(r.R2.size) < r.n_grid, grid[2], 1)
+    at = np.repeat(np.arange(r.R2.size), per)
     first = np.cumsum(per) - per
-    assert np.array_equal(lam, zs.lam[zs.ilam][at])
-    assert np.array_equal(nu, zs.nu[at])
-    assert np.array_equal(pl[first], zs.s) and np.all(pn[first] == 0.0)
+    assert np.array_equal(lam, r.lam[at])
+    assert np.array_equal(nu, r.nu[at])
+    assert np.array_equal(pl[first], np.sqrt(0.5 * r.R2))
+    assert np.all(pn[first] == 0.0)
 
     x, y, z, w, a, b = _frame(lam, nu, pl, pn, lobe, c)
     n2 = x * x + y * y + z * z + w * w
@@ -516,7 +542,7 @@ def _check_full_eigvalsh(mu, dc, comp, grid):
     assert rep.argmin[3] == 0.0
     assert rep.witnesses == ([point[0]] if verdict == "indefinite"
                              else [])
-    assert rep.samples == zs.s.size
+    assert rep.samples == r.R2.size
     assert rep.failures == int(np.count_nonzero(~good))
     assert rep.counters["positions"] == idx.size
     assert rep.counters["lapack_samples"] >= -(-idx.size // 4)
@@ -679,7 +705,7 @@ class TestOracle:
 
         monkeypatch.setattr(elliptic, "_tangent_spectrum", wrong)
         with pytest.raises(OracleInconsistency):
-            oracle_convexity(p03, c, comp, grid=(31, 30, 8))
+            oracle_convexity(p03, c, comp, grid=(30, 30, 8))
         if perturb == "audit":
             # the perturbed position holds no reported extreme, so only
             # the fixed-stride audit confirms it
@@ -790,63 +816,31 @@ class TestSpectrum:
                 assert np.all(np.abs(e4 * lo * hi - closed) <= 1e-13 * size)
 
 
-def _rim_reference(params, c, n_lam, n_nu):
-    """The Earth lobe's rim as bisected in nu between grid neighbors of
-    opposite R^2 sign (60 halvings), with its brackets."""
-    dom = domain_bounds(params, c)
-    y_lo, y_hi = (min(1.0, max(-1.0, y)) for y in dom.y_range)
-    m = params.m
-    lam = np.linspace(0.0, math.acosh(dom.x_range[1]), n_lam)
-    nu = np.linspace(math.acos(y_hi), math.acos(y_lo), n_nu)
-    ch, cn = np.cosh(lam)[:, None], np.cos(nu)[None, :]
-    sign = 2.0 * ch + c * ch ** 2 - 2.0 * m * cn - c * cn ** 2 >= 0.0
-    rim = []
-    for i, j in zip(*np.nonzero(sign[:, :-1] != sign[:, 1:])):
-        chi = np.cosh(lam[i])
-
-        def f(v):
-            return 2.0 * chi + c * chi ** 2 - 2.0 * m * np.cos(v) \
-                - c * np.cos(v) ** 2
-
-        a, b = nu[j], nu[j + 1]
-        fa = f(a)
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            fm = f(mid)
-            if (fm >= 0.0) == (fa >= 0.0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        rim.append((lam[i], nu[j], nu[j + 1], a if fa >= 0.0 else b))
-    return np.array(rim).T
-
-
 class TestRim:
     @pytest.mark.parametrize("mu, dc", [(0.3, 0.4), (0.3, 1.5),
                                         (0.5, 0.3), (0.77, 0.4)])
     @pytest.mark.parametrize("comp", list(HillComponent))
     def test_closed_form_rim(self, mu, dc, comp):
-        # the Moon's rim is the Earth rim of the swapped problem
+        # the rim comes last, with zero momentum: bit for bit the q2 >= 0
+        # half of hill_boundary's 1024 points, each with R^2 = 0 at
+        # rounding and its (lam, nu) on the chart; the Moon's rim is the
+        # Earth rim of the swapped problem
         p = _lobe(ProblemParams(mu), comp)
         c = p.c_jacobi - dc
-        n_lam, n_nu = 60, 60
-        lam, nu, pl, pn = _sample_arrays(p, c, HillComponent.EARTH, n_lam,
-                                         n_nu, 4)
-        r_lam, nu_a, nu_b, nu_ref = _rim_reference(p, c, n_lam, n_nu)
-        k = r_lam.size
-        assert k > 10
-        # the rim comes last, in the reference's order
+        r = hill_region(p, c, 60, 60)
+        k = r.R2.size - r.n_grid
+        lam, nu, pl, pn = _sample_arrays(p, c, HillComponent.EARTH, 60, 60, 4)
+        assert k == 513
         assert np.all(pl[-k:] == 0.0) and np.all(pn[-k:] == 0.0)
-        assert np.array_equal(lam[-k:], r_lam)
-        rim = nu[-k:]
-        assert np.all((nu_a <= rim) & (rim <= nu_b))
-        m = p.m
-        ch, cn = np.cosh(r_lam), np.cos(rim)
-        assert np.abs(2.0 * ch + c * ch ** 2 - 2.0 * m * cn
-                      - c * cn ** 2).max() <= 1e-12
-        # where R^2 is flat in nu (roots within ~1e-8 of nu = 0 or pi)
-        # binary64 cannot place the rim to 1e-12; elsewhere both agree
-        slope = np.abs(2.0 * np.sin(rim) * (m + c * cn))
-        sharp = slope > 1e-3
-        assert np.count_nonzero(sharp) >= 0.9 * k
-        assert np.abs(rim - nu_ref)[sharp].max() <= 1e-12
+        assert np.array_equal(lam[-k:], r.lam[r.n_grid:])
+        rim = r.q[r.n_grid:]
+        assert np.array_equal(
+            rim, hill_boundary(p, c, HillComponent.EARTH, 1024)[:k])
+        assert np.all(r.R2[r.n_grid:] == 0.0)
+        ch, cn = np.cosh(lam[-k:]), np.cos(nu[-k:])
+        assert np.abs(formulas.R2(ch, cn, c, p.m)).max() <= 1e-12
+        assert np.allclose(rim[:, 0], 0.5 * ch * cn + 0.5, rtol=0,
+                           atol=1e-15)
+        assert np.allclose(rim[:, 1],
+                           0.5 * np.sinh(lam[-k:]) * np.sin(nu[-k:]),
+                           rtol=0, atol=1e-15)

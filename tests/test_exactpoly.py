@@ -7,7 +7,7 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
-from euler2c import cli, elliptic, exactpoly, formulas, levicivita, scan
+from euler2c import cli, elliptic, exactpoly, formulas, levicivita, model
 from euler2c.elliptic import eta
 from euler2c.errors import OracleInconsistency, VariableMismatch
 from euler2c.model import HillComponent, ProblemParams
@@ -198,8 +198,8 @@ _MUTATIONS = [
     ("det-frame", "projected_hessian",
      lambda e, x, y, z, w, a, b: (e[0] + x * y, *e[1:]), _audited_oracle),
     ("det-frame", "R2", lambda v, x, y, c, m: v + x * y,
-     lambda: scan.hill_region(ProblemParams(0.3), -2.3, 10,
-                              10).R2.tolist()),
+     lambda: model.hill_region(ProblemParams(0.3), -2.3, 10,
+                               10).R2.tolist()),
     ("a-dy-factor", "A", lambda v, x, y, c, m: v + x * y, None),
     ("a-dy-factor", "xc_quartic", lambda v, x, c: v + x,
      lambda: cli._curve_quartic(argparse.Namespace(xmax=2.0, n=5))),

@@ -18,8 +18,7 @@ from euler2c.fiberwise import (
     positivity_certificates,
 )
 from euler2c.model import (HillComponent, ProblemParams, hill_boundary,
-                           potential_U)
-from euler2c.scan import elliptic_to_cartesian, hill_region
+                           hill_region, potential_U)
 from finite_differences import fd_check, fd_derivative
 
 import regularizations
@@ -184,20 +183,20 @@ class TestEqualMassPolar:
 
 
 def _region(p, c):
-    """The Earth-region positions fiberwise_verdict reads, and C there:
-    scan.hill_region's 100 x 100 grid and rim in the Standard frame,
-    without the Earth."""
+    """The grid positions of the Earth region that fiberwise_verdict
+    reads, and C there: model.hill_region's 100 x 100 grid, without the
+    Earth."""
     r = hill_region(p, c, 100, 100)
-    q1, q2 = elliptic_to_cartesian(r.lam[r.ilam], r.nu)
-    q1 = q1 + 0.5
+    q1, q2 = r.q[:r.n_grid].T
     off = (q1 != 0.0) | (q2 != 0.0)
     return q1[off], q2[off], curvature_numerator((q1[off], q2[off]), p)
 
 
 def _rim(p, c):
-    """The Earth rim U = c that fiberwise_verdict reads after the region,
-    1024 closed-form points of hill_boundary, and C there."""
-    rim = hill_boundary(p, c, HillComponent.EARTH, n=1024)
+    """The Earth rim U = c that fiberwise_verdict reads after the grid,
+    the q2 >= 0 half of 1024 closed-form points of hill_boundary, and C
+    there."""
+    rim = hill_boundary(p, c, HillComponent.EARTH, n=1024)[:513]
     return rim, curvature_numerator((rim[:, 0], rim[:, 1]), p)
 
 
@@ -240,14 +239,16 @@ class TestVerdicts:
             assert rep.min_C > 0
 
     def test_sample_count(self, p05):
-        # one C per position of the Earth region but the Earth, and per
-        # point of its rim
+        # one C per grid position of the Earth region but the Earth, and
+        # per point of its rim, which is the region's own
         c = p05.c_jacobi - 0.2
         rep = fiberwise_verdict(p05, c)
         q1, _, cvals = _region(p05, c)
         rim, crim = _rim(p05, c)
+        r = hill_region(p05, c, 100, 100)
+        assert np.array_equal(r.q[r.n_grid:], rim)
         assert q1.size > 5000
-        assert rep.samples == q1.size + len(rim) == q1.size + 1024
+        assert rep.samples == q1.size + len(rim) == q1.size + 513
         assert rep.min_C == min(cvals.min(), crim.min())
 
     def test_unequal_mass_critical_witness(self, p03):
@@ -357,7 +358,7 @@ class TestVerdicts:
         """The witness of the boundary sweep the region grid replaced:
         one hill_boundary and one C call per effective energy, from where
         the Earth boundary is circular to 1 % up to c, plus e = -100,
-        then the rim at c_J read at the verdict's 1024 points for the
+        then the rim at c_J read at the verdict's 513 points for the
         heavier Earth lobe."""
         e_min = min(2.0 * c, -8.0)
         for _ in range(40):

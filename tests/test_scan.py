@@ -1,17 +1,18 @@
-"""Level-set curvature, the Hill-region sampler, sign scans,
-implicit-curve tracing, and the tests' finite-difference helpers."""
+"""Level-set curvature, the Hill-region sampler that both oracles read
+(model.hill_region), sign scans, implicit-curve tracing, and the tests'
+finite-difference helpers."""
 
 import math
 
 import numpy as np
 import pytest
 
+from euler2c import formulas
 from euler2c.errors import TraceFailure
-from euler2c.model import HillComponent, ProblemParams, potential_U
-from euler2c.scan import (cone_contact, cone_contact_size,
-                          elliptic_to_cartesian, hill_region,
-                          level_curvature, level_curvature_grad, sign_scan,
-                          trace_implicit)
+from euler2c.model import (HillComponent, ProblemParams, hill_region,
+                           potential_U)
+from euler2c.scan import (cone_contact, cone_contact_size, level_curvature,
+                          level_curvature_grad, sign_scan, trace_implicit)
 from finite_differences import fd_check, fd_derivative
 
 
@@ -66,47 +67,62 @@ class TestLevelCurvature:
 
 
 class TestHillRegion:
-    @staticmethod
-    def _positions(r):
-        """Standard-frame positions of a HillRegion."""
-        q1, q2 = elliptic_to_cartesian(r.lam[r.ilam], r.nu)
-        return q1 + 0.5, q2
-
     @pytest.mark.parametrize("mu", [0.02, 0.3, 0.4995, 0.7, 0.999])
     def test_at_critical_energy(self, mu):
         # at c_J the lobes touch at (l, 0): every Earth position is finite,
         # stays on the Earth's side of q1 = l up to the rounding of the
-        # shift q1 = 1/2 + (Centered q1), and lies in {U <= c}; only the
-        # Earth itself has no U
+        # rim's first point v_E / 2 (3 ulps at mu = 0.999), and lies in
+        # {U <= c}; only the Earth itself has no U
         p = ProblemParams(mu)
         c = p.c_jacobi
-        q1, q2 = self._positions(hill_region(p, c, 100, 100))
+        q1, q2 = hill_region(p, c, 100, 100).q.T
         assert np.all(np.isfinite(q1)) and np.all(np.isfinite(q2))
-        assert q1.max() <= p.l + 4.0 * np.spacing(0.5)
+        assert q1.max() <= p.l + 4.0 * np.spacing(p.l)
         off = (q1 != 0.0) | (q2 != 0.0)
         assert np.count_nonzero(~off) == 1
         assert np.max(potential_U((q1[off], q2[off]), p) - c) <= 1e-9
 
     @pytest.mark.parametrize("comp", list(HillComponent))
     def test_below_critical_energy(self, comp):
-        # R^2 = -4 r1 r2 (U - c): the grid points lie in {U <= c} and the
-        # rim on {U = c}; the primary is the one grid point without U. The
-        # Moon's lobe is the swapped problem's Earth lobe, mirrored by
-        # q1 -> 1 - q1
+        # R^2 = -4 r1 r2 (U - c): the grid points have R^2 >= 0, as read
+        # at their (lam, nu), and lie in {U <= c}, the rim on {U = c}; the
+        # primary is the one grid point without U. The Moon's lobe is the
+        # swapped problem's Earth lobe, mirrored by q1 -> 1 - q1
         p = ProblemParams(0.3)
         c = p.c_jacobi - 0.3
         moon = comp is HillComponent.MOON
-        r = hill_region(p.swapped() if moon else p, c, 40, 40)
-        q1, q2 = self._positions(r)
+        lobe = p.swapped() if moon else p
+        r = hill_region(lobe, c, 40, 40)
+        n = r.n_grid
+        assert np.all(r.R2[:n] >= 0.0) and np.all(r.R2[n:] == 0.0)
+        assert np.array_equal(r.R2[:n], formulas.R2(
+            np.cosh(r.lam[:n]), np.cos(r.nu[:n]), c, lobe.m))
+        q1, q2 = r.q.T
         if moon:
             q1 = 1.0 - q1
         u = np.full(q1.size, -np.inf)
         off = np.hypot(q1 - moon, q2) != 0.0
-        assert np.count_nonzero(~off[:r.n_grid]) == 1 and off[r.n_grid:].all()
+        assert np.count_nonzero(~off[:n]) == 1 and off[n:].all()
         u[off] = potential_U((q1[off], q2[off]), p) - c
-        assert r.n_grid < r.ilam.size
-        assert np.all(u[:r.n_grid] <= 1e-12)
-        assert np.abs(u[r.n_grid:]).max() < 1e-9
+        assert 0 < n < r.R2.size
+        assert np.all(u[:n] <= 1e-12)
+        assert np.abs(u[n:]).max() < 1e-9
+
+    def test_deep_energy(self):
+        # at c = -1e4 the lobe is about 1.4e-4 wide in u = cosh lam - 1,
+        # and the grid still holds points of it around the Earth, inside
+        # the rim and in {U <= c}
+        p = ProblemParams(0.3)
+        c = -1e4
+        r = hill_region(p, c, 100, 100)
+        n = r.n_grid
+        assert r.u.max() < 1.5e-4
+        assert n > 1000 and np.all(r.R2[:n] >= 0.0)
+        assert np.all(r.u[:n] < r.u[n:].max())
+        q1, q2 = r.q[:n].T
+        off = (q1 != 0.0) | (q2 != 0.0)
+        assert np.all(potential_U((q1[off], q2[off]), p) - c <= 1e-8)
+
 
 class TestSignScan:
     def test_finds_sign_change(self):
