@@ -36,10 +36,11 @@ Each subcommand imports the library code it runs when it runs, so a
 process loads only that: ``constants``, ``curve quartic``,
 ``curve c0curve``, ``verify-identities`` and every ``--method theory``
 verdict run without NumPy, ``verdict levi`` does not load ``fiberwise``,
-and ``verdict elliptic`` loads neither ``levicivita`` nor
-``fiberwise``. The console script and ``python -m euler2c.cli`` enter
-through ``run``, which gives OpenBLAS one thread and turns the cyclic
-collector off before the subcommand loads anything.
+``verdict elliptic`` loads neither ``levicivita`` nor ``fiberwise``, and
+only ``verify-identities`` loads ``exactpoly``. The console script and
+``python -m euler2c.cli`` enter through ``run``, which gives OpenBLAS
+one thread and turns the cyclic collector off before the subcommand
+loads anything.
 """
 
 from __future__ import annotations
@@ -307,7 +308,8 @@ def _trace_zero(f, starts, step, max_len):
 def _curve_v0(args, params, c):
     """V = 0 as the preimage v = +-sqrt(q/2) of both Hill rims U = c
     (n/4 points each), in boundary order: one loop for the Earth (the
-    +sqrt half from polar angle 0, then the -sqrt half), two for the Moon."""
+    +sqrt half from polar angle 0, then the -sqrt half), two for the Moon;
+    F is read once per rim point (F_on_rim) and written for both roots."""
     import numpy as np
 
     from . import levicivita
@@ -318,7 +320,7 @@ def _curve_v0(args, params, c):
         q = hill_boundary(params, c, comp, n=args.n // 4)
         v = levicivita.rim_preimage(q, unwind=comp == "earth")
         v = np.concatenate([v, -v])
-        F = levicivita.F_value(v.real, v.imag, params, c)
+        F = np.tile(levicivita.F_on_rim(q, params), 2)
         rows += [(names[k >= len(q)], z.real, z.imag, f)
                  for k, (z, f) in enumerate(zip(v, F))]
     rows += _cone_rows("tangent", levicivita.x0_of(params, c), 0.3, args.n)

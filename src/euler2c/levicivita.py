@@ -18,13 +18,17 @@ strict convexity follows the sign of
     F = V_xx V_y^2 + V_yy V_x^2 - 2 V_x V_y V_xy
 
 along it (the potential criterion for mechanical Hamiltonians, evaluated
-at the K-system energy 0). This module provides closed-form derivatives
-of V through order three, as the partials table {(i, j): d_x^i d_y^j V}
-that model.U_derivs returns for U, so F is scan.level_curvature of it;
-the off-center critical points (+-x0, 0) of V, the tangency data there,
-the directional derivative lemmas along the tangent cone, and a witness
-search for non-convexity, F read on the preimage of the Earth rim (of
-params.swapped() at the Moon, in the chart q = 1 - 2 conj(v)^2).
+at the K-system energy 0). On V = 0, F = 4 |q|^3 L at v = +-sqrt(q/2),
+L = 2 |q|^2 C - (q . grad U) |grad U|^2 (levi_numerator) with C the Hill
+boundary's curvature numerator, so the witness search for non-convexity
+on the preimage of the Earth rim (of params.swapped() at the Moon, in the
+chart q = 1 - 2 conj(v)^2) and ``curve v0`` read F from U's partials
+through order two at the rim points (F_on_rim). This module also
+provides closed-form derivatives of V through order three, as the
+partials table {(i, j): d_x^i d_y^j V} that model.U_derivs returns for
+U, so F off V = 0 is scan.level_curvature of it; the off-center critical
+points (+-x0, 0) of V, the tangency data there and the directional
+derivative lemmas along the tangent cone.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import numpy as np
 
 from . import formulas
 from .errors import MoonCollision
-from .model import HillComponent, hill_boundary
+from .model import _N_RIM, HillComponent, _U_partials, hill_boundary
 from .scan import (cone_contact, cone_contact_size, level_curvature,
                    level_curvature_grad)
 
@@ -47,14 +51,13 @@ __all__ = [
     "tilde_derivatives",
     "tangency_check",
     "rim_preimage",
+    "levi_numerator",
+    "F_on_rim",
     "nonconvex_witness_levi",
 ]
 
 _RAD_TOL = 1e-24
 _WITNESS_TOL = 1e-8
-# the witness search reads F at the q2 >= 0 half of this many points of
-# the Earth rim
-_N_RIM = 1024
 
 
 def radicand(x, y):
@@ -228,24 +231,43 @@ def rim_preimage(q, unwind=False):
     return v
 
 
+def levi_numerator(q1, q2, d):
+    """L = 2 |q|^2 C - (q . grad U) |grad U|^2 at the Standard-frame
+    position q, C = scan.level_curvature(d), from the table d of U's
+    partials there through order two. It does not depend on c, and on V
+    = 0, F = 4 |q|^3 L at v = +-sqrt(q/2). Operators and integer literals
+    only, so it also runs on exactpoly.MultiPoly tables."""
+    u1, u2 = d[1, 0], d[0, 1]
+    return (2 * (q1 ** 2 + q2 ** 2) * level_curvature(d)
+            - (q1 * u1 + q2 * u2) * (u1 ** 2 + u2 ** 2))
+
+
+def F_on_rim(q, params):
+    """F = 4 |q|^3 L at +-sqrt(q/2) of the points q of a Hill rim of params
+    (model.hill_boundary), from one model._U_partials call."""
+    q1, q2 = q[:, 0], q[:, 1]
+    L = levi_numerator(q1, q2, _U_partials((q1, q2), params, 2))
+    return 4.0 * np.hypot(q1, q2) ** 3 * L
+
+
 def nonconvex_witness_levi(params, c=None):
     """Search for a non-convexity witness on the Earth loop of V = 0.
 
-    F is read at the principal roots of the q2 >= 0 half (elliptic angle
-    in [0, pi]) of _N_RIM points of the Earth rim U = c (rim_preimage).
-    The roots of the other half are the conjugates of these, F is even
-    in y and F(-v) = F(v), so they cover the loop. Returns (witness,
-    read, least): the point of least F as (x, y, F) if that value is
-    below -_WITNESS_TOL, else None; the number of points read; and the
-    least F read.
+    F is read (F_on_rim) at the q2 >= 0 half (elliptic angle in [0, pi])
+    of model._N_RIM points of the Earth rim U = c, whose principal roots
+    (rim_preimage) have the other half's as conjugates; F is even in y
+    and F(-v) = F(v), so they cover the loop. Returns (witness, read,
+    least): the root of least F as (x, y, F) if that value is below
+    -_WITNESS_TOL, else None; the number of points read; and the least F
+    read.
     """
     if c is None:
         c = params.c_jacobi
-    q = hill_boundary(params, c, HillComponent.EARTH, _N_RIM)
-    v = rim_preimage(q[:_N_RIM // 2 + 1])
-    F = F_value(v.real, v.imag, params, c)
+    q = hill_boundary(params, c, HillComponent.EARTH, _N_RIM)[:_N_RIM // 2 + 1]
+    F = F_on_rim(q, params)
     i = int(np.argmin(F))
     least = float(F[i])
-    found = ((float(v[i].real), float(v[i].imag), least)
+    v = rim_preimage(q)[i]
+    found = ((float(v.real), float(v.imag), least)
              if least < -_WITNESS_TOL else None)
     return found, F.size, least

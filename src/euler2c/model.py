@@ -1,10 +1,11 @@
 """The unregularized two-fixed-centers problem.
 
 The potential U(q) = -(1-mu)/|q - E| - mu/|q - M| of the Hamiltonian
-H(q, p) = |p|^2/2 + U(q), its derivative table, and the Earth's Hill
-lobe in closed form: its rim R^2 = 0 of the elliptic chart, solved once
-in offsets from the Earth (hill_boundary), and the positions that both
-oracles read, a grid inside that rim and the rim itself (hill_region).
+H(q, p) = |p|^2/2 + U(q), its derivative table (from integer
+polynomials, without exactpoly), and the Earth's Hill lobe in closed
+form: its rim R^2 = 0 of the elliptic chart, solved once in offsets from
+the Earth (hill_boundary), and the positions that both oracles read, a
+grid inside that rim and the rim itself (hill_region).
 The Moon's lobe is the swapped problem's Earth lobe, mirrored. The
 unique interior critical point (l, 0) of U, the critical Jacobi energy
 c_J = -1 - 2*sqrt(mu(1-mu)), ProblemParams with its mass swap and the
@@ -71,20 +72,25 @@ def _inverse_r_table(order):
     """The integer polynomials P_alpha of d^alpha (1/r) = P_alpha(d) /
     r^(2|alpha|+1), d = q - primary, from P_0 = 1 and P_{alpha+e_i} =
     r^2 dP_alpha/dd_i - (2|alpha|+1) d_i P_alpha; as (alpha, ((coeff,
-    (e1, e2)), ...)) pairs by increasing |alpha| <= order. Imports
-    exactpoly on its first call, so only the code that differentiates U
-    loads it."""
-    from .exactpoly import ring
-    d1, d2 = ring("d1", "d2")
-    r2 = d1 * d1 + d2 * d2
-    table = {(0, 0): d1 ** 0}
+    (e1, e2)), ...)) pairs by increasing |alpha| <= order, each P's terms
+    in the order in which the recursion produces them."""
+    def step(p, i, k):
+        # r^2 dp/dd_i - (2k + 1) d_i p, its terms in the order they arise
+        dp = [((e1 - 1 + i, e2 - i), c * (e1, e2)[i])
+              for (e1, e2), c in p.items() if (e1, e2)[i]]
+        out = {}
+        for (a, b), (e1, e2), c in (
+                [(s, e, c) for s in ((2, 0), (0, 2)) for e, c in dp]
+                + [((1 - i, i), e, -(2 * k + 1) * c) for e, c in p.items()]):
+            out[a + e1, b + e2] = out.get((a + e1, b + e2), 0) + c
+        return {e: c for e, c in out.items() if c}
+
+    table = {(0, 0): {(0, 0): 1}}
     for k in range(order):
         for i in range(k, -1, -1):
-            p = table[i, k - i]
-            table[i + 1, k - i] = r2 * p.diff("d1") - (2 * k + 1) * d1 * p
-        p = table[0, k]
-        table[0, k + 1] = r2 * p.diff("d2") - (2 * k + 1) * d2 * p
-    return tuple((alpha, tuple((int(c), e) for e, c in p.terms.items()))
+            table[i + 1, k - i] = step(table[i, k - i], 0, k)
+        table[0, k + 1] = step(table[0, k], 1, k)
+    return tuple((alpha, tuple((c, e) for e, c in p.items()))
                  for alpha, p in table.items())
 
 

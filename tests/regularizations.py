@@ -24,7 +24,7 @@ n = |v|^2; w stands for rho^(-1/2), the inverse Moon distance.
 from fractions import Fraction
 from functools import cache
 
-from euler2c import formulas, scan
+from euler2c import formulas, levicivita, scan
 from euler2c.exactpoly import MultiPoly, SurdRelation, ring
 
 
@@ -205,20 +205,14 @@ def _clear(p, r1, r2):
     return out, N
 
 
-def curvature_closed_form():
-    """C = scan.level_curvature of U's formal partials, times (r1 r2)^7,
-    equals
-
-        P7 = a^3 r2^7 + b^3 r1^7 + b a^2 (f + r2^2 g) r1 r2^2
-             + b^2 a (f + r1^2 g) r1^2 r2
-
-    modulo r1^2 = q1^2 + q2^2 and r2^2 = (q1 - 1)^2 + q2^2, with the
-    auxiliary polynomials f and g below. With N the highest power of an
-    i_k in C, 9, both sides are multiplied by (r1 r2)^(N - 7) more."""
+def _distance_ring():
+    """The generators (q1, q2, i1, i2, r1, r2, a, b) of the Standard-frame
+    closed forms, U's formal partials table through order two over them
+    (_formal_curvature, masses a and b), P7 below, and the relations r1^2
+    = q1^2 + q2^2 and r2^2 = (q1 - 1)^2 + q2^2."""
     q1, q2, i1, i2, r1, r2, a, b = ring("q1", "q2", "i1", "i2", "r1", "r2",
                                         "a", "b")
-    C, _, _ = _formal_curvature(a, b, q1, q2, i1, i2)
-    lhs, N = _clear(C, r1, r2)
+    _, table, _ = _formal_curvature(a, b, q1, q2, i1, i2)
     f = (q1 ** 4 - 2 * q1 ** 3 + 2 * q1 ** 2 * q2 ** 2 + q1 ** 2
          - 2 * q1 * q2 ** 2 + q2 ** 4 - 2 * q2 ** 2)
     g = 2 * q1 ** 2 - 2 * q1 + 2 * q2 ** 2
@@ -227,7 +221,71 @@ def curvature_closed_form():
           + b ** 2 * a * (f + r1 ** 2 * g) * r1 ** 2 * r2)
     rels = (SurdRelation("r1", q1 ** 2 + q2 ** 2),
             SurdRelation("r2", (q1 - 1) ** 2 + q2 ** 2))
+    return (q1, q2, i1, i2, r1, r2, a, b), table, P7, rels
+
+
+def curvature_closed_form():
+    """C = scan.level_curvature of U's formal partials, times (r1 r2)^7,
+    equals
+
+        P7 = a^3 r2^7 + b^3 r1^7 + b a^2 (f + r2^2 g) r1 r2^2
+             + b^2 a (f + r1^2 g) r1^2 r2
+
+    modulo r1^2 = q1^2 + q2^2 and r2^2 = (q1 - 1)^2 + q2^2, with the
+    auxiliary polynomials f and g of _distance_ring. With N the highest
+    power of an i_k in C, 9, both sides are multiplied by (r1 r2)^(N - 7)
+    more."""
+    (*_, r1, r2, _, _), table, P7, rels = _distance_ring()
+    lhs, N = _clear(scan.level_curvature(table), r1, r2)
     return [_reduce(lhs - P7 * (r1 * r2) ** (N - 7), rels)]
+
+
+def levi_closed_form():
+    """L = levicivita.levi_numerator of U's formal partials satisfies
+
+        (r1 r2)^7 L / r1^2 = 2 P7 - G1 G2,
+        G1 = a r2^3 + b (r1^2 - q1) r1 = (q . grad U) r1 r2^3,
+        G2 = a^2 r2^4 + b^2 r1^4 + 2ab (r1^2 - q1) r1 r2
+           = |grad U|^2 (r1 r2)^4,
+
+    with P7 of curvature_closed_form, modulo the same relations. With N
+    the highest power of an i_k in L, both sides are multiplied by
+    r1^2 (r1 r2)^(N - 7) more."""
+    (q1, q2, _, _, r1, r2, a, b), table, P7, rels = _distance_ring()
+    lhs, N = _clear(levicivita.levi_numerator(q1, q2, table), r1, r2)
+    G1 = a * r2 ** 3 + b * (r1 ** 2 - q1) * r1
+    G2 = (a ** 2 * r2 ** 4 + b ** 2 * r1 ** 4
+          + 2 * a * b * (r1 ** 2 - q1) * r1 * r2)
+    rhs = (2 * P7 - G1 * G2) * r1 ** 2 * (r1 * r2) ** (N - 7)
+    return [_reduce(lhs - rhs, rels)]
+
+
+def levi_rim_curvature():
+    """On V = 0, F = 32 s2^3 L(2 v^2), with s2 = |v|^2 = x^2 + y^2, so
+    that 4 |q|^3 = 32 s2^3: F is scan.level_curvature of V's formal
+    partials, with w = rho^(-1/2) and dw = -w^3 d rho / 2, and L is
+    levicivita.levi_numerator of U's formal partials (_formal_curvature)
+    at q = 2 v^2. There i1 = 1/|q| = 1/(2 s2) and i2 = w = 1/|q - 1|, and
+    V = 0 eliminates c = -(1 - mu) i1 - mu i2. The difference is
+    multiplied by (2 s2 r2)^N, N the highest power of an i_k in it, with
+    r2^2 = rho."""
+    x, y, q1, q2, i1, i2, c, mu, r2 = ring("x", "y", "q1", "q2", "i1", "i2",
+                                           "c", "mu", "r2")
+    s2 = x ** 2 + y ** 2
+    rho = formulas.lc_radicand(x, y)
+
+    def d(p, var):
+        return p.diff(var) - p.diff("i2") * i2 ** 3 * rho.diff(var) / 2
+
+    V = -c * s2 - mu * s2 * i2 - (1 - mu) / 2
+    Vx, Vy = d(V, "x"), d(V, "y")
+    F = scan.level_curvature({(1, 0): Vx, (0, 1): Vy, (2, 0): d(Vx, "x"),
+                              (1, 1): d(Vx, "y"), (0, 2): d(Vy, "y")})
+    _, table, _ = _formal_curvature(1 - mu, mu, q1, q2, i1, i2)
+    L = levicivita.levi_numerator(q1, q2, table)
+    L = L.subs("q1", 2 * (x ** 2 - y ** 2)).subs("q2", 4 * x * y)
+    diff = F.subs("c", -(1 - mu) * i1 - mu * i2) - 32 * s2 ** 3 * L
+    return [SurdRelation("r2", rho).reduce(_clear(diff, 2 * s2, r2)[0])]
 
 
 def _equal_mass_polar():

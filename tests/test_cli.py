@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import csv
+import decimal
 import gc
 import json
 import math
@@ -8,6 +9,7 @@ import os
 import subprocess
 import sys
 import tokenize
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from euler2c import levicivita
 from euler2c.cli import _linspace, main, parse_energy
 from euler2c.elliptic import oracle_convexity, thresholds
 from euler2c.fiberwise import curvature_numerator
-from euler2c.model import HillComponent, ProblemParams
+from euler2c.model import HillComponent, ProblemParams, hill_boundary
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
@@ -370,6 +372,30 @@ class TestVerdict:
         assert exc.value.code == 2
 
 
+def _levi_F_decimal(q1, q2, params):
+    """4 |q|^3 L, L = 2 |q|^2 C - (q . grad U) |grad U|^2, at the float
+    position q in 60-digit Decimal arithmetic, from the closed-form first
+    and second partials of U."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        q1, q2 = Decimal(q1), Decimal(q2)
+        g1 = g2 = h11 = h12 = h22 = Decimal(0)
+        for m, d1 in ((Decimal(params.earth_mass), q1),
+                      (Decimal(params.mu), q1 - 1)):
+            r2 = d1 * d1 + q2 * q2
+            r3 = r2 * r2.sqrt()
+            r5 = r3 * r2
+            g1 += m * d1 / r3
+            g2 += m * q2 / r3
+            h11 += m * (r2 - 3 * d1 * d1) / r5
+            h12 -= 3 * m * d1 * q2 / r5
+            h22 += m * (r2 - 3 * q2 * q2) / r5
+        C = h11 * g2 * g2 + h22 * g1 * g1 - 2 * g1 * g2 * h12
+        s = q1 * q1 + q2 * q2
+        L = 2 * s * C - (q1 * g1 + q2 * g2) * (g1 * g1 + g2 * g2)
+        return float(4 * s * s.sqrt() * L)
+
+
 class TestCurve:
     def _rows(self, path):
         with open(path) as fh:
@@ -454,15 +480,43 @@ class TestCurve:
             assert np.max(steps) < 0.25
             assert np.max(np.abs(levicivita.V_value(
                 xy[:, 0], xy[:, 1], p, c))) <= 1e-12
-            # F from one array call is the scalar F at every point
+            # F = 4 |q|^3 L is V's F at every row: to rounding against V's
+            # order-three table, whose numerators lose up to 2e-14 of the
+            # largest |F| next to the Moon preimages
             scalar = [levicivita.F_value(x, y, p, c) for x, y in xy]
             assert np.max(np.abs(xyF[:, 2] - scalar)) \
-                <= 1e-14 * np.max(np.abs(scalar))
+                <= 1e-13 * np.max(np.abs(scalar))
         earth = loops["v0-earth"]
         assert np.array_equal(earth[n // 4:, :2], -earth[:n // 4, :2])
         assert np.array_equal(loops["v0-moon-"][:, :2],
                               -loops["v0-moon+"][:, :2])
         assert np.all(loops["v0-moon+"][:, 0] > 0.0)
+        # F is read once per rim point and written for both roots
+        for comp, plus, minus in (
+                (HillComponent.EARTH, earth[:n // 4], earth[n // 4:]),
+                (HillComponent.MOON, loops["v0-moon+"], loops["v0-moon-"])):
+            F = levicivita.F_on_rim(hill_boundary(p, c, comp, n // 4), p)
+            assert np.array_equal(plus[:, 2], F)
+            assert np.array_equal(minus[:, 2], F)
+
+    def test_v0_moon_loops_keep_their_digits(self, capsys, tmp_path):
+        # the Moon rim at mu = 1e-4, c = -100 lies about 1e-6 from the
+        # Moon; F = 4 |q|^3 L at the rim point q of each row stays within
+        # 1e-12 of a 60-digit evaluation there (V's order-three numerators,
+        # which cancel next to the Moon preimages, read 4.5e-4 off)
+        p, c, n = ProblemParams(1e-4), -100.0, 256
+        out = tmp_path / "v.csv"
+        assert main(["curve", "v0", "--mu", repr(p.mu), "--c", repr(c),
+                     "--n", str(n), "--out", str(out)]) == 0
+        q = hill_boundary(p, c, HillComponent.MOON, n // 4)
+        v = levicivita.rim_preimage(q)
+        exact = np.array([_levi_F_decimal(q1, q2, p) for q1, q2 in q])
+        rows = self._rows(out)
+        for name, sign in (("v0-moon+", 1.0), ("v0-moon-", -1.0)):
+            xyF = np.array([(float(r["x"]), float(r["y"]), float(r["F"]))
+                            for r in rows if r["series"] == name])
+            assert np.array_equal(xyF[:, 0] + 1j * xyF[:, 1], sign * v)
+            assert np.max(np.abs(xyF[:, 2] / exact - 1.0)) <= 1e-12
 
     def test_f0_passes_through_x0(self, capsys, tmp_path):
         out = tmp_path / "f.csv"
@@ -842,7 +896,11 @@ _IMPORT_CONTRACT = {
                       "euler2c.exactpoly"]),
     "verdict-fiberwise": (_cli("verdict", "fiberwise", "--mu", "0.3",
                                "--c", "cJ"),
-                          ["euler2c.levicivita", "euler2c.elliptic"]),
+                          ["euler2c.levicivita", "euler2c.elliptic",
+                           "euler2c.exactpoly"]),
+    "curve-hill": (_cli("curve", "hill", "--mu", "0.3", "--c", "cJ-0.1"),
+                   ["euler2c.levicivita", "euler2c.elliptic",
+                    "euler2c.exactpoly"]),
     "curve-v0": (_cli("curve", "v0", "--mu", "0.3", "--max-len", "0.25"),
                  ["euler2c.fiberwise", "euler2c.elliptic",
                   "euler2c.exactpoly"]),

@@ -14,6 +14,7 @@ from euler2c.levicivita import (
     F_with_grad,
     V_eval,
     V_value,
+    levi_numerator,
     nonconvex_witness_levi,
     radicand,
     rim_preimage,
@@ -22,7 +23,7 @@ from euler2c.levicivita import (
     x0_of,
 )
 from euler2c.model import (HillComponent, ProblemParams, U_derivs,
-                           hill_boundary)
+                           _inverse_r_table, _U_partials, hill_boundary)
 from finite_differences import fd_check, fd_derivative
 
 import regularizations
@@ -76,6 +77,19 @@ class TestRegularization:
         # x0 = 1/2 at mu = 1/2, c = -2, and V vanishes there exactly
         assert x0_of(p05, -2.0) == 0.5
         assert V_value(0.5, 0.0, p05, -2.0) == 0.0
+
+
+class TestLeviRim:
+    """F on V = 0 as 4 |q|^3 L on the Hill rim, L from U's table."""
+
+    def test_rim_curvature_identity(self):
+        # exact: F = 32 |v|^6 L(2 v^2) on V = 0, both sides the program's
+        # bodies (scan.level_curvature and levi_numerator)
+        assert holds(regularizations.levi_rim_curvature())
+
+    def test_closed_form(self):
+        # exact: (r1 r2)^7 L / r1^2 = 2 P7 - G1 G2
+        assert holds(regularizations.levi_closed_form())
 
 
 class TestDerivatives:
@@ -203,6 +217,27 @@ class TestTangency:
         v95 = tilde_derivatives(ProblemParams(0.95))["V3_closed"]
         assert v93 > 0 > v95
 
+    def test_vertex_equation_at_threshold(self):
+        # the levi branch curvature at the vertex (x0, 0) changes sign where
+        # l (U_111 + 6 U_122) = 3 (U_11 - U_22) at (l, 0): exactly at
+        # mu = 16/17, where l = 1/5, with U's table read in Fractions
+        def sides(mu, l):
+            U = {}
+            for m, d1 in ((1 - mu, l), (mu, l - 1)):
+                for alpha, terms in _inverse_r_table(3):
+                    # at q2 = 0 only the monomials d1^k remain
+                    P = sum(k * d1 ** e1 for k, (e1, e2) in terms if not e2)
+                    U[alpha] = (U.get(alpha, 0)
+                                - m * P / abs(d1) ** (2 * sum(alpha) + 1))
+            return U, l * (U[3, 0] + 6 * U[1, 2]), 3 * (U[2, 0] - U[0, 2])
+
+        U, lhs, rhs = sides(Fraction(16, 17), Fraction(1, 5))
+        assert U[1, 0] == 0 and ProblemParams(16 / 17).l == 0.2
+        assert lhs == rhs == Fraction(-5625, 68)
+        for mu, sign in ((0.935, 1), (0.95, -1)):
+            _, lhs, rhs = sides(Fraction(mu), Fraction(ProblemParams(mu).l))
+            assert sign * (lhs - rhs) > 0
+
     def test_inflection_threshold_exact(self):
         # the cone's third derivative is proportional to 10 x0^2 - 1, with
         # x0^2 = (1 - sqrt(mu / -c_J)) / 2 and c_J = -1 - 2 sqrt(mu (1 - mu)):
@@ -252,19 +287,25 @@ class TestWitness:
         (0.3, 0.0, True), (0.3, 1e-3, True), (0.7, 0.0, True),
         (0.9, 0.0, True), (0.7, 1e-3, False), (0.95, 0.0, False)])
     def test_witness_is_least_of_direct_rim_read(self, mu, below, witness):
-        # F at the principal roots sqrt(q/2) of the q2 >= 0 half of
-        # hill_boundary's Earth rim; F is even in y, so the whole rim's
-        # least F is the half's up to rounding (at mu = 0.7 and c_J it
-        # lies on the other half, 1.7e-13 away)
+        # F = 4 |q|^3 L at the q2 >= 0 half of hill_boundary's Earth rim,
+        # L from U's partials through order two, reported at the principal
+        # roots sqrt(q/2); F is even in y, so the whole rim's least F is
+        # the half's up to rounding (at mu = 0.7 and c_J it lies on the
+        # other half, 1.7e-13 away)
         p = ProblemParams(mu)
         c = p.c_jacobi - below
         q = hill_boundary(p, c, HillComponent.EARTH, n=1024)
-        v = np.sqrt(0.5 * (q[:, 0] + 1j * q[:, 1]))
-        F = F_value(v.real, v.imag, p, c)
+        q1, q2 = q.T
+        F = 4.0 * np.hypot(q1, q2) ** 3 * levi_numerator(
+            q1, q2, _U_partials((q1, q2), p, 2))
+        v = np.sqrt(0.5 * (q1 + 1j * q2))
         k = int(np.argmin(F[:513]))
         w, read, least = nonconvex_witness_levi(p, c)
         assert read == 513 and least == F[k]
         assert least == pytest.approx(F.min(), rel=1e-12)
+        # V's order-three table reads the same F there, to rounding
+        assert abs(F_value(v[k].real, v[k].imag, p, c) - least) \
+            <= 1e-14 * np.max(np.abs(F))
         if not witness:
             assert w is None and least >= -1e-8
             return

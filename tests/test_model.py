@@ -8,6 +8,7 @@ import pytest
 
 from euler2c import model
 from euler2c.errors import CollisionPoint
+from euler2c.exactpoly import ring
 from euler2c.model import (
     HillComponent,
     ProblemParams,
@@ -331,6 +332,25 @@ class TestUPartials:
         assert self._poly((2, 0)) == {(2, 0): 2, (0, 2): -1}
         assert self._poly((1, 1)) == {(1, 1): 3}
         assert self._poly((4, 0)) == {(4, 0): 24, (2, 2): -72, (0, 4): 9}
+
+    def test_inverse_r_tables_match_exactpoly(self):
+        # the integer recursion gives exactpoly's polynomials term for term
+        # and in the same order, so _U_partials sums them in that order
+        d1, d2 = ring("d1", "d2")
+        r2 = d1 * d1 + d2 * d2
+        table = {(0, 0): d1 ** 0}
+        for k in range(7):
+            for i in range(k, -1, -1):
+                p = table[i, k - i]
+                table[i + 1, k - i] = (r2 * p.diff("d1")
+                                       - (2 * k + 1) * d1 * p)
+            p = table[0, k]
+            table[0, k + 1] = r2 * p.diff("d2") - (2 * k + 1) * d2 * p
+        for k in range(8):
+            expect = tuple(
+                (alpha, tuple((int(c), e) for e, c in p.terms.items()))
+                for alpha, p in table.items() if sum(alpha) <= k)
+            assert model._inverse_r_table(k) == expect, k
 
     def test_orders_share_entries(self, p03, rng):
         q = (rng.uniform(-1, 2, 64), rng.uniform(-1, 1, 64))
