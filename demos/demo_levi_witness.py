@@ -18,7 +18,6 @@ from euler2c import (
     ProblemParams,
     nonconvex_witness_levi,
     tangency_check,
-    tilde_derivatives,
     x0_of,
 )
 
@@ -35,5 +34,5 @@ print(f"distance inside x0: {x0_of(p, p.c_jacobi) - x:.3e}")
 
 print("\ncubic coefficient along the cone (sign flips at mu = 16/17):")
 for mu in (0.3, 0.9, 0.93, 16 / 17, 0.95):
-    v3 = tilde_derivatives(ProblemParams(mu))["V3_closed"]
+    v3 = tangency_check(ProblemParams(mu))["V3_closed"]
     print(f"  mu = {mu:.6f}:  V3 = {v3:+.6f}")

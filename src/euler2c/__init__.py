@@ -9,8 +9,9 @@ critical Jacobi energy:
   lobe names) and the threshold ladder c_E'' <= c0 <= c_J with the
   theory verdict, in Python floats and exact fractions, without NumPy.
 - ``model``: the potential U and its derivative table, and the Earth's
-  Hill lobe in closed form: its boundary and the positions that both
-  oracles read; re-exports the constants of ``ladder``.
+  Hill lobe in closed form: its boundary, the positions that the oracles
+  read and the least value of a quantity of U's table over them;
+  re-exports the constants of ``ladder``.
 - ``elliptic``: two-sheeted elliptic regularization, the closed-form
   spectrum of the projected Hessian of the regularized energy, the
   scanning oracle; re-exports the thresholds and the theory verdict of
@@ -24,10 +25,10 @@ critical Jacobi energy:
   suite certifies, one body each for floats, arrays and exact polynomials.
 - ``exactpoly``: exact rational polynomial arithmetic, Sturm-based sign
   certificates, and the named identity suite behind the proofs.
-- ``scan``: the level-set curvature numerator behind C and F, its
-  gradient and its series along a tangent cone, read from one partials
-  table; sign scans and implicit-curve tracing from a closed-form value
-  and gradient.
+- ``scan``: the level-set curvature numerator behind C and F and its
+  gradient, read from one partials table, with the callback that traces
+  its zero set; sign scans and implicit-curve tracing from a closed-form
+  value and gradient.
 - ``cli``: the ``euler2c`` command.
 
 The package loads lazily (PEP 562): ``import euler2c`` imports no
@@ -50,7 +51,7 @@ _SOURCE = {
     "Verdict": "ladder", "Thresholds": "ladder", "thresholds": "ladder",
     "convexity_verdict": "ladder", "oracle_convexity": "elliptic",
     "F_value": "levicivita", "x0_of": "levicivita",
-    "tangency_check": "levicivita", "tilde_derivatives": "levicivita",
+    "tangency_check": "levicivita",
     "nonconvex_witness_levi": "levicivita",
     "FiberwiseReport": "fiberwise",
     "U_derivs": "model", "curvature_numerator": "fiberwise",

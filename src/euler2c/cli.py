@@ -331,10 +331,12 @@ def _curve_f0(args, params, c):
     import numpy as np
 
     from . import levicivita
+    from .scan import level_curvature_tracer
     x0 = levicivita.x0_of(params, c)
     # F = 0 passes through (x0, 0) transversally to the axis
     points, partial = _trace_zero(
-        levicivita.F_with_grad(params, c),
+        level_curvature_tracer(
+            lambda x, y: levicivita.V_eval(x, y, params, c)),
         [((x0, d * 1e-4), (0.0, d)) for d in (1.0, -1.0)],
         args.step, args.max_len)
     xy = np.array([(x0, 0.0)] + points)
@@ -351,14 +353,15 @@ def _curve_czero(args, params):
     import numpy as np
 
     from . import fiberwise
-    from .scan import sign_scan
+    from .model import U_derivs
+    from .scan import level_curvature_tracer, sign_scan
     l = params.l
     f = lambda x, y: fiberwise.curvature_numerator((x, y), params)
     rows = []
     partial = False
     rep = sign_scan(f, (l - 0.35, l + 0.35, 0.02, 0.45),
                     grid=(120, 120), target="C")
-    cg = fiberwise.C_with_grad(params)
+    cg = level_curvature_tracer(lambda x, y: U_derivs((x, y), params))
     traced = np.empty((0, 2))
     k = 0
     for wx, wy, _ in rep.witnesses:

@@ -22,13 +22,14 @@ at the K-system energy 0). On V = 0, F = 4 |q|^3 L at v = +-sqrt(q/2),
 L = 2 |q|^2 C - (q . grad U) |grad U|^2 (levi_numerator) with C the Hill
 boundary's curvature numerator, so the witness search for non-convexity
 on the preimage of the Earth rim (of params.swapped() at the Moon, in the
-chart q = 1 - 2 conj(v)^2) and ``curve v0`` read F from U's partials
-through order two at the rim points (F_on_rim). This module also
-provides closed-form derivatives of V through order three, as the
-partials table {(i, j): d_x^i d_y^j V} that model.U_derivs returns for
-U, so F off V = 0 is scan.level_curvature of it; the off-center critical
-points (+-x0, 0) of V, the tangency data there and the directional
-derivative lemmas along the tangent cone.
+chart q = 1 - 2 conj(v)^2; model.least_on_lobe) and ``curve v0``
+(F_on_rim) read F from U's partials through order two at the rim points.
+This module also provides closed-form derivatives of V through order
+three, as the partials table {(i, j): d_x^i d_y^j V} that model.U_derivs
+returns for U, so F off V = 0 is scan.level_curvature of it; the
+off-center critical points (+-x0, 0) of V and the tangency data there,
+where F vanishes to order three along the tangent cone, as any
+level-set curvature numerator does at a critical point.
 """
 
 from __future__ import annotations
@@ -39,16 +40,13 @@ import numpy as np
 
 from . import formulas
 from .errors import MoonCollision
-from .model import _N_RIM, HillComponent, _U_partials, hill_boundary
-from .scan import (cone_contact, cone_contact_size, level_curvature,
-                   level_curvature_grad)
+from .model import _U_partials, least_on_lobe
+from .scan import level_curvature
 
 __all__ = [
     "radicand",
     "V_eval",
     "F_value",
-    "F_with_grad",
-    "tilde_derivatives",
     "tangency_check",
     "rim_preimage",
     "levi_numerator",
@@ -158,14 +156,6 @@ def F_value(x, y, params, c):
     return level_curvature(V_eval(x, y, params, c))
 
 
-def F_with_grad(params, c):
-    """(x, y) -> (F, F_x, F_y) from one V_eval call, to trace F = 0."""
-    def f(x, y):
-        d = V_eval(x, y, params, c)
-        return level_curvature(d), *level_curvature_grad(d)
-    return f
-
-
 def tangency_check(params):
     """Tangency data of V = 0 at the critical point (x0, 0), at the
     critical energy c = c_J.
@@ -173,7 +163,10 @@ def tangency_check(params):
     Returns a dict with slope_sq = -V_xx/V_yy (expected 2: the zero set
     is tangent to the lines y = +-sqrt(2)(x - x0)), together with the
     evaluated and closed-form second derivatives
-    V_xx(x0,0) = -8c(1 - sqrt(-c/mu)), V_yy(x0,0) = 4c(1 - sqrt(-c/mu)).
+    V_xx(x0,0) = -8c(1 - sqrt(-c/mu)), V_yy(x0,0) = 4c(1 - sqrt(-c/mu)),
+    and V3_closed = 48 mu x0 (10 x0^2 - 1)/(2 x0^2 - 1)^4, the third
+    derivative of t -> V(t, sqrt(2)(t - x0)) at t = x0, whose sign flips
+    at mu = 16/17, where x0^2 = 1/10.
     """
     c = params.c_jacobi
     x0 = x0_of(params, c)
@@ -186,37 +179,9 @@ def tangency_check(params):
         "V_xx_closed": -8.0 * c * (1.0 - s),
         "V_yy": d[0, 2],
         "V_yy_closed": 4.0 * c * (1.0 - s),
+        "V3_closed": (48.0 * params.mu * x0 * (10.0 * x0 ** 2 - 1.0)
+                      / (2.0 * x0 ** 2 - 1.0) ** 4),
     }
-
-
-def tilde_derivatives(params):
-    """Directional derivatives along the tangent-cone line at (x0, 0),
-    at the critical energy c = c_J.
-
-    With t -> (t, sqrt(2)(t - x0)): returns the third derivative of
-    Vtilde(t) = V(t, sqrt(2)(t-x0)) in closed form,
-    48 mu x0 (10 x0^2 - 1)/(2 x0^2 - 1)^4, plus the first three
-    derivatives F1, F2, F3 of Ftilde(t) = F(t, sqrt(2)(t-x0)) at t = x0,
-    which all vanish there. Because Ftilde has fourth-order contact with
-    zero, finite differences cannot resolve them in binary64; they are
-    scan.cone_contact of the order-three table of V at (x0, 0), exact to
-    degree three since V_x and V_y vanish there. Each F_k is divided by
-    the size of the terms that cancel in it (scan.cone_contact_size),
-    where every partial of V counts as the sizes of its two terms, the
-    Kepler term of -c |v|^2 and the Moon's term; they cancel in V_x.
-    """
-    c = params.c_jacobi
-    x0 = x0_of(params, c)
-    v3_closed = (48.0 * params.mu * x0 * (10.0 * x0 ** 2 - 1.0)
-                 / (2.0 * x0 ** 2 - 1.0) ** 4)
-    d = V_eval(x0, 0.0, params, c)
-    kepler = {(1, 0): -2.0 * c * x0, (2, 0): -2.0 * c, (0, 2): -2.0 * c}
-    size = {a: abs(kepler.get(a, 0.0)) + abs(v - kepler.get(a, 0.0))
-            for a, v in d.items()}
-    f = cone_contact(d, 3)
-    scale = cone_contact_size(size, 3)
-    return {"V3_closed": v3_closed} | {f"F{k}": f[k] / scale[k]
-                                       for k in (1, 2, 3)}
 
 
 def rim_preimage(q, unwind=False):
@@ -242,32 +207,34 @@ def levi_numerator(q1, q2, d):
             - (q1 * u1 + q2 * u2) * (u1 ** 2 + u2 ** 2))
 
 
+def _rim_F(q1, q2, d):
+    """F = 4 |q|^3 L at +-sqrt(q/2) of a rim point q, from U's table d."""
+    return 4.0 * np.hypot(q1, q2) ** 3 * levi_numerator(q1, q2, d)
+
+
 def F_on_rim(q, params):
     """F = 4 |q|^3 L at +-sqrt(q/2) of the points q of a Hill rim of params
     (model.hill_boundary), from one model._U_partials call."""
     q1, q2 = q[:, 0], q[:, 1]
-    L = levi_numerator(q1, q2, _U_partials((q1, q2), params, 2))
-    return 4.0 * np.hypot(q1, q2) ** 3 * L
+    return _rim_F(q1, q2, _U_partials((q1, q2), params, 2))
 
 
 def nonconvex_witness_levi(params, c=None):
     """Search for a non-convexity witness on the Earth loop of V = 0.
 
-    F is read (F_on_rim) at the q2 >= 0 half (elliptic angle in [0, pi])
-    of model._N_RIM points of the Earth rim U = c, whose principal roots
-    (rim_preimage) have the other half's as conjugates; F is even in y
-    and F(-v) = F(v), so they cover the loop. Returns (witness, read,
-    least): the root of least F as (x, y, F) if that value is below
-    -_WITNESS_TOL, else None; the number of points read; and the least F
-    read.
+    F = 4 |q|^3 L is read on the rim of model.hill_region alone
+    (model.least_on_lobe with no grid): the q2 >= 0 half, elliptic angle
+    in [0, pi], of hill_boundary's 1024 points of the Earth rim U = c,
+    whose principal roots (rim_preimage) have the other half's as
+    conjugates; F is even in y and F(-v) = F(v), so they cover the loop.
+    Returns (witness, read, least): the root of least F as (x, y, F) if
+    that value is below -_WITNESS_TOL, else None; the number of points
+    read; and the least F read.
     """
     if c is None:
         c = params.c_jacobi
-    q = hill_boundary(params, c, HillComponent.EARTH, _N_RIM)[:_N_RIM // 2 + 1]
-    F = F_on_rim(q, params)
-    i = int(np.argmin(F))
-    least = float(F[i])
-    v = rim_preimage(q)[i]
-    found = ((float(v.real), float(v.imag), least)
-             if least < -_WITNESS_TOL else None)
-    return found, F.size, least
+    least, q, read = least_on_lobe(params, c, _rim_F)
+    if not least < -_WITNESS_TOL:
+        return None, read, least
+    v = rim_preimage(np.array([q]))[0]
+    return (float(v.real), float(v.imag), least), read, least

@@ -4,8 +4,10 @@ The potential U(q) = -(1-mu)/|q - E| - mu/|q - M| of the Hamiltonian
 H(q, p) = |p|^2/2 + U(q), its derivative table (from integer
 polynomials, without exactpoly), and the Earth's Hill lobe in closed
 form: its rim R^2 = 0 of the elliptic chart, solved once in offsets from
-the Earth (hill_boundary), and the positions that both oracles read, a
-grid inside that rim and the rim itself (hill_region).
+the Earth (hill_boundary), the positions that the oracles read, a grid
+inside that rim and the rim itself (hill_region), and the least value
+of a quantity of U's order-two table over them (least_on_lobe), which
+the levi and fiberwise verdicts read on the rim and on the whole lobe.
 The Moon's lobe is the swapped problem's Earth lobe, mirrored. The
 unique interior critical point (l, 0) of U, the critical Jacobi energy
 c_J = -1 - 2*sqrt(mu(1-mu)), ProblemParams with its mass swap and the
@@ -38,6 +40,7 @@ __all__ = [
     "hill_boundary",
     "HillRegion",
     "hill_region",
+    "least_on_lobe",
 ]
 
 _COLLISION_TOL = 1e-13
@@ -213,7 +216,7 @@ def hill_region(params, c, n_lam, n_nu):
     nu = pi) at q = (0, 0) exactly. Its far edges lam = lam(u(0)) and
     nu = nu(v_E) meet the lobe only at the rim's ends, and are left to
     the rim. A grid point's offsets are cosh lam - 1 and cos nu + 1, on
-    which R^2 was read.
+    which R^2 was read. n_lam = n_nu = 0 gives the rim alone.
     """
     u, v, _ = _earth_rim(params, c, _N_RIM)
     u, v = u[:_N_RIM // 2 + 1], v[:_N_RIM // 2 + 1]
@@ -229,3 +232,18 @@ def hill_region(params, c, n_lam, n_nu):
                       np.concatenate([ch[i, 0] - 1.0, u]),
                       np.concatenate([cn[0, j] + 1.0, v]),
                       np.concatenate([R2[i, j], np.zeros(u.size)]), i.size)
+
+
+def least_on_lobe(params, c, quantity, n=0):
+    """The least value of quantity(q1, q2, d) over the Earth's Hill lobe of
+    energy c <= c_J, d being U's partials through order two at the
+    Standard-frame position (q1, q2); one _U_partials call reads it at
+    the positions of hill_region(params, c, n, n) but the Earth, where U
+    has none, so n = 0 reads the rim alone. Returns the least value, its
+    position (q1, q2) and the number of positions read."""
+    q1, q2 = hill_region(params, c, n, n).q.T
+    off = (q1 != 0.0) | (q2 != 0.0)
+    q1, q2 = q1[off], q2[off]
+    values = quantity(q1, q2, _U_partials((q1, q2), params, 2))
+    i = int(np.argmin(values))
+    return float(values[i]), (float(q1[i]), float(q2[i])), values.size

@@ -1,8 +1,7 @@
-"""Generic numerics: the curvature numerator of a level set, its
-gradient and its series along a tangent-cone line (with the size of the
-terms that cancel in it), all read from one partials table
-{(i, j): d_x^i d_y^j f}; sign scans that bisect every sign-changing
-grid edge at once; and implicit-curve tracing.
+"""Generic numerics: the curvature numerator of a level set and its
+gradient, read from one partials table {(i, j): d_x^i d_y^j f}, and the
+callback that traces its zero set; sign scans that bisect every
+sign-changing grid edge at once; and implicit-curve tracing.
 
 All routines are deterministic: grids are regular and traces are seeded
 explicitly, so identical inputs produce identical reports.
@@ -19,8 +18,8 @@ import numpy as np
 from .errors import TraceFailure
 
 __all__ = ["ScanReport", "Polyline", "level_curvature",
-           "level_curvature_grad", "cone_contact", "cone_contact_size",
-           "sign_scan", "trace_implicit"]
+           "level_curvature_grad", "level_curvature_tracer", "sign_scan",
+           "trace_implicit"]
 
 GRAD_COLLAPSE_TOL = 1e-7
 # |f| below this is on the zero set, for a scan witness and a trace
@@ -77,7 +76,10 @@ def level_curvature(d):
     d_x^i d_y^j f} of f's partials there (the entries of orders one and
     two are read); the curvature is this over |grad f|^3. Elementwise on
     arrays; the integer literals let it run on exactpoly.MultiPoly
-    tables too."""
+    tables too. At a critical point of f it vanishes to order three
+    along each line of the tangent cone, for every f (an exact identity
+    in tests/regularizations.py), so its sign there is read at order
+    four."""
     fx, fy = d[1, 0], d[0, 1]
     return d[2, 0] * fy ** 2 + d[0, 2] * fx ** 2 - 2 * fx * fy * d[1, 1]
 
@@ -96,45 +98,14 @@ def level_curvature_grad(d):
     return kx, ky
 
 
-def _cone_derivative(d, i, j, k):
-    """k-th derivative of d_1^i d_2^j f along t -> apex + t (1, sqrt 2),
-    sum_m binom(k, m) sqrt(2)^m d_1^(i+k-m) d_2^(j+m) f, from the table
-    d = {(i, j): d_1^i d_2^j f at the apex}."""
-    return sum(math.comb(k, m) * math.sqrt(2.0) ** m * d[i + k - m, j + m]
-               for m in range(k + 1))
-
-
-def _cone_series(d, order):
-    """The Taylor series along the cone line of f_1, f_2 (to degree
-    order - 1) and f_11, f_12, f_22 (to order - 2), from the table d."""
-    # imported here: numpy.polynomial adds about 2 ms to package import
-    from numpy.polynomial import Polynomial
-    return {a: Polynomial([_cone_derivative(d, *a, n) / math.factorial(n)
-                           for n in range(order + 1 - sum(a))])
-            for a in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
-
-
-def _derivatives_at_zero(series, order):
-    taylor = level_curvature(series).coef
-    return [math.factorial(k) * float(taylor[k]) for k in range(order + 1)]
-
-
-def cone_contact(d, order):
-    """Derivatives K0..K_order at t = 0 of t -> K(apex + t (1, sqrt 2)),
-    K = level_curvature of f, from the table d of f's partials at the
-    apex through ``order``: level_curvature of the Taylor series of f_1,
-    f_2 (to degree order - 1) and f_11, f_12, f_22 (to order - 2), exact
-    to degree order when f_1 and f_2 vanish at the apex."""
-    return _derivatives_at_zero(_cone_series(d, order), order)
-
-
-def cone_contact_size(size, order):
-    """The size of the terms that cancel in each derivative K0..K_order
-    of cone_contact: the same expansion of a table of nonnegative sizes
-    of f's partials, with f_12 negated so that every product adds."""
-    series = _cone_series(size, order)
-    series[1, 1] = -series[1, 1]
-    return _derivatives_at_zero(series, order)
+def level_curvature_tracer(table):
+    """(x, y) -> (K, K_x, K_y) for trace_implicit, K = level_curvature of
+    the partials table through order three that table(x, y) returns, from
+    one call of it per point."""
+    def f(x, y):
+        d = table(x, y)
+        return level_curvature(d), *level_curvature_grad(d)
+    return f
 
 
 def sign_scan(f, region, grid=(400, 400), target="field"):

@@ -1,9 +1,11 @@
 """The exact identities behind the two regularizations of the paper, the
 closed form of the Hill boundary in the elliptic chart, that of the
-Hill-boundary curvature C, the equal-mass lemmas on C and the contact
-of C with zero along the tangent cone at (l, 0).
+Hill-boundary curvature C, the equal-mass lemmas on C, the contact of C
+with zero along the tangent cone at (l, 0), and that of the curvature
+numerator of any function at any of its critical points.
 
-Each public function but cone_contact_C4 returns polynomial differences
+Each public function but cone_contact_C4 and generic_cone_coefficients
+returns polynomial differences
 that are all zero exactly when its identity holds, like the named
 identities of exactpoly, and evaluates the package's own bodies where
 there is one: formulas.R2, formulas.lc_radicand, the equal-mass P1, P2,
@@ -21,6 +23,7 @@ q = 2 v^2 and p = u / conj(v), so n p = (u1 x - u2 y, u1 y + u2 x) with
 n = |v|^2; w stands for rho^(-1/2), the inverse Moon distance.
 """
 
+import math
 from fractions import Fraction
 from functools import cache
 
@@ -417,3 +420,43 @@ def cone_contact_C4(l):
     # only l appears in p
     value = p.evaluate(dict.fromkeys(p.vars, 0) | {"l": l})
     return value / ((l ** 2 + (1 - l) ** 2) ** 3 * (l * (1 - l)) ** N)
+
+
+@cache
+def generic_cone_coefficients():
+    """The coefficients of t^0..t^4 of K(t) = scan.level_curvature along
+    the line t -> (t, w t) from a critical point of any f, f_x = f_y = 0
+    there, with the line in its tangent cone, H(v, v) = 0 for v = (1, w):
+    f's partials a_ij = d_x^i d_y^j f at the point are free through order
+    four, and so is the slope w, but a_20 = -2 w a_11 - w^2 a_02. Each
+    partial of orders one and two is its Taylor series along the line,
+    sum_k t^k / k! sum_m binom(k, m) w^m a_(i+k-m, j+m), to the degree
+    that fixes K's coefficients through t^4."""
+    names = ["t", "w"] + [f"a{i}{n - i}" for n in range(2, 5)
+                          for i in range(n + 1)]
+    gens = dict(zip(names, ring(*names)))
+    t, w = gens["t"], gens["w"]
+    a = {(i, j): gens[f"a{i}{j}"] for i in range(5) for j in range(5 - i)
+         if f"a{i}{j}" in gens}
+    a[2, 0] = -2 * w * a[1, 1] - w ** 2 * a[0, 2]
+    a[1, 0] = a[0, 1] = 0 * t
+
+    def along(i, j):
+        return sum((t ** k * w ** m * (math.comb(k, m)
+                                       * Fraction(1, math.factorial(k)))
+                    * a[i + k - m, j + m]
+                    for k in range(1, 5 - i - j) for m in range(k + 1)),
+                   a[i, j])
+
+    K = scan.level_curvature({e: along(*e) for e in
+                              ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))})
+    return K.coeffs_in("t")[:5]
+
+
+def generic_cone_contact():
+    """For every f, the curvature numerator K = scan.level_curvature of
+    f's partials vanishes to order three along each tangent-cone line at
+    each critical point of f: the coefficients of t^0..t^3 of
+    generic_cone_coefficients are zero. So C's contact at (l, 0) and F's
+    at (x0, 0) follow from grad = 0 there and the slope of the cone."""
+    return generic_cone_coefficients()[:4]

@@ -15,20 +15,19 @@ import time
 import numpy as np
 import pytest
 
-from euler2c import elliptic, levicivita, model, scan
+from euler2c import elliptic, levicivita, model
 from euler2c.cli import main
 from euler2c.exactpoly import verify_all, verify_identity
-from euler2c.fiberwise import U_derivs, curvature_numerator
+from euler2c.fiberwise import curvature_numerator
 from euler2c.levicivita import (
     F_value,
     V_eval,
     nonconvex_witness_levi,
     tangency_check,
-    tilde_derivatives,
     x0_of,
 )
-from euler2c.model import (HillComponent, ProblemParams, hill_boundary,
-                           potential_U)
+from euler2c.model import (HillComponent, ProblemParams, U_derivs,
+                           hill_boundary, potential_U)
 from finite_differences import fd_derivative
 
 import regularizations
@@ -117,8 +116,8 @@ def test_05_boundary_nonconvexity_witness():
     for xc in (x0, -x0):
         assert F_value(xc, 0.0, p, c) >= -1e-10
     # inflection bracket around 16/17
-    v93 = tilde_derivatives(ProblemParams(0.93))["V3_closed"]
-    v95 = tilde_derivatives(ProblemParams(0.95))["V3_closed"]
+    v93 = tangency_check(ProblemParams(0.93))["V3_closed"]
+    v95 = tangency_check(ProblemParams(0.95))["V3_closed"]
     assert v93 > 0 > v95
     assert time.perf_counter() - t0 < 10.0
 
@@ -213,7 +212,8 @@ def test_07_derivative_tables():
     # >= 500 samples
     def line(t, p):
         d = model._U_partials((t, math.sqrt(2.0) * (t - p.l)), p, 4)
-        return [d[0, 0]] + [scan._cone_derivative(d, 0, 0, k)
+        return [d[0, 0]] + [sum(math.comb(k, m) * math.sqrt(2.0) ** m
+                                * d[k - m, m] for m in range(k + 1))
                             for k in range(1, 5)]
 
     ts = rng.uniform(0.05, 0.55, 500)

@@ -904,6 +904,13 @@ _IMPORT_CONTRACT = {
     "curve-v0": (_cli("curve", "v0", "--mu", "0.3", "--max-len", "0.25"),
                  ["euler2c.fiberwise", "euler2c.elliptic",
                   "euler2c.exactpoly"]),
+    "curve-f0": (_cli("curve", "f0", "--mu", "0.3", "--max-len", "0.25"),
+                 ["euler2c.fiberwise", "euler2c.elliptic",
+                  "euler2c.exactpoly"]),
+    "curve-czero": (_cli("curve", "czero", "--mu", "0.3", "--max-len",
+                         "0.25"),
+                    ["euler2c.levicivita", "euler2c.elliptic",
+                     "euler2c.exactpoly"]),
     "verdict-elliptic": (_cli("verdict", "elliptic", "--mu", "0.3", "--c",
                               "cJ-0.2", "--component", "earth", "--grid",
                               "20", "20", "4"),

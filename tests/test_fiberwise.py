@@ -7,18 +7,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from euler2c import formulas, model, scan
+from euler2c import formulas, model
 from euler2c.errors import CollisionPoint
 from euler2c.exactpoly import ring, sign_certificate, verify_identity
 from euler2c.fiberwise import (
-    C_with_grad,
-    U_derivs,
     curvature_numerator,
     fiberwise_verdict,
     positivity_certificates,
 )
-from euler2c.model import (HillComponent, ProblemParams, hill_boundary,
-                           hill_region, potential_U)
+from euler2c.model import (HillComponent, ProblemParams, U_derivs,
+                           hill_boundary, hill_region, potential_U)
+from euler2c.scan import level_curvature_tracer
 from finite_differences import fd_check, fd_derivative
 
 import regularizations
@@ -28,9 +27,11 @@ from regularizations import holds
 def _cone_line(t, p):
     """The potential on the tangent-cone line through (l, 0),
     V(t) = U(t, sqrt(2)(t - l)) - c_J, and its derivatives V1..V4 along
-    the line, from U's partials through order four."""
+    the line, from U's partials through order four: V_k = sum_m
+    binom(k, m) sqrt(2)^m d_1^(k-m) d_2^m U."""
     d = model._U_partials((t, math.sqrt(2.0) * (t - p.l)), p, 4)
-    out = {f"V{k}": scan._cone_derivative(d, 0, 0, k) for k in range(1, 5)}
+    out = {f"V{k}": sum(math.comb(k, m) * math.sqrt(2.0) ** m * d[k - m, m]
+                        for m in range(k + 1)) for k in range(1, 5)}
     return {"V": d[0, 0] - p.c_jacobi} | out
 
 
@@ -73,10 +74,10 @@ class TestCurvature:
 
     @pytest.mark.parametrize("mu", [0.3, 0.7])
     def test_traced_value_and_gradient(self, mu):
-        # C and its gradient from one U_derivs call, against finite
-        # differences of the curvature numerator
+        # C and its gradient from one U_derivs call, as curve czero traces
+        # it, against finite differences of the curvature numerator
         p = ProblemParams(mu)
-        C = C_with_grad(p)
+        C = level_curvature_tracer(lambda q1, q2: U_derivs((q1, q2), p))
         pts = [(0.3, 0.4), (1.3, -0.5), (-0.6, 0.3), (0.5, 0.2)]
         for q in pts:
             assert C(*q)[0] == curvature_numerator(q, p)

@@ -11,7 +11,6 @@ from euler2c.exactpoly import ring
 from euler2c.ladder import theorem_verdict
 from euler2c.levicivita import (
     F_value,
-    F_with_grad,
     V_eval,
     V_value,
     levi_numerator,
@@ -19,11 +18,11 @@ from euler2c.levicivita import (
     radicand,
     rim_preimage,
     tangency_check,
-    tilde_derivatives,
     x0_of,
 )
 from euler2c.model import (HillComponent, ProblemParams, U_derivs,
                            _inverse_r_table, _U_partials, hill_boundary)
+from euler2c.scan import level_curvature_tracer
 from finite_differences import fd_check, fd_derivative
 
 import regularizations
@@ -123,11 +122,11 @@ class TestDerivatives:
 
     @pytest.mark.parametrize("mu", [0.3, 0.7])
     def test_traced_value_and_gradient(self, mu):
-        # F with its gradient from one V_eval call; the gradient is
-        # scan.level_curvature_grad of the third-order table
+        # F with its gradient from one V_eval call, as curve f0 traces it;
+        # the gradient is scan.level_curvature_grad of the third-order table
         p = ProblemParams(mu)
         c = p.c_jacobi
-        F = F_with_grad(p, c)
+        F = level_curvature_tracer(lambda x, y: V_eval(x, y, p, c))
         pts = [(0.3, 0.2), (0.55, 0.1), (0.2, -0.4), (-0.5, 0.3)]
         for x, y in pts:
             assert F(x, y)[0] == F_value(x, y, p, c)
@@ -190,15 +189,6 @@ class TestTangency:
         assert t["V_yy"] == pytest.approx(t["V_yy_closed"], rel=1e-12)
         assert t["V_xx"] < 0 < t["V_yy"]
 
-    def test_cone_contact_derivatives_vanish(self):
-        # relative to the size of the terms that cancel in them, F1..F3
-        # are rounding at every mu: raw, F3 is 1.9e-5 at mu = 0.01 and
-        # -2.1e-9 at mu = 0.3
-        for mu in (0.01, 0.1, 0.3, 0.5, 0.7, 0.93):
-            d = tilde_derivatives(ProblemParams(mu))
-            for k in ("F1", "F2", "F3"):
-                assert abs(d[k]) < 1e-13, (mu, k, d[k])
-
     def test_v3_closed_vs_fd(self, p03):
         # direct third differences carry ~eps/h^3 roundoff, so the raw
         # channel only certifies ~1e-3; the exact value is pinned by the
@@ -207,14 +197,14 @@ class TestTangency:
         s2 = math.sqrt(2.0)
         vt = lambda t, _y: V_value(t, s2 * (t - x0), p03, p03.c_jacobi)
         v3_fd = fd_derivative(vt, x0, 0.0, 3, 0, 1e-3)
-        assert v3_fd == pytest.approx(tilde_derivatives(p03)["V3_closed"],
+        assert v3_fd == pytest.approx(tangency_check(p03)["V3_closed"],
                                       rel=1e-3)
 
     def test_inflection_sign_change(self):
         # the cubic coefficient along the cone changes sign between
         # mu = 0.93 and mu = 0.95 (threshold 16/17 = 0.941...)
-        v93 = tilde_derivatives(ProblemParams(0.93))["V3_closed"]
-        v95 = tilde_derivatives(ProblemParams(0.95))["V3_closed"]
+        v93 = tangency_check(ProblemParams(0.93))["V3_closed"]
+        v95 = tangency_check(ProblemParams(0.95))["V3_closed"]
         assert v93 > 0 > v95
 
     def test_vertex_equation_at_threshold(self):

@@ -320,6 +320,53 @@ class TestHillBoundaryBatch:
                 assert np.all(np.diff(theta) > 0.0)
 
 
+class TestLeastOnLobe:
+    """least_on_lobe, the reader of the levi and fiberwise verdicts."""
+
+    @staticmethod
+    def _read(params, c, n=0):
+        # the positions and tables read, and the reader's answer for the
+        # quantity -q1, least at the position farthest from the Earth side
+        seen = []
+
+        def quantity(q1, q2, d):
+            seen.append((q1, q2, d))
+            return -q1
+        return seen, model.least_on_lobe(params, c, quantity, n)
+
+    @pytest.mark.parametrize("mu", [0.05, 0.3, 0.5, 0.7, 0.999])
+    @pytest.mark.parametrize("below", [0.0, 1e-3, 0.5])
+    def test_rim_read_is_hill_boundary_half(self, mu, below):
+        # with no grid it reads the q2 >= 0 half of hill_boundary's 1024
+        # points of the Earth rim, bit for bit; read for the swapped
+        # problem, the Moon's mirrored by q1 -> 1 - q1
+        p = ProblemParams(mu)
+        c = p.c_jacobi - below
+        for comp in HillComponent:
+            moon = comp is HillComponent.MOON
+            seen, (least, q, read) = self._read(p.swapped() if moon else p, c)
+            (q1, q2, _), = seen
+            rim = hill_boundary(p, c, comp, 1024)[:513]
+            assert read == q1.size == 513
+            assert np.array_equal(1.0 - q1 if moon else q1, rim[:, 0])
+            assert np.array_equal(q2, rim[:, 1])
+            i = int(np.argmax(q1))
+            assert least == -q1[i] and q == (q1[i], q2[i])
+
+    def test_grid_read_leaves_out_the_earth(self, p03):
+        # the grid and the rim of hill_region, but the Earth, with U's
+        # partials through order two at each position
+        c = p03.c_jacobi - 0.1
+        seen, (_, _, read) = self._read(p03, c, 30)
+        (q1, q2, d), = seen
+        q = model.hill_region(p03, c, 30, 30).q
+        off = np.any(q != 0.0, axis=1)
+        assert np.count_nonzero(~off) == 1 and read == q1.size == off.sum()
+        assert np.array_equal(np.stack([q1, q2], axis=-1), q[off])
+        assert set(d) == {(i, j) for i in range(3) for j in range(3 - i)}
+        assert np.array_equal(d[0, 0], potential_U((q1, q2), p03))
+
+
 class TestUPartials:
     """The generator of U's partial derivatives of every order."""
 

@@ -11,9 +11,12 @@ from euler2c import formulas
 from euler2c.errors import TraceFailure
 from euler2c.model import (HillComponent, ProblemParams, hill_region,
                            potential_U)
-from euler2c.scan import (cone_contact, cone_contact_size, level_curvature,
-                          level_curvature_grad, sign_scan, trace_implicit)
+from euler2c.scan import (level_curvature, level_curvature_grad, sign_scan,
+                          trace_implicit)
 from finite_differences import fd_check, fd_derivative
+
+import regularizations
+from regularizations import holds
 
 
 def unit_circle(x, y):
@@ -51,19 +54,13 @@ class TestLevelCurvature:
         assert k.tolist() == [level_curvature(self._circle_table(a, b))
                               for a, b in zip(x, y)]
 
-    def test_cone_contact_size(self, rng):
-        # every product of the expansion counts by its size: a derivative
-        # is at most its size, and equal to it when no term has a sign,
-        # here nonnegative partials with f_12 = 0 along the line
-        alphas = [(i, j) for i in range(4) for j in range(4 - i)]
-        for _ in range(20):
-            d = {a: rng.normal() for a in alphas}
-            size = {a: abs(v) for a, v in d.items()}
-            for k, s in zip(cone_contact(d, 3), cone_contact_size(size, 3)):
-                assert abs(k) <= s * (1.0 + 1e-12)
-            size.update({(1, 1): 0.0, (2, 1): 0.0, (1, 2): 0.0})
-            assert cone_contact(size, 3) == pytest.approx(
-                cone_contact_size(size, 3), rel=1e-14)
+    def test_generic_cone_contact(self):
+        # exact, over free partials and a free cone slope: at a critical
+        # point the curvature numerator of any f vanishes to order three
+        # along its tangent cone, and not to order four; so F's
+        # derivatives F1..F3 along the cone at (x0, 0) are zero
+        assert holds(regularizations.generic_cone_contact())
+        assert not regularizations.generic_cone_coefficients()[4].is_zero
 
 
 class TestHillRegion:
