@@ -44,7 +44,7 @@ __version__ = "0.1.0"
 # each public name and the submodule that defines it, in __all__ order
 _SOURCE = {
     "Euler2CError": "errors", "CollisionPoint": "errors",
-    "MoonCollision": "errors", "EnergyAboveCritical": "errors",
+    "EnergyAboveCritical": "errors",
     "TraceFailure": "errors", "VariableMismatch": "errors",
     "HillComponent": "ladder", "ProblemParams": "ladder",
     "potential_U": "model", "hill_boundary": "model",
@@ -54,7 +54,7 @@ _SOURCE = {
     "tangency_check": "levicivita",
     "nonconvex_witness_levi": "levicivita",
     "FiberwiseReport": "fiberwise",
-    "U_derivs": "model", "curvature_numerator": "fiberwise",
+    "U_partials": "model", "curvature_numerator": "fiberwise",
     "fiberwise_verdict": "fiberwise",
     "positivity_certificates": "fiberwise",
     "MultiPoly": "exactpoly", "ring": "exactpoly",

@@ -173,10 +173,10 @@ _ORACLE_VERDICT = {"posdef": "convex", "indefinite": "nonconvex",
 def cmd_verdict(args):
     from .ladder import (HillComponent, ProblemParams, convexity_verdict,
                          theorem_verdict)
+    params = ProblemParams(args.mu)
     if args.target == "elliptic" and args.component is None:
         _fail("verdict elliptic requires --component")
     comp = HillComponent(args.component or "earth")
-    params = ProblemParams(args.mu)
     c = parse_energy(args.c, params)
     if args.method != "theory":
         _not_above_critical(c, params)
@@ -353,7 +353,7 @@ def _curve_czero(args, params):
     import numpy as np
 
     from . import fiberwise
-    from .model import U_derivs
+    from .model import U_partials
     from .scan import level_curvature_tracer, sign_scan
     l = params.l
     f = lambda x, y: fiberwise.curvature_numerator((x, y), params)
@@ -361,7 +361,7 @@ def _curve_czero(args, params):
     partial = False
     rep = sign_scan(f, (l - 0.35, l + 0.35, 0.02, 0.45),
                     grid=(120, 120), target="C")
-    cg = level_curvature_tracer(lambda x, y: U_derivs((x, y), params))
+    cg = level_curvature_tracer(lambda x, y: U_partials((x, y), params, 3))
     traced = np.empty((0, 2))
     k = 0
     for wx, wy, _ in rep.witnesses:
@@ -414,19 +414,19 @@ def _curve_c0curve(args):
 
 def cmd_curve(args):
     partial = False
-    if args.which in ("f0", "czero"):
-        for name, value in (("--step", args.step),
-                            ("--max-len", args.max_len)):
-            if not 0.0 < value < math.inf:
-                _fail(f"{name} must be finite and positive, got {value}")
-    # hill_boundary takes at least 8 points per rim, and v0 asks for n/4
-    least_n = {"hill": 8, "v0": 32}.get(args.which)
-    if least_n is not None and args.n < least_n:
-        _fail(f"--n must be at least {least_n} for curve {args.which}, "
-              f"got {args.n}")
     if args.which in ("hill", "v0", "f0", "czero"):
         from .ladder import ProblemParams
         params = ProblemParams(args.mu)
+        if args.which in ("f0", "czero"):
+            for name, value in (("--step", args.step),
+                                ("--max-len", args.max_len)):
+                if not 0.0 < value < math.inf:
+                    _fail(f"{name} must be finite and positive, got {value}")
+        # hill_boundary takes at least 8 points per rim, and v0 asks for n/4
+        least_n = {"hill": 8, "v0": 32}.get(args.which)
+        if least_n is not None and args.n < least_n:
+            _fail(f"--n must be at least {least_n} for curve {args.which}, "
+                  f"got {args.n}")
         c = _not_above_critical(parse_energy(args.c, params), params)
     if args.which == "hill":
         header, rows = _curve_hill(args, params, c)
@@ -542,11 +542,8 @@ def main(argv=None):
     needs_mu = args.command in ("constants", "verdict") or (
         args.command == "curve"
         and args.which in ("hill", "v0", "f0", "czero"))
-    if needs_mu:
-        if args.mu is None:
-            _fail(f"{args.command} requires --mu")
-        if not 0.0 < args.mu < 1.0:
-            _fail(f"mu must lie in (0, 1), got {args.mu}")
+    if needs_mu and args.mu is None:
+        _fail(f"{args.command} requires --mu")
 
     try:
         if args.command == "constants":

@@ -6,11 +6,8 @@ class Euler2CError(Exception):
 
 
 class CollisionPoint(Euler2CError):
-    """A position coincides with one of the primaries."""
-
-
-class MoonCollision(Euler2CError):
-    """The Levi-Civita radicand vanishes (regularized Moon collision)."""
+    """A position coincides with one of the primaries, or a Levi-Civita
+    point with a preimage of the Moon."""
 
 
 class EnergyAboveCritical(Euler2CError):

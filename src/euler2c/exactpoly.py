@@ -1,9 +1,10 @@
 """Exact polynomial arithmetic kernel.
 
 Sparse multivariate polynomials over arbitrary-precision rationals
-(:class:`fractions.Fraction`), quadratic surd adjunction, Sturm-sequence
-root isolation, and a suite of machine-checked polynomial identities
-underlying the convexity analysis of the two-fixed-centers problem.
+(:class:`fractions.Fraction`), reduction modulo a quadratic (which
+adjoins a surd s by s^2 - square), Sturm-sequence root isolation, and a
+suite of machine-checked polynomial identities underlying the convexity
+analysis of the two-fixed-centers problem.
 
 The identities evaluate the bodies of ``formulas`` and ``ladder.eta``
 that the float code calls; the printed or factored side of each is the
@@ -28,8 +29,8 @@ from .ladder import eta
 
 __all__ = [
     "MultiPoly",
-    "SurdRelation",
     "ring",
+    "reduce_mod_quadratic",
     "sturm_isolate",
     "sign_certificate",
     "verify_identity",
@@ -246,38 +247,6 @@ def ring(*names):
     """Create generators for a polynomial ring; returns one MultiPoly
     per variable name."""
     return tuple(MultiPoly.variable(n, names) for n in names)
-
-
-@dataclass(frozen=True)
-class SurdRelation:
-    """A quadratic side relation s**2 = square for an adjoined surd symbol.
-
-    ``square`` is a MultiPoly over the same ring (with the surd symbol
-    present as a variable but not appearing in ``square``).
-    """
-
-    symbol: str
-    square: MultiPoly
-
-    def reduce(self, p: MultiPoly) -> MultiPoly:
-        """Rewrite every power s**k with k >= 2 using the relation.
-
-        The result has degree at most 1 in the surd symbol. Idempotent.
-        """
-        coeffs = p.coeffs_in(self.symbol)
-        s = MultiPoly.variable(self.symbol, p.vars)
-        powers = [MultiPoly.constant(1, p.vars)]
-        for _ in range(len(coeffs) // 2):
-            powers.append(powers[-1] * self.square)
-        even = MultiPoly(p.vars)
-        odd = MultiPoly(p.vars)
-        for k, c in enumerate(coeffs):
-            contrib = c * powers[k // 2]
-            if k % 2 == 0:
-                even = even + contrib
-            else:
-                odd = odd + contrib
-        return even + odd * s
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +468,9 @@ def reduce_mod_quadratic(p, var, quad):
 
     ``quad`` has degree 2 in ``var`` with polynomial coefficients; at each
     step the dividend is scaled by the leading coefficient of ``quad``, so
-    the result is zero iff quad divides p over the fraction field.
+    the result is zero iff quad divides p over the fraction field. For a
+    monic quad = s^2 - square it is the remainder: p with every s^k
+    rewritten by s^2 = square, of degree at most 1 in s.
     """
     lead = quad.coeffs_in(var)[2]
     v = MultiPoly.variable(var, p.vars)
@@ -607,7 +578,7 @@ def _id_eta_at_cj():
     # eta and its first two energy-derivatives at c_J = -1 - 2s,
     # s^2 = mu(1-mu), m = 1 - 2mu.
     mu, s, c = ring("mu", "s", "c")
-    rel = SurdRelation("s", mu * (1 - mu))
+    rel = s ** 2 - mu * (1 - mu)
     cJ = -1 - 2 * s
     eta_c = eta(c, mu)
     vals = [
@@ -618,17 +589,18 @@ def _id_eta_at_cj():
         (eta_c.diff("c").diff("c"),
          -39 * mu ** 2 + 39 * mu + Fraction(9, 4) + 24 * s),
     ]
-    return [rel.reduce(expr.subs("c", cJ)) - rel.reduce(closed)
+    return [reduce_mod_quadratic(expr.subs("c", cJ) - closed, "s", rel)
             for expr, closed in vals]
 
 
 def _id_eta_at_ce2():
     mu, t, c = ring("mu", "t", "c")
-    rel = SurdRelation("t", -28 * mu ** 2 + 28 * mu + 9)
+    rel = t ** 2 - (-28 * mu ** 2 + 28 * mu + 9)
     cE2 = -1 - t / 4
     closed = (Fraction(9, 32) * (1 - 2 * mu) ** 2
               * (t - 4 * mu ** 2 + 4 * mu + 3))
-    return [rel.reduce(eta(c, mu).subs("c", cE2)) - rel.reduce(closed)]
+    return [reduce_mod_quadratic(eta(c, mu).subs("c", cE2) - closed, "t",
+                                 rel)]
 
 
 def _id_levi_critical_curve():
@@ -637,15 +609,16 @@ def _id_levi_critical_curve():
     # and E * Ebar = -mu c (c^2 + 2c + m^2), so V(x0,0)=0 iff
     # c^2 + 2c + m^2 = 0, i.e. c = -1 +- 2 sqrt(mu(1-mu)).
     mu, c, w = ring("mu", "c", "w")
-    rel = SurdRelation("w", -mu * c)
+    rel = w ** 2 + mu * c
     m = 1 - 2 * mu
     E = -w * (c + m) + 2 * mu * c
     Ebar = -w * (c + m) - 2 * mu * c
-    d1 = rel.reduce(E * Ebar) + mu * c * (c ** 2 + 2 * c + m ** 2)
+    d1 = (reduce_mod_quadratic(E * Ebar, "w", rel)
+          + mu * c * (c ** 2 + 2 * c + m ** 2))
     # construction of E from x0^2 = (c+w)/(2c):
     # 2 c w V(x0,0) = -c w (c+w) + mu c (c+w) - (1-mu) c w  equals  c * E
     lhs = -c * w * (c + w) + mu * c * (c + w) - (1 - mu) * c * w
-    d2 = rel.reduce(lhs - c * E)
+    d2 = reduce_mod_quadratic(lhs - c * E, "w", rel)
     return [d1, d2]
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import formulas
-from .model import _U_partials, least_on_lobe, potential_U
+from .model import U_partials, least_on_lobe, potential_U
 from .scan import level_curvature
 
 __all__ = [
@@ -46,7 +46,7 @@ _C_TOL = 1e-12
 
 def curvature_numerator(q, params):
     """Vectorized curvature numerator C (derivative combination only)."""
-    return level_curvature(_U_partials(q, params, 2))
+    return level_curvature(U_partials(q, params, 2))
 
 
 @dataclass

@@ -25,11 +25,11 @@ on the preimage of the Earth rim (of params.swapped() at the Moon, in the
 chart q = 1 - 2 conj(v)^2; model.least_on_lobe) and ``curve v0``
 (F_on_rim) read F from U's partials through order two at the rim points.
 This module also provides closed-form derivatives of V through order
-three, as the partials table {(i, j): d_x^i d_y^j V} that model.U_derivs
-returns for U, so F off V = 0 is scan.level_curvature of it; the
-off-center critical points (+-x0, 0) of V and the tangency data there,
-where F vanishes to order three along the tangent cone, as any
-level-set curvature numerator does at a critical point.
+three, as the partials table {(i, j): d_x^i d_y^j V} that
+model.U_partials returns for U, so F off V = 0 is scan.level_curvature
+of it; the off-center critical points (+-x0, 0) of V and the tangency
+data there, where F vanishes to order three along the tangent cone, as
+any level-set curvature numerator does at a critical point.
 """
 
 from __future__ import annotations
@@ -39,12 +39,11 @@ import math
 import numpy as np
 
 from . import formulas
-from .errors import MoonCollision
-from .model import _U_partials, least_on_lobe
+from .errors import CollisionPoint
+from .model import U_partials, least_on_lobe
 from .scan import level_curvature
 
 __all__ = [
-    "radicand",
     "V_eval",
     "F_value",
     "tangency_check",
@@ -58,48 +57,33 @@ _RAD_TOL = 1e-24
 _WITNESS_TOL = 1e-8
 
 
-def radicand(x, y):
-    """rho(x, y) = |2 v^2 - 1|^2 = |q - 1|^2 (formulas.lc_radicand), a sum
-    of squares: nonnegative, zero only at the Moon preimages, and as
-    accurate relative to itself as q - 1 next to them."""
-    r = formulas.lc_radicand(np.asarray(x, dtype=float),
-                             np.asarray(y, dtype=float))
-    return float(r) if np.ndim(r) == 0 else r
-
-
-def _v_value(x, y, rho, params, c):
-    s2 = x * x + y * y
-    return -c * s2 - params.mu * s2 / np.sqrt(rho) - 0.5 * params.earth_mass
-
-
 def V_value(x, y, params, c):
-    """Potential V_c alone (vectorized); see V_eval for derivatives."""
-    rho = radicand(x, y)
-    if np.any(np.asarray(rho) < _RAD_TOL):
-        raise MoonCollision("V undefined at a Moon preimage")
-    v = _v_value(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
-                 rho, params, c)
-    return float(v) if np.ndim(v) == 0 else v
+    """Potential V_c alone: the order-0 entry of V_eval."""
+    return V_eval(x, y, params, c)[0, 0]
 
 
 def V_eval(x, y, params, c):
     """The table {(i, j): d_x^i d_y^j V} of V's closed-form value and
-    partials through order three, the form of model.U_derivs: Python
+    partials through order three, the form of model.U_partials: Python
     floats at a scalar point, arrays of the inputs' shape otherwise.
-    All entries are validated against finite differences.
+    All entries are validated against finite differences. The radicand
+    rho = |q - 1|^2 (formulas.lc_radicand) is a sum of squares, zero only
+    at the preimages of the Moon; below _RAD_TOL it raises CollisionPoint,
+    as U does at the Moon.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     mu = params.mu
-    rho = radicand(x, y)
+    rho = formulas.lc_radicand(x, y)
     if np.any(rho < _RAD_TOL):
-        raise MoonCollision("V undefined at a Moon preimage")
+        raise CollisionPoint("V undefined at a Moon preimage")
     r32 = rho ** 1.5
     r52 = rho ** 2.5
     r72 = rho ** 3.5
     x2, y2 = x * x, y * y
 
-    V = _v_value(x, y, rho, params, c)
+    s2 = x2 + y2
+    V = -c * s2 - mu * s2 / np.sqrt(rho) - 0.5 * params.earth_mass
     V_x = -2.0 * c * x + 2.0 * mu * x * (2.0 * x2 - 6.0 * y2 - 1.0) / r32
     V_y = -2.0 * c * y + 2.0 * mu * y * (6.0 * x2 - 2.0 * y2 - 1.0) / r32
 
@@ -214,9 +198,9 @@ def _rim_F(q1, q2, d):
 
 def F_on_rim(q, params):
     """F = 4 |q|^3 L at +-sqrt(q/2) of the points q of a Hill rim of params
-    (model.hill_boundary), from one model._U_partials call."""
+    (model.hill_boundary), from one model.U_partials call."""
     q1, q2 = q[:, 0], q[:, 1]
-    return _rim_F(q1, q2, _U_partials((q1, q2), params, 2))
+    return _rim_F(q1, q2, U_partials((q1, q2), params, 2))
 
 
 def nonconvex_witness_levi(params, c=None):

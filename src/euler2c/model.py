@@ -36,7 +36,7 @@ __all__ = [
     "HillComponent",
     "ProblemParams",
     "potential_U",
-    "U_derivs",
+    "U_partials",
     "hill_boundary",
     "HillRegion",
     "hill_region",
@@ -58,16 +58,6 @@ def _distances(q):
     if np.any(r1 < _COLLISION_TOL) or np.any(r2 < _COLLISION_TOL):
         raise CollisionPoint("position coincides with a primary")
     return q1, q2, r1, r2
-
-
-def potential_U(q, params):
-    """Potential U(q) = -(1-mu)/|q - E| - mu/|q - M|; always negative.
-
-    Accepts scalar pairs or numpy-array pairs.
-    """
-    _, _, r1, r2 = _distances(q)
-    out = -params.earth_mass / r1 - params.mu / r2
-    return float(out) if np.isscalar(out) or out.ndim == 0 else out
 
 
 @cache
@@ -97,11 +87,13 @@ def _inverse_r_table(order):
                  for alpha, p in table.items())
 
 
-def _U_partials(q, params, order):
-    """{(i, j): d_1^i d_2^j U} for i + j <= order at a Standard-frame
-    position (Python floats for a scalar one): a primary of mass m adds
-    -m P_alpha(d) / r^(2|alpha|+1) = -m P_alpha(d / r^2) / r, P_alpha
-    homogeneous (_inverse_r_table), so all alpha share the monomials."""
+def U_partials(q, params, order):
+    """The table {(i, j): d_1^i d_2^j U} for i + j <= order at a
+    Standard-frame position, Python floats for a scalar one and arrays
+    otherwise; levicivita.V_eval returns V's in this form. A primary of
+    mass m adds -m P_alpha(d) / r^(2|alpha|+1) = -m P_alpha(d / r^2) / r,
+    P_alpha homogeneous (_inverse_r_table), so all alpha share the
+    monomials."""
     q1, q2, r1, r2 = _distances(q)
     if np.ndim(r1) == 0:
         q1, q2, r1, r2 = float(q1), float(q2), float(r1), float(r2)
@@ -124,11 +116,10 @@ def _U_partials(q, params, order):
     return out
 
 
-def U_derivs(q, params):
-    """The table {(i, j): d_1^i d_2^j U} through order three at a
-    Standard-frame position (_U_partials): Python floats for a scalar
-    one, arrays otherwise; levicivita.V_eval returns V's in this form."""
-    return _U_partials(q, params, 3)
+def potential_U(q, params):
+    """Potential U(q) = -(1-mu)/|q - E| - mu/|q - M|, always negative:
+    the order-0 entry of U_partials, a float or an array like q's."""
+    return U_partials(q, params, 0)[0, 0]
 
 
 def _earth_rim(lobe, c, n):
@@ -237,13 +228,13 @@ def hill_region(params, c, n_lam, n_nu):
 def least_on_lobe(params, c, quantity, n=0):
     """The least value of quantity(q1, q2, d) over the Earth's Hill lobe of
     energy c <= c_J, d being U's partials through order two at the
-    Standard-frame position (q1, q2); one _U_partials call reads it at
+    Standard-frame position (q1, q2); one U_partials call reads it at
     the positions of hill_region(params, c, n, n) but the Earth, where U
     has none, so n = 0 reads the rim alone. Returns the least value, its
     position (q1, q2) and the number of positions read."""
     q1, q2 = hill_region(params, c, n, n).q.T
     off = (q1 != 0.0) | (q2 != 0.0)
     q1, q2 = q1[off], q2[off]
-    values = quantity(q1, q2, _U_partials((q1, q2), params, 2))
+    values = quantity(q1, q2, U_partials((q1, q2), params, 2))
     i = int(np.argmin(values))
     return float(values[i]), (float(q1[i]), float(q2[i])), values.size

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cache
 
 from euler2c import formulas, levicivita, scan
-from euler2c.exactpoly import MultiPoly, SurdRelation, ring
+from euler2c.exactpoly import MultiPoly, reduce_mod_quadratic, ring
 
 
 def holds(differences):
@@ -37,15 +37,18 @@ def holds(differences):
 
 
 def _reduce(p, relations):
-    for rel in relations:
-        p = rel.reduce(p)
+    """p with each adjoined surd s of the (s, square) relations rewritten
+    by s^2 = square, to degree at most 1 in s."""
+    for symbol, square in relations:
+        s = MultiPoly.variable(symbol, p.vars)
+        p = reduce_mod_quadratic(p, symbol, s ** 2 - square)
     return p
 
 
 def _elliptic():
     x, y, sh, sn, pl, pn, c, mu = ring("x", "y", "sh", "sn", "pl", "pn",
                                        "c", "mu")
-    rels = (SurdRelation("sh", x ** 2 - 1), SurdRelation("sn", 1 - y ** 2))
+    rels = (("sh", x ** 2 - 1), ("sn", 1 - y ** 2))
     J = ((sh * y / 2, -x * sn / 2), (x * sn / 2, sh * y / 2))
     return (x, y, sh, sn, pl, pn, c, mu), rels, (x * y / 2, sh * sn / 2), J
 
@@ -119,9 +122,8 @@ def hill_rim_offsets():
     u, v, c, m, s, mu, t, sh, sn = ring("u", "v", "c", "m", "s", "mu", "t",
                                         "sh", "sn")
     x, y = 1 + u, -1 + v
-    rels = (SurdRelation("s", c ** 2 + 2 * c + m ** 2),
-            SurdRelation("t", mu * (1 - mu)),
-            SurdRelation("sh", x ** 2 - 1), SurdRelation("sn", 1 - y ** 2))
+    rels = (("s", c ** 2 + 2 * c + m ** 2), ("t", mu * (1 - mu)),
+            ("sh", x ** 2 - 1), ("sn", 1 - y ** 2))
     K = formulas.R2(x, y, c, m) - c * u ** 2 - 2 * (1 + c) * u
     q1, q2 = (x * y + 1) / 2, sh * sn / 2
     return [_reduce(c * K + (c * v + m - c - s) * (c * v + m - c + s), rels),
@@ -222,8 +224,7 @@ def _distance_ring():
     P7 = (a ** 3 * r2 ** 7 + b ** 3 * r1 ** 7
           + b * a ** 2 * (f + r2 ** 2 * g) * r1 * r2 ** 2
           + b ** 2 * a * (f + r1 ** 2 * g) * r1 ** 2 * r2)
-    rels = (SurdRelation("r1", q1 ** 2 + q2 ** 2),
-            SurdRelation("r2", (q1 - 1) ** 2 + q2 ** 2))
+    rels = (("r1", q1 ** 2 + q2 ** 2), ("r2", (q1 - 1) ** 2 + q2 ** 2))
     return (q1, q2, i1, i2, r1, r2, a, b), table, P7, rels
 
 
@@ -288,7 +289,7 @@ def levi_rim_curvature():
     L = levicivita.levi_numerator(q1, q2, table)
     L = L.subs("q1", 2 * (x ** 2 - y ** 2)).subs("q2", 4 * x * y)
     diff = F.subs("c", -(1 - mu) * i1 - mu * i2) - 32 * s2 ** 3 * L
-    return [SurdRelation("r2", rho).reduce(_clear(diff, 2 * s2, r2)[0])]
+    return [_reduce(_clear(diff, 2 * s2, r2)[0], [("r2", rho)])]
 
 
 def _equal_mass_polar():
@@ -299,8 +300,7 @@ def _equal_mass_polar():
     derivatives of C, each times r^N rho^N, with their N."""
     q1, q2, i1, i2, r, y, sn, rho = ring("q1", "q2", "i1", "i2", "r", "y",
                                          "sn", "rho")
-    rels = (SurdRelation("sn", 1 - y ** 2),
-            SurdRelation("rho", r ** 2 - 2 * r * y + 1))
+    rels = (("sn", 1 - y ** 2), ("rho", r ** 2 - 2 * r * y + 1))
     half = Fraction(1, 2)
     C, _, d = _formal_curvature(half, half, q1, q2, i1, i2)
     C1, C2 = d(C, "q1"), d(C, "q2")
@@ -354,9 +354,9 @@ def equal_mass_cone_curvature():
     q1, q2, i1, i2, q, w, r1, r2 = ring("q1", "q2", "i1", "i2", "q", "w",
                                         "r1", "r2")
     half = Fraction(1, 2)
-    rels = (SurdRelation("w", MultiPoly.constant(2, q.vars)),
-            SurdRelation("r1", 3 * q ** 2 - 2 * q + half),
-            SurdRelation("r2", 3 * q ** 2 - 4 * q + 3 * half))
+    rels = (("w", MultiPoly.constant(2, q.vars)),
+            ("r1", 3 * q ** 2 - 2 * q + half),
+            ("r2", 3 * q ** 2 - 4 * q + 3 * half))
     C, _, _ = _formal_curvature(half, half, q1, q2, i1, i2)
     lhs, N = _clear(C, r1, r2)
     s1, s2 = 2 * r1, 2 * r2
@@ -382,7 +382,7 @@ def _cone_contact():
     (l^2 + (1 - l)^2)^(-3), from alpha^2 + beta^2 = 1. The distances at
     the vertex are r1 = l and r2 = 1 - l, and w stands for sqrt(2)."""
     q1, q2, i1, i2, l, w = ring("q1", "q2", "i1", "i2", "l", "w")
-    rel = SurdRelation("w", MultiPoly.constant(2, l.vars))
+    rel = ("w", MultiPoly.constant(2, l.vars))
     C, table, d = _formal_curvature(l ** 2, (1 - l) ** 2, q1, q2, i1, i2)
 
     def at_vertex(p):
@@ -391,7 +391,8 @@ def _cone_contact():
 
     along = [C]
     for _ in range(4):
-        along.append(rel.reduce(d(along[-1], "q1") + w * d(along[-1], "q2")))
+        along.append(_reduce(d(along[-1], "q1") + w * d(along[-1], "q2"),
+                             [rel]))
     C1 = d(C, "q1")
     second = {(2, 0): d(C1, "q1"), (1, 1): d(C1, "q2"),
               (0, 2): d(d(C, "q2"), "q2")}

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from euler2c import elliptic, levicivita, model
+from euler2c import elliptic, levicivita
 from euler2c.cli import main
 from euler2c.exactpoly import verify_all, verify_identity
 from euler2c.fiberwise import curvature_numerator
@@ -26,7 +26,7 @@ from euler2c.levicivita import (
     tangency_check,
     x0_of,
 )
-from euler2c.model import (HillComponent, ProblemParams, U_derivs,
+from euler2c.model import (HillComponent, ProblemParams, U_partials,
                            hill_boundary, potential_U)
 from finite_differences import fd_derivative
 
@@ -181,9 +181,9 @@ def test_07_derivative_tables():
                                    (1, 0, 0, 1), (0, 1, 0, 1), (2, 0, 1, 0),
                                    (2, 0, 0, 1), (1, 1, 0, 1), (0, 2, 0, 1)]]
     for name, base, ox, oy in ladder:
-        fb = lambda x, y: U_derivs((x, y), p)[base]
+        fb = lambda x, y: U_partials((x, y), p, 3)[base]
         worst = 0.0
-        vals = [U_derivs(q, p)[name] for q in pts]
+        vals = [U_partials(q, p, 3)[name] for q in pts]
         scale = max(abs(v) for v in vals)
         for (x, y), v in zip(pts, vals):
             fd = _fd1(fb, x, y, ox, oy, 1e-5)
@@ -211,7 +211,7 @@ def test_07_derivative_tables():
     # -- U along the cone line through (l, 0), through order 4, over
     # >= 500 samples
     def line(t, p):
-        d = model._U_partials((t, math.sqrt(2.0) * (t - p.l)), p, 4)
+        d = U_partials((t, math.sqrt(2.0) * (t - p.l)), p, 4)
         return [d[0, 0]] + [sum(math.comb(k, m) * math.sqrt(2.0) ** m
                                 * d[k - m, m] for m in range(k + 1))
                             for k in range(1, 5)]

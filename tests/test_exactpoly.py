@@ -13,7 +13,6 @@ from euler2c.errors import OracleInconsistency, VariableMismatch
 from euler2c.model import HillComponent, ProblemParams
 from euler2c.exactpoly import (
     MultiPoly,
-    SurdRelation,
     identity_names,
     reduce_mod_quadratic,
     ring,
@@ -74,21 +73,21 @@ class TestMultiPoly:
 
 
 class TestSurd:
-    def test_reduce_even_powers(self):
-        # s^2 = mu(1 - mu): (a + b s)(a - b s) has no s left
-        mu, s = ring("mu", "s")
-        one = MultiPoly.constant(1, mu.vars)
-        rel = SurdRelation("s", mu * (one - mu))
-        p = (mu + s) * (mu - s)
-        r = rel.reduce(p)
-        assert (r - (mu ** 2 - mu * (one - mu))).is_zero
-
     def test_reduce_mod_quadratic(self):
         (x,) = ring("x")
         one = MultiPoly.constant(1, x.vars)
         # x^3 mod (x^2 - 2) = 2x
         r = reduce_mod_quadratic(x ** 3, "x", x ** 2 - 2 * one)
         assert (r - 2 * x).is_zero
+        # the monic s^2 - mu(1 - mu) adjoins s: (mu + s)(mu - s) has no s
+        # left, and every reduction has degree at most 1 in s
+        mu, s = ring("mu", "s")
+        square = mu * (1 - mu)
+        for p, want in (((mu + s) * (mu - s), mu ** 2 - square),
+                        (s ** 3 + mu * s ** 2, square * s + mu * square)):
+            r = reduce_mod_quadratic(p, "s", s ** 2 - square)
+            assert r.degree("s") <= 1
+            assert (r - want).is_zero
 
 
 class TestSturm:
@@ -206,7 +205,7 @@ _MUTATIONS = [
     ("a-dy-factor", "g", lambda v, t, c, m: v + t,
      lambda: elliptic._lam_terms(0.4, -2.3)[1]),
     ("lc-radicand", "lc_radicand", lambda v, x, y: v + x * y,
-     lambda: levicivita.radicand(0.3, 0.4)),
+     lambda: levicivita.V_value(0.3, 0.4, ProblemParams(0.3), -2.0)),
     # the coefficient 393 of P2 becomes 394
     ("f0-expansion", "P2", lambda v, x, y: v - x ** 4 * y ** 3 / 28,
      lambda: holds(regularizations.equal_mass_polar_derivatives())),

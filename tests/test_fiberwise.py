@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from euler2c import formulas, model
+from euler2c import formulas
 from euler2c.errors import CollisionPoint
 from euler2c.exactpoly import ring, sign_certificate, verify_identity
 from euler2c.fiberwise import (
@@ -15,7 +15,7 @@ from euler2c.fiberwise import (
     fiberwise_verdict,
     positivity_certificates,
 )
-from euler2c.model import (HillComponent, ProblemParams, U_derivs,
+from euler2c.model import (HillComponent, ProblemParams, U_partials,
                            hill_boundary, hill_region, potential_U)
 from euler2c.scan import level_curvature_tracer
 from finite_differences import fd_check, fd_derivative
@@ -29,7 +29,7 @@ def _cone_line(t, p):
     V(t) = U(t, sqrt(2)(t - l)) - c_J, and its derivatives V1..V4 along
     the line, from U's partials through order four: V_k = sum_m
     binom(k, m) sqrt(2)^m d_1^(k-m) d_2^m U."""
-    d = model._U_partials((t, math.sqrt(2.0) * (t - p.l)), p, 4)
+    d = U_partials((t, math.sqrt(2.0) * (t - p.l)), p, 4)
     out = {f"V{k}": sum(math.comb(k, m) * math.sqrt(2.0) ** m * d[k - m, m]
                         for m in range(k + 1)) for k in range(1, 5)}
     return {"V": d[0, 0] - p.c_jacobi} | out
@@ -39,13 +39,13 @@ class TestUDerivatives:
     def test_value_matches_potential(self, p03, rng):
         for _ in range(10):
             q = (rng.uniform(-1, 2), rng.uniform(0.1, 1))
-            assert U_derivs(q, p03)[0, 0] == pytest.approx(
+            assert U_partials(q, p03, 3)[0, 0] == pytest.approx(
                 potential_U(q, p03), rel=1e-14)
 
     def test_first_and_second_fd(self, p03):
         f = lambda x, y: potential_U((x, y), p03)
         for q in [(0.3, 0.4), (1.3, -0.5), (-0.6, 0.3)]:
-            d = U_derivs(q, p03)
+            d = U_partials(q, p03, 3)
             for (ox, oy) in [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
                 h = 1e-5 if ox + oy == 1 else 1e-4
                 fd = fd_derivative(f, q[0], q[1], ox, oy, h)
@@ -55,15 +55,15 @@ class TestUDerivatives:
         pairs = [((3, 0), (2, 0), 1, 0), ((2, 1), (2, 0), 0, 1),
                  ((1, 2), (1, 1), 0, 1), ((0, 3), (0, 2), 0, 1)]
         for name, base, ox, oy in pairs:
-            fb = lambda x, y: U_derivs((x, y), p03)[base]
+            fb = lambda x, y: U_partials((x, y), p03, 3)[base]
             for q in [(0.3, 0.4), (1.3, -0.5), (-0.6, 0.3)]:
-                closed = U_derivs(q, p03)[name]
+                closed = U_partials(q, p03, 3)[name]
                 fd = fd_derivative(fb, q[0], q[1], ox, oy, 1e-5)
                 assert fd == pytest.approx(closed, rel=1e-6, abs=1e-7), name
 
     def test_collision(self, p03):
         with pytest.raises(CollisionPoint):
-            U_derivs((1.0, 0.0), p03)
+            U_partials((1.0, 0.0), p03, 3)
 
 
 class TestCurvature:
@@ -74,10 +74,10 @@ class TestCurvature:
 
     @pytest.mark.parametrize("mu", [0.3, 0.7])
     def test_traced_value_and_gradient(self, mu):
-        # C and its gradient from one U_derivs call, as curve czero traces
+        # C and its gradient from one U_partials call, as curve czero traces
         # it, against finite differences of the curvature numerator
         p = ProblemParams(mu)
-        C = level_curvature_tracer(lambda q1, q2: U_derivs((q1, q2), p))
+        C = level_curvature_tracer(lambda q1, q2: U_partials((q1, q2), p, 3))
         pts = [(0.3, 0.4), (1.3, -0.5), (-0.6, 0.3), (0.5, 0.2)]
         for q in pts:
             assert C(*q)[0] == curvature_numerator(q, p)
@@ -89,7 +89,7 @@ class TestCurvature:
     def test_kappa_singular_at_critical_point(self, p03):
         # grad U and C vanish at (l, 0), so kappa = C / |grad U|^3 is
         # undefined there
-        d = U_derivs((p03.l, 0.0), p03)
+        d = U_partials((p03.l, 0.0), p03, 3)
         assert math.hypot(d[1, 0], d[0, 1]) < 1e-9
         assert abs(curvature_numerator((p03.l, 0.0), p03)) < 1e-20
 

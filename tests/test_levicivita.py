@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from euler2c.errors import MoonCollision
+from euler2c import formulas
+from euler2c.errors import CollisionPoint
 from euler2c.exactpoly import ring
 from euler2c.ladder import theorem_verdict
 from euler2c.levicivita import (
@@ -15,13 +16,12 @@ from euler2c.levicivita import (
     V_value,
     levi_numerator,
     nonconvex_witness_levi,
-    radicand,
     rim_preimage,
     tangency_check,
     x0_of,
 )
-from euler2c.model import (HillComponent, ProblemParams, U_derivs,
-                           _inverse_r_table, _U_partials, hill_boundary)
+from euler2c.model import (HillComponent, ProblemParams, U_partials,
+                           _inverse_r_table, hill_boundary)
 from euler2c.scan import level_curvature_tracer
 from finite_differences import fd_check, fd_derivative
 
@@ -36,7 +36,8 @@ class TestRegularization:
         for _ in range(20):
             x, y = rng.uniform(-1, 1, 2)
             expect = (2 * x * x - 2 * y * y - 1) ** 2 + 16 * x * x * y * y
-            assert radicand(x, y) == pytest.approx(expect, rel=1e-14)
+            rho = formulas.lc_radicand(x, y)
+            assert rho == pytest.approx(expect, rel=1e-14)
 
     def test_radicand_near_moon_preimage(self):
         # at mu = 1e-4, c = -100 the Moon rim lies about 1e-6 from the
@@ -46,7 +47,7 @@ class TestRegularization:
         q = hill_boundary(p, -100.0, HillComponent.MOON, n=64)
         v = np.sqrt(0.5 * (q[:, 0] + 1j * q[:, 1]))
         for x, y in ((v.real, v.imag), (-v.real, -v.imag)):
-            rho = radicand(x, y)
+            rho = formulas.lc_radicand(x, y)
             assert np.max(np.abs(rho / ((q[:, 0] - 1.0) ** 2 + q[:, 1] ** 2)
                                  - 1.0)) <= 1e-8
             assert np.max(np.abs(V_value(x, y, p, -100.0))) <= 1e-7
@@ -69,7 +70,7 @@ class TestRegularization:
 
     def test_moon_collision(self, p03):
         # v^2 = 1/2 maps to the Moon q = (1, 0)
-        with pytest.raises(MoonCollision):
+        with pytest.raises(CollisionPoint):
             V_value(math.sqrt(0.5), 0.0, p03, -2.0)
 
     def test_equal_mass_boundary_point(self, p05):
@@ -144,10 +145,10 @@ class TestDerivatives:
         assert all(d[a].shape == (2,) and d[a][0] == s[a] for a in s)
 
     def test_same_table_as_U(self, p03):
-        # V_eval and model.U_derivs hand the curvature code one format:
+        # V_eval and model.U_partials hand the curvature code one format:
         # the ten partials through order three, Python floats at a point
         d = V_eval(0.3, 0.2, p03, p03.c_jacobi)
-        u = U_derivs((0.3, 0.2), p03)
+        u = U_partials((0.3, 0.2), p03, 3)
         keys = {(i, j) for i in range(4) for j in range(4 - i)}
         assert set(d) == set(u) == keys
         assert all(type(v) is float for v in [*d.values(), *u.values()])
@@ -287,7 +288,7 @@ class TestWitness:
         q = hill_boundary(p, c, HillComponent.EARTH, n=1024)
         q1, q2 = q.T
         F = 4.0 * np.hypot(q1, q2) ** 3 * levi_numerator(
-            q1, q2, _U_partials((q1, q2), p, 2))
+            q1, q2, U_partials((q1, q2), p, 2))
         v = np.sqrt(0.5 * (q1 + 1j * q2))
         k = int(np.argmin(F[:513]))
         w, read, least = nonconvex_witness_levi(p, c)

@@ -12,7 +12,7 @@ from euler2c.exactpoly import ring
 from euler2c.model import (
     HillComponent,
     ProblemParams,
-    U_derivs,
+    U_partials,
     hill_boundary,
     potential_U,
 )
@@ -58,7 +58,7 @@ class TestConstants:
             -1 - math.sqrt(3) / 2, rel=1e-15)
 
     def test_l_is_critical_point(self, p03):
-        d = U_derivs((p03.l, 0.0), p03)
+        d = U_partials((p03.l, 0.0), p03, 3)
         assert abs(d[1, 0]) < 1e-14 and abs(d[0, 1]) < 1e-14
 
     def test_critical_value_is_c_jacobi(self, p03):
@@ -88,7 +88,7 @@ class TestPotential:
     @pytest.mark.parametrize("primary", [0.0, 1.0])
     def test_one_collision_rule(self, p03, primary):
         # U and its derivative table reject the same points
-        for f in (potential_U, U_derivs):
+        for f in (potential_U, lambda q, p: U_partials(q, p, 3)):
             with pytest.raises(CollisionPoint):
                 f((primary + 5e-14, 0.0), p03)
             f((primary + 5e-13, 0.0), p03)
@@ -96,7 +96,7 @@ class TestPotential:
     def test_gradient_fd(self, p03):
         h = 1e-7
         for q in ((0.3, 0.4), (1.2, -0.5), (-0.7, 0.2)):
-            d = U_derivs(q, p03)
+            d = U_partials(q, p03, 3)
             g1, g2 = d[1, 0], d[0, 1]
             f1 = (potential_U((q[0] + h, q[1]), p03)
                   - potential_U((q[0] - h, q[1]), p03)) / (2 * h)
@@ -169,7 +169,7 @@ def _ray_reference(p, c, comp, pts):
         below = u(mid) < c
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     t = 0.5 * (lo + hi)
-    d = U_derivs((ox + t * dx, t * dy), p)
+    d = U_partials((ox + t * dx, t * dy), p, 3)
     return ox, t, d[1, 0] * dx + d[0, 1] * dy
 
 
@@ -185,7 +185,7 @@ class TestHillBoundaryRays:
         # binary64 places a point only to an ulp of its coordinates, which
         # moves U by about |grad U| ulp: above tol only on the Moon lobe
         # of mu = 0.001 at c = -50, where |grad U| is about 2.5e6 at q1 = 1
-        d = U_derivs((pts[:, 0], pts[:, 1]), p)
+        d = U_partials((pts[:, 0], pts[:, 1]), p, 3)
         g1, g2 = d[1, 0], d[0, 1]
         eps = np.finfo(float).eps
         return 2.0 * eps * (np.abs(g1 * pts[:, 0]) + np.abs(g2 * pts[:, 1]))
@@ -382,7 +382,7 @@ class TestUPartials:
 
     def test_inverse_r_tables_match_exactpoly(self):
         # the integer recursion gives exactpoly's polynomials term for term
-        # and in the same order, so _U_partials sums them in that order
+        # and in the same order, so U_partials sums them in that order
         d1, d2 = ring("d1", "d2")
         r2 = d1 * d1 + d2 * d2
         table = {(0, 0): d1 ** 0}
@@ -401,16 +401,16 @@ class TestUPartials:
 
     def test_orders_share_entries(self, p03, rng):
         q = (rng.uniform(-1, 2, 64), rng.uniform(-1, 1, 64))
-        full = model._U_partials(q, p03, 4)
+        full = U_partials(q, p03, 4)
         assert len(full) == 15
         for order in (1, 2, 3):
-            part = model._U_partials(q, p03, order)
+            part = U_partials(q, p03, order)
             assert set(part) == {a for a in full if sum(a) <= order}
             for alpha, v in part.items():
                 assert np.array_equal(v, full[alpha]), alpha
 
     def test_scalar_gives_floats(self, p03):
-        d = model._U_partials((0.2, 0.1), p03, 4)
+        d = U_partials((0.2, 0.1), p03, 4)
         assert all(type(v) is float for v in d.values())
         assert d[0, 0] == potential_U((0.2, 0.1), p03)
 

@@ -1,17 +1,18 @@
-"""The reference corpus: levi and fiberwise verdicts and figure curves,
-recorded once in tests/reference/ and rerun here in-process.
+"""The reference corpus: levi, fiberwise and elliptic verdicts, the
+verdicts of CI's console-script step, and figure curves, recorded once in
+tests/reference/ and rerun here in-process.
 
-Each row is an ``euler2c`` command line with its exit code and output:
-a verdict's JSON without its runtime, a curve's CSV as a header and
-rows. A rerun must give the same exit code, verdict, sample count, row
-count, series names and other strings; a float must match within 1e-12
-relative, since NumPy and libm may round the last bit differently
-elsewhere. Near zero a float may also differ by the rounding of its
-terms: 1e-15 in a verdict, whose least value is one sum of terms of
-order one (several, such as 1.6e-32 at mu = 0.95 and c_J, are rounding
-residues of a quantity that vanishes there, while -7.3e-13 and -1.66e-9
-at the band are pinned), and 1e-12 in a curve, whose points come out of
-Newton iterations on curves of size one.
+Each row is an ``euler2c`` command line with its exit code and output: a
+verdict's JSON without its runtime (null for a refused input), a curve's
+CSV as a header and rows. A rerun must give the same exit code, verdict,
+sample count, row count, series names and other strings; a float must
+match within 1e-12 relative, since NumPy and libm may round the last bit
+differently elsewhere. Near zero a float may also differ by the rounding
+of its terms: 1e-15 in a verdict, whose least value is one sum of terms
+of order one (several, such as 1.6e-32 at mu = 0.95 and c_J, are
+rounding residues of a quantity that vanishes there, while -7.3e-13 and
+-1.66e-9 at the band are pinned), and 1e-12 in a curve, whose points
+come out of Newton iterations on curves of size one.
 
 ``PYTHONPATH=src python tests/test_reference.py`` rewrites the corpus
 from the tree it runs in.
@@ -26,6 +27,7 @@ import re
 import sys
 
 from euler2c.cli import main
+from euler2c.ladder import ProblemParams, thresholds
 
 _HERE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "reference")
 _REL = 1e-12
@@ -34,13 +36,69 @@ _ABS = {"verdicts": 1e-15, "curves": 1e-12}
 VERDICT_MU = ["0.05", "0.3", "0.4995", "0.5", "0.7", "0.935", "0.95", "0.999"]
 VERDICT_C = ["cJ", "cJ-1e-3", "cJ-0.5"]
 CURVE_MU = ["0.3", "0.5", "0.7", "0.95"]
+# the verdicts of CI's console-script step, as CI writes them
+CI_VERDICTS = [
+    ["elliptic", "--mu", "0.4999999", "--c", "cJ-0.5", "--component",
+     "earth", "--method", "theory"],
+    ["elliptic", "--mu", "0.3", "--c", "cJ-0.0002", "--component", "earth",
+     "--method", "both"],
+    ["elliptic", "--mu", "0.7", "--c", "cJ-0.5", "--component", "moon",
+     "--method", "both"],
+    ["elliptic", "--mu", "0.7", "--c", "cJ-0.0002", "--component", "moon",
+     "--method", "both"],
+    ["elliptic", "--mu", "0.3", "--c", "cJ-0.5", "--component", "earth",
+     "--method", "both"],
+    ["elliptic", "--mu", "0.3", "--c", "cJ-1e-9", "--component", "earth",
+     "--method", "both"],
+    ["fiberwise", "--mu", "0.3", "--c", "-10000", "--method", "both"],
+    ["levi", "--mu", "0.3", "--c", "cJ", "--method", "both"],
+    ["levi", "--mu", "0.95", "--c", "cJ", "--method", "both"],
+    ["levi", "--mu", "0.9315", "--c", "cJ", "--method", "both"],
+    ["levi", "--mu", "0.1", "--c", "cJ-0.01", "--method", "oracle"],
+    ["fiberwise", "--mu", "0.3", "--c", "cJ", "--method", "both"],
+    ["fiberwise", "--mu", "0.999", "--c", "cJ", "--method", "both"],
+    ["fiberwise", "--mu", "0.5", "--c", "cJ-0.2", "--method", "both"],
+    ["fiberwise", "--mu", "0.43", "--c", "cJ-1e-6", "--method", "oracle"],
+    ["fiberwise", "--mu", "0.7", "--c", "cJ", "--component", "moon"],
+    ["levi", "--mu", "0.3", "--c", "cJ", "--component", "moon", "--method",
+     "both"],
+    ["levi", "--mu", "0.05", "--c", "cJ", "--component", "moon", "--method",
+     "both"],
+    ["levi", "--mu", "0.3", "--c", "cJ-0.5", "--method", "both"],
+    ["levi", "--mu", "0.95", "--c", "cJ", "--method", "oracle"],
+    ["levi", "--mu", "0.3", "--c", "cJ", "--method", "oracle"],
+    ["levi", "--mu", "0.3", "--c", "cJ-0.5", "--component", "moon",
+     "--method", "oracle"],
+    ["fiberwise", "--mu", "0.4995", "--c", "cJ", "--method", "oracle"],
+    ["elliptic", "--mu", "0.3", "--c", "cJ", "--component", "earth",
+     "--method", "oracle"],
+    ["elliptic", "--mu", "0.3", "--c=-inf", "--component", "earth",
+     "--method", "theory"],
+]
+
+
+def elliptic_energies(mu):
+    """The elliptic rows' energies at mu: cJ-1e-3 and cJ-0.5, and where
+    c0 lies apart from c_J (|mu - 1/2| > 0.01) the literals c0 -+ 1e-9
+    |c0|, on either side of the convexity threshold."""
+    out = ["cJ-1e-3", "cJ-0.5"]
+    if abs(float(mu) - 0.5) > 0.01:
+        c0 = thresholds(ProblemParams(float(mu))).c0
+        out += [repr(c0 - 1e-9 * abs(c0)), repr(c0 + 1e-9 * abs(c0))]
+    return out
 
 
 def verdict_commands():
-    return [["verdict", target, "--mu", mu, "--c", c, "--component", comp,
-             "--method", "both"]
-            for target in ("levi", "fiberwise") for mu in VERDICT_MU
-            for c in VERDICT_C for comp in ("earth", "moon")]
+    both = ["--method", "both"]
+    return ([["verdict", target, "--mu", mu, "--c", c, "--component", comp,
+              *both]
+             for target in ("levi", "fiberwise") for mu in VERDICT_MU
+             for c in VERDICT_C for comp in ("earth", "moon")]
+            + [["verdict", "elliptic", "--mu", mu, "--c", c, "--component",
+                comp, *both]
+               for mu in VERDICT_MU for c in elliptic_energies(mu)
+               for comp in ("earth", "moon")]
+            + [["verdict", *argv] for argv in CI_VERDICTS])
 
 
 def curve_commands():
@@ -67,6 +125,8 @@ def run(argv):
             code = err.code
     text = out.getvalue()
     if argv[0] == "verdict":
+        if not text:
+            return code, None
         result = json.loads(text)
         del result["runtime"]
         return code, result
@@ -126,7 +186,19 @@ def test_corpus_covers_both_lobes_and_all_energies():
     rows = _load("verdicts")
     assert [r["argv"] for r in rows] == verdict_commands()
     assert [r["argv"] for r in _load("curves")] == curve_commands()
-    assert {r["out"]["verdict"] for r in rows} == {"convex", "nonconvex"}
+    assert {r["out"]["verdict"] for r in rows if r["out"]} == {
+        "convex", "nonconvex"}
+    elliptic = [dict(zip(r["argv"][2::2], r["argv"][3::2])) for r in rows
+                if r["argv"][1] == "elliptic" and "--c" in r["argv"]]
+    assert {o["--component"] for o in elliptic} == {"earth", "moon"}
+    # c0 -+ 1e-9 |c0| at each mass ratio apart from 1/2, on both lobes
+    literal = {(o["--mu"], o["--component"]) for o in elliptic
+               if not o["--c"].startswith("cJ")}
+    apart = [mu for mu in VERDICT_MU if abs(float(mu) - 0.5) > 0.01]
+    assert literal == {(mu, comp) for mu in apart
+                       for comp in ("earth", "moon")}
+    # every CI verdict, the refused inputs among them
+    assert {r["exit"] for r in rows if r["out"] is None} == {2}
 
 
 def write_corpus():
